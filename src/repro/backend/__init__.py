@@ -1,9 +1,9 @@
-"""Pluggable compute backends for the FEM and preconditioner hot path.
+"""Pluggable compute backends for the FEM, preconditioner and sampling hot path.
 
 The pipeline's numeric kernels — batched element stiffness, strain and
-stress products, COO triplet accumulation, CSR mat-vec, and block-wise
-preconditioner application — run through a runtime-selectable
-:class:`ComputeBackend`:
+stress products, COO triplet accumulation, CSR mat-vec, block-wise
+preconditioner application, and the multi-channel trilinear gather — run
+through a runtime-selectable :class:`ComputeBackend`:
 
 * ``numpy`` — the vectorized reference implementation, always available;
 * ``numba`` — ``@njit(parallel=True)`` kernels with ``prange`` over

@@ -2,7 +2,8 @@
 
 Every numeric kernel on the pipeline's hot path — batched element
 stiffness, strain/stress products, COO triplet accumulation, CSR
-mat-vec, and block-wise preconditioner application — is routed through a
+mat-vec, block-wise preconditioner application, and the multi-channel
+trilinear gather under all image resampling — is routed through a
 :class:`ComputeBackend`. The numpy reference implementation
 (:mod:`repro.backend.numpy_backend`) is always importable; accelerated
 implementations (:mod:`repro.backend.numba_backend`, and a future
@@ -129,6 +130,48 @@ class ComputeBackend(abc.ABC):
             out[:] = Y
             return out
         return np.asarray(Y)
+
+    # -- image kernels -----------------------------------------------------
+
+    def trilinear_gather(
+        self,
+        channels,
+        base: np.ndarray,
+        strides: tuple[int, int, int],
+        fx: np.ndarray,
+        fy: np.ndarray,
+        fz: np.ndarray,
+    ) -> np.ndarray:
+        """Eight-corner gather and trilinear blend of several channels.
+
+        ``channels`` are ``C`` flat (C-order raveled) float64 volumes on
+        one grid; ``base[p]`` is the flat offset of point ``p``'s lower
+        corner ``(i0, j0, k0)`` and ``strides`` the flat offsets to the
+        upper neighbour along x, y, z (0 on a singleton axis), so every
+        corner is ``base + const``. ``fx``/``fy``/``fz`` are the
+        fractional weights in ``[0, 1]``. Returns ``(C, n)``.
+
+        Index arithmetic and weights are the caller's (computed once for
+        all channels); this kernel is only the memory-bound gather. The
+        blend order — x, then y, then z, each ``lo * (1 - f) + hi * f`` —
+        is part of the contract: a channel's result does not depend on
+        which other channels ride along, and an accelerated override must
+        keep that.
+        """
+        di, dj, dk = strides
+        gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+        out = np.empty((len(channels), base.shape[0]))
+        for c, flat in enumerate(channels):
+            # Shifted views put the corner offset in the view's start, so
+            # all eight gathers share the one index vector.
+            c00 = flat.take(base) * gx + flat[di:].take(base) * fx
+            c10 = flat[dj:].take(base) * gx + flat[di + dj :].take(base) * fx
+            c01 = flat[dk:].take(base) * gx + flat[di + dk :].take(base) * fx
+            c11 = flat[dj + dk :].take(base) * gx + flat[di + dj + dk :].take(base) * fx
+            c0 = c00 * gy + c10 * fy
+            c1 = c01 * gy + c11 * fy
+            np.add(c0 * gz, c1 * fz, out=out[c])
+        return out
 
     # -- preconditioner kernels --------------------------------------------
 

@@ -60,7 +60,12 @@ from repro.resilience.policy import DegradationLevel
 from repro.segmentation.atlas import LocalizationModel
 from repro.segmentation.knn import KNNClassifier
 from repro.segmentation.prototypes import PrototypeSet, select_prototypes
-from repro.surface.correspondence import CorrespondenceResult, surface_correspondence
+from repro.surface.correspondence import (
+    CorrespondenceResult,
+    snap_surface,
+    surface_correspondence,
+)
+from repro.surface.evolve import ActiveSurfaceResult
 from repro.util import ConvergenceError, ReproError, ValidationError
 
 
@@ -88,6 +93,13 @@ class PreoperativeModel:
         during the preoperative phase so each intraoperative simulation
         is a data-only fast path; ``None`` when
         ``PipelineConfig.precompute_solve_context`` is off.
+    snapped / snap_params:
+        The active surface's snap phase (mesh boundary evolved onto the
+        preoperative brain mask) and the ``cap_mm`` / ``iterations`` /
+        ``step_size`` / ``smoothing`` it was run with. The snap never
+        sees the intraoperative scan, so it is computed once here; a
+        pipeline whose surface parameters differ recomputes it per scan.
+        Only vertex positions are kept — the force-field volumes are not.
     """
 
     mri: ImageVolume
@@ -97,6 +109,8 @@ class PreoperativeModel:
     surface: TriangleSurface
     brain_mask: np.ndarray
     solve_context: SolveContext | None = None
+    snapped: ActiveSurfaceResult | None = None
+    snap_params: dict[str, float] | None = None
 
     def invalidate_solve_context(self) -> None:
         """Force a rebuild of the cached FEM state on the next scan.
@@ -253,6 +267,9 @@ class IntraoperativePipeline:
                     n_elements=int(mesher.mesh.n_elements),
                 )
             brain_mask = np.isin(labels.data, cfg.brain_labels)
+            with tracer.span("surface snap", kind="stage"):
+                snap_params = self._surface_params()
+                snapped = snap_surface(surface, brain_mask, labels, **snap_params)
             solve_context = None
             if cfg.precompute_solve_context:
                 # Preoperative precomputation: partitioning, assembly,
@@ -279,7 +296,19 @@ class IntraoperativePipeline:
             surface=surface,
             brain_mask=brain_mask,
             solve_context=solve_context,
+            snapped=snapped,
+            snap_params=snap_params,
         )
+
+    def _surface_params(self) -> dict[str, float]:
+        """Active-surface keyword arguments; also the stored snap's key."""
+        cfg = self.config
+        return {
+            "cap_mm": cfg.surface_cap_mm,
+            "iterations": cfg.surface_iterations,
+            "step_size": cfg.surface_step,
+            "smoothing": cfg.surface_smoothing,
+        }
 
     # -- intraoperative ---------------------------------------------------------
 
@@ -532,15 +561,19 @@ class IntraoperativePipeline:
                 nearest=True,
             ).astype(np.int16)
             target_mask = np.isin(seg_on_preop, cfg.intraop_brain_labels)
+            params = self._surface_params()
+            reused = preop.snapped if preop.snap_params == params else None
             correspondence = surface_correspondence(
                 preop.surface,
                 preop.brain_mask,
                 target_mask,
                 preop.labels,
-                cap_mm=cfg.surface_cap_mm,
-                iterations=cfg.surface_iterations,
-                step_size=cfg.surface_step,
-                smoothing=cfg.surface_smoothing,
+                **params,
+                snapped=reused,
+            )
+        if reused is not None:
+            timeline.note(
+                f"surface snap: reused preoperative snap ({reused.iterations} iterations)"
             )
         return correspondence, target_mask, preop_centers, rigid_inverse
 

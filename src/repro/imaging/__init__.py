@@ -33,6 +33,7 @@ from repro.imaging.phantom import (
 from repro.imaging.resample import (
     resample_volume,
     trilinear_sample,
+    trilinear_sample_many,
     warp_volume,
 )
 from repro.imaging.scanner import INTRAOP_05T, ScannerProtocol, acquire
@@ -68,5 +69,6 @@ __all__ = [
     "saturated_distance_transform",
     "signed_distance",
     "trilinear_sample",
+    "trilinear_sample_many",
     "warp_volume",
 ]

@@ -50,9 +50,8 @@ def joint_histogram(
         return np.clip(scaled.astype(np.intp), 0, bins - 1)
 
     ia, ib = _digitize(av), _digitize(bv)
-    hist = np.zeros((bins, bins), dtype=np.float64)
-    np.add.at(hist, (ia, ib), 1.0)
-    return hist
+    counts = np.bincount(ia * bins + ib, minlength=bins * bins)
+    return counts.reshape(bins, bins).astype(np.float64)
 
 
 def mutual_information(

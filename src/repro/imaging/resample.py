@@ -2,15 +2,99 @@
 
 The final step of the paper's pipeline resamples the preoperative data
 through the recovered volumetric deformation (≈0.5 s in the paper). All
-routines here are fully vectorized gather operations.
+routines here are fully vectorized gather operations, and every
+trilinear lookup in the library — single volumes, the active surface's
+force channels, the localization channels, field inversion — goes
+through the one kernel :func:`trilinear_sample_many`, whose gather step
+is the compute backend's
+:meth:`~repro.backend.ComputeBackend.trilinear_gather`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Sequence
 
+import numpy as np
+from scipy import ndimage
+
+from repro.backend import get_backend
 from repro.imaging.volume import ImageVolume
 from repro.util import ShapeError
+
+
+def _flat_points(points_world: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    pts = np.asarray(points_world, dtype=float)
+    if pts.shape[-1] != 3:
+        raise ShapeError(f"points_world must have trailing dimension 3, got {pts.shape}")
+    return pts.reshape(-1, 3), pts.shape[:-1]
+
+
+def _axis_cell(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower cell index (clamped so ``i0 + 1`` stays in bounds) and weight."""
+    if n > 1:
+        i0 = np.clip(np.floor(coord).astype(np.intp), 0, n - 2)
+    else:
+        i0 = np.zeros(len(coord), dtype=np.intp)
+    return i0, np.clip(coord - i0, 0.0, 1.0)
+
+
+def trilinear_sample_many(
+    volumes: Sequence[ImageVolume],
+    points_world: np.ndarray,
+    fill_values: float | Sequence[float] = 0.0,
+) -> np.ndarray:
+    """Trilinearly sample several same-grid volumes at the same points.
+
+    Index, validity and interpolation weights are computed once and
+    shared by all channels; each channel then costs eight flat gathers.
+    Every channel of the result is bit-identical to sampling that volume
+    alone.
+
+    Parameters
+    ----------
+    volumes:
+        ``C`` volumes sharing shape, spacing and origin exactly.
+    points_world:
+        ``(..., 3)`` world coordinates.
+    fill_values:
+        Value for points outside the grid (or NaN): one scalar, or one
+        per channel.
+
+    Returns
+    -------
+    ``(C, *points_world.shape[:-1])`` float array.
+    """
+    pts, out_shape = _flat_points(points_world)
+    first = volumes[0]
+    for vol in volumes[1:]:
+        if (
+            vol.shape != first.shape
+            or not np.array_equal(vol._spacing_arr, first._spacing_arr)
+            or not np.array_equal(vol._origin_arr, first._origin_arr)
+        ):
+            raise ShapeError("trilinear_sample_many: volumes must share one grid")
+    fills = np.broadcast_to(np.asarray(fill_values, dtype=float), (len(volumes),))
+
+    idx = first.world_to_index(pts)
+    nx, ny, nz = first.shape
+    x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
+    valid = (
+        (x >= 0) & (x <= nx - 1)
+        & (y >= 0) & (y <= ny - 1)
+        & (z >= 0) & (z <= nz - 1)
+    )
+    # Clamped cells keep the eight-corner gather in bounds; invalid points
+    # are overwritten with the fill value afterwards.
+    i0, fx = _axis_cell(x, nx)
+    j0, fy = _axis_cell(y, ny)
+    k0, fz = _axis_cell(z, nz)
+    base = (i0 * ny + j0) * nz + k0
+    strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0, 1 if nz > 1 else 0)
+    channels = [vol.data.astype(float, copy=False).ravel() for vol in volumes]
+    result = get_backend().trilinear_gather(channels, base, strides, fx, fy, fz)
+    if not valid.all():
+        result[:, ~valid] = fills[:, None]
+    return result.reshape(len(volumes), *out_shape)
 
 
 def trilinear_sample(
@@ -37,61 +121,21 @@ def trilinear_sample(
     -------
     Array of sampled values with shape ``points_world.shape[:-1]``.
     """
-    pts = np.asarray(points_world, dtype=float)
-    if pts.shape[-1] != 3:
-        raise ShapeError(f"points_world must have trailing dimension 3, got {pts.shape}")
-    out_shape = pts.shape[:-1]
-    idx = volume.world_to_index(pts.reshape(-1, 3))
+    if not nearest:
+        return trilinear_sample_many([volume], points_world, fill_value)[0]
+    pts, out_shape = _flat_points(points_world)
+    idx = volume.world_to_index(pts)
     data = volume.data
     nx, ny, nz = data.shape
-
-    if nearest:
-        rounded = np.rint(idx).astype(np.intp)
-        valid = (
-            (rounded[:, 0] >= 0) & (rounded[:, 0] < nx)
-            & (rounded[:, 1] >= 0) & (rounded[:, 1] < ny)
-            & (rounded[:, 2] >= 0) & (rounded[:, 2] < nz)
-        )
-        result = np.full(idx.shape[0], fill_value, dtype=float)
-        r = rounded[valid]
-        result[valid] = data[r[:, 0], r[:, 1], r[:, 2]].astype(float)
-        return result.reshape(out_shape)
-
-    floor = np.floor(idx).astype(np.intp)
+    rounded = np.rint(idx).astype(np.intp)
     valid = (
-        (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
-        & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
-        & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
+        (rounded[:, 0] >= 0) & (rounded[:, 0] < nx)
+        & (rounded[:, 1] >= 0) & (rounded[:, 1] < ny)
+        & (rounded[:, 2] >= 0) & (rounded[:, 2] < nz)
     )
-    # Clamp so the eight-corner gather stays in bounds; invalid points are
-    # overwritten with fill_value afterwards.
-    i0 = np.clip(floor[:, 0], 0, nx - 2) if nx > 1 else np.zeros(len(floor), dtype=np.intp)
-    j0 = np.clip(floor[:, 1], 0, ny - 2) if ny > 1 else np.zeros(len(floor), dtype=np.intp)
-    k0 = np.clip(floor[:, 2], 0, nz - 2) if nz > 1 else np.zeros(len(floor), dtype=np.intp)
-    fx = np.clip(idx[:, 0] - i0, 0.0, 1.0)
-    fy = np.clip(idx[:, 1] - j0, 0.0, 1.0)
-    fz = np.clip(idx[:, 2] - k0, 0.0, 1.0)
-    i1 = np.minimum(i0 + 1, nx - 1)
-    j1 = np.minimum(j0 + 1, ny - 1)
-    k1 = np.minimum(k0 + 1, nz - 1)
-
-    d = data.astype(float, copy=False)
-    c000 = d[i0, j0, k0]
-    c100 = d[i1, j0, k0]
-    c010 = d[i0, j1, k0]
-    c110 = d[i1, j1, k0]
-    c001 = d[i0, j0, k1]
-    c101 = d[i1, j0, k1]
-    c011 = d[i0, j1, k1]
-    c111 = d[i1, j1, k1]
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    result = c0 * (1 - fz) + c1 * fz
-    result[~valid] = fill_value
+    result = np.full(idx.shape[0], fill_value, dtype=float)
+    r = rounded[valid]
+    result[valid] = data[r[:, 0], r[:, 1], r[:, 2]].astype(float)
     return result.reshape(out_shape)
 
 
@@ -145,19 +189,25 @@ def invert_displacement_field(
     the pull-back field ``v`` satisfies ``v(x) = -u(x + v(x))``.
     Displacements are assumed smaller than the volume (true for brain
     shift, ~5-15 mm).
+
+    Only voxels within one voxel of the support of ``u`` are iterated:
+    elsewhere ``v_0 = -u = 0``, so every iterate samples ``u`` at the
+    voxel's own centre, whose eight interpolation corners (allowing for
+    rounding in the world-to-index map) all lie in that one-voxel
+    neighbourhood and are zero. A brain-shift field is zero outside the
+    mesh, which is most of the grid.
     """
     disp = np.asarray(displacement_mm, dtype=float)
-    shape = disp.shape[:-1]
     vol_axes = [
         ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
     ]
-    base = vol_axes[0].voxel_centers()
-    v = -disp.copy()
+    active = ndimage.binary_dilation(
+        np.any(disp != 0, axis=-1), structure=np.ones((3, 3, 3), dtype=bool)
+    )
+    base = vol_axes[0].index_to_world(np.argwhere(active))
+    v = -disp[active]
     for _ in range(iterations):
-        pts = base + v
-        u_at = np.stack(
-            [trilinear_sample(vol_axes[a], pts, fill_value=0.0) for a in range(3)],
-            axis=-1,
-        )
-        v = -u_at
-    return v.reshape(*shape, 3)
+        v = -trilinear_sample_many(vol_axes, base + v).T
+    inverse = np.zeros(disp.shape)
+    inverse[active] = v
+    return inverse

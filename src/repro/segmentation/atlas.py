@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.imaging.distance import saturated_distance_transform
-from repro.imaging.resample import trilinear_sample
+from repro.imaging.resample import trilinear_sample_many
 from repro.imaging.volume import ImageVolume
 from repro.registration.transform import RigidTransform
 from repro.util import ValidationError
@@ -76,9 +76,7 @@ class LocalizationModel:
         pts = np.asarray(points_world, dtype=float)
         if transform is not None:
             pts = transform.apply(pts)
-        samples = [
-            trilinear_sample(ch, pts, fill_value=self.cap_mm) for ch in self.channels
-        ]
+        samples = trilinear_sample_many(self.channels, pts, fill_values=self.cap_mm)
         return np.stack(samples, axis=-1)
 
     def resample_onto(

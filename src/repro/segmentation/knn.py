@@ -35,11 +35,12 @@ class KNNClassifier:
         class.
     chunk:
         Number of query vectors classified per vectorized block (bounds
-        the ``chunk x n_prototypes`` distance matrix).
+        the ``chunk x n_prototypes`` distance matrix, the largest
+        temporary of the image stages).
     """
 
     k: int = 5
-    chunk: int = 65536
+    chunk: int = 4096
     _train: np.ndarray | None = field(default=None, repr=False)
     _labels: np.ndarray | None = field(default=None, repr=False)
     _mean: np.ndarray | None = field(default=None, repr=False)
@@ -89,12 +90,11 @@ class KNNClassifier:
         onehot = (self._labels[:, None] == classes[None, :]).astype(np.float64)
         for start in range(0, len(X), self.chunk):
             block = X[start : start + self.chunk]
-            # Squared Euclidean distances via the expansion trick.
-            d2 = (
-                np.sum(block * block, axis=1)[:, None]
-                - 2.0 * block @ train.T
-                + train_sq[None, :]
-            )
+            # Squared Euclidean distances via the expansion trick, built
+            # in place: one chunk x n_prototypes temporary, not three.
+            d2 = (-2.0 * block) @ train.T
+            d2 += np.sum(block * block, axis=1)[:, None]
+            d2 += train_sq[None, :]
             k = min(self.k, train.shape[0])
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
             votes = onehot[nearest].sum(axis=1)  # (chunk, n_classes)

@@ -16,7 +16,11 @@ the intraoperative segmentation (signed-distance attraction — the
 image gradients with a gray-level prior.
 """
 
-from repro.surface.correspondence import CorrespondenceResult, surface_correspondence
+from repro.surface.correspondence import (
+    CorrespondenceResult,
+    snap_surface,
+    surface_correspondence,
+)
 from repro.surface.evolve import ActiveSurfaceResult, evolve_surface
 from repro.surface.forces import (
     DistanceForceField,
@@ -33,5 +37,6 @@ __all__ = [
     "GradientForceField",
     "distance_force_from_mask",
     "evolve_surface",
+    "snap_surface",
     "surface_correspondence",
 ]

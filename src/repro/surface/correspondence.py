@@ -53,6 +53,34 @@ class CorrespondenceResult:
         return np.linalg.norm(self.displacements, axis=1)
 
 
+def snap_surface(
+    surface: TriangleSurface,
+    reference_mask: np.ndarray,
+    reference: ImageVolume,
+    cap_mm: float = 20.0,
+    iterations: int = 250,
+    step_size: float = 0.35,
+    smoothing: float = 0.4,
+    tolerance_mm: float = 5e-3,
+) -> ActiveSurfaceResult:
+    """Phase 1 alone: evolve the mesh boundary onto the reference mask.
+
+    The snap depends only on the surface and the *reference* scan, never
+    on the intraoperative target, so the pipeline runs it once in the
+    preoperative phase and hands the result to every
+    :func:`surface_correspondence` call through ``snapped=``.
+    """
+    snap_field = DistanceForceField.from_mask(reference_mask, reference, cap_mm)
+    return evolve_surface(
+        surface,
+        snap_field,
+        iterations=iterations,
+        step_size=step_size,
+        smoothing=smoothing,
+        tolerance_mm=tolerance_mm,
+    )
+
+
 def surface_correspondence(
     surface: TriangleSurface,
     reference_mask: np.ndarray,
@@ -67,6 +95,7 @@ def surface_correspondence(
     reference_image: ImageVolume | None = None,
     target_image: ImageVolume | None = None,
     expected_gray: float | None = None,
+    snapped: ActiveSurfaceResult | None = None,
 ) -> CorrespondenceResult:
     """Detect scan-1 -> scan-2 surface correspondences.
 
@@ -91,61 +120,43 @@ def surface_correspondence(
     expected_gray:
         Gray-level prior for the gradient force (e.g. the brain-class
         mean intensity).
+    snapped:
+        A phase-1 result computed earlier for this surface, reference
+        and evolution parameters (see :func:`snap_surface`); phase 1 is
+        skipped and the track phase starts from it. The caller vouches
+        that it matches — nothing here can check.
     """
     if force not in ("distance", "gradient"):
         raise ValidationError(f"force must be 'distance' or 'gradient', got {force!r}")
-    if force == "gradient":
-        if reference_image is None or target_image is None:
-            raise ValidationError(
-                "gradient force requires reference_image and target_image"
-            )
-        snap_field = GradientForceField.from_image(
-            reference_image, expected_gray=expected_gray
-        )
-        track_field_gradient = GradientForceField.from_image(
-            target_image, expected_gray=expected_gray
-        )
-        snapped = evolve_surface(
-            surface,
-            snap_field,
-            iterations=iterations,
-            step_size=step_size,
-            smoothing=smoothing,
-            tolerance_mm=tolerance_mm,
-        )
-        tracked = evolve_surface(
-            surface,
-            track_field_gradient,
-            iterations=iterations,
-            step_size=step_size,
-            smoothing=smoothing,
-            tolerance_mm=tolerance_mm,
-            initial_positions=snapped.positions,
-            rest_positions=snapped.positions,
-        )
-        return CorrespondenceResult(
-            displacements=tracked.positions - snapped.positions,
-            snapped=snapped,
-            tracked=tracked,
-        )
-
-    snap_field = DistanceForceField.from_mask(reference_mask, reference, cap_mm)
-    snapped = evolve_surface(
-        surface,
-        snap_field,
+    evolution = dict(
         iterations=iterations,
         step_size=step_size,
         smoothing=smoothing,
         tolerance_mm=tolerance_mm,
     )
-    track_field = DistanceForceField.from_mask(target_mask, reference, cap_mm)
+    if force == "gradient":
+        if reference_image is None or target_image is None:
+            raise ValidationError(
+                "gradient force requires reference_image and target_image"
+            )
+        if snapped is None:
+            snap_field = GradientForceField.from_image(
+                reference_image, expected_gray=expected_gray
+            )
+            snapped = evolve_surface(surface, snap_field, **evolution)
+        track_field = GradientForceField.from_image(
+            target_image, expected_gray=expected_gray
+        )
+    else:
+        if snapped is None:
+            snapped = snap_surface(
+                surface, reference_mask, reference, cap_mm, **evolution
+            )
+        track_field = DistanceForceField.from_mask(target_mask, reference, cap_mm)
     tracked = evolve_surface(
         surface,
         track_field,
-        iterations=iterations,
-        step_size=step_size,
-        smoothing=smoothing,
-        tolerance_mm=tolerance_mm,
+        **evolution,
         initial_positions=snapped.positions,
         rest_positions=snapped.positions,
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.imaging.distance import signed_distance
 from repro.imaging.filters import gaussian_smooth, gradient_magnitude, image_gradient
-from repro.imaging.resample import trilinear_sample
+from repro.imaging.resample import trilinear_sample, trilinear_sample_many
 from repro.imaging.volume import ImageVolume
 from repro.util import check_volume_like
 
@@ -60,12 +60,8 @@ class DistanceForceField:
 
     def __call__(self, points_world: np.ndarray) -> np.ndarray:
         """Force vectors (mm units of potential per mm) at world points."""
-        phi = trilinear_sample(self.phi, points_world, fill_value=0.0)
-        grad = np.stack(
-            [trilinear_sample(g, points_world, fill_value=0.0) for g in self.grad_phi],
-            axis=-1,
-        )
-        return -phi[..., None] * grad
+        phi, *grad = trilinear_sample_many([self.phi, *self.grad_phi], points_world)
+        return -phi[..., None] * np.stack(grad, axis=-1)
 
     def residual(self, points_world: np.ndarray) -> np.ndarray:
         """|phi| at the points: distance-to-target convergence measure."""
@@ -103,14 +99,7 @@ class GradientForceField:
         return cls(potential=potential, grad_potential=_gradient_volumes(potential))
 
     def __call__(self, points_world: np.ndarray) -> np.ndarray:
-        grad = np.stack(
-            [
-                trilinear_sample(g, points_world, fill_value=0.0)
-                for g in self.grad_potential
-            ],
-            axis=-1,
-        )
-        return -grad
+        return -np.stack(trilinear_sample_many(self.grad_potential, points_world), axis=-1)
 
     def residual(self, points_world: np.ndarray) -> np.ndarray:
         """Negated potential at the points (high = far from an edge)."""

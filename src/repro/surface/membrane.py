@@ -69,8 +69,18 @@ class ElasticMembrane:
         Returns neighbour mean minus value, per vertex.
         """
         values = self.positions if field is None else np.asarray(field, dtype=float)
-        neighbour_sum = np.zeros_like(values)
-        np.add.at(neighbour_sum, self._segment_ids, values[self._flat_adjacency])
+        neighbours = values[self._flat_adjacency]
+        # Per-axis weighted bincount: accumulates each vertex's neighbours
+        # left to right exactly as a scatter-add does (np.add.reduceat
+        # associates the sum differently and moves the last bit), and
+        # leaves zero-degree vertices at 0.
+        neighbour_sum = np.stack(
+            [
+                np.bincount(self._segment_ids, neighbours[:, a], self.n_vertices)
+                for a in range(values.shape[1])
+            ],
+            axis=1,
+        )
         return neighbour_sum / self._degrees[:, None] - values
 
     def step(

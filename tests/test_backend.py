@@ -215,6 +215,52 @@ class TestKernelSurface:
         assert np.allclose(result, A @ x, atol=1e-12)
         assert np.all(out[:15] == 0) and np.all(out[45:] == 0)
 
+    def test_trilinear_gather_matches_eight_corner_sum(self, rng):
+        shape = (4, 5, 6)
+        channels = [rng.normal(size=shape) for _ in range(3)]
+        n = 50
+        ijk = np.stack([rng.integers(0, s - 1, n) for s in shape], axis=1)
+        f = rng.random((n, 3))
+        expected = np.zeros((3, n))
+        for a, b, c in np.ndindex(2, 2, 2):
+            weight = (
+                np.where(a, f[:, 0], 1 - f[:, 0])
+                * np.where(b, f[:, 1], 1 - f[:, 1])
+                * np.where(c, f[:, 2], 1 - f[:, 2])
+            )
+            for ch, data in enumerate(channels):
+                expected[ch] += weight * data[ijk[:, 0] + a, ijk[:, 1] + b, ijk[:, 2] + c]
+        base = np.ravel_multi_index(tuple(ijk.T), shape)
+        args = (base, (shape[1] * shape[2], shape[2], 1), f[:, 0], f[:, 1], f[:, 2])
+        backend = get_backend()
+        got = backend.trilinear_gather([d.ravel() for d in channels], *args)
+        assert got.shape == (3, n)
+        assert np.allclose(got, expected, atol=1e-12)
+        alone = backend.trilinear_gather([channels[1].ravel()], *args)
+        assert np.array_equal(alone[0], got[1])
+
+    def test_image_sampling_goes_through_the_backend_seam(self):
+        from repro.imaging.resample import trilinear_sample
+        from repro.imaging.volume import ImageVolume
+
+        calls = []
+
+        class CountingBackend(NumpyBackend):
+            name = "counting"
+
+            def trilinear_gather(self, channels, *args):
+                calls.append(len(channels))
+                return super().trilinear_gather(channels, *args)
+
+        register_backend("counting", CountingBackend)
+        try:
+            with use_backend("counting"):
+                vol = ImageVolume(np.arange(27.0).reshape(3, 3, 3))
+                value = trilinear_sample(vol, np.array([[1.0, 1.0, 1.5]]))
+        finally:
+            _FACTORIES.pop("counting", None)
+        assert calls == [1] and value[0] == pytest.approx(13.5)
+
     def test_prepare_block_apply_matches_factor_solve(self, rng):
         A, ranges = _spd_system(seed=7)
         factors = [spla.splu(A[a:b, a:b].tocsc()) for a, b in ranges]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,77 @@ class TestPipelineIntegration:
         pipeline = IntraoperativePipeline(cfg)
         preop = pipeline.prepare_preoperative(case.preop_mri, case.preop_labels)
         assert abs(preop.mesher.mesh.n_nodes - 1500) / 1500 < 0.2
+
+
+class TestPreoperativeSnap:
+    """The scan-invariant snap phase is built once, preoperatively."""
+
+    # warm_start off: the runs below share one solve context, and a warm
+    # start would make the second solve depend on the first.
+    SETTINGS = dict(
+        mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000,
+        surface_iterations=50, warm_start=False,
+    )
+
+    @pytest.fixture(scope="class")
+    def snap_run(self, small_case):
+        pipeline = IntraoperativePipeline(PipelineConfig(**self.SETTINGS))
+        preop = pipeline.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
+        return pipeline, preop, pipeline.process_scan(small_case.intraop_mri, preop)
+
+    @staticmethod
+    def _snap_notes(result):
+        return [n for n in result.timeline.notes if n.startswith("surface snap:")]
+
+    def test_model_carries_the_snap_and_its_parameters(self, snap_run):
+        pipeline, preop, _ = snap_run
+        cfg = pipeline.config
+        assert preop.snap_params == {
+            "cap_mm": cfg.surface_cap_mm,
+            "iterations": cfg.surface_iterations,
+            "step_size": cfg.surface_step,
+            "smoothing": cfg.surface_smoothing,
+        }
+        assert preop.snapped.positions.shape == preop.surface.vertices.shape
+        assert 1 <= preop.snapped.iterations <= cfg.surface_iterations
+
+    def test_reuse_is_noted_and_equals_the_per_scan_snap(self, small_case, snap_run):
+        pipeline, preop, reused = snap_run
+        assert reused.correspondence.snapped is preop.snapped
+        assert self._snap_notes(reused) == [
+            f"surface snap: reused preoperative snap ({preop.snapped.iterations} iterations)"
+        ]
+        bare = dataclasses.replace(preop, snapped=None, snap_params=None)
+        recomputed = pipeline.process_scan(small_case.intraop_mri, bare)
+        assert self._snap_notes(recomputed) == []
+        assert recomputed.correspondence.snapped is not preop.snapped
+        assert np.array_equal(
+            recomputed.correspondence.snapped.positions, preop.snapped.positions
+        )
+        assert np.array_equal(
+            recomputed.correspondence.displacements, reused.correspondence.displacements
+        )
+        assert np.array_equal(recomputed.nodal_displacement, reused.nodal_displacement)
+        assert [e.stage for e in recomputed.timeline.entries] == [
+            e.stage for e in reused.timeline.entries
+        ]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"surface_iterations": 20},
+            {"surface_cap_mm": 12.0},
+            {"surface_step": 0.25},
+            {"surface_smoothing": 0.6},
+        ],
+    )
+    def test_different_surface_parameters_recompute(self, small_case, snap_run, override):
+        _, preop, _ = snap_run
+        other = IntraoperativePipeline(PipelineConfig(**{**self.SETTINGS, **override}))
+        result = other.process_scan(small_case.intraop_mri, preop)
+        assert self._snap_notes(result) == []
+        assert result.correspondence.snapped is not preop.snapped
+        own = other.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
+        assert np.array_equal(
+            result.correspondence.snapped.positions, own.snapped.positions
+        )

@@ -30,6 +30,22 @@ class TestJointHistogram:
         hist = joint_histogram(a, b, bins=16)
         assert hist.sum() == a.size
 
+    def test_matches_scatter_add_reference(self, images):
+        """bincount over the flattened bin pair == the np.add.at it replaced."""
+        a, b = images
+        mask = a > 95.0
+        bins = 12
+
+        def digitize(x):
+            scaled = (x - x.min()) / (x.max() - x.min()) * bins
+            return np.clip(scaled.astype(np.intp), 0, bins - 1)
+
+        reference = np.zeros((bins, bins))
+        np.add.at(reference, (digitize(a[mask]), digitize(b[mask])), 1.0)
+        hist = joint_histogram(a, b, bins=bins, mask=mask)
+        assert hist.dtype == np.float64 and hist.shape == (bins, bins)
+        assert np.array_equal(hist, reference)
+
     def test_identical_images_diagonal(self):
         a = np.linspace(0, 1, 64).reshape(4, 4, 4)
         hist = joint_histogram(a, a, bins=8)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.imaging.resample import (
     invert_displacement_field,
     resample_volume,
     trilinear_sample,
+    trilinear_sample_many,
     warp_volume,
 )
 from repro.imaging.volume import ImageVolume
@@ -111,3 +114,203 @@ class TestInvertDisplacement:
         # Boundary voxels sample outside the volume (fill value), so the
         # fixed point is only meaningful in the interior.
         assert residual[2:-2, 2:-2, 2:-2].max() < 1e-6
+
+
+# -- frozen references -------------------------------------------------------
+#
+# The bodies of ``trilinear_sample`` (linear branch) and
+# ``invert_displacement_field`` as they stood before the fused sampler and
+# the support-only inversion replaced them. The library must reproduce them
+# bit for bit: the end-to-end benchmark's input generator calls
+# ``invert_displacement_field``, so this is what keeps its inputs and ground
+# truth the same across the change.
+
+
+def _frozen_trilinear_sample(volume, points_world, fill_value=0.0):
+    pts = np.asarray(points_world, dtype=float)
+    out_shape = pts.shape[:-1]
+    idx = volume.world_to_index(pts.reshape(-1, 3))
+    data = volume.data
+    nx, ny, nz = data.shape
+    floor = np.floor(idx).astype(np.intp)
+    valid = (
+        (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
+        & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
+        & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
+    )
+    i0 = np.clip(floor[:, 0], 0, nx - 2) if nx > 1 else np.zeros(len(floor), dtype=np.intp)
+    j0 = np.clip(floor[:, 1], 0, ny - 2) if ny > 1 else np.zeros(len(floor), dtype=np.intp)
+    k0 = np.clip(floor[:, 2], 0, nz - 2) if nz > 1 else np.zeros(len(floor), dtype=np.intp)
+    fx = np.clip(idx[:, 0] - i0, 0.0, 1.0)
+    fy = np.clip(idx[:, 1] - j0, 0.0, 1.0)
+    fz = np.clip(idx[:, 2] - k0, 0.0, 1.0)
+    i1 = np.minimum(i0 + 1, nx - 1)
+    j1 = np.minimum(j0 + 1, ny - 1)
+    k1 = np.minimum(k0 + 1, nz - 1)
+    d = data.astype(float, copy=False)
+    c000 = d[i0, j0, k0]
+    c100 = d[i1, j0, k0]
+    c010 = d[i0, j1, k0]
+    c110 = d[i1, j1, k0]
+    c001 = d[i0, j0, k1]
+    c101 = d[i1, j0, k1]
+    c011 = d[i0, j1, k1]
+    c111 = d[i1, j1, k1]
+    c00 = c000 * (1 - fx) + c100 * fx
+    c10 = c010 * (1 - fx) + c110 * fx
+    c01 = c001 * (1 - fx) + c101 * fx
+    c11 = c011 * (1 - fx) + c111 * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    result = c0 * (1 - fz) + c1 * fz
+    result[~valid] = fill_value
+    return result.reshape(out_shape)
+
+
+def _frozen_invert_displacement_field(displacement_mm, spacing, iterations=10):
+    disp = np.asarray(displacement_mm, dtype=float)
+    shape = disp.shape[:-1]
+    vol_axes = [
+        ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
+    ]
+    base = vol_axes[0].voxel_centers()
+    v = -disp.copy()
+    for _ in range(iterations):
+        pts = base + v
+        u_at = np.stack(
+            [_frozen_trilinear_sample(vol_axes[a], pts, fill_value=0.0) for a in range(3)],
+            axis=-1,
+        )
+        v = -u_at
+    return v.reshape(*shape, 3)
+
+
+def _sample_points(rng, vol, n):
+    """Points inside, outside, exactly on faces/voxel centres, and NaN."""
+    lo = vol.index_to_world(np.zeros(3))
+    hi = vol.index_to_world(np.asarray(vol.shape, dtype=float) - 1.0)
+    span = np.maximum(hi - lo, 1.0)
+    pts = rng.uniform(lo - 0.3 * span, hi + 0.3 * span, size=(n, 3))
+    centers = vol.voxel_centers().reshape(-1, 3)
+    pts[: n // 4] = centers[rng.integers(0, len(centers), n // 4)]
+    on_face = pts[n // 4 : n // 2]
+    axis = rng.integers(0, 3, len(on_face))
+    rows = np.arange(len(on_face))
+    on_face[rows, axis] = np.where(rng.random(len(on_face)) < 0.5, lo[axis], hi[axis])
+    pts[-1, rng.integers(0, 3)] = np.nan
+    return pts
+
+
+class TestTrilinearSampleMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        n_channels=st.integers(1, 5),
+        integer_data=st.booleans(),
+    )
+    def test_equals_frozen_per_channel_sampling(self, seed, shape, n_channels, integer_data):
+        rng = np.random.default_rng(seed)
+        spacing = tuple(rng.uniform(0.3, 3.0, 3))
+        origin = tuple(rng.uniform(-20.0, 20.0, 3))
+        if integer_data:
+            datas = [rng.integers(-50, 50, shape).astype(np.int16) for _ in range(n_channels)]
+        else:
+            datas = [rng.normal(scale=40.0, size=shape) for _ in range(n_channels)]
+        volumes = [ImageVolume(d, spacing, origin) for d in datas]
+        fills = rng.normal(size=n_channels)
+        pts = _sample_points(rng, volumes[0], 64).reshape(8, 8, 3)
+        with np.errstate(invalid="ignore"):  # the NaN point's float -> int cast
+            fused = trilinear_sample_many(volumes, pts, fills)
+            single = trilinear_sample_many(volumes, pts, 1.5)
+            expected = [_frozen_trilinear_sample(v, pts, f) for v, f in zip(volumes, fills)]
+            one = trilinear_sample(volumes[0], pts, fill_value=fills[0])
+        assert fused.shape == (n_channels, 8, 8)
+        assert fused.dtype == np.float64
+        for c in range(n_channels):
+            assert np.array_equal(fused[c], expected[c])
+        assert np.array_equal(one, expected[0])
+        assert np.all(single[:, np.isnan(pts).any(axis=-1)] == 1.5)  # scalar fill broadcasts
+
+    def test_rejects_mixed_grids_and_bad_points(self):
+        a = ImageVolume(np.zeros((3, 3, 3)), (1.0, 1.0, 1.0))
+        with pytest.raises(ShapeError):
+            trilinear_sample_many([a, ImageVolume(np.zeros((3, 3, 4)))], np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            trilinear_sample_many([a, ImageVolume(np.zeros((3, 3, 3)), (1.0, 2.0, 1.0))], np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            trilinear_sample_many([a, ImageVolume(np.zeros((3, 3, 3)), origin=(0.0, 0.0, 0.5))], np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            trilinear_sample_many([a], np.zeros((4, 2)))
+
+    def test_empty_point_set(self):
+        a = ImageVolume(np.ones((3, 3, 3)))
+        assert trilinear_sample_many([a, a], np.zeros((0, 3))).shape == (2, 0)
+
+
+class TestInvertDisplacementSupport:
+    """Support-only iteration == the frozen full-grid iteration."""
+
+    @staticmethod
+    def _bump(shape, spacing, center_frac, radius_mm, amplitude, compact):
+        vol = ImageVolume.zeros(shape, spacing)
+        centers = vol.voxel_centers()
+        mid = centers.reshape(-1, 3).max(axis=0) * np.asarray(center_frac)
+        r = np.linalg.norm(centers - mid, axis=-1)
+        if compact:
+            amp = np.where(r < radius_mm, np.cos(0.5 * np.pi * r / radius_mm) ** 2, 0.0)
+        else:
+            amp = np.exp(-0.5 * (r / radius_mm) ** 2)
+        return amp[..., None] * np.asarray(amplitude)
+
+    @pytest.mark.parametrize(
+        "spacing", [(1.0, 1.0, 1.0), (0.1, 0.7, 1.3), (2.875, 2.875, 3.1)]
+    )
+    def test_compact_support_matches_full_grid(self, spacing):
+        shape = (14, 12, 10)
+        forward = self._bump(
+            shape, spacing, (0.45, 0.5, 0.4), 3.5 * min(spacing), (1.2, -0.8, 0.6), compact=True
+        )
+        assert np.count_nonzero(np.any(forward != 0, axis=-1)) < 0.5 * np.prod(shape)
+        got = invert_displacement_field(forward, spacing)
+        want = _frozen_invert_displacement_field(forward, spacing)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)  # -0.0 == +0.0: the sign of zero is free
+
+    def test_support_touching_the_border_matches_full_grid(self):
+        spacing = (1.5, 1.0, 2.0)
+        forward = self._bump(
+            (10, 9, 8), spacing, (0.0, 1.0, 0.5), 5.0, (-1.5, 1.0, 0.7), compact=True
+        )
+        assert np.array_equal(
+            invert_displacement_field(forward, spacing),
+            _frozen_invert_displacement_field(forward, spacing),
+        )
+
+    def test_voxels_whose_index_round_trip_is_inexact_next_to_the_support(self):
+        # (3 * 0.1) / 0.1 > 3 and (7 * 1.3) / 1.3 < 7: the voxel just
+        # outside the support picks up a ~1e-16 weight of its neighbour
+        # inside, which is why the iterated set is the *dilated* support.
+        spacing = (0.1, 0.7, 1.3)
+        assert (3 * 0.1) / 0.1 > 3 and (7 * 1.3) / 1.3 < 7
+        rng = np.random.default_rng(5)
+        forward = np.zeros((9, 8, 12, 3))
+        forward[4:7, 2:6, 4:7] = rng.uniform(0.02, 0.08, size=(3, 4, 3, 3))
+        want = _frozen_invert_displacement_field(forward, spacing)
+        assert want[3, 3, 5].any() and want[5, 3, 7].any()  # outside the support, not zero
+        assert np.array_equal(invert_displacement_field(forward, spacing), want)
+
+    def test_dense_field_matches_full_grid(self):
+        spacing = (2.0, 1.5, 1.0)
+        forward = self._bump(
+            (9, 10, 11), spacing, (0.5, 0.5, 0.5), 6.0, (1.0, 0.5, -0.25), compact=False
+        )
+        assert np.all(np.any(forward != 0, axis=-1))
+        assert np.array_equal(
+            invert_displacement_field(forward, spacing, iterations=6),
+            _frozen_invert_displacement_field(forward, spacing, iterations=6),
+        )
+
+    def test_zero_field_inverts_to_zero(self):
+        out = invert_displacement_field(np.zeros((4, 5, 6, 3)), (1.0, 1.0, 1.0))
+        assert out.shape == (4, 5, 6, 3) and not out.any()

@@ -153,6 +153,25 @@ class TestKNN:
         b = KNNClassifier(k=5, chunk=100000).fit(X, y).predict(queries)
         assert np.array_equal(a, b)
 
+    def test_default_chunk_spans_many_blocks_and_matches_one_block(self, rng):
+        """In-place distance build: same labels as the three-temporary form."""
+        X = rng.normal(size=(60, 4))
+        y = rng.integers(0, 4, 60)
+        queries = rng.normal(size=(3 * KNNClassifier().chunk + 17, 4))
+        clf = KNNClassifier(k=5).fit(X, y)
+        Q = (queries - clf._mean) / clf._scale
+        d2 = (
+            np.sum(Q * Q, axis=1)[:, None]
+            - 2.0 * Q @ clf._train.T
+            + np.sum(clf._train * clf._train, axis=1)[None, :]
+        )
+        nearest = np.argpartition(d2, 4, axis=1)[:, :5]
+        votes = np.stack([(y[nearest] == c).sum(axis=1) for c in range(4)], axis=1)
+        clear = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
+        labels = clf.predict(queries)
+        assert np.array_equal(labels[clear], np.argmax(votes, axis=1)[clear])
+        assert np.array_equal(labels, KNNClassifier(k=5, chunk=10**6).fit(X, y).predict(queries))
+
     def test_unfitted_raises(self):
         with pytest.raises(ValidationError):
             KNNClassifier().predict(np.zeros((1, 2)))

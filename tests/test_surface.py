@@ -7,7 +7,7 @@ import pytest
 
 from repro.imaging.volume import ImageVolume
 from repro.mesh.surface import TriangleSurface
-from repro.surface.correspondence import surface_correspondence
+from repro.surface.correspondence import snap_surface, surface_correspondence
 from repro.surface.evolve import evolve_surface
 from repro.surface.forces import DistanceForceField, GradientForceField
 from repro.surface.membrane import ElasticMembrane
@@ -80,6 +80,18 @@ class TestMembrane:
         membrane.positions = surf.vertices + np.array([1.0, 2.0, 3.0])
         lap = membrane.laplacian(membrane.displacements())
         assert np.allclose(lap, 0.0)
+
+    def test_laplacian_matches_scatter_add_reference(self, rng):
+        """Segment sum == the np.add.at formulation it replaced, bit for bit."""
+        vertices = np.vstack([octahedron().vertices, [[9.0, 9.0, 9.0]]])  # last: isolated
+        surf = TriangleSurface(vertices, octahedron().triangles)
+        membrane = ElasticMembrane(surf)
+        field = rng.normal(scale=50.0, size=(surf.n_vertices, 3))
+        neighbour_sum = np.zeros_like(field)
+        np.add.at(neighbour_sum, membrane._segment_ids, field[membrane._flat_adjacency])
+        reference = neighbour_sum / membrane._degrees[:, None] - field
+        assert np.array_equal(membrane.laplacian(field), reference)
+        assert np.array_equal(membrane.laplacian(field)[-1], -field[-1])
 
     def test_step_moves_toward_force(self):
         surf = octahedron()
@@ -171,3 +183,30 @@ class TestCorrespondence:
         surf = octahedron(radius=14.0, center=mid)
         corr = surface_correspondence(surf, mask, mask, vol, iterations=200)
         assert np.linalg.norm(corr.displacements, axis=1).max() < 0.3
+
+    @pytest.mark.parametrize("force", ["distance", "gradient"])
+    def test_given_snap_skips_phase_one_with_the_same_result(self, force):
+        vol, mask1, mid = ball_volume(radius=12.0)
+        centers = vol.voxel_centers()
+        mask2 = np.sum((centers - mid - np.array([3.0, 0.0, 0.0])) ** 2, axis=-1) <= 12.0**2
+        surf = octahedron(radius=13.0, center=mid)
+        kwargs = dict(cap_mm=15.0, iterations=60, smoothing=0.2)
+        if force == "gradient":
+            kwargs.update(
+                force="gradient",
+                reference_image=vol.copy(np.where(mask1, 100.0, 10.0)),
+                target_image=vol.copy(np.where(mask2, 100.0, 10.0)),
+            )
+        full = surface_correspondence(surf, mask1, mask2, vol, **kwargs)
+        reused = surface_correspondence(surf, mask1, mask2, vol, **kwargs, snapped=full.snapped)
+        assert reused.snapped is full.snapped
+        assert np.array_equal(reused.displacements, full.displacements)
+        assert reused.tracked.iterations == full.tracked.iterations
+
+    def test_snap_surface_is_phase_one(self):
+        vol, mask, mid = ball_volume(radius=12.0)
+        surf = octahedron(radius=13.0, center=mid)
+        snapped = snap_surface(surf, mask, vol, cap_mm=15.0, iterations=60, smoothing=0.2)
+        corr = surface_correspondence(surf, mask, mask, vol, cap_mm=15.0, iterations=60, smoothing=0.2)
+        assert np.array_equal(snapped.positions, corr.snapped.positions)
+        assert snapped.iterations == corr.snapped.iterations
