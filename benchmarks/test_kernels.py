@@ -30,6 +30,8 @@ from repro.imaging.resample import trilinear_sample, warp_volume
 from repro.imaging.volume import ImageVolume
 from repro.mesh.generator import mesh_labeled_volume
 from repro.parallel.solver import DistributedBlockJacobi
+from repro.registration.rigid import MutualInformationCost
+from repro.segmentation.knn import KNNClassifier
 
 pytestmark = pytest.mark.bench
 
@@ -229,3 +231,24 @@ def test_kernel_trilinear_gather(benchmark):
     volume = ImageVolume(rng.random((128, 128, 64)))
     pts = rng.uniform(0, 60, size=(500000, 3))
     benchmark(lambda: trilinear_sample(volume, pts))
+
+
+def test_kernel_mi_evaluation(benchmark):
+    """One MI cost evaluation at the rigid stage's working size."""
+    rng = np.random.default_rng(5)
+    moving = ImageVolume(rng.random((40, 40, 30)), (3.0, 3.0, 3.0))
+    extent = np.asarray(moving.physical_extent)
+    pts = rng.uniform(0.1, 0.9, size=(4000, 3)) * extent
+    cost = MutualInformationCost(rng.random(4000), pts, moving, tuple(extent / 2.0), bins=32)
+    params = np.array([1.0, -2.0, 0.5, 0.02, -0.01, 0.03])
+    value = benchmark(lambda: cost(params))
+    assert -np.log(32) <= value <= 0.0
+
+
+def test_kernel_knn_predict(benchmark):
+    """Brute-force k-NN of a scan's voxels against the prototype set."""
+    rng = np.random.default_rng(6)
+    classifier = KNNClassifier(k=5).fit(rng.normal(size=(120, 8)), rng.integers(0, 6, 120))
+    features = rng.normal(size=(48000, 8))
+    labels = benchmark(lambda: classifier.predict(features))
+    assert labels.shape == (48000,)

@@ -20,6 +20,18 @@ def _paired(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.ravel(), b.ravel()
 
 
+def intensity_bins(x: np.ndarray, bins: int) -> np.ndarray:
+    """Bin index of each value, linear over the array's own [min, max].
+
+    A flat array occupies bin 0; the maximum falls in the last bin.
+    """
+    lo, hi = float(x.min()), float(x.max())
+    if hi <= lo:
+        return np.zeros(x.shape, dtype=np.intp)
+    scaled = (x - lo) / (hi - lo) * bins
+    return np.clip(scaled.astype(np.intp), 0, bins - 1)
+
+
 def joint_histogram(
     a: np.ndarray,
     b: np.ndarray,
@@ -41,17 +53,19 @@ def joint_histogram(
         av, bv = av[m], bv[m]
     if av.size == 0:
         raise ValidationError("joint_histogram: no voxels selected")
-
-    def _digitize(x: np.ndarray) -> np.ndarray:
-        lo, hi = float(x.min()), float(x.max())
-        if hi <= lo:
-            return np.zeros(x.shape, dtype=np.intp)
-        scaled = (x - lo) / (hi - lo) * bins
-        return np.clip(scaled.astype(np.intp), 0, bins - 1)
-
-    ia, ib = _digitize(av), _digitize(bv)
+    ia, ib = intensity_bins(av, bins), intensity_bins(bv, bins)
     counts = np.bincount(ia * bins + ib, minlength=bins * bins)
     return counts.reshape(bins, bins).astype(np.float64)
+
+
+def histogram_mutual_information(hist: np.ndarray) -> float:
+    """Shannon mutual information I(A;B) in nats of a joint count matrix."""
+    pab = hist / hist.sum()
+    pa = pab.sum(axis=1, keepdims=True)
+    pb = pab.sum(axis=0, keepdims=True)
+    nz = pab > 0
+    p = pab[nz]
+    return float(np.sum(p * np.log(p / (pa @ pb)[nz])))
 
 
 def mutual_information(
@@ -61,14 +75,7 @@ def mutual_information(
     mask: np.ndarray | None = None,
 ) -> float:
     """Shannon mutual information I(A;B) in nats from a joint histogram."""
-    hist = joint_histogram(a, b, bins=bins, mask=mask)
-    pab = hist / hist.sum()
-    pa = pab.sum(axis=1, keepdims=True)
-    pb = pab.sum(axis=0, keepdims=True)
-    nz = pab > 0
-    ratio = np.zeros_like(pab)
-    ratio[nz] = pab[nz] / (pa @ pb)[nz]
-    return float(np.sum(pab[nz] * np.log(ratio[nz])))
+    return histogram_mutual_information(joint_histogram(a, b, bins=bins, mask=mask))
 
 
 def rms_difference(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:

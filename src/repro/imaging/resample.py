@@ -29,13 +29,48 @@ def _flat_points(points_world: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]
     return pts.reshape(-1, 3), pts.shape[:-1]
 
 
-def _axis_cell(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower cell index (clamped so ``i0 + 1`` stays in bounds) and weight."""
-    if n > 1:
-        i0 = np.clip(np.floor(coord).astype(np.intp), 0, n - 2)
-    else:
-        i0 = np.zeros(len(coord), dtype=np.intp)
-    return i0, np.clip(coord - i0, 0.0, 1.0)
+def cell_bounds(shape: tuple[int, int, int]):
+    """Per-grid constants of the trilinear index computation.
+
+    Returns ``(upper, cell_max, pitch, strides)``: the largest valid
+    index and the largest lower-corner index per axis as ``(3, 1)``
+    columns (they broadcast down the rows of a ``(3, N)`` coordinate
+    array), the flat-offset multipliers ``(ny, nz)``, and the flat
+    offsets to the upper neighbour along x, y, z (0 on a singleton axis).
+    """
+    nx, ny, nz = shape
+    n = np.array(shape, dtype=np.intp)[:, None]
+    strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0, 1 if nz > 1 else 0)
+    return (n - 1).astype(float), np.maximum(n - 2, 0), (ny, nz), strides
+
+
+def sample_index_rows(
+    idx: np.ndarray,
+    bounds,
+    channels: Sequence[np.ndarray],
+    fills: np.ndarray,
+) -> np.ndarray:
+    """Trilinear samples of flat ``channels`` at index-space rows ``idx``.
+
+    ``idx`` is a C-contiguous ``(3, N)`` array of fractional voxel
+    indices — one row per axis, because numpy broadcasts a trailing axis
+    of length 3 several times slower than three contiguous rows — and
+    ``bounds`` the grid's :func:`cell_bounds`. Points outside the grid
+    (or NaN) get ``fills[c]``. Returns ``(C, N)``. This is the library's
+    one trilinear index/weight computation.
+    """
+    upper, cell_max, (ny, nz), strides = bounds
+    valid = ((idx >= 0) & (idx <= upper)).all(axis=0)
+    # Clamped cells keep the eight-corner gather in bounds; invalid points
+    # are overwritten with the fill value afterwards.
+    cell = np.clip(np.floor(idx).astype(np.intp), 0, cell_max)
+    fx, fy, fz = np.clip(idx - cell, 0.0, 1.0)
+    i0, j0, k0 = cell
+    base = (i0 * ny + j0) * nz + k0
+    result = get_backend().trilinear_gather(channels, base, strides, fx, fy, fz)
+    if not valid.all():
+        result[:, ~valid] = fills[:, None]
+    return result
 
 
 def trilinear_sample_many(
@@ -75,25 +110,14 @@ def trilinear_sample_many(
             raise ShapeError("trilinear_sample_many: volumes must share one grid")
     fills = np.broadcast_to(np.asarray(fill_values, dtype=float), (len(volumes),))
 
-    idx = first.world_to_index(pts)
-    nx, ny, nz = first.shape
-    x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
-    valid = (
-        (x >= 0) & (x <= nx - 1)
-        & (y >= 0) & (y <= ny - 1)
-        & (z >= 0) & (z <= nz - 1)
-    )
-    # Clamped cells keep the eight-corner gather in bounds; invalid points
-    # are overwritten with the fill value afterwards.
-    i0, fx = _axis_cell(x, nx)
-    j0, fy = _axis_cell(y, ny)
-    k0, fz = _axis_cell(z, nz)
-    base = (i0 * ny + j0) * nz + k0
-    strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0, 1 if nz > 1 else 0)
+    # World -> index on rows: the same (x - origin) / spacing per element
+    # as ``ImageVolume.world_to_index``. ``np.array`` always copies, so
+    # the in-place steps never touch the caller's points.
+    idx = np.array(pts.T, order="C")
+    idx -= first._origin_arr[:, None]
+    idx /= first._spacing_arr[:, None]
     channels = [vol.data.astype(float, copy=False).ravel() for vol in volumes]
-    result = get_backend().trilinear_gather(channels, base, strides, fx, fy, fz)
-    if not valid.all():
-        result[:, ~valid] = fills[:, None]
+    result = sample_index_rows(idx, cell_bounds(first.shape), channels, fills)
     return result.reshape(len(volumes), *out_shape)
 
 

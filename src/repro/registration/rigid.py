@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from repro.imaging.metrics import mutual_information
-from repro.imaging.resample import trilinear_sample
+from repro.imaging.metrics import histogram_mutual_information, intensity_bins
+from repro.imaging.resample import cell_bounds, sample_index_rows, trilinear_sample
 from repro.imaging.volume import ImageVolume
+from repro.obs.trace import get_tracer
 from repro.registration.pyramid import pyramid
 from repro.registration.transform import RigidTransform
-from repro.util import ValidationError, default_rng
+from repro.util import ShapeError, ValidationError, default_rng
 from repro.util.rng import SeedLike
 
 
@@ -48,17 +49,70 @@ class RegistrationResult:
     level_params: list[np.ndarray]
 
 
-def _mi_cost(
-    params: np.ndarray,
-    fixed_values: np.ndarray,
-    fixed_points: np.ndarray,
-    moving: ImageVolume,
-    center: tuple[float, float, float],
-    bins: int,
-) -> float:
-    transform = RigidTransform.from_params(params, center)
-    moved = trilinear_sample(moving, transform.apply(fixed_points), fill_value=0.0)
-    return -mutual_information(fixed_values, moved, bins=bins)
+class MutualInformationCost:
+    """Negative MI of fixed samples against the moving volume under a transform.
+
+    One instance per pyramid level. Everything that does not depend on
+    the six parameters is computed here once: the fixed points relative
+    to the rotation centre, the fixed samples' histogram rows (bin index
+    times ``bins``), the moving volume as one flat float array, and its
+    grid constants as columns. A call then maps the points with the same
+    per-element arithmetic as ``RigidTransform.apply`` followed by
+    ``ImageVolume.world_to_index`` — on a ``(3, N)`` array, in place —
+    samples, bins the moving side and reads MI off the joint histogram.
+    """
+
+    def __init__(
+        self,
+        fixed_values: np.ndarray,
+        fixed_points: np.ndarray,
+        moving: ImageVolume,
+        center: tuple[float, float, float],
+        bins: int,
+    ):
+        if bins < 2:
+            raise ValidationError(f"bins must be >= 2, got {bins}")
+        fixed_values = np.asarray(fixed_values, dtype=float)
+        fixed_points = np.asarray(fixed_points, dtype=float)
+        if fixed_values.ndim != 1 or fixed_points.shape != (len(fixed_values), 3):
+            raise ShapeError(
+                f"{fixed_values.shape} fixed values need (N, 3) points, "
+                f"got {fixed_points.shape}"
+            )
+        if len(fixed_values) == 0:
+            raise ValidationError("MutualInformationCost: no samples")
+        self.evaluations = 0
+        self._bins = bins
+        self._center = center
+        self._center_col = np.asarray(center)[:, None]
+        self._centred = fixed_points - np.asarray(center)
+        self._fixed_rows = intensity_bins(fixed_values, bins) * bins
+        self._channels = [moving.data.astype(float, copy=False).ravel()]
+        self._origin_col = moving._origin_arr[:, None]
+        self._spacing_col = moving._spacing_arr[:, None]
+        self._bounds = cell_bounds(moving.shape)
+        self._fill = np.zeros(1)
+
+    def sample(self, params: np.ndarray) -> np.ndarray:
+        """The moving volume at the transformed fixed points (0 outside it)."""
+        transform = RigidTransform.from_params(params, self._center)
+        # The (N, 3) @ (3, 3) product is the one ``apply`` performs; only
+        # its result is re-laid as rows.
+        idx = np.ascontiguousarray((self._centred @ transform.matrix.T).T)
+        idx += self._center_col
+        idx += np.asarray(transform.translation)[:, None]
+        idx -= self._origin_col
+        idx /= self._spacing_col
+        return sample_index_rows(idx, self._bounds, self._channels, self._fill)[0]
+
+    def __call__(self, params: np.ndarray) -> float:
+        self.evaluations += 1
+        moved = self.sample(params)
+        bins = self._bins
+        hist = np.bincount(
+            self._fixed_rows + intensity_bins(moved, bins), minlength=bins * bins
+        )
+        return -histogram_mutual_information(hist.reshape(bins, bins))
 
 
 def resample_moving(
@@ -114,38 +168,40 @@ def register_rigid(
     evaluations = 0
     level_params: list[np.ndarray] = []
     mi_final = 0.0
-    for level_fixed in pyramid(fixed, levels):
-        pts = level_fixed.voxel_centers().reshape(-1, 3)
+    for level, level_fixed in enumerate(pyramid(fixed, levels)):
         values = level_fixed.data.astype(float).ravel()
         # Restrict MI to informative voxels (above-background intensity)
         # plus a random subsample for speed.
-        fg = values > values.mean() * 0.25
-        if fg.sum() > 100:
-            pts, values = pts[fg], values[fg]
-        if len(values) > max_samples:
-            pick = rng.choice(len(values), size=max_samples, replace=False)
-            pts, values = pts[pick], values[pick]
-
-        counter = {"n": 0}
-
-        def cost(p, _pts=pts, _vals=values):
-            counter["n"] += 1
-            return _mi_cost(p, _vals, _pts, moving, center, bins)
-
-        result = optimize.minimize(
-            cost,
-            params,
-            method="Powell",
-            options={
-                "maxiter": max_iter,
-                "xtol": 1e-3,
-                "ftol": 1e-5,
-            },
+        keep = np.flatnonzero(values > values.mean() * 0.25)
+        if len(keep) <= 100:
+            keep = np.arange(len(values))
+        if len(keep) > max_samples:
+            keep = keep[rng.choice(len(keep), size=max_samples, replace=False)]
+        values = values[keep]
+        # World centres of the kept voxels only, not of the whole grid.
+        pts = level_fixed.index_to_world(
+            np.stack(np.unravel_index(keep, level_fixed.shape), axis=-1)
         )
+
+        cost = MutualInformationCost(values, pts, moving, center, bins)
+        with get_tracer().span(
+            "mi level", kind="registration", level=level, samples=len(values)
+        ) as span:
+            result = optimize.minimize(
+                cost,
+                params,
+                method="Powell",
+                options={
+                    "maxiter": max_iter,
+                    "xtol": 1e-3,
+                    "ftol": 1e-5,
+                },
+            )
+            mi_final = -float(result.fun)
+            span.set(evaluations=cost.evaluations, mutual_information=mi_final)
         params = np.asarray(result.x, dtype=float)
-        evaluations += counter["n"]
+        evaluations += cost.evaluations
         level_params.append(params.copy())
-        mi_final = -float(result.fun)
     return RegistrationResult(
         transform=RigidTransform.from_params(params, center),
         mutual_information=mi_final,

@@ -40,7 +40,7 @@ class KNNClassifier:
     """
 
     k: int = 5
-    chunk: int = 4096
+    chunk: int = 1024
     _train: np.ndarray | None = field(default=None, repr=False)
     _labels: np.ndarray | None = field(default=None, repr=False)
     _mean: np.ndarray | None = field(default=None, repr=False)
@@ -54,6 +54,8 @@ class KNNClassifier:
             raise ShapeError(f"features must be 2-D, got shape {X.shape}")
         if len(X) != len(y):
             raise ShapeError(f"{len(X)} feature rows but {len(y)} labels")
+        if self.k < 1:
+            raise ValidationError(f"k must be >= 1, got {self.k}")
         if len(X) < self.k:
             raise ValidationError(f"need at least k={self.k} prototypes, got {len(X)}")
         self._mean = X.mean(axis=0)
@@ -86,8 +88,8 @@ class KNNClassifier:
         out = np.empty(len(X), dtype=np.intp)
         train = self._train
         train_sq = np.sum(train * train, axis=1)
-        classes = np.unique(self._labels)
-        onehot = (self._labels[:, None] == classes[None, :]).astype(np.float64)
+        classes, class_of = np.unique(self._labels, return_inverse=True)
+        k = min(self.k, train.shape[0])
         for start in range(0, len(X), self.chunk):
             block = X[start : start + self.chunk]
             # Squared Euclidean distances via the expansion trick, built
@@ -95,17 +97,23 @@ class KNNClassifier:
             d2 = (-2.0 * block) @ train.T
             d2 += np.sum(block * block, axis=1)[:, None]
             d2 += train_sq[None, :]
-            k = min(self.k, train.shape[0])
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            votes = onehot[nearest].sum(axis=1)  # (chunk, n_classes)
+            # k passes of argmin, each masking its pick: on a block this
+            # narrow that beats a partial sort, and exact distance ties
+            # resolve to the lowest prototype index.
+            rows = np.arange(len(block))
+            # One row of votes per class: reductions run down columns.
+            votes = np.zeros((len(classes), len(block)), dtype=np.intp)
+            for nth in range(k):
+                pick = np.argmin(d2, axis=1)
+                if nth == 0:
+                    nearest = pick
+                votes[class_of[pick], rows] += 1
+                d2[rows, pick] = np.inf
+            best = classes[np.argmax(votes, axis=0)]
             # Ties: prefer the class of the single nearest neighbour.
-            best = classes[np.argmax(votes, axis=1)]
-            top = np.max(votes, axis=1)
-            tied = (votes == top[:, None]).sum(axis=1) > 1
+            tied = (votes == votes.max(axis=0)).sum(axis=0) > 1
             if np.any(tied):
-                row_d2 = d2[tied]
-                nn = np.argmin(row_d2, axis=1)
-                best[tied] = self._labels[nn]
+                best[tied] = self._labels[nearest[tied]]
             out[start : start + self.chunk] = best
         return out.reshape(lead_shape)
 

@@ -247,6 +247,17 @@ class TestTrilinearSampleMany:
         a = ImageVolume(np.ones((3, 3, 3)))
         assert trilinear_sample_many([a, a], np.zeros((0, 3))).shape == (2, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_points_are_not_modified(self, n):
+        """World -> index runs in place on a row-layout copy; a single point's
+        transpose is already contiguous, so the copy must be forced."""
+        vol = ImageVolume(np.arange(27.0).reshape(3, 3, 3), (2.0, 1.0, 0.5), (4.0, -1.0, 3.0))
+        pts = np.tile([5.0, -0.5, 3.25], (n, 1))
+        kept = pts.copy()
+        got = trilinear_sample_many([vol], pts)
+        assert np.array_equal(pts, kept)
+        assert np.array_equal(got[0], _frozen_trilinear_sample(vol, kept))
+
 
 class TestInvertDisplacementSupport:
     """Support-only iteration == the frozen full-grid iteration."""

@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.imaging.volume import ImageVolume
+from repro.obs.trace import Tracer, use_tracer
 from repro.registration.pyramid import downsample, pyramid
-from repro.registration.rigid import register_rigid, resample_moving
+from repro.registration.rigid import (
+    MutualInformationCost,
+    register_rigid,
+    resample_moving,
+)
 from repro.registration.transform import RigidTransform
-from repro.util import ShapeError, ValidationError
+from repro.util import ShapeError, ValidationError, default_rng
+from tests.test_imaging_resample import _frozen_trilinear_sample
 
 CENTER = (10.0, -4.0, 2.0)
 
@@ -134,6 +141,33 @@ class TestRegisterRigid:
         residual = result.transform.compose(true.inverse()).magnitude()
         assert residual < 2.5  # mm-equivalent at 80 mm head radius
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "Known capture-range bug, pinned so that output-preserving changes cannot "
+            "fix it by accident: from (10, -8, 4) mm / (0.1, 0.1, -0.1) rad the search "
+            "ends ~28 mm off at max_iter=1 and at max_iter=3. scipy's unbounded Powell "
+            "brackets every direction with probes at +1 and -1.618 in raw parameter "
+            "units -- 57 and -93 degrees for the rotations -- and Brent's tolerance is "
+            "relative to a value near zero (~19 evaluations per line search refining a "
+            "translation to 0.005 mm on 3 mm voxels). The fix (scaled, bounded, "
+            "absolute-tolerance line search) changes the trajectory and moves field "
+            "error downstream, so it needs its own issue with an accuracy study."
+        ),
+    )
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_recovers_large_misalignment(self, fixed_volume, max_iter):
+        center = tuple(
+            float(o + e / 2)
+            for o, e in zip(fixed_volume.origin, fixed_volume.physical_extent)
+        )
+        true = RigidTransform((10.0, -8.0, 4.0), (0.1, 0.1, -0.1), center)
+        moving = resample_moving(fixed_volume, fixed_volume, true.inverse())
+        result = register_rigid(
+            fixed_volume, moving, levels=2, max_iter=max_iter, max_samples=6000
+        )
+        assert result.transform.compose(true.inverse()).magnitude() < 2.5
+
     def test_identity_when_aligned(self, fixed_volume):
         result = register_rigid(fixed_volume, fixed_volume, levels=1, max_iter=2, max_samples=4000)
         assert result.transform.magnitude() < 1.5
@@ -146,3 +180,229 @@ class TestRegisterRigid:
     def test_rejects_bad_levels(self, fixed_volume):
         with pytest.raises(ValidationError):
             register_rigid(fixed_volume, fixed_volume, levels=0)
+
+
+# -- frozen references -------------------------------------------------------
+#
+# ``_mi_cost``, the ``mutual_information`` it called and ``register_rigid``
+# as they stood before the per-level ``MutualInformationCost`` evaluator
+# replaced the per-call cost function. The evaluator must return the same
+# float, so the Powell trajectory, the evaluation count and every number
+# downstream of the rigid stage stay what they were.
+
+
+def _frozen_mutual_information(a, b, bins):
+    av = np.asarray(a, dtype=float).ravel()
+    bv = np.asarray(b, dtype=float).ravel()
+
+    def _digitize(x):
+        lo, hi = float(x.min()), float(x.max())
+        if hi <= lo:
+            return np.zeros(x.shape, dtype=np.intp)
+        scaled = (x - lo) / (hi - lo) * bins
+        return np.clip(scaled.astype(np.intp), 0, bins - 1)
+
+    ia, ib = _digitize(av), _digitize(bv)
+    counts = np.bincount(ia * bins + ib, minlength=bins * bins)
+    hist = counts.reshape(bins, bins).astype(np.float64)
+    pab = hist / hist.sum()
+    pa = pab.sum(axis=1, keepdims=True)
+    pb = pab.sum(axis=0, keepdims=True)
+    nz = pab > 0
+    ratio = np.zeros_like(pab)
+    ratio[nz] = pab[nz] / (pa @ pb)[nz]
+    return float(np.sum(pab[nz] * np.log(ratio[nz])))
+
+
+def _frozen_mi_cost(params, fixed_values, fixed_points, moving, center, bins):
+    transform = RigidTransform.from_params(params, center)
+    moved = _frozen_trilinear_sample(moving, transform.apply(fixed_points), fill_value=0.0)
+    return -_frozen_mutual_information(fixed_values, moved, bins)
+
+
+def _frozen_register_rigid(
+    fixed, moving, levels=2, bins=32, max_samples=20000, initial=None, max_iter=4, seed=0
+):
+    """Returns ``(level_params, evaluations, mutual_information)``."""
+    rng = default_rng(seed)
+    center = tuple(float(o + e / 2.0) for o, e in zip(fixed.origin, fixed.physical_extent))
+    params = (
+        initial.params() if initial is not None else RigidTransform.identity(center).params()
+    )
+    evaluations = 0
+    level_params = []
+    mi_final = 0.0
+    for level_fixed in pyramid(fixed, levels):
+        pts = level_fixed.voxel_centers().reshape(-1, 3)
+        values = level_fixed.data.astype(float).ravel()
+        fg = values > values.mean() * 0.25
+        if fg.sum() > 100:
+            pts, values = pts[fg], values[fg]
+        if len(values) > max_samples:
+            pick = rng.choice(len(values), size=max_samples, replace=False)
+            pts, values = pts[pick], values[pick]
+        counter = {"n": 0}
+
+        def cost(p, _pts=pts, _vals=values):
+            counter["n"] += 1
+            return _frozen_mi_cost(p, _vals, _pts, moving, center, bins)
+
+        result = optimize.minimize(
+            cost, params, method="Powell",
+            options={"maxiter": max_iter, "xtol": 1e-3, "ftol": 1e-5},
+        )
+        params = np.asarray(result.x, dtype=float)
+        evaluations += counter["n"]
+        level_params.append(params.copy())
+        mi_final = -float(result.fun)
+    return level_params, evaluations, mi_final
+
+
+def _mi_case(rng, shape, kind):
+    """A moving volume on an anisotropic, shifted grid and fixed samples in
+    the middle half of its extent (inside under small transforms)."""
+    spacing = tuple(rng.uniform(0.4, 3.0, 3))
+    origin = tuple(rng.uniform(-30.0, 30.0, 3))
+    if kind == "int":
+        data = rng.integers(0, 200, shape).astype(np.int16)
+    elif kind == "flat":
+        data = np.full(shape, 7.5)
+    else:
+        data = rng.normal(100.0, 40.0, shape)
+    moving = ImageVolume(data, spacing, origin)
+    extent = (np.array(shape) - 1) * np.array(spacing)
+    n = int(rng.integers(1, 400))
+    points = np.array(origin) + extent * rng.uniform(0.25, 0.75, (n, 3))
+    center = tuple(np.array(origin) + extent / 2.0)
+    return moving, points, rng.normal(50.0, 20.0, n), center
+
+
+def _inside(moving, points, center, params):
+    idx = moving.world_to_index(RigidTransform.from_params(params, center).apply(points))
+    return np.all((idx >= 0) & (idx <= np.array(moving.shape) - 1), axis=1)
+
+
+def _fraction_label(inside):
+    return "all" if inside.all() else "some" if inside.any() else "none"
+
+
+class TestMutualInformationCost:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        kind=st.sampled_from(["float", "int", "flat"]),
+        bins=st.sampled_from([2, 8, 32]),
+        # 0: identity; 0.02: every sample stays inside; 0.25 / 40: the
+        # transform throws some / all samples out of the moving volume.
+        reach=st.sampled_from([0.0, 0.02, 0.25, 40.0]),
+    )
+    def test_equals_frozen_mi_cost(self, seed, shape, kind, bins, reach):
+        rng = np.random.default_rng(seed)
+        moving, points, values, center = _mi_case(rng, shape, kind)
+        extent = float(np.max(moving.physical_extent))
+        cost = MutualInformationCost(values, points, moving, center, bins)
+        for call in range(1, 4):
+            params = np.concatenate(
+                [rng.normal(0.0, reach * extent, 3), rng.normal(0.0, min(reach, 1.0), 3)]
+            )
+            event(f"inside: {_fraction_label(_inside(moving, points, center, params))}")
+            want = _frozen_mi_cost(params, values, points, moving, center, bins)
+            assert cost(params) == want
+            assert cost.evaluations == call
+            # MI only moves when a sample crosses a bin edge; the samples
+            # themselves pin the coordinate arithmetic to the last bit.
+            world = RigidTransform.from_params(params, center).apply(points)
+            assert np.array_equal(
+                cost.sample(params), _frozen_trilinear_sample(moving, world, fill_value=0.0)
+            )
+
+    def test_every_sampling_regime_is_reached(self):
+        """The named regimes of the property test, one deterministic case each."""
+        rng = np.random.default_rng(5)
+        moving, points, values, center = _mi_case(rng, (8, 7, 6), "float")
+        cost = MutualInformationCost(values, points, moving, center, 16)
+        extent = np.asarray(moving.physical_extent)
+        regimes = {
+            "all": np.array([0.05, -0.05, 0.02, 0.01, -0.01, 0.01]),
+            "some": np.concatenate([0.3 * extent, [0.2, -0.1, 0.3]]),
+            "none": np.concatenate([5.0 * extent, [0.0, 0.0, 0.0]]),
+        }
+        for name, params in regimes.items():
+            inside = _inside(moving, points, center, params)
+            assert _fraction_label(inside) == name
+            assert cost(params) == _frozen_mi_cost(params, values, points, moving, center, 16)
+        # Nothing inside: the moved samples are all fill, one bin, MI zero.
+        assert cost(regimes["none"]) == 0.0
+
+    def test_does_not_modify_its_inputs(self, rng):
+        moving, points, values, center = _mi_case(rng, (6, 6, 6), "int")
+        kept = points.copy(), values.copy(), moving.data.copy()
+        cost = MutualInformationCost(values, points, moving, center, 8)
+        cost(np.array([1.0, 2.0, -1.0, 0.1, 0.0, -0.1]))
+        assert np.array_equal(points, kept[0])
+        assert np.array_equal(values, kept[1])
+        assert np.array_equal(moving.data, kept[2])
+
+    def test_validates_once_at_construction(self, rng):
+        moving, points, values, center = _mi_case(rng, (4, 4, 4), "float")
+        with pytest.raises(ValidationError):
+            MutualInformationCost(values, points, moving, center, bins=1)
+        with pytest.raises(ShapeError):
+            MutualInformationCost(values[:-1], points, moving, center, bins=8)
+        with pytest.raises(ValidationError):
+            MutualInformationCost(values[:0], points[:0], moving, center, bins=8)
+        with pytest.raises(ShapeError):
+            MutualInformationCost(values, points, moving, center, 8)(np.zeros(5))
+
+
+class TestRegisterRigidUnchanged:
+    """Same trajectory as the frozen function: parameters, count and MI."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        fixed = make_neurosurgery_case(
+            shape=(32, 32, 24), shift_mm=0.0, resection=False, seed=21, noise_sigma=2.0
+        ).preop_mri
+        center = tuple(float(o + e / 2) for o, e in zip(fixed.origin, fixed.physical_extent))
+        true = RigidTransform((4.0, -3.0, 2.0), (0.05, -0.02, 0.04), center)
+        return fixed, resample_moving(fixed, fixed, true.inverse())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(levels=2, max_iter=1, max_samples=2000),
+            dict(levels=1, max_iter=2, max_samples=4000, bins=16, seed=3),
+        ],
+    )
+    def test_same_levels_evaluations_and_mi(self, pair, kwargs):
+        fixed, moving = pair
+        result = register_rigid(fixed, moving, **kwargs)
+        level_params, evaluations, mi = _frozen_register_rigid(fixed, moving, **kwargs)
+        assert len(result.level_params) == len(level_params)
+        for got, want in zip(result.level_params, level_params):
+            assert np.array_equal(got, want)
+        assert result.evaluations == evaluations
+        assert result.mutual_information == mi
+
+    def test_warm_start_follows_the_frozen_trajectory(self, pair):
+        fixed, moving = pair
+        first = register_rigid(fixed, moving, levels=1, max_iter=1, max_samples=1500)
+        kwargs = dict(levels=2, max_iter=1, max_samples=1500, initial=first.transform)
+        result = register_rigid(fixed, moving, **kwargs)
+        level_params, evaluations, _ = _frozen_register_rigid(fixed, moving, **kwargs)
+        assert np.array_equal(result.level_params[-1], level_params[-1])
+        assert result.evaluations == evaluations
+
+    def test_one_span_per_pyramid_level(self, pair):
+        fixed, moving = pair
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = register_rigid(fixed, moving, levels=2, max_iter=1, max_samples=2000)
+        spans = [s for s in tracer.finished() if s.name == "mi level"]
+        assert [s.attrs["level"] for s in spans] == [0, 1]
+        assert sum(s.attrs["evaluations"] for s in spans) == result.evaluations
+        assert all(0 < s.attrs["samples"] <= 2000 for s in spans)
+        assert spans[-1].attrs["mutual_information"] == result.mutual_information
+        assert all(s.attrs["kind"] != "stage" for s in spans)
+        assert len(tracer.finished()) == 2  # no span per evaluation

@@ -218,3 +218,85 @@ class TestQualityMetrics:
         pred = np.ones((2, 2, 2), dtype=int)
         cm = confusion_matrix(pred, truth, (0, 1))
         assert cm[0, 1] == 8 and cm[0, 0] == 0
+
+
+# -- frozen reference --------------------------------------------------------
+#
+# ``KNNClassifier.predict``'s chunk loop as it stood before the k-argmin
+# top-k replaced the partial sort and the one-hot vote count. Without exact
+# distance ties at the k-th place the neighbour *set* is the same, so the
+# labels must be too.
+
+
+def _frozen_predict(clf: KNNClassifier, features: np.ndarray, chunk: int) -> np.ndarray:
+    X = np.asarray(features, dtype=float)
+    X = (X - clf._mean) / clf._scale
+    out = np.empty(len(X), dtype=np.intp)
+    train = clf._train
+    train_sq = np.sum(train * train, axis=1)
+    classes = np.unique(clf._labels)
+    onehot = (clf._labels[:, None] == classes[None, :]).astype(np.float64)
+    for start in range(0, len(X), chunk):
+        block = X[start : start + chunk]
+        d2 = (-2.0 * block) @ train.T
+        d2 += np.sum(block * block, axis=1)[:, None]
+        d2 += train_sq[None, :]
+        k = min(clf.k, train.shape[0])
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        votes = onehot[nearest].sum(axis=1)
+        best = classes[np.argmax(votes, axis=1)]
+        top = np.max(votes, axis=1)
+        tied = (votes == top[:, None]).sum(axis=1) > 1
+        if np.any(tied):
+            best[tied] = clf._labels[np.argmin(d2[tied], axis=1)]
+        out[start : start + chunk] = best
+    return out
+
+
+class TestKNNTopK:
+    @pytest.mark.parametrize(
+        "n_prototypes, n_classes, k",
+        [
+            (120, 6, 5),  # the pipeline's setting
+            (9, 3, 9),  # k == n_prototypes: every prototype votes
+            (40, 2, 7),  # k larger than the class count
+            (30, 30, 4),  # every prototype its own class: all votes tie
+            (25, 4, 1),
+        ],
+    )
+    def test_equals_frozen_argpartition_predict(self, rng, n_prototypes, n_classes, k):
+        P = rng.normal(size=(n_prototypes, 5)) * [1.0, 20.0, 0.1, 5.0, 1.0]
+        y = rng.permutation(np.arange(n_prototypes) % n_classes) * 3 - 2  # sparse ids
+        X = rng.normal(size=(2 * 1024 + 331, 5)) * [1.0, 20.0, 0.1, 5.0, 1.0]
+        want = _frozen_predict(KNNClassifier(k=k).fit(P, y), X, chunk=4096)
+        assert len(np.unique(want)) > 1
+        assert np.array_equal(KNNClassifier(k=k).fit(P, y).predict(X), want)  # default chunk
+        for chunk in (1, 7, 1024, len(X)):
+            assert np.array_equal(KNNClassifier(k=k, chunk=chunk).fit(P, y).predict(X), want)
+
+    def test_rejects_k_below_one(self, rng):
+        with pytest.raises(ValidationError):
+            KNNClassifier(k=0).fit(rng.normal(size=(5, 2)), np.zeros(5, dtype=int))
+
+    def test_vote_tie_goes_to_the_nearest_neighbours_class(self):
+        # k = 4 around x = 0: the nearest is class 9, then two of class 1
+        # and one more of class 9 -- two votes each.
+        P = np.array([[0.1], [0.5], [-0.6], [0.9], [30.0], [-30.0]])
+        y = np.array([9, 1, 1, 9, 5, 5])
+        clf = KNNClassifier(k=4).fit(P, y)
+        assert clf.predict(np.array([[0.0]]))[0] == 9
+        assert _frozen_predict(clf, np.array([[0.0]]), chunk=8)[0] == 9
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (2, 1)])
+    def test_distance_tie_at_kth_place_takes_lowest_prototype_index(self, first, second):
+        """Two prototypes at the same point, different classes, tied for the
+        k-th place: the partial sort's pick was arbitrary; the k-argmin
+        top-k takes the one that comes first in the prototype set."""
+        P = np.array([[0.0], [-1.0], [3.0], [3.0], [100.0]])
+        y = np.array([first, second, first, second, 0])  # indices 2 and 3 coincide
+        clf = KNNClassifier(k=3).fit(P, y)
+        # Nearest: index 0 (class ``first``), index 1 (``second``), then the
+        # tie. Index 2 wins it, so ``first`` has two of the three votes.
+        assert clf.predict(np.array([[0.1]]))[0] == first
+        # With k = 1 on the duplicates themselves the same rule decides alone.
+        assert KNNClassifier(k=1).fit(P, y).predict(np.array([[3.2]]))[0] == first
