@@ -19,17 +19,27 @@ import math
 import os
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.fem.assembly import (
+    assemble_stiffness,
+    build_csr_pattern,
+    element_stiffness_matrices,
+)
+from repro.fem.bc import DirichletBC
 from repro.fem.material import BRAIN_HOMOGENEOUS
-from repro.fem.assembly import assemble_stiffness, element_stiffness_matrices
 from repro.imaging.distance import saturated_distance_transform
 from repro.imaging.resample import trilinear_sample, warp_volume
 from repro.imaging.volume import ImageVolume
 from repro.mesh.generator import mesh_labeled_volume
-from repro.parallel.solver import DistributedBlockJacobi
+from repro.mesh.partition import partition_block
+from repro.mesh.surface import extract_boundary_surface
+from repro.parallel.assembly import build_distributed_system
+from repro.parallel.decomposition import Decomposition
+from repro.parallel.solver import DistributedBlockJacobi, distributed_gmres
 from repro.registration.rigid import MutualInformationCost
 from repro.segmentation.knn import KNNClassifier
 
@@ -43,6 +53,20 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 def medium(system77):
     """Reuse the 77k-equation clinical mesh for FEM kernels."""
     return system77
+
+
+@pytest.fixture(scope="module")
+def fem57():
+    """A 57 k-element brain mesh with random surface displacements — the
+    size of the end-to-end benchmark's ``session-fem`` model."""
+    from repro.experiments.common import BRAIN_LABELS
+    from repro.imaging.phantom import make_neurosurgery_case
+
+    case = make_neurosurgery_case(shape=(32, 32, 24), shift_mm=5.0, seed=42)
+    mesh = mesh_labeled_volume(case.preop_labels, 9.0 if SMOKE else 4.2, BRAIN_LABELS).mesh
+    nodes = extract_boundary_surface(mesh).mesh_nodes
+    displacements = np.random.default_rng(7).normal(0.0, 1.0, (len(nodes), 3))
+    return mesh, DirichletBC(nodes, displacements)
 
 
 def test_kernel_saturated_distance_transform(benchmark):
@@ -98,6 +122,51 @@ def test_kernel_block_jacobi_apply(medium, benchmark):
     pre = DistributedBlockJacobi(matrix)
     r = np.random.default_rng(2).normal(size=n)
     benchmark(lambda: pre.solve(r))
+
+
+def test_kernel_symbolic_assembly(fem57, benchmark):
+    """CSR pattern + scatter map from connectivity: seconds and bytes."""
+    mesh, _ = fem57
+    pattern = lambda: build_csr_pattern(mesh.elements, mesh.n_nodes)
+    scatter, indices, _ = benchmark.pedantic(pattern, rounds=3, iterations=1)
+    tracemalloc.start()
+    pattern()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    benchmark.extra_info.update(
+        n_elements=int(mesh.n_elements),
+        nnz=int(len(indices)),
+        scatter_bytes=int(scatter.nbytes),
+        peak_bytes_allocated=int(peak),
+    )
+    assert scatter.shape == (144 * mesh.n_elements,)
+    # scatter, one smaller temporary and the 16 m-sized sort arrays — the
+    # 144 m-pair lexsort held about seven arrays of scatter's size.
+    assert peak < 3 * scatter.nbytes
+
+
+def test_kernel_block_ilu(fem57, benchmark):
+    """4-rank block ILU: set-up, factor size, one application, GMRES iterations."""
+    mesh, bc = fem57
+    dec = Decomposition.from_partition(mesh, partition_block(mesh, 4))
+    system = build_distributed_system(
+        dec, BRAIN_HOMOGENEOUS, DirichletBC(dec.old_to_new[bc.node_ids], bc.displacements)
+    )
+    matrix = system.matrix
+    pre = benchmark.pedantic(lambda: DistributedBlockJacobi(matrix), rounds=2, iterations=1)
+    r = np.random.default_rng(2).normal(size=matrix.n)
+    _, apply_seconds, _ = _timed(lambda: pre.solve(r), repeats=20)
+    result = distributed_gmres(matrix, system.rhs, pre, tol=1e-7, restart=30)
+    block_nnz = sum(matrix.local[k][:, a:b].nnz for k, (a, b) in enumerate(matrix.ranges))
+    benchmark.extra_info.update(
+        free_equations=int(matrix.n),
+        block_nnz=int(block_nnz),
+        factor_nnz=int(pre._factor_nnz.sum()),
+        apply_seconds=apply_seconds,
+        iterations=int(result.iterations),
+    )
+    assert result.converged
+    assert pre._factor_nnz.sum() < 2.0 * block_nnz
 
 
 def _timed(fn, repeats=3):

@@ -52,34 +52,53 @@ def element_dof_indices(mesh: TetrahedralMesh) -> np.ndarray:
 
 
 def build_csr_pattern(
-    element_dofs: np.ndarray, n_dof: int
+    elements: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symbolic COO -> CSR structure for element-matrix assembly.
 
-    Given the ``(m, 12)`` global DOF indices per element, derives the
-    canonical CSR pattern of the assembled matrix and the scatter map
-    sending each of the ``144 m`` element-matrix entries to its nonzero
-    slot (duplicates share a slot). Topology-only, so the result can be
-    cached across numeric refreshes.
+    Given the ``(m, 4)`` node ids per element, derives the canonical CSR
+    pattern of the assembled ``(3 n_nodes, 3 n_nodes)`` matrix and the
+    scatter map sending each of the ``144 m`` element-matrix entries to
+    its nonzero slot (duplicates share a slot). Topology-only, so the
+    result can be cached across numeric refreshes.
+
+    DOFs are node-major and every element contributes full 3x3 node
+    blocks, so only the ``16 m`` node pairs ``(I, J)`` are sorted; the
+    DOF-level structure follows by arithmetic. Block row ``I`` with
+    ``c_I`` distinct neighbours owns DOF rows ``3I .. 3I+2`` of ``3 c_I``
+    entries each, and entry ``(a, b)`` of its ``q``-th block sits at
+    ``indptr[3I + a] + 3q + b``.
 
     Returns ``(scatter, indices, indptr)``; the nonzero count is
     ``len(indices)``.
     """
-    rows = np.repeat(element_dofs, 12, axis=1).ravel()
-    cols = np.tile(element_dofs, (1, 12)).ravel()
-    order = np.lexsort((cols, rows))
-    rs, cs = rows[order], cols[order]
-    first = np.empty(len(rs), dtype=bool)
-    if len(rs):
-        first[0] = True
-        first[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-    group = np.cumsum(first) - 1
-    scatter = np.empty_like(group)
-    scatter[order] = group
-    indices = cs[first].astype(np.int32)
-    counts = np.bincount(rs[first], minlength=n_dof)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    return scatter, indices, indptr
+    el = np.asarray(elements, dtype=np.int64)
+    m = len(el)
+    keys = (el[:, :, None] * n_nodes + el[:, None, :]).ravel()
+    blocks, block_of = np.unique(keys, return_inverse=True)
+    block_row, block_col = np.divmod(blocks, n_nodes)
+    per_row = np.bincount(block_row, minlength=n_nodes)
+    first_block = np.concatenate([[0], np.cumsum(per_row)])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * per_row, 3))])
+    axes = np.arange(3)
+    # Offset of every block's three columns inside each of its rows: 3q + b.
+    q = np.arange(len(blocks)) - first_block[block_row]
+    offset = 3 * q[:, None] + axes
+    row_start = indptr[3 * block_row[:, None] + axes]
+    indices = np.empty(9 * len(blocks), dtype=np.int32)
+    indices[row_start[:, :, None] + offset[:, None, :]] = (
+        3 * block_col[:, None] + axes
+    )[:, None, :]
+    # Element entry (i, a; j, b) -> start of DOF row 3 el[i] + a, plus the
+    # column offset of block (el[i], el[j]). Written straight into scatter,
+    # the only 144 m array: allocation volume is most of what this costs.
+    scatter = np.empty((m, 4, 3, 12), dtype=np.int64)
+    np.add(
+        indptr[3 * el[:, :, None] + axes][..., None],
+        offset[block_of].reshape(m, 4, 1, 12),
+        out=scatter,
+    )
+    return scatter.reshape(-1), indices, indptr.astype(np.int32)
 
 
 def assemble_stiffness(
@@ -98,7 +117,7 @@ def assemble_stiffness(
             f"element matrices must be ({mesh.n_elements}, 12, 12), got {Ke.shape}"
         )
     n = mesh.n_dof
-    scatter, indices, indptr = build_csr_pattern(element_dof_indices(mesh), n)
+    scatter, indices, indptr = build_csr_pattern(mesh.elements, mesh.n_nodes)
     data = get_backend().coo_accumulate(scatter, Ke.reshape(-1), len(indices))
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 

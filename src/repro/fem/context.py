@@ -111,15 +111,14 @@ class AssemblyContext:
             n_elements=int(mesh.n_elements),
             n_dof=int(mesh.n_dof),
         ) as span:
-            self.element_dofs = mesh.element_dof_indices()
             gradients, volumes = shape_function_gradients(mesh.element_coordinates())
             self.B = strain_displacement_matrices(gradients)
             self.volumes = volumes
-            # Symbolic phase: COO coordinates -> canonical CSR pattern plus
-            # the position of every COO entry inside csr.data (shared with
-            # the one-shot assemble_stiffness path).
+            # Symbolic phase: element connectivity -> canonical CSR pattern
+            # plus the position of every COO entry inside csr.data (shared
+            # with the one-shot assemble_stiffness path).
             self.scatter, self.indices, self.indptr = build_csr_pattern(
-                self.element_dofs, self.n_dof
+                mesh.elements, mesh.n_nodes
             )
             self.nnz = int(len(self.indices))
             span.set(nnz=self.nnz)

@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from repro.obs.trace import get_tracer
+from repro.solver.preconditioner import incomplete_factor
 from repro.util import ShapeError, ValidationError
 
 
@@ -56,8 +57,6 @@ class RestrictedAdditiveSchwarz:
         block_ranges,
         overlap: int = 1,
         factorization: str = "lu",
-        drop_tol: float = 1e-4,
-        fill_factor: float = 3.0,
     ):
         n = matrix.shape[0]
         if matrix.shape[0] != matrix.shape[1]:
@@ -94,12 +93,9 @@ class RestrictedAdditiveSchwarz:
                 grown = grow_subdomain(csr, indices, overlap)
                 self._subdomains.append(grown)
                 block = csr[grown, :][:, grown].tocsc()
-                if factorization == "lu":
-                    self._factors.append(spla.splu(block))
-                else:
-                    self._factors.append(
-                        spla.spilu(block, drop_tol=drop_tol, fill_factor=fill_factor)
-                    )
+                self._factors.append(
+                    spla.splu(block) if factorization == "lu" else incomplete_factor(block)
+                )
                 # Positions within the subdomain vector that are owned rows.
                 self._own_positions.append(np.searchsorted(grown, indices))
         # Reused apply buffer (parity with BlockJacobiPreconditioner):

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.backend import get_backend
 from repro.fem.assembly import (
     assemble_load_vector,
     assemble_stiffness,
     assembly_work_per_node,
+    build_csr_pattern,
     element_dof_indices,
     element_stiffness_matrices,
 )
 from repro.fem.bc import DirichletBC, apply_dirichlet, eliminated_per_node
+from repro.fem.context import AssemblyContext
 from repro.fem.material import BRAIN_HOMOGENEOUS
 from repro.fem.model import BiomechanicalModel
 from repro.mesh.surface import extract_boundary_surface
@@ -204,3 +209,105 @@ class TestBiomechanicalModel:
         assert result.n_equations == mesh.n_dof - 3 * len(surf.mesh_nodes)
         assert result.assembly_seconds > 0
         assert result.solve_seconds > 0
+
+
+# -- frozen reference --------------------------------------------------------
+#
+# ``build_csr_pattern`` as it stood while it lexsorted the 144 m (row, col)
+# DOF pairs. The node-pair version must return the same three arrays, same
+# dtypes, so ``coo_accumulate`` adds the same values in the same order.
+
+
+def _frozen_build_csr_pattern(element_dofs: np.ndarray, n_dof: int):
+    rows = np.repeat(element_dofs, 12, axis=1).ravel()
+    cols = np.tile(element_dofs, (1, 12)).ravel()
+    order = np.lexsort((cols, rows))
+    rs, cs = rows[order], cols[order]
+    first = np.empty(len(rs), dtype=bool)
+    if len(rs):
+        first[0] = True
+        first[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
+    group = np.cumsum(first) - 1
+    scatter = np.empty_like(group)
+    scatter[order] = group
+    indices = cs[first].astype(np.int32)
+    counts = np.bincount(rs[first], minlength=n_dof)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return scatter, indices, indptr
+
+
+def _frozen_pattern_of(elements: np.ndarray, n_nodes: int):
+    el = np.asarray(elements, dtype=np.int64)
+    dofs = (3 * el[:, :, None] + np.arange(3)).reshape(len(el), 12)
+    return _frozen_build_csr_pattern(dofs, 3 * n_nodes)
+
+
+def _assert_same_pattern(elements, n_nodes):
+    got = build_csr_pattern(elements, n_nodes)
+    want = _frozen_pattern_of(elements, n_nodes)
+    for name, g, w in zip(("scatter", "indices", "indptr"), got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+@st.composite
+def _connectivity(draw):
+    """Random tetrahedral connectivity over a node range it need not fill."""
+    n_nodes = draw(st.integers(4, 40))
+    tet = st.lists(
+        st.integers(0, n_nodes - 1), min_size=4, max_size=4, unique=True
+    )
+    return np.array(draw(st.lists(tet, min_size=1, max_size=30)), dtype=np.int64), n_nodes
+
+
+class TestSymbolicAssemblyByNodePair:
+    @given(_connectivity())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_frozen_lexsort_pattern(self, case):
+        _assert_same_pattern(*case)
+
+    @pytest.mark.parametrize(
+        "elements, n_nodes",
+        [
+            ([[0, 1, 2, 3]], 4),  # single element
+            ([[3, 0, 2, 1]], 4),  # ... with its nodes out of order
+            ([[0, 1, 2, 3], [1, 2, 3, 4]], 5),  # shared face
+            ([[0, 1, 2, 3], [4, 2, 5, 3]], 6),  # shared edge
+            ([[0, 1, 2, 3], [3, 4, 5, 6]], 7),  # one shared node
+            ([[0, 1, 2, 3], [4, 5, 6, 7]], 8),  # disconnected
+            ([[2, 9, 5, 7]], 12),  # node ids no element uses, before and after
+            ([[0, 1, 2, 3], [0, 1, 2, 3]], 4),  # the same element twice
+        ],
+    )
+    def test_named_topologies(self, elements, n_nodes):
+        _assert_same_pattern(np.array(elements), n_nodes)
+
+    def test_node_order_inside_an_element_does_not_change_the_pattern(self, rng):
+        elements = np.array([[0, 1, 2, 3], [1, 2, 3, 4], [4, 2, 5, 3]])
+        _, indices, indptr = build_csr_pattern(elements, 6)
+        shuffled = np.array([rng.permutation(row) for row in elements])
+        _assert_same_pattern(shuffled, 6)
+        _, indices2, indptr2 = build_csr_pattern(shuffled, 6)
+        assert np.array_equal(indices, indices2) and np.array_equal(indptr, indptr2)
+
+    def test_accepts_int32_connectivity(self):
+        elements = np.array([[0, 1, 2, 3], [1, 2, 3, 4]], dtype=np.int32)
+        _assert_same_pattern(elements, 5)
+
+    def test_phantom_mesh_pattern_and_stiffness_bit_identical(self, brain_mesh_module):
+        mesh = brain_mesh_module
+        _assert_same_pattern(mesh.elements, mesh.n_nodes)
+        scatter, indices, indptr = _frozen_build_csr_pattern(
+            mesh.element_dof_indices(), mesh.n_dof
+        )
+        Ke = element_stiffness_matrices(mesh, BRAIN_HOMOGENEOUS)
+        data = get_backend().coo_accumulate(scatter, Ke.reshape(-1), len(indices))
+        K_old = sparse.csr_matrix((data, indices, indptr), shape=(mesh.n_dof,) * 2)
+        for K_new in (
+            assemble_stiffness(mesh, BRAIN_HOMOGENEOUS),
+            AssemblyContext(mesh, BRAIN_HOMOGENEOUS).matrix(),
+        ):
+            assert (K_new != K_old).nnz == 0
+            assert np.array_equal(K_new.data, K_old.data)
+            assert np.array_equal(K_new.indices, K_old.indices)
+            assert np.array_equal(K_new.indptr, K_old.indptr)
