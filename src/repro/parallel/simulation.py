@@ -110,36 +110,106 @@ def mesh_payload_bytes(mesh: TetrahedralMesh) -> float:
     return float(mesh.nodes.nbytes + mesh.elements.nbytes + mesh.materials.nbytes)
 
 
-def _context_fingerprint(
-    mesh: TetrahedralMesh,
-    materials: MaterialMap,
-    bc: DirichletBC,
-    n_ranks: int,
-    partitioner: str,
-    preconditioner: str,
-    factorization: str,
-    ras_overlap: int,
-) -> bytes:
-    """Fingerprint of every input the cached distributed state depends on."""
-    return SolveContext.fingerprint(
-        mesh,
-        materials,
-        bc.node_ids,
-        layer="parallel",
-        n_ranks=n_ranks,
-        partitioner=partitioner,
-        preconditioner=preconditioner,
-        factorization=factorization,
-        ras_overlap=ras_overlap,
-    )
+class _Setup:
+    """What :func:`simulate_parallel` and :func:`simulate_parallel_batch` share.
 
+    Construction checks the partitioner/preconditioner names, matches
+    ``context`` against the fingerprint of every input the cached
+    distributed state depends on (``warm`` is True on a match), creates
+    the telemetry and runs the initialization phase (``span_attrs`` go
+    on its span); the methods are the later steps that depend on it.
+    """
 
-def _make_preconditioner(
-    matrix, telemetry, preconditioner: str, factorization: str, ras_overlap: int
-):
-    if preconditioner == "ras":
-        return DistributedRAS(matrix, telemetry, overlap=ras_overlap)
-    return DistributedBlockJacobi(matrix, telemetry, factorization=factorization)
+    def __init__(
+        self,
+        mesh: TetrahedralMesh,
+        materials: MaterialMap,
+        bc: DirichletBC,
+        n_ranks: int,
+        machine: MachineSpec | None,
+        partitioner: str,
+        preconditioner: str,
+        factorization: str,
+        ras_overlap: int,
+        context: SolveContext | None,
+        **span_attrs,
+    ):
+        if partitioner not in PARTITIONERS:
+            raise ValidationError(
+                f"unknown partitioner {partitioner!r}; options: {sorted(PARTITIONERS)}"
+            )
+        if preconditioner not in ("block_jacobi", "ras"):
+            raise ValidationError(f"unknown preconditioner {preconditioner!r}")
+        self.context = context
+        self.preconditioner = preconditioner
+        self.factorization = factorization
+        self.ras_overlap = ras_overlap
+        self.warm = context is not None and context.prepare(
+            SolveContext.fingerprint(
+                mesh,
+                materials,
+                bc.node_ids,
+                layer="parallel",
+                n_ranks=n_ranks,
+                partitioner=partitioner,
+                preconditioner=preconditioner,
+                factorization=factorization,
+                ras_overlap=ras_overlap,
+            )
+        )
+        self.telemetry = (
+            VirtualCluster(machine, n_ranks) if machine is not None else NullTelemetry()
+        )
+        with get_tracer().span(
+            "initialization", kind="phase", n_ranks=n_ranks, cache_hit=self.warm,
+            **span_attrs,
+        ):
+            if self.warm:
+                # Initialization (mesh scatter, index construction) was done
+                # preoperatively — the phase is recorded but charges nothing.
+                self.decomposition = context.slots["decomposition"]
+                with self.telemetry.phase("initialization"):
+                    pass
+            else:
+                part = PARTITIONERS[partitioner](mesh, n_ranks)
+                self.decomposition = Decomposition.from_partition(mesh, part, n_ranks)
+                with self.telemetry.phase("initialization"):
+                    self.telemetry.compute(
+                        0, INIT_FLOPS_PER_ENTITY * (mesh.n_nodes + mesh.n_elements)
+                    )
+                    self.telemetry.scatter(mesh_payload_bytes(mesh))
+                if context is not None:
+                    context.slots["decomposition"] = self.decomposition
+
+    def renumbered(self, bc: DirichletBC) -> DirichletBC:
+        """``bc`` in the decomposition's node numbering."""
+        return DirichletBC(self.decomposition.old_to_new[bc.node_ids], bc.displacements)
+
+    def get_preconditioner(self, matrix, solve_span):
+        """The context's factorized preconditioner, built on a miss."""
+        if self.warm and "preconditioner" in self.context.slots:
+            # Reused subdomain factors: the factorization flops are not
+            # charged again — only the per-application triangular solves.
+            solve_span.set(preconditioner_reused=True)
+            return self.context.slots["preconditioner"]
+        if self.preconditioner == "ras":
+            pre = DistributedRAS(matrix, self.telemetry, overlap=self.ras_overlap)
+        else:
+            pre = DistributedBlockJacobi(
+                matrix, self.telemetry, factorization=self.factorization
+            )
+        if self.context is not None:
+            self.context.slots["preconditioner"] = pre
+        return pre
+
+    def phase_seconds(self) -> tuple[float, float, float]:
+        """Virtual (initialization, assembly, solve) seconds; zeros without a machine."""
+        if not isinstance(self.telemetry, VirtualCluster):
+            return 0.0, 0.0, 0.0
+        return tuple(
+            self.telemetry.phase_seconds(phase)
+            for phase in ("initialization", "assembly", "solve")
+        )
 
 
 def simulate_parallel(
@@ -197,50 +267,17 @@ def simulate_parallel(
         the targeted virtual rank :data:`STALL_VIRTUAL_SECONDS` of extra
         compute before the solve proceeds.
     """
-    if partitioner not in PARTITIONERS:
-        raise ValidationError(
-            f"unknown partitioner {partitioner!r}; options: {sorted(PARTITIONERS)}"
-        )
-    if preconditioner not in ("block_jacobi", "ras"):
-        raise ValidationError(f"unknown preconditioner {preconditioner!r}")
-
-    warm = False
-    if context is not None:
-        fp = _context_fingerprint(
-            mesh, materials, bc, n_ranks, partitioner,
-            preconditioner, factorization, ras_overlap,
-        )
-        warm = context.prepare(fp)
-
-    telemetry = (
-        VirtualCluster(machine, n_ranks) if machine is not None else NullTelemetry()
+    setup = _Setup(
+        mesh, materials, bc, n_ranks, machine, partitioner,
+        preconditioner, factorization, ras_overlap, context,
     )
+    warm, telemetry = setup.warm, setup.telemetry
     tracer = get_tracer()
 
-    with tracer.span(
-        "initialization", kind="phase", n_ranks=n_ranks, cache_hit=warm
-    ):
-        if warm:
-            # Initialization (mesh scatter, index construction) was done
-            # preoperatively — the phase is recorded but charges nothing.
-            decomposition = context.slots["decomposition"]
-            with telemetry.phase("initialization"):
-                pass
-        else:
-            part = PARTITIONERS[partitioner](mesh, n_ranks)
-            decomposition = Decomposition.from_partition(mesh, part, n_ranks)
-            with telemetry.phase("initialization"):
-                telemetry.compute(
-                    0, INIT_FLOPS_PER_ENTITY * (mesh.n_nodes + mesh.n_elements)
-                )
-                telemetry.scatter(mesh_payload_bytes(mesh))
-            if context is not None:
-                context.slots["decomposition"] = decomposition
-
     with tracer.span("assembly", kind="phase", cache_hit=warm):
-        bc_new = DirichletBC(decomposition.old_to_new[bc.node_ids], bc.displacements)
         system = build_distributed_system(
-            decomposition, materials, bc_new, telemetry, context=context, reuse=warm
+            setup.decomposition, materials, setup.renumbered(bc), telemetry,
+            context=context, reuse=warm,
         )
 
     with tracer.span(
@@ -265,17 +302,7 @@ def simulate_parallel(
                     telemetry.compute(
                         rank, STALL_VIRTUAL_SECONDS * telemetry.spec.flops_rate
                     )
-        if warm and "preconditioner" in context.slots:
-            # Reused subdomain factors: the factorization flops are not
-            # charged again — only the per-application triangular solves.
-            pre = context.slots["preconditioner"]
-            solve_span.set(preconditioner_reused=True)
-        else:
-            pre = _make_preconditioner(
-                system.matrix, telemetry, preconditioner, factorization, ras_overlap
-            )
-            if context is not None:
-                context.slots["preconditioner"] = pre
+        pre = setup.get_preconditioner(system.matrix, solve_span)
         x0 = None
         if warm and warm_start:
             x0 = context.warm_start_vector(system.n_free)
@@ -312,12 +339,7 @@ def simulate_parallel(
     if context is not None:
         context.record_solution(result.x)
 
-    if isinstance(telemetry, VirtualCluster):
-        init_s = telemetry.phase_seconds("initialization")
-        asm_s = telemetry.phase_seconds("assembly")
-        solve_s = telemetry.phase_seconds("solve")
-    else:
-        init_s = asm_s = solve_s = 0.0
+    init_s, asm_s, solve_s = setup.phase_seconds()
 
     return ParallelSimulation(
         displacement=system.displacement_original_order(result.x),
@@ -382,12 +404,6 @@ def simulate_parallel_batch(
     Returns a list with one :class:`ParallelSimulation` (or exception)
     per entry of ``bcs``, in order.
     """
-    if partitioner not in PARTITIONERS:
-        raise ValidationError(
-            f"unknown partitioner {partitioner!r}; options: {sorted(PARTITIONERS)}"
-        )
-    if preconditioner not in ("block_jacobi", "ras"):
-        raise ValidationError(f"unknown preconditioner {preconditioner!r}")
     bcs = list(bcs)
     if not bcs:
         raise ValidationError("bcs must contain at least one boundary condition")
@@ -406,45 +422,21 @@ def simulate_parallel_batch(
 
     if context is None:
         context = SolveContext()
-    fp = _context_fingerprint(
-        mesh, materials, bcs[0], n_ranks, partitioner,
-        preconditioner, factorization, ras_overlap,
+    setup = _Setup(
+        mesh, materials, bcs[0], n_ranks, machine, partitioner,
+        preconditioner, factorization, ras_overlap, context, n_batch=m,
     )
-    warm = context.prepare(fp)
-
-    telemetry = (
-        VirtualCluster(machine, n_ranks) if machine is not None else NullTelemetry()
-    )
+    warm, telemetry = setup.warm, setup.telemetry
     tracer = get_tracer()
-
-    with tracer.span(
-        "initialization", kind="phase", n_ranks=n_ranks, cache_hit=warm, n_batch=m
-    ):
-        if warm:
-            decomposition = context.slots["decomposition"]
-            with telemetry.phase("initialization"):
-                pass
-        else:
-            part = PARTITIONERS[partitioner](mesh, n_ranks)
-            decomposition = Decomposition.from_partition(mesh, part, n_ranks)
-            with telemetry.phase("initialization"):
-                telemetry.compute(
-                    0, INIT_FLOPS_PER_ENTITY * (mesh.n_nodes + mesh.n_elements)
-                )
-                telemetry.scatter(mesh_payload_bytes(mesh))
-            context.slots["decomposition"] = decomposition
 
     systems: list[DistributedSystem] = []
     with tracer.span("assembly", kind="phase", cache_hit=warm, n_batch=m):
         for i, bc in enumerate(bcs):
-            bc_new = DirichletBC(
-                decomposition.old_to_new[bc.node_ids], bc.displacements
-            )
             # The first member performs the (possibly cold) build and
             # populates the context; the rest reuse it unconditionally.
             systems.append(
                 build_distributed_system(
-                    decomposition, materials, bc_new, telemetry,
+                    setup.decomposition, materials, setup.renumbered(bc), telemetry,
                     context=context, reuse=warm if i == 0 else True,
                 )
             )
@@ -464,14 +456,7 @@ def simulate_parallel_batch(
         "solve", kind="phase", n_free=n_free, preconditioner=preconditioner,
         n_batch=m,
     ) as solve_span, telemetry.phase("solve"):
-        if warm and "preconditioner" in context.slots:
-            pre = context.slots["preconditioner"]
-            solve_span.set(preconditioner_reused=True)
-        else:
-            pre = _make_preconditioner(
-                matrix, telemetry, preconditioner, factorization, ras_overlap
-            )
-            context.slots["preconditioner"] = pre
+        pre = setup.get_preconditioner(matrix, solve_span)
         results = distributed_block_gmres(
             matrix,
             B,
@@ -484,12 +469,7 @@ def simulate_parallel_batch(
             isolate_errors=isolate_errors,
         )
 
-    if isinstance(telemetry, VirtualCluster):
-        init_s = telemetry.phase_seconds("initialization")
-        asm_s = telemetry.phase_seconds("assembly")
-        solve_s = telemetry.phase_seconds("solve")
-    else:
-        init_s = asm_s = solve_s = 0.0
+    init_s, asm_s, solve_s = setup.phase_seconds()
 
     out: list = []
     for c, (bc, system, result) in enumerate(zip(bcs, systems, results)):

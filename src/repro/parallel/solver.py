@@ -1,13 +1,14 @@
 """Distributed GMRES with block-Jacobi preconditioning.
 
-The virtual-parallel counterpart of :mod:`repro.solver.gmres`:
-identical mathematics, but every operation is decomposed by rank and
-reported to the telemetry — local matvec flops, halo bytes, per-block
-LU factorization and triangular solves, partial dot products and the
-scalar allreduces that synchronize them. Orthogonalization is classical
-Gram-Schmidt with one refinement pass (CGS2): two fused reductions per
-iteration, the strategy parallel GMRES implementations (including
-PETSc's) use to avoid one allreduce per inner product.
+The virtual-parallel counterpart of :mod:`repro.solver.gmres`: the same
+Arnoldi/Givens loop (:func:`repro.solver.gmres.gmres_requests`), but
+every operation is decomposed by rank and reported to the telemetry —
+local matvec flops, halo bytes, per-block LU factorization and
+triangular solves, partial dot products and the scalar allreduces that
+synchronize them. Orthogonalization (:class:`RankReduction`) is
+classical Gram-Schmidt with one refinement pass (CGS2): two fused
+reductions per iteration, the strategy parallel GMRES implementations
+(including PETSc's) use to avoid one allreduce per inner product.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from repro.parallel.distributed import (
     distributed_axpy_cost,
     distributed_norm,
 )
-from repro.solver.block import _ask, run_request_columns
-from repro.solver.gmres import GMRESResult
+from repro.solver.block import batched_precond, run_block
+from repro.solver.gmres import GMRESResult, gmres_requests, run_requests
 from repro.solver.preconditioner import incomplete_factor
-from repro.solver.schwarz import grow_subdomain
-from repro.util import ConvergenceError, ShapeError, ValidationError
+from repro.solver.schwarz import RestrictedAdditiveSchwarz
+from repro.util import ValidationError
 
 _NULL = NullTelemetry()
 
@@ -120,7 +121,10 @@ class DistributedRAS:
     matrix-graph layers; applying the preconditioner requires importing
     the residual values of the overlap region from neighbouring ranks
     (charged to the telemetry as a halo exchange), then a local
-    factorized solve restricted back to owned rows.
+    factorized solve restricted back to owned rows. The subdomains,
+    their incomplete factors and the application itself are the serial
+    :class:`repro.solver.RestrictedAdditiveSchwarz`; this class adds what
+    is distributed about it — the halo bytes and the flop charges.
     """
 
     def __init__(
@@ -129,70 +133,83 @@ class DistributedRAS:
         telemetry=_NULL,
         overlap: int = 1,
     ):
-        if overlap < 0:
-            raise ValidationError(f"overlap must be >= 0, got {overlap}")
-        csr = matrix.to_csr()
+        self._ras = RestrictedAdditiveSchwarz(
+            matrix.to_csr(), matrix.ranges, overlap=overlap, factorization="ilu"
+        )
         stops = matrix.ranges[:, 1]
-        self._owned = matrix.ranges
-        self._subdomains: list[np.ndarray] = []
-        self._own_positions: list[np.ndarray] = []
-        self._factors = []
-        factor_nnz = np.zeros(matrix.n_ranks)
         halo: dict[tuple[int, int], float] = {}
-        with get_tracer().span(
-            "preconditioner setup",
-            kind="solver",
-            preconditioner="ras",
-            overlap=overlap,
-            n_ranks=int(matrix.n_ranks),
-        ) as span:
-            for rank, (a, b) in enumerate(matrix.ranges):
-                indices = np.arange(a, b, dtype=np.intp)
-                grown = grow_subdomain(csr, indices, overlap)
-                external = grown[(grown < a) | (grown >= b)]
-                if len(external):
-                    owners = np.searchsorted(stops, external, side="right")
-                    for src, count in zip(*np.unique(owners, return_counts=True)):
-                        halo[(int(src), rank)] = halo.get(
-                            (int(src), rank), 0.0
-                        ) + float(count * 8)
-                block = csr[grown, :][:, grown].tocsc()
-                lu = incomplete_factor(block)
-                self._factors.append(lu)
-                factor_nnz[rank] = lu.L.nnz + lu.U.nnz
-                self._subdomains.append(grown)
-                self._own_positions.append(np.searchsorted(grown, indices))
-            span.set(factor_nnz=float(factor_nnz.sum()))
-        self._factor_nnz = factor_nnz
+        for rank, ((a, b), grown) in enumerate(zip(matrix.ranges, self._ras.subdomains)):
+            external = grown[(grown < a) | (grown >= b)]
+            if len(external):
+                owners = np.searchsorted(stops, external, side="right")
+                for src, count in zip(*np.unique(owners, return_counts=True)):
+                    halo[(int(src), rank)] = float(count * 8)
         self._halo = halo
-        telemetry.compute_all(FACTOR_FLOPS_PER_NNZ * factor_nnz)
+        self._factor_nnz = np.array(self._ras.factor_nnz(), dtype=float)
+        telemetry.compute_all(FACTOR_FLOPS_PER_NNZ * self._factor_nnz)
         self.shape = matrix.shape
-        self._out = np.empty(matrix.n)
 
     def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
         telemetry.halo_exchange(self._halo)
         telemetry.compute_all(SOLVE_FLOPS_PER_NNZ * self._factor_nnz)
-        out = self._out
-        for (a, b), subdomain, factor, own in zip(
-            self._owned, self._subdomains, self._factors, self._own_positions
-        ):
-            local = factor.solve(r[subdomain])
-            out[a:b] = local[own]
-        return out
+        return self._ras.solve(r)
 
-    def solve_many(self, R: np.ndarray, telemetry=_NULL) -> np.ndarray:
-        """Column-by-column RAS application (no blocked fast path yet)."""
-        R = np.asarray(R, dtype=float)
-        out = np.empty_like(R)
-        for c in range(R.shape[1]):
-            out[:, c] = self.solve(np.ascontiguousarray(R[:, c]), telemetry)
-        return out
+
+class RankReduction:
+    """Vector reductions of the Arnoldi loop, decomposed by rank.
+
+    The distributed counterpart of
+    :class:`repro.solver.gmres.SerialReduction`: norms are per-rank
+    partial sums plus a scalar allreduce, orthogonalisation is CGS2 (two
+    fused reduction rounds, one ``k * 8``-byte allreduce each), and every
+    axpy/scale pass is charged to the telemetry.
+    """
+
+    def __init__(self, ranges: np.ndarray, telemetry):
+        self._ranges = ranges
+        self._telemetry = telemetry
+        # Per-rank vector lengths are loop-invariant: computed once here
+        # instead of on every fused-orthogonalization reduction.
+        self._lengths = (ranges[:, 1] - ranges[:, 0]).astype(float)
+
+    def norm(self, v: np.ndarray) -> float:
+        return distributed_norm(v, self._ranges, self._telemetry)
+
+    def axpy_cost(self, n_vectors: int = 1) -> None:
+        distributed_axpy_cost(self._ranges, self._telemetry, n_vectors=n_vectors)
+
+    def _fused_dots(self, Vk: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Dots of w against k vectors: one (k*8)-byte allreduce."""
+        k = Vk.shape[0]
+        self._telemetry.compute_all(2.0 * k * self._lengths)
+        h = Vk @ w
+        self._telemetry.allreduce(8.0 * k)
+        return h
+
+    def orthogonalize(self, V: np.ndarray, H: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+        """CGS2 of ``w`` against ``V[:k+1]`` into ``H[:k+1, k]``; returns the new ``w``."""
+        Vk = V[: k + 1]
+        h1 = self._fused_dots(Vk, w)
+        w = w - Vk.T @ h1
+        self.axpy_cost(k + 1)
+        h2 = self._fused_dots(Vk, w)
+        w = w - Vk.T @ h2
+        self.axpy_cost(k + 1)
+        H[: k + 1, k] = h1 + h2
+        return w
+
+
+class _NoPreconditioner:
+    """``preconditioner=None``: answer every application with a copy."""
+
+    def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
+        return r.copy()
 
 
 def distributed_gmres(
     matrix: RowBlockMatrix,
     b: np.ndarray,
-    preconditioner: DistributedBlockJacobi | None = None,
+    preconditioner: DistributedBlockJacobi | DistributedRAS | None = None,
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     restart: int = 30,
@@ -204,24 +221,36 @@ def distributed_gmres(
 
     Mathematically equivalent to :func:`repro.solver.gmres` (up to the
     Gram-Schmidt variant); the telemetry records the parallel execution.
-    Zero-RHS behaviour matches the serial solver: ``x0`` is
+    ``preconditioner`` is a :class:`DistributedBlockJacobi`, a
+    :class:`DistributedRAS` or ``None`` (unpreconditioned). Input
+    validation and zero-RHS behaviour are the serial solver's: ``x0`` is
     shape-validated, the returned solution is zero, ``history`` is
     ``[0.0]``. Tracing mirrors the serial solver too: a ``gmres`` span
     with one ``restart`` event per cycle, plus a ``preconditioner
     applications`` count attribute.
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _distributed_gmres(
-            matrix, b, preconditioner, x0, tol, restart, max_iter,
-            telemetry, raise_on_fail, NULL_SPAN,
-        )
-    with tracer.span(
+    M = preconditioner if preconditioner is not None else _NoPreconditioner()
+    applications = 0
+    with get_tracer().span(
         "gmres", kind="solver", distributed=True, tol=tol, restart=restart
     ) as span:
-        result = _distributed_gmres(
-            matrix, b, preconditioner, x0, tol, restart, max_iter,
-            telemetry, raise_on_fail, span,
+
+        def precond(r: np.ndarray) -> np.ndarray:
+            # The running application count lands on the span immediately
+            # (a dict update; no-op on a disabled tracer) so every return
+            # path reports it without a try/finally around the whole solve.
+            nonlocal applications
+            applications += 1
+            span.set(preconditioner_applications=applications)
+            return M.solve(r, telemetry)
+
+        result = run_requests(
+            gmres_requests(
+                matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
+                RankReduction(matrix.ranges, telemetry), span, "distributed_gmres",
+            ),
+            lambda v: matrix.matvec(v, telemetry),
+            precond,
         )
         span.set(
             iterations=result.iterations,
@@ -232,371 +261,10 @@ def distributed_gmres(
         return result
 
 
-def _distributed_gmres(
-    matrix: RowBlockMatrix,
-    b: np.ndarray,
-    preconditioner,
-    x0: np.ndarray | None,
-    tol: float,
-    restart: int,
-    max_iter: int,
-    telemetry,
-    raise_on_fail: bool,
-    span,
-) -> GMRESResult:
-    n = matrix.n
-    ranges = matrix.ranges
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if restart < 1:
-        raise ValidationError(f"restart must be >= 1, got {restart}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
-
-    precond_applications = 0
-
-    def precond(r: np.ndarray) -> np.ndarray:
-        # The running application count lands on the span immediately
-        # (a dict update; no-op on a disabled tracer) so every return
-        # path reports it without a try/finally around the whole solve.
-        nonlocal precond_applications
-        precond_applications += 1
-        span.set(preconditioner_applications=precond_applications)
-        if preconditioner is None:
-            return r.copy()
-        return preconditioner.solve(r, telemetry)
-
-    # Per-rank vector lengths are loop-invariant: computed once here
-    # instead of on every fused-orthogonalization reduction.
-    lengths = (ranges[:, 1] - ranges[:, 0]).astype(float)
-
-    def ortho_block(Vk: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Fused dots of w against k vectors: one (k*8)-byte allreduce."""
-        k = Vk.shape[0]
-        telemetry.compute_all(2.0 * k * lengths)
-        h = Vk @ w
-        telemetry.allreduce(8.0 * k)
-        return h
-
-    b_pre = precond(b)
-    b_pre_norm = distributed_norm(b_pre, ranges, telemetry)
-    if b_pre_norm == 0.0:
-        # Zero RHS: exact solution is zero regardless of the (already
-        # shape-validated) x0 — same contract as repro.solver.gmres.
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    target = tol * b_pre_norm
-
-    history: list[float] = []
-    total_iters = 0
-    restarts = 0
-
-    # Krylov workspaces allocated once and reused across restart cycles
-    # (see repro.solver.gmres: every entry read in a cycle is written
-    # first, so no re-zeroing is required).
-    m_cap = min(restart, max_iter)
-    V = np.empty((m_cap + 1, n))
-    H = np.zeros((m_cap + 1, m_cap))
-    cs = np.empty(m_cap)
-    sn = np.empty(m_cap)
-    g = np.empty(m_cap + 1)
-
-    while total_iters < max_iter:
-        restarts += 1
-        r = precond(b - matrix.matvec(x, telemetry))
-        distributed_axpy_cost(ranges, telemetry)  # b - Ax
-        beta = distributed_norm(r, ranges, telemetry)
-        history.append(beta)
-        span.event("restart", cycle=restarts, residual=beta, iteration=total_iters)
-        if beta <= target:
-            return GMRESResult(x, True, total_iters, restarts - 1, beta, history)
-
-        m = min(restart, max_iter - total_iters)
-        V[0] = r / beta
-        g[0] = beta
-        k_used = 0
-        breakdown = False
-
-        for k in range(m):
-            w = precond(matrix.matvec(V[k], telemetry))
-            # CGS2 orthogonalization: two fused reduction rounds.
-            h1 = ortho_block(V[: k + 1], w)
-            w = w - V[: k + 1].T @ h1
-            distributed_axpy_cost(ranges, telemetry, n_vectors=k + 1)
-            h2 = ortho_block(V[: k + 1], w)
-            w = w - V[: k + 1].T @ h2
-            distributed_axpy_cost(ranges, telemetry, n_vectors=k + 1)
-            H[: k + 1, k] = h1 + h2
-            h_next = distributed_norm(w, ranges, telemetry)
-            H[k + 1, k] = h_next
-            if h_next > 1e-14 * beta:
-                V[k + 1] = w / h_next
-                distributed_axpy_cost(ranges, telemetry)
-            for i in range(k):
-                temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = temp
-            denom = np.hypot(H[k, k], H[k + 1, k])
-            if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
-            else:
-                cs[k] = H[k, k] / denom
-                sn[k] = H[k + 1, k] / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            total_iters += 1
-            k_used = k + 1
-            resid = abs(g[k + 1])
-            history.append(float(resid))
-            if h_next <= 1e-14 * beta:
-                breakdown = True
-            if resid <= target or breakdown:
-                break
-
-        # See repro.solver.gmres: guard singular H after lucky breakdown.
-        y = np.zeros(k_used)
-        for i in range(k_used - 1, -1, -1):
-            if abs(H[i, i]) < 1e-14 * beta:
-                y[i] = 0.0
-                breakdown = True
-            else:
-                y[i] = (g[i] - H[i, i + 1 : k_used] @ y[i + 1 :]) / H[i, i]
-        x = x + V[:k_used].T @ y
-        distributed_axpy_cost(ranges, telemetry, n_vectors=k_used)
-
-        if breakdown:
-            final = distributed_norm(
-                precond(b - matrix.matvec(x, telemetry)), ranges, telemetry
-            )
-            history.append(final)
-            if raise_on_fail and final > target:
-                raise ConvergenceError(
-                    "distributed GMRES breakdown: Krylov space exhausted before "
-                    "reaching the tolerance; the operator may be singular",
-                    iterations=total_iters,
-                    residual=final,
-                    solver="distributed_gmres",
-                )
-            return GMRESResult(
-                x, final <= target, total_iters, restarts, final, history
-            )
-
-        final = abs(g[k_used])
-        if final <= target:
-            return GMRESResult(x, True, total_iters, restarts, final, history)
-
-    r = precond(b - matrix.matvec(x, telemetry))
-    final = distributed_norm(r, ranges, telemetry)
-    if raise_on_fail:
-        raise ConvergenceError(
-            f"distributed GMRES failed to reach tol={tol} in {total_iters} iterations",
-            iterations=total_iters,
-            residual=final,
-            solver="distributed_gmres",
-        )
-    return GMRESResult(x, final <= target, total_iters, restarts, final, history)
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-RHS solving. Each right-hand side runs the *exact*
-# per-column GMRES arithmetic above as a coroutine that yields its two
-# expensive operations — the distributed matvec and the preconditioner
-# application — to a driver that executes them batched across all active
-# columns (one matrix stream + one factor stream per round). Because the
-# batched kernels are per-column bit-identical to their single-vector
-# forms (the backend csr_matmat / BlockApply.many contracts), the
-# batched solve returns bit-identical results to m independent
-# distributed_gmres calls while paying the memory traffic once.
-# ---------------------------------------------------------------------------
-
-
-def _gmres_column(
-    matrix, b, use_precond, x0, tol, restart, max_iter, telemetry, raise_on_fail
-):
-    """One right-hand side of the block solve, as a request coroutine.
-
-    A line-for-line replica of :func:`_distributed_gmres` in which every
-    ``matrix.matvec`` becomes ``yield ("matvec", v)`` and every
-    preconditioner application becomes ``yield ("precond", r)`` — all
-    other arithmetic (CGS2, Givens, norms) runs here on contiguous
-    per-column vectors, exactly as in the serial path. Returns the
-    column's :class:`GMRESResult` via ``StopIteration``.
-    """
-    n = matrix.n
-    ranges = matrix.ranges
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if restart < 1:
-        raise ValidationError(f"restart must be >= 1, got {restart}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
-
-    lengths = (ranges[:, 1] - ranges[:, 0]).astype(float)
-
-    def ortho_block(Vk: np.ndarray, w: np.ndarray) -> np.ndarray:
-        k = Vk.shape[0]
-        telemetry.compute_all(2.0 * k * lengths)
-        h = Vk @ w
-        telemetry.allreduce(8.0 * k)
-        return h
-
-    if use_precond:
-        b_pre = yield from _ask("precond", b)
-    else:
-        b_pre = b.copy()
-    b_pre_norm = distributed_norm(b_pre, ranges, telemetry)
-    if b_pre_norm == 0.0:
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    target = tol * b_pre_norm
-
-    history: list[float] = []
-    total_iters = 0
-    restarts = 0
-
-    m_cap = min(restart, max_iter)
-    V = np.empty((m_cap + 1, n))
-    H = np.zeros((m_cap + 1, m_cap))
-    cs = np.empty(m_cap)
-    sn = np.empty(m_cap)
-    g = np.empty(m_cap + 1)
-
-    while total_iters < max_iter:
-        restarts += 1
-        Ax = yield from _ask("matvec", x)
-        if use_precond:
-            r = yield from _ask("precond", b - Ax)
-        else:
-            r = b - Ax
-        distributed_axpy_cost(ranges, telemetry)  # b - Ax
-        beta = distributed_norm(r, ranges, telemetry)
-        history.append(beta)
-        if beta <= target:
-            return GMRESResult(x, True, total_iters, restarts - 1, beta, history)
-
-        m = min(restart, max_iter - total_iters)
-        V[0] = r / beta
-        g[0] = beta
-        k_used = 0
-        breakdown = False
-
-        for k in range(m):
-            Av = yield from _ask("matvec", V[k])
-            if use_precond:
-                w = yield from _ask("precond", Av)
-            else:
-                w = Av.copy()
-            h1 = ortho_block(V[: k + 1], w)
-            w = w - V[: k + 1].T @ h1
-            distributed_axpy_cost(ranges, telemetry, n_vectors=k + 1)
-            h2 = ortho_block(V[: k + 1], w)
-            w = w - V[: k + 1].T @ h2
-            distributed_axpy_cost(ranges, telemetry, n_vectors=k + 1)
-            H[: k + 1, k] = h1 + h2
-            h_next = distributed_norm(w, ranges, telemetry)
-            H[k + 1, k] = h_next
-            if h_next > 1e-14 * beta:
-                V[k + 1] = w / h_next
-                distributed_axpy_cost(ranges, telemetry)
-            for i in range(k):
-                temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = temp
-            denom = np.hypot(H[k, k], H[k + 1, k])
-            if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
-            else:
-                cs[k] = H[k, k] / denom
-                sn[k] = H[k + 1, k] / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            total_iters += 1
-            k_used = k + 1
-            resid = abs(g[k + 1])
-            history.append(float(resid))
-            if h_next <= 1e-14 * beta:
-                breakdown = True
-            if resid <= target or breakdown:
-                break
-
-        y = np.zeros(k_used)
-        for i in range(k_used - 1, -1, -1):
-            if abs(H[i, i]) < 1e-14 * beta:
-                y[i] = 0.0
-                breakdown = True
-            else:
-                y[i] = (g[i] - H[i, i + 1 : k_used] @ y[i + 1 :]) / H[i, i]
-        x = x + V[:k_used].T @ y
-        distributed_axpy_cost(ranges, telemetry, n_vectors=k_used)
-
-        if breakdown:
-            Ax = yield from _ask("matvec", x)
-            if use_precond:
-                r = yield from _ask("precond", b - Ax)
-            else:
-                r = b - Ax
-            final = distributed_norm(r, ranges, telemetry)
-            history.append(final)
-            if raise_on_fail and final > target:
-                raise ConvergenceError(
-                    "distributed GMRES breakdown: Krylov space exhausted before "
-                    "reaching the tolerance; the operator may be singular",
-                    iterations=total_iters,
-                    residual=final,
-                    solver="distributed_block_gmres",
-                )
-            return GMRESResult(
-                x, final <= target, total_iters, restarts, final, history
-            )
-
-        final = abs(g[k_used])
-        if final <= target:
-            return GMRESResult(x, True, total_iters, restarts, final, history)
-
-    Ax = yield from _ask("matvec", x)
-    if use_precond:
-        r = yield from _ask("precond", b - Ax)
-    else:
-        r = b - Ax
-    final = distributed_norm(r, ranges, telemetry)
-    if raise_on_fail:
-        raise ConvergenceError(
-            f"distributed GMRES failed to reach tol={tol} in {total_iters} iterations",
-            iterations=total_iters,
-            residual=final,
-            solver="distributed_block_gmres",
-        )
-    return GMRESResult(x, final <= target, total_iters, restarts, final, history)
-
-
 def distributed_block_gmres(
     matrix: RowBlockMatrix,
     B: np.ndarray,
-    preconditioner: DistributedBlockJacobi | None = None,
+    preconditioner: DistributedBlockJacobi | DistributedRAS | None = None,
     x0s=None,
     tol: float = 1e-7,
     restart: int = 30,
@@ -610,8 +278,12 @@ def distributed_block_gmres(
     Per-column results are **bit-identical** to calling
     :func:`distributed_gmres` once per column with the same ``x0s[c]``
     (the serial/batched agreement the serving tier's coalesced dispatch
-    depends on); the win is economic, not numeric — the matrix and the
-    factorized preconditioner are streamed once per Krylov round for all
+    depends on): every column is the same
+    :func:`repro.solver.gmres.gmres_requests` coroutine, and the batched
+    kernels are per-column bit-identical to their single-vector forms
+    (the backend ``csr_matmat`` / ``BlockApply.many`` contracts). The
+    win is economic, not numeric — the matrix and the factorized
+    preconditioner are streamed once per Krylov round for all
     still-active columns instead of once per column, and the telemetry
     charges a single halo exchange per batched product.
 
@@ -622,53 +294,18 @@ def distributed_block_gmres(
     raised exception instead of aborting the batch — the per-member
     failure isolation the serving tier's coalesced dispatch relies on.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != matrix.n:
-        raise ShapeError(f"B must be ({matrix.n}, m), got {B.shape}")
-    m = B.shape[1]
-    if x0s is None:
-        x0s = [None] * m
-    if len(x0s) != m:
-        raise ValidationError(f"x0s must have {m} entries, got {len(x0s)}")
-
-    def batched_matvec(X: np.ndarray) -> np.ndarray:
-        return matrix.matmat(X, telemetry)
-
-    def batched_precond(R: np.ndarray) -> np.ndarray:
-        return preconditioner.solve_many(R, telemetry)
-
-    columns = [
-        _gmres_column(
-            matrix,
-            np.ascontiguousarray(B[:, c]),
-            preconditioner is not None,
-            x0s[c],
-            tol,
-            restart,
-            max_iter,
-            telemetry,
-            raise_on_fail,
-        )
-        for c in range(m)
-    ]
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return run_request_columns(
-            columns, batched_matvec, batched_precond, isolate=isolate_errors
-        )
-    with tracer.span(
-        "block_gmres", kind="solver", distributed=True, n_rhs=m, tol=tol,
+    M = preconditioner if preconditioner is not None else _NoPreconditioner()
+    reduction = RankReduction(matrix.ranges, telemetry)
+    return run_block(
+        "block_gmres", matrix.n, B, x0s,
+        lambda b, x0: gmres_requests(
+            matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
+            reduction, NULL_SPAN, "distributed_block_gmres",
+        ),
+        lambda X: matrix.matmat(X, telemetry),
+        lambda R: batched_precond(M, R, telemetry),
+        isolate_errors,
+        distributed=True,
+        tol=tol,
         restart=restart,
-    ) as span:
-        results = run_request_columns(
-            columns, batched_matvec, batched_precond, isolate=isolate_errors
-        )
-        solved = [r for r in results if isinstance(r, GMRESResult)]
-        span.set(
-            iterations=int(sum(r.iterations for r in solved)),
-            restarts=int(sum(r.restarts for r in solved)),
-            residual=float(max((r.residual_norm for r in solved), default=0.0)),
-            converged=bool(solved) and all(r.converged for r in solved),
-            failed_columns=int(m - len(solved)),
-        )
-        return results
+    )

@@ -24,17 +24,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult
+from repro.obs.trace import NULL_SPAN, get_tracer
+from repro.solver.cg import cg_requests
+from repro.solver.gmres import GMRESResult, SerialReduction, gmres_requests
 from repro.solver.operator import AsOperator, MatrixOperator
 from repro.solver.preconditioner import IdentityPreconditioner
-from repro.util import ConvergenceError, ShapeError, ValidationError
-
-
-def _ask(op: str, payload: np.ndarray):
-    """Yield one batched-operation request; the driver sends the result."""
-    result = yield (op, payload)
-    return result
+from repro.util import ShapeError, ValidationError
 
 
 def batched_matvec(operator, X: np.ndarray) -> np.ndarray:
@@ -59,14 +54,18 @@ def batched_matvec(operator, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def batched_precond(preconditioner, R: np.ndarray) -> np.ndarray:
-    """``Z[:, c] = M.solve(R[:, c])``, batched when the type supports it."""
+def batched_precond(preconditioner, R: np.ndarray, *context) -> np.ndarray:
+    """``Z[:, c] = M.solve(R[:, c])``, batched when the type supports it.
+
+    ``context`` (the distributed preconditioners' telemetry) is passed
+    through to ``solve_many`` / ``solve``.
+    """
     solve_many = getattr(preconditioner, "solve_many", None)
     if solve_many is not None:
-        return solve_many(R)
+        return solve_many(R, *context)
     out = np.empty_like(R)
     for c in range(R.shape[1]):
-        out[:, c] = preconditioner.solve(np.ascontiguousarray(R[:, c]))
+        out[:, c] = preconditioner.solve(np.ascontiguousarray(R[:, c]), *context)
     return out
 
 
@@ -115,9 +114,15 @@ def run_request_columns(columns, matvec, precond, isolate: bool = False):
     return results
 
 
-def _prepare_block(operator, B, x0s):
-    A = AsOperator(operator)
-    n = A.shape[0]
+def run_block(name, n, B, x0s, column, matvec, precond, isolate, **span_attrs):
+    """Solve every column of ``B`` with one request coroutine per column.
+
+    ``column(b, x0)`` builds a column's coroutine
+    (:func:`repro.solver.gmres.gmres_requests` or
+    :func:`repro.solver.cg.cg_requests`); ``matvec``/``precond`` are the
+    batched ``(n, k)`` kernels :func:`run_request_columns` drives. The
+    solve runs inside a ``name`` span summarising the columns.
+    """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != n:
         raise ShapeError(f"B must be ({n}, m), got {B.shape}")
@@ -126,233 +131,18 @@ def _prepare_block(operator, B, x0s):
         x0s = [None] * m
     if len(x0s) != m:
         raise ValidationError(f"x0s must have {m} entries, got {len(x0s)}")
-    return A, B, m, list(x0s)
-
-
-def _gmres_column(A, b, M, x0, tol, restart, max_iter, raise_on_fail):
-    """One column of the block GMRES solve, as a request coroutine.
-
-    A line-for-line replica of :func:`repro.solver.gmres._gmres` with
-    ``A.matvec`` and ``M.solve`` replaced by driver requests; all other
-    arithmetic (MGS, Givens, norms) is unchanged.
-    """
-    n = A.shape[0]
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if restart < 1:
-        raise ValidationError(f"restart must be >= 1, got {restart}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
-
-    b_pre = yield from _ask("precond", b)
-    b_pre_norm = float(np.linalg.norm(b_pre))
-    if b_pre_norm == 0.0:
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    target = tol * b_pre_norm
-
-    history: list[float] = []
-    total_iters = 0
-    restarts = 0
-
-    m_cap = min(restart, max_iter)
-    V = np.empty((m_cap + 1, n))
-    H = np.zeros((m_cap + 1, m_cap))
-    cs = np.empty(m_cap)
-    sn = np.empty(m_cap)
-    g = np.empty(m_cap + 1)
-
-    while total_iters < max_iter:
-        restarts += 1
-        Ax = yield from _ask("matvec", x)
-        r = yield from _ask("precond", b - Ax)
-        beta = float(np.linalg.norm(r))
-        history.append(beta)
-        if beta <= target:
-            return GMRESResult(x, True, total_iters, restarts - 1, beta, history)
-
-        m = min(restart, max_iter - total_iters)
-        V[0] = r / beta
-        g[0] = beta
-        k_used = 0
-        breakdown = False
-
-        for k in range(m):
-            Av = yield from _ask("matvec", V[k])
-            w = yield from _ask("precond", Av)
-            for i in range(k + 1):
-                H[i, k] = float(np.dot(w, V[i]))
-                w -= H[i, k] * V[i]
-            h_next = float(np.linalg.norm(w))
-            H[k + 1, k] = h_next
-            if h_next > 1e-14 * beta:
-                V[k + 1] = w / h_next
-            for i in range(k):
-                temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = temp
-            denom = np.hypot(H[k, k], H[k + 1, k])
-            if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
-            else:
-                cs[k] = H[k, k] / denom
-                sn[k] = H[k + 1, k] / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            total_iters += 1
-            k_used = k + 1
-            resid = abs(g[k + 1])
-            history.append(float(resid))
-            if h_next <= 1e-14 * beta:
-                breakdown = True
-            if resid <= target or breakdown:
-                break
-
-        y = np.zeros(k_used)
-        for i in range(k_used - 1, -1, -1):
-            if abs(H[i, i]) < 1e-14 * beta:
-                y[i] = 0.0
-                breakdown = True
-            else:
-                y[i] = (g[i] - H[i, i + 1 : k_used] @ y[i + 1 :]) / H[i, i]
-        x = x + V[:k_used].T @ y
-
-        if breakdown:
-            Ax = yield from _ask("matvec", x)
-            r = yield from _ask("precond", b - Ax)
-            final = float(np.linalg.norm(r))
-            history.append(final)
-            if raise_on_fail and final > target:
-                raise ConvergenceError(
-                    "GMRES breakdown: Krylov space exhausted before reaching the "
-                    f"tolerance (relative residual {final / b_pre_norm:.3e}); "
-                    "the operator may be singular",
-                    iterations=total_iters,
-                    residual=final,
-                    solver="block_gmres",
-                )
-            return GMRESResult(
-                x, final <= target, total_iters, restarts, final, history
-            )
-
-        final = abs(g[k_used])
-        if final <= target:
-            return GMRESResult(x, True, total_iters, restarts, final, history)
-
-    Ax = yield from _ask("matvec", x)
-    r = yield from _ask("precond", b - Ax)
-    final = float(np.linalg.norm(r))
-    if raise_on_fail:
-        raise ConvergenceError(
-            f"GMRES failed to reach tol={tol} in {total_iters} iterations "
-            f"(residual {final / b_pre_norm:.3e} relative)",
-            iterations=total_iters,
-            residual=final,
-            solver="block_gmres",
-        )
-    return GMRESResult(x, final <= target, total_iters, restarts, final, history)
-
-
-def _cg_column(A, b, M, x0, tol, max_iter, raise_on_fail):
-    """One column of the block CG solve — replica of ``_cg``."""
-    n = A.shape[0]
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
-
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    Ax = yield from _ask("matvec", x)
-    r = b - Ax
-    z = yield from _ask("precond", r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    target = tol * b_norm
-    history = [float(np.linalg.norm(r))]
-
-    for it in range(1, max_iter + 1):
-        Ap = yield from _ask("matvec", p)
-        pAp = float(np.dot(p, Ap))
-        if pAp <= 0:
-            raise ConvergenceError(
-                "CG encountered a non-positive curvature direction: operator is not SPD",
-                iterations=it,
-                residual=history[-1],
-                solver="block_cg",
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn <= target:
-            return GMRESResult(x, True, it, 0, rn, history)
-        z = yield from _ask("precond", r)
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    if raise_on_fail:
-        raise ConvergenceError(
-            f"CG failed to reach tol={tol} in {max_iter} iterations",
-            iterations=max_iter,
-            residual=history[-1],
-            solver="block_cg",
-        )
-    return GMRESResult(x, False, max_iter, 0, history[-1], history)
-
-
-def _run_block(name, A, M, columns, m, tol, isolate):
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return run_request_columns(
-            columns,
-            lambda X: batched_matvec(A, X),
-            lambda R: batched_precond(M, R),
-            isolate=isolate,
-        )
-    with tracer.span(name, kind="solver", tol=tol, n_rhs=m) as span:
-        results = run_request_columns(
-            columns,
-            lambda X: batched_matvec(A, X),
-            lambda R: batched_precond(M, R),
-            isolate=isolate,
-        )
+    columns = [
+        column(np.ascontiguousarray(B[:, c]), x0) for c, x0 in enumerate(x0s)
+    ]
+    with get_tracer().span(name, kind="solver", n_rhs=m, **span_attrs) as span:
+        results = run_request_columns(columns, matvec, precond, isolate=isolate)
         solved = [r for r in results if isinstance(r, GMRESResult)]
         span.set(
             iterations=int(sum(r.iterations for r in solved)),
+            restarts=int(sum(r.restarts for r in solved)),
+            residual=float(max((r.residual_norm for r in solved), default=0.0)),
             converged=bool(solved) and all(r.converged for r in solved),
             failed_columns=int(m - len(solved)),
-            residual=float(max((r.residual_norm for r in solved), default=0.0)),
         )
         return results
 
@@ -383,16 +173,21 @@ def block_gmres(
     raised exception instead of aborting the batch (per-member failure
     isolation for the serving tier).
     """
-    A, B, m, x0s = _prepare_block(operator, B, x0s)
-    M = preconditioner if preconditioner is not None else IdentityPreconditioner(A.shape[0])
-    columns = [
-        _gmres_column(
-            A, np.ascontiguousarray(B[:, c]), M, x0s[c], tol, restart,
-            max_iter, raise_on_fail,
-        )
-        for c in range(m)
-    ]
-    return _run_block("block_gmres", A, M, columns, m, tol, isolate_errors)
+    A = AsOperator(operator)
+    n = A.shape[0]
+    M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    reduction = SerialReduction()
+    return run_block(
+        "block_gmres", n, B, x0s,
+        lambda b, x0: gmres_requests(
+            n, b, x0, tol, restart, max_iter, raise_on_fail,
+            reduction, NULL_SPAN, "block_gmres",
+        ),
+        lambda X: batched_matvec(A, X),
+        lambda R: batched_precond(M, R),
+        isolate_errors,
+        tol=tol,
+    )
 
 
 def block_conjugate_gradient(
@@ -411,13 +206,14 @@ def block_conjugate_gradient(
     with the same per-column bit-identity and error-isolation contract
     as :func:`block_gmres`.
     """
-    A, B, m, x0s = _prepare_block(operator, B, x0s)
-    M = preconditioner if preconditioner is not None else IdentityPreconditioner(A.shape[0])
-    columns = [
-        _cg_column(
-            A, np.ascontiguousarray(B[:, c]), M, x0s[c], tol, max_iter,
-            raise_on_fail,
-        )
-        for c in range(m)
-    ]
-    return _run_block("block_cg", A, M, columns, m, tol, isolate_errors)
+    A = AsOperator(operator)
+    n = A.shape[0]
+    M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    return run_block(
+        "block_cg", n, B, x0s,
+        lambda b, x0: cg_requests(n, b, x0, tol, max_iter, raise_on_fail, "block_cg"),
+        lambda X: batched_matvec(A, X),
+        lambda R: batched_precond(M, R),
+        isolate_errors,
+        tol=tol,
+    )

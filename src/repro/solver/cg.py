@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult
+from repro.solver.gmres import GMRESResult, checked_system, run_requests
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
-from repro.util import ConvergenceError, ShapeError, ValidationError
+from repro.util import ConvergenceError
 
 
 def conjugate_gradient(
@@ -63,46 +63,51 @@ def _cg(
 ) -> GMRESResult:
     A = AsOperator(operator)
     n = A.shape[0]
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
+    return run_requests(
+        cg_requests(n, b, x0, tol, max_iter, raise_on_fail, "cg"), A.matvec, M.solve
+    )
+
+
+def cg_requests(
+    n: int,
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+    raise_on_fail: bool,
+    solver: str,
+):
+    """The preconditioned CG recurrence, as a request coroutine.
+
+    Same protocol as :func:`repro.solver.gmres.gmres_requests`: yields
+    ``("matvec", v)`` / ``("precond", r)``, returns the result record;
+    ``solver`` labels a :class:`ConvergenceError`.
+    """
+    b, x = checked_system(n, b, x0, tol)
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         # Zero RHS: exact solution is zero regardless of the (already
         # shape-validated) x0 — same contract as repro.solver.gmres.
         return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    r = b - A.matvec(x)
-    z = M.solve(r)
+    Ax = yield ("matvec", x)
+    r = b - Ax
+    z = yield ("precond", r)
     p = z.copy()
     rz = float(np.dot(r, z))
     target = tol * b_norm
     history = [float(np.linalg.norm(r))]
 
     for it in range(1, max_iter + 1):
-        Ap = A.matvec(p)
+        Ap = yield ("matvec", p)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0:
             raise ConvergenceError(
                 "CG encountered a non-positive curvature direction: operator is not SPD",
                 iterations=it,
                 residual=history[-1],
-                solver="cg",
+                solver=solver,
             )
         alpha = rz / pAp
         x += alpha * p
@@ -111,7 +116,7 @@ def _cg(
         history.append(rn)
         if rn <= target:
             return GMRESResult(x, True, it, 0, rn, history)
-        z = M.solve(r)
+        z = yield ("precond", r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -121,6 +126,6 @@ def _cg(
             f"CG failed to reach tol={tol} in {max_iter} iterations",
             iterations=max_iter,
             residual=history[-1],
-            solver="cg",
+            solver=solver,
         )
     return GMRESResult(x, False, max_iter, 0, history[-1], history)

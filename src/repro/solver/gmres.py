@@ -1,11 +1,16 @@
 """Restarted GMRES (Generalized Minimal Residual).
 
-Arnoldi with modified Gram-Schmidt, Givens-rotation updates of the
-Hessenberg least-squares problem, left preconditioning, and restarts —
-the solver configuration the paper runs through PETSc. The
-implementation works against the minimal operator protocol so the same
-code drives both the serial CSR path and the virtual-parallel
-distributed path.
+Arnoldi, Givens-rotation updates of the Hessenberg least-squares
+problem, left preconditioning, and restarts — the solver configuration
+the paper runs through PETSc. The loop is written once, as the request
+coroutine :func:`gmres_requests`: it yields its matvec and
+preconditioner applications to a driver and delegates norms and
+orthogonalisation to a *reduction*. Serial :func:`gmres` is that loop
+under :func:`run_requests` with :class:`SerialReduction` (modified
+Gram-Schmidt); :func:`repro.solver.block_gmres`,
+:func:`repro.parallel.distributed_gmres` and
+:func:`repro.parallel.distributed_block_gmres` are the same loop under
+the multi-column driver and/or the per-rank reduction.
 """
 
 from __future__ import annotations
@@ -125,18 +130,44 @@ def _gmres(
 ) -> GMRESResult:
     A = AsOperator(operator)
     n = A.shape[0]
+    M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    return run_requests(
+        gmres_requests(
+            n, b, x0, tol, restart, max_iter, raise_on_fail,
+            SerialReduction(), span, "gmres",
+        ),
+        A.matvec,
+        M.solve,
+    )
+
+
+def run_requests(requests, matvec, precond):
+    """Drive one request coroutine, handing kernel outputs straight back.
+
+    The single-column driver of :func:`gmres_requests` /
+    :func:`repro.solver.cg.cg_requests`; the multi-column one is
+    :func:`repro.solver.block.run_request_columns`.
+    """
+    kernels = {"matvec": matvec, "precond": precond}
+    try:
+        op, vector = next(requests)
+        while True:
+            op, vector = requests.send(kernels[op](vector))
+    except StopIteration as stop:
+        return stop.value
+
+
+def checked_system(n: int, b, x0, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one right-hand side; return ``(b, x)`` with ``x`` a fresh start vector."""
     b = np.asarray(b, dtype=float).ravel()
     if b.shape != (n,):
         raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if restart < 1:
-        raise ValidationError(f"restart must be >= 1, got {restart}")
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     if not np.all(np.isfinite(b)):
         raise ValidationError(
             f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
         )
-    M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ShapeError(f"x0 must be ({n},), got {x.shape}")
@@ -145,12 +176,65 @@ def _gmres(
             f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
             "entries (poisoned warm start?)"
         )
+    return b, x
 
-    b_pre_norm = float(np.linalg.norm(M.solve(b)))
+
+class SerialReduction:
+    """Vector reductions of the Arnoldi loop in one address space.
+
+    Modified Gram-Schmidt and ``np.linalg.norm``, charging nothing. The
+    per-rank counterpart (fused CGS2 with telemetry charges) is
+    :class:`repro.parallel.solver.RankReduction`.
+    """
+
+    def norm(self, v: np.ndarray) -> float:
+        return float(np.linalg.norm(v))
+
+    def orthogonalize(self, V: np.ndarray, H: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+        """Orthogonalise ``w`` against ``V[:k+1]`` into ``H[:k+1, k]``; returns ``w``."""
+        for i in range(k + 1):
+            H[i, k] = float(np.dot(w, V[i]))
+            w -= H[i, k] * V[i]
+        return w
+
+    def axpy_cost(self, n_vectors: int = 1) -> None:
+        """Charge ``n_vectors`` axpy/scale passes (free in one address space)."""
+
+
+def gmres_requests(
+    n: int,
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    tol: float,
+    restart: int,
+    max_iter: int,
+    raise_on_fail: bool,
+    reduction,
+    span,
+    solver: str,
+):
+    """The restarted Arnoldi/Givens loop, as a request coroutine.
+
+    Yields ``("matvec", v)`` and ``("precond", r)`` and expects the
+    driver to send back ``A v`` and ``M^{-1} r``; returns the
+    :class:`GMRESResult`. Every GMRES entry point of the package is this
+    loop under a driver (:func:`run_requests` for one right-hand side,
+    :func:`repro.solver.block.run_request_columns` for several) and a
+    ``reduction`` that norms and orthogonalises (:class:`SerialReduction`
+    or :class:`repro.parallel.solver.RankReduction`). ``span`` receives
+    one ``restart`` event per cycle; ``solver`` labels a
+    :class:`ConvergenceError`.
+    """
+    if restart < 1:
+        raise ValidationError(f"restart must be >= 1, got {restart}")
+    b, x = checked_system(n, b, x0, tol)
+
+    b_pre = yield ("precond", b)
+    b_pre_norm = reduction.norm(b_pre)
     if b_pre_norm == 0.0:
         # Zero RHS: the exact solution is zero whatever x0 was (x0 has
         # already been shape-validated above). Return a fresh zero
-        # vector of the x0 shape, never x0 itself (see docstring).
+        # vector of the x0 shape, never x0 itself (see gmres docstring).
         return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
     target = tol * b_pre_norm
 
@@ -171,8 +255,10 @@ def _gmres(
 
     while total_iters < max_iter:
         restarts += 1
-        r = M.solve(b - A.matvec(x))
-        beta = float(np.linalg.norm(r))
+        Ax = yield ("matvec", x)
+        r = yield ("precond", b - Ax)
+        reduction.axpy_cost()  # b - Ax
+        beta = reduction.norm(r)
         history.append(beta)
         span.event("restart", cycle=restarts, residual=beta, iteration=total_iters)
         if beta <= target:
@@ -185,15 +271,14 @@ def _gmres(
         breakdown = False
 
         for k in range(m):
-            w = M.solve(A.matvec(V[k]))
-            # Modified Gram-Schmidt.
-            for i in range(k + 1):
-                H[i, k] = float(np.dot(w, V[i]))
-                w -= H[i, k] * V[i]
-            h_next = float(np.linalg.norm(w))
+            Av = yield ("matvec", V[k])
+            w = yield ("precond", Av)
+            w = reduction.orthogonalize(V, H, k, w)
+            h_next = reduction.norm(w)
             H[k + 1, k] = h_next
             if h_next > 1e-14 * beta:
                 V[k + 1] = w / h_next
+                reduction.axpy_cost()
             # Apply existing Givens rotations to the new column.
             for i in range(k):
                 temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
@@ -231,12 +316,15 @@ def _gmres(
             else:
                 y[i] = (g[i] - H[i, i + 1 : k_used] @ y[i + 1 :]) / H[i, i]
         x = x + V[:k_used].T @ y
+        reduction.axpy_cost(k_used)
 
         if breakdown:
             # The Givens estimate is unreliable after a breakdown; check
             # the true residual and stop (restarting cannot improve a
             # stagnated singular system).
-            final = float(np.linalg.norm(M.solve(b - A.matvec(x))))
+            Ax = yield ("matvec", x)
+            r = yield ("precond", b - Ax)
+            final = reduction.norm(r)
             history.append(final)
             if raise_on_fail and final > target:
                 raise ConvergenceError(
@@ -245,7 +333,7 @@ def _gmres(
                     "the operator may be singular",
                     iterations=total_iters,
                     residual=final,
-                    solver="gmres",
+                    solver=solver,
                 )
             return GMRESResult(
                 x, final <= target, total_iters, restarts, final, history
@@ -255,14 +343,15 @@ def _gmres(
         if final <= target:
             return GMRESResult(x, True, total_iters, restarts, final, history)
 
-    r = M.solve(b - A.matvec(x))
-    final = float(np.linalg.norm(r))
+    Ax = yield ("matvec", x)
+    r = yield ("precond", b - Ax)
+    final = reduction.norm(r)
     if raise_on_fail:
         raise ConvergenceError(
             f"GMRES failed to reach tol={tol} in {total_iters} iterations "
             f"(residual {final / b_pre_norm:.3e} relative)",
             iterations=total_iters,
             residual=final,
-            solver="gmres",
+            solver=solver,
         )
     return GMRESResult(x, final <= target, total_iters, restarts, final, history)

@@ -24,9 +24,7 @@ from repro.util import ShapeError, ValidationError
 def grow_subdomain(csr: sparse.csr_matrix, indices: np.ndarray, overlap: int) -> np.ndarray:
     """Grow an index set by ``overlap`` matrix-graph adjacency layers.
 
-    One layer adds every column referenced by the current rows. Shared
-    by the serial RAS preconditioner and its distributed counterpart in
-    :mod:`repro.parallel.solver`.
+    One layer adds every column referenced by the current rows.
     """
     grown = np.asarray(indices, dtype=np.intp)
     for _ in range(overlap):
@@ -106,8 +104,17 @@ class RestrictedAdditiveSchwarz:
     def n_blocks(self) -> int:
         return len(self._owned)
 
+    @property
+    def subdomains(self) -> list[np.ndarray]:
+        """Sorted row indices of every grown subdomain (owned rows + overlap)."""
+        return self._subdomains
+
     def subdomain_sizes(self) -> list[int]:
         return [len(s) for s in self._subdomains]
+
+    def factor_nnz(self) -> list[int]:
+        """Nonzeros of every subdomain factor, ``L`` plus ``U`` (extracts both: not free)."""
+        return [f.L.nnz + f.U.nnz for f in self._factors]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply RAS: extended-subdomain solves, restricted to owned rows."""
