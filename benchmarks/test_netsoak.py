@@ -131,7 +131,7 @@ def test_netsoak(capsys):
         f"  served {record['served']}/{int(record['counters']['serving.admitted'])}"
         f" | submits {int(net['submits'])}"
         f" | duplicates deduped {int(net['duplicates'])}"
-        f" ({int(net['journal_dedup'])} via journal)"
+        f" ({int(net.get('journal_dedup', 0))} via journal)"
         f" | double-solved {len(net['double_solved'])}\n"
         f"  client: {int(net['client_retries'])} retries"
         f" | {int(net['client_reconnects'])} reconnects"

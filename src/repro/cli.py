@@ -278,39 +278,36 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = PipelineConfig(mesh_cell_mm=args.cell)
     metrics = MetricsRegistry()
     telemetry = not args.no_telemetry
+    # One loop either way (SessionServer is its one-shard configuration):
+    # --shards picks the fleet shape and, at 0, the single-host policy.
+    kwargs = dict(
+        queue_capacity=args.queue_capacity,
+        policy=args.policy,
+        max_attempts=args.max_attempts,
+        metrics=metrics,
+        telemetry=telemetry,
+        flight_dir=args.flight_dir,
+        coalesce_window_s=args.coalesce_window,
+        coalesce_max_batch=args.coalesce_max_batch,
+    )
     if args.shards > 0:
         # Sharded tier: a consistent-hash gateway fronting args.shards
         # independent pools of args.workers each; --faults injects the
         # chaos schedule by gateway dispatch ordinal.
         from repro.resilience import ServingFaultPlan
 
-        server = ShardGateway(
+        loop = ShardGateway
+        kwargs.update(
             n_shards=args.shards,
             workers_per_shard=args.workers,
-            queue_capacity=args.queue_capacity,
-            policy=args.policy,
-            max_attempts=args.max_attempts,
             serving_faults=(
                 ServingFaultPlan.parse(args.faults) if args.faults else None
             ),
-            metrics=metrics,
-            telemetry=telemetry,
-            flight_dir=args.flight_dir,
-            coalesce_window_s=args.coalesce_window,
-            coalesce_max_batch=args.coalesce_max_batch,
         )
     else:
-        server = SessionServer(
-            n_workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            policy=args.policy,
-            max_attempts=args.max_attempts,
-            metrics=metrics,
-            telemetry=telemetry,
-            flight_dir=args.flight_dir,
-            coalesce_window_s=args.coalesce_window,
-            coalesce_max_batch=args.coalesce_max_batch,
-        )
+        loop = SessionServer
+        kwargs.update(n_workers=args.workers)
+    server = loop(**kwargs)
     try:
         # args.patients distinct patients, round-robin over the cases:
         # same-patient cases exercise the preop-model cache, distinct
@@ -868,8 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "front a consistent-hash gateway over this many shards "
-            "(0 = single in-process server; --workers is then per shard)"
+            "front a consistent-hash gateway over this many shards; "
+            "--workers is then per shard (0 = the single-pool server: the "
+            "same control loop with one shard and no shedding, so it "
+            "answers health() probes too)"
         ),
     )
     p.add_argument("--workers", type=int, default=2)

@@ -7,12 +7,12 @@ with budget-verdict backpressure and a tiered load-shedding ladder
 scheduling with preop-model affinity (:mod:`repro.serving.scheduler`),
 a ``multiprocessing`` worker pool whose workers host resumable sessions
 and share prepared patient models via a checksum-keyed cache
-(:mod:`repro.serving.pool`), the single-threaded control loop tying
-them together (:mod:`repro.serving.server`), and a sharded tier scaling
-it out: a consistent-hash ring with per-shard autoscaling
-(:mod:`repro.serving.shard`) fronted by a gateway owning admission,
-routing, shard failover, and chaos-fault injection
-(:mod:`repro.serving.gateway`). Worker and shard deaths re-admit
+(:mod:`repro.serving.pool`), and the one single-threaded control loop
+tying them together (:mod:`repro.serving.gateway`): a gateway owning
+admission, routing over a consistent-hash ring of shards
+(:mod:`repro.serving.shard`), shard failover and chaos-fault injection,
+of which the single-pool server (:mod:`repro.serving.server`) is the
+one-shard configuration. Worker and shard deaths re-admit
 durable cases through their persistence journal; graceful drain
 checkpoints in-flight sessions and surfaces stragglers as terminal
 evictions. The network layer puts the gateway behind a real socket:
@@ -51,11 +51,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.scheduler import POLICIES, CoalescingWindow, Scheduler
 from repro.serving.server import SessionServer
-from repro.serving.shard import (
-    AutoscalePolicy,
-    ConsistentHashRing,
-    Shard,
-)
+from repro.serving.shard import ConsistentHashRing, Shard
 from repro.serving.transport import (
     FrameError,
     NetworkFrontEnd,
@@ -67,7 +63,6 @@ from repro.serving.transport import (
 
 __all__ = [
     "AdmissionQueue",
-    "AutoscalePolicy",
     "BatchRequest",
     "BatchSweepReport",
     "CASE_STATUSES",

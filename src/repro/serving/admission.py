@@ -17,6 +17,7 @@ server learns the actual workload.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -103,8 +104,10 @@ class SheddingLadder:
 
     def __post_init__(self) -> None:
         steps = (self.coarse_at, self.previous_at, self.rigid_at, self.reject_at)
+        # An infinite threshold switches its rung (and so every later
+        # one) off; all four infinite is the ladder that never sheds.
         if not all(s > 0 for s in steps) or not all(
-            a < b for a, b in zip(steps, steps[1:])
+            a < b or b == math.inf for a, b in zip(steps, steps[1:])
         ):
             raise ValidationError(
                 "shedding thresholds must be positive and strictly increasing "

@@ -1,10 +1,20 @@
-"""The shard gateway: admission, routing, failover, shedding, autoscale.
+"""The serving control loop: admission, routing, failover, shedding.
 
 :class:`ShardGateway` fronts several independent
 :class:`repro.serving.SessionWorkerPool` shards (process groups standing
-in for hosts) with one single-threaded control loop, scaling the
-single-host :class:`repro.serving.SessionServer` design out while
-keeping its determinism and testability:
+in for hosts) with one single-threaded control loop that runs in the
+caller (:meth:`ShardGateway.run` / :meth:`ShardGateway.tick`), so
+serving is deterministic and trivially testable; the concurrency lives
+in the worker processes. It is the only control loop in the serving
+tier: the single-host :class:`repro.serving.SessionServer` is this
+class configured with one shard (see :mod:`repro.serving.server`).
+
+Per iteration the loop fires due chaos faults, evicts queued cases
+whose deadline expired, dispatches queued cases onto idle workers of
+their routed shard (scheduler policy + preop affinity + coalescing),
+collects finished results, terminates+evicts running cases past their
+deadline, and re-admits cases interrupted by a worker death, a hang, a
+lost reply or a shard loss:
 
 * **Routing** — cases route to shards by consistent hashing of their
   ``preop_key`` (:class:`repro.serving.ConsistentHashRing`), so a
@@ -24,15 +34,13 @@ keeping its determinism and testability:
   :class:`repro.serving.SheddingLadder`: overload first degrades
   fidelity (coarse-FEM -> previous-field -> rigid-only stamped as the
   case's ``shed_level``) and only rejects once every rung is active.
-* **Autoscale** — each shard grows/shrinks its worker count between
-  :class:`repro.serving.AutoscalePolicy` bounds from its routed backlog.
 
 Every transition lands in the metrics registry — global ``serving.*``
-series matching the single-host server plus shard-labelled copies
-(``name[shard=K]``, the same convention the telemetry merge uses for
-``name[worker=N]``) — and worker telemetry frames graft into the
-gateway's trace with per-shard process labels (``shardK-workerN``), one
-Perfetto lane per shard worker.
+series plus shard-labelled copies (``name[shard=K]``, the same
+convention the telemetry merge uses for ``name[worker=N]``) — and as
+events on the tracer; worker telemetry frames graft into the loop's
+trace with per-shard process labels (``shardK-workerN``), one Perfetto
+lane per shard worker.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from repro.serving.protocol import (
     request_members,
 )
 from repro.serving.scheduler import CoalescingWindow, Scheduler
-from repro.serving.shard import AutoscalePolicy, ConsistentHashRing, Shard
+from repro.serving.shard import ConsistentHashRing, Shard
 from repro.util import ValidationError, format_table
 
 
@@ -81,40 +89,80 @@ class ShardGateway:
         Fleet shape: ``n_shards`` independent pools of
         ``workers_per_shard`` processes each.
     queue_capacity:
-        Bound of the (single, gateway-wide) admission queue.
+        Bound of the (single, gateway-wide) admission queue — the
+        backpressure boundary.
     policy:
-        Case-ordering policy, ``"fifo"`` or ``"deadline"``.
+        Case-ordering policy, ``"fifo"`` or ``"deadline"`` (EDF).
     max_attempts:
-        Dispatch attempts per case before failover marks it failed.
-    autoscale:
-        Per-shard elasticity policy; ``None`` disables autoscaling
-        (fixed ``workers_per_shard``).
+        Dispatch attempts per case before failover marks it failed
+        (>= 1).
     shedding:
         The overload ladder; ``None`` installs the default
-        :class:`repro.serving.SheddingLadder`. Shedding cannot be
-        disabled — an overloaded gateway without a ladder would reject,
-        which is exactly what the ladder exists to postpone.
+        :class:`repro.serving.SheddingLadder`. A ladder whose thresholds
+        are all infinite never sheds.
     serving_faults:
         Optional :class:`repro.resilience.ServingFaultPlan`; due specs
         fire from the control loop (chaos drills).
     retry_base_s / retry_cap_s:
         Re-admission backoff: attempt ``k`` waits
         ``min(cap, base * 2**(k-1))`` plus up to 25% deterministic
-        jitter before redispatch.
+        jitter before redispatch; a zero base re-admits at once.
     hang_timeout_s:
         Heartbeat-silence threshold for wedged-worker detection.
         ``None`` adapts from the EWMA estimates (never below 5 s), so
-        legitimately long solves are not shot.
-    metrics / tracer / telemetry / flight_dir / start_method / drain_dir:
-        As on :class:`repro.serving.SessionServer`.
+        legitimately long solves are not shot; infinity turns the
+        detection off.
+    metrics / tracer:
+        Observability hooks; a private registry / the ambient tracer
+        are used when omitted. With ``telemetry`` on and no tracer
+        given, the loop creates its own enabled tracer (labelled
+        :attr:`label`) so the unified cross-process trace exists without
+        any caller wiring.
+    telemetry:
+        When on (the default), every admitted case gets a ``serve.case``
+        span covering queue wait through terminal record; requests are
+        stamped with a :class:`repro.obs.telemetry.TraceContext` at
+        dispatch; worker telemetry frames are grafted into the loop's
+        trace and merged into its registry; budget verdicts feed the
+        :attr:`slo` tracker; and flight-recorder rings (one per worker,
+        one for the control plane) are persisted under
+        :attr:`flight_dir`. ``False`` serves dark — the pre-telemetry
+        fast path, every hook skipped.
+    flight_dir:
+        Directory for flight-recorder dumps (workers spool
+        ``worker-<id>.json`` after every scan; the loop dumps
+        ``<label>.json`` on evictions, deaths, hangs and failures). A
+        temp directory is created when omitted and telemetry is on.
+    start_method / drain_dir:
+        Forwarded to every :class:`repro.serving.SessionWorkerPool`.
     coalesce_window_s / coalesce_max_batch:
-        Scheduler coalescing, as on the single-host server (off by
-        default): same-``preop_key`` cases — which the ring routes to
-        the same shard — are held up to the window and leave as one
-        :class:`repro.serving.BatchRequest` for the batched multi-RHS
-        solve path. Members keep individual failover: deaths, hangs and
-        shard losses re-admit each member on its own attempt budget.
+        Scheduler coalescing (off by default). With a positive window,
+        dispatchable cases sharing a ``preop_key`` — which the ring
+        routes to the same shard — are held up to ``coalesce_window_s``
+        seconds so up to ``coalesce_max_batch`` of them leave as one
+        :class:`repro.serving.BatchRequest` — the worker then drives
+        their scans through the batched multi-RHS solve path against
+        one shared patient model. A window that expires with a single
+        case dispatches it as a plain :class:`CaseRequest`,
+        bit-identically to coalescing off. Members keep individual
+        failover: deaths, hangs and shard losses re-admit each member on
+        its own attempt budget.
     """
+
+    # What a configuration of the loop calls itself. Class-level data,
+    # not parameters: SessionServer overrides these five strings (and
+    # nothing else) to keep its single-host names.
+    #: Tracer / flight-recorder label, ``<label>.json`` control-plane dump.
+    label = "gateway"
+    #: Trace lane (process label) of a shard's worker.
+    lane = "shard{shard}-worker{worker}"
+    #: How failure details name a worker.
+    worker_desc = "worker {worker} (shard {shard})"
+    summary_title = "Gateway serving summary"
+    summary_footer = (
+        "served: {ok}/{n} | shards: {live}/{shards} up | workers: {workers}"
+        " | worker deaths: {deaths} | shard deaths: {shard_deaths} | shed: {shed}"
+    )
 
     def __init__(
         self,
@@ -123,7 +171,6 @@ class ShardGateway:
         queue_capacity: int = 32,
         policy: str = "fifo",
         max_attempts: int = 3,
-        autoscale: AutoscalePolicy | None = None,
         shedding: SheddingLadder | None = None,
         serving_faults: ServingFaultPlan | None = None,
         retry_base_s: float = 0.1,
@@ -147,26 +194,19 @@ class ShardGateway:
         if tracer is not None:
             self.tracer = tracer
         elif self.telemetry:
-            self.tracer = Tracer(process_label="gateway")
+            self.tracer = Tracer(process_label=self.label)
         else:
             self.tracer = None
         self.slo = SLOTracker(metrics=self.metrics) if self.telemetry else None
-        if self.telemetry:
-            self.flight_dir = (
-                flight_dir
-                if flight_dir is not None
-                else tempfile.mkdtemp(prefix="repro-gateway-flight-")
-            )
-            self.flight = FlightRecorder(label="gateway")
-        else:
-            self.flight_dir = flight_dir
-            self.flight = FlightRecorder(enabled=False)
+        if self.telemetry and flight_dir is None:
+            flight_dir = tempfile.mkdtemp(prefix=f"repro-{self.label}-flight-")
+        self.flight_dir = flight_dir
+        self.flight = FlightRecorder(enabled=self.telemetry, label=self.label)
         self.estimator = ServiceEstimator()
         self.queue = AdmissionQueue(queue_capacity, self.estimator)
         self.scheduler = Scheduler(policy)
         self.coalescer = CoalescingWindow(coalesce_window_s, coalesce_max_batch)
         self.shedding = shedding if shedding is not None else SheddingLadder()
-        self.autoscale = autoscale
         self.faults = serving_faults
         self.max_attempts = int(max_attempts)
         self.retry_base_s = float(retry_base_s)
@@ -185,9 +225,12 @@ class ShardGateway:
         self.ring = ConsistentHashRing(list(self.shards))
         self.results: dict[str, CaseResult] = {}
         self.dispatched_total = 0
+        self._known_keys: set[str] = set()
+        # Per-case bookkeeping, all keyed by case_id and all cleared at
+        # the case's terminal point (_terminate / _record), so a
+        # long-lived front-end does not grow them per case served.
         self._attempts: dict[str, int] = {}
         self._admitted_at: dict[str, float] = {}
-        self._known_keys: set[str] = set()
         self._case_spans: dict[str, object] = {}
         #: case_id -> the dispatched request, while in flight on a shard.
         #: The gateway keeps its own copy (workers own pickled ones) so a
@@ -201,8 +244,6 @@ class ShardGateway:
         self._not_before: dict[str, float] = {}
         self._drop_results: dict[int, int] = {}
         self._respawns_seen: dict[int, int] = {}
-        self._scaled_at: dict[int, float] = {}
-        self._idle_since: dict[int, float] = {}
         self._closed = False
 
     # -- small helpers --------------------------------------------------------
@@ -210,21 +251,12 @@ class ShardGateway:
     def _trace(self) -> Tracer:
         return self.tracer if self.tracer is not None else get_tracer()
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ValidationError(f"{self.label} is shut down")
+
     def live_shards(self) -> list[Shard]:
         return [s for s in self.shards.values() if s.up]
-
-    def _live_worker_count(self) -> int:
-        return sum(s.pool.n_workers for s in self.live_shards())
-
-    def _open_case_span(self, request: CaseRequest) -> None:
-        if not self.telemetry:
-            return
-        self._case_spans[request.case_id] = self._trace().open_span(
-            "serve.case",
-            kind="serving",
-            case_id=request.case_id,
-            n_scans=request.n_scans,
-        )
 
     def _close_case_span(self, case_id: str, **attrs) -> None:
         span = self._case_spans.pop(case_id, None)
@@ -237,19 +269,22 @@ class ShardGateway:
         return None if record is None else record.span_id
 
     def _dump_flight(self, reason: str, **context) -> None:
+        """Persist the control-plane flight ring as ``<label>.json``."""
         if not self.telemetry or self.flight_dir is None:
             return
         self.flight.dump(
-            Path(self.flight_dir) / "gateway.json", reason, context=context
+            Path(self.flight_dir) / f"{self.label}.json", reason, context=context
         )
 
     def _worker_flight_dump(self, worker_id: int) -> str | None:
+        """Path of a worker's persisted flight ring, when one exists."""
         if self.flight_dir is None:
             return None
         spool = Path(self.flight_dir) / f"worker-{worker_id}.json"
         return str(spool) if spool.is_file() else None
 
     def _backlog_seconds(self) -> float:
+        """Estimated seconds of work queued or running ahead of a new case."""
         est = self.estimator
         total = 0.0
         for queued in self.queue.items():
@@ -259,20 +294,83 @@ class ShardGateway:
                 total += est.case_seconds(handle.busy.n_scans, preop_cached=True) / 2.0
         return total
 
+    def _forget(self, case_id: str) -> None:
+        """Clear a terminal case's bookkeeping (its span closes separately)."""
+        for per_case in (
+            self._attempts,
+            self._admitted_at,
+            self._not_before,
+            self._building,
+            self._inflight,
+        ):
+            per_case.pop(case_id, None)
+
+    def _terminate(
+        self,
+        member: CaseRequest,
+        status: str,
+        detail: str,
+        where: str | None = None,
+        shard: int | None = None,
+        worker: int | None = None,
+        **fields,
+    ) -> None:
+        """The one terminal point for a case the loop itself ends.
+
+        Evictions (queued, running, drain, drain-timeout) and failures
+        (attempts exhausted, no live shards) all land here: count the
+        status, close the ``serve.case`` span, note the flight ring,
+        emit the event, write the terminal :class:`CaseResult` and clear
+        the case's bookkeeping. A case that was in flight lost its
+        worker — and with it the telemetry frame; the worker's last
+        per-scan flight spool is the post-mortem the result points at.
+        (Results a worker produced take :meth:`_record` instead.)
+        """
+        case_id = member.case_id
+        at = {
+            k: v
+            for k, v in (("where", where), ("shard", shard), ("worker", worker))
+            if v is not None
+        }
+        self.metrics.counter(f"serving.{status}").inc()
+        span_attrs = dict(at, status=status)
+        if case_id in self._inflight:
+            if self.telemetry:
+                self.metrics.counter("telemetry.frames_lost").inc()
+            span_attrs["telemetry_lost"] = True
+        self._close_case_span(case_id, **span_attrs)
+        self.flight.note(f"case.{status}", case=case_id, **at)
+        self._trace().event(f"serving.{status}", case=case_id, **at)
+        self.results[case_id] = CaseResult(
+            case_id=case_id,
+            status=status,
+            detail=detail,
+            worker=worker,
+            attempts=self._attempts.get(case_id, 0),
+            checkpoint=member.checkpoint_dir,
+            flight_dump=(
+                None if worker is None else self._worker_flight_dump(worker)
+            ),
+            **fields,
+        )
+        self._forget(case_id)
+
     # -- admission (with shedding) -------------------------------------------
 
     def submit(self, request: CaseRequest) -> CaseResult | None:
         """Offer a case; apply the shedding ladder, then admission control.
 
         Returns ``None`` on admission (terminal result appears in
-        :attr:`results` after :meth:`run`) or an immediate ``rejected``
-        result. Under overload the case may be admitted with a
+        :attr:`results` after :meth:`run`) or the immediate ``rejected``
+        result when backpressure or the deadline-feasibility verdict
+        refused it. Under overload the case may be admitted with a
         ``shed_level`` stamped — served degraded rather than refused.
         """
-        if self._closed:
-            raise ValidationError("gateway is shut down")
-        if request.case_id in self.results or any(
-            q.request.case_id == request.case_id for q in self.queue.items()
+        self._check_open()
+        if (
+            request.case_id in self.results
+            or request.case_id in self._inflight
+            or any(q.request.case_id == request.case_id for q in self.queue.items())
         ):
             raise ValidationError(f"duplicate case_id {request.case_id!r}")
         backlog = self._backlog_seconds()
@@ -280,7 +378,7 @@ class ShardGateway:
             self.shedding.pressure(
                 queue_fill=len(self.queue) / self.queue.capacity,
                 backlog_seconds=backlog,
-                n_workers=self._live_worker_count(),
+                n_workers=sum(s.pool.n_workers for s in self.live_shards()),
             )
         )
         self.metrics.gauge("serving.pressure").set(decision.pressure)
@@ -326,7 +424,13 @@ class ShardGateway:
         self.metrics.counter("serving.admitted").inc()
         self._admitted_at[request.case_id] = time.monotonic() - waited_s
         self._attempts.setdefault(request.case_id, 0)
-        self._open_case_span(request)
+        if self.telemetry:
+            self._case_spans[request.case_id] = self._trace().open_span(
+                "serve.case",
+                kind="serving",
+                case_id=request.case_id,
+                n_scans=request.n_scans,
+            )
         self.flight.note(
             "case.admitted", case=request.case_id, queue_depth=len(self.queue)
         )
@@ -356,9 +460,13 @@ class ShardGateway:
     # -- the control loop -----------------------------------------------------
 
     def run(self, poll_seconds: float = 0.05) -> dict[str, CaseResult]:
-        """Serve until the queue is empty and every shard is quiet."""
-        if self._closed:
-            raise ValidationError("gateway is shut down")
+        """Serve until the queue is empty and every shard is quiet.
+
+        Returns :attr:`results` (case_id -> terminal result). Safe to
+        call repeatedly: each call serves whatever was submitted since
+        the last one.
+        """
+        self._check_open()
         t0 = time.perf_counter()
         scans_before = self.metrics.value("serving.scans", 0.0)
         with self._trace().span("serve.run", kind="serving") as span:
@@ -383,8 +491,7 @@ class ShardGateway:
         pool maintenance, so a server idling between cases neither grows
         the result queues without bound nor misses a respawn.
         """
-        if self._closed:
-            raise ValidationError("gateway is shut down")
+        self._check_open()
         if not self._working():
             for shard in self.live_shards():
                 for result in shard.pool.poll_results(timeout=0.0):
@@ -398,7 +505,6 @@ class ShardGateway:
         self._enforce_running_deadlines()
         self._handle_deaths()
         self._detect_hangs()
-        self._autoscale_tick()
         self._maintain()
         return True
 
@@ -411,17 +517,8 @@ class ShardGateway:
             # Total fleet loss: nothing can ever serve the remaining
             # queue — fail it explicitly rather than spin forever.
             for queued in self.queue.clear():
-                request = queued.request
-                self.metrics.counter("serving.failed").inc()
-                self._close_case_span(
-                    request.case_id, status=STATUS_FAILED, detail="no live shards"
-                )
-                self.results[request.case_id] = CaseResult(
-                    case_id=request.case_id,
-                    status=STATUS_FAILED,
-                    detail="no live shards remain",
-                    attempts=self._attempts.get(request.case_id, 0),
-                    checkpoint=request.checkpoint_dir,
+                self._terminate(
+                    queued.request, STATUS_FAILED, "no live shards remain"
                 )
             return False
         return True
@@ -484,9 +581,8 @@ class ShardGateway:
         )
         for request in interrupted:
             for member in request_members(request):
-                self._inflight.pop(member.case_id, None)
                 self.metrics.counter("serving.failover").inc()
-                self._readmit(member, f"shard {shard_id} died ({cause})")
+                self._readmit(member, f"shard {shard_id} died ({cause})", shard_id)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -516,11 +612,12 @@ class ShardGateway:
                 idle, shard.pool.busy_workers(), key
             ):
                 # The routed shard is saturated (or single-flighting this
-                # patient's model build): the case waits for *its* shard —
-                # jumping shards would forfeit the warm cache the ring
-                # exists to protect.
+                # patient's model build on a busy worker): the case waits
+                # for *its* shard — jumping shards would forfeit the warm
+                # cache the ring exists to protect.
                 skipped.add(request.case_id)
                 continue
+            group = [index]
             if self.coalescer.enabled:
                 group = [
                     i for i in candidates if items[i].request.preop_key() == key
@@ -533,67 +630,30 @@ class ShardGateway:
                     skipped.update(items[i].request.case_id for i in group)
                     continue
                 self.coalescer.clear(key)
-                if len(group) >= 2:
-                    self._dispatch_batch(group, shard, idle, key)
-                    continue
-                # Window expired with one case: fall through to the
-                # ordinary serial dispatch, bit-identically.
-            queued = self.queue.pop(index)
-            self._not_before.pop(request.case_id, None)
-            handle = self.scheduler.pick_worker(idle, key)
-            self._attempts[request.case_id] = (
-                self._attempts.get(request.case_id, 0) + 1
-            )
-            self._building[request.case_id] = key not in self._known_keys
-            self._known_keys.add(key)
-            if self.telemetry:
-                request.trace_context = TraceContext.from_tracer(
-                    self._trace(),
-                    parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"{shard.label}-worker{handle.worker_id}",
-                )
-                request.flight_dir = self.flight_dir
-            shard.pool.dispatch(handle, request)
-            handle.busy_deadline = queued.deadline_monotonic
-            self._inflight[request.case_id] = request
-            self.dispatched_total += 1
-            wait = queued.waited()
-            self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-            self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-            self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc()
-            if self.slo is not None:
-                self.slo.observe("queue wait", wait, target=None)
-            self.flight.note(
-                "case.dispatch",
-                case=request.case_id,
-                shard=shard.shard_id,
-                worker=handle.worker_id,
-                waited=wait,
-            )
-            self._trace().event(
-                "serving.dispatch",
-                case=request.case_id,
-                shard=shard.shard_id,
-                worker=handle.worker_id,
-                attempt=self._attempts[request.case_id],
-                waited=wait,
-            )
+            self._dispatch_batch(group, shard, idle, key)
 
     def _dispatch_batch(self, indices: list[int], shard, idle: list, key: str) -> None:
-        """Pop a same-patient cohort and dispatch it as one batch.
+        """Pop a same-patient cohort and dispatch it as one worker trip.
 
-        Mirrors :meth:`SessionServer._dispatch_batch` on the routed
-        shard: the first ``coalesce_max_batch`` cohort members (queue
-        order) leave as a :class:`BatchRequest` onto one affine worker,
-        each keeping its own trace context, attempt count, in-flight
-        copy and deadline. One dispatch ordinal is consumed — an
-        injected fault hits the whole worker trip, and failover then
-        re-admits the members individually.
+        ``indices`` are queue positions of dispatchable cases sharing
+        ``key``; the first ``coalesce_max_batch`` of them (queue order)
+        leave together onto one affine worker of the routed shard — as
+        a :class:`BatchRequest`, or, for a lone case (coalescing off, or
+        a window that expired with one member), as the plain
+        :class:`CaseRequest` itself, bit-identically to a loop without
+        coalescing. Each member keeps its own trace context, attempt
+        count, in-flight copy and deadline — the worker evicts expired
+        members between solve rounds, while the loop's kill switch fires
+        only once the whole batch is past its latest member deadline.
+        One dispatch ordinal is consumed — an injected fault hits the
+        whole worker trip, and failover then re-admits the members
+        individually.
         """
         take = sorted(indices)[: self.coalescer.max_batch]
         queued_members = [self.queue.pop(i) for i in sorted(take, reverse=True)]
         queued_members.reverse()  # restore admission order
         handle = self.scheduler.pick_worker(idle, key)
+        lane = self.lane.format(shard=shard.shard_id, worker=handle.worker_id)
         requests = []
         for queued in queued_members:
             request = queued.request
@@ -604,24 +664,34 @@ class ShardGateway:
             self._building[request.case_id] = key not in self._known_keys
             self._known_keys.add(key)
             if self.telemetry:
+                # Stamp the trace context at the dispatch instant: the
+                # anchor aligns the worker's clock origin with *now* on
+                # the loop's clock, so grafted spans land where the
+                # worker actually ran. Re-dispatch after a death
+                # re-stamps with a fresh anchor.
                 request.trace_context = TraceContext.from_tracer(
                     self._trace(),
                     parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"{shard.label}-worker{handle.worker_id}",
+                    process_label=lane,
                 )
                 request.flight_dir = self.flight_dir
             requests.append(request)
+            self._inflight[request.case_id] = request
         deadlines = [q.deadline_monotonic for q in queued_members]
-        batch = BatchRequest(members=requests, deadline_monotonics=deadlines)
-        shard.pool.dispatch(handle, batch)
+        if len(requests) == 1:
+            payload, batch = requests[0], {}
+        else:
+            payload = BatchRequest(members=requests, deadline_monotonics=deadlines)
+            batch = {"batch": payload.batch_id}
+            self.metrics.counter("serving.batches").inc()
+            self.metrics.histogram("serving.batch_width").observe(
+                float(len(requests))
+            )
+        shard.pool.dispatch(handle, payload)
         handle.busy_deadline = (
             max(deadlines) if all(d is not None for d in deadlines) else None
         )
-        for request in requests:
-            self._inflight[request.case_id] = request
         self.dispatched_total += 1
-        self.metrics.counter("serving.batches").inc()
-        self.metrics.histogram("serving.batch_width").observe(float(len(requests)))
         self.metrics.gauge("serving.queue_depth").set(len(self.queue))
         self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc(
             len(requests)
@@ -631,22 +701,16 @@ class ShardGateway:
             self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
             if self.slo is not None:
                 self.slo.observe("queue wait", wait, target=None)
-            self.flight.note(
-                "case.dispatch",
+            at = dict(
                 case=request.case_id,
                 shard=shard.shard_id,
                 worker=handle.worker_id,
                 waited=wait,
-                batch=batch.batch_id,
+                **batch,
             )
+            self.flight.note("case.dispatch", **at)
             self._trace().event(
-                "serving.dispatch",
-                case=request.case_id,
-                shard=shard.shard_id,
-                worker=handle.worker_id,
-                attempt=self._attempts[request.case_id],
-                waited=wait,
-                batch=batch.batch_id,
+                "serving.dispatch", attempt=self._attempts[request.case_id], **at
             )
 
     # -- results --------------------------------------------------------------
@@ -675,32 +739,32 @@ class ShardGateway:
         the gateway.
         """
         self.metrics.counter("serving.dropped_results").inc()
-        self.flight.note(
-            "result.dropped", case=result.case_id, shard=shard.shard_id
-        )
-        self._trace().event(
-            "serving.result_dropped", case=result.case_id, shard=shard.shard_id
-        )
-        request = self._inflight.pop(result.case_id, None)
+        at = {"case": result.case_id, "shard": shard.shard_id}
+        self.flight.note("result.dropped", **at)
+        self._trace().event("serving.result_dropped", **at)
+        request = self._inflight.get(result.case_id)
         if request is None:
             # Nothing to replay (already resolved elsewhere): keep the
             # result rather than lose the case.
             self._record(shard, result)
             return
         self._readmit(
-            request, f"result dropped in transit (shard {shard.shard_id})"
+            request,
+            f"result dropped in transit (shard {shard.shard_id})",
+            shard.shard_id,
+            result.worker,
         )
 
     def _record(self, shard: Shard, result: CaseResult) -> None:
+        """The terminal point for a result a worker produced."""
         result.attempts = self._attempts.get(result.case_id, 1)
-        self._inflight.pop(result.case_id, None)
-        self._building.pop(result.case_id, None)
         admitted = self._admitted_at.get(result.case_id)
         if admitted is not None:
             result.queue_seconds = max(
                 0.0, time.monotonic() - admitted - result.service_seconds
             )
         self.results[result.case_id] = result
+        self._forget(result.case_id)
         m = self.metrics
         m.counter(f"serving.{result.status}").inc()
         m.counter(f"serving.served[shard={shard.shard_id}]").inc()
@@ -717,29 +781,22 @@ class ShardGateway:
                 self.estimator.observe_scan(outcome.seconds)
                 m.histogram("serving.scan_seconds").observe(outcome.seconds)
         self._absorb_telemetry(result)
-        self.flight.note(
-            "case." + result.status,
+        at = dict(
             case=result.case_id,
             shard=shard.shard_id,
             worker=result.worker,
             scans=len(result.scans),
             seconds=result.service_seconds,
         )
+        self.flight.note("case." + result.status, **at)
         if result.status == STATUS_FAILED:
             self._dump_flight(
                 "case failed", case=result.case_id, detail=result.detail
             )
-        self._trace().event(
-            "serving.case",
-            case=result.case_id,
-            status=result.status,
-            shard=shard.shard_id,
-            worker=result.worker,
-            scans=len(result.scans),
-            seconds=result.service_seconds,
-        )
+        self._trace().event("serving.case", status=result.status, **at)
 
     def _absorb_telemetry(self, result: CaseResult) -> None:
+        """Graft the worker's frame; close the case span; feed the SLOs."""
         if not self.telemetry:
             return
         frame = result.telemetry
@@ -755,6 +812,9 @@ class ShardGateway:
             self.metrics.counter("telemetry.spans_grafted").inc(grafted)
             span_attrs["worker_spans"] = grafted
         else:
+            # The worker never replied with a frame (dark request, or
+            # the case died with its worker): the trace stays intact,
+            # the span is annotated instead of broken.
             self.metrics.counter("telemetry.frames_lost").inc()
             span_attrs["telemetry_lost"] = True
         self._close_case_span(result.case_id, **span_attrs)
@@ -765,6 +825,8 @@ class ShardGateway:
             for verdict in frame.verdicts:
                 self.slo.observe_verdict(verdict)
         else:
+            # No budget verdicts came home — score the raw scan timings
+            # against the whole-scan budget so the SLO still sees them.
             for outcome in result.scans:
                 if not outcome.restored:
                     self.slo.observe(SCAN_TOTAL, outcome.seconds)
@@ -774,28 +836,17 @@ class ShardGateway:
     def _evict_expired_queued(self) -> None:
         for queued in self.queue.evict_expired():
             request = queued.request
-            self._not_before.pop(request.case_id, None)
-            self.metrics.counter("serving.evicted").inc()
             self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-            self._close_case_span(
-                request.case_id, status=STATUS_EVICTED, where="queued"
+            self._terminate(
+                request,
+                STATUS_EVICTED,
+                f"deadline {request.deadline_s:.1f} s expired after "
+                f"{queued.waited():.1f} s in queue",
+                where="queued",
+                queue_seconds=queued.waited(),
             )
-            self.flight.note("case.evicted", case=request.case_id, where="queued")
             self._dump_flight(
                 "deadline eviction", case=request.case_id, where="queued"
-            )
-            self._trace().event(
-                "serving.evicted", case=request.case_id, where="queued"
-            )
-            self.results[request.case_id] = CaseResult(
-                case_id=request.case_id,
-                status=STATUS_EVICTED,
-                detail=(
-                    f"deadline {request.deadline_s:.1f} s expired after "
-                    f"{queued.waited():.1f} s in queue"
-                ),
-                queue_seconds=queued.waited(),
-                attempts=self._attempts.get(request.case_id, 0),
             )
 
     def _enforce_running_deadlines(self) -> None:
@@ -816,67 +867,52 @@ class ShardGateway:
                     case=request.case_id,
                     where="running",
                     shard=shard.shard_id,
+                    worker=handle.worker_id,
                 )
                 # The batch deadline is max(member deadlines), so when
-                # it fires every member's own deadline has expired too.
+                # it fires every member's own deadline has expired too:
+                # each surfaces its own eviction.
                 for member in members:
-                    self._inflight.pop(member.case_id, None)
-                    self.metrics.counter("serving.evicted").inc()
-                    if self.telemetry:
-                        self.metrics.counter("telemetry.frames_lost").inc()
-                    self._close_case_span(
-                        member.case_id,
-                        status=STATUS_EVICTED,
-                        where="running",
-                        telemetry_lost=True,
-                    )
-                    self.flight.note(
-                        "case.evicted",
-                        case=member.case_id,
+                    self._terminate(
+                        member,
+                        STATUS_EVICTED,
+                        f"deadline {member.deadline_s:.1f} s expired "
+                        "mid-service; worker terminated",
                         where="running",
                         shard=shard.shard_id,
                         worker=handle.worker_id,
-                    )
-                    self._trace().event(
-                        "serving.evicted", case=member.case_id, where="running"
-                    )
-                    self.results[member.case_id] = CaseResult(
-                        case_id=member.case_id,
-                        status=STATUS_EVICTED,
-                        detail=(
-                            f"deadline {member.deadline_s:.1f} s expired "
-                            "mid-service; worker terminated"
-                        ),
-                        worker=handle.worker_id,
-                        attempts=self._attempts.get(member.case_id, 1),
-                        checkpoint=member.checkpoint_dir,
-                        flight_dump=self._worker_flight_dump(handle.worker_id),
                         batch_id=batch_id,
                         batch_size=len(members),
                     )
 
-    def _readmit(self, request: CaseRequest, cause: str) -> None:
-        """Bounded re-admission with capped exponential backoff + jitter."""
-        self._building.pop(request.case_id, None)
+    def _readmit(
+        self,
+        request: CaseRequest,
+        cause: str,
+        shard: int | None = None,
+        worker: int | None = None,
+    ) -> None:
+        """Bounded re-admission with capped exponential backoff + jitter.
+
+        Re-admission goes to the head of the queue: a durable case
+        resumes from its journal (committed scans come back restored,
+        only the remainder is recomputed). Its ``serve.case`` span stays
+        open — still in flight. Each member of an interrupted batch is
+        judged here individually, so one member exhausting its budget
+        doesn't fail the others.
+        """
         attempts = self._attempts.get(request.case_id, 1)
         if attempts >= self.max_attempts:
-            self.metrics.counter("serving.failed").inc()
-            if self.telemetry:
-                self.metrics.counter("telemetry.frames_lost").inc()
-            self._close_case_span(
-                request.case_id, status=STATUS_FAILED, telemetry_lost=True
-            )
-            self.results[request.case_id] = CaseResult(
-                case_id=request.case_id,
-                status=STATUS_FAILED,
-                detail=(
-                    f"{cause}; re-admission budget exhausted "
-                    f"({attempts} attempts)"
-                ),
-                attempts=attempts,
-                checkpoint=request.checkpoint_dir,
+            self._terminate(
+                request,
+                STATUS_FAILED,
+                f"{cause}; re-admission budget exhausted ({attempts} attempts)",
+                shard=shard,
+                worker=worker,
             )
             return
+        self._inflight.pop(request.case_id, None)
+        self._building.pop(request.case_id, None)
         delay = min(self.retry_cap_s, self.retry_base_s * 2.0 ** (attempts - 1))
         delay *= 1.0 + 0.25 * _retry_jitter(request.case_id, attempts)
         self._not_before[request.case_id] = time.monotonic() + delay
@@ -897,41 +933,38 @@ class ShardGateway:
             delay=delay,
         )
 
+    def _worker_lost(
+        self, shard: Shard, worker_id: int, request, what: str, cause: str, **extra
+    ) -> None:
+        """A worker died or was shot as hung: record it, re-admit its case.
+
+        Every member of a dispatched batch goes down with the worker;
+        each re-admits on its own attempt budget.
+        """
+        at = {
+            "shard": shard.shard_id,
+            "worker": worker_id,
+            "case": None if request is None else request.case_id,
+            **extra,
+        }
+        self.flight.note(f"worker.{what}", **at)
+        self._dump_flight(f"worker {what}", **at)
+        self._trace().event(f"serving.worker_{what}", **at)
+        if request is None:
+            return
+        who = self.worker_desc.format(worker=worker_id, shard=shard.shard_id)
+        for member in request_members(request):
+            span = self._case_spans.get(member.case_id)
+            if span is not None:
+                span.event(f"worker.{what}", shard=shard.shard_id, worker=worker_id)
+            self._readmit(member, f"{who} {cause}", shard.shard_id, worker_id)
+
     def _handle_deaths(self) -> None:
         for shard in self.live_shards():
             for worker_id, request in shard.pool.reap():
                 self.metrics.counter("serving.worker_deaths").inc()
                 self.metrics.counter(f"serving.deaths[shard={shard.shard_id}]").inc()
-                self.flight.note(
-                    "worker.death",
-                    shard=shard.shard_id,
-                    worker=worker_id,
-                    case=None if request is None else request.case_id,
-                )
-                self._dump_flight(
-                    "worker death", shard=shard.shard_id, worker=worker_id
-                )
-                self._trace().event(
-                    "serving.worker_death",
-                    shard=shard.shard_id,
-                    worker=worker_id,
-                    case=None if request is None else request.case_id,
-                )
-                if request is None:
-                    continue
-                # Every member of a dispatched batch goes down with the
-                # worker; each re-admits on its own attempt budget.
-                for member in request_members(request):
-                    self._inflight.pop(member.case_id, None)
-                    span = self._case_spans.get(member.case_id)
-                    if span is not None:
-                        span.event(
-                            "worker.death", shard=shard.shard_id, worker=worker_id
-                        )
-                    self._readmit(
-                        member,
-                        f"worker {worker_id} (shard {shard.shard_id}) died",
-                    )
+                self._worker_lost(shard, worker_id, request, "death", "died")
 
     def _hang_grace(self) -> float:
         """Heartbeat-silence threshold before a busy worker counts as hung.
@@ -953,31 +986,14 @@ class ShardGateway:
             for handle in shard.pool.stale_workers(grace):
                 request = shard.pool.terminate_worker(handle.worker_id)
                 self.metrics.counter("serving.hangs").inc()
-                self.flight.note(
-                    "worker.hang",
-                    shard=shard.shard_id,
-                    worker=handle.worker_id,
-                    case=None if request is None else request.case_id,
+                self._worker_lost(
+                    shard,
+                    handle.worker_id,
+                    request,
+                    "hang",
+                    f"hung (silent > {grace:.1f} s)",
                     grace=round(grace, 2),
                 )
-                self._dump_flight(
-                    "worker hang", shard=shard.shard_id, worker=handle.worker_id
-                )
-                self._trace().event(
-                    "serving.worker_hang",
-                    shard=shard.shard_id,
-                    worker=handle.worker_id,
-                    grace=grace,
-                )
-                if request is None:
-                    continue
-                for member in request_members(request):
-                    self._inflight.pop(member.case_id, None)
-                    self._readmit(
-                        member,
-                        f"worker {handle.worker_id} (shard {shard.shard_id}) "
-                        f"hung (silent > {grace:.1f} s)",
-                    )
 
     # -- health ---------------------------------------------------------------
 
@@ -1054,59 +1070,8 @@ class ShardGateway:
             "shards": shards,
         }
 
-    # -- elasticity -----------------------------------------------------------
-
-    def _routed_backlog(self) -> dict[int, int]:
-        """Queued cases per shard under the current ring."""
-        backlog = {shard_id: 0 for shard_id in self.shards}
-        if not self.ring.shards:
-            return backlog
-        for queued in self.queue.items():
-            backlog[self.ring.route(queued.request.preop_key())] += 1
-        return backlog
-
-    def _autoscale_tick(self) -> None:
-        if self.autoscale is None:
-            return
-        now = time.monotonic()
-        backlog = self._routed_backlog()
-        for shard in self.live_shards():
-            sid = shard.shard_id
-            busy = len(shard.pool.busy_workers())
-            routed = backlog.get(sid, 0)
-            if busy or routed:
-                self._idle_since.pop(sid, None)
-            else:
-                self._idle_since.setdefault(sid, now)
-            if now - self._scaled_at.get(sid, 0.0) < self.autoscale.cooldown_s:
-                continue
-            n = shard.pool.n_workers + shard.pool.pending_respawns()
-            action = self.autoscale.decide(
-                n_workers=n,
-                backlog_cases=routed,
-                busy_workers=busy,
-                idle_for_s=now - self._idle_since.get(sid, now),
-            )
-            if action == 0:
-                continue
-            if action > 0:
-                handle = shard.pool.add_worker()
-                self.metrics.counter("serving.scale_up").inc()
-                event = {"worker": handle.worker_id, "direction": "up"}
-            else:
-                removed = shard.pool.remove_worker()
-                if removed is None:
-                    continue
-                self.metrics.counter("serving.scale_down").inc()
-                event = {"worker": removed, "direction": "down"}
-            self._scaled_at[sid] = now
-            self.metrics.gauge(f"serving.workers[shard={sid}]").set(
-                shard.pool.n_workers
-            )
-            self.flight.note("shard.scale", shard=sid, **event)
-            self._trace().event("serving.scale", shard=sid, **event)
-
     def _maintain(self) -> None:
+        """Respawn due slots; mirror respawn counts into ``serving.respawn``."""
         for shard in self.live_shards():
             shard.pool.maintain()
             seen = self._respawns_seen.get(shard.shard_id, 0)
@@ -1121,21 +1086,23 @@ class ShardGateway:
     def drain(self, timeout: float = 60.0) -> dict[str, CaseResult]:
         """Gracefully stop every shard; every admitted case terminates.
 
-        Mirrors :meth:`repro.serving.SessionServer.drain`, fleet-wide:
-        queued cases evict, busy workers checkpoint and report
-        ``drained``, stragglers that miss the timeout are terminated and
-        surface as terminal evictions with their flight dumps.
+        Busy workers finish their current scan, checkpoint the session
+        through :class:`repro.persist.SessionStore` (the case's own
+        checkpoint directory, or the pool's drain spool) and report
+        ``drained`` results. Queued cases that never started are marked
+        evicted with a ``drained before dispatch`` detail. Cases still
+        running when the timeout lapses are *not* left unresolved: their
+        workers are terminated and the cases surface as terminal
+        ``evicted`` results carrying the worker's last flight-recorder
+        dump, so every admitted case has exactly one terminal status.
+        The loop is closed afterwards.
         """
         for queued in self.queue.clear():
-            request = queued.request
-            self.metrics.counter("serving.evicted").inc()
-            self._close_case_span(
-                request.case_id, status=STATUS_EVICTED, where="drain"
-            )
-            self.results[request.case_id] = CaseResult(
-                case_id=request.case_id,
-                status=STATUS_EVICTED,
-                detail="drained before dispatch",
+            self._terminate(
+                queued.request,
+                STATUS_EVICTED,
+                "drained before dispatch",
+                where="drain",
                 queue_seconds=queued.waited(),
             )
         deadline = time.monotonic() + timeout
@@ -1145,39 +1112,30 @@ class ShardGateway:
                 self._record(shard, result)
         for shard in self.live_shards():
             for handle in list(shard.pool.busy_workers()):
+                # Stragglers that missed the drain window: terminate and
+                # surface a terminal eviction instead of silently
+                # dropping the case — the one outcome a drain must never
+                # produce.
                 request = handle.busy
                 handle.busy = None
                 if handle.process.is_alive():
                     handle.process.terminate()
                     handle.process.join(timeout=2.0)
+                self._dump_flight(
+                    "drain timeout",
+                    case=request.case_id,
+                    shard=shard.shard_id,
+                    worker=handle.worker_id,
+                )
                 for member in request_members(request):
-                    self._inflight.pop(member.case_id, None)
-                    self.metrics.counter("serving.evicted").inc()
-                    if self.telemetry:
-                        self.metrics.counter("telemetry.frames_lost").inc()
-                    self._close_case_span(
-                        member.case_id,
-                        status=STATUS_EVICTED,
-                        where="drain-timeout",
-                        telemetry_lost=True,
-                    )
-                    self.flight.note(
-                        "case.evicted",
-                        case=member.case_id,
+                    self._terminate(
+                        member,
+                        STATUS_EVICTED,
+                        f"missed drain timeout ({timeout:.1f} s); "
+                        f"worker {handle.worker_id} terminated",
                         where="drain-timeout",
                         shard=shard.shard_id,
-                    )
-                    self.results[member.case_id] = CaseResult(
-                        case_id=member.case_id,
-                        status=STATUS_EVICTED,
-                        detail=(
-                            f"missed drain timeout ({timeout:.1f} s); "
-                            f"worker {handle.worker_id} terminated"
-                        ),
                         worker=handle.worker_id,
-                        attempts=self._attempts.get(member.case_id, 1),
-                        checkpoint=member.checkpoint_dir,
-                        flight_dump=self._worker_flight_dump(handle.worker_id),
                     )
         self.metrics.counter("serving.drains").inc()
         self._closed = True
@@ -1195,7 +1153,7 @@ class ShardGateway:
     # -- reporting ------------------------------------------------------------
 
     def summary_table(self) -> str:
-        """Per-case summary plus the fleet footer and SLO table."""
+        """Per-case summary (status, worker, timings, cache), fleet footer, SLOs."""
         if not self.results:
             return "(no cases served)"
         rows = []
@@ -1227,18 +1185,18 @@ class ShardGateway:
                 "detail",
             ],
             rows,
-            title="Gateway serving summary",
+            title=self.summary_title,
         )
-        served = sum(1 for r in self.results.values() if r.ok)
-        deaths = sum(s.pool.deaths for s in self.shards.values())
         live = self.live_shards()
-        table += (
-            f"\n  served: {served}/{len(self.results)}"
-            f" | shards: {len(live)}/{len(self.shards)} up"
-            f" | workers: {sum(s.pool.n_workers for s in live)}"
-            f" | worker deaths: {deaths}"
-            f" | shard deaths: {int(self.metrics.value('serving.shard_deaths', 0))}"
-            f" | shed: {int(self.metrics.value('serving.shed', 0))}"
+        table += "\n  " + self.summary_footer.format(
+            ok=sum(1 for r in self.results.values() if r.ok),
+            n=len(self.results),
+            live=len(live),
+            shards=len(self.shards),
+            workers=sum(s.pool.n_workers for s in live),
+            deaths=sum(s.pool.deaths for s in self.shards.values()),
+            shard_deaths=int(self.metrics.value("serving.shard_deaths", 0)),
+            shed=int(self.metrics.value("serving.shed", 0)),
         )
         throughput = self.metrics.value("serving.throughput_scans_per_s", 0.0)
         if throughput:

@@ -820,7 +820,6 @@ class SessionWorkerPool:
         self.deaths = 0
         self.respawns = 0
         self.dead = False
-        self._next_id = n_workers
         self._crash_counts: dict[int, int] = {}
         self._respawn_due: dict[int, float] = {}
         for worker_id in range(n_workers):
@@ -867,33 +866,6 @@ class SessionWorkerPool:
 
     def busy_workers(self) -> list[WorkerHandle]:
         return [w for w in self.workers if not w.idle]
-
-    # -- elasticity -----------------------------------------------------------
-
-    def add_worker(self) -> WorkerHandle:
-        """Grow the pool by one fresh worker (autoscale-up)."""
-        worker_id = self._next_id
-        self._next_id += 1
-        handle = self._spawn(worker_id)
-        self.workers.append(handle)
-        return handle
-
-    def remove_worker(self) -> int | None:
-        """Retire one idle worker (autoscale-down); returns its id.
-
-        Busy workers are never retired — shrink waits for idleness. When
-        no worker is idle, returns ``None`` and removes nothing.
-        """
-        for handle in reversed(self.workers):
-            if handle.idle and handle.alive:
-                handle.task_queue.put(("stop",))
-                self.workers.remove(handle)
-                self.heartbeats.pop(handle.worker_id, None)
-                handle.process.join(timeout=2.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                return handle.worker_id
-        return None
 
     # -- dispatch ------------------------------------------------------------
 

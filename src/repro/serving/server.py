@@ -1,93 +1,54 @@
-"""The session server: admission -> scheduling -> worker pool -> results.
+"""The session server: one worker pool behind the serving control loop.
 
 :class:`SessionServer` multiplexes concurrent surgical cases over a
-:class:`repro.serving.SessionWorkerPool`. The control loop is
-single-threaded and runs in the caller (:meth:`SessionServer.run`), so
-serving is deterministic and trivially testable; the concurrency lives
-in the worker processes.
+single :class:`repro.serving.SessionWorkerPool`. It has no loop of its
+own: it is :class:`repro.serving.ShardGateway` — admission, dispatch,
+collection, deadline eviction, re-admission after a worker death (a
+durable case resumes from its journal; committed scans are *not*
+recomputed), drain — configured with one shard and the single-host
+policy below. Every method of the loop resolves to the gateway's.
 
-Per iteration the loop: evicts queued cases whose deadline expired,
-dispatches queued cases onto idle workers (scheduler policy + preop
-affinity), collects finished results, terminates+evicts running cases
-past their deadline, and re-admits cases interrupted by a worker death
-(durable cases resume from their journal — committed scans are *not*
-recomputed). Every transition lands in the metrics registry
-(``serving.*``) and as events on the ambient tracer.
+What the configuration fixes, all as constructor data or class-level
+labels (DESIGN.md "Serving" has the table and the reasons):
+
+* **never sheds** — an all-infinite :class:`repro.serving.SheddingLadder`.
+  Callers pre-queue whole bursts (``queue_capacity=len(requests)``) and
+  compare the served fields bit-for-bit against a serial session; a
+  ladder that reads queue fill as distress would degrade them.
+* **re-admits at once** — ``retry_base_s=0``: there is no sibling shard
+  to let recover, so backoff would only add latency.
+* **no hang detection** — ``hang_timeout_s=inf``: a case's only bound is
+  its own deadline, as before the gateway existed.
+* its own names: ``server`` tracer / ``server.json`` flight dump,
+  ``worker-N`` trace lanes, "Serving summary" with the short footer.
 """
 
 from __future__ import annotations
 
-import tempfile
-import time
-from pathlib import Path
+import math
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SCAN_TOTAL, SLOTracker
-from repro.obs.telemetry import TraceContext, graft_frame
-from repro.obs.trace import Tracer, get_tracer
-from repro.serving.admission import AdmissionQueue, ServiceEstimator
+from repro.obs.trace import Tracer
+from repro.serving.admission import SheddingLadder
+from repro.serving.gateway import ShardGateway
 from repro.serving.pool import SessionWorkerPool
-from repro.serving.protocol import (
-    STATUS_EVICTED,
-    STATUS_FAILED,
-    STATUS_REJECTED,
-    BatchRequest,
-    CaseRequest,
-    CaseResult,
-    request_members,
-)
-from repro.serving.scheduler import CoalescingWindow, Scheduler
-from repro.util import ValidationError, format_table
 
 
-class SessionServer:
-    """Concurrent multi-patient serving of surgical sessions.
+class SessionServer(ShardGateway):
+    """Concurrent multi-patient serving of surgical sessions on one pool.
 
-    Parameters
-    ----------
-    n_workers:
-        Size of the worker process pool.
-    queue_capacity:
-        Bound of the admission queue (backpressure boundary).
-    policy:
-        Case-ordering policy: ``"fifo"`` or ``"deadline"`` (EDF).
-    max_attempts:
-        Dispatch attempts per case before a worker-death loop marks it
-        failed (>= 1).
-    metrics / tracer:
-        Observability hooks; a private registry / the ambient tracer
-        are used when omitted. With ``telemetry`` on and no tracer
-        given, the server creates its own enabled tracer (labelled
-        ``"server"``) so the unified cross-process trace exists without
-        any caller wiring.
-    telemetry:
-        When on (the default), every admitted case gets a ``serve.case``
-        span covering queue wait through terminal record; requests are
-        stamped with a :class:`repro.obs.telemetry.TraceContext` at
-        dispatch; worker telemetry frames are grafted into the server
-        trace and merged into the server registry; budget verdicts feed
-        the :attr:`slo` tracker; and flight-recorder rings (one per
-        worker, one for the server control plane) are persisted under
-        :attr:`flight_dir`. ``False`` serves dark — the pre-telemetry
-        fast path, every hook skipped.
-    flight_dir:
-        Directory for flight-recorder dumps (workers spool
-        ``worker-<id>.json`` after every scan; the server dumps
-        ``server.json`` on evictions, deaths and failures). A temp
-        directory is created when omitted and telemetry is on.
-    start_method / drain_dir:
-        Forwarded to :class:`repro.serving.SessionWorkerPool`.
-    coalesce_window_s / coalesce_max_batch:
-        Scheduler coalescing (off by default). With a positive window,
-        dispatchable cases sharing a ``preop_key`` are held up to
-        ``coalesce_window_s`` seconds so up to ``coalesce_max_batch`` of
-        them leave as one :class:`repro.serving.BatchRequest` — the
-        worker then drives their scans through the batched multi-RHS
-        solve path against one shared patient model. A window that
-        expires with a single case dispatches serially, bit-identically
-        to coalescing off.
+    ``n_workers`` is the size of the worker process pool; every other
+    parameter is :class:`repro.serving.ShardGateway`'s of the same name
+    (defaults differ: a 16-case queue and 2 dispatch attempts).
     """
+
+    label = "server"
+    lane = "worker-{worker}"
+    worker_desc = "worker {worker}"
+    summary_title = "Serving summary"
+    summary_footer = (
+        "completed: {ok}/{n} | workers: {workers} | worker deaths: {deaths}"
+    )
 
     def __init__(
         self,
@@ -104,666 +65,26 @@ class SessionServer:
         coalesce_window_s: float = 0.0,
         coalesce_max_batch: int = 4,
     ):
-        if max_attempts < 1:
-            raise ValidationError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.telemetry = bool(telemetry)
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.telemetry:
-            self.tracer = Tracer(process_label="server")
-        else:
-            self.tracer = None
-        self.slo = SLOTracker(metrics=self.metrics) if self.telemetry else None
-        if self.telemetry:
-            self.flight_dir = (
-                flight_dir
-                if flight_dir is not None
-                else tempfile.mkdtemp(prefix="repro-serving-flight-")
-            )
-            self.flight = FlightRecorder(label="server")
-        else:
-            self.flight_dir = flight_dir
-            self.flight = FlightRecorder(enabled=False)
-        self.estimator = ServiceEstimator()
-        self.queue = AdmissionQueue(queue_capacity, self.estimator)
-        self.scheduler = Scheduler(policy)
-        self.coalescer = CoalescingWindow(coalesce_window_s, coalesce_max_batch)
-        self.pool = SessionWorkerPool(
-            n_workers, start_method=start_method, drain_dir=drain_dir
-        )
-        self.max_attempts = int(max_attempts)
-        self.results: dict[str, CaseResult] = {}
-        self._respawns_seen = 0
-        self._attempts: dict[str, int] = {}
-        self._admitted_at: dict[str, float] = {}
-        self._known_keys: set[str] = set()
-        self._case_spans: dict[str, object] = {}
-        self._closed = False
-
-    def _trace(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
-
-    # -- per-case span bookkeeping (telemetry) -------------------------------
-
-    def _open_case_span(self, request: CaseRequest) -> None:
-        if not self.telemetry:
-            return
-        self._case_spans[request.case_id] = self._trace().open_span(
-            "serve.case",
-            kind="serving",
-            case_id=request.case_id,
-            n_scans=request.n_scans,
+        super().__init__(
+            n_shards=1,
+            workers_per_shard=n_workers,
+            queue_capacity=queue_capacity,
+            policy=policy,
+            max_attempts=max_attempts,
+            shedding=SheddingLadder(math.inf, math.inf, math.inf, math.inf),
+            retry_base_s=0.0,
+            hang_timeout_s=math.inf,
+            metrics=metrics,
+            tracer=tracer,
+            telemetry=telemetry,
+            flight_dir=flight_dir,
+            start_method=start_method,
+            drain_dir=drain_dir,
+            coalesce_window_s=coalesce_window_s,
+            coalesce_max_batch=coalesce_max_batch,
         )
 
-    def _close_case_span(self, case_id: str, **attrs) -> None:
-        span = self._case_spans.pop(case_id, None)
-        if span is not None:
-            span.close(**attrs)
-
-    def _case_span_id(self, case_id: str):
-        span = self._case_spans.get(case_id)
-        record = getattr(span, "record", None)
-        return None if record is None else record.span_id
-
-    def _dump_server_flight(self, reason: str, **context) -> None:
-        if not self.telemetry or self.flight_dir is None:
-            return
-        self.flight.dump(
-            Path(self.flight_dir) / "server.json", reason, context=context
-        )
-
-    # -- submission ----------------------------------------------------------
-
-    def submit(self, request: CaseRequest) -> CaseResult | None:
-        """Offer a case for admission.
-
-        Returns ``None`` when the case was admitted (its terminal
-        :class:`CaseResult` will appear in :attr:`results` after
-        :meth:`run`), or the immediate ``rejected`` result when
-        backpressure or the deadline-feasibility verdict refused it.
-        """
-        if self._closed:
-            raise ValidationError("server is shut down")
-        if request.case_id in self.results or any(
-            q.request.case_id == request.case_id for q in self.queue.items()
-        ):
-            raise ValidationError(f"duplicate case_id {request.case_id!r}")
-        backlog = self._backlog_seconds()
-        preop_cached = request.preop_key() in self._known_keys
-        admitted, verdict, detail = self.queue.admit(
-            request, backlog_seconds=backlog, preop_cached=preop_cached
-        )
-        self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-        if not admitted:
-            self.metrics.counter("serving.rejected").inc()
-            self.flight.note("case.rejected", case=request.case_id, detail=detail)
-            self._trace().event(
-                "serving.rejected", case=request.case_id, detail=detail
-            )
-            result = CaseResult(
-                case_id=request.case_id, status=STATUS_REJECTED, detail=detail
-            )
-            self.results[request.case_id] = result
-            return result
-        self.metrics.counter("serving.admitted").inc()
-        self._admitted_at[request.case_id] = time.monotonic()
-        self._attempts.setdefault(request.case_id, 0)
-        self._open_case_span(request)
-        self.flight.note(
-            "case.admitted", case=request.case_id, queue_depth=len(self.queue)
-        )
-        self._trace().event(
-            "serving.admitted",
-            case=request.case_id,
-            verdict=verdict.label if verdict is not None else "ok",
-            queue_depth=len(self.queue),
-        )
-        return None
-
-    def _backlog_seconds(self) -> float:
-        """Estimated seconds of work queued or running ahead of a new case."""
-        est = self.estimator
-        total = 0.0
-        for queued in self.queue.items():
-            total += est.case_seconds(queued.request.n_scans, preop_cached=False)
-        for handle in self.pool.busy_workers():
-            total += est.case_seconds(handle.busy.n_scans, preop_cached=True) / 2.0
-        return total
-
-    # -- the control loop ----------------------------------------------------
-
-    def run(self, poll_seconds: float = 0.05) -> dict[str, CaseResult]:
-        """Serve until the queue is empty and every worker is idle.
-
-        Returns :attr:`results` (case_id -> terminal result). Safe to
-        call repeatedly: each call serves whatever was submitted since
-        the last one.
-        """
-        if self._closed:
-            raise ValidationError("server is shut down")
-        t0 = time.perf_counter()
-        scans_before = self.metrics.value("serving.scans", 0.0)
-        with self._trace().span("serve.run", kind="serving") as span:
-            while len(self.queue) or self.pool.busy_workers():
-                self._evict_expired_queued()
-                self._dispatch_ready()
-                for result in self.pool.poll_results(timeout=poll_seconds):
-                    self._record(result)
-                self._enforce_running_deadlines()
-                self._handle_deaths()
-                self.pool.maintain()
-                self._sync_respawns()
-            elapsed = time.perf_counter() - t0
-            scans = self.metrics.value("serving.scans", 0.0) - scans_before
-            if elapsed > 0 and scans:
-                self.metrics.gauge("serving.throughput_scans_per_s").set(
-                    scans / elapsed
-                )
-            span.set(seconds=elapsed, scans=int(scans))
-        return self.results
-
-    def _sync_respawns(self) -> None:
-        """Mirror the pool's respawn count into ``serving.respawn``."""
-        if self.pool.respawns > self._respawns_seen:
-            self.metrics.counter("serving.respawn").inc(
-                self.pool.respawns - self._respawns_seen
-            )
-            self._respawns_seen = self.pool.respawns
-
-    def _evict_expired_queued(self) -> None:
-        for queued in self.queue.evict_expired():
-            request = queued.request
-            self.metrics.counter("serving.evicted").inc()
-            self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-            self._close_case_span(
-                request.case_id, status=STATUS_EVICTED, where="queued"
-            )
-            self.flight.note(
-                "case.evicted", case=request.case_id, where="queued"
-            )
-            self._dump_server_flight(
-                "deadline eviction", case=request.case_id, where="queued"
-            )
-            self._trace().event(
-                "serving.evicted", case=request.case_id, where="queued"
-            )
-            self.results[request.case_id] = CaseResult(
-                case_id=request.case_id,
-                status=STATUS_EVICTED,
-                detail=(
-                    f"deadline {request.deadline_s:.1f} s expired after "
-                    f"{queued.waited():.1f} s in queue"
-                ),
-                queue_seconds=queued.waited(),
-                attempts=self._attempts.get(request.case_id, 0),
-            )
-
-    def _dispatch_ready(self) -> None:
-        held: set[str] = set()
-        while len(self.queue) > len(held):
-            idle = self.pool.idle_workers()
-            if not idle:
-                return
-            items = self.queue.items()
-            candidates = [
-                i for i, q in enumerate(items) if q.request.case_id not in held
-            ]
-            index = candidates[
-                self.scheduler.next_index([items[i] for i in candidates])
-            ]
-            key = items[index].request.preop_key()
-            if self.scheduler.should_hold(idle, self.pool.busy_workers(), key):
-                # Single-flight: the model is being built on a busy
-                # worker — wait for it instead of rebuilding elsewhere.
-                held.add(items[index].request.case_id)
-                continue
-            if self.coalescer.enabled:
-                group = [
-                    i for i in candidates if items[i].request.preop_key() == key
-                ]
-                now = time.monotonic()
-                self.coalescer.observe(key, now)
-                if not self.coalescer.ready(key, len(group), now):
-                    # Window still open: hold the whole same-patient
-                    # cohort so more members can join; other keys
-                    # dispatch around it.
-                    held.update(items[i].request.case_id for i in group)
-                    continue
-                self.coalescer.clear(key)
-                if len(group) >= 2:
-                    self._dispatch_batch(group, idle, key)
-                    continue
-                # Window expired with one case: fall through to the
-                # ordinary serial dispatch, bit-identically.
-            queued = self.queue.pop(index)
-            request = queued.request
-            handle = self.scheduler.pick_worker(idle, request.preop_key())
-            self._attempts[request.case_id] = self._attempts.get(request.case_id, 0) + 1
-            self._known_keys.add(request.preop_key())
-            if self.telemetry:
-                # Stamp the trace context at the dispatch instant: the
-                # anchor aligns the worker's clock origin with *now* on
-                # the server clock, so grafted spans land where the
-                # worker actually ran. Re-dispatch after a death
-                # re-stamps with a fresh anchor.
-                request.trace_context = TraceContext.from_tracer(
-                    self._trace(),
-                    parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"worker-{handle.worker_id}",
-                )
-                request.flight_dir = self.flight_dir
-            self.pool.dispatch(handle, request)
-            handle.busy_deadline = queued.deadline_monotonic
-            wait = queued.waited()
-            self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-            self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-            if self.slo is not None:
-                self.slo.observe("queue wait", wait, target=None)
-            self.flight.note(
-                "case.dispatch",
-                case=request.case_id,
-                worker=handle.worker_id,
-                waited=wait,
-            )
-            self._trace().event(
-                "serving.dispatch",
-                case=request.case_id,
-                worker=handle.worker_id,
-                attempt=self._attempts[request.case_id],
-                waited=wait,
-            )
-
-    def _dispatch_batch(self, indices: list[int], idle: list, key: str) -> None:
-        """Pop a same-patient cohort and dispatch it as one batch.
-
-        ``indices`` are queue positions of dispatchable cases sharing
-        ``key``; the first ``coalesce_max_batch`` of them (queue order)
-        leave together as a :class:`BatchRequest` onto one affine
-        worker. Each member keeps its own trace context, attempt count
-        and deadline — the worker evicts expired members between solve
-        rounds, while the server-side kill switch fires only once the
-        whole batch is past its latest member deadline.
-        """
-        take = sorted(indices)[: self.coalescer.max_batch]
-        queued_members = [self.queue.pop(i) for i in sorted(take, reverse=True)]
-        queued_members.reverse()  # restore admission order
-        handle = self.scheduler.pick_worker(idle, key)
-        requests = []
-        for queued in queued_members:
-            request = queued.request
-            self._attempts[request.case_id] = (
-                self._attempts.get(request.case_id, 0) + 1
-            )
-            self._known_keys.add(key)
-            if self.telemetry:
-                request.trace_context = TraceContext.from_tracer(
-                    self._trace(),
-                    parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"worker-{handle.worker_id}",
-                )
-                request.flight_dir = self.flight_dir
-            requests.append(request)
-        deadlines = [q.deadline_monotonic for q in queued_members]
-        batch = BatchRequest(members=requests, deadline_monotonics=deadlines)
-        self.pool.dispatch(handle, batch)
-        handle.busy_deadline = (
-            max(deadlines) if all(d is not None for d in deadlines) else None
-        )
-        self.metrics.counter("serving.batches").inc()
-        self.metrics.histogram("serving.batch_width").observe(float(len(requests)))
-        self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-        for queued, request in zip(queued_members, requests):
-            wait = queued.waited()
-            self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-            if self.slo is not None:
-                self.slo.observe("queue wait", wait, target=None)
-            self.flight.note(
-                "case.dispatch",
-                case=request.case_id,
-                worker=handle.worker_id,
-                waited=wait,
-                batch=batch.batch_id,
-            )
-            self._trace().event(
-                "serving.dispatch",
-                case=request.case_id,
-                worker=handle.worker_id,
-                attempt=self._attempts[request.case_id],
-                waited=wait,
-                batch=batch.batch_id,
-            )
-
-    def _record(self, result: CaseResult) -> None:
-        result.attempts = self._attempts.get(result.case_id, 1)
-        admitted = self._admitted_at.get(result.case_id)
-        if admitted is not None:
-            result.queue_seconds = max(
-                0.0, time.monotonic() - admitted - result.service_seconds
-            )
-        self.results[result.case_id] = result
-        m = self.metrics
-        m.counter(f"serving.{result.status}").inc()
-        m.histogram("serving.case_seconds").observe(result.service_seconds)
-        m.counter("serving.scans").inc(len([s for s in result.scans if not s.restored]))
-        if result.preop_cache_hit:
-            m.counter("serving.preop_cache_hits").inc()
-        elif result.preop_seconds > 0:
-            self.estimator.observe_preop(result.preop_seconds)
-        for outcome in result.scans:
-            if not outcome.restored:
-                self.estimator.observe_scan(outcome.seconds)
-                m.histogram("serving.scan_seconds").observe(outcome.seconds)
-        self._absorb_telemetry(result)
-        self.flight.note(
-            "case." + result.status,
-            case=result.case_id,
-            worker=result.worker,
-            scans=len(result.scans),
-            seconds=result.service_seconds,
-        )
-        if result.status == STATUS_FAILED:
-            self._dump_server_flight(
-                "case failed", case=result.case_id, detail=result.detail
-            )
-        self._trace().event(
-            "serving.case",
-            case=result.case_id,
-            status=result.status,
-            worker=result.worker,
-            scans=len(result.scans),
-            seconds=result.service_seconds,
-        )
-
-    def _absorb_telemetry(self, result: CaseResult) -> None:
-        """Graft the worker's frame; close the case span; feed the SLOs."""
-        if not self.telemetry:
-            return
-        frame = result.telemetry
-        span_attrs = {"status": result.status, "worker": result.worker}
-        if frame is not None:
-            grafted = graft_frame(
-                self._trace(),
-                frame,
-                parent_span_id=self._case_span_id(result.case_id),
-                metrics=self.metrics,
-            )
-            self.metrics.counter("telemetry.frames").inc()
-            self.metrics.counter("telemetry.spans_grafted").inc(grafted)
-            span_attrs["worker_spans"] = grafted
-        else:
-            # The worker never replied with a frame (dark request, or
-            # the case died with its worker): the trace stays intact,
-            # the span is annotated instead of broken.
-            self.metrics.counter("telemetry.frames_lost").inc()
-            span_attrs["telemetry_lost"] = True
-        self._close_case_span(result.case_id, **span_attrs)
-        if self.slo is None:
-            return
-        self.slo.observe("case service", result.service_seconds, target=None)
-        if frame is not None and frame.verdicts:
-            for verdict in frame.verdicts:
-                self.slo.observe_verdict(verdict)
-        else:
-            # No budget verdicts came home — score the raw scan timings
-            # against the whole-scan budget so the SLO still sees them.
-            for outcome in result.scans:
-                if not outcome.restored:
-                    self.slo.observe(SCAN_TOTAL, outcome.seconds)
-
-    def _enforce_running_deadlines(self) -> None:
-        now = time.monotonic()
-        for handle in list(self.pool.busy_workers()):
-            if handle.busy_deadline is None or now <= handle.busy_deadline:
-                continue
-            request = self.pool.terminate_worker(handle.worker_id)
-            if request is None:
-                continue
-            members = request_members(request)
-            batch_id = request.case_id if isinstance(request, BatchRequest) else None
-            self._dump_server_flight(
-                "deadline eviction",
-                case=request.case_id,
-                where="running",
-                worker=handle.worker_id,
-            )
-            # The batch deadline is max(member deadlines), so when it
-            # fires every member's own deadline has expired too: each
-            # surfaces its own eviction. The killed worker can't ship a
-            # frame; its last per-scan flight spool is the post-mortem.
-            for member in members:
-                self.metrics.counter("serving.evicted").inc()
-                if self.telemetry:
-                    self.metrics.counter("telemetry.frames_lost").inc()
-                self._close_case_span(
-                    member.case_id,
-                    status=STATUS_EVICTED,
-                    where="running",
-                    telemetry_lost=True,
-                )
-                self.flight.note(
-                    "case.evicted",
-                    case=member.case_id,
-                    where="running",
-                    worker=handle.worker_id,
-                )
-                self._trace().event(
-                    "serving.evicted", case=member.case_id, where="running"
-                )
-                self.results[member.case_id] = CaseResult(
-                    case_id=member.case_id,
-                    status=STATUS_EVICTED,
-                    detail=(
-                        f"deadline {member.deadline_s:.1f} s expired "
-                        "mid-service; worker terminated"
-                    ),
-                    worker=handle.worker_id,
-                    attempts=self._attempts.get(member.case_id, 1),
-                    checkpoint=member.checkpoint_dir,
-                    flight_dump=self._worker_flight_dump(handle.worker_id),
-                    batch_id=batch_id,
-                    batch_size=len(members),
-                )
-
-    def _worker_flight_dump(self, worker_id: int) -> str | None:
-        """Path of a worker's persisted flight ring, when one exists."""
-        if self.flight_dir is None:
-            return None
-        spool = Path(self.flight_dir) / f"worker-{worker_id}.json"
-        return str(spool) if spool.is_file() else None
-
-    def _handle_deaths(self) -> None:
-        for worker_id, request in self.pool.reap():
-            self.metrics.counter("serving.worker_deaths").inc()
-            self.flight.note(
-                "worker.death",
-                worker=worker_id,
-                case=None if request is None else request.case_id,
-            )
-            self._dump_server_flight(
-                "worker death",
-                worker=worker_id,
-                case=None if request is None else request.case_id,
-            )
-            self._trace().event(
-                "serving.worker_death",
-                worker=worker_id,
-                case=None if request is None else request.case_id,
-            )
-            if request is None:
-                continue
-            # A death takes down every member of a dispatched batch;
-            # each member is judged (and re-admitted) individually, so
-            # one member exhausting its budget doesn't fail the others.
-            for member in request_members(request):
-                span = self._case_spans.get(member.case_id)
-                if span is not None:
-                    span.event("worker.death", worker=worker_id)
-                attempts = self._attempts.get(member.case_id, 1)
-                if attempts >= self.max_attempts:
-                    self.metrics.counter("serving.failed").inc()
-                    if self.telemetry:
-                        self.metrics.counter("telemetry.frames_lost").inc()
-                    self._close_case_span(
-                        member.case_id,
-                        status=STATUS_FAILED,
-                        worker=worker_id,
-                        telemetry_lost=True,
-                    )
-                    self.results[member.case_id] = CaseResult(
-                        case_id=member.case_id,
-                        status=STATUS_FAILED,
-                        detail=(
-                            f"worker {worker_id} died; re-admission "
-                            f"budget exhausted ({attempts} attempts)"
-                        ),
-                        worker=worker_id,
-                        attempts=attempts,
-                        checkpoint=member.checkpoint_dir,
-                        flight_dump=self._worker_flight_dump(worker_id),
-                    )
-                    continue
-                # Re-admission goes to the head of the queue: a durable
-                # case resumes from its journal (committed scans come
-                # back restored, only the remainder is recomputed). Its
-                # serve.case span stays open — still in flight.
-                self.metrics.counter("serving.readmitted").inc()
-                self.queue.requeue_front(member)
-                self._trace().event(
-                    "serving.readmitted",
-                    case=member.case_id,
-                    attempt=attempts + 1,
-                )
-
-    # -- drain / shutdown ----------------------------------------------------
-
-    def drain(self, timeout: float = 60.0) -> dict[str, CaseResult]:
-        """Gracefully stop: checkpoint in-flight cases, then shut down.
-
-        Busy workers finish their current scan, checkpoint the session
-        through :class:`repro.persist.SessionStore` (the case's own
-        checkpoint directory, or the pool's drain spool) and report
-        ``drained`` results. Queued cases that never started are marked
-        evicted with a ``drained before dispatch`` detail. Cases still
-        running when the timeout lapses are *not* left unresolved: their
-        workers are terminated and the cases surface as terminal
-        ``evicted`` results carrying the worker's last flight-recorder
-        dump, so every admitted case has exactly one terminal status.
-        The server is closed afterwards.
-        """
-        for queued in self.queue.clear():
-            request = queued.request
-            self.metrics.counter("serving.evicted").inc()
-            self._close_case_span(
-                request.case_id, status=STATUS_EVICTED, where="drain"
-            )
-            self.results[request.case_id] = CaseResult(
-                case_id=request.case_id,
-                status=STATUS_EVICTED,
-                detail="drained before dispatch",
-                queue_seconds=queued.waited(),
-            )
-        for result in self.pool.drain(timeout=timeout):
-            self._record(result)
-        for handle in list(self.pool.busy_workers()):
-            # Stragglers that missed the drain window: terminate and
-            # surface a terminal eviction instead of silently dropping
-            # the case — the one outcome a drain must never produce.
-            request = handle.busy
-            handle.busy = None
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            self._dump_server_flight(
-                "drain timeout",
-                case=request.case_id,
-                worker=handle.worker_id,
-            )
-            for member in request_members(request):
-                self.metrics.counter("serving.evicted").inc()
-                if self.telemetry:
-                    self.metrics.counter("telemetry.frames_lost").inc()
-                self._close_case_span(
-                    member.case_id,
-                    status=STATUS_EVICTED,
-                    where="drain-timeout",
-                    telemetry_lost=True,
-                )
-                self.flight.note(
-                    "case.evicted",
-                    case=member.case_id,
-                    where="drain-timeout",
-                    worker=handle.worker_id,
-                )
-                self.results[member.case_id] = CaseResult(
-                    case_id=member.case_id,
-                    status=STATUS_EVICTED,
-                    detail=(
-                        f"missed drain timeout ({timeout:.1f} s); "
-                        f"worker {handle.worker_id} terminated"
-                    ),
-                    worker=handle.worker_id,
-                    attempts=self._attempts.get(member.case_id, 1),
-                    checkpoint=member.checkpoint_dir,
-                    flight_dump=self._worker_flight_dump(handle.worker_id),
-                )
-        self.metrics.counter("serving.drains").inc()
-        self._closed = True
-        return self.results
-
-    def shutdown(self) -> None:
-        """Stop the pool immediately (no checkpointing)."""
-        for case_id in list(self._case_spans):
-            self._close_case_span(case_id, status="shutdown")
-        self.pool.shutdown()
-        self._closed = True
-
-    # -- reporting -----------------------------------------------------------
-
-    def summary_table(self) -> str:
-        """Per-case serving summary (status, worker, timings, cache)."""
-        if not self.results:
-            return "(no cases served)"
-        rows = []
-        for case_id in sorted(self.results):
-            r = self.results[case_id]
-            rows.append(
-                [
-                    case_id,
-                    r.status,
-                    "-" if r.worker is None else r.worker,
-                    len(r.scans),
-                    f"{r.queue_seconds:.2f}",
-                    f"{r.service_seconds:.2f}",
-                    r.attempts,
-                    "hit" if r.preop_cache_hit else "miss",
-                    r.detail,
-                ]
-            )
-        table = format_table(
-            [
-                "case",
-                "status",
-                "worker",
-                "scans",
-                "queued (s)",
-                "service (s)",
-                "attempts",
-                "preop",
-                "detail",
-            ],
-            rows,
-            title="Serving summary",
-        )
-        throughput = self.metrics.value("serving.throughput_scans_per_s", 0.0)
-        completed = sum(1 for r in self.results.values() if r.ok)
-        table += (
-            f"\n  completed: {completed}/{len(self.results)}"
-            f" | workers: {self.pool.n_workers}"
-            f" | worker deaths: {self.pool.deaths}"
-        )
-        if throughput:
-            table += f" | throughput: {throughput:.3f} scans/s"
-        if self.slo is not None and self.slo.summary()["series"]:
-            table += "\n\n" + self.slo.table()
-        return table
+    @property
+    def pool(self) -> SessionWorkerPool:
+        """The single worker pool (shard 0's)."""
+        return self.shards[0].pool

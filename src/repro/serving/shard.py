@@ -1,4 +1,4 @@
-"""Sharding primitives: consistent-hash ring, shard handles, autoscaling.
+"""Sharding primitives: consistent-hash ring and shard handles.
 
 A *shard* is one independent :class:`repro.serving.SessionWorkerPool` —
 a group of worker processes standing in for a host. Cases are routed to
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
 
 from repro.serving.pool import SessionWorkerPool
 from repro.util import ValidationError
@@ -115,70 +114,6 @@ class ConsistentHashRing:
     def table(self, keys) -> dict[str, int]:
         """Routing of every key in ``keys`` (assignment snapshot)."""
         return {key: self.route(key) for key in keys}
-
-
-@dataclass
-class AutoscalePolicy:
-    """Per-shard worker elasticity bounds and triggers.
-
-    The gateway evaluates :meth:`decide` for each live shard once per
-    control-loop tick (subject to ``cooldown_s`` between actions on the
-    same shard):
-
-    * **Grow** when the shard's routed backlog exceeds
-      ``backlog_per_worker`` cases per current worker and the shard is
-      below ``max_workers``.
-    * **Shrink** when the shard has been completely idle (no backlog, no
-      busy worker) for ``idle_shrink_s`` and is above ``min_workers``.
-
-    Growth reacts to queue depth rather than service-time estimates
-    because depth is exact and instantaneous; the EWMA service estimate
-    still shapes *admission* (shedding) where prediction is required.
-    """
-
-    min_workers: int = 1
-    max_workers: int = 4
-    backlog_per_worker: float = 2.0
-    idle_shrink_s: float = 10.0
-    cooldown_s: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.min_workers < 1:
-            raise ValidationError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers < self.min_workers:
-            raise ValidationError(
-                f"max_workers {self.max_workers} < min_workers {self.min_workers}"
-            )
-        if self.backlog_per_worker <= 0:
-            raise ValidationError(
-                f"backlog_per_worker must be > 0, got {self.backlog_per_worker}"
-            )
-
-    def decide(
-        self,
-        n_workers: int,
-        backlog_cases: int,
-        busy_workers: int,
-        idle_for_s: float,
-    ) -> int:
-        """+1 to grow, -1 to shrink, 0 to hold."""
-        if n_workers < self.min_workers:
-            return 1
-        if (
-            n_workers < self.max_workers
-            and backlog_cases > self.backlog_per_worker * n_workers
-        ):
-            return 1
-        if (
-            n_workers > self.min_workers
-            and busy_workers == 0
-            and backlog_cases == 0
-            and idle_for_s >= self.idle_shrink_s
-        ):
-            return -1
-        return 0
 
 
 class Shard:

@@ -45,7 +45,6 @@ from repro.resilience.faults import ServingFaultPlan
 from repro.serving.admission import SheddingLadder
 from repro.serving.gateway import ShardGateway
 from repro.serving.protocol import SERVED_STATUSES, CaseRequest
-from repro.serving.shard import AutoscalePolicy
 from repro.util import ValidationError, format_table
 
 #: Default injected-fault schedule, keyed by gateway dispatch ordinal:
@@ -258,7 +257,6 @@ def run_soak(
     durable_every: int = 2,
     checkpoint_root: str | None = None,
     faults: str | ServingFaultPlan | None = DEFAULT_FAULTS,
-    autoscale: AutoscalePolicy | None = None,
     shedding: SheddingLadder | None = None,
     max_attempts: int = 3,
     seed: int = 7,
@@ -291,7 +289,6 @@ def run_soak(
         workers_per_shard=workers_per_shard,
         queue_capacity=queue_capacity,
         max_attempts=max_attempts,
-        autoscale=autoscale,
         shedding=shedding,
         serving_faults=faults,
     )

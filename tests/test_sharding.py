@@ -1,8 +1,8 @@
-"""Sharded-serving tests: ring, shedding, autoscale, faults, gateway drills.
+"""Sharded-serving tests: ring, shedding, faults, gateway drills.
 
 The cheap half exercises the sharding control plane in-process: the
 consistent-hash ring's determinism and minimal-disruption property, the
-load-shedding ladder, the autoscale policy, serving-fault-plan parsing,
+load-shedding ladder, serving-fault-plan parsing,
 the forced-degradation floor, and the pool's respawn backoff. The
 expensive half runs real worker processes on tiny phantom grids: ring
 affinity through the gateway, kill-shard failover with bit-identical
@@ -32,7 +32,6 @@ from repro.resilience import (
     ServingFaultSpec,
 )
 from repro.serving import (
-    AutoscalePolicy,
     CaseRequest,
     ConsistentHashRing,
     SessionServer,
@@ -174,33 +173,6 @@ class TestSheddingLadder:
         assert ladder.pressure(0.3, backlog_seconds=18.0, n_workers=2) == pytest.approx(
             0.9
         )
-
-
-# -- autoscale policy --------------------------------------------------------
-
-
-class TestAutoscalePolicy:
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="min_workers"):
-            AutoscalePolicy(min_workers=0)
-        with pytest.raises(ValidationError, match="max_workers"):
-            AutoscalePolicy(min_workers=3, max_workers=2)
-        with pytest.raises(ValidationError, match="backlog_per_worker"):
-            AutoscalePolicy(backlog_per_worker=0.0)
-
-    def test_grow_shrink_hold(self):
-        policy = AutoscalePolicy(
-            min_workers=1, max_workers=3, backlog_per_worker=2.0, idle_shrink_s=5.0
-        )
-        grow = dict(busy_workers=1, idle_for_s=0.0)
-        assert policy.decide(n_workers=1, backlog_cases=3, **grow) == 1
-        assert policy.decide(n_workers=3, backlog_cases=99, **grow) == 0  # at max
-        assert policy.decide(n_workers=2, backlog_cases=2, **grow) == 0  # not over
-        idle = dict(backlog_cases=0, busy_workers=0)
-        assert policy.decide(n_workers=2, idle_for_s=6.0, **idle) == -1
-        assert policy.decide(n_workers=1, idle_for_s=60.0, **idle) == 0  # at min
-        assert policy.decide(n_workers=2, idle_for_s=1.0, **idle) == 0  # too soon
-        assert policy.decide(n_workers=0, backlog_cases=0, busy_workers=0, idle_for_s=0.0) == 1
 
 
 # -- serving fault plan ------------------------------------------------------
@@ -512,26 +484,6 @@ class TestShardGateway:
             assert result.status == "failed"
             assert "no live shards" in result.detail
         assert gateway.live_shards() == []
-
-    def test_autoscale_grows_under_backlog(self, patient, intraop_scans):
-        gateway = ShardGateway(
-            n_shards=1,
-            workers_per_shard=1,
-            queue_capacity=12,
-            autoscale=AutoscalePolicy(
-                min_workers=1, max_workers=2, backlog_per_worker=1.0, cooldown_s=0.0
-            ),
-        )
-        try:
-            for i in range(4):
-                assert gateway.submit(
-                    make_request(patient, intraop_scans[:1], case_id=f"scale-{i}")
-                ) is None
-            results = gateway.run()
-        finally:
-            gateway.shutdown()
-        assert all(r.ok for r in results.values())
-        assert gateway.metrics.value("serving.scale_up") >= 1
 
     def test_duplicate_and_closed_validation(self, patient, intraop_scans):
         gateway = ShardGateway(n_shards=1, workers_per_shard=1)
