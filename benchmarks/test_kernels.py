@@ -30,6 +30,7 @@ from repro.fem.assembly import (
     element_stiffness_matrices,
 )
 from repro.fem.bc import DirichletBC
+from repro.fem.context import AssemblyContext
 from repro.fem.material import BRAIN_HOMOGENEOUS
 from repro.imaging.distance import saturated_distance_transform
 from repro.imaging.resample import trilinear_sample, warp_volume
@@ -143,6 +144,54 @@ def test_kernel_symbolic_assembly(fem57, benchmark):
     # scatter, one smaller temporary and the 16 m-sized sort arrays — the
     # 144 m-pair lexsort held about seven arrays of scatter's size.
     assert peak < 3 * scatter.nbytes
+
+
+def test_kernel_numeric_assembly(fem57, benchmark):
+    """Symbolic + blocked numeric assembly: seconds, allocation peak, retained bytes."""
+    mesh, _ = fem57
+    build = lambda: AssemblyContext(mesh, BRAIN_HOMOGENEOUS)
+    benchmark.pedantic(build, rounds=3, iterations=1)
+    tracemalloc.start()
+    ctx = build()
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    K = ctx.matrix()
+    matrix_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    benchmark.extra_info.update(
+        n_elements=int(mesh.n_elements),
+        nnz=int(K.nnz),
+        matrix_bytes=int(matrix_bytes),
+        peak_bytes_allocated=int(peak),
+        retained_bytes=int(retained),
+    )
+    # The memory contract (tests/test_fem_blocked_assembly.py) at full
+    # size: the one-shot fill peaked at 13x and kept 10.6x the matrix.
+    assert peak <= 4 * matrix_bytes
+    assert retained <= 2 * matrix_bytes
+
+
+@pytest.mark.parametrize("kernel", ["matmul", "einsum"])
+def test_kernel_element_stiffness_from_B(fem57, benchmark, kernel):
+    """``V B^T D B`` as the backend's batched matmul vs the einsum it replaced."""
+    from repro.backend.numpy_backend import NumpyBackend
+    from repro.fem.element import shape_function_gradients, strain_displacement_matrices
+
+    mesh, _ = fem57
+    gradients, volumes = shape_function_gradients(mesh.element_coordinates())
+    B = strain_displacement_matrices(gradients)
+    D = BRAIN_HOMOGENEOUS.elasticity_for_elements(mesh.materials)
+    V = np.abs(volumes)
+
+    def einsum():
+        K = np.einsum("mji,mjk->mik", B, np.einsum("mij,mjk->mik", D, B))
+        K *= V[:, None, None]
+        return K
+
+    backend = NumpyBackend()
+    matmul = lambda: backend.element_stiffness_from_B(B, V, D)
+    got = benchmark.pedantic({"matmul": matmul, "einsum": einsum}[kernel], rounds=3, iterations=1)
+    benchmark.extra_info.update(n_elements=int(mesh.n_elements))
+    assert _rel_deviation(got, einsum()) <= 1e-15
 
 
 def test_kernel_block_ilu(fem57, benchmark):

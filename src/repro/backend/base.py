@@ -107,6 +107,21 @@ class ComputeBackend(abc.ABC):
         weighted bincount.
         """
 
+    def accumulate_into(
+        self, data: np.ndarray, slots: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Running form of :meth:`coo_accumulate`: ``data[slots[i]] += values[i]``.
+
+        Unbuffered and in input order (duplicates within ``slots`` all
+        land), so feeding the triplets of :meth:`coo_accumulate` through
+        this in consecutive blocks, into an array of zeros, adds the same
+        values to every slot in the same order — the bit-identity the
+        blocked stiffness fill (:func:`repro.fem.assembly.fill_csr_values`)
+        rests on. The reference is ``np.add.at`` (as fast as ``bincount``
+        from numpy 1.25); an accelerated override must keep the order.
+        """
+        np.add.at(data, slots, values)
+
     @abc.abstractmethod
     def csr_matvec(self, matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y = A @ x`` for a scipy CSR matrix (rectangular allowed).

@@ -8,10 +8,11 @@ therefore hoisted into context objects built once per patient:
 
 * :class:`AssemblyContext` — the symbolic/numeric split of global
   stiffness assembly (PETSc's ``MatAssembly`` phases): the CSR sparsity
-  pattern and the element->nonzero scatter map are *symbolic* (topology
-  only); the batched element matrices and the CSR value fill are
+  pattern and the node-pair column offsets are *symbolic* (topology
+  only); the blocked element-matrix computation and CSR value fill are
   *numeric* (geometry + materials) and can be refreshed without
-  re-deriving the pattern.
+  re-deriving the pattern. Nothing element-sized beyond ``16 m`` int32
+  is retained.
 
 * :class:`ReductionContext` — the Dirichlet elimination structure for a
   fixed constrained-DOF set (the brain-surface nodes, identical every
@@ -33,6 +34,7 @@ therefore hoisted into context objects built once per patient:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -40,13 +42,15 @@ import numpy as np
 from scipy import sparse
 
 from repro.backend import get_backend
-from repro.fem.assembly import build_csr_pattern
-from repro.fem.bc import ReducedSystem, partition_free_fixed
-from repro.fem.element import (
-    element_stiffness_from_B,
-    shape_function_gradients,
-    strain_displacement_matrices,
+from repro.fem.assembly import (
+    element_entry_slots,
+    element_stiffness_matrices,
+    fill_csr_values,
+    node_pair_pattern,
+    stiffness_of_block,
 )
+from repro.fem.bc import ReducedSystem, partition_free_fixed
+from repro.fem.element import shape_function_gradients, strain_displacement_matrices
 from repro.fem.material import MaterialMap
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
@@ -95,12 +99,20 @@ class AssemblyContext:
     """Symbolic + numeric phases of global stiffness assembly.
 
     The symbolic phase (done once per mesh topology) computes the CSR
-    sparsity pattern of the assembled matrix and a scatter map sending
-    each of the ``144 m`` element-matrix entries to its nonzero slot.
-    The numeric phase fills ``csr.data`` by a single weighted bincount —
-    no COO construction, no duplicate merging, no index sorting — and
-    can be repeated cheaply after a material change because the
-    shape-function factors (``B``, volumes) are cached too.
+    sparsity pattern of the assembled matrix and, per element, the column
+    offset of each of its 16 node pairs
+    (:func:`repro.fem.assembly.node_pair_pattern`). The numeric phase
+    fills ``csr.data`` in element blocks
+    (:func:`repro.fem.assembly.fill_csr_values`) — no COO construction,
+    no duplicate merging, no index sorting — and can be repeated after a
+    material change without re-deriving the pattern.
+
+    The context retains the matrix, its pattern and that ``16 m`` int32
+    array, nothing else element-sized: the strain-displacement matrices,
+    the element matrices and the ``144 m`` triplet->slot map are
+    recomputed per block and dropped. :attr:`B`, :attr:`element_matrices`
+    and :attr:`scatter` derive them on request for callers that want the
+    whole array (probes, tests); they are never cached.
     """
 
     def __init__(self, mesh: TetrahedralMesh, materials: MaterialMap):
@@ -111,18 +123,11 @@ class AssemblyContext:
             n_elements=int(mesh.n_elements),
             n_dof=int(mesh.n_dof),
         ) as span:
-            gradients, volumes = shape_function_gradients(mesh.element_coordinates())
-            self.B = strain_displacement_matrices(gradients)
-            self.volumes = volumes
-            # Symbolic phase: element connectivity -> canonical CSR pattern
-            # plus the position of every COO entry inside csr.data (shared
-            # with the one-shot assemble_stiffness path).
-            self.scatter, self.indices, self.indptr = build_csr_pattern(
+            self.indices, self.indptr, self._pair_offset = node_pair_pattern(
                 mesh.elements, mesh.n_nodes
             )
             self.nnz = int(len(self.indices))
             span.set(nnz=self.nnz)
-        self.element_matrices: np.ndarray | None = None
         self.backend_name: str | None = None
         self._matrix: sparse.csr_matrix | None = None
         self.refresh_numeric(mesh, materials)
@@ -130,19 +135,23 @@ class AssemblyContext:
     def refresh_numeric(self, mesh: TetrahedralMesh, materials: MaterialMap) -> None:
         """Numeric phase: refill ``csr.data`` for (possibly new) materials.
 
-        Reuses the cached symbolic pattern and geometry factors; only
-        the per-element elasticity and the value fill are recomputed —
-        both on the *active* compute backend, whose identity is recorded
-        so callers can tell which backend produced the cached values.
+        Reuses the cached symbolic pattern; geometry factors, elasticity
+        and element matrices are recomputed block by block on the
+        *active* compute backend, whose identity is recorded so callers
+        can tell which backend produced the cached values.
         """
         backend = get_backend()
         with get_tracer().span(
             "numeric assembly", kind="fem", nnz=self.nnz, backend=backend.name
         ):
-            D = materials.elasticity_for_elements(mesh.materials)
-            Ke = element_stiffness_from_B(self.B, self.volumes, D)
-            self.element_matrices = Ke
-            data = backend.coo_accumulate(self.scatter, Ke.ravel(), self.nnz)
+            # References, not copies: the derived properties below read them.
+            self._mesh, self._materials = mesh, materials
+            data = fill_csr_values(
+                mesh.elements,
+                self.indptr,
+                self._pair_offset,
+                functools.partial(stiffness_of_block, mesh, materials),
+            )
             self.backend_name = backend.name
             self._matrix = sparse.csr_matrix(
                 (data, self.indices, self.indptr), shape=(self.n_dof, self.n_dof)
@@ -152,6 +161,24 @@ class AssemblyContext:
         """The assembled global stiffness in CSR form (cached)."""
         assert self._matrix is not None
         return self._matrix
+
+    @property
+    def scatter(self) -> np.ndarray:
+        """The ``144 m`` int64 triplet->slot map (derived per read, not kept)."""
+        return element_entry_slots(
+            self._mesh.elements, self.indptr, self._pair_offset
+        ).reshape(-1)
+
+    @property
+    def element_matrices(self) -> np.ndarray:
+        """All ``(m, 12, 12)`` element matrices (derived per read, not kept)."""
+        return element_stiffness_matrices(self._mesh, self._materials)
+
+    @property
+    def B(self) -> np.ndarray:
+        """All ``(m, 6, 12)`` strain-displacement matrices (derived per read, not kept)."""
+        gradients, _ = shape_function_gradients(self._mesh.element_coordinates())
+        return strain_displacement_matrices(gradients)
 
 
 class ReductionContext:

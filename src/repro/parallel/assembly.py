@@ -102,7 +102,7 @@ def build_distributed_system(
     original numbering should map through ``decomposition.old_to_new``).
 
     When ``context`` is given, the scan-invariant pieces (symbolic CSR
-    pattern, element matrices, elimination structure, row-block split)
+    pattern, assembled matrix, elimination structure, row-block split)
     are stored on it; with ``reuse=True`` they are taken from it instead
     of rebuilt, and the per-scan work reduces to the BC broadcast plus
     one coupling-block matvec for the new right-hand side — the data-only
@@ -167,13 +167,14 @@ def build_distributed_system(
         dof_ranges_full = decomposition.dof_ranges()
         is_fixed = np.zeros(mesh.n_dof, dtype=bool)
         is_fixed[reduced.fixed_dofs] = True
-        # Elimination work per rank ~ coupling nonzeros in its rows.
+        # Elimination work per rank ~ coupling nonzeros in its rows, read
+        # off the rank's run of column indices (no row-block copy of K).
         csr = stiffness.tocsr()
         coupling_per_rank = np.zeros(n_ranks)
         free_per_rank = np.zeros(n_ranks, dtype=np.intp)
         for rank, (a, b) in enumerate(dof_ranges_full):
-            block = csr[a:b, :]
-            coupling_per_rank[rank] = float(np.count_nonzero(is_fixed[block.indices]))
+            columns = csr.indices[csr.indptr[a] : csr.indptr[b]]
+            coupling_per_rank[rank] = float(np.count_nonzero(is_fixed[columns]))
             free_per_rank[rank] = int(np.count_nonzero(~is_fixed[a:b]))
         telemetry.compute_all(coupling_per_rank * FLOPS_PER_BC_NNZ)
 

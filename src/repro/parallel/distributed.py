@@ -30,7 +30,9 @@ class RowBlockMatrix:
     Attributes
     ----------
     local:
-        Per-rank CSR slices ``A[start_r:stop_r, :]``.
+        Per-rank CSR slices ``A[start_r:stop_r, :]``. :meth:`from_csr`
+        builds them over views of the source matrix's ``data`` and
+        ``indices`` — one copy of the values, shared with the source.
     ranges:
         ``(n_ranks, 2)`` half-open row ranges.
     halo_pairs:
@@ -72,7 +74,15 @@ class RowBlockMatrix:
         halo: dict[tuple[int, int], float] = {}
         nnz = np.zeros(len(ranges), dtype=np.int64)
         for rank, (a, b) in enumerate(ranges):
-            block = csr[a:b, :]
+            # Rows a..b of a CSR are one contiguous run of data/indices:
+            # the block holds views of the source (only its rebased
+            # b-a+1 indptr is new), not a csr[a:b, :] copy. Assigned, not
+            # passed to the constructor, which copies any view shorter
+            # than half its base even with copy=False.
+            lo, hi = csr.indptr[a], csr.indptr[b]
+            block = sparse.csr_matrix((b - a, n), dtype=csr.dtype)
+            block.data, block.indices = csr.data[lo:hi], csr.indices[lo:hi]
+            block.indptr = csr.indptr[a : b + 1] - lo
             local.append(block)
             nnz[rank] = block.nnz
             cols = np.unique(block.indices)
