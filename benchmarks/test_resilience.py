@@ -25,6 +25,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.imaging.phantom import make_neurosurgery_case
+from repro.persist import ScanSummary
 from repro.resilience import DegradationLevel, FaultPlan
 
 pytestmark = pytest.mark.bench
@@ -67,8 +68,10 @@ def run_drill(case, plan: FaultPlan | None, n_scans: int = 2) -> SurgicalSession
     return session
 
 
-def scan_record(result) -> dict:
-    report = result.degradation
+def scan_record(scan: int, entry) -> dict:
+    """One scan's drill record, from the full result or the session's summary."""
+    summary = ScanSummary.of(scan, entry)
+    report = summary.degradation
     return {
         "level": report.label,
         "rungs_tried": list(report.rungs_tried),
@@ -76,8 +79,8 @@ def scan_record(result) -> dict:
         "cause": report.cause,
         "faults": list(report.faults),
         "recovery_seconds": report.wall_seconds,
-        "scan_seconds": result.timeline.total("intraoperative"),
-        "cache_hit": result.simulation.cache_hit,
+        "scan_seconds": summary.record.seconds(),
+        "cache_hit": summary.record.cache_hit,
     }
 
 
@@ -89,7 +92,7 @@ def run_resilience_benchmark(case) -> dict:
     for name, plan_text, expected in FAULT_DRILLS:
         session = run_drill(case, FaultPlan.parse(plan_text, seed=7))
         faulted = session.history[1]
-        rec = scan_record(faulted)
+        rec = scan_record(1, faulted)
         rec.update(
             {
                 "class": name,
@@ -109,7 +112,7 @@ def run_resilience_benchmark(case) -> dict:
     session = run_drill(case, plan, n_scans=3)
     acceptance = {
         "plan": plan.describe(),
-        "scans": [scan_record(r) for r in session.history],
+        "scans": [scan_record(i, r) for i, r in enumerate(session.history)],
         "zero_aborts": session.n_scans == 3,
         "summary_table": session.summary_table(),
     }

@@ -17,7 +17,12 @@ here are the serving tier's robustness contract:
 * **the injected chaos actually fired** — at least one shard kill is in
   the fault log — and the SLO tracker still has per-stage latency
   percentiles (p50/p95/p99 vs. the paper's stage budgets) for the scans
-  that were served.
+  that were served;
+* **the model caches turned over** (full sizing only) — more patients
+  than a worker keeps models, so ``serving.preop_evictions`` > 0 with
+  every audit above unchanged: eviction under shard-kill chaos is the
+  case no unit test covers. The record carries the evictions next to
+  the workers' summed peak RSS.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the fleet and the case count to a
 CI-sized run over the same code path.
@@ -42,16 +47,18 @@ pytestmark = pytest.mark.bench
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-#: Full sizing: a two-shard fleet with elasticity headroom, three
-#: patients spreading keys over the ring, every other case durable.
+#: Full sizing: a two-shard fleet, every other case durable, and three
+#: times as many patients as one worker keeps models
+#: (``repro.serving.pool.PREOP_CACHE_MODELS`` = 4) — after the shard kill
+#: the two surviving workers see all twelve, so their caches must evict.
 FULL = dict(
-    n_cases=12,
+    n_cases=24,
     n_shards=2,
     workers_per_shard=2,
     scans_per_case=1,
     shape=(32, 32, 24),
     mesh_cell_mm=6.0,
-    n_patients=3,
+    n_patients=12,
     waves=3,
     queue_capacity=6,
     durable_every=2,
@@ -106,6 +113,9 @@ def check_acceptance(record: dict) -> None:
     for stage in series.values():
         for key in ("p50", "p95", "p99"):
             assert key in stage
+    if not record["smoke"]:
+        assert int(record["counters"]["serving.preop_evictions"]) > 0, record
+        assert record["workers_peak_rss_mb"] > 0
 
 
 def test_soak(capsys):
@@ -122,7 +132,9 @@ def test_soak(capsys):
         f" | rejected {int(counters['serving.rejected'])}"
         f" | shard deaths {int(counters['serving.shard_deaths'])}"
         f" | failovers {int(counters['serving.failover'])}"
-        f" | lost durable: {len(record['lost_cases'])}\n"
+        f" | lost durable: {len(record['lost_cases'])}"
+        f" | models evicted {int(counters['serving.preop_evictions'])}"
+        f" | workers' peak RSS {record['workers_peak_rss_mb']:.0f} MB\n"
         f"  {record['scans_total']} scans in {record['elapsed_seconds']:.1f} s"
         f" ({record['throughput_scans_per_s']:.3f} scans/s)"
     )

@@ -67,6 +67,8 @@ from repro.surface.correspondence import (
 )
 from repro.surface.evolve import ActiveSurfaceResult
 from repro.util import ConvergenceError, ReproError, ValidationError
+from repro.util.atomicio import checksum_array
+from repro.util.memory import reachable_array_bytes
 
 
 @dataclass
@@ -124,6 +126,15 @@ class PreoperativeModel:
         """
         if self.solve_context is not None:
             self.solve_context.invalidate(reset_stats=True)
+
+    def nbytes(self) -> int:
+        """Bytes of array buffers the model keeps alive, each buffer once.
+
+        What a cache pays for holding it (SuperLU factors estimated, see
+        :func:`repro.util.memory.reachable_array_bytes`); the resident
+        set grows by more — DESIGN.md, "What a patient model holds".
+        """
+        return reachable_array_bytes(self)
 
 
 @dataclass
@@ -185,6 +196,23 @@ class IntraoperativeResult:
     budget_verdict: ScanVerdict | None = None
     degradation: DegradationReport | None = None
     restored: bool = False
+    _field_shas: tuple[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def field_shas(self) -> tuple[str, str]:
+        """``(nodal_sha, grid_sha)``: the two fields' digests, computed once.
+
+        Each costs a pass over its field (the grid one is 3 x voxels
+        float64), and a scan's serving outcome, its checkpoint commit and
+        the summary a session keeps of it all record the same two.
+        """
+        if self._field_shas is None:
+            self._field_shas = (
+                checksum_array(np.asarray(self.nodal_displacement, dtype=float)),
+                checksum_array(np.asarray(self.grid_displacement, dtype=float)),
+            )
+        return self._field_shas
 
 
 @dataclass

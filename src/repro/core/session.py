@@ -21,6 +21,12 @@ history — including the ``previous`` result the degradation ladder and
 warm-start chain need. :func:`repro.persist.replay_session` verifies a
 checkpoint end-to-end by re-running it and demanding bit-exact
 displacement fields.
+
+What a session holds does not grow with the scans it has processed:
+only the latest scan is kept as a full result (it is the next scan's
+``previous``); every older one is replaced by its
+:class:`repro.persist.ScanSummary` — see DESIGN.md, "What a session
+holds".
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from repro.core.pipeline import (
     IntraoperativeResult,
     PreoperativeModel,
 )
+from repro.fem.context import CacheStats
 from repro.imaging.volume import ImageVolume
 from repro.obs.flight import get_flight_recorder
 from repro.obs.trace import get_tracer
+from repro.persist.checkpoint import ScanSummary
 from repro.persist.store import SessionStore
 from repro.segmentation.prototypes import PrototypeSet
 from repro.util import ValidationError, format_table
@@ -52,7 +60,9 @@ class SurgicalSession:
     preop:
         The preoperative model (mesh, localization, surface).
     history:
-        Results of every processed scan, in order. After
+        One entry per processed scan, in order: the latest as its full
+        :class:`IntraoperativeResult`, every older one as the
+        :class:`repro.persist.ScanSummary` kept of it. After
         :meth:`resume`, entries recovered from the checkpoint have
         ``restored=True``.
     store:
@@ -62,7 +72,7 @@ class SurgicalSession:
 
     pipeline: IntraoperativePipeline
     preop: PreoperativeModel
-    history: list[IntraoperativeResult] = field(default_factory=list)
+    history: list[IntraoperativeResult | ScanSummary] = field(default_factory=list)
     store: SessionStore | None = field(default=None, repr=False)
     _prototypes: PrototypeSet | None = field(default=None, repr=False)
 
@@ -113,7 +123,6 @@ class SurgicalSession:
         cls,
         pipeline: IntraoperativePipeline,
         checkpoint_dir,
-        rehydrate: str = "latest",
     ) -> "SurgicalSession":
         """Recover a session from its checkpoint directory.
 
@@ -142,7 +151,7 @@ class SurgicalSession:
         preop = pipeline.prepare_preoperative(preop_mri, preop_labels)
         if preop.solve_context is not None:
             store.restore_context(preop.solve_context)
-        history = store.load_history(preop, rehydrate=rehydrate)
+        history = store.load_history(preop)
         store.attach_plan(pipeline.config.fault_plan)
         return cls(
             pipeline=pipeline,
@@ -155,6 +164,14 @@ class SurgicalSession:
     @property
     def n_scans(self) -> int:
         return len(self.history)
+
+    def _append(self, result: IntraoperativeResult) -> None:
+        """Make ``result`` the latest scan; summarize the one it supersedes."""
+        if self.history:
+            scan = len(self.history) - 1
+            before = self.history[scan - 1] if scan else None
+            self.history[scan] = ScanSummary.of(scan, self.history[scan], before)
+        self.history.append(result)
 
     def process(
         self,
@@ -198,7 +215,7 @@ class SurgicalSession:
         # is None when classification never completed).
         if result.prototypes is not None:
             self._prototypes = result.prototypes
-        self.history.append(result)
+        self._append(result)
         _note_scan_complete(result, scan)
         if self.store is not None:
             self.store.crash_point(scan, "solve")
@@ -216,9 +233,12 @@ class SurgicalSession:
 
         For a session begun without a checkpoint directory, pass one
         here to create the store post-hoc: every already-processed scan
-        is committed from its in-memory result. Post-hoc commits carry
-        no journaled input volume (the scans were never written ahead),
-        so they can be resumed and summarized but not replay-verified.
+        is committed from what the session holds of it — the latest from
+        its full result, an older one from its summary, with the grid
+        field re-derived from the nodal one and checked against the
+        summary's digest. Post-hoc commits carry no journaled input
+        volume (the scans were never written ahead), so they can be
+        resumed and summarized but not replay-verified.
 
         For an already-durable session this re-commits anything
         uncommitted and refreshes the solve-context snapshot + manifest
@@ -241,12 +261,16 @@ class SurgicalSession:
         for scan, result in enumerate(self.history):
             if scan in committed:
                 continue
+            grid = (
+                result.grid_on(self.preop) if isinstance(result, ScanSummary) else None
+            )
             self.store.journal_begin(scan, None)
             self.store.commit_scan(
                 scan,
                 result,
                 prototypes=self._prototypes,
                 context=self.preop.solve_context,
+                grid=grid,
             )
         self.store.sync_manifest()
         return self.store.root
@@ -275,29 +299,29 @@ class SurgicalSession:
         """
         if not self.history:
             return "(no scans processed)"
+        scans = [ScanSummary.of(i, entry) for i, entry in enumerate(self.history)]
         rows = []
-        for i, result in enumerate(self.history, start=1):
-            sim = result.simulation
-            if getattr(result, "restored", False):
+        for i, scan in enumerate(scans, start=1):
+            record = scan.record
+            if scan.restored:
                 cache = "restored"
-            elif sim.cache_stats is None:
+            elif record.cache_stats is None:
                 cache = "off"
-            elif sim.cache_hit:
-                cache = "hit+warm" if sim.warm_started else "hit"
+            elif record.cache_hit:
+                cache = "hit+warm" if record.warm_started else "hit"
             else:
                 cache = "miss"
-            verdict = result.budget_verdict
-            degradation = result.degradation
+            verdict = scan.budget_verdict
             rows.append(
                 [
                     i,
-                    result.timeline.total("intraoperative"),
-                    float(result.correspondence.magnitudes.max()),
-                    result.match_rigid_rms,
-                    result.match_simulated_rms,
-                    sim.solver.iterations,
+                    record.seconds(),
+                    record.surface_umax,
+                    record.match_rigid_rms,
+                    record.match_simulated_rms,
+                    record.solver_iterations,
                     cache,
-                    "-" if degradation is None else degradation.label,
+                    "-" if record.degradation is None else record.degradation,
                     "-" if verdict is None else verdict.label,
                 ]
             )
@@ -318,13 +342,14 @@ class SurgicalSession:
         )
         stats = next(
             (
-                r.simulation.cache_stats
-                for r in reversed(self.history)
-                if r.simulation.cache_stats is not None
+                scan.record.cache_stats
+                for scan in reversed(scans)
+                if scan.record.cache_stats is not None
             ),
             None,
         )
         if stats is not None:
+            stats = CacheStats.from_dict(stats)
             table += (
                 f"\n  cache_hit_ratio: {stats.hit_ratio:.2f} "
                 f"(hits={stats.hits} misses={stats.misses} "
@@ -424,7 +449,7 @@ def process_batch_round(
             continue
         if result.prototypes is not None:
             session._prototypes = result.prototypes
-        session.history.append(result)
+        session._append(result)
         _note_scan_complete(result, item.scan_index)
         if session.store is not None:
             session.store.crash_point(item.scan_index, "solve")

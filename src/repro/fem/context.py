@@ -94,6 +94,15 @@ class CacheStats:
             "hit_ratio": self.hit_ratio,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "CacheStats":
+        """The counters of an :meth:`as_dict` record (the ratio follows)."""
+        return cls(
+            hits=int(data.get("hits", 0)),
+            misses=int(data.get("misses", 0)),
+            invalidations=int(data.get("invalidations", 0)),
+        )
+
 
 class AssemblyContext:
     """Symbolic + numeric phases of global stiffness assembly.

@@ -8,7 +8,8 @@ fields. This package makes that state durable:
 * :mod:`repro.persist.atomic` — atomic rename-based writes and BLAKE2b
   content checksums (re-exported from :mod:`repro.util.atomicio`).
 * :mod:`repro.persist.checkpoint` — versioned, checksummed npz payload
-  containers, config round-tripping, and :class:`ScanRecord`.
+  containers, config round-tripping, :class:`ScanRecord` and the
+  :class:`ScanSummary` a session keeps of a superseded scan.
 * :mod:`repro.persist.journal` — the write-ahead scan journal
   (``begin`` → process → ``commit``; only commits count on recovery).
 * :mod:`repro.persist.store` — :class:`SessionStore`, the checkpoint
@@ -36,6 +37,7 @@ from repro.persist.atomic import (
 from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     ScanRecord,
+    ScanSummary,
     config_from_manifest,
     config_to_manifest,
     load_payload,
@@ -54,6 +56,7 @@ __all__ = [
     "ScanJournal",
     "ScanRecord",
     "ScanReplay",
+    "ScanSummary",
     "SessionStore",
     "atomic_payload",
     "atomic_write_bytes",

@@ -11,7 +11,9 @@ by relative path + checksum.
 This module also serializes :class:`repro.core.PipelineConfig` to a
 JSON-safe dict and back, so a replayed session can be reconstructed
 from the manifest alone, and defines :class:`ScanRecord` — the
-journaled essentials of one committed intraoperative scan.
+journaled essentials of one committed intraoperative scan — and
+:class:`ScanSummary`, the record plus the nodal field that a session
+keeps in memory of every scan but its latest.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.resilience.policy import DegradationLevel
 from repro.util import ValidationError
 from repro.util.atomicio import atomic_payload, checksum_array
 
@@ -61,16 +64,20 @@ _CONFIG_TUPLES = ("brain_labels", "intraop_brain_labels", "segmentation_classes"
 # -- npz payload containers ---------------------------------------------------
 
 
-def save_payload(path: str | Path, kind: str, **arrays) -> dict[str, str]:
+def save_payload(
+    path: str | Path, kind: str, known: dict[str, str] | None = None, **arrays
+) -> dict[str, str]:
     """Atomically write a checksummed npz payload; returns field checksums.
 
     ``None``-valued arrays are skipped. The returned dict maps each
     stored field name to its :func:`repro.util.checksum_array` digest
-    (callers record these in the journal/manifest).
+    (callers record these in the journal/manifest); ``known`` gives the
+    digests the caller already holds, so a field is hashed once.
     """
     path = Path(path)
     stored = {k: np.asarray(v) for k, v in arrays.items() if v is not None}
-    checksums = {k: checksum_array(v) for k, v in stored.items()}
+    known = known or {}
+    checksums = {k: known.get(k) or checksum_array(v) for k, v in stored.items()}
     meta = {
         "kind": np.bytes_(kind.encode()),
         "format": np.int64(PAYLOAD_VERSION),
@@ -247,6 +254,57 @@ class ScanRecord:
     budget: str | None = None
     prototypes_carried: bool = True
 
+    @classmethod
+    def of(
+        cls,
+        scan: int,
+        result,
+        result_file: str = "",
+        input_file: str | None = None,
+        input_sha: str | None = None,
+    ) -> "ScanRecord":
+        """The record of a processed :class:`~repro.core.IntraoperativeResult`.
+
+        The three file fields are the store's; a record that is not
+        (yet) on disk has none.
+        """
+        sim = result.simulation
+        verdict = result.budget_verdict
+        nodal_sha, grid_sha = result.field_shas()
+        return cls(
+            scan=scan,
+            result_file=result_file,
+            nodal_sha=nodal_sha,
+            grid_sha=grid_sha,
+            input_file=input_file,
+            input_sha=input_sha,
+            surface_umax=float(result.correspondence.magnitudes.max()),
+            match_rigid_rms=float(result.match_rigid_rms),
+            match_simulated_rms=float(result.match_simulated_rms),
+            match_rigid_mi=float(result.match_rigid_mi),
+            match_simulated_mi=float(result.match_simulated_mi),
+            solver_iterations=int(sim.solver.iterations),
+            solver_restarts=int(sim.solver.restarts),
+            solver_converged=bool(sim.solver.converged),
+            solver_residual=float(sim.solver.residual_norm),
+            cache_hit=bool(sim.cache_hit),
+            warm_started=bool(sim.warm_started),
+            cache_stats=(
+                None if sim.cache_stats is None else sim.cache_stats.as_dict()
+            ),
+            timeline=[(e.stage, e.seconds, e.period) for e in result.timeline.entries],
+            notes=list(result.timeline.notes),
+            degradation=(
+                None if result.degradation is None else result.degradation.label
+            ),
+            budget=None if verdict is None else verdict.label,
+            prototypes_carried=result.prototypes is not None,
+        )
+
+    def seconds(self, period: str = "intraoperative") -> float:
+        """Total of the timeline's stages in ``period`` (Timeline.total)."""
+        return sum(seconds for _, seconds, p in self.timeline if p == period)
+
     def as_dict(self) -> dict:
         return {
             "scan": self.scan,
@@ -310,3 +368,86 @@ class ScanRecord:
             budget=data.get("budget"),
             prototypes_carried=bool(data.get("prototypes_carried", True)),
         )
+
+
+# -- what a session keeps of a superseded scan ----------------------------------
+
+
+@dataclass
+class ScanSummary:
+    """A scan as a session holds it once a later scan is its ``previous``.
+
+    Only the latest scan of a session is read as a whole (the degradation
+    ladder re-applies its field, the warm start continues from it); an
+    older one is read for its summary row, its serving outcome and a
+    post-hoc checkpoint. This is that: the journal's :class:`ScanRecord`
+    plus the nodal displacement, and the two small report objects the
+    record only carries a label of. The dense per-voxel arrays (deformed
+    MRI, grid displacement, segmentation) are gone: the grid field is a
+    function of the nodal one (:meth:`grid_on`) — also when a fallback
+    re-applied the previous scan's pair of fields or delivered zeros —
+    and is kept only for a coarse-FEM fallback, solved on another mesh.
+    A scan restored from a checkpoint is the same type, ``restored=True``.
+    """
+
+    record: ScanRecord
+    nodal_displacement: np.ndarray
+    degradation: object | None = None
+    budget_verdict: object | None = None
+    grid_displacement: np.ndarray | None = None
+    restored: bool = False
+
+    @classmethod
+    def of(cls, scan: int, result, previous: "ScanSummary | None" = None):
+        """Summarize a scan (a summary is returned as it is).
+
+        ``previous`` is the summary of the scan before it, which a
+        previous-field fallback's grid is read from.
+        """
+        if isinstance(result, cls):
+            return result
+        summary = cls(
+            record=ScanRecord.of(scan, result),
+            nodal_displacement=np.asarray(result.nodal_displacement, dtype=float),
+            degradation=result.degradation,
+            budget_verdict=result.budget_verdict,
+            restored=bool(result.restored),
+        )
+        summary.keep_grid(result.grid_displacement, previous)
+        return summary
+
+    def field_shas(self) -> tuple[str, str]:
+        return self.record.nodal_sha, self.record.grid_sha
+
+    def keep_grid(self, grid: np.ndarray, previous: "ScanSummary | None") -> None:
+        """Keep the dense ``grid`` field only if :meth:`grid_on` could not give it back."""
+        level = None if self.degradation is None else self.degradation.level
+        if level is DegradationLevel.COARSE_FEM:
+            self.grid_displacement = np.asarray(grid, dtype=float)
+        elif level is DegradationLevel.PREVIOUS_FIELD:
+            # The previous scan's pair of fields: whatever gives that
+            # scan's grid back gives this one's (one array, shared).
+            if previous is not None and previous.field_shas() == self.field_shas():
+                self.grid_displacement = previous.grid_displacement
+            else:
+                self.grid_displacement = np.asarray(grid, dtype=float)
+
+    def grid_on(self, preop) -> np.ndarray:
+        """The dense grid displacement: kept, or re-derived and verified.
+
+        ``preop`` is the session's :class:`~repro.core.PreoperativeModel`;
+        interpolating the nodal field onto its grid is the deterministic
+        step the pipeline's resample stage ran, so the digest must equal
+        the recorded ``grid_sha``.
+        """
+        if self.grid_displacement is not None:
+            return self.grid_displacement
+        grid = preop.mesher.displacement_on_grid(self.nodal_displacement, preop.mri)
+        actual = checksum_array(grid)
+        if actual != self.record.grid_sha:
+            raise ValidationError(
+                f"scan {self.record.scan}: grid displacement re-derived from the "
+                f"nodal field does not match its record "
+                f"(stored {self.record.grid_sha}, actual {actual})"
+            )
+        return grid

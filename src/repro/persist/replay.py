@@ -27,12 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.persist.checkpoint import config_from_manifest
 from repro.persist.store import SessionStore
 from repro.util import format_table
-from repro.util.atomicio import checksum_array
 
 
 @dataclass
@@ -140,8 +137,7 @@ def replay_session(
             continue
         volume = store.load_input(record)
         result = session.process(volume)
-        nodal_sha = checksum_array(np.asarray(result.nodal_displacement, dtype=float))
-        grid_sha = checksum_array(np.asarray(result.grid_displacement, dtype=float))
+        nodal_sha, grid_sha = result.field_shas()
         if nodal_sha == record.nodal_sha and grid_sha == record.grid_sha:
             report.scans.append(
                 ScanReplay(record.scan, "match", f"nodal {nodal_sha}")

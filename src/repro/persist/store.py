@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     MANIFEST_FORMAT,
     ScanRecord,
+    ScanSummary,
     config_to_manifest,
     load_payload,
     save_payload,
@@ -248,22 +250,28 @@ class SessionStore:
             )
         self.crash_point(scan, "begin")
 
-    def commit_scan(self, scan: int, result, prototypes=None, context=None) -> ScanRecord:
+    def commit_scan(
+        self, scan: int, result, prototypes=None, context=None, grid=None
+    ) -> ScanRecord:
         """Persist a processed scan's essentials and commit the journal.
 
         The payloads (result arrays, refreshed prototypes, solve-context
         warm state) all land via atomic replaces *before* the journal's
         ``commit`` entry — the single durable commit point — followed by
         a manifest refresh. ``result`` is an
-        :class:`~repro.core.IntraoperativeResult`.
+        :class:`~repro.core.IntraoperativeResult`, or the
+        :class:`~repro.persist.checkpoint.ScanSummary` a session kept of
+        one together with its dense ``grid`` field
+        (:meth:`ScanSummary.grid_on`); both commit the same record.
         """
         t0 = time.perf_counter()
         tracer = self._tracer()
         with tracer.span("persist.commit", kind="persist", scan=scan) as span:
             rel = self._result_rel(scan)
             nodal = np.asarray(result.nodal_displacement, dtype=float)
-            grid = np.asarray(result.grid_displacement, dtype=float)
-            arrays = {"nodal": nodal, "grid": grid}
+            if grid is None:
+                grid = result.grid_displacement
+            arrays = {"nodal": nodal, "grid": np.asarray(grid, dtype=float)}
             state = None if context is None else context.warm_state()
             if state is not None:
                 arrays["context_fingerprint"] = np.frombuffer(
@@ -276,10 +284,22 @@ class SessionStore:
                     [stats["hits"], stats["misses"], stats["invalidations"]],
                     dtype=np.int64,
                 )
-            shas = save_payload(self.root / rel, "scan-result", **arrays)
+            begun = {e.get("scan"): e for e in self.journal.begun()}
+            begin_entry = begun.get(scan, {})
+            files = {
+                "result_file": rel,
+                "input_file": begin_entry.get("input_file"),
+                "input_sha": begin_entry.get("input_sha"),
+            }
+            if isinstance(result, ScanSummary):
+                record = replace(result.record, **files)
+            else:
+                record = ScanRecord.of(scan, result, **files)
+            known = {"nodal": record.nodal_sha, "grid": record.grid_sha}
+            save_payload(self.root / rel, "scan-result", known, **arrays)
             self._note_file(rel)
 
-            if prototypes is not None and result.prototypes is not None:
+            if prototypes is not None and record.prototypes_carried:
                 save_payload(
                     self.root / self.PROTOTYPES,
                     "prototypes",
@@ -288,43 +308,6 @@ class SessionStore:
                     features=prototypes.features,
                 )
                 self._note_file(self.PROTOTYPES)
-
-            begun = {e.get("scan"): e for e in self.journal.begun()}
-            begin_entry = begun.get(scan, {})
-            sim = result.simulation
-            record = ScanRecord(
-                scan=scan,
-                result_file=rel,
-                nodal_sha=shas["nodal"],
-                grid_sha=shas["grid"],
-                input_file=begin_entry.get("input_file"),
-                input_sha=begin_entry.get("input_sha"),
-                surface_umax=float(result.correspondence.magnitudes.max()),
-                match_rigid_rms=float(result.match_rigid_rms),
-                match_simulated_rms=float(result.match_simulated_rms),
-                match_rigid_mi=float(result.match_rigid_mi),
-                match_simulated_mi=float(result.match_simulated_mi),
-                solver_iterations=int(sim.solver.iterations),
-                solver_restarts=int(sim.solver.restarts),
-                solver_converged=bool(sim.solver.converged),
-                solver_residual=float(sim.solver.residual_norm),
-                cache_hit=bool(sim.cache_hit),
-                warm_started=bool(sim.warm_started),
-                cache_stats=(
-                    None if sim.cache_stats is None else sim.cache_stats.as_dict()
-                ),
-                timeline=[
-                    (e.stage, e.seconds, e.period) for e in result.timeline.entries
-                ],
-                notes=list(result.timeline.notes),
-                degradation=(
-                    None if result.degradation is None else result.degradation.label
-                ),
-                budget=(
-                    None if result.budget_verdict is None else result.budget_verdict.label
-                ),
-                prototypes_carried=result.prototypes is not None,
-            )
             self.crash_point(scan, "mid-write")
             self.journal.commit_scan(record)
             self.sync_manifest()
@@ -441,21 +424,22 @@ class SessionStore:
                 )
         return load_volume(path)
 
-    def load_history(self, preop, rehydrate: str = "latest") -> list:
-        """Reconstruct restored :class:`IntraoperativeResult` objects.
+    def load_history(self, preop) -> list:
+        """Reconstruct the committed history as a resumed session holds it.
 
-        ``rehydrate`` controls how many deformed preoperative volumes
-        are recomputed from the stored displacement fields: ``"latest"``
-        (default — only the scan that can serve as ``previous`` for the
-        degradation ladder), ``"all"``, or ``"none"``.
+        Every scan comes back ``restored=True``: the latest as an
+        :class:`~repro.core.IntraoperativeResult` with its deformed
+        volume recomputed from the stored field (it is the ``previous``
+        of the next scan), every older one as the
+        :class:`~repro.persist.checkpoint.ScanSummary` a live session
+        would have kept of it.
         """
-        if rehydrate not in ("latest", "all", "none"):
-            raise ValidationError(
-                f"rehydrate must be 'latest', 'all' or 'none', got {rehydrate!r}"
-            )
+        from repro.resilience.degrade import DegradationReport
+        from repro.resilience.policy import parse_level
+
         records = self.committed()
         results = []
-        for i, record in enumerate(records):
+        for record in records:
             fields = load_payload(self.root / record.result_file, "scan-result")
             nodal = np.asarray(fields["nodal"], dtype=float)
             grid = np.asarray(fields["grid"], dtype=float)
@@ -470,12 +454,26 @@ class SessionStore:
                         f"checksum mismatch against journal "
                         f"(stored {sha}, actual {actual})"
                     )
-            want_volume = rehydrate == "all" or (
-                rehydrate == "latest" and i == len(records) - 1
-            )
-            results.append(
-                _restored_result(record, nodal, grid, preop, rehydrate=want_volume)
-            )
+            degradation = None
+            if record.degradation is not None:
+                degradation = DegradationReport(
+                    level=parse_level(record.degradation),
+                    notes=["restored from checkpoint"],
+                )
+            if record is records[-1]:
+                latest = _restored_result(record, nodal, grid, preop, degradation)
+                latest._field_shas = (record.nodal_sha, record.grid_sha)
+                results.append(latest)
+            else:
+                # As a live session keeps it (ScanSummary.of).
+                summary = ScanSummary(
+                    record=record,
+                    nodal_displacement=nodal,
+                    degradation=degradation,
+                    restored=True,
+                )
+                summary.keep_grid(grid, results[-1] if results else None)
+                results.append(summary)
         return results
 
     # -- bookkeeping ---------------------------------------------------------
@@ -531,30 +529,22 @@ def completed_records(root: str | Path, n_scans: int) -> list[ScanRecord] | None
 
 
 def _restored_result(
-    record: ScanRecord,
-    nodal: np.ndarray,
-    grid: np.ndarray,
-    preop,
-    rehydrate: bool,
+    record: ScanRecord, nodal: np.ndarray, grid: np.ndarray, preop, degradation
 ):
-    """Build a summary-renderable IntraoperativeResult from a ScanRecord.
+    """Build the restored latest scan as an IntraoperativeResult.
 
-    Restored results carry the journaled essentials (displacements,
-    match metrics, timeline, solver/cache facts) plus honest stand-ins
-    for what was deliberately not persisted: a synthetic solver record,
-    a stub segmentation, and — unless ``rehydrate`` — the undeformed
-    preoperative MRI in place of the deformed volume.
+    The next scan reads it as its ``previous`` and callers read it as
+    :meth:`SurgicalSession.latest`, so it carries the journaled
+    essentials (displacements, match metrics, timeline, solver/cache
+    facts), the deformed volume recomputed from the stored field, and
+    honest stand-ins for what was deliberately not persisted: a
+    synthetic solver record and a stub segmentation.
     """
     from repro.core.pipeline import IntraoperativeResult
     from repro.core.timeline import Timeline, TimelineEntry
     from repro.machines.cost import NullTelemetry
     from repro.parallel.simulation import ParallelSimulation
-    from repro.resilience.degrade import (
-        DegradationReport,
-        resample_through_field,
-        stub_correspondence,
-    )
-    from repro.resilience.policy import parse_level
+    from repro.resilience.degrade import resample_through_field, stub_correspondence
     from repro.solver.gmres import GMRESResult
 
     solver = GMRESResult(
@@ -565,13 +555,11 @@ def _restored_result(
         residual_norm=record.solver_residual,
         history=[],
     )
-    cache_stats = None
-    if record.cache_stats is not None:
-        cache_stats = CacheStats(
-            hits=int(record.cache_stats.get("hits", 0)),
-            misses=int(record.cache_stats.get("misses", 0)),
-            invalidations=int(record.cache_stats.get("invalidations", 0)),
-        )
+    cache_stats = (
+        None
+        if record.cache_stats is None
+        else CacheStats.from_dict(record.cache_stats)
+    )
     simulation = ParallelSimulation(
         displacement=nodal,
         solver=solver,
@@ -597,22 +585,13 @@ def _restored_result(
     if len(correspondence.displacements):
         correspondence.displacements[0, 0] = record.surface_umax
 
-    deformed = (
-        resample_through_field(preop.mri, grid) if rehydrate else preop.mri
-    )
     segmentation = ImageVolume(
         np.zeros(preop.labels.shape, dtype=np.int16),
         preop.labels.spacing,
         preop.labels.origin,
     )
-    degradation = None
-    if record.degradation is not None:
-        degradation = DegradationReport(
-            level=parse_level(record.degradation),
-            notes=["restored from checkpoint"],
-        )
     return IntraoperativeResult(
-        deformed_mri=deformed,
+        deformed_mri=resample_through_field(preop.mri, grid),
         nodal_displacement=nodal,
         grid_displacement=grid,
         segmentation=segmentation,

@@ -225,7 +225,12 @@ class ShardGateway:
         self.ring = ConsistentHashRing(list(self.shards))
         self.results: dict[str, CaseResult] = {}
         self.dispatched_total = 0
-        self._known_keys: set[str] = set()
+        #: Ids of the cases the latest :meth:`tick` (or :meth:`drain`) made
+        #: terminal, in the order their results landed in :attr:`results`;
+        #: the next one starts the list afresh. A driver that pushes
+        #: results to subscribers (the network front-end) publishes
+        #: exactly these instead of walking every result ever produced.
+        self.terminal_ids: list[str] = []
         # Per-case bookkeeping, all keyed by case_id and all cleared at
         # the case's terminal point (_terminate / _record), so a
         # long-lived front-end does not grow them per case served.
@@ -237,13 +242,16 @@ class ShardGateway:
         #: lost reply or dead shard can re-admit without reconstructing.
         self._inflight: dict[str, CaseRequest] = {}
         #: case_id -> True while the serving worker is building the
-        #: patient's preoperative model (its key was unseen at dispatch):
-        #: health probes report such workers "building-preop" instead of
-        #: counting the long silence toward wedged detection.
+        #: patient's preoperative model (the worker did not report it
+        #: resident before the dispatch): health probes report such
+        #: workers "building-preop" instead of counting the long silence
+        #: toward wedged detection.
         self._building: dict[str, bool] = {}
         self._not_before: dict[str, float] = {}
         self._drop_results: dict[int, int] = {}
         self._respawns_seen: dict[int, int] = {}
+        #: (shard, worker) -> the worker's PreopCacheReport last mirrored.
+        self._cache_seen: dict[tuple[int, int], object] = {}
         self._closed = False
 
     # -- small helpers --------------------------------------------------------
@@ -293,6 +301,13 @@ class ShardGateway:
             for handle in shard.pool.busy_workers():
                 total += est.case_seconds(handle.busy.n_scans, preop_cached=True) / 2.0
         return total
+
+    def _model_resident(self, key: str) -> bool:
+        """Does a worker of the shard ``key`` routes to hold (or build) its model?"""
+        if not self.ring.shards:
+            return False
+        workers = self.shards[self.ring.route(key)].pool.workers
+        return any(key in handle.cached_keys for handle in workers)
 
     def _forget(self, case_id: str) -> None:
         """Clear a terminal case's bookkeeping (its span closes separately)."""
@@ -353,6 +368,7 @@ class ShardGateway:
             ),
             **fields,
         )
+        self.terminal_ids.append(case_id)
         self._forget(case_id)
 
     # -- admission (with shedding) -------------------------------------------
@@ -404,7 +420,7 @@ class ShardGateway:
                 level=decision.level.label,
                 pressure=decision.pressure,
             )
-        preop_cached = request.preop_key() in self._known_keys
+        preop_cached = self._model_resident(request.preop_key())
         # Deadline budget already burned before admission: network
         # transit + transport queuing, from the client-stamped wall
         # clock. Charged against deadline_s instead of extending it.
@@ -490,7 +506,9 @@ class ShardGateway:
         not free of duty: it still absorbs worker heartbeats and runs
         pool maintenance, so a server idling between cases neither grows
         the result queues without bound nor misses a respawn.
+        :attr:`terminal_ids` names the cases this iteration finished.
         """
+        self.terminal_ids = []
         self._check_open()
         if not self._working():
             for shard in self.live_shards():
@@ -661,8 +679,7 @@ class ShardGateway:
             self._attempts[request.case_id] = (
                 self._attempts.get(request.case_id, 0) + 1
             )
-            self._building[request.case_id] = key not in self._known_keys
-            self._known_keys.add(key)
+            self._building[request.case_id] = key not in handle.cached_keys
             if self.telemetry:
                 # Stamp the trace context at the dispatch instant: the
                 # anchor aligns the worker's clock origin with *now* on
@@ -764,6 +781,7 @@ class ShardGateway:
                 0.0, time.monotonic() - admitted - result.service_seconds
             )
         self.results[result.case_id] = result
+        self.terminal_ids.append(result.case_id)
         self._forget(result.case_id)
         m = self.metrics
         m.counter(f"serving.{result.status}").inc()
@@ -1007,11 +1025,13 @@ class ShardGateway:
 
         * ``idle`` — alive, no case.
         * ``serving`` — busy, heartbeating within the hang grace.
-        * ``building-preop`` — busy on a case whose patient model was
-          unseen at dispatch: the long silence is the model build, not a
-          wedge, and readiness stays true.
-        * ``wedged`` — busy and heartbeat-silent past the hang grace;
-          the next :meth:`tick` will terminate and re-admit it.
+        * ``building-preop`` — busy on a case whose patient model the
+          worker did not hold at dispatch: the long silence is the model
+          build, not a wedge, and readiness stays true — so this is
+          tested before the heartbeat age.
+        * ``wedged`` — busy, not building, and heartbeat-silent past the
+          hang grace; the next :meth:`tick` will terminate and re-admit
+          it.
         """
         grace = self._hang_grace()
         now = time.monotonic()
@@ -1027,13 +1047,13 @@ class ShardGateway:
                 age = now - shard.pool.heartbeats.get(handle.worker_id, now)
                 if handle.idle:
                     state = "idle"
-                elif age > grace:
-                    state = "wedged"
-                elif handle.busy is not None and any(
+                elif any(
                     self._building.get(member.case_id, False)
                     for member in request_members(handle.busy)
                 ):
                     state = "building-preop"
+                elif age > grace:
+                    state = "wedged"
                 else:
                     state = "serving"
                 counts[state] += 1
@@ -1071,7 +1091,7 @@ class ShardGateway:
         }
 
     def _maintain(self) -> None:
-        """Respawn due slots; mirror respawn counts into ``serving.respawn``."""
+        """Respawn due slots; mirror respawns and cache reports into metrics."""
         for shard in self.live_shards():
             shard.pool.maintain()
             seen = self._respawns_seen.get(shard.shard_id, 0)
@@ -1080,6 +1100,38 @@ class ShardGateway:
                     shard.pool.respawns - seen
                 )
                 self._respawns_seen[shard.shard_id] = shard.pool.respawns
+            self._mirror_caches(shard)
+
+    def _mirror_caches(self, shard: Shard) -> None:
+        """Mirror the model-cache reports new since the last call into metrics."""
+        for handle in shard.pool.workers:
+            slot = (shard.shard_id, handle.worker_id)
+            seen, report = self._cache_seen.get(slot), handle.cache
+            if report is seen:
+                continue
+            self._cache_seen[slot] = report
+            at = {"shard": shard.shard_id, "worker": handle.worker_id}
+            self.metrics.gauge(
+                "serving.preop_resident[shard={shard},worker={worker}]".format(**at)
+            ).set(len(report.resident))
+            self.metrics.gauge("serving.preop_resident_bytes").set(
+                sum(
+                    worker.cache.resident_bytes
+                    for live in self.live_shards()
+                    for worker in live.pool.workers
+                )
+            )
+            # A respawned slot's process counts its evictions from zero.
+            same_process = seen is not None and seen.pid == report.pid
+            evicted = report.evictions - (seen.evictions if same_process else 0)
+            if evicted:
+                self.metrics.counter("serving.preop_evictions").inc(evicted)
+                self.flight.note(
+                    "preop.evict",
+                    evicted=evicted,
+                    resident=len(report.resident),
+                    **at,
+                )
 
     # -- drain / shutdown -----------------------------------------------------
 
@@ -1097,6 +1149,7 @@ class ShardGateway:
         dump, so every admitted case has exactly one terminal status.
         The loop is closed afterwards.
         """
+        self.terminal_ids = []
         for queued in self.queue.clear():
             self._terminate(
                 queued.request,
@@ -1110,6 +1163,7 @@ class ShardGateway:
             remaining = max(0.1, deadline - time.monotonic())
             for result in shard.pool.drain(timeout=remaining):
                 self._record(shard, result)
+            self._mirror_caches(shard)
         for shard in self.live_shards():
             for handle in list(shard.pool.busy_workers()):
                 # Stragglers that missed the drain window: terminate and

@@ -8,7 +8,11 @@ prepared by that worker skip the whole preoperative rebuild —
 localization models, meshing, assembly, Dirichlet elimination,
 preconditioner factorization — and only reset the solve-context warm
 memory so their results stay bit-identical to a from-scratch session
-(:meth:`repro.fem.SolveContext.reset_warm_state`).
+(:meth:`repro.fem.SolveContext.reset_warm_state`). The cache is an LRU of
+at most :data:`PREOP_CACHE_MODELS` models, so a worker's memory stops growing
+with the patients it has served, and every result message tells the
+parent which models are resident *now*: the scheduler's affinity and
+single-flight decisions read that report, not a guess.
 
 Reliability contract:
 
@@ -31,6 +35,7 @@ Reliability contract:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
 import signal
 import tempfile
@@ -51,6 +56,28 @@ from repro.serving.protocol import (
     outcome_from_result,
 )
 from repro.util import ValidationError
+from repro.util.memory import LRUStore
+
+#: Patient models a worker keeps. Counted in models because a
+#: byte budget either never bites on small models or thrashes on
+#: paper-sized ones (DESIGN.md, "What a patient model holds").
+PREOP_CACHE_MODELS = 4
+
+
+@dataclass(frozen=True)
+class PreopCacheReport:
+    """A worker's patient-model cache as of the message carrying this."""
+
+    #: Resident ``preop_key``s, least recently used first.
+    resident: tuple[str, ...] = ()
+    #: Models evicted over the worker's lifetime.
+    evictions: int = 0
+    #: :meth:`repro.core.PreoperativeModel.nbytes` summed over ``resident``.
+    resident_bytes: int = 0
+    #: The reporting process: a report that outlived its worker (the slot
+    #: was respawned while the message was in flight) describes a cache
+    #: that no longer exists, and the parent drops it.
+    pid: int = 0
 
 
 def _build_pipeline(config, telemetry=None):
@@ -152,7 +179,7 @@ def _spool_flight(telemetry, spool: Path | None, reason: str, **context) -> str 
 
 def _serve_case(
     request: CaseRequest,
-    preop_cache: dict,
+    preop_cache: LRUStore,
     drain_event,
     drain_dir: str,
     worker_id: int,
@@ -226,7 +253,7 @@ def _serve_case(
                         request.preop_mri, request.preop_labels
                     )
                     preop_seconds = time.perf_counter() - t0
-                    preop_cache[key] = preop
+                    preop_cache.put(key, preop)
                 session = SurgicalSession.begin(
                     pipeline,
                     request.preop_mri,
@@ -354,7 +381,7 @@ class _BatchMember:
 
 def _serve_batch(
     batch: BatchRequest,
-    preop_cache: dict,
+    preop_cache: LRUStore,
     drain_event,
     drain_dir: str,
     worker_id: int,
@@ -477,7 +504,7 @@ def _serve_batch(
                             request.preop_mri, request.preop_labels
                         )
                         member.preop_seconds = time.perf_counter() - t0
-                        preop_cache[key] = preop
+                        preop_cache.put(key, preop)
                     member.session = SurgicalSession.begin(
                         pipeline,
                         request.preop_mri,
@@ -694,16 +721,28 @@ def _worker_main(
     wedged, not working. Two injectable degradations support chaos
     drills: ``("hang",)`` wedges the worker (alive, silent, never
     returns), ``("slow", seconds)`` adds per-case latency.
+
+    Every ``("result" | "batch", ...)`` message ends with a
+    :class:`PreopCacheReport`: the model built for the case may have
+    pushed older ones out, and the parent schedules on what is resident.
     """
     # A terminal Ctrl-C signals the whole foreground process group;
     # drain is the parent's job, so workers ignore SIGINT and wait for
     # the explicit "stop" message (SIGKILL-based chaos is unaffected).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    preop_cache: dict = {}
+    preop_cache = LRUStore(PREOP_CACHE_MODELS)
+    report = PreopCacheReport()
     slow_s = 0.0
 
     def beat() -> None:
         result_queue.put(("heartbeat", worker_id, time.time()))
+
+    def cache_report(last: PreopCacheReport) -> PreopCacheReport:
+        resident = tuple(preop_cache.keys())
+        nbytes = last.resident_bytes
+        if set(resident) != set(last.resident):  # sized when it changes
+            nbytes = sum(model.nbytes() for model in preop_cache.values())
+        return PreopCacheReport(resident, preop_cache.evictions, nbytes, os.getpid())
 
     while True:
         try:
@@ -727,21 +766,18 @@ def _worker_main(
                 time.sleep(slow_s)
             beat()
             request = message[1]
+            # One message per dispatch, a batch's member results together:
+            # the parent frees the worker on the first non-heartbeat
+            # message it sees.
             if isinstance(request, BatchRequest):
-                # One message for the whole batch: the parent frees the
-                # worker on the first non-heartbeat message it sees, so
-                # member results must travel together.
-                batch_results = _serve_batch(
-                    request, preop_cache, drain_event, drain_dir, worker_id,
-                    beat=beat,
-                )
-                result_queue.put(("batch", worker_id, batch_results))
+                tag, serve = "batch", _serve_batch
             else:
-                result = _serve_case(
-                    request, preop_cache, drain_event, drain_dir, worker_id,
-                    beat=beat,
-                )
-                result_queue.put(("result", worker_id, result))
+                tag, serve = "result", _serve_case
+            served = serve(
+                request, preop_cache, drain_event, drain_dir, worker_id, beat=beat
+            )
+            report = cache_report(report)
+            result_queue.put((tag, worker_id, served, report))
 
 
 @dataclass
@@ -755,7 +791,12 @@ class WorkerHandle:
     busy_since: float | None = None
     busy_deadline: float | None = None
     dispatched: int = 0
+    #: Patient models resident on the worker when it next reports: what
+    #: its last result message reported, with the model it is building
+    #: now in and the one that build will evict out.
     cached_keys: set = field(default_factory=set)
+    #: The worker's last :class:`PreopCacheReport`.
+    cache: PreopCacheReport = field(default_factory=PreopCacheReport)
 
     @property
     def idle(self) -> bool:
@@ -882,7 +923,15 @@ class SessionWorkerPool:
         handle.busy_since = time.monotonic()
         handle.busy_deadline = None
         handle.dispatched += 1
-        handle.cached_keys.add(request.preop_key())
+        key = request.preop_key()
+        if key not in handle.cached_keys:
+            # The worker will build this model, and a full cache drops its
+            # coldest one to keep it: say so now, or a case would be held
+            # for a model that is gone by the time this worker reports.
+            resident = handle.cache.resident
+            if len(resident) >= PREOP_CACHE_MODELS:
+                handle.cached_keys.discard(resident[0])
+            handle.cached_keys.add(key)
         self.heartbeats[handle.worker_id] = time.monotonic()
         handle.task_queue.put(("case", request))
 
@@ -891,9 +940,10 @@ class SessionWorkerPool:
 
         Blocks up to ``timeout`` seconds for the first message, then
         drains without blocking. Marks the producing workers idle,
-        absorbs heartbeat messages into :attr:`heartbeats`, and resets
-        the producer's crash count (a worker that delivers results is
-        not crash-looping).
+        absorbs heartbeat messages into :attr:`heartbeats`, resets the
+        producer's crash count (a worker that delivers results is not
+        crash-looping), and sets its ``cache`` / ``cached_keys`` to the
+        resident models the message reports.
         """
         results = []
         block = timeout > 0
@@ -914,6 +964,10 @@ class SessionWorkerPool:
                 handle.busy = None
                 handle.busy_since = None
                 handle.busy_deadline = None
+                report = message[3]
+                if report.pid == handle.process.pid:
+                    handle.cache = report
+                    handle.cached_keys = set(report.resident)
             self._crash_counts.pop(worker_id, None)
             if tag == "batch":
                 # A coalesced dispatch returns every member's result in
@@ -922,6 +976,23 @@ class SessionWorkerPool:
             else:
                 results.append(message[2])
         return results
+
+    def peak_rss_mb(self) -> float:
+        """Summed peak resident set (``VmHWM``) of the live workers, in MB.
+
+        The sum, not the largest: how cases split between workers varies
+        from run to run, their total does not. 0.0 without ``/proc``.
+        """
+        total_kb = 0
+        for handle in self.workers:
+            try:
+                status = Path(f"/proc/{handle.process.pid}/status").read_text()
+            except OSError:
+                continue
+            for line in status.splitlines():
+                if line.startswith("VmHWM:"):
+                    total_kb += int(line.split()[1])
+        return total_kb / 1024.0
 
     # -- failure handling ----------------------------------------------------
 

@@ -281,18 +281,26 @@ class ScanOutcome:
 
 
 def outcome_from_result(scan: int, result) -> ScanOutcome:
-    """Build a :class:`ScanOutcome` from an ``IntraoperativeResult``."""
-    sim = result.simulation
+    """Build a :class:`ScanOutcome` from what a session holds of a scan.
+
+    That is an ``IntraoperativeResult`` for the scan just processed and
+    a :class:`repro.persist.ScanSummary` for an older or restored one;
+    the summary already carries the digests.
+    """
+    from repro.persist.checkpoint import ScanSummary
+
+    summary = ScanSummary.of(scan, result)
+    record = summary.record
     return ScanOutcome(
         scan=scan,
-        seconds=float(result.timeline.total("intraoperative")),
-        nodal_sha=checksum_array(np.asarray(result.nodal_displacement, dtype=float)),
-        grid_sha=checksum_array(np.asarray(result.grid_displacement, dtype=float)),
-        solver_iterations=int(sim.solver.iterations),
-        cache_hit=bool(sim.cache_hit),
-        warm_started=bool(sim.warm_started),
-        degradation=None if result.degradation is None else result.degradation.label,
-        restored=bool(getattr(result, "restored", False)),
+        seconds=float(record.seconds()),
+        nodal_sha=record.nodal_sha,
+        grid_sha=record.grid_sha,
+        solver_iterations=record.solver_iterations,
+        cache_hit=record.cache_hit,
+        warm_started=record.warm_started,
+        degradation=record.degradation,
+        restored=summary.restored,
     )
 
 

@@ -14,7 +14,8 @@ Two halves, both deliberately simple and deterministic:
   rebuilding the assembly/reduction/preconditioner state, which on a
   preop-heavy workload is worth far more than spreading load. Among
   workers without the model, the one with the fewest dispatched cases
-  wins (least-loaded, ties by id).
+  wins (least-loaded, ties by id). "Holds" is what the worker last
+  reported resident — its cache evicts — never what it was once sent.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ class Scheduler:
     def pick_worker(self, idle_workers: list, preop_key: str) -> object:
         """Choose a worker handle for a case with the given preop key.
 
-        ``idle_workers`` are handles exposing ``cached_keys`` (preop
-        keys dispatched to that worker so far) and ``dispatched`` (case
-        count). Affinity beats load: a model already resident skips the
-        whole preoperative rebuild.
+        ``idle_workers`` are handles exposing ``cached_keys`` (the preop
+        keys the worker reported resident with its last result) and
+        ``dispatched`` (case count). Affinity beats load: a model
+        already resident skips the whole preoperative rebuild.
         """
         if not idle_workers:
             raise ValidationError("no idle workers to schedule onto")
@@ -75,8 +76,11 @@ class Scheduler:
         """Single-flight preoperative builds: hold the case for its model.
 
         True when no idle worker holds the case's patient model but a
-        *busy* worker does (it is building it right now, or already
-        has it resident). Dispatching elsewhere would duplicate the
+        *busy* worker does (it is building it right now — the key joins
+        its ``cached_keys`` at dispatch — or reported it resident before
+        this case and the build it has in hand will not evict it: the
+        model a full cache drops for that build leaves ``cached_keys`` at
+        dispatch too). Dispatching elsewhere would duplicate the
         preoperative build — meshing, assembly, boundary elimination,
         preconditioner factorization — which dominates per-case cost,
         so the case waits for the worker with (or acquiring) the model.

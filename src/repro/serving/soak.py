@@ -92,6 +92,11 @@ class SoakReport:
     unterminated_cases: list[str] = field(default_factory=list)
     replay_bit_identical: bool | None = None
     latency: dict = field(default_factory=dict)
+    #: Summed peak resident set (``VmHWM``) of the workers alive when the
+    #: load ended, next to ``counters["serving.preop_evictions"]``: did
+    #: memory grow with the patients served, or did the model cache turn
+    #: over? (A killed shard's workers took their peaks with them.)
+    workers_peak_rss_mb: float = 0.0
     #: Network-path audit (:func:`run_net_soak` only): server/client
     #: ``net.*`` counters, duplicate-dedup accounting, breaker stats,
     #: and ``double_solved`` — idempotency keys that started more than
@@ -143,6 +148,7 @@ class SoakReport:
             "shed_before_reject": self.shed_before_reject,
             "replay_bit_identical": self.replay_bit_identical,
             "latency": self.latency,
+            "workers_peak_rss_mb": self.workers_peak_rss_mb,
             "net": dict(self.net),
         }
 
@@ -162,6 +168,10 @@ class SoakReport:
             ["failovers", int(self.counters.get("serving.failover", 0))],
             ["re-admissions", int(self.counters.get("serving.readmitted", 0))],
             ["respawns", int(self.counters.get("serving.respawn", 0))],
+            [
+                "patient models evicted",
+                int(self.counters.get("serving.preop_evictions", 0)),
+            ],
             ["durable cases", self.durable_cases],
             ["lost durable cases", len(self.lost_cases)],
         ]
@@ -178,6 +188,7 @@ class SoakReport:
             f" | scans: {self.scans_total}"
             f" | throughput: {self.throughput_scans_per_s:.3f} scans/s"
             f" | shed-before-reject: {self.shed_before_reject}"
+            f" | workers' peak RSS: {self.workers_peak_rss_mb:.0f} MB"
         )
         if self.replay_bit_identical is not None:
             table += f" | replay bit-identical: {self.replay_bit_identical}"
@@ -307,11 +318,18 @@ def run_soak(
                     if request.checkpoint_dir is not None:
                         durable.append(request.case_id)
             gateway.run()
+        peak_rss_mb = _workers_peak_rss_mb(gateway)
         gateway.drain(timeout=30.0)
         elapsed = time.perf_counter() - t0
-        return _audit(gateway, requests, admitted, durable, elapsed, waves)
+        return _audit(
+            gateway, requests, admitted, durable, elapsed, waves, peak_rss_mb
+        )
     finally:
         gateway.shutdown()
+
+
+def _workers_peak_rss_mb(gateway: ShardGateway) -> float:
+    return sum(shard.pool.peak_rss_mb() for shard in gateway.live_shards())
 
 
 def _audit(
@@ -321,6 +339,7 @@ def _audit(
     durable: list[str],
     elapsed: float,
     waves: int,
+    peak_rss_mb: float,
     results: dict | None = None,
 ) -> SoakReport:
     """Assemble the report and the lost-case accounting.
@@ -352,6 +371,7 @@ def _audit(
         "serving.hangs",
         "serving.dropped_results",
         "serving.respawn",
+        "serving.preop_evictions",
         "serving.evicted",
         "serving.scans",
         "serving.drains",
@@ -390,6 +410,7 @@ def _audit(
         lost_cases=lost,
         unterminated_cases=unterminated,
         latency=gateway.slo.summary() if gateway.slo is not None else {},
+        workers_peak_rss_mb=peak_rss_mb,
     )
 
 
@@ -482,7 +503,7 @@ def run_net_soak(
         gateway.metrics.merge(client.metrics.snapshot())
         report = _audit(
             gateway, requests, admitted, durable, elapsed, waves=1,
-            results=results,
+            peak_rss_mb=_workers_peak_rss_mb(gateway), results=results,
         )
         report.faults_injected.extend(
             wire_faults.log if wire_faults is not None else []

@@ -89,6 +89,7 @@ from repro.serving.protocol import (
 )
 from repro.util import ValidationError
 from repro.util.atomicio import checksum_array
+from repro.util.memory import LRUStore
 
 # -- frame format -------------------------------------------------------------
 
@@ -98,6 +99,11 @@ DIGEST_SIZE = 16
 #: Upper bound on a single frame's payload (guards the length prefix:
 #: a corrupted header cannot make the reader allocate gigabytes).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+#: Uploaded preoperative volume pairs the front-end keeps (an LRU): a
+#: submit needs its patient's pair only to decode — the request carries
+#: the volumes from there — and a client whose upload was dropped is told
+#: ``need_preop`` and uploads again.
+PREOP_STORE_PATIENTS = 8
 
 T_PING = 1  #: health probe -> T_PONG
 T_PONG = 2
@@ -455,7 +461,7 @@ class NetworkFrontEnd:
         self.pump_stale_s = float(pump_stale_s)
         self.max_frame_bytes = int(max_frame_bytes)
         # Event-loop-owned state.
-        self._preops: dict[str, tuple[ImageVolume, ImageVolume]] = {}
+        self._preops = LRUStore(PREOP_STORE_PATIENTS)  # key -> (mri, labels)
         self._inbox: deque[CaseRequest] = deque()
         self._pending: dict[str, str] = {}  # idempotency key -> case_id
         self._terminal: dict[str, CaseResult] = {}  # idempotency key -> result
@@ -463,7 +469,7 @@ class NetworkFrontEnd:
         #: key ever exceeds 1 (duplicates must dedup, not re-solve).
         self.exec_counts: dict[str, int] = {}
         self._case_key: dict[str, str] = {}  # case_id -> idempotency key
-        self._published: set[str] = set()  # case_ids already pushed
+        self._resolved: list[CaseResult] = []  # one pump cycle's terminals
         self._waiters: dict[str, set[_Conn]] = {}
         self._conns: set[_Conn] = set()
         self._submit_total = 0
@@ -592,7 +598,10 @@ class NetworkFrontEnd:
                 await loop.run_in_executor(
                     self._executor, self.gateway.drain, budget
                 )
-        await self._publish_new_terminals()
+            self._resolved += [
+                self.gateway.results[i] for i in self.gateway.terminal_ids
+            ]
+            await self._publish()
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(Exception):
@@ -609,18 +618,27 @@ class NetworkFrontEnd:
         """One executor-thread cycle: submit the batch, tick the gateway.
 
         The only code path that touches gateway state, so the gateway
-        stays effectively single-threaded.
+        stays effectively single-threaded. Leaves in ``_resolved`` the
+        results that became terminal in this cycle — the submits refused
+        outright and the cases the tick finished, also one that then
+        failed — which is all the pump has to publish.
         """
-        rejected: list[tuple[str, str]] = []
         for request in batch:
             try:
-                # An immediate rejection lands in gateway.results and is
-                # published like any other terminal.
-                self.gateway.submit(request)
+                refused = self.gateway.submit(request)
             except Exception as exc:
-                rejected.append((request.case_id, str(exc)))
-        working = self.gateway.tick(self.poll_seconds)
-        return working, self.gateway.health(), rejected
+                refused = CaseResult(
+                    case_id=request.case_id, status=STATUS_REJECTED, detail=str(exc)
+                )
+            if refused is not None:
+                self._resolved.append(refused)
+        try:
+            working = self.gateway.tick(self.poll_seconds)
+        finally:
+            self._resolved += [
+                self.gateway.results[i] for i in self.gateway.terminal_ids
+            ]
+        return working, self.gateway.health()
 
     async def _pump(self) -> None:
         loop = asyncio.get_running_loop()
@@ -629,30 +647,24 @@ class NetworkFrontEnd:
             while self._inbox:
                 batch.append(self._inbox.popleft())
             try:
-                working, health, rejected = await loop.run_in_executor(
+                working, health = await loop.run_in_executor(
                     self._executor, self._pump_sync, batch
                 )
             except Exception:
+                working = None
+            await self._publish()
+            if working is None:
                 await asyncio.sleep(self.pump_idle_s)
                 continue
             self._health, self._health_at = health, time.monotonic()
-            for case_id, detail in rejected:
-                await self._resolve(
-                    case_id,
-                    CaseResult(
-                        case_id=case_id, status=STATUS_REJECTED, detail=detail
-                    ),
-                )
-            await self._publish_new_terminals()
             if not working and not batch and not self._inbox:
                 await asyncio.sleep(self.pump_idle_s)
 
-    async def _publish_new_terminals(self) -> None:
-        for case_id in list(self.gateway.results):
-            if case_id in self._published:
-                continue
-            self._published.add(case_id)
-            await self._resolve(case_id, self.gateway.results[case_id])
+    async def _publish(self) -> None:
+        """Push the results a pump cycle (or the drain) left in ``_resolved``."""
+        resolved, self._resolved = self._resolved, []
+        for result in resolved:
+            await self._resolve(result.case_id, result)
 
     async def _resolve(self, case_id: str, result: CaseResult) -> None:
         key = self._case_key.get(case_id, case_id)
@@ -784,7 +796,7 @@ class NetworkFrontEnd:
             )
             return
         if key not in self._preops:
-            self._preops[key] = (mri, labels)
+            self._preops.put(key, (mri, labels))
             self.metrics.counter("net.preop_uploads").inc()
         await self._send(
             conn, T_PREOP_ACK, {"tag": tag, "key": key, "stored": True, "detail": "ok"}

@@ -25,6 +25,7 @@ from repro.imaging.phantom import make_neurosurgery_case
 from repro.persist import (
     ScanJournal,
     ScanRecord,
+    ScanSummary,
     SessionStore,
     atomic_write_text,
     atomic_writer,
@@ -285,14 +286,29 @@ class TestResume:
     def test_restored_fields_match_original(self, checkpointed, tmp_path):
         _, original, _ = checkpointed
         session, _ = resume_copy(checkpointed, tmp_path)
-        for live, restored in zip(original.history, session.history):
-            np.testing.assert_array_equal(
-                live.nodal_displacement, restored.nodal_displacement
-            )
-            np.testing.assert_array_equal(
-                live.grid_displacement, restored.grid_displacement
-            )
-            assert restored.match_simulated_rms == live.match_simulated_rms
+        # Scan 0 is a ScanSummary on both sides (a live session keeps of
+        # a superseded scan exactly what a resume restores of it); scan 1,
+        # the latest, is a full result on both.
+        live, restored = original.history[0], session.history[0]
+        assert isinstance(live, ScanSummary) and isinstance(restored, ScanSummary)
+        assert restored.restored and not live.restored
+        np.testing.assert_array_equal(
+            live.nodal_displacement, restored.nodal_displacement
+        )
+        assert live.grid_displacement is None and restored.grid_displacement is None
+        assert restored.record.grid_sha == live.record.grid_sha
+        assert restored.record.match_simulated_rms == live.record.match_simulated_rms
+        np.testing.assert_array_equal(
+            live.grid_on(original.preop), restored.grid_on(session.preop)
+        )
+        live, restored = original.history[1], session.history[1]
+        np.testing.assert_array_equal(
+            live.nodal_displacement, restored.nodal_displacement
+        )
+        np.testing.assert_array_equal(
+            live.grid_displacement, restored.grid_displacement
+        )
+        assert restored.match_simulated_rms == live.match_simulated_rms
 
     def test_warm_fast_path_survives_resume(self, checkpointed, tmp_path):
         session, cases = resume_copy(checkpointed, tmp_path)

@@ -15,6 +15,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.imaging.volume import ImageVolume
+from repro.persist import ScanSummary
 from repro.resilience import (
     DegradationLevel,
     FaultPlan,
@@ -31,6 +32,7 @@ from repro.util import (
     DeadlineExceeded,
     ReproError,
     ValidationError,
+    checksum_array,
 )
 
 
@@ -257,20 +259,34 @@ class TestDegradationLevels:
         report = session.history[1].degradation
         assert report.level is DegradationLevel.PREVIOUS_FIELD
         assert "unusable" in report.cause
+        # Scan 0 is superseded, so the session holds its summary: the
+        # re-applied field is the one that summary recorded and re-derives.
         previous = session.history[0]
-        assert np.array_equal(
-            session.history[1].grid_displacement, previous.grid_displacement
-        )
+        assert isinstance(previous, ScanSummary)
+        reapplied = session.history[1].grid_displacement
+        assert checksum_array(reapplied) == previous.record.grid_sha
+        assert np.array_equal(reapplied, previous.grid_on(session.preop))
 
     def test_unusable_first_scan_degrades_to_rigid_only(self, small_case):
         plan = FaultPlan.parse("0:scan-nan=0.5", seed=3)
-        session = run_session(small_case, fast_config(fault_plan=plan))
-        first, second = session.history
+        pipeline = IntraoperativePipeline(fast_config(fault_plan=plan))
+        session = SurgicalSession.begin(
+            pipeline, small_case.preop_mri, small_case.preop_labels
+        )
+        first = session.process(small_case.intraop_mri)
         assert first.degradation.level is DegradationLevel.RIGID_ONLY
         assert np.all(first.grid_displacement == 0.0)
         # Zero-RHS solver contract survives the stubbed simulation.
         assert first.simulation.solver.history == [0.0]
         assert first.simulation.solver.converged
+        second = session.process(small_case.intraop_mri)
+        # Superseded, the degraded scan is a summary without a dense field:
+        # zero nodal displacement gives the zero grid back.
+        kept = session.history[0]
+        assert isinstance(kept, ScanSummary)
+        assert kept.degradation is first.degradation
+        assert kept.grid_displacement is None and kept.record.solver_converged
+        assert np.array_equal(kept.grid_on(session.preop), first.grid_displacement)
         # The session recovers completely on the next good acquisition.
         assert second.degradation.level is DegradationLevel.FULL_FEM
         assert second.simulation.solver.iterations > 0
