@@ -30,11 +30,17 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
 @pytest.fixture(scope="session")
-def system77():
+def system77_equations():
+    """The size ``system77`` is built for (what its mesh size search aims at)."""
+    return 12000 if SMOKE else PAPER_SYSTEM_SMALL
+
+
+@pytest.fixture(scope="session")
+def system77(system77_equations):
     """The paper's 77,511-equation clinical system (25,837 nodes)."""
     if SMOKE:
-        return build_clinical_system(12000, shape=(48, 48, 36))
-    return build_clinical_system(PAPER_SYSTEM_SMALL)
+        return build_clinical_system(system77_equations, shape=(48, 48, 36))
+    return build_clinical_system(system77_equations)
 
 
 @pytest.fixture(scope="session")

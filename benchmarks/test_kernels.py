@@ -76,14 +76,71 @@ def test_kernel_saturated_distance_transform(benchmark):
     benchmark(lambda: saturated_distance_transform(mask, 15.0, (1.0, 1.0, 2.0)))
 
 
-def test_kernel_mesh_generation(medium, benchmark):
-    labels = medium.case.preop_labels
+def test_kernel_mesh_generation(medium, system77_equations, monkeypatch):
+    """The ``system77`` mesh at its own cell size, and the size search that
+    chose it: seconds and allocation peak, merged into BENCH_hotpath.json."""
+    from bench_io import update_bench_record
     from repro.experiments.common import BRAIN_LABELS
+    from repro.mesh import generator
+    from repro.util.memory import reachable_array_bytes
 
-    result = benchmark.pedantic(
-        lambda: mesh_labeled_volume(labels, 4.0, BRAIN_LABELS), rounds=2, iterations=1
+    labels = medium.case.preop_labels
+    cell_mm = tuple(float(h) for h in medium.mesher.cell_size)
+    build = lambda: mesh_labeled_volume(labels, cell_mm, BRAIN_LABELS)
+    first, seconds, mesher = _timed(build, repeats=5)
+    tracemalloc.start()
+    build()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(mesher.mesh.elements, medium.mesh.elements)
+
+    target_nodes = system77_equations // 3
+    search = lambda: generator.mesh_with_target_nodes(labels, target_nodes, BRAIN_LABELS)
+    _, search_seconds, found = _timed(search, repeats=2)
+    assert found.cells == mesher.cells
+    # Once more under spies: how many sizes it probed, how many meshes it built.
+    probes, builds = [], []
+    count_nodes, build_mesh = generator._count_nodes, generator.mesh_labeled_volume
+    monkeypatch.setattr(
+        generator, "_count_nodes", lambda *a: probes.append(a[1]) or count_nodes(*a)
     )
-    assert result.mesh.n_nodes > 1000
+    monkeypatch.setattr(
+        generator, "mesh_labeled_volume", lambda *a: builds.append(a[1]) or build_mesh(*a)
+    )
+    search()
+
+    own = reachable_array_bytes(mesher)
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "mesh_generation": {
+                "smoke": SMOKE,
+                "cell_mm": list(cell_mm),
+                "candidates": int(np.prod(mesher.cells)) * 6,
+                "kept_elements": int(mesher.mesh.n_elements),
+                "n_nodes": int(mesher.mesh.n_nodes),
+                "first_call_seconds": first,
+                "seconds": seconds,
+                "peak_bytes_allocated": int(peak),
+                "mesher_bytes": int(own),
+                "size_search": {
+                    "target_nodes": int(target_nodes),
+                    "seconds": search_seconds,
+                    "probes": len(probes),
+                    "meshes_built": len(builds),
+                },
+            }
+        },
+    )
+    # Work and memory follow the tetrahedra kept, not the bounding box:
+    # the dense generator peaked at 16x the mesher it returned.
+    assert peak <= 8 * own
+    assert len(builds) == 1  # whatever the probe count
+    if not SMOKE:
+        # 134 k elements of 741 k candidates: the dense generator took 0.3 s on
+        # settled pages and 1.0-2.3 s on fresh ones, its size search 2.1-3.4 s.
+        assert seconds <= 0.5
+        assert search_seconds <= 1.0
 
 
 def test_kernel_element_stiffness(medium, benchmark):

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.imaging.resample import trilinear_sample
 from repro.imaging.volume import ImageVolume
-from repro.mesh.generator import _largest_face_connected
-from repro.mesh.tetra import TetrahedralMesh
+from repro.mesh.tetra import TET_FACES, TetrahedralMesh
 from repro.util import MeshError, check_volume_like
 
 
@@ -82,6 +81,41 @@ def remove_elements_by_material(
     """Remove every element carrying one of the given material labels."""
     keep = ~np.isin(mesh.materials, np.asarray(materials))
     return _apply_removal(mesh, keep, keep_largest_component)
+
+
+def _largest_face_connected(elements: np.ndarray) -> np.ndarray:
+    """Boolean mask of the largest face-connected element component.
+
+    Tetrahedra that touch the main body only through a vertex or an
+    edge form zero-energy mechanisms (they can hinge freely), which
+    makes the stiffness matrix singular under partial-support boundary
+    conditions. Keeping one face-connected component removes them. An
+    edited mesh has no grid to read neighbours from (the generator's
+    filter does), so shared faces are found by sorting face keys.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    m = len(elements)
+    if m <= 1:
+        return np.ones(m, dtype=bool)
+    faces = elements[:, TET_FACES].reshape(-1, 3)
+    key = np.sort(faces, axis=1)
+    owners = np.repeat(np.arange(m), 4)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key_sorted = key[order]
+    owners_sorted = owners[order]
+    same = np.all(key_sorted[:-1] == key_sorted[1:], axis=1)
+    a = owners_sorted[:-1][same]
+    b = owners_sorted[1:][same]
+    graph = coo_matrix(
+        (np.ones(len(a)), (a, b)), shape=(m, m)
+    )
+    n_comp, labels_ = connected_components(graph, directed=False)
+    if n_comp == 1:
+        return np.ones(m, dtype=bool)
+    counts = np.bincount(labels_)
+    return labels_ == np.argmax(counts)
 
 
 def _apply_removal(

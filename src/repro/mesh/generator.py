@@ -9,6 +9,12 @@ its centroid, and cells outside the meshed tissue set are dropped,
 "reducing the number of equations to solve by using mesh elements that
 cover several image pixels".
 
+The generator touches only the tetrahedra it keeps: the candidates of
+the bounding box (``cells × 6``, of which a head keeps 12–18 %) exist as
+one label per candidate and the ``element_lookup`` table; connectivity,
+nodes and the face-connectivity filter are index arithmetic on the kept
+ones (DESIGN.md, "Mesh generation touches only what it keeps").
+
 Because the mesh comes from a regular grid, point location is analytic:
 a world point maps to its cell in O(1) and to one of the six Kuhn
 tetrahedra by sorting its local coordinates, giving exact barycentric
@@ -20,16 +26,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.imaging.resample import trilinear_sample
 from repro.imaging.volume import ImageVolume
 from repro.mesh.tetra import TetrahedralMesh
 from repro.util import MeshError, ValidationError
 
-#: The six axis permutations defining the Freudenthal subdivision.
+#: The six axis permutations defining the Freudenthal subdivision:
+#: tetrahedron ``(a, b, c)`` walks from the cell's low corner to its high
+#: corner along axis ``a``, then ``b``, then ``c``.
 PERMUTATIONS: tuple[tuple[int, int, int], ...] = tuple(itertools.permutations((0, 1, 2)))
+
+_PERM_AXES = np.array(PERMUTATIONS, dtype=np.intp)
 
 #: Map encoded permutation (p0*9 + p1*3 + p2) -> index into PERMUTATIONS.
 _PERM_INDEX = np.full(27, -1, dtype=np.intp)
@@ -50,7 +60,37 @@ def _tet_corner_offsets() -> np.ndarray:
     return out
 
 
+def _face_neighbour_tets() -> np.ndarray:
+    """Tetrahedron across each face of a Kuhn tetrahedron, shape (6, 4).
+
+    For permutation ``(a, b, c)`` the face opposite local vertex 0 is
+    shared with ``(b, c, a)`` of the next cell along ``a``, the faces
+    opposite 1 and 2 with ``(b, a, c)`` and ``(a, c, b)`` of the same
+    cell, and the face opposite 3 with ``(c, a, b)`` of the previous
+    cell along ``c``.
+    """
+    index = {perm: t for t, perm in enumerate(PERMUTATIONS)}
+    return np.array(
+        [
+            [index[b, c, a], index[b, a, c], index[a, c, b], index[c, a, b]]
+            for a, b, c in PERMUTATIONS
+        ],
+        dtype=np.intp,
+    )
+
+
 _TET_OFFSETS = _tet_corner_offsets()
+_FACE_NEIGHBOUR_TET = _face_neighbour_tets()
+
+#: Centroid of each Kuhn tetrahedron in cell units, shape (6, 3).
+_CENTROID_OFFSETS = _TET_OFFSETS.mean(axis=1)
+
+#: The signed volume of a Kuhn tetrahedron has the sign of its
+#: permutation, so the odd ones store local nodes 2 and 3 swapped
+#: (``GridTetraMesher.flipped``).
+_ODD_PERMUTATION = np.array(
+    [np.linalg.det(np.eye(3)[list(perm)]) < 0 for perm in PERMUTATIONS]
+)
 
 
 @dataclass
@@ -168,48 +208,174 @@ class GridTetraMesher:
         return disp.reshape(*reference.shape, 3)
 
 
-def _largest_face_connected(elements: np.ndarray) -> np.ndarray:
-    """Boolean mask of the largest face-connected element component.
+class _KeptTetrahedra(NamedTuple):
+    """The tetrahedra a mesh will have, before any of it is built.
+
+    A *candidate* is a flat index into the ``(cx, cy, cz, 6)`` grid of
+    Kuhn tetrahedra; ``kept`` lists the chosen ones in ascending order
+    (element order), ``lookup`` maps every candidate to its element
+    index (-1: dropped).
+    """
+
+    cells: tuple[int, int, int]
+    cell_size: np.ndarray
+    grid_origin: np.ndarray
+    kept: np.ndarray
+    materials: np.ndarray
+    lookup: np.ndarray
+
+
+def _face_neighbours(candidates: np.ndarray, cells: tuple[int, int, int]) -> np.ndarray:
+    """Candidate across each face of the given candidates, shape (n, 4).
+
+    Column ``f`` is the candidate sharing the face opposite local vertex
+    ``f``, or -1 where that face lies on the boundary of the grid. The
+    subdivision is the same in every cell, so this is index arithmetic —
+    no face is built or sorted.
+    """
+    cell, tet = np.divmod(candidates, 6)
+    ijk = np.stack(np.unravel_index(cell, cells))  # (3, n)
+    strides = np.array([cells[1] * cells[2] * 6, cells[2] * 6, 6], dtype=np.intp)
+    upper = np.asarray(cells, dtype=np.intp)
+    rows = np.arange(len(candidates))
+    out = candidates[:, None] + (_FACE_NEIGHBOUR_TET[tet] - tet[:, None])
+    # Faces 1 and 2 stay in the cell; 0 steps forward along the
+    # permutation's first axis, 3 backward along its last.
+    for face, perm_slot, step in ((0, 0, 1), (3, 2, -1)):
+        axis = _PERM_AXES[tet, perm_slot]
+        along = ijk[axis, rows] + step
+        inside = (along >= 0) & (along < upper[axis])
+        out[:, face] = np.where(inside, out[:, face] + step * strides[axis], -1)
+    return out
+
+
+def _largest_component(
+    kept: np.ndarray, lookup: np.ndarray, cells: tuple[int, int, int]
+) -> np.ndarray:
+    """Boolean mask over ``kept`` of its largest face-connected component.
 
     Tetrahedra that touch the main body only through a vertex or an
     edge form zero-energy mechanisms (they can hinge freely), which
     makes the stiffness matrix singular under partial-support boundary
     conditions. Keeping one face-connected component removes them.
+
+    scipy numbers components by their lowest member, so ``argmax``
+    breaks ties exactly as the sort-based filter of
+    :mod:`repro.mesh.editing` does on the same elements.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    m = len(elements)
+    m = len(kept)
     if m <= 1:
         return np.ones(m, dtype=bool)
-    faces = elements[:, TET_FACES_LOCAL].reshape(-1, 3)
-    key = np.sort(faces, axis=1)
-    owners = np.repeat(np.arange(m), 4)
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-    key_sorted = key[order]
-    owners_sorted = owners[order]
-    same = np.all(key_sorted[:-1] == key_sorted[1:], axis=1)
-    a = owners_sorted[:-1][same]
-    b = owners_sorted[1:][same]
-    graph = coo_matrix(
-        (np.ones(len(a)), (a, b)), shape=(m, m)
-    )
-    n_comp, labels_ = connected_components(graph, directed=False)
+    neighbours = _face_neighbours(kept, cells)
+    neighbours = np.where(neighbours >= 0, lookup[neighbours], -1)
+    linked = neighbours >= 0
+    indptr = np.concatenate([[0], np.cumsum(linked.sum(axis=1))])
+    indices = neighbours[linked]
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+    n_comp, component = connected_components(graph, directed=False)
     if n_comp == 1:
         return np.ones(m, dtype=bool)
-    counts = np.bincount(labels_)
-    return labels_ == np.argmax(counts)
+    return component == np.argmax(np.bincount(component))
 
 
-#: Local face index triples (unsorted) reused by the component filter.
-TET_FACES_LOCAL = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], dtype=np.intp)
+def _centroid_materials(
+    labels: ImageVolume,
+    cells: tuple[int, int, int],
+    cell_size: np.ndarray,
+    grid_origin: np.ndarray,
+) -> np.ndarray:
+    """Label at the centroid of every candidate, shape ``(cx, cy, cz, 6)``.
+
+    A centroid's coordinate along an axis depends only on the cell index
+    along that axis and on the tetrahedron, so its nearest voxel comes
+    from three ``(cells_a, 6)`` index tables and the labels from one
+    broadcast gather (-1 where a centroid rounds outside the volume).
+    """
+    data = labels.data
+    index, inside = [], []
+    for a in range(3):
+        centroid = (
+            grid_origin[a]
+            + (np.arange(cells[a])[:, None] + _CENTROID_OFFSETS[:, a]) * cell_size[a]
+        )
+        voxel = np.rint((centroid - labels._origin_arr[a]) / labels._spacing_arr[a])
+        voxel = voxel.astype(np.intp)
+        shape = [1, 1, 1, 6]
+        shape[a] = cells[a]
+        inside.append(((voxel >= 0) & (voxel < data.shape[a])).reshape(shape))
+        index.append(np.clip(voxel, 0, data.shape[a] - 1).reshape(shape))
+    mats = data[tuple(index)]
+    if mats.dtype.kind not in "iu":
+        # A label image that is not integer-typed is read through float64.
+        mats = mats.astype(np.float64).astype(np.int64)
+    if not all(ok.all() for ok in inside):
+        mats = np.where(inside[0] & inside[1] & inside[2], mats.astype(np.int64), -1)
+    return mats
+
+
+def _select_tetrahedra(
+    labels: ImageVolume,
+    cell_mm: float | tuple[float, float, float],
+    mesh_materials: tuple[int, ...],
+    keep_largest_component: bool,
+) -> _KeptTetrahedra:
+    """Lay the cell grid over the volume and choose its tetrahedra."""
+    if not mesh_materials:
+        raise ValidationError("mesh_materials must not be empty")
+    extent = labels.physical_extent
+    cell_req = np.broadcast_to(np.asarray(cell_mm, dtype=float), (3,))
+    if np.any(cell_req <= 0):
+        raise ValidationError(f"cell_mm must be positive, got {cell_mm}")
+    cell_counts = np.maximum(1, np.round(extent / cell_req).astype(int))
+    cell_size = extent / cell_counts
+    grid_origin = np.asarray(labels.origin) - np.asarray(labels.spacing) / 2.0
+    cells = tuple(int(c) for c in cell_counts)
+
+    mats = _centroid_materials(labels, cells, cell_size, grid_origin).reshape(-1)
+    kept = np.flatnonzero(np.isin(mats, np.asarray(mesh_materials)))
+    if len(kept) == 0:
+        raise MeshError(
+            f"no tetrahedra with materials {mesh_materials}: is the cell size too coarse?"
+        )
+    lookup = np.full(len(mats), -1, dtype=np.intp)
+    lookup[kept] = np.arange(len(kept))
+    if keep_largest_component:
+        component = _largest_component(kept, lookup, cells)
+        if not component.all():
+            lookup[kept] = -1
+            kept = kept[component]
+            lookup[kept] = np.arange(len(kept))
+    return _KeptTetrahedra(
+        cells, cell_size, grid_origin, kept, mats[kept].astype(np.int64), lookup
+    )
+
+
+def _lattice_elements(
+    kept: np.ndarray, cells: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connectivity of the kept tetrahedra on the full lattice.
+
+    Returns their ``(k, 4)`` lattice node ids, positively oriented, and
+    the boolean mask of the lattice nodes they use.
+    """
+    node_dims = tuple(c + 1 for c in cells)
+    corner = np.ravel_multi_index(np.moveaxis(_TET_OFFSETS, -1, 0), node_dims)  # (6, 4)
+    corner[_ODD_PERMUTATION] = corner[_ODD_PERMUTATION][:, [0, 1, 3, 2]]
+    cell, tet = np.divmod(kept, 6)
+    base_node = np.ravel_multi_index(np.unravel_index(cell, cells), node_dims)
+    elements = base_node[:, None] + corner[tet]
+    used = np.zeros(int(np.prod(node_dims)), dtype=bool)
+    used[elements.reshape(-1)] = True
+    return elements, used
 
 
 def mesh_labeled_volume(
     labels: ImageVolume,
     cell_mm: float | tuple[float, float, float],
     mesh_materials: tuple[int, ...],
-    min_fill: float = 0.0,
     keep_largest_component: bool = True,
 ) -> GridTetraMesher:
     """Mesh the regions of a label volume carrying the given materials.
@@ -224,97 +390,44 @@ def mesh_labeled_volume(
     mesh_materials:
         Tissue labels to keep. Tetrahedra whose centroid lands outside
         these classes are dropped.
-    min_fill:
-        Reserved for future partial-cell handling (must be 0 for now).
     keep_largest_component:
         Drop tetrahedra that are not face-connected to the largest
         component (vertex/edge-attached clusters are mechanisms that
         would make partial-support FEM problems singular).
     """
-    if min_fill != 0.0:
-        raise ValidationError("min_fill is not implemented; pass 0.0")
-    if not mesh_materials:
-        raise ValidationError("mesh_materials must not be empty")
-    extent = labels.physical_extent
-    cell_req = np.broadcast_to(np.asarray(cell_mm, dtype=float), (3,))
-    if np.any(cell_req <= 0):
-        raise ValidationError(f"cell_mm must be positive, got {cell_mm}")
-    cells = np.maximum(1, np.round(extent / cell_req).astype(int))
-    cell_size = extent / cells
-    grid_origin = np.asarray(labels.origin) - np.asarray(labels.spacing) / 2.0
-
-    cx, cy, cz = (int(c) for c in cells)
-    node_dims = (cx + 1, cy + 1, cz + 1)
-
-    # Lattice node world coordinates.
-    li, lj, lk = np.meshgrid(
-        np.arange(cx + 1), np.arange(cy + 1), np.arange(cz + 1), indexing="ij"
+    cells, cell_size, grid_origin, kept, materials, lookup = _select_tetrahedra(
+        labels, cell_mm, mesh_materials, keep_largest_component
     )
-    lattice = np.stack([li, lj, lk], axis=-1).reshape(-1, 3)
-    node_coords = grid_origin + lattice * cell_size
+    elements, used = _lattice_elements(kept, cells)
 
-    # All candidate tetrahedra: (n_cells, 6, 4) lattice node ids.
-    ci, cj, ck = np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij")
-    base = np.stack([ci, cj, ck], axis=-1).reshape(-1, 1, 1, 3)  # (C,1,1,3)
-    corners = base + _TET_OFFSETS[None, :, :, :]  # (C, 6, 4, 3)
-    node_ids = np.ravel_multi_index(
-        (corners[..., 0], corners[..., 1], corners[..., 2]), node_dims
-    )  # (C, 6, 4)
-
-    # Material at each tetra centroid.
-    centroids = (
-        grid_origin
-        + (base.reshape(-1, 1, 3) + _TET_OFFSETS.mean(axis=1)[None, :, :]) * cell_size
-    )  # (C, 6, 3)
-    label_float = ImageVolume(labels.data.astype(np.float64), labels.spacing, labels.origin)
-    mats = trilinear_sample(
-        label_float, centroids.reshape(-1, 3), fill_value=-1.0, nearest=True
-    ).astype(np.int64)
-
-    keep = np.isin(mats, np.asarray(mesh_materials))
-    if not keep.any():
-        raise MeshError(
-            f"no tetrahedra with materials {mesh_materials}: is the cell size too coarse?"
-        )
-    elements_all = node_ids.reshape(-1, 4)
-    if keep_largest_component:
-        kept_idx = np.flatnonzero(keep)
-        mask = _largest_face_connected(elements_all[kept_idx])
-        keep = np.zeros_like(keep)
-        keep[kept_idx[mask]] = True
-    kept_elements = elements_all[keep]
-    kept_materials = mats[keep]
-
-    raw = TetrahedralMesh(node_coords, kept_elements, kept_materials)
-    # Fix orientation: Kuhn tets alternate chirality between permutations.
-    vols = raw.element_volumes()
-    flip = np.asarray(vols < 0)
-    if flip.any():
-        fixed = kept_elements.copy()
-        fixed[flip, 2], fixed[flip, 3] = kept_elements[flip, 3], kept_elements[flip, 2]
-        raw = TetrahedralMesh(node_coords, fixed, kept_materials)
-    mesh, node_map = raw.compact()
+    # Keep the lattice nodes in use, in lattice order.
+    node_ids = np.flatnonzero(used)
+    new_index = np.full(len(used), -1, dtype=np.intp)
+    new_index[node_ids] = np.arange(len(node_ids))
+    lattice = np.unravel_index(node_ids, tuple(c + 1 for c in cells))
+    nodes = np.stack(
+        [grid_origin[a] + lattice[a] * cell_size[a] for a in range(3)], axis=1
+    )
+    mesh = TetrahedralMesh(nodes, new_index[elements], materials)
     mesh.validate()
-
-    lookup = np.full((cx, cy, cz, 6), -1, dtype=np.intp)
-    flat_idx = np.flatnonzero(keep)
-    cell_of = flat_idx // 6
-    tet_of = flat_idx % 6
-    lookup[
-        cell_of // (cy * cz),
-        (cell_of // cz) % cy,
-        cell_of % cz,
-        tet_of,
-    ] = np.arange(len(flat_idx))
 
     return GridTetraMesher(
         mesh=mesh,
         grid_origin=grid_origin,
         cell_size=cell_size,
-        cells=(cx, cy, cz),
-        element_lookup=lookup,
-        flipped=flip,
+        cells=cells,
+        element_lookup=lookup.reshape(*cells, 6),
+        flipped=_ODD_PERMUTATION[kept % 6],
     )
+
+
+def _count_nodes(
+    labels: ImageVolume, cell_mm: float, mesh_materials: tuple[int, ...]
+) -> int:
+    """Nodes :func:`mesh_labeled_volume` would produce at this cell size."""
+    selection = _select_tetrahedra(labels, cell_mm, mesh_materials, True)
+    _, used = _lattice_elements(selection.kept, selection.cells)
+    return int(np.count_nonzero(used))
 
 
 def mesh_with_target_nodes(
@@ -329,7 +442,9 @@ def mesh_with_target_nodes(
     The paper's clinical system has 77,511 equations (25,837 nodes);
     :mod:`repro.experiments` uses this helper to regenerate systems of
     matching size. A bisection over a uniform cell scale converges to
-    within ``tolerance`` (relative) or returns the best mesh found.
+    within ``tolerance`` (relative) or settles for the best size found;
+    the search only counts nodes, and one mesh is built, at the cell
+    size it ends on.
     """
     if target_nodes < 8:
         raise ValidationError(f"target_nodes too small: {target_nodes}")
@@ -340,20 +455,18 @@ def mesh_with_target_nodes(
     h0 = float((np.prod(extent) * fill / target_nodes) ** (1.0 / 3.0))
 
     lo, hi = h0 / 4.0, h0 * 4.0
-    best: GridTetraMesher | None = None
-    best_err = np.inf
+    best_h, best_err = None, np.inf
     for _ in range(max_iter):
         h = np.sqrt(lo * hi)
-        mesher = mesh_labeled_volume(labels, h, mesh_materials)
-        n = mesher.mesh.n_nodes
+        n = _count_nodes(labels, h, mesh_materials)
         err = abs(n - target_nodes) / target_nodes
         if err < best_err:
-            best, best_err = mesher, err
+            best_h, best_err = h, err
         if err <= tolerance:
-            return mesher
+            break
         if n > target_nodes:
             lo = h  # too many nodes -> coarser cells
         else:
             hi = h
-    assert best is not None
-    return best
+    assert best_h is not None
+    return mesh_labeled_volume(labels, best_h, mesh_materials)

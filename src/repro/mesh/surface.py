@@ -36,6 +36,9 @@ class TriangleSurface:
     triangles: np.ndarray
     mesh_nodes: np.ndarray | None = None
     _vertex_normals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _adjacency: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -76,19 +79,28 @@ class TriangleSurface:
         norms[norms == 0] = 1.0
         return out / norms
 
+    def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Surface-edge adjacency as ``(flat, offsets)`` index arrays.
+
+        The neighbours of vertex ``v`` are ``flat[offsets[v]:offsets[v + 1]]``,
+        ascending. Topology-only and therefore cached: the active surface
+        builds a membrane over the same surface on every scan. Callers
+        must not write to the arrays.
+        """
+        if self._adjacency is None:
+            n = self.n_vertices
+            a = self.triangles.T.reshape(-1)  # corners 0, 1, 2 ...
+            b = np.roll(self.triangles, -1, axis=1).T.reshape(-1)  # ... and 1, 2, 0
+            # Each directed edge once, sorted by (from, to).
+            source, flat = np.divmod(np.unique(np.concatenate([a * n + b, b * n + a])), n)
+            degrees = np.bincount(source, minlength=n)
+            self._adjacency = (flat, np.concatenate([[0], np.cumsum(degrees)]))
+        return self._adjacency
+
     def vertex_adjacency(self) -> list[np.ndarray]:
         """Adjacent vertex index arrays per vertex (surface edges)."""
-        edges = set()
-        for a_col, b_col in ((0, 1), (1, 2), (2, 0)):
-            a = self.triangles[:, a_col]
-            b = self.triangles[:, b_col]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            edges.update(zip(lo.tolist(), hi.tolist()))
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [np.array(sorted(x), dtype=np.intp) for x in adj]
+        flat, offsets = self.adjacency_csr()
+        return [flat[offsets[v] : offsets[v + 1]] for v in range(self.n_vertices)]
 
     def area(self, vertices: np.ndarray | None = None) -> float:
         v = self.vertices if vertices is None else np.asarray(vertices, dtype=float)

@@ -46,12 +46,8 @@ class ElasticMembrane:
             raise ShapeError("initial_positions must match surface vertex array")
         if self.rest.shape != surface.vertices.shape:
             raise ShapeError("rest_positions must match surface vertex array")
-        adjacency = surface.vertex_adjacency()
-        degrees = np.array([len(a) for a in adjacency], dtype=np.intp)
-        self._flat_adjacency = (
-            np.concatenate(adjacency) if len(adjacency) else np.empty(0, dtype=np.intp)
-        )
-        self._offsets = np.concatenate([[0], np.cumsum(degrees)])
+        self._flat_adjacency, offsets = surface.adjacency_csr()
+        degrees = np.diff(offsets)
         self._degrees = np.maximum(degrees, 1)
         # Segment-sum matrix-free: repeat vertex ids per adjacency entry.
         self._segment_ids = np.repeat(np.arange(surface.n_vertices), degrees)

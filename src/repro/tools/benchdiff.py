@@ -44,6 +44,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
     "BENCH_hotpath.json": [
         ("scans.0.warm_seconds", "lower"),
         ("scans.0.speedup_vs_cold_first", "higher"),
+        ("mesh_generation.seconds", "lower"),
+        ("mesh_generation.peak_bytes_allocated", "lower"),
     ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),

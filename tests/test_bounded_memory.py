@@ -465,7 +465,9 @@ class TestPatientModelBytes:
         pipeline = IntraoperativePipeline(PipelineConfig(mesh_cell_mm=8.0))
         preop = pipeline.prepare_preoperative(patient.preop_mri, patient.preop_labels)
         assert 8_000 <= preop.mesher.mesh.n_elements <= 9_000
-        # DESIGN.md "What a patient model holds": 9.7 MB at 8,280 elements.
+        # DESIGN.md "What a patient model holds": 9.7 MB at 8,280 elements,
+        # the surface's cached adjacency (0.1 MB) included.
+        assert preop.surface._adjacency is not None
         assert preop.nbytes() == pytest.approx(9.7e6, rel=0.10)
         # Row blocks are views of K_ff; the walk charges the buffer once.
         context = preop.solve_context

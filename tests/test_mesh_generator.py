@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.imaging.phantom import Tissue
+from repro.imaging.resample import trilinear_sample
 from repro.imaging.volume import ImageVolume
+from repro.mesh import generator
+from repro.mesh.editing import _largest_face_connected
 from repro.mesh.generator import (
+    _TET_OFFSETS,
     PERMUTATIONS,
     GridTetraMesher,
+    _face_neighbours,
+    _largest_component,
     mesh_labeled_volume,
     mesh_with_target_nodes,
 )
+from repro.mesh.tetra import TET_FACES, TetrahedralMesh
 from repro.util import MeshError, ValidationError
+from repro.util.memory import reachable_array_bytes
 from tests.conftest import BRAIN_LABELS
 
 
@@ -159,3 +170,336 @@ class TestDisplacementOnGrid:
         inside = np.linalg.norm(disp, axis=-1) > 0
         assert inside.any()
         assert np.allclose(disp[inside], [1.0, 2.0, 3.0])
+
+
+# -- frozen reference --------------------------------------------------------
+# The generator as it stood before it was rewritten to touch only the
+# tetrahedra it keeps (PR 19): every candidate of the bounding box is
+# materialised — corners, node ids, centroids, a float64 copy of the
+# labels — and the size search builds a full mesh per probe. Kept
+# verbatim as the oracle; it must not be "fixed" to track the generator.
+
+
+def _frozen_mesh_labeled_volume(labels, cell_mm, mesh_materials, keep_largest_component=True):
+    if not mesh_materials:
+        raise ValidationError("mesh_materials must not be empty")
+    extent = labels.physical_extent
+    cell_req = np.broadcast_to(np.asarray(cell_mm, dtype=float), (3,))
+    if np.any(cell_req <= 0):
+        raise ValidationError(f"cell_mm must be positive, got {cell_mm}")
+    cells = np.maximum(1, np.round(extent / cell_req).astype(int))
+    cell_size = extent / cells
+    grid_origin = np.asarray(labels.origin) - np.asarray(labels.spacing) / 2.0
+
+    cx, cy, cz = (int(c) for c in cells)
+    node_dims = (cx + 1, cy + 1, cz + 1)
+
+    li, lj, lk = np.meshgrid(
+        np.arange(cx + 1), np.arange(cy + 1), np.arange(cz + 1), indexing="ij"
+    )
+    lattice = np.stack([li, lj, lk], axis=-1).reshape(-1, 3)
+    node_coords = grid_origin + lattice * cell_size
+
+    ci, cj, ck = np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij")
+    base = np.stack([ci, cj, ck], axis=-1).reshape(-1, 1, 1, 3)  # (C,1,1,3)
+    corners = base + _TET_OFFSETS[None, :, :, :]  # (C, 6, 4, 3)
+    node_ids = np.ravel_multi_index(
+        (corners[..., 0], corners[..., 1], corners[..., 2]), node_dims
+    )  # (C, 6, 4)
+
+    centroids = (
+        grid_origin
+        + (base.reshape(-1, 1, 3) + _TET_OFFSETS.mean(axis=1)[None, :, :]) * cell_size
+    )  # (C, 6, 3)
+    label_float = ImageVolume(labels.data.astype(np.float64), labels.spacing, labels.origin)
+    mats = trilinear_sample(
+        label_float, centroids.reshape(-1, 3), fill_value=-1.0, nearest=True
+    ).astype(np.int64)
+
+    keep = np.isin(mats, np.asarray(mesh_materials))
+    if not keep.any():
+        raise MeshError(
+            f"no tetrahedra with materials {mesh_materials}: is the cell size too coarse?"
+        )
+    elements_all = node_ids.reshape(-1, 4)
+    if keep_largest_component:
+        kept_idx = np.flatnonzero(keep)
+        mask = _largest_face_connected(elements_all[kept_idx])
+        keep = np.zeros_like(keep)
+        keep[kept_idx[mask]] = True
+    kept_elements = elements_all[keep]
+    kept_materials = mats[keep]
+
+    raw = TetrahedralMesh(node_coords, kept_elements, kept_materials)
+    vols = raw.element_volumes()
+    flip = np.asarray(vols < 0)
+    if flip.any():
+        fixed = kept_elements.copy()
+        fixed[flip, 2], fixed[flip, 3] = kept_elements[flip, 3], kept_elements[flip, 2]
+        raw = TetrahedralMesh(node_coords, fixed, kept_materials)
+    mesh, node_map = raw.compact()
+    mesh.validate()
+
+    lookup = np.full((cx, cy, cz, 6), -1, dtype=np.intp)
+    flat_idx = np.flatnonzero(keep)
+    cell_of = flat_idx // 6
+    tet_of = flat_idx % 6
+    lookup[
+        cell_of // (cy * cz),
+        (cell_of // cz) % cy,
+        cell_of % cz,
+        tet_of,
+    ] = np.arange(len(flat_idx))
+
+    return GridTetraMesher(
+        mesh=mesh,
+        grid_origin=grid_origin,
+        cell_size=cell_size,
+        cells=(cx, cy, cz),
+        element_lookup=lookup,
+        flipped=flip,
+    )
+
+
+def _frozen_mesh_with_target_nodes(
+    labels, target_nodes, mesh_materials, tolerance=0.03, max_iter=12
+):
+    if target_nodes < 8:
+        raise ValidationError(f"target_nodes too small: {target_nodes}")
+    extent = labels.physical_extent
+    fill = float(np.isin(labels.data, np.asarray(mesh_materials)).mean())
+    fill = max(fill, 1e-3)
+    h0 = float((np.prod(extent) * fill / target_nodes) ** (1.0 / 3.0))
+
+    lo, hi = h0 / 4.0, h0 * 4.0
+    best = None
+    best_err = np.inf
+    for _ in range(max_iter):
+        h = np.sqrt(lo * hi)
+        mesher = _frozen_mesh_labeled_volume(labels, h, mesh_materials)
+        n = mesher.mesh.n_nodes
+        err = abs(n - target_nodes) / target_nodes
+        if err < best_err:
+            best, best_err = mesher, err
+        if err <= tolerance:
+            return mesher
+        if n > target_nodes:
+            lo = h
+        else:
+            hi = h
+    assert best is not None
+    return best
+
+
+def _assert_same_mesher(got: GridTetraMesher, want: GridTetraMesher) -> None:
+    """All seven output arrays equal, dtypes included."""
+    assert got.cells == want.cells
+    pairs = {
+        "nodes": (got.mesh.nodes, want.mesh.nodes),
+        "elements": (got.mesh.elements, want.mesh.elements),
+        "materials": (got.mesh.materials, want.mesh.materials),
+        "element_lookup": (got.element_lookup, want.element_lookup),
+        "flipped": (got.flipped, want.flipped),
+        "grid_origin": (got.grid_origin, want.grid_origin),
+        "cell_size": (got.cell_size, want.cell_size),
+    }
+    for name, (a, b) in pairs.items():
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def _outcome(build, *args, **kwargs):
+    """A mesher, or the (type, message) of the exception building it raised."""
+    try:
+        return build(*args, **kwargs)
+    except (MeshError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _meshing_problems(draw):
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    lengths = st.floats(0.4, 3.0, allow_nan=False)
+    spacing = tuple(draw(lengths) for _ in range(3))
+    origin = tuple(draw(st.floats(-20.0, 20.0, allow_nan=False)) for _ in range(3))
+    cell_mm = draw(st.one_of(lengths, st.tuples(lengths, lengths, lengths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**30)))
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64, np.float64]))
+    data = rng.integers(0, 4, size=shape).astype(dtype)
+    if dtype is np.float64:
+        data += rng.random(shape) * 0.9  # read as the integer part
+    materials = tuple(draw(st.sets(st.integers(0, 4), min_size=1, max_size=4)))
+    keep_largest = draw(st.booleans())
+    return ImageVolume(data, spacing, origin), cell_mm, materials, keep_largest
+
+
+class TestEqualsFrozenDenseGenerator:
+    """The generator that touches only kept tetrahedra is the dense one, array for array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_meshing_problems())
+    def test_property_random_label_volumes(self, problem):
+        labels, cell_mm, materials, keep_largest = problem
+        got = _outcome(mesh_labeled_volume, labels, cell_mm, materials, keep_largest)
+        want = _outcome(_frozen_mesh_labeled_volume, labels, cell_mm, materials, keep_largest)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_mesher(got, want)
+
+    @pytest.mark.parametrize("cell_mm", [9.0, 4.0, (5.0, 3.5, 7.0)])
+    @pytest.mark.parametrize(
+        "materials",
+        [BRAIN_LABELS, (int(Tissue.VENTRICLE),), tuple(int(t) for t in Tissue)],
+    )
+    def test_phantom(self, small_case, cell_mm, materials):
+        labels = small_case.preop_labels
+        _assert_same_mesher(
+            mesh_labeled_volume(labels, cell_mm, materials),
+            _frozen_mesh_labeled_volume(labels, cell_mm, materials),
+        )
+
+    def test_subsampled_volume_with_unequal_spacing_and_origin(self, small_case):
+        data = small_case.preop_labels.data[::2, ::1, ::3]
+        labels = ImageVolume(data, (2.5, 0.9, 4.1), (-31.0, 12.5, 7.25))
+        for keep_largest in (True, False):
+            _assert_same_mesher(
+                mesh_labeled_volume(labels, 5.0, BRAIN_LABELS, keep_largest),
+                _frozen_mesh_labeled_volume(labels, 5.0, BRAIN_LABELS, keep_largest),
+            )
+
+    @pytest.mark.parametrize(
+        "cell_mm, materials",
+        [(-1.0, (1,)), ((2.0, 0.0, 2.0), (1,)), (2.0, ()), (-1.0, ()), (2.0, (3,))],
+    )
+    def test_same_exception_on_invalid_input(self, cell_mm, materials):
+        labels = cube_labels(4)
+        want = _outcome(_frozen_mesh_labeled_volume, labels, cell_mm, materials)
+        assert isinstance(want, tuple)
+        assert _outcome(mesh_labeled_volume, labels, cell_mm, materials) == want
+
+    def test_centroid_labels_equal_nearest_sampling_outside_the_volume_too(self, small_case):
+        """The per-axis index tables against one nearest-neighbour sample
+        per centroid, on a grid pushed half out of the volume (-1 there)."""
+        labels = small_case.preop_labels
+        cells = (5, 4, 3)
+        cell_size = labels.physical_extent / cells
+        grid_origin = np.asarray(labels.origin) + labels.physical_extent * [-0.4, 0.1, 0.3]
+        got = generator._centroid_materials(labels, cells, cell_size, grid_origin)
+        base = np.stack(np.meshgrid(*map(np.arange, cells), indexing="ij"), axis=-1)
+        centroids = grid_origin + (base[..., None, :] + _TET_OFFSETS.mean(axis=1)) * cell_size
+        label_float = ImageVolume(labels.data.astype(np.float64), labels.spacing, labels.origin)
+        want = trilinear_sample(label_float, centroids, fill_value=-1.0, nearest=True)
+        assert got.shape == (*cells, 6)
+        assert np.array_equal(got, want.astype(np.int64))
+        assert (got == -1).any() and (got > 0).any()
+
+    def test_point_location_and_grid_interpolation_bit_identical(self, small_case):
+        labels = small_case.preop_labels
+        got = mesh_labeled_volume(labels, 6.0, BRAIN_LABELS)
+        want = _frozen_mesh_labeled_volume(labels, 6.0, BRAIN_LABELS)
+        rng = np.random.default_rng(5)
+        lo = got.grid_origin - 3.0
+        pts = lo + rng.random((4000, 3)) * (labels.physical_extent + 6.0)
+        for a, b in zip(got.locate(pts), want.locate(pts)):
+            assert np.array_equal(a, b)
+        nodal = rng.normal(size=(got.mesh.n_nodes, 3))
+        assert np.array_equal(
+            got.interpolate(nodal, pts, fill_value=-2.0),
+            want.interpolate(nodal, pts, fill_value=-2.0),
+        )
+        assert np.array_equal(
+            got.displacement_on_grid(nodal, labels), want.displacement_on_grid(nodal, labels)
+        )
+
+    @pytest.mark.parametrize("target", [600, 2500])
+    def test_size_search_returns_the_frozen_mesh_and_builds_once(
+        self, small_case, target, monkeypatch
+    ):
+        built = []
+        real = generator.mesh_labeled_volume
+
+        def spy(*args, **kwargs):
+            built.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "mesh_labeled_volume", spy)
+        got = mesh_with_target_nodes(small_case.preop_labels, target, BRAIN_LABELS)
+        want = _frozen_mesh_with_target_nodes(small_case.preop_labels, target, BRAIN_LABELS)
+        _assert_same_mesher(got, want)
+        assert len(built) == 1
+
+    def test_size_search_raises_what_a_probe_raises(self):
+        labels = cube_labels(4, label=0)
+        want = _outcome(_frozen_mesh_with_target_nodes, labels, 50, (1,))
+        assert want[0] is MeshError
+        assert _outcome(mesh_with_target_nodes, labels, 50, (1,)) == want
+
+
+class TestFreudenthalNeighbours:
+    """Face neighbours read from the subdivision, checked against sorted face keys."""
+
+    def test_full_cube_every_interior_face_paired_once(self):
+        cells = (3, 4, 5)
+        labels = ImageVolume(np.ones(cells, dtype=np.uint8))
+        mesher = mesh_labeled_volume(labels, 1.0, (1,))
+        assert mesher.cells == cells
+        n = mesher.mesh.n_elements
+        # Element e is candidate e on a full cube. Undo the orientation
+        # swap: the table speaks of Kuhn vertex order.
+        assert np.array_equal(mesher.element_lookup.reshape(-1), np.arange(n))
+        kuhn = mesher.mesh.elements.copy()
+        kuhn[mesher.flipped] = kuhn[mesher.flipped][:, [0, 1, 3, 2]]
+
+        keys = np.sort(kuhn[:, TET_FACES], axis=2)  # (n, 4, 3): face f is opposite vertex f
+        owner_of: dict[tuple, list[tuple[int, int]]] = {}
+        for e in range(n):
+            for f in range(4):
+                owner_of.setdefault(tuple(keys[e, f]), []).append((e, f))
+        assert max(len(v) for v in owner_of.values()) == 2
+        want = np.full((n, 4), -1, dtype=np.intp)
+        for owners in owner_of.values():
+            if len(owners) == 2:
+                (e0, f0), (e1, f1) = owners
+                want[e0, f0], want[e1, f1] = e1, e0
+
+        got = _face_neighbours(np.arange(n), cells)
+        assert np.array_equal(got, want)
+        cx, cy, cz = cells
+        assert np.count_nonzero(got < 0) == 4 * (cx * cy + cy * cz + cx * cz)
+
+    @pytest.mark.parametrize(
+        "materials, kept, dropped",
+        [
+            ((int(Tissue.VENTRICLE),), 1578, 805),
+            ((int(Tissue.VENTRICLE), int(Tissue.TUMOR)), 2278, 810),
+        ],
+    )
+    def test_component_mask_equals_sort_based_on_fragmenting_selection(
+        self, small_case, materials, kept, dropped
+    ):
+        everything = mesh_labeled_volume(
+            small_case.preop_labels, 4.0, materials, keep_largest_component=False
+        )
+        assert everything.mesh.n_elements == kept
+        lookup = everything.element_lookup.reshape(-1)
+        candidates = np.flatnonzero(lookup >= 0)
+        got = _largest_component(candidates, lookup, everything.cells)
+        want = _largest_face_connected(everything.mesh.elements)
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(~got) == dropped
+
+
+class TestGeneratorMemory:
+    def test_peak_allocation_is_a_small_multiple_of_the_mesh(self, small_case):
+        """57.9 k elements kept of 320 k candidates: the dense generator
+        peaked at 16x the mesher it returned (90 MB), this one at 4x."""
+        labels = small_case.preop_labels
+        mesh_labeled_volume(labels, 9.0, BRAIN_LABELS)  # imports, tables
+        tracemalloc.start()
+        mesher = mesh_labeled_volume(labels, 4.2, BRAIN_LABELS)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert mesher.mesh.n_elements == 57910
+        assert peak <= 8 * reachable_array_bytes(mesher)

@@ -72,6 +72,35 @@ class TestSurfaceExtraction:
             for b in adj[a]:
                 assert a in adj[b]
 
+    def test_vertex_adjacency_equals_frozen_set_based_lists(self, brain_mesh):
+        """The cached CSR adjacency against the per-vertex Python build it replaced."""
+        surf = extract_boundary_surface(brain_mesh)
+        edges = set()
+        for a_col, b_col in ((0, 1), (1, 2), (2, 0)):
+            a = surf.triangles[:, a_col]
+            b = surf.triangles[:, b_col]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            edges.update(zip(lo.tolist(), hi.tolist()))
+        adj: list[list[int]] = [[] for _ in range(surf.n_vertices)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        want = [np.array(sorted(x), dtype=np.intp) for x in adj]
+
+        got = surf.vertex_adjacency()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        flat, offsets = surf.adjacency_csr()
+        assert np.array_equal(flat, np.concatenate(want))
+        assert np.array_equal(np.diff(offsets), [len(w) for w in want])
+        assert surf.adjacency_csr()[0] is flat  # built once
+
+    def test_adjacency_of_isolated_and_single_triangle_vertices(self):
+        surf = TriangleSurface(np.zeros((5, 3)), np.array([[3, 1, 0]]))
+        got = surf.vertex_adjacency()
+        assert [a.tolist() for a in got] == [[1, 3], [0, 3], [], [0, 1], []]
+
     def test_empty_materials_raise(self, brain_mesh):
         with pytest.raises(MeshError):
             extract_boundary_surface(brain_mesh, materials=(123,))
