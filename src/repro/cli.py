@@ -287,8 +287,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         metrics=metrics,
         telemetry=telemetry,
         flight_dir=args.flight_dir,
-        coalesce_window_s=args.coalesce_window,
-        coalesce_max_batch=args.coalesce_max_batch,
     )
     if args.shards > 0:
         # Sharded tier: a consistent-hash gateway fronting args.shards
@@ -389,8 +387,6 @@ def _serve_listen(args: argparse.Namespace) -> int:
         ),
         telemetry=not args.no_telemetry,
         flight_dir=args.flight_dir,
-        coalesce_window_s=args.coalesce_window,
-        coalesce_max_batch=args.coalesce_max_batch,
     )
     frontend = NetworkFrontEnd(
         gateway,
@@ -592,28 +588,6 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
         print()
         print(server.slo.table())
     return 0 if report.bit_identical else 1
-
-
-def cmd_bench_batch(args: argparse.Namespace) -> int:
-    """Benchmark coalesced batched solving across batch widths."""
-    import json
-
-    from repro.serving import run_batch_sweep
-
-    report = run_batch_sweep(
-        widths=tuple(args.widths),
-        scans_per_case=args.scans,
-        shape=tuple(args.shape),
-        mesh_cell_mm=args.cell,
-        shift_mm=args.shift,
-        seed=args.seed,
-    )
-    print(report.table())
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
-    return 0 if (report.bit_identical and report.monotonic) else 1
 
 
 def cmd_bench_soak(args: argparse.Namespace) -> int:
@@ -891,21 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=5.0)
     p.add_argument("--cell", type=float, default=5.0, help="mesh cell size (mm)")
     p.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help=(
-            "hold dispatchable same-patient cases up to this many seconds "
-            "so they leave as one batched multi-RHS solve (0 = off)"
-        ),
-    )
-    p.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=4,
-        help="most cases one coalescing window may pack into a batch",
-    )
-    p.add_argument(
         "--deadline", type=float, default=None, help="per-case deadline (s)"
     )
     p.add_argument(
@@ -975,21 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=5.0)
     p.add_argument("--cell", type=float, default=5.0, help="mesh cell size (mm)")
     p.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help=(
-            "hold dispatchable same-patient cases up to this many seconds "
-            "so they leave as one batched multi-RHS solve (0 = off)"
-        ),
-    )
-    p.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=4,
-        help="most cases one coalescing window may pack into a batch",
-    )
-    p.add_argument(
         "--deadline", type=float, default=None, help="per-case deadline (s)"
     )
     p.add_argument(
@@ -1025,21 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.set_defaults(func=cmd_bench_throughput)
-
-    p = sub.add_parser("bench-batch", help=cmd_bench_batch.__doc__)
-    _add_shape(p, default=(32, 32, 24))
-    p.add_argument(
-        "--widths",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="coalescing batch widths to sweep (1 = coalescing off)",
-    )
-    p.add_argument("--scans", type=int, default=2, help="scans per case")
-    p.add_argument("--cell", type=float, default=4.0, help="mesh cell size (mm)")
-    p.add_argument("--shift", type=float, default=5.0)
-    p.add_argument("--json", default=None, help="write the report as JSON here")
-    p.set_defaults(func=cmd_bench_batch)
 
     p = sub.add_parser("bench-soak", help=cmd_bench_soak.__doc__)
     _add_shape(p, default=(24, 24, 16))

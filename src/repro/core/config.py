@@ -48,8 +48,11 @@ class PipelineConfig:
         The intraoperative resilience layer's knobs
         (:class:`repro.resilience.ResiliencePolicy`): per-stage retries,
         the solver escalation ladder, boundary validators, and the
-        graceful-degradation bound. Enabled by default; set
-        ``resilience.enabled = False`` for the fail-fast pipeline.
+        graceful-degradation bound. Enabled by default;
+        ``resilience.enabled = False`` is the fail-fast configuration
+        of the same guarded runner — one attempt per stage, the
+        ladder's first rung only, no degradation, non-finite input
+        rejected, every error raised.
     fault_plan:
         Optional :class:`repro.resilience.FaultPlan` of deterministic
         injected faults (testing/drills); ``None`` injects nothing.

@@ -20,7 +20,6 @@ Implements the paper's Figure 1 schema end to end:
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +38,7 @@ from repro.mesh.surface import TriangleSurface, extract_boundary_surface
 from repro.obs.budget import BudgetMonitor, ScanVerdict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer, use_tracer
-from repro.parallel.simulation import (
-    ParallelSimulation,
-    prepare_solve_context,
-    simulate_parallel,
-    simulate_parallel_batch,
-)
+from repro.parallel.simulation import ParallelSimulation, prepare_solve_context
 from repro.registration.rigid import RegistrationResult, register_rigid
 from repro.registration.transform import RigidTransform
 from repro.resilience.degrade import (
@@ -54,7 +48,7 @@ from repro.resilience.degrade import (
     rigid_only_fallback,
     stub_correspondence,
 )
-from repro.resilience.escalation import solve_with_escalation
+from repro.resilience.escalation import EscalationOutcome, solve_with_escalation
 from repro.resilience.guards import StageGuard, check_displacement_field
 from repro.resilience.policy import DegradationLevel
 from repro.segmentation.atlas import LocalizationModel
@@ -170,8 +164,10 @@ class IntraoperativeResult:
     degradation:
         :class:`repro.resilience.DegradationReport` describing what the
         resilience layer did for this scan — level delivered, escalation
-        rungs tried, injected faults, recovery cost. ``None`` when the
-        pipeline ran with resilience disabled.
+        rungs tried, injected faults, recovery cost. A scan run with
+        resilience disabled carries one too (always ``full-fem``: it
+        either delivers that or raises); only a restored result may
+        have ``None``.
     restored:
         ``True`` when this result was reconstructed from a session
         checkpoint rather than computed in this process. Restored
@@ -213,23 +209,6 @@ class IntraoperativeResult:
                 checksum_array(np.asarray(self.grid_displacement, dtype=float)),
             )
         return self._field_shas
-
-
-@dataclass
-class BatchScanItem:
-    """One member's inputs for a coalesced multi-case scan round.
-
-    Mirrors the per-member arguments of
-    :meth:`IntraoperativePipeline.process_scan`; the preoperative model
-    is shared by the whole batch and passed once to
-    :meth:`IntraoperativePipeline.process_scan_batch`.
-    """
-
-    intraop_mri: ImageVolume
-    prototypes: PrototypeSet | None = None
-    reference_labels: ImageVolume | None = None
-    scan_index: int = 0
-    previous: IntraoperativeResult | None = None
 
 
 @dataclass
@@ -373,13 +352,17 @@ class IntraoperativePipeline:
             The previous scan's result, enabling the ``previous-field``
             degradation level when this scan cannot be processed.
 
-        With ``config.resilience.enabled`` (the default) every stage
-        runs under a :class:`repro.resilience.StageGuard`, the solve
-        climbs the escalation ladder on failure, and an unprocessable
+        Every stage runs under a :class:`repro.resilience.StageGuard`
+        and the solve through the escalation ladder. With
+        ``config.resilience.enabled`` (the default) a stage is retried,
+        the solve climbs the ladder on failure, and an unprocessable
         scan degrades gracefully (coarse FEM / previous field /
         rigid-only) instead of aborting — the attached
         :class:`repro.resilience.DegradationReport` records what
-        happened. Disabling resilience restores the fail-fast pipeline.
+        happened. ``enabled = False`` is the fail-fast configuration of
+        the same runner: one attempt per stage, the ladder's first rung
+        only (an unconverged or diverged solve raises), no degradation,
+        non-finite input rejected — each error propagates as raised.
 
         When the pipeline carries observability hooks (``tracer``,
         ``budget``, ``metrics`` — or an ambient tracer installed via
@@ -451,67 +434,7 @@ class IntraoperativePipeline:
                     len(result.degradation.faults)
                 )
 
-    def _process_scan(
-        self,
-        intraop_mri: ImageVolume,
-        preop: PreoperativeModel,
-        prototypes: PrototypeSet | None,
-        reference_labels: ImageVolume | None,
-        timeline: Timeline,
-        scan_index: int = 0,
-        previous: IntraoperativeResult | None = None,
-    ) -> IntraoperativeResult:
-        cfg = self.config
-        policy = cfg.resilience
-        resilient = policy is not None and policy.enabled
-        plan = cfg.fault_plan
-
-        # Fault injection models the world, not the pipeline: scheduled
-        # scan corruption applies whether or not resilience is enabled.
-        if plan is not None:
-            logged = len(plan.log)
-            corrupted = plan.corrupt_volume(intraop_mri, scan_index)
-            if corrupted is not intraop_mri:
-                intraop_mri = corrupted
-                for entry in plan.log[logged:]:
-                    timeline.note(f"fault injected: {entry}")
-
-        # Input hardening: a fail-fast pipeline rejects non-finite
-        # acquisitions outright; a resilient one sanitizes small damage
-        # and degrades when the scan is mostly garbage.
-        unusable: str | None = None
-        if intraop_mri.nonfinite_count():
-            fraction = intraop_mri.nonfinite_fraction()
-            if not resilient:
-                intraop_mri.validate_finite("intraoperative scan")
-            elif policy.sanitize_inputs and fraction <= policy.max_nonfinite_fraction:
-                intraop_mri, n_fixed = intraop_mri.sanitized()
-                timeline.note(
-                    f"input hardening: replaced {n_fixed} non-finite "
-                    f"voxels ({fraction:.2%})"
-                )
-            else:
-                unusable = (
-                    f"intraoperative scan unusable: {fraction:.1%} non-finite "
-                    f"voxels (limit {policy.max_nonfinite_fraction:.0%})"
-                )
-
-        if not resilient:
-            return self._process_scan_plain(
-                intraop_mri, preop, prototypes, reference_labels, timeline
-            )
-        return self._process_scan_resilient(
-            intraop_mri,
-            preop,
-            prototypes,
-            reference_labels,
-            timeline,
-            scan_index,
-            previous,
-            unusable,
-        )
-
-    # -- shared stage implementations (plain and resilient paths) -------------
+    # -- the five stages ---------------------------------------------------------
 
     def _stage_rigid(
         self, intraop_mri: ImageVolume, preop: PreoperativeModel, timeline: Timeline
@@ -624,12 +547,26 @@ class IntraoperativePipeline:
         preop: PreoperativeModel,
         correspondence: CorrespondenceResult,
         timeline: Timeline,
-    ):
-        """Stage 4 — (virtually parallel) biomechanical FEM simulation."""
+        scan_index: int,
+    ) -> EscalationOutcome:
+        """Stage 4 — (virtually parallel) biomechanical FEM simulation.
+
+        Runs through the escalation ladder, which costs nothing beyond
+        its first rung (the nominal ``simulate_parallel`` call) on a
+        healthy system; a disabled policy stops after that rung and its
+        error propagates. Emergency rungs run on isolated contexts, and
+        a poisoned warm start is cleared by the cold rung — the shared
+        per-patient cache survives either way, so the next scan still
+        gets its warm fast path.
+        """
         cfg = self.config
+        policy = cfg.resilience
+        deadline = policy.solve_deadline_s
+        if deadline is None and self.budget is not None:
+            deadline = max(self.budget.headroom(), 1.0)
         with timeline.stage("biomechanical simulation"):
             bc = DirichletBC(preop.surface.mesh_nodes, correspondence.displacements)
-            simulation = simulate_parallel(
+            return solve_with_escalation(
                 preop.mesher.mesh,
                 bc,
                 n_ranks=cfg.n_ranks,
@@ -638,11 +575,15 @@ class IntraoperativePipeline:
                 partitioner=cfg.partitioner,
                 tol=cfg.solver_tol,
                 restart=cfg.gmres_restart,
+                max_iter=policy.escalation_max_iter,
                 context=preop.solve_context,
                 warm_start=cfg.warm_start,
+                gate_mm=policy.displacement_gate_mm,
+                deadline_s=deadline,
+                faults=cfg.fault_plan,
+                scan_index=scan_index,
+                escalate=policy.enabled,
             )
-        self._note_cache(timeline, preop, simulation)
-        return simulation
 
     def _stage_resample(
         self, preop: PreoperativeModel, displacement: np.ndarray, timeline: Timeline
@@ -675,252 +616,71 @@ class IntraoperativePipeline:
             mutual_information(deformed.data, intraop_on_preop, mask=region),
         )
 
-    # -- fail-fast orchestration ----------------------------------------------
+    # -- the one scan orchestration --------------------------------------------
 
-    def _process_scan_plain(
+    def _process_scan(
         self,
         intraop_mri: ImageVolume,
         preop: PreoperativeModel,
         prototypes: PrototypeSet | None,
         reference_labels: ImageVolume | None,
         timeline: Timeline,
+        scan_index: int = 0,
+        previous: IntraoperativeResult | None = None,
     ) -> IntraoperativeResult:
-        """The pre-resilience pipeline: any stage failure aborts the scan."""
-        rigid_result, transform = self._stage_rigid(intraop_mri, preop, timeline)
-        prototypes, segmentation = self._stage_classify(
-            intraop_mri, preop, prototypes, reference_labels, transform, timeline
-        )
-        correspondence, target_mask, preop_centers, rigid_inverse = self._stage_surface(
-            preop, segmentation, transform, timeline
-        )
-        simulation = self._stage_simulate(preop, correspondence, timeline)
-        grid_disp, deformed = self._stage_resample(
-            preop, simulation.displacement, timeline
-        )
-        rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-            preop, intraop_mri, deformed, rigid_inverse, preop_centers, target_mask
-        )
-        return IntraoperativeResult(
-            deformed_mri=deformed,
-            nodal_displacement=simulation.displacement,
-            grid_displacement=grid_disp,
-            segmentation=segmentation,
-            rigid=rigid_result,
-            correspondence=correspondence,
-            simulation=simulation,
-            timeline=timeline,
-            prototypes=prototypes,
-            match_rigid_rms=rigid_rms,
-            match_simulated_rms=sim_rms,
-            match_rigid_mi=rigid_mi,
-            match_simulated_mi=sim_mi,
-        )
+        """Guarded orchestration of the five stages.
 
-    # -- batched orchestration -------------------------------------------------
-
-    def process_scan_batch(
-        self,
-        preop: PreoperativeModel,
-        items: "list[BatchScanItem]",
-        x0s: list[np.ndarray | None] | None = None,
-        seed_from_bank: bool = False,
-    ) -> list:
-        """Process one scan for several same-patient cases jointly.
-
-        The serving tier's coalesced dispatch path: every member shares
-        ``preop`` (same patient model, same solve context), so the image
-        stages run per member but the biomechanical simulation becomes
-        ONE multi-RHS solve through
-        :func:`repro.parallel.simulate_parallel_batch` — the stiffness
-        matrix and the preconditioner factors stream once per Krylov
-        round for the whole batch.
-
-        The arithmetic is the fail-fast (plain) path, so a member's
-        displacement field is bit-identical to a serial
-        :meth:`process_scan` run with resilience disabled and the same
-        warm-start vector (``x0s`` entry; the shared context's own
-        ``last_solution`` memory is never read or written here — the
-        caller owns each member's warm chain, see
-        :func:`batch_warm_vector`).
-
-        Failure isolation is per member: a member whose image stages,
-        solve slot, or resample raises gets its *exception* in the
-        returned list — the caller re-runs just that member through the
-        serial (resilient) path — and members carrying non-finite scans
-        are deferred the same way without being attempted (input
-        hardening and fault injection are serial-path concerns). Budget
-        verdicts are not computed for batched members
-        (``budget_verdict`` stays ``None``).
-
-        Returns a list with one :class:`IntraoperativeResult` or
-        exception per item, in order.
-        """
-        cfg = self.config
-        if not items:
-            raise ValidationError("process_scan_batch needs at least one item")
-        m = len(items)
-        if x0s is None:
-            x0s = [None] * m
-        if len(x0s) != m:
-            raise ValidationError(f"x0s must have {m} entries, got {len(x0s)}")
-        tracer = self._tracer()
-        results: list = [None] * m
-        timelines = [Timeline(tracer=tracer) for _ in items]
-        fronts: list[tuple | None] = [None] * m
-        with use_tracer(tracer), tracer.span(
-            "process_scan_batch", kind="pipeline", n_members=m
-        ) as span:
-            for i, item in enumerate(items):
-                if item.intraop_mri.nonfinite_count():
-                    results[i] = ValidationError(
-                        "non-finite intraoperative scan; "
-                        "member deferred to the serial path"
-                    )
-                    continue
-                try:
-                    rigid_result, transform = self._stage_rigid(
-                        item.intraop_mri, preop, timelines[i]
-                    )
-                    prototypes, segmentation = self._stage_classify(
-                        item.intraop_mri,
-                        preop,
-                        item.prototypes,
-                        item.reference_labels,
-                        transform,
-                        timelines[i],
-                    )
-                    (
-                        correspondence,
-                        target_mask,
-                        preop_centers,
-                        rigid_inverse,
-                    ) = self._stage_surface(preop, segmentation, transform, timelines[i])
-                    fronts[i] = (
-                        rigid_result,
-                        transform,
-                        prototypes,
-                        segmentation,
-                        correspondence,
-                        target_mask,
-                        preop_centers,
-                        rigid_inverse,
-                    )
-                except Exception as exc:  # noqa: BLE001 - member isolation boundary
-                    results[i] = exc
-            live = [i for i in range(m) if fronts[i] is not None]
-            sims: dict[int, object] = {}
-            if live:
-                bcs = [
-                    DirichletBC(
-                        preop.surface.mesh_nodes, fronts[i][4].displacements
-                    )
-                    for i in live
-                ]
-                # The joint solve's wall time is shared: each member's
-                # timeline records the same simulation-stage duration.
-                with ExitStack() as stack:
-                    for i in live:
-                        stack.enter_context(
-                            timelines[i].stage("biomechanical simulation")
-                        )
-                    batch = simulate_parallel_batch(
-                        preop.mesher.mesh,
-                        bcs,
-                        n_ranks=cfg.n_ranks,
-                        machine=self.machine,
-                        materials=cfg.materials,
-                        partitioner=cfg.partitioner,
-                        tol=cfg.solver_tol,
-                        restart=cfg.gmres_restart,
-                        context=preop.solve_context,
-                        x0s=[x0s[i] for i in live],
-                        seed_from_bank=seed_from_bank,
-                        isolate_errors=True,
-                    )
-                sims = dict(zip(live, batch))
-            for i in live:
-                sim = sims[i]
-                if not isinstance(sim, ParallelSimulation):
-                    results[i] = sim  # the member's captured solve exception
-                    continue
-                (
-                    rigid_result,
-                    transform,
-                    prototypes,
-                    segmentation,
-                    correspondence,
-                    target_mask,
-                    preop_centers,
-                    rigid_inverse,
-                ) = fronts[i]
-                self._note_cache(timelines[i], preop, sim)
-                try:
-                    grid_disp, deformed = self._stage_resample(
-                        preop, sim.displacement, timelines[i]
-                    )
-                    rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-                        preop,
-                        items[i].intraop_mri,
-                        deformed,
-                        rigid_inverse,
-                        preop_centers,
-                        target_mask,
-                    )
-                except Exception as exc:  # noqa: BLE001 - member isolation boundary
-                    results[i] = exc
-                    continue
-                results[i] = IntraoperativeResult(
-                    deformed_mri=deformed,
-                    nodal_displacement=sim.displacement,
-                    grid_displacement=grid_disp,
-                    segmentation=segmentation,
-                    rigid=rigid_result,
-                    correspondence=correspondence,
-                    simulation=sim,
-                    timeline=timelines[i],
-                    prototypes=prototypes,
-                    match_rigid_rms=rigid_rms,
-                    match_simulated_rms=sim_rms,
-                    match_rigid_mi=rigid_mi,
-                    match_simulated_mi=sim_mi,
-                )
-                self._record_scan_metrics(results[i], timelines[i])
-            n_solved = sum(
-                isinstance(r, IntraoperativeResult) for r in results
-            )
-            span.set(n_solved=n_solved, n_deferred=m - n_solved)
-        return results
-
-    # -- resilient orchestration ----------------------------------------------
-
-    def _process_scan_resilient(
-        self,
-        intraop_mri: ImageVolume,
-        preop: PreoperativeModel,
-        prototypes: PrototypeSet | None,
-        reference_labels: ImageVolume | None,
-        timeline: Timeline,
-        scan_index: int,
-        previous: IntraoperativeResult | None,
-        unusable: str | None,
-    ) -> IntraoperativeResult:
-        """Guarded orchestration: always return a result, never abort.
-
-        Image-side stage failures (after per-stage retries) and solve
-        failures (after the escalation ladder) walk the degradation
-        ladder; the only exception raised is when the required level
-        exceeds ``policy.max_degradation`` — an explicit operator
-        request for fail-fast beyond that point.
+        With the policy enabled it always returns a result: image-side
+        stage failures (after per-stage retries) and solve failures
+        (after the escalation ladder) walk the degradation ladder; the
+        only exception raised is when the required level exceeds
+        ``policy.max_degradation`` — an explicit operator request for
+        fail-fast beyond that point. A disabled policy is that request
+        for every failure, expressed as data
+        (:class:`repro.resilience.ResiliencePolicy`): one attempt per
+        stage, the solve's first rung only, no rung below full FEM — so
+        each stage's own error propagates as raised.
         """
         cfg = self.config
         policy = cfg.resilience
         plan = cfg.fault_plan
+
+        # Fault injection models the world, not the pipeline: scheduled
+        # faults apply whether or not resilience is enabled.
+        if plan is not None:
+            logged = len(plan.log)
+            corrupted = plan.corrupt_volume(intraop_mri, scan_index)
+            if corrupted is not intraop_mri:
+                intraop_mri = corrupted
+                for entry in plan.log[logged:]:
+                    timeline.note(f"fault injected: {entry}")
+
+        # Input hardening: a disabled policy rejects non-finite
+        # acquisitions outright; an enabled one sanitizes small damage
+        # and degrades when the scan is mostly garbage.
+        unusable: str | None = None
+        if intraop_mri.nonfinite_count():
+            fraction = intraop_mri.nonfinite_fraction()
+            if not policy.enabled:
+                intraop_mri.validate_finite("intraoperative scan")
+            elif policy.sanitize_inputs and fraction <= policy.max_nonfinite_fraction:
+                intraop_mri, n_fixed = intraop_mri.sanitized()
+                timeline.note(
+                    f"input hardening: replaced {n_fixed} non-finite "
+                    f"voxels ({fraction:.2%})"
+                )
+            else:
+                unusable = (
+                    f"intraoperative scan unusable: {fraction:.1%} non-finite "
+                    f"voxels (limit {policy.max_nonfinite_fraction:.0%})"
+                )
+
         report = DegradationReport()
         recovery_seconds = 0.0
         # Forced degradation floor (load shedding): the serving tier can
         # stamp a minimum rung on the case so an overloaded shard trades
         # fidelity for bounded latency instead of rejecting outright.
-        forced = policy.min_degradation
+        forced = policy.floor
 
         def note(text: str) -> None:
             report.notes.append(text)
@@ -944,10 +704,11 @@ class IntraoperativePipeline:
         else:
             # Stages 1-3 under per-stage retry guards. A failed rigid
             # registration is recoverable in place (identity transform:
-            # same-frame acquisitions are the common case); failures of
-            # classification or surface detection leave no boundary
-            # conditions to simulate from and divert to the
-            # degradation ladder below.
+            # same-frame acquisitions are the common case) unless the
+            # policy is disabled; failures of classification or surface
+            # detection leave no boundary conditions to simulate from
+            # and divert to the degradation ladder below, which a
+            # disabled policy leaves by re-raising them.
             guard = StageGuard(
                 "rigid registration", policy.retry_for("rigid registration")
             )
@@ -956,6 +717,8 @@ class IntraoperativePipeline:
                     self._stage_rigid, intraop_mri, preop, timeline
                 )
             except ReproError as exc:
+                if not policy.enabled:
+                    raise
                 recovery_seconds += guard.last_report.seconds
                 transform = RigidTransform.identity()
                 rigid_result = None
@@ -993,40 +756,13 @@ class IntraoperativePipeline:
                 failure = exc
                 note(f"{type(exc).__name__}: {exc}")
 
-        # Stage 4 through the escalation ladder. Emergency rungs run on
-        # isolated contexts, and a poisoned warm start is cleared by the
-        # cold rung — the shared per-patient cache survives either way,
-        # so the next scan still gets its warm fast path.
         simulation = None
         fallback = None
         if failure is None and forced > DegradationLevel.FULL_FEM:
             report.cause = f"load shed: forced {forced.label}"
             note(f"load shed: full-resolution solve skipped (floor {forced.label})")
         if failure is None and forced == DegradationLevel.FULL_FEM:
-            deadline = policy.solve_deadline_s
-            if deadline is None and self.budget is not None:
-                deadline = max(self.budget.headroom(), 1.0)
-            with timeline.stage("biomechanical simulation"):
-                bc = DirichletBC(
-                    preop.surface.mesh_nodes, correspondence.displacements
-                )
-                outcome = solve_with_escalation(
-                    preop.mesher.mesh,
-                    bc,
-                    n_ranks=cfg.n_ranks,
-                    machine=self.machine,
-                    materials=cfg.materials,
-                    partitioner=cfg.partitioner,
-                    tol=cfg.solver_tol,
-                    restart=cfg.gmres_restart,
-                    max_iter=policy.escalation_max_iter,
-                    context=preop.solve_context,
-                    warm_start=cfg.warm_start,
-                    gate_mm=policy.displacement_gate_mm,
-                    deadline_s=deadline,
-                    faults=plan,
-                    scan_index=scan_index,
-                )
+            outcome = self._stage_simulate(preop, correspondence, timeline, scan_index)
             report.rungs_tried = outcome.rungs_tried
             recovery_seconds += sum(a.seconds for a in outcome.attempts if not a.ok)
             if outcome.succeeded:
@@ -1175,22 +911,3 @@ class IntraoperativePipeline:
             degradation=report,
         )
 
-
-def batch_warm_vector(result: IntraoperativeResult | object) -> np.ndarray | None:
-    """Free-DOF solution vector to warm-start a member's *next* round.
-
-    The batched path owns each member's warm-start chain explicitly
-    (the shared context's ``last_solution`` belongs to no single case);
-    feed this into the next round's ``x0s`` entry. Returns ``None`` for
-    failed members, degraded scans (their stand-in solver records do not
-    carry a compatible full-resolution solution), or anything that is
-    not an :class:`IntraoperativeResult`.
-    """
-    if not isinstance(result, IntraoperativeResult):
-        return None
-    if result.degradation is not None and result.degradation.degraded:
-        return None
-    x = getattr(result.simulation.solver, "x", None)
-    if x is None:
-        return None
-    return np.asarray(x, dtype=float)

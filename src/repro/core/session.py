@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import (
-    BatchScanItem,
     IntraoperativePipeline,
     IntraoperativeResult,
     PreoperativeModel,
@@ -378,87 +377,3 @@ def _note_scan_complete(result: IntraoperativeResult, scan: int) -> None:
     ):
         flight.note("scan.degraded", scan=scan, label=result.degradation.label)
 
-
-def process_batch_round(
-    entries: "list[tuple[SurgicalSession, ImageVolume]]",
-    x0s: list | None = None,
-    seed_from_bank: bool = False,
-) -> list:
-    """Process one scan for several sessions as ONE coalesced round.
-
-    Each entry pairs a session with its next intraoperative scan; every
-    session must share the *same* :class:`PreoperativeModel` object (the
-    serving tier's coalescing groups cases by ``preop_key``, so they
-    already do). The round journals each durable member write-ahead,
-    runs all members through
-    :meth:`repro.core.IntraoperativePipeline.process_scan_batch` — one
-    multi-RHS FEM solve for the whole batch — and commits each solved
-    member atomically, exactly like :meth:`SurgicalSession.process`.
-
-    Failure isolation is per member: a member whose slot failed is
-    returned as its exception, its session untouched (journal begun but
-    uncommitted — re-processing the same scan serially is safe and is
-    what the serving tier does); the other members commit normally.
-
-    ``x0s`` carries each member's explicit warm-start vector (see
-    :func:`repro.core.pipeline.batch_warm_vector`); the shared solve
-    context's own warm memory is neither read nor written, so member
-    chains cannot contaminate each other.
-
-    Returns one :class:`IntraoperativeResult` or exception per entry.
-    """
-    if not entries:
-        raise ValidationError("process_batch_round needs at least one entry")
-    lead = entries[0][0]
-    preop = lead.preop
-    for session, _ in entries[1:]:
-        if session.preop is not preop:
-            raise ValidationError(
-                "batched sessions must share one preoperative model "
-                "(coalescing groups cases by preop_key)"
-            )
-    items = []
-    for session, intraop_mri in entries:
-        scan = session.n_scans
-        if session.store is not None:
-            session.store.journal_begin(scan, intraop_mri)
-        items.append(
-            BatchScanItem(
-                intraop_mri=intraop_mri,
-                prototypes=session._prototypes,
-                scan_index=scan,
-                previous=session.history[-1] if session.history else None,
-            )
-        )
-    tracer = (
-        lead.pipeline.tracer if lead.pipeline.tracer is not None else get_tracer()
-    )
-    with tracer.span(
-        "scan_batch",
-        kind="session",
-        n_members=len(entries),
-        indices=[item.scan_index for item in items],
-    ):
-        results = lead.pipeline.process_scan_batch(
-            preop, items, x0s=x0s, seed_from_bank=seed_from_bank
-        )
-    out: list = []
-    for (session, _), item, result in zip(entries, items, results):
-        if not isinstance(result, IntraoperativeResult):
-            out.append(result)
-            continue
-        if result.prototypes is not None:
-            session._prototypes = result.prototypes
-        session._append(result)
-        _note_scan_complete(result, item.scan_index)
-        if session.store is not None:
-            session.store.crash_point(item.scan_index, "solve")
-            session.store.commit_scan(
-                item.scan_index,
-                result,
-                prototypes=session._prototypes,
-                context=session.preop.solve_context,
-            )
-            session.store.crash_point(item.scan_index, "commit")
-        out.append(result)
-    return out

@@ -255,15 +255,11 @@ class SolveContext:
     discards the stale state and counts an invalidation.
     """
 
-    #: Maximum number of committed seed fields kept per context.
-    SEED_BANK_CAPACITY = 8
-
     def __init__(self) -> None:
         self.assembly: AssemblyContext | None = None
         self.reduction: ReductionContext | None = None
         self.slots: dict[str, object] = {}
         self.last_solution: np.ndarray | None = None
-        self.seed_bank: list[tuple[np.ndarray, np.ndarray]] = []
         self.stats = CacheStats()
         self._fingerprint: bytes | None = None
 
@@ -337,7 +333,6 @@ class SolveContext:
         self.reduction = None
         self.slots.clear()
         self.last_solution = None
-        self.seed_bank.clear()
 
     # -- persistence (durable sessions) ---------------------------------------
 
@@ -411,52 +406,3 @@ class SolveContext:
     def record_solution(self, x: np.ndarray) -> None:
         """Store the reduced solution for warm-starting the next scan."""
         self.last_solution = np.asarray(x, dtype=float).copy()
-
-    # -- cross-case seed bank --------------------------------------------------
-    #
-    # Several concurrent cases of the same patient (same preoperative
-    # model, hence same SolveContext via the preop-model cache) see
-    # boundary conditions that are often close to each other — the brain
-    # deforms along similar trajectories. The seed bank remembers
-    # committed displacement fields keyed by their boundary-condition
-    # value vector so a *new* case can warm-start from the nearest
-    # committed field instead of starting cold. Seeding is strictly
-    # opt-in (``seed_from_bank`` in the batch simulation entry points):
-    # the default path never consults the bank, so cached-context reuse
-    # stays bit-identical to a fresh session (see reset_warm_state). The
-    # bank survives reset_warm_state — sharing across cases is its whole
-    # point — and is dropped with the rest of the numeric state on
-    # invalidation.
-
-    def commit_seed(self, bc_values: np.ndarray, x: np.ndarray) -> None:
-        """Remember a solved displacement field keyed by its BC values.
-
-        Oldest entries are evicted beyond :data:`SEED_BANK_CAPACITY`.
-        """
-        self.seed_bank.append(
-            (
-                np.asarray(bc_values, dtype=float).copy(),
-                np.asarray(x, dtype=float).copy(),
-            )
-        )
-        if len(self.seed_bank) > self.SEED_BANK_CAPACITY:
-            del self.seed_bank[0]
-
-    def nearest_seed(self, bc_values: np.ndarray, n_free: int) -> np.ndarray | None:
-        """Committed field whose BC values are L2-nearest to ``bc_values``.
-
-        Only entries with matching key and solution shapes are
-        considered; returns a copy, or ``None`` when the bank holds no
-        compatible entry.
-        """
-        bc_values = np.asarray(bc_values, dtype=float).ravel()
-        best: np.ndarray | None = None
-        best_dist = np.inf
-        for key, x in self.seed_bank:
-            if key.shape != bc_values.shape or x.shape != (n_free,):
-                continue
-            dist = float(np.linalg.norm(key - bc_values))
-            if dist < best_dist:
-                best_dist = dist
-                best = x
-        return None if best is None else best.copy()

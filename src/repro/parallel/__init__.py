@@ -21,12 +21,10 @@ from repro.parallel.simulation import (
     ParallelSimulation,
     prepare_solve_context,
     simulate_parallel,
-    simulate_parallel_batch,
 )
 from repro.parallel.solver import (
     DistributedBlockJacobi,
     DistributedRAS,
-    distributed_block_gmres,
     distributed_gmres,
 )
 
@@ -38,11 +36,9 @@ __all__ = [
     "ParallelSimulation",
     "RowBlockMatrix",
     "build_distributed_system",
-    "distributed_block_gmres",
     "distributed_dot",
     "distributed_gmres",
     "distributed_norm",
     "prepare_solve_context",
     "simulate_parallel",
-    "simulate_parallel_batch",
 ]

@@ -117,24 +117,6 @@ class RowBlockMatrix:
             backend.csr_matvec(block, x, out=out[a:b])
         return out
 
-    def matmat(self, X: np.ndarray, telemetry=_NULL) -> np.ndarray:
-        """Distributed multi-vector product: one halo exchange for all columns.
-
-        Each output column is bit-identical to ``matvec(X[:, c])`` (the
-        backend ``csr_matmat`` contract), but the matrix is streamed once
-        and only one halo exchange is charged — the batched-solve win.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != self.n:
-            raise ShapeError(f"X must be ({self.n}, m), got {X.shape}")
-        telemetry.halo_exchange(self.halo_pairs)
-        telemetry.compute_all(2.0 * self.local_nnz * X.shape[1])
-        backend = get_backend()
-        out = np.empty((self.n, X.shape[1]))
-        for block, (a, b) in zip(self.local, self.ranges):
-            backend.csr_matmat(block, X, out=out[a:b])
-        return out
-
     def to_csr(self) -> sparse.csr_matrix:
         return sparse.vstack(self.local, format="csr")
 

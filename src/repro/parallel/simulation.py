@@ -31,7 +31,6 @@ from repro.parallel.decomposition import Decomposition
 from repro.parallel.solver import (
     DistributedBlockJacobi,
     DistributedRAS,
-    distributed_block_gmres,
     distributed_gmres,
 )
 from repro.solver.gmres import GMRESResult
@@ -111,13 +110,13 @@ def mesh_payload_bytes(mesh: TetrahedralMesh) -> float:
 
 
 class _Setup:
-    """What :func:`simulate_parallel` and :func:`simulate_parallel_batch` share.
+    """The scan-invariant front of :func:`simulate_parallel`.
 
     Construction checks the partitioner/preconditioner names, matches
     ``context`` against the fingerprint of every input the cached
     distributed state depends on (``warm`` is True on a match), creates
-    the telemetry and runs the initialization phase (``span_attrs`` go
-    on its span); the methods are the later steps that depend on it.
+    the telemetry and runs the initialization phase; the methods are the
+    later steps that depend on it.
     """
 
     def __init__(
@@ -132,7 +131,6 @@ class _Setup:
         factorization: str,
         ras_overlap: int,
         context: SolveContext | None,
-        **span_attrs,
     ):
         if partitioner not in PARTITIONERS:
             raise ValidationError(
@@ -161,8 +159,7 @@ class _Setup:
             VirtualCluster(machine, n_ranks) if machine is not None else NullTelemetry()
         )
         with get_tracer().span(
-            "initialization", kind="phase", n_ranks=n_ranks, cache_hit=self.warm,
-            **span_attrs,
+            "initialization", kind="phase", n_ranks=n_ranks, cache_hit=self.warm
         ):
             if self.warm:
                 # Initialization (mesh scatter, index construction) was done
@@ -355,148 +352,6 @@ def simulate_parallel(
         warm_started=x0 is not None,
         cache_stats=context.stats.snapshot() if context is not None else None,
     )
-
-
-def simulate_parallel_batch(
-    mesh: TetrahedralMesh,
-    bcs: Sequence[DirichletBC],
-    n_ranks: int,
-    machine: MachineSpec | None = None,
-    materials: MaterialMap = BRAIN_HOMOGENEOUS,
-    partitioner: str = "block",
-    tol: float = 1e-5,
-    restart: int = 30,
-    max_iter: int = 3000,
-    factorization: str = "ilu",
-    preconditioner: str = "block_jacobi",
-    ras_overlap: int = 1,
-    context: SolveContext | None = None,
-    x0s: Sequence[np.ndarray | None] | None = None,
-    seed_from_bank: bool = False,
-    isolate_errors: bool = True,
-) -> list:
-    """Solve several same-patient deformation systems as ONE batched solve.
-
-    The multi-RHS companion of :func:`simulate_parallel` for the serving
-    tier's coalesced dispatch: all members share the preoperative model
-    (same mesh, materials, constrained node set and solver
-    configuration), so the partitioning, symbolic assembly, elimination
-    slicing and preconditioner factorization happen once — against the
-    shared :class:`SolveContext` — and the Krylov solves run through
-    :func:`repro.parallel.distributed_block_gmres`, streaming the matrix
-    and the factors once per round for every still-active member.
-
-    Warm-start semantics are **explicit**: the context's own
-    ``last_solution`` memory is neither read nor written (members belong
-    to different cases whose scan chains the caller owns); pass per-member
-    initial guesses through ``x0s`` instead. With ``seed_from_bank=True``
-    a member whose ``x0s`` entry is ``None`` is seeded from the context's
-    cross-case seed bank (the committed displacement field whose boundary
-    values are L2-nearest to the member's), and every solved member's
-    field is committed back to the bank.
-
-    Every member's displacement field is bit-identical to a serial
-    :func:`simulate_parallel` run with the same initial guess. With
-    ``isolate_errors=True`` (default) a failing member's slot in the
-    returned list holds the raised exception; the other members complete
-    normally.
-
-    Returns a list with one :class:`ParallelSimulation` (or exception)
-    per entry of ``bcs``, in order.
-    """
-    bcs = list(bcs)
-    if not bcs:
-        raise ValidationError("bcs must contain at least one boundary condition")
-    for i, bc in enumerate(bcs[1:], start=1):
-        if not np.array_equal(bc.node_ids, bcs[0].node_ids):
-            raise ValidationError(
-                f"batch member {i} constrains a different node set than member 0; "
-                "batched solving requires one shared preoperative model"
-            )
-    m = len(bcs)
-    if x0s is None:
-        x0s = [None] * m
-    x0s = list(x0s)
-    if len(x0s) != m:
-        raise ValidationError(f"x0s must have {m} entries, got {len(x0s)}")
-
-    if context is None:
-        context = SolveContext()
-    setup = _Setup(
-        mesh, materials, bcs[0], n_ranks, machine, partitioner,
-        preconditioner, factorization, ras_overlap, context, n_batch=m,
-    )
-    warm, telemetry = setup.warm, setup.telemetry
-    tracer = get_tracer()
-
-    systems: list[DistributedSystem] = []
-    with tracer.span("assembly", kind="phase", cache_hit=warm, n_batch=m):
-        for i, bc in enumerate(bcs):
-            # The first member performs the (possibly cold) build and
-            # populates the context; the rest reuse it unconditionally.
-            systems.append(
-                build_distributed_system(
-                    setup.decomposition, materials, setup.renumbered(bc), telemetry,
-                    context=context, reuse=warm if i == 0 else True,
-                )
-            )
-
-    matrix = systems[0].matrix
-    n_free = systems[0].n_free
-    B = np.empty((n_free, m))
-    for c, system in enumerate(systems):
-        B[:, c] = system.rhs
-    if seed_from_bank:
-        x0s = [
-            x0 if x0 is not None else context.nearest_seed(bc.dof_values(), n_free)
-            for x0, bc in zip(x0s, bcs)
-        ]
-
-    with tracer.span(
-        "solve", kind="phase", n_free=n_free, preconditioner=preconditioner,
-        n_batch=m,
-    ) as solve_span, telemetry.phase("solve"):
-        pre = setup.get_preconditioner(matrix, solve_span)
-        results = distributed_block_gmres(
-            matrix,
-            B,
-            preconditioner=pre,
-            x0s=x0s,
-            tol=tol,
-            restart=restart,
-            max_iter=max_iter,
-            telemetry=telemetry,
-            isolate_errors=isolate_errors,
-        )
-
-    init_s, asm_s, solve_s = setup.phase_seconds()
-
-    out: list = []
-    for c, (bc, system, result) in enumerate(zip(bcs, systems, results)):
-        if not isinstance(result, GMRESResult):
-            out.append(result)  # the member's captured exception
-            continue
-        if seed_from_bank:
-            context.commit_seed(bc.dof_values(), result.x)
-        out.append(
-            ParallelSimulation(
-                displacement=system.displacement_original_order(result.x),
-                solver=result,
-                n_equations=n_free,
-                n_dof_total=mesh.n_dof,
-                # Phase times are shared by the whole batch (one init,
-                # one assembly pass, one batched solve).
-                initialization_seconds=init_s,
-                assembly_seconds=asm_s,
-                solve_seconds=solve_s,
-                cluster=telemetry,
-                system=system,
-                cache_hit=warm or c > 0,
-                warm_started=x0s[c] is not None,
-                cache_stats=context.stats.snapshot(),
-            )
-        )
-    return out
 
 
 def prepare_solve_context(

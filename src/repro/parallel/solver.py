@@ -20,13 +20,12 @@ from scipy.sparse import linalg as spla
 
 from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
-from repro.obs.trace import NULL_SPAN, get_tracer
+from repro.obs.trace import get_tracer
 from repro.parallel.distributed import (
     RowBlockMatrix,
     distributed_axpy_cost,
     distributed_norm,
 )
-from repro.solver.block import batched_precond, run_block
 from repro.solver.gmres import GMRESResult, gmres_requests, run_requests
 from repro.solver.preconditioner import incomplete_factor
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
@@ -117,19 +116,6 @@ class DistributedBlockJacobi:
         _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ)
         r = np.asarray(r, dtype=float)
         return self._apply(r, self._out)
-
-    def solve_many(self, R: np.ndarray, telemetry=_NULL) -> np.ndarray:
-        """Apply the block solves to every column of ``(n, m)`` ``R``.
-
-        Each output column is bit-identical to :meth:`solve` of that
-        column (the :meth:`repro.backend.BlockApply.many` contract); the
-        factors are streamed once for all columns. Returns a fresh array
-        (not the shared single-vector buffer).
-        """
-        R = np.asarray(R, dtype=float)
-        _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ * R.shape[1])
-        out = np.empty_like(R)
-        return self._apply.many(R, out)
 
 
 class DistributedRAS:
@@ -282,52 +268,3 @@ def distributed_gmres(
         )
         return result
 
-
-def distributed_block_gmres(
-    matrix: RowBlockMatrix,
-    B: np.ndarray,
-    preconditioner: DistributedBlockJacobi | DistributedRAS | None = None,
-    x0s=None,
-    tol: float = 1e-7,
-    restart: int = 30,
-    max_iter: int = 3000,
-    telemetry=_NULL,
-    raise_on_fail: bool = False,
-    isolate_errors: bool = False,
-) -> list[GMRESResult]:
-    """Batched multi-RHS GMRES: solve ``K x_c = B[:, c]`` for every column.
-
-    Per-column results are **bit-identical** to calling
-    :func:`distributed_gmres` once per column with the same ``x0s[c]``
-    (the serial/batched agreement the serving tier's coalesced dispatch
-    depends on): every column is the same
-    :func:`repro.solver.gmres.gmres_requests` coroutine, and the batched
-    kernels are per-column bit-identical to their single-vector forms
-    (the backend ``csr_matmat`` / ``BlockApply.many`` contracts). The
-    win is economic, not numeric — the matrix and the factorized
-    preconditioner are streamed once per Krylov round for all
-    still-active columns instead of once per column, and the telemetry
-    charges a single halo exchange per batched product.
-
-    ``B`` is ``(n, m)``; ``x0s`` is an optional sequence of ``m``
-    per-column initial guesses (``None`` entries start cold). Returns
-    ``m`` :class:`repro.solver.GMRESResult` records in column order.
-    With ``isolate_errors=True`` a failing column's slot holds the
-    raised exception instead of aborting the batch — the per-member
-    failure isolation the serving tier's coalesced dispatch relies on.
-    """
-    M = preconditioner if preconditioner is not None else _NoPreconditioner()
-    reduction = RankReduction(matrix.ranges, telemetry)
-    return run_block(
-        "block_gmres", matrix.n, B, x0s,
-        lambda b, x0: gmres_requests(
-            matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
-            reduction, NULL_SPAN, "distributed_block_gmres",
-        ),
-        lambda X: matrix.matmat(X, telemetry),
-        lambda R: batched_precond(M, R, telemetry),
-        isolate_errors,
-        distributed=True,
-        tol=tol,
-        restart=restart,
-    )

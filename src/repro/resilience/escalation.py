@@ -23,7 +23,9 @@ drops the remaining rungs to one rank with no machine model (dynamic
 resource substitution). Every rung is recorded as a
 :class:`RungAttempt` and an ``escalation.rung`` trace event; the ladder
 never raises — an exhausted :class:`EscalationOutcome` is returned for
-the degradation layer (:mod:`repro.resilience.degrade`) to act on.
+the degradation layer (:mod:`repro.resilience.degrade`) to act on —
+unless it was cut to its first rung (``escalate=False``), whose error
+propagates.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def solve_with_escalation(
     deadline_s: float | None = None,
     faults: FaultPlan | None = None,
     scan_index: int = 0,
+    escalate: bool = True,
 ) -> EscalationOutcome:
     """Run the biomechanical solve through the escalation ladder.
 
@@ -126,6 +129,12 @@ def solve_with_escalation(
     through to the next rung. Rungs beyond ``cold-gmres`` run with an
     isolated (``None``) context so emergency configurations never
     invalidate the shared per-patient cache.
+
+    ``escalate=False`` (a disabled
+    :class:`repro.resilience.ResiliencePolicy`) is the ladder cut to its
+    first rung, with that rung's checks and fault injection unchanged
+    and its error — ``ConvergenceError``, ``RankFailure``, the gate's
+    ``ValidationError`` — raised instead of recorded.
     """
     tracer = get_tracer()
     start = time.perf_counter()
@@ -280,6 +289,8 @@ def solve_with_escalation(
     ladder.append(("ras-gmres", rung_ras))
     ladder.append(("cg", rung_cg))
     ladder.append(("direct", rung_direct))
+    if not escalate:
+        del ladder[1:]
 
     for index, (name, fn) in enumerate(ladder):
         elapsed = time.perf_counter() - start
@@ -323,6 +334,8 @@ def solve_with_escalation(
                 simulation=sim, attempts=attempts, rank_failed=rank_failed
             )
         except RankFailure as exc:
+            if not escalate:
+                raise
             rank_failed = True
             use_ranks = 1
             use_machine = None
@@ -336,6 +349,8 @@ def solve_with_escalation(
             )
             tracer.event("escalation.rung", rung=name, ok=False, error="RankFailure")
         except ReproError as exc:
+            if not escalate:
+                raise
             attempts.append(
                 RungAttempt(
                     rung=name,

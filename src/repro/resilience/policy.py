@@ -85,8 +85,13 @@ class ResiliencePolicy:
     Parameters
     ----------
     enabled:
-        Master switch; off restores the pre-resilience fail-fast
-        pipeline exactly.
+        Master switch. Off is the fail-fast *configuration* of the same
+        guarded scan runner, not another runner: every stage gets one
+        attempt (:meth:`retry_for`), no degradation rung is allowed and
+        no floor is forced (:attr:`ceiling`, :meth:`allows`,
+        :attr:`floor`), the solve is the escalation ladder's first rung
+        only, non-finite input is rejected rather than sanitized — and
+        every error propagates as raised.
     stage_retries:
         Per-stage :class:`RetryPolicy` (stages absent run once).
     max_degradation:
@@ -166,10 +171,23 @@ class ResiliencePolicy:
             )
 
     def retry_for(self, stage: str) -> RetryPolicy:
+        """The stage's retry budget; a disabled policy retries nothing."""
+        if not self.enabled:
+            return RetryPolicy()
         return self.stage_retries.get(stage, RetryPolicy())
 
+    @property
+    def ceiling(self) -> DegradationLevel:
+        """Deepest rung a scan may end on: none below full FEM when disabled."""
+        return self.max_degradation if self.enabled else DegradationLevel.FULL_FEM
+
+    @property
+    def floor(self) -> DegradationLevel:
+        """Shallowest rung a scan starts at (the shed floor, under the ceiling)."""
+        return min(self.min_degradation, self.ceiling)
+
     def allows(self, level: DegradationLevel) -> bool:
-        return level <= self.max_degradation
+        return level <= self.ceiling
 
 
 def parse_level(value) -> DegradationLevel:

@@ -31,25 +31,19 @@ from repro.serving.admission import (
     SheddingDecision,
     SheddingLadder,
 )
-from repro.serving.bench import (
-    BatchSweepReport,
-    ThroughputReport,
-    run_batch_sweep,
-    run_throughput_benchmark,
-)
+from repro.serving.bench import ThroughputReport, run_throughput_benchmark
 from repro.serving.gateway import ShardGateway
 from repro.serving.netclient import CircuitBreaker, NetClient, NetError
 from repro.serving.pool import SessionWorkerPool, WorkerHandle
 from repro.serving.protocol import (
     CASE_STATUSES,
     SERVED_STATUSES,
-    BatchRequest,
     CaseRequest,
     CaseResult,
     ScanOutcome,
     outcome_from_result,
 )
-from repro.serving.scheduler import POLICIES, CoalescingWindow, Scheduler
+from repro.serving.scheduler import POLICIES, Scheduler
 from repro.serving.server import SessionServer
 from repro.serving.shard import ConsistentHashRing, Shard
 from repro.serving.transport import (
@@ -63,13 +57,10 @@ from repro.serving.transport import (
 
 __all__ = [
     "AdmissionQueue",
-    "BatchRequest",
-    "BatchSweepReport",
     "CASE_STATUSES",
     "CaseRequest",
     "CaseResult",
     "CircuitBreaker",
-    "CoalescingWindow",
     "ConsistentHashRing",
     "FrameError",
     "NetClient",
@@ -94,6 +85,5 @@ __all__ = [
     "encode_frame",
     "encode_volume",
     "outcome_from_result",
-    "run_batch_sweep",
     "run_throughput_benchmark",
 ]

@@ -161,8 +161,6 @@ def run_pool(
     policy: str = "fifo",
     telemetry: bool = False,
     server_sink: list | None = None,
-    coalesce_window_s: float = 0.0,
-    coalesce_max_batch: int = 4,
 ) -> tuple[float, dict[str, list[str]], int]:
     """Serve all cases through a worker pool.
 
@@ -172,8 +170,7 @@ def run_pool(
     ``telemetry`` turns the full cross-process telemetry path on
     (defaults off so the headline throughput number measures serving,
     not instrumentation); passing a ``server_sink`` list appends the
-    server before shutdown so callers can export its trace/SLOs. The
-    ``coalesce_*`` knobs forward to the server's coalescing window.
+    server before shutdown so callers can export its trace/SLOs.
     """
     from repro.serving.server import SessionServer
 
@@ -183,8 +180,6 @@ def run_pool(
         policy=policy,
         metrics=metrics,
         telemetry=telemetry,
-        coalesce_window_s=coalesce_window_s,
-        coalesce_max_batch=coalesce_max_batch,
     )
     if server_sink is not None:
         server_sink.append(server)
@@ -212,147 +207,6 @@ def run_pool(
     finally:
         server.shutdown()
     return elapsed, checksums, hits
-
-
-@dataclass
-class BatchWidthPoint:
-    """One batch-width rung of the coalescing sweep."""
-
-    width: int
-    seconds: float
-    scans_per_s: float
-    batches: int
-    bit_identical: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "seconds": self.seconds,
-            "scans_per_s": self.scans_per_s,
-            "batches": self.batches,
-            "bit_identical": self.bit_identical,
-        }
-
-
-@dataclass
-class BatchSweepReport:
-    """Scans/sec vs coalescing batch width on a same-patient load.
-
-    Every rung serves the *same* case set through one worker, so the
-    only variable is how many cases each coalescing window packs into a
-    multi-RHS batched solve. ``bit_identical`` per rung compares every
-    member's displacement-field checksums against the serial-session
-    baseline — checksum equality means the batched path agrees bit for
-    bit (difference exactly 0, well inside the 1e-10 acceptance bar).
-    """
-
-    n_cases: int
-    scans_per_case: int
-    shape: tuple[int, int, int]
-    mesh_cell_mm: float
-    points: list[BatchWidthPoint] = field(default_factory=list)
-
-    @property
-    def monotonic(self) -> bool:
-        """Aggregate throughput never drops as batch width grows."""
-        rates = [p.scans_per_s for p in self.points]
-        return all(b >= a for a, b in zip(rates, rates[1:]))
-
-    @property
-    def bit_identical(self) -> bool:
-        return all(p.bit_identical for p in self.points)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "scans_per_case": self.scans_per_case,
-            "total_scans": self.n_cases * self.scans_per_case,
-            "shape": list(self.shape),
-            "mesh_cell_mm": self.mesh_cell_mm,
-            "points": [p.as_dict() for p in self.points],
-            "monotonic": self.monotonic,
-            "bit_identical": self.bit_identical,
-        }
-
-    def table(self) -> str:
-        rows = [
-            [
-                p.width,
-                p.batches,
-                f"{p.seconds:.2f}",
-                f"{p.scans_per_s:.3f}",
-                "yes" if p.bit_identical else "NO",
-            ]
-            for p in self.points
-        ]
-        table = format_table(
-            ["batch width", "batches", "wall (s)", "scans/s", "bit-identical"],
-            rows,
-            title=(
-                f"Batched solving: {self.n_cases} cases x "
-                f"{self.scans_per_case} scan(s), same patient, 1 worker"
-            ),
-        )
-        table += f"\n  throughput monotonic in width: {self.monotonic}"
-        return table
-
-
-def run_batch_sweep(
-    widths: tuple[int, ...] = (1, 2, 4),
-    n_cases: int | None = None,
-    scans_per_case: int = 2,
-    shape: tuple[int, int, int] = (32, 32, 24),
-    mesh_cell_mm: float = 4.0,
-    shift_mm: float = 5.0,
-    seed: int = 7,
-    window_s: float = 30.0,
-) -> BatchSweepReport:
-    """Sweep coalescing batch width over one patient's concurrent cases.
-
-    A single-worker server isolates the batching effect from process
-    parallelism: width 1 is the plain serial-dispatch path (coalescing
-    off), larger widths pack same-patient cases into multi-RHS batched
-    solves against the one cached preoperative model. The case set is
-    identical across rungs, and every rung's fields are checked against
-    a serial-session baseline. ``window_s`` only bounds the wait for a
-    partial window; with the whole load pre-queued every window fills
-    to ``width`` immediately, so it never contributes wall time here.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    if not widths or any(w < 1 for w in widths):
-        raise ValidationError(f"widths must be >= 1, got {widths!r}")
-    n_cases = max(widths) if n_cases is None else n_cases
-    config = PipelineConfig(mesh_cell_mm=mesh_cell_mm)
-    requests = make_case_requests(
-        n_cases, scans_per_case, shape, shift_mm, seed, config
-    )
-    _, serial_checksums = run_serial(requests)
-    report = BatchSweepReport(
-        n_cases=n_cases,
-        scans_per_case=scans_per_case,
-        shape=tuple(shape),
-        mesh_cell_mm=mesh_cell_mm,
-    )
-    for width in widths:
-        metrics = MetricsRegistry()
-        elapsed, checksums, _ = run_pool(
-            requests,
-            n_workers=1,
-            metrics=metrics,
-            coalesce_window_s=window_s if width > 1 else 0.0,
-            coalesce_max_batch=width,
-        )
-        report.points.append(
-            BatchWidthPoint(
-                width=width,
-                seconds=elapsed,
-                scans_per_s=n_cases * scans_per_case / elapsed,
-                batches=int(metrics.value("serving.batches", 0.0)),
-                bit_identical=checksums == serial_checksums,
-            )
-        )
-    return report
 
 
 def run_throughput_benchmark(

@@ -11,7 +11,7 @@ class configured with one shard (see :mod:`repro.serving.server`).
 
 Per iteration the loop fires due chaos faults, evicts queued cases
 whose deadline expired, dispatches queued cases onto idle workers of
-their routed shard (scheduler policy + preop affinity + coalescing),
+their routed shard (scheduler policy + preop affinity),
 collects finished results, terminates+evicts running cases past their
 deadline, and re-admits cases interrupted by a worker death, a hang, a
 lost reply or a shard loss:
@@ -62,12 +62,10 @@ from repro.serving.protocol import (
     STATUS_EVICTED,
     STATUS_FAILED,
     STATUS_REJECTED,
-    BatchRequest,
     CaseRequest,
     CaseResult,
-    request_members,
 )
-from repro.serving.scheduler import CoalescingWindow, Scheduler
+from repro.serving.scheduler import Scheduler
 from repro.serving.shard import ConsistentHashRing, Shard
 from repro.util import ValidationError, format_table
 
@@ -135,18 +133,6 @@ class ShardGateway:
         temp directory is created when omitted and telemetry is on.
     start_method / drain_dir:
         Forwarded to every :class:`repro.serving.SessionWorkerPool`.
-    coalesce_window_s / coalesce_max_batch:
-        Scheduler coalescing (off by default). With a positive window,
-        dispatchable cases sharing a ``preop_key`` — which the ring
-        routes to the same shard — are held up to ``coalesce_window_s``
-        seconds so up to ``coalesce_max_batch`` of them leave as one
-        :class:`repro.serving.BatchRequest` — the worker then drives
-        their scans through the batched multi-RHS solve path against
-        one shared patient model. A window that expires with a single
-        case dispatches it as a plain :class:`CaseRequest`,
-        bit-identically to coalescing off. Members keep individual
-        failover: deaths, hangs and shard losses re-admit each member on
-        its own attempt budget.
     """
 
     # What a configuration of the loop calls itself. Class-level data,
@@ -182,8 +168,6 @@ class ShardGateway:
         flight_dir: str | None = None,
         start_method: str | None = None,
         drain_dir: str | None = None,
-        coalesce_window_s: float = 0.0,
-        coalesce_max_batch: int = 4,
     ):
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
@@ -205,7 +189,6 @@ class ShardGateway:
         self.estimator = ServiceEstimator()
         self.queue = AdmissionQueue(queue_capacity, self.estimator)
         self.scheduler = Scheduler(policy)
-        self.coalescer = CoalescingWindow(coalesce_window_s, coalesce_max_batch)
         self.shedding = shedding if shedding is not None else SheddingLadder()
         self.faults = serving_faults
         self.max_attempts = int(max_attempts)
@@ -322,7 +305,7 @@ class ShardGateway:
 
     def _terminate(
         self,
-        member: CaseRequest,
+        request: CaseRequest,
         status: str,
         detail: str,
         where: str | None = None,
@@ -341,7 +324,7 @@ class ShardGateway:
         per-scan flight spool is the post-mortem the result points at.
         (Results a worker produced take :meth:`_record` instead.)
         """
-        case_id = member.case_id
+        case_id = request.case_id
         at = {
             k: v
             for k, v in (("where", where), ("shard", shard), ("worker", worker))
@@ -362,7 +345,7 @@ class ShardGateway:
             detail=detail,
             worker=worker,
             attempts=self._attempts.get(case_id, 0),
-            checkpoint=member.checkpoint_dir,
+            checkpoint=request.checkpoint_dir,
             flight_dump=(
                 None if worker is None else self._worker_flight_dump(worker)
             ),
@@ -598,9 +581,8 @@ class ShardGateway:
             interrupted=len(interrupted),
         )
         for request in interrupted:
-            for member in request_members(request):
-                self.metrics.counter("serving.failover").inc()
-                self._readmit(member, f"shard {shard_id} died ({cause})", shard_id)
+            self.metrics.counter("serving.failover").inc()
+            self._readmit(request, f"shard {shard_id} died ({cause})", shard_id)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -635,100 +617,55 @@ class ShardGateway:
                 # cache the ring exists to protect.
                 skipped.add(request.case_id)
                 continue
-            group = [index]
-            if self.coalescer.enabled:
-                group = [
-                    i for i in candidates if items[i].request.preop_key() == key
-                ]
-                self.coalescer.observe(key, now)
-                if not self.coalescer.ready(key, len(group), now):
-                    # Window still open: hold the same-patient cohort
-                    # (all routed to this shard by the ring) so more
-                    # members can join; other keys dispatch around it.
-                    skipped.update(items[i].request.case_id for i in group)
-                    continue
-                self.coalescer.clear(key)
-            self._dispatch_batch(group, shard, idle, key)
+            self._dispatch(index, shard, idle, key)
 
-    def _dispatch_batch(self, indices: list[int], shard, idle: list, key: str) -> None:
-        """Pop a same-patient cohort and dispatch it as one worker trip.
+    def _dispatch(self, index: int, shard, idle: list, key: str) -> None:
+        """Pop the queued case at ``index`` and send it to one worker.
 
-        ``indices`` are queue positions of dispatchable cases sharing
-        ``key``; the first ``coalesce_max_batch`` of them (queue order)
-        leave together onto one affine worker of the routed shard — as
-        a :class:`BatchRequest`, or, for a lone case (coalescing off, or
-        a window that expired with one member), as the plain
-        :class:`CaseRequest` itself, bit-identically to a loop without
-        coalescing. Each member keeps its own trace context, attempt
-        count, in-flight copy and deadline — the worker evicts expired
-        members between solve rounds, while the loop's kill switch fires
-        only once the whole batch is past its latest member deadline.
-        One dispatch ordinal is consumed — an injected fault hits the
-        whole worker trip, and failover then re-admits the members
-        individually.
+        It leaves onto an affine worker of the routed shard with its
+        trace context stamped, its attempt counted, an in-flight copy
+        kept and its deadline set as the worker's ``busy_deadline``.
+        One dispatch ordinal is consumed — what an injected fault counts.
         """
-        take = sorted(indices)[: self.coalescer.max_batch]
-        queued_members = [self.queue.pop(i) for i in sorted(take, reverse=True)]
-        queued_members.reverse()  # restore admission order
+        queued = self.queue.pop(index)
+        request = queued.request
         handle = self.scheduler.pick_worker(idle, key)
         lane = self.lane.format(shard=shard.shard_id, worker=handle.worker_id)
-        requests = []
-        for queued in queued_members:
-            request = queued.request
-            self._not_before.pop(request.case_id, None)
-            self._attempts[request.case_id] = (
-                self._attempts.get(request.case_id, 0) + 1
+        self._not_before.pop(request.case_id, None)
+        self._attempts[request.case_id] = self._attempts.get(request.case_id, 0) + 1
+        self._building[request.case_id] = key not in handle.cached_keys
+        if self.telemetry:
+            # Stamp the trace context at the dispatch instant: the
+            # anchor aligns the worker's clock origin with *now* on
+            # the loop's clock, so grafted spans land where the
+            # worker actually ran. Re-dispatch after a death
+            # re-stamps with a fresh anchor.
+            request.trace_context = TraceContext.from_tracer(
+                self._trace(),
+                parent_span_id=self._case_span_id(request.case_id),
+                process_label=lane,
             )
-            self._building[request.case_id] = key not in handle.cached_keys
-            if self.telemetry:
-                # Stamp the trace context at the dispatch instant: the
-                # anchor aligns the worker's clock origin with *now* on
-                # the loop's clock, so grafted spans land where the
-                # worker actually ran. Re-dispatch after a death
-                # re-stamps with a fresh anchor.
-                request.trace_context = TraceContext.from_tracer(
-                    self._trace(),
-                    parent_span_id=self._case_span_id(request.case_id),
-                    process_label=lane,
-                )
-                request.flight_dir = self.flight_dir
-            requests.append(request)
-            self._inflight[request.case_id] = request
-        deadlines = [q.deadline_monotonic for q in queued_members]
-        if len(requests) == 1:
-            payload, batch = requests[0], {}
-        else:
-            payload = BatchRequest(members=requests, deadline_monotonics=deadlines)
-            batch = {"batch": payload.batch_id}
-            self.metrics.counter("serving.batches").inc()
-            self.metrics.histogram("serving.batch_width").observe(
-                float(len(requests))
-            )
-        shard.pool.dispatch(handle, payload)
-        handle.busy_deadline = (
-            max(deadlines) if all(d is not None for d in deadlines) else None
-        )
+            request.flight_dir = self.flight_dir
+        self._inflight[request.case_id] = request
+        shard.pool.dispatch(handle, request)
+        handle.busy_deadline = queued.deadline_monotonic
         self.dispatched_total += 1
         self.metrics.gauge("serving.queue_depth").set(len(self.queue))
-        self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc(
-            len(requests)
+        self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc()
+        wait = queued.waited()
+        self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
+        if self.slo is not None:
+            self.slo.observe("queue wait", wait, target=None)
+        at = dict(
+            case=request.case_id,
+            shard=shard.shard_id,
+            worker=handle.worker_id,
+            waited=wait,
         )
-        for queued, request in zip(queued_members, requests):
-            wait = queued.waited()
-            self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-            if self.slo is not None:
-                self.slo.observe("queue wait", wait, target=None)
-            at = dict(
-                case=request.case_id,
-                shard=shard.shard_id,
-                worker=handle.worker_id,
-                waited=wait,
-                **batch,
-            )
-            self.flight.note("case.dispatch", **at)
-            self._trace().event(
-                "serving.dispatch", attempt=self._attempts[request.case_id], **at
-            )
+        self.flight.note("case.dispatch", **at)
+        self._trace().event(
+            "serving.dispatch", attempt=self._attempts[request.case_id], **at
+        )
 
     # -- results --------------------------------------------------------------
 
@@ -876,10 +813,6 @@ class ShardGateway:
                 request = shard.pool.terminate_worker(handle.worker_id)
                 if request is None:
                     continue
-                members = request_members(request)
-                batch_id = (
-                    request.case_id if isinstance(request, BatchRequest) else None
-                )
                 self._dump_flight(
                     "deadline eviction",
                     case=request.case_id,
@@ -887,21 +820,15 @@ class ShardGateway:
                     shard=shard.shard_id,
                     worker=handle.worker_id,
                 )
-                # The batch deadline is max(member deadlines), so when
-                # it fires every member's own deadline has expired too:
-                # each surfaces its own eviction.
-                for member in members:
-                    self._terminate(
-                        member,
-                        STATUS_EVICTED,
-                        f"deadline {member.deadline_s:.1f} s expired "
-                        "mid-service; worker terminated",
-                        where="running",
-                        shard=shard.shard_id,
-                        worker=handle.worker_id,
-                        batch_id=batch_id,
-                        batch_size=len(members),
-                    )
+                self._terminate(
+                    request,
+                    STATUS_EVICTED,
+                    f"deadline {request.deadline_s:.1f} s expired "
+                    "mid-service; worker terminated",
+                    where="running",
+                    shard=shard.shard_id,
+                    worker=handle.worker_id,
+                )
 
     def _readmit(
         self,
@@ -915,9 +842,7 @@ class ShardGateway:
         Re-admission goes to the head of the queue: a durable case
         resumes from its journal (committed scans come back restored,
         only the remainder is recomputed). Its ``serve.case`` span stays
-        open — still in flight. Each member of an interrupted batch is
-        judged here individually, so one member exhausting its budget
-        doesn't fail the others.
+        open — still in flight.
         """
         attempts = self._attempts.get(request.case_id, 1)
         if attempts >= self.max_attempts:
@@ -954,11 +879,7 @@ class ShardGateway:
     def _worker_lost(
         self, shard: Shard, worker_id: int, request, what: str, cause: str, **extra
     ) -> None:
-        """A worker died or was shot as hung: record it, re-admit its case.
-
-        Every member of a dispatched batch goes down with the worker;
-        each re-admits on its own attempt budget.
-        """
+        """A worker died or was shot as hung: record it, re-admit its case."""
         at = {
             "shard": shard.shard_id,
             "worker": worker_id,
@@ -971,11 +892,10 @@ class ShardGateway:
         if request is None:
             return
         who = self.worker_desc.format(worker=worker_id, shard=shard.shard_id)
-        for member in request_members(request):
-            span = self._case_spans.get(member.case_id)
-            if span is not None:
-                span.event(f"worker.{what}", shard=shard.shard_id, worker=worker_id)
-            self._readmit(member, f"{who} {cause}", shard.shard_id, worker_id)
+        span = self._case_spans.get(request.case_id)
+        if span is not None:
+            span.event(f"worker.{what}", shard=shard.shard_id, worker=worker_id)
+        self._readmit(request, f"{who} {cause}", shard.shard_id, worker_id)
 
     def _handle_deaths(self) -> None:
         for shard in self.live_shards():
@@ -1047,10 +967,7 @@ class ShardGateway:
                 age = now - shard.pool.heartbeats.get(handle.worker_id, now)
                 if handle.idle:
                     state = "idle"
-                elif any(
-                    self._building.get(member.case_id, False)
-                    for member in request_members(handle.busy)
-                ):
+                elif self._building.get(handle.busy.case_id, False):
                     state = "building-preop"
                 elif age > grace:
                     state = "wedged"
@@ -1181,16 +1098,15 @@ class ShardGateway:
                     shard=shard.shard_id,
                     worker=handle.worker_id,
                 )
-                for member in request_members(request):
-                    self._terminate(
-                        member,
-                        STATUS_EVICTED,
-                        f"missed drain timeout ({timeout:.1f} s); "
-                        f"worker {handle.worker_id} terminated",
-                        where="drain-timeout",
-                        shard=shard.shard_id,
-                        worker=handle.worker_id,
-                    )
+                self._terminate(
+                    request,
+                    STATUS_EVICTED,
+                    f"missed drain timeout ({timeout:.1f} s); "
+                    f"worker {handle.worker_id} terminated",
+                    where="drain-timeout",
+                    shard=shard.shard_id,
+                    worker=handle.worker_id,
+                )
         self.metrics.counter("serving.drains").inc()
         self._closed = True
         return self.results

@@ -48,9 +48,7 @@ from repro.serving.protocol import (
     STATUS_COMPLETED,
     STATUS_DEGRADED,
     STATUS_DRAINED,
-    STATUS_EVICTED,
     STATUS_FAILED,
-    BatchRequest,
     CaseRequest,
     CaseResult,
     outcome_from_result,
@@ -344,367 +342,6 @@ def _serve_case(
         )
 
 
-@dataclass
-class _BatchMember:
-    """Worker-side bookkeeping for one case inside a coalesced batch."""
-
-    request: CaseRequest
-    telemetry: object = None
-    spool: Path | None = None
-    session: object = None
-    outcomes: list = field(default_factory=list)
-    preop_seconds: float = 0.0
-    cache_hit: bool = False
-    #: Serial members never enter the joint solve: resumed cases (their
-    #: own preop model), shed floors, fault plans, and members whose
-    #: joint slot failed once (permanently demoted).
-    serial: bool = False
-    #: True when the member's session runs on the worker's *shared*
-    #: cached preop model — its serial solves must save/restore the
-    #: context's warm memory so member chains never cross.
-    shares_context: bool = False
-    x0: object = None
-    warm_mem: object = None
-    flight_dump: str | None = None
-    result: CaseResult | None = None
-    t_start: float = 0.0
-
-    @property
-    def remaining(self) -> int:
-        return self.request.n_scans - self.session.n_scans
-
-    @property
-    def warm_start(self) -> bool:
-        config = self.request.config
-        return True if config is None else bool(config.warm_start)
-
-
-def _serve_batch(
-    batch: BatchRequest,
-    preop_cache: LRUStore,
-    drain_event,
-    drain_dir: str,
-    worker_id: int,
-    beat=None,
-) -> list[CaseResult]:
-    """Serve a coalesced batch of same-patient cases in lockstep rounds.
-
-    Per-member setup mirrors :func:`_serve_case` — telemetry harness,
-    shed floor, resume-or-begin against the shared preop cache — then
-    the members advance one scan per round, every round's FEM systems
-    solving as ONE multi-RHS batch through
-    :func:`repro.core.session.process_batch_round`.
-
-    Members the joint path cannot honor run *serially inside the same
-    rounds*: resumed cases (they rebuilt their own preoperative model),
-    load-shed floors and fault plans (per-case degradation state), and
-    any member whose joint slot raised (retried serially at full
-    resilience, then kept serial). Serial members sharing the cached
-    model save/restore the solve context's warm memory around each scan
-    so every member keeps the exact warm-start chain of a lone serial
-    run; joint members chain explicitly through
-    :func:`repro.core.pipeline.batch_warm_vector`. A batch that dwindles
-    to one live joint member continues on the serial path — bit-identical
-    to an uncoalesced dispatch.
-
-    Failure, deadline and drain handling are all per member: one
-    member's exception fails only that member; a member whose
-    ``deadline_monotonics`` entry expires between rounds is evicted
-    alone; a drain checkpoints every live member. Exactly one terminal
-    :class:`CaseResult` per member comes back (stamped with
-    ``batch_id``/``batch_size``), in member order.
-    """
-    from contextlib import nullcontext
-
-    from repro.core.pipeline import batch_warm_vector
-    from repro.core.session import SurgicalSession, process_batch_round
-
-    members = [_BatchMember(request=request) for request in batch.members]
-    shared_context = None
-
-    def harness(member: _BatchMember):
-        return member.telemetry if member.telemetry is not None else nullcontext()
-
-    def finish(member: _BatchMember, result: CaseResult, error=None) -> None:
-        result.batch_id = batch.batch_id
-        result.batch_size = len(batch.members)
-        if member.telemetry is not None:
-            result.telemetry = member.telemetry.frame(error=error)
-        result.flight_dump = member.flight_dump
-        member.result = result
-
-    def fail(member: _BatchMember, exc: Exception) -> None:
-        detail = f"{type(exc).__name__}: {exc}"
-        if member.telemetry is not None:
-            member.telemetry.flight.note(
-                "case.fault", case_id=member.request.case_id, error=detail
-            )
-        dumped = _spool_flight(
-            member.telemetry,
-            member.spool,
-            "fault",
-            case_id=member.request.case_id,
-            error=detail,
-        )
-        member.flight_dump = dumped if dumped is not None else member.flight_dump
-        finish(
-            member,
-            CaseResult(
-                case_id=member.request.case_id,
-                status=STATUS_FAILED,
-                detail=detail,
-                worker=worker_id,
-                scans=member.outcomes,
-                service_seconds=time.perf_counter() - member.t_start,
-                preop_cache_hit=member.cache_hit,
-                preop_seconds=member.preop_seconds,
-                checkpoint=member.request.checkpoint_dir,
-                error_traceback=traceback.format_exc(limit=8),
-            ),
-            error=detail,
-        )
-
-    # -- per-member setup (mirrors _serve_case) ------------------------------
-    for member in members:
-        request = member.request
-        member.t_start = time.perf_counter()
-        try:
-            _apply_shed(request)
-            member.telemetry = _case_telemetry(request, worker_id)
-            member.spool = _flight_spool(request, worker_id)
-            with harness(member):
-                if member.telemetry is not None:
-                    member.telemetry.flight.note(
-                        "case.start",
-                        case_id=request.case_id,
-                        worker=worker_id,
-                        n_scans=request.n_scans,
-                        batch=batch.batch_id,
-                    )
-                checkpoint = request.checkpoint_dir
-                resuming = (
-                    checkpoint is not None
-                    and (Path(checkpoint) / "MANIFEST.json").is_file()
-                )
-                if resuming:
-                    # A resumed session rebuilds its own preop model, so
-                    # it cannot join the shared-context solve.
-                    member.session, member.outcomes, member.preop_seconds = (
-                        _resume_case(request, worker_id, member.telemetry)
-                    )
-                    member.serial = True
-                else:
-                    key = request.preop_key()
-                    preop = preop_cache.get(key)
-                    member.cache_hit = preop is not None
-                    pipeline = _build_pipeline(request.config, member.telemetry)
-                    if not member.cache_hit:
-                        t0 = time.perf_counter()
-                        preop = pipeline.prepare_preoperative(
-                            request.preop_mri, request.preop_labels
-                        )
-                        member.preop_seconds = time.perf_counter() - t0
-                        preop_cache.put(key, preop)
-                    member.session = SurgicalSession.begin(
-                        pipeline,
-                        request.preop_mri,
-                        request.preop_labels,
-                        checkpoint_dir=checkpoint,
-                        app={"case_id": request.case_id},
-                        preop=preop,
-                    )
-                    member.shares_context = True
-                    shared_context = preop.solve_context
-                    config = request.config
-                    if request.shed_level or (
-                        config is not None and config.fault_plan is not None
-                    ):
-                        # Per-case degradation state the joint plain path
-                        # cannot honor — serve serially within the batch.
-                        member.serial = True
-        except Exception as exc:  # noqa: BLE001 - member isolation boundary
-            fail(member, exc)
-
-    # Case isolation on the shared model: the cached build is patient
-    # state, the warm memory is case state. Reset once before the rounds;
-    # afterwards every member owns its chain explicitly (x0 / warm_mem).
-    if shared_context is not None:
-        shared_context.reset_warm_state()
-
-    def serial_scan(member: _BatchMember) -> None:
-        """One member's scan on the serial path, warm chain isolated."""
-        scan = member.session.n_scans
-        context = shared_context if member.shares_context else None
-        with harness(member):
-            if context is not None:
-                context.last_solution = member.warm_mem
-            try:
-                result = member.session.process(member.request.scans[scan])
-            except Exception as exc:  # noqa: BLE001 - member isolation boundary
-                fail(member, exc)
-                return
-            finally:
-                if context is not None:
-                    member.warm_mem = context.last_solution
-                    context.last_solution = None
-        member.outcomes.append(outcome_from_result(scan, result))
-        member.flight_dump = _spool_flight(
-            member.telemetry,
-            member.spool,
-            "scan",
-            case_id=member.request.case_id,
-            scan=scan,
-        )
-
-    # -- lockstep scan rounds ------------------------------------------------
-    def live() -> list[_BatchMember]:
-        return [m for m in members if m.result is None]
-
-    while any(m.remaining > 0 for m in live()):
-        if beat is not None:
-            beat()
-        if drain_event.is_set():
-            for member in live():
-                with harness(member):
-                    root = member.session.checkpoint(
-                        None
-                        if member.session.store is not None
-                        else str(Path(drain_dir) / member.request.case_id)
-                    )
-                member.flight_dump = _spool_flight(
-                    member.telemetry,
-                    member.spool,
-                    "drain",
-                    case_id=member.request.case_id,
-                    scan=member.session.n_scans,
-                )
-                finish(
-                    member,
-                    CaseResult(
-                        case_id=member.request.case_id,
-                        status=STATUS_DRAINED,
-                        detail=(
-                            f"drained after scan {member.session.n_scans - 1}"
-                            f" -> {root}"
-                        ),
-                        worker=worker_id,
-                        scans=member.outcomes,
-                        service_seconds=time.perf_counter() - member.t_start,
-                        preop_cache_hit=member.cache_hit,
-                        preop_seconds=member.preop_seconds,
-                        checkpoint=str(root),
-                    ),
-                )
-            break
-        # Member deadline eviction between rounds: only the expired
-        # member leaves; the rest of the batch keeps solving.
-        now = time.monotonic()
-        for member, deadline in zip(members, batch.deadline_monotonics):
-            if member.result is not None or deadline is None or now <= deadline:
-                continue
-            member.flight_dump = _spool_flight(
-                member.telemetry,
-                member.spool,
-                "deadline eviction",
-                case_id=member.request.case_id,
-                scan=member.session.n_scans,
-            )
-            finish(
-                member,
-                CaseResult(
-                    case_id=member.request.case_id,
-                    status=STATUS_EVICTED,
-                    detail=(
-                        f"deadline {member.request.deadline_s:.1f} s expired "
-                        f"mid-batch after scan {member.session.n_scans - 1}"
-                    ),
-                    worker=worker_id,
-                    scans=member.outcomes,
-                    service_seconds=time.perf_counter() - member.t_start,
-                    preop_cache_hit=member.cache_hit,
-                    preop_seconds=member.preop_seconds,
-                    checkpoint=member.request.checkpoint_dir,
-                ),
-            )
-        joint = [m for m in live() if not m.serial and m.remaining > 0]
-        if len(joint) >= 2:
-            lead = joint[0]
-            entries = [
-                (m.session, m.request.scans[m.session.n_scans]) for m in joint
-            ]
-            scans = [m.session.n_scans for m in joint]
-            try:
-                with harness(lead):
-                    round_results = process_batch_round(
-                        entries,
-                        x0s=[m.x0 if m.warm_start else None for m in joint],
-                    )
-            except Exception as exc:  # noqa: BLE001 - whole-round failure
-                round_results = [exc] * len(joint)
-            for member, scan, result in zip(joint, scans, round_results):
-                if isinstance(result, Exception):
-                    # Demote and retry serially at full resilience; one
-                    # failing member never degrades the others.
-                    member.serial = True
-                    if member.telemetry is not None:
-                        member.telemetry.flight.note(
-                            "batch.member_demoted",
-                            case_id=member.request.case_id,
-                            scan=scan,
-                            error=f"{type(result).__name__}: {result}",
-                        )
-                    serial_scan(member)
-                    continue
-                member.outcomes.append(outcome_from_result(scan, result))
-                member.x0 = batch_warm_vector(result)
-                member.flight_dump = _spool_flight(
-                    member.telemetry,
-                    member.spool,
-                    "scan",
-                    case_id=member.request.case_id,
-                    scan=scan,
-                )
-        elif joint:
-            # One joint member left: the serial path, bit-identical to
-            # an uncoalesced dispatch (its explicit chain carries on).
-            lone = joint[0]
-            if lone.warm_start:
-                lone.warm_mem = lone.x0
-            serial_scan(lone)
-            if lone.result is None:
-                lone.x0 = lone.warm_mem if lone.warm_start else None
-        for member in live():
-            if member.serial and member.remaining > 0 and member not in joint:
-                serial_scan(member)
-
-    # -- terminal results ----------------------------------------------------
-    for member in members:
-        if member.result is not None:
-            continue
-        degraded = sorted(
-            {
-                o.degradation
-                for o in member.outcomes
-                if o.degradation not in (None, "full-fem")
-            }
-        )
-        finish(
-            member,
-            CaseResult(
-                case_id=member.request.case_id,
-                status=STATUS_DEGRADED if degraded else STATUS_COMPLETED,
-                detail="ok" if not degraded else "degraded: " + ", ".join(degraded),
-                worker=worker_id,
-                scans=member.outcomes,
-                service_seconds=time.perf_counter() - member.t_start,
-                preop_cache_hit=member.cache_hit,
-                preop_seconds=member.preop_seconds,
-                checkpoint=member.request.checkpoint_dir,
-            ),
-        )
-    return [member.result for member in members]
-
-
 def _worker_main(
     worker_id: int,
     task_queue,
@@ -722,7 +359,7 @@ def _worker_main(
     drills: ``("hang",)`` wedges the worker (alive, silent, never
     returns), ``("slow", seconds)`` adds per-case latency.
 
-    Every ``("result" | "batch", ...)`` message ends with a
+    Every ``("result", ...)`` message ends with a
     :class:`PreopCacheReport`: the model built for the case may have
     pushed older ones out, and the parent schedules on what is resident.
     """
@@ -766,18 +403,11 @@ def _worker_main(
                 time.sleep(slow_s)
             beat()
             request = message[1]
-            # One message per dispatch, a batch's member results together:
-            # the parent frees the worker on the first non-heartbeat
-            # message it sees.
-            if isinstance(request, BatchRequest):
-                tag, serve = "batch", _serve_batch
-            else:
-                tag, serve = "result", _serve_case
-            served = serve(
+            served = _serve_case(
                 request, preop_cache, drain_event, drain_dir, worker_id, beat=beat
             )
             report = cache_report(report)
-            result_queue.put((tag, worker_id, served, report))
+            result_queue.put(("result", worker_id, served, report))
 
 
 @dataclass
@@ -910,10 +540,8 @@ class SessionWorkerPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def dispatch(
-        self, handle: WorkerHandle, request: CaseRequest | BatchRequest
-    ) -> None:
-        """Hand a case — or a coalesced batch of cases — to an idle worker."""
+    def dispatch(self, handle: WorkerHandle, request: CaseRequest) -> None:
+        """Hand a case to an idle worker."""
         if not handle.idle:
             raise ValidationError(
                 f"worker {handle.worker_id} is already serving "
@@ -969,12 +597,7 @@ class SessionWorkerPool:
                     handle.cache = report
                     handle.cached_keys = set(report.resident)
             self._crash_counts.pop(worker_id, None)
-            if tag == "batch":
-                # A coalesced dispatch returns every member's result in
-                # one message (the worker went idle exactly once).
-                results.extend(message[2])
-            else:
-                results.append(message[2])
+            results.append(message[2])
         return results
 
     def peak_rss_mb(self) -> float:

@@ -166,86 +166,6 @@ class CaseRequest:
 
 
 @dataclass
-class BatchRequest:
-    """A coalesced dispatch unit: several same-patient cases, one worker trip.
-
-    Built by the server when its coalescing window closes holding more
-    than one queued case with the same ``preop_key`` — never submitted
-    by clients and never admitted directly. Members keep their own
-    :class:`CaseRequest` identity end to end (deadlines, durability,
-    telemetry context, terminal :class:`CaseResult`); the facade exists
-    only between the scheduler and the worker, which serves the members
-    in lockstep scan rounds so each round's FEM systems solve as one
-    multi-RHS batch against the shared preoperative model.
-
-    Attributes
-    ----------
-    members:
-        The coalesced case requests (>= 2, equal ``preop_key``).
-    batch_id:
-        Synthetic identity for pool bookkeeping and telemetry
-        (``batch:<case>+<case>+...`` when not given).
-    deadline_monotonics:
-        Per-member absolute deadlines on the ``time.monotonic`` clock,
-        stamped by the server at dispatch (``None`` entries for
-        deadline-less members). ``CLOCK_MONOTONIC`` is system-wide on
-        Linux, so the worker compares them directly between scan rounds
-        and evicts only the expired member — the rest of the batch
-        keeps solving.
-    """
-
-    members: list[CaseRequest]
-    batch_id: str = ""
-    deadline_monotonics: list[float | None] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValidationError(
-                f"a batch needs at least two members, got {len(self.members)}"
-            )
-        key = self.members[0].preop_key()
-        for member in self.members[1:]:
-            if member.preop_key() != key:
-                raise ValidationError(
-                    f"batch member {member.case_id!r} has a different "
-                    "preop_key than the first member; coalescing requires "
-                    "one shared preoperative model"
-                )
-        if not self.batch_id:
-            self.batch_id = "batch:" + "+".join(m.case_id for m in self.members)
-        if not self.deadline_monotonics:
-            self.deadline_monotonics = [None] * len(self.members)
-        if len(self.deadline_monotonics) != len(self.members):
-            raise ValidationError(
-                "deadline_monotonics must have one entry per member"
-            )
-
-    @property
-    def case_id(self) -> str:
-        """Synthetic id; lets pool bookkeeping treat a batch like a case."""
-        return self.batch_id
-
-    @property
-    def n_scans(self) -> int:
-        return sum(member.n_scans for member in self.members)
-
-    def preop_key(self) -> str:
-        return self.members[0].preop_key()
-
-
-def request_members(request: CaseRequest | BatchRequest) -> list[CaseRequest]:
-    """The individual cases behind a dispatched request (batch or not).
-
-    Control-plane failure handling (deadline kills, worker deaths,
-    drain stragglers) resolves each member to its own terminal result
-    through this, so one member's fate never drags down the others'.
-    """
-    if isinstance(request, BatchRequest):
-        return list(request.members)
-    return [request]
-
-
-@dataclass
 class ScanOutcome:
     """Essentials of one scan processed on behalf of a case.
 
@@ -341,11 +261,6 @@ class CaseResult:
     flight_dump:
         Path of the worker's persisted flight-recorder ring for this
         case, when the request carried a ``flight_dir``.
-    batch_id / batch_size:
-        Coalescing provenance: the :class:`BatchRequest` this case was
-        served inside and how many members it had. ``None`` / ``1`` for
-        cases served alone (including a coalescing window that expired
-        with a single case — that one takes the serial path).
     """
 
     case_id: str
@@ -362,8 +277,6 @@ class CaseResult:
     error_traceback: str | None = None
     telemetry: object | None = None
     flight_dump: str | None = None
-    batch_id: str | None = None
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if self.status not in CASE_STATUSES:
@@ -393,6 +306,4 @@ class CaseResult:
             "preop_cache_hit": self.preop_cache_hit,
             "preop_seconds": self.preop_seconds,
             "checkpoint": self.checkpoint,
-            "batch_id": self.batch_id,
-            "batch_size": self.batch_size,
         }

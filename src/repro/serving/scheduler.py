@@ -91,51 +91,3 @@ class Scheduler:
             return False
         return any(preop_key in w.cached_keys for w in busy_workers)
 
-
-class CoalescingWindow:
-    """Batch same-patient dispatches: hold briefly, solve together.
-
-    The third scheduling half, off by default. When a dispatchable case
-    reaches the head of the queue, its ``preop_key`` opens a window of
-    ``window_s`` seconds; cases with the same key arriving inside the
-    window join it. The window closes — and everything it holds
-    dispatches as one :class:`repro.serving.BatchRequest` — as soon as
-    ``max_batch`` members are waiting, or when the window expires
-    (whichever first). A window that expires with a single case falls
-    back to the ordinary serial dispatch, bit-identically.
-
-    Purely bookkeeping: the server owns the queue and builds the batch;
-    this object only answers "wait or go" deterministically from the
-    timestamps it is handed (no internal clock reads, so tests drive it
-    with synthetic time).
-    """
-
-    def __init__(self, window_s: float = 0.0, max_batch: int = 4):
-        if window_s < 0:
-            raise ValidationError(f"window_s must be >= 0, got {window_s}")
-        if max_batch < 1:
-            raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        self.window_s = float(window_s)
-        self.max_batch = int(max_batch)
-        #: preop_key -> monotonic instant its window opened.
-        self._opened: dict[str, float] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """Coalescing only engages with a positive window and width > 1."""
-        return self.window_s > 0.0 and self.max_batch > 1
-
-    def observe(self, key: str, now: float) -> None:
-        """Note a dispatchable case with this key; opens its window once."""
-        self._opened.setdefault(key, now)
-
-    def ready(self, key: str, count: int, now: float) -> bool:
-        """Close the window? True at full width or window expiry."""
-        if count >= self.max_batch:
-            return True
-        opened = self._opened.get(key)
-        return opened is not None and now - opened >= self.window_s
-
-    def clear(self, key: str) -> None:
-        """Forget a key's window (its cases dispatched or left the queue)."""
-        self._opened.pop(key, None)

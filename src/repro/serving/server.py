@@ -62,8 +62,6 @@ class SessionServer(ShardGateway):
         flight_dir: str | None = None,
         start_method: str | None = None,
         drain_dir: str | None = None,
-        coalesce_window_s: float = 0.0,
-        coalesce_max_batch: int = 4,
     ):
         super().__init__(
             n_shards=1,
@@ -80,8 +78,6 @@ class SessionServer(ShardGateway):
             flight_dir=flight_dir,
             start_method=start_method,
             drain_dir=drain_dir,
-            coalesce_window_s=coalesce_window_s,
-            coalesce_max_batch=coalesce_max_batch,
         )
 
     @property

@@ -4,8 +4,7 @@
 for every column of a dense right-hand-side block against one operator
 and one (already factorized) preconditioner. Per-column results are
 **bit-identical** to running the single-vector solvers column by column
-with the same initial guesses — the agreement the serving tier's
-coalesced dispatch depends on — because each column runs the exact
+with the same initial guesses, because each column runs the exact
 single-vector arithmetic as a coroutine that yields its matvec and
 preconditioner applications to a driver, and the driver executes each
 round's requests as ONE batched operation whose per-column outputs are
@@ -36,9 +35,9 @@ def batched_matvec(operator, X: np.ndarray) -> np.ndarray:
     """``Y = A @ X`` with per-column bit-identity to ``A.matvec(X[:, c])``.
 
     CSR-backed :class:`MatrixOperator` goes through the backend's
-    ``csr_matmat`` kernel; operators exposing ``matmat`` (e.g.
-    :class:`repro.parallel.RowBlockMatrix`) use it; anything else falls
-    back to a per-column matvec loop over contiguous copies.
+    ``csr_matmat`` kernel; operators exposing ``matmat`` use it;
+    anything else falls back to a per-column matvec loop over
+    contiguous copies.
     """
     if isinstance(operator, MatrixOperator) and sparse.issparse(operator.matrix) \
             and operator.matrix.format == "csr":
@@ -78,8 +77,7 @@ def run_request_columns(columns, matvec, precond, isolate: bool = False):
     feeds per-column results back as contiguous vectors. Returns the
     coroutine return values in input order. With ``isolate=True`` a
     column that raises stores its exception in its result slot and the
-    remaining columns continue (the per-member failure isolation the
-    serving batch path needs); otherwise the exception propagates.
+    remaining columns continue; otherwise the exception propagates.
     """
     results: list = [None] * len(columns)
     pending: dict[int, tuple[str, np.ndarray]] = {}
@@ -170,8 +168,7 @@ def block_gmres(
     Returns ``m`` :class:`GMRESResult` records in column order, each
     bit-identical to the corresponding single-vector :func:`gmres` call.
     With ``isolate_errors=True`` a failing column's slot holds the
-    raised exception instead of aborting the batch (per-member failure
-    isolation for the serving tier).
+    raised exception instead of aborting the batch.
     """
     A = AsOperator(operator)
     n = A.shape[0]

@@ -7,10 +7,9 @@ coroutine :func:`gmres_requests`: it yields its matvec and
 preconditioner applications to a driver and delegates norms and
 orthogonalisation to a *reduction*. Serial :func:`gmres` is that loop
 under :func:`run_requests` with :class:`SerialReduction` (modified
-Gram-Schmidt); :func:`repro.solver.block_gmres`,
-:func:`repro.parallel.distributed_gmres` and
-:func:`repro.parallel.distributed_block_gmres` are the same loop under
-the multi-column driver and/or the per-rank reduction.
+Gram-Schmidt); :func:`repro.solver.block_gmres` is the same loop under
+the multi-column driver and :func:`repro.parallel.distributed_gmres`
+under the per-rank reduction.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ crosses the bar. Run::
 
 Each benchmark file declares its hot-path metrics in :data:`HOT_PATHS`
 as ``(dotted.path, direction)`` pairs, where the dotted path may index
-into lists (``points.-1.scans_per_s``) and the direction says which way
+into lists (``scans.0.cold_seconds``) and the direction says which way
 is better. Regression is relative to the baseline value::
 
     higher-better:  (base - new) / base
@@ -38,12 +38,9 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("pool_scans_per_s", "higher"),
         ("speedup", "higher"),
     ],
-    "BENCH_batch.json": [
-        ("points.-1.scans_per_s", "higher"),
-    ],
     "BENCH_hotpath.json": [
+        ("scans.0.cold_seconds", "lower"),
         ("scans.0.warm_seconds", "lower"),
-        ("scans.0.speedup_vs_cold_first", "higher"),
         ("mesh_generation.seconds", "lower"),
         ("mesh_generation.peak_bytes_allocated", "lower"),
     ],
@@ -80,7 +77,7 @@ def resolve(record: object, dotted: str) -> float:
     """Fetch ``dotted`` out of a parsed JSON record.
 
     Path segments are dict keys or (possibly negative) list indices:
-    ``points.-1.scans_per_s`` is the last point's rate.
+    ``scans.-1.warm_seconds`` is the last scan's warm time.
     """
     node = record
     for part in dotted.split("."):

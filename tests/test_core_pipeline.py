@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
+from repro.core.session import SurgicalSession
 from repro.core.timeline import Timeline
 from repro.imaging.phantom import Tissue, make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW
-from repro.util import ValidationError
+from repro.util import ShapeError, ValidationError
 
 
 class TestTimeline:
@@ -208,3 +210,88 @@ class TestPreoperativeSnap:
         assert np.array_equal(
             result.correspondence.snapped.positions, own.snapped.positions
         )
+
+
+class TestOneScanRunner:
+    """``resilience.enabled`` configures the one guarded runner; it selects no other."""
+
+    SETTINGS = dict(
+        mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000, surface_iterations=50
+    )
+    GUARDED_STAGES = (
+        "_stage_rigid", "_stage_classify", "_stage_surface", "_stage_resample"
+    )
+
+    def _pipeline(self, enabled: bool) -> IntraoperativePipeline:
+        config = PipelineConfig(**self.SETTINGS)
+        config.resilience.enabled = enabled
+        return IntraoperativePipeline(config)
+
+    def test_healthy_session_is_the_same_program_either_way(self, small_case):
+        """Two scans, policy on and off: equal fields, stages, iterations — and
+        the same ``degradation`` shape, a ``full-fem`` report in both (a
+        disabled policy reports what it did too; it just never reports less).
+        """
+        second = make_neurosurgery_case(shape=(32, 32, 24), shift_mm=4.0, seed=44)
+        runs = {}
+        for enabled in (True, False):
+            pipeline = self._pipeline(enabled)
+            session = SurgicalSession.begin(
+                pipeline, small_case.preop_mri, small_case.preop_labels
+            )
+            results = [
+                session.process(scan)
+                for scan in (small_case.intraop_mri, second.intraop_mri)
+            ]
+            runs[enabled] = [
+                (
+                    result.field_shas(),
+                    [entry.stage for entry in result.timeline.entries],
+                    result.simulation.solver.iterations,
+                    result.simulation.warm_started,
+                    result.degradation.label,
+                    result.degradation.rungs_tried,
+                    result.degradation.degraded or result.degradation.escalated,
+                )
+                for result in results
+            ]
+        assert runs[True] == runs[False]
+        first, later = runs[False]
+        assert first[4:] == ("full-fem", ["cold-gmres"], False)
+        assert later[4:] == ("full-fem", ["warm-gmres"], False)
+
+    @pytest.mark.parametrize("stage", GUARDED_STAGES)
+    @pytest.mark.parametrize("enabled, attempts", [(False, 1), (True, 2)])
+    def test_a_failing_stage_is_attempted_as_the_policy_says(
+        self, small_case, monkeypatch, stage, enabled, attempts
+    ):
+        """Disabled: one attempt, the stage's own exception object comes out.
+        Enabled: the default retry runs it twice and the scan still returns."""
+        pipeline = self._pipeline(enabled)
+        preop = pipeline.prepare_preoperative(
+            small_case.preop_mri, small_case.preop_labels
+        )
+        boom = ShapeError(f"injected {stage} failure")
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(stage)
+            raise boom
+
+        monkeypatch.setattr(pipeline, stage, failing)
+        if enabled:
+            result = pipeline.process_scan(small_case.intraop_mri, preop)
+            assert result.degradation.degraded == (stage != "_stage_rigid")
+        else:
+            with pytest.raises(ShapeError) as raised:
+                pipeline.process_scan(small_case.intraop_mri, preop)
+            assert raised.value is boom
+        assert len(calls) == attempts
+
+    def test_there_is_one_scan_orchestration(self):
+        bodies = [
+            name for name in vars(IntraoperativePipeline)
+            if re.match(r"^_?process_scan", name)
+        ]
+        # The public entry and its one body; no batch or fail-fast twin.
+        assert sorted(bodies) == ["_process_scan", "process_scan"]

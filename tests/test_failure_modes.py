@@ -18,7 +18,7 @@ from repro.imaging.volume import ImageVolume
 from repro.mesh.generator import mesh_labeled_volume
 from repro.mesh.tetra import TetrahedralMesh
 from repro.solver.gmres import gmres
-from repro.util import ConvergenceError, MeshError, ValidationError
+from repro.util import ConvergenceError, MeshError, RankFailure, ValidationError
 
 
 class TestMechanismFiltering:
@@ -159,6 +159,35 @@ class TestFailFastWithoutResilience:
         )
         with pytest.raises(ValidationError, match="non-finite"):
             pipeline.process_scan(small_case.intraop_mri, preop)
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("0:stagnate-solver", ConvergenceError), ("0:kill-rank", RankFailure)],
+    )
+    def test_solver_faults_fire_and_raise(self, small_case, fault, error):
+        """Fail-fast is loud about the solve too: an unconverged GMRES or a
+        dead rank raises instead of coming back as a normal result."""
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import IntraoperativePipeline
+        from repro.resilience import FaultPlan
+
+        config = PipelineConfig(
+            mesh_cell_mm=9.0,
+            rigid_levels=1,
+            rigid_max_iter=2,
+            rigid_samples=2000,
+            fault_plan=FaultPlan.parse(fault, seed=0),
+        )
+        config.resilience.enabled = False
+        pipeline = IntraoperativePipeline(config)
+        preop = pipeline.prepare_preoperative(
+            small_case.preop_mri, small_case.preop_labels
+        )
+        with pytest.raises(error) as raised:
+            pipeline.process_scan(small_case.intraop_mri, preop)
+        assert len(config.fault_plan.triggered) == 1
+        if error is ConvergenceError:
+            assert raised.value.stage == "biomechanical simulation"
 
     def test_volume_sanitized_reports_fill_count(self):
         data = np.ones((4, 4, 4))

@@ -68,8 +68,6 @@ class TestRowBlocksShareMemory:
                 assert (block[:, c:d] != want[:, c:d]).nnz == 0
         x = np.random.default_rng(seed).standard_normal(A.shape[0])
         assert np.array_equal(M.matvec(x), A @ x)
-        X = np.stack([x, -2.0 * x], axis=1)
-        assert np.array_equal(M.matmat(X), A @ X)
         back = M.to_csr()
         assert (back != A).nnz == 0 and back.nnz == A.nnz
 
@@ -142,7 +140,6 @@ class TestLazyFactorCount:
         pre = DistributedBlockJacobi(system.matrix, NullTelemetry())
         pre.solve(system.rhs)
         pre.solve(system.rhs, NullTelemetry())
-        pre.solve_many(np.stack([system.rhs, system.rhs], axis=1))
         assert "_factor_nnz" not in vars(pre)
         stored = 12 * sum(lu.nnz for lu in pre._factors)
         assert extraction_bytes(pre._factors) > 0.9 * stored  # nothing was cached
@@ -157,8 +154,7 @@ class TestLazyFactorCount:
         assert np.array_equal(pre._factor_nnz, nnz) and pre._factor_nnz.dtype == float
         assert cluster.flops_total == FACTOR_FLOPS_PER_NNZ * nnz.sum()
         pre.solve(system.rhs, cluster)
-        pre.solve_many(np.stack([system.rhs] * 3, axis=1), cluster)
-        assert cluster.flops_total == (FACTOR_FLOPS_PER_NNZ + 4 * SOLVE_FLOPS_PER_NNZ) * nnz.sum()
+        assert cluster.flops_total == (FACTOR_FLOPS_PER_NNZ + SOLVE_FLOPS_PER_NNZ) * nnz.sum()
         # Built without accounts, charged later: counted on that first charge.
         late = DistributedBlockJacobi(matrix)
         assert "_factor_nnz" not in vars(late)

@@ -554,169 +554,3 @@ class TestThroughputReport:
         assert payload["speedup"] == pytest.approx(2.5)
         assert payload["bit_identical"] is True
         assert "speedup" in report.table()
-
-
-# -- coalescing (batched multi-RHS dispatch) ---------------------------------
-
-
-class TestCoalescingWindow:
-    def test_disabled_by_default_and_validation(self):
-        from repro.serving import CoalescingWindow
-
-        assert not CoalescingWindow().enabled
-        assert not CoalescingWindow(window_s=0.0, max_batch=4).enabled
-        assert not CoalescingWindow(window_s=1.0, max_batch=1).enabled
-        assert CoalescingWindow(window_s=1.0, max_batch=2).enabled
-        with pytest.raises(ValidationError):
-            CoalescingWindow(window_s=-0.1)
-        with pytest.raises(ValidationError):
-            CoalescingWindow(max_batch=0)
-
-    def test_ready_by_count_or_expiry_synthetic_time(self):
-        from repro.serving import CoalescingWindow
-
-        window = CoalescingWindow(window_s=5.0, max_batch=3)
-        window.observe("preop-a", now=100.0)
-        # Re-observing never resets the opening timestamp.
-        window.observe("preop-a", now=104.0)
-        assert not window.ready("preop-a", count=2, now=104.0)
-        assert window.ready("preop-a", count=3, now=100.5)  # full batch
-        assert window.ready("preop-a", count=1, now=105.0)  # window expired
-        window.clear("preop-a")
-        # A cleared key reopens fresh on the next observation.
-        window.observe("preop-a", now=200.0)
-        assert not window.ready("preop-a", count=1, now=204.9)
-        # A key never observed is only ready by count.
-        assert window.ready("preop-b", count=3, now=0.0)
-        assert not window.ready("preop-b", count=1, now=1e9)
-
-
-class TestCoalescedServing:
-    def test_batch_bit_identical_to_serial(self, patient, intraop_scans):
-        requests = [
-            make_request(patient, intraop_scans[:1], case_id="co-0"),
-            make_request(patient, intraop_scans[1:], case_id="co-1"),
-            make_request(patient, intraop_scans[:1], case_id="co-2"),
-        ]
-        _, serial = run_serial(
-            [make_request(patient, r.scans, case_id=r.case_id) for r in requests]
-        )
-        server = SessionServer(
-            n_workers=1, coalesce_window_s=30.0, coalesce_max_batch=3
-        )
-        try:
-            for request in requests:
-                assert server.submit(request) is None
-            results = server.run()
-        finally:
-            server.shutdown()
-        assert all(results[r.case_id].ok for r in requests), {
-            c: (r.status, r.detail) for c, r in results.items()
-        }
-        assert {
-            cid: [s.nodal_sha for s in results[cid].scans] for cid in serial
-        } == serial
-        # All three same-patient cases went out as ONE batched dispatch.
-        assert server.metrics.value("serving.batches") == 1
-        batch_ids = {results[r.case_id].batch_id for r in requests}
-        assert len(batch_ids) == 1 and None not in batch_ids
-        assert all(results[r.case_id].batch_size == 3 for r in requests)
-
-    def test_single_case_window_expiry_falls_back_serial(
-        self, patient, intraop_scans
-    ):
-        _, serial = run_serial(
-            [make_request(patient, intraop_scans[:1], case_id="lone")]
-        )
-        server = SessionServer(
-            n_workers=1, coalesce_window_s=0.05, coalesce_max_batch=4
-        )
-        try:
-            server.submit(make_request(patient, intraop_scans[:1], case_id="lone"))
-            results = server.run()
-        finally:
-            server.shutdown()
-        result = results["lone"]
-        assert result.ok, result.detail
-        # Window expired with one member: the ordinary serial dispatch,
-        # bit-identical, with no batch bookkeeping attached.
-        assert [s.nodal_sha for s in result.scans] == serial["lone"]
-        assert result.batch_id is None
-        assert server.metrics.value("serving.batches", 0.0) == 0
-
-    @pytest.mark.persistence
-    def test_mixed_durable_and_nondurable_members(
-        self, patient, intraop_scans, tmp_path
-    ):
-        requests = [
-            make_request(
-                patient,
-                intraop_scans[:1],
-                case_id="durable",
-                checkpoint_dir=str(tmp_path / "ckpt"),
-            ),
-            make_request(patient, intraop_scans[1:], case_id="ephemeral"),
-        ]
-        _, serial = run_serial(
-            [
-                make_request(patient, r.scans, case_id=r.case_id)
-                for r in requests
-            ]
-        )
-        server = SessionServer(
-            n_workers=1, coalesce_window_s=30.0, coalesce_max_batch=2
-        )
-        try:
-            for request in requests:
-                server.submit(request)
-            results = server.run()
-        finally:
-            server.shutdown()
-        assert results["durable"].ok and results["ephemeral"].ok
-        assert server.metrics.value("serving.batches") == 1
-        assert {
-            cid: [s.nodal_sha for s in results[cid].scans] for cid in serial
-        } == serial
-        # The durable member journaled its scans from inside the batch;
-        # the ephemeral member left nothing behind.
-        journal = tmp_path / "ckpt" / "journal.jsonl"
-        assert results["durable"].checkpoint == str(tmp_path / "ckpt")
-        assert journal.is_file()
-        types = [
-            json.loads(line)["type"]
-            for line in journal.read_text().splitlines()
-            if line.strip()
-        ]
-        assert "commit" in types
-        assert results["ephemeral"].checkpoint is None
-
-    def test_batch_member_deadline_evicted_mid_solve(
-        self, patient, intraop_scans
-    ):
-        requests = [
-            make_request(patient, intraop_scans, case_id="patient-a"),
-            make_request(
-                patient, intraop_scans, case_id="hurried", deadline_s=0.3
-            ),
-        ]
-        _, serial = run_serial(
-            [make_request(patient, intraop_scans, case_id="patient-a")]
-        )
-        server = SessionServer(
-            n_workers=1, coalesce_window_s=30.0, coalesce_max_batch=2
-        )
-        try:
-            for request in requests:
-                server.submit(request)
-            results = server.run()
-        finally:
-            server.shutdown()
-        # The expired member is evicted between batch rounds; its
-        # sibling keeps solving to a bit-identical completion.
-        assert results["hurried"].status == "evicted"
-        assert "mid-batch" in results["hurried"].detail
-        survivor = results["patient-a"]
-        assert survivor.ok, survivor.detail
-        assert [s.nodal_sha for s in survivor.scans] == serial["patient-a"]
-        assert server.metrics.value("serving.batches") == 1
-        assert server.metrics.value("serving.evicted") == 1

@@ -31,7 +31,7 @@ LOOP_METHODS = (
     "submit",
     "tick",
     "_dispatch_ready",
-    "_dispatch_batch",
+    "_dispatch",
     "_record",
     "_absorb_telemetry",
     "_evict_expired_queued",
@@ -118,7 +118,7 @@ class TestOneLoop:
     def test_server_is_a_configuration_not_a_mode(self):
         server = inspect.signature(SessionServer.__init__).parameters
         gateway = inspect.signature(ShardGateway.__init__).parameters
-        assert len(server) - 1 == 12 and len(gateway) - 1 == 18
+        assert len(server) - 1 == 10 and len(gateway) - 1 == 16
         # Nothing but the constructor, the pool accessor and five label
         # strings is the server's own.
         own = {k for k in vars(SessionServer) if not k.startswith("__")}
@@ -214,14 +214,12 @@ class TestSingleTerminalPoint:
     def test_every_admission_ends_once_and_leaves_nothing_behind(
         self, make_loop, patient, scans, tmp_path
     ):
-        loop = make_loop(
-            max_attempts=2, coalesce_window_s=0.2, coalesce_max_batch=2
-        )
+        loop = make_loop(max_attempts=2)
         try:
-            # One worker, four cases: "crash" (its own patient model, a
-            # lone cohort) kills its worker once and is re-admitted;
-            # "b0"+"b1" leave as one coalesced batch; "late" queues
-            # behind them and expires there.
+            # One worker, four cases: "crash" (its own patient model)
+            # kills its worker once and is re-admitted; "b0" and "b1"
+            # share a patient and are served one after the other; "late"
+            # queues behind them and expires there.
             first = [
                 make_request(
                     make_neurosurgery_case(shape=SHAPE, shift_mm=5.0, seed=21),
@@ -239,20 +237,19 @@ class TestSingleTerminalPoint:
             results = loop.run()
             assert results["crash"].status == "completed", results["crash"].detail
             assert results["crash"].attempts == 2
-            assert results["b0"].batch_id == results["b1"].batch_id is not None
+            assert results["b0"].ok and results["b1"].ok
             assert results["late"].status == "evicted"
             assert loop.metrics.value("serving.worker_deaths") == 1
-            assert loop.metrics.value("serving.batches") == 1
             assert_every_case_ended_once(loop, [r.case_id for r in first])
 
-            # Then a drain with a batch in flight and a case still queued.
-            second = [make_request(patient, scans, f"d{i}") for i in range(3)]
+            # Then a drain with a case in flight and a case still queued.
+            second = [make_request(patient, scans, f"d{i}") for i in range(2)]
             for request in second:
                 assert loop.submit(request) is None
             loop._dispatch_ready()
-            assert len(loop._inflight) == 2 and len(loop.queue) == 1
+            assert len(loop._inflight) == 1 and len(loop.queue) == 1
             results = loop.drain(timeout=120.0)
-            assert results["d2"].detail == "drained before dispatch"
+            assert results["d1"].detail == "drained before dispatch"
             assert_every_case_ended_once(
                 loop, [r.case_id for r in first + second]
             )

@@ -1,14 +1,10 @@
-"""Multi-RHS block solvers: bit-identity, isolation, seeding.
+"""Multi-RHS block solvers: bit-identity and per-column isolation.
 
-The batched-solving tentpole rests on one numerical contract: every
-column of a :func:`block_gmres` / :func:`block_conjugate_gradient` call
-is **bit-identical** to the corresponding single-vector solve, because
-the coroutine scheduler interleaves the exact serial iteration without
-changing a single floating-point operation. These tests pin that
-contract at the Krylov layer, then again end-to-end through
-:func:`simulate_parallel_batch` (shared ``SolveContext``, one
-factorization), plus the per-member failure isolation and the opt-in
-cross-case seed bank that ride on top.
+Every column of a :func:`block_gmres` / :func:`block_conjugate_gradient`
+call is **bit-identical** to the corresponding single-vector solve,
+because the coroutine scheduler interleaves the exact serial iteration
+without changing a single floating-point operation. These tests pin that
+contract at the Krylov layer, plus the per-column failure isolation.
 """
 
 from __future__ import annotations
@@ -17,10 +13,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.fem.bc import DirichletBC
-from repro.fem.context import SolveContext
-from repro.mesh.surface import extract_boundary_surface
-from repro.parallel.simulation import simulate_parallel, simulate_parallel_batch
 from repro.solver import (
     BlockJacobiPreconditioner,
     block_conjugate_gradient,
@@ -29,7 +21,7 @@ from repro.solver import (
     contiguous_block_ranges,
     gmres,
 )
-from repro.util import ConvergenceError, ValidationError
+from repro.util import ConvergenceError
 
 
 def spd_system(n=120, m=3, seed=3):
@@ -117,95 +109,3 @@ class TestBlockKrylov:
         A, B = spd_system()
         with pytest.raises(ConvergenceError):
             block_conjugate_gradient(A, B, tol=1e-14, max_iter=2, raise_on_fail=True)
-
-
-@pytest.fixture(scope="module")
-def batch_mesh_and_bcs():
-    from repro.imaging.phantom import make_neurosurgery_case
-    from repro.mesh.generator import mesh_labeled_volume
-    from tests.conftest import BRAIN_LABELS
-
-    case = make_neurosurgery_case(shape=(24, 24, 16), shift_mm=5.0, seed=21)
-    mesh = mesh_labeled_volume(case.preop_labels, 9.0, BRAIN_LABELS).mesh
-    surf = extract_boundary_surface(mesh)
-    rng = np.random.default_rng(5)
-    bcs = [
-        DirichletBC(surf.mesh_nodes, rng.normal(0, 1.0, (len(surf.mesh_nodes), 3)))
-        for _ in range(3)
-    ]
-    return mesh, bcs
-
-
-class TestSimulateParallelBatch:
-    def test_members_bit_identical_to_serial(self, batch_mesh_and_bcs):
-        mesh, bcs = batch_mesh_and_bcs
-        context = SolveContext()
-        batch = simulate_parallel_batch(mesh, bcs, n_ranks=2, context=context)
-        for bc, member in zip(bcs, batch):
-            serial = simulate_parallel(mesh, bc, n_ranks=2)
-            assert member.solver.converged
-            assert np.array_equal(member.displacement, serial.displacement)
-
-    def test_shared_context_prepared_once(self, batch_mesh_and_bcs):
-        mesh, bcs = batch_mesh_and_bcs
-        context = SolveContext()
-        simulate_parallel_batch(mesh, bcs, n_ranks=2, context=context)
-        stats = context.stats
-        assert stats.misses == 1  # one symbolic assembly + factorization
-        second = simulate_parallel_batch(mesh, bcs[:2], n_ranks=2, context=context)
-        assert context.stats.hits >= 1
-        assert all(m.cache_hit for m in second)
-
-    def test_mismatched_node_set_rejected(self, batch_mesh_and_bcs):
-        mesh, bcs = batch_mesh_and_bcs
-        rogue = DirichletBC(
-            bcs[0].node_ids[:-1], np.asarray(bcs[0].displacements)[:-1]
-        )
-        with pytest.raises(ValidationError, match="different node set"):
-            simulate_parallel_batch(mesh, [bcs[0], rogue], n_ranks=2)
-
-    def test_seed_bank_commit_and_nearest(self):
-        context = SolveContext()
-        a_key, a_x = np.array([0.0, 0.0]), np.array([1.0, 2.0, 3.0])
-        b_key, b_x = np.array([10.0, 10.0]), np.array([4.0, 5.0, 6.0])
-        context.commit_seed(a_key, a_x)
-        context.commit_seed(b_key, b_x)
-        near = context.nearest_seed(np.array([0.5, 0.1]), n_free=3)
-        assert np.array_equal(near, a_x)
-        # Shape-incompatible entries are skipped, not matched.
-        assert context.nearest_seed(np.array([0.0, 0.0, 0.0]), n_free=3) is None
-        assert context.nearest_seed(np.array([0.0, 0.0]), n_free=7) is None
-
-    def test_seed_from_bank_warm_starts_new_case(self, batch_mesh_and_bcs):
-        mesh, bcs = batch_mesh_and_bcs
-        context = SolveContext()
-        cold = simulate_parallel_batch(
-            mesh, bcs[:1], n_ranks=2, context=context, seed_from_bank=True
-        )
-        assert len(context.seed_bank) == 1
-        # A near-identical new case seeds from the committed field and
-        # needs fewer iterations; the answer still converges to the same
-        # field to solver tolerance.
-        nudged = DirichletBC(
-            bcs[0].node_ids, np.asarray(bcs[0].displacements) * 1.001
-        )
-        warm = simulate_parallel_batch(
-            mesh, [nudged], n_ranks=2, context=context, seed_from_bank=True
-        )
-        assert warm[0].solver.converged
-        assert warm[0].solver.iterations < cold[0].solver.iterations
-        assert np.allclose(
-            warm[0].displacement, cold[0].displacement, rtol=0.1, atol=0.1
-        )
-
-    def test_isolated_member_failure(self, batch_mesh_and_bcs):
-        mesh, bcs = batch_mesh_and_bcs
-        bad = DirichletBC(
-            bcs[0].node_ids,
-            np.full_like(np.asarray(bcs[0].displacements), np.nan),
-        )
-        results = simulate_parallel_batch(
-            mesh, [bcs[0], bad], n_ranks=2, isolate_errors=True
-        )
-        assert results[0].solver.converged
-        assert isinstance(results[1], Exception)

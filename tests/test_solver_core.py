@@ -32,7 +32,6 @@ from repro.parallel.distributed import (
 from repro.parallel.solver import (
     DistributedBlockJacobi,
     DistributedRAS,
-    distributed_block_gmres,
     distributed_gmres,
 )
 from repro.solver import (
@@ -505,7 +504,6 @@ class TestDistributedCoreMatchesSeed:
                 cluster.comm_seconds_rank.tobytes(),
             )
 
-        expected = []
         for c in range(2):
             seed = charged(lambda tel, c=c: seed_distributed_gmres(
                 matrix, B[:, c], M, x0s[c], kwargs["tol"], kwargs["restart"],
@@ -515,11 +513,6 @@ class TestDistributedCoreMatchesSeed:
                 matrix, B[:, c], M, x0s[c], telemetry=tel, **kwargs
             ))
             assert core == seed
-            expected.append(seed[0])
-        columns = distributed_block_gmres(
-            matrix, B, M, x0s, isolate_errors=True, **kwargs
-        )
-        assert [outcome(lambda r=r: r) for r in columns] == expected
 
 
 def _spd_system(n=24, seed=5):
@@ -535,7 +528,7 @@ def _row_blocks(A, n_ranks=3):
     )
 
 
-#: The six Krylov entry points behind one calling convention. ``restart``
+#: The five Krylov entry points behind one calling convention. ``restart``
 #: is ignored by the CG pair.
 ENTRY_POINTS = {
     "gmres": lambda A, b, x0, **kw: gmres(A, b, x0, **kw),
@@ -545,9 +538,6 @@ ENTRY_POINTS = {
     "distributed_gmres": lambda A, b, x0, **kw: distributed_gmres(
         _row_blocks(A), b, None, x0, **kw
     ),
-    "distributed_block_gmres": lambda A, b, x0, **kw: distributed_block_gmres(
-        _row_blocks(A), np.asarray(b)[:, None], None, [x0], **kw
-    )[0],
     "cg": lambda A, b, x0, restart=None, **kw: conjugate_gradient(A, b, x0, **kw),
     "block_cg": lambda A, b, x0, restart=None, **kw: block_conjugate_gradient(
         A, np.asarray(b)[:, None], [x0], **kw
@@ -557,7 +547,7 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 class TestEveryEntryPointValidatesAlike:
-    """One validation, six doors (``distributed_*`` used to accept ``tol <= 0``)."""
+    """One validation, five doors (``distributed_gmres`` used to accept ``tol <= 0``)."""
 
     def test_b_shape(self, entry):
         A, b = _spd_system()
@@ -659,8 +649,6 @@ class TestSpans:
         B = np.stack([b, 2.0 * b[::-1]], axis=1)
         for solve, name in (
             (lambda: block_gmres(A, B, tol=1e-10, restart=4), "block_gmres"),
-            (lambda: distributed_block_gmres(_row_blocks(A), B, tol=1e-10, restart=4),
-             "block_gmres"),
             (lambda: block_conjugate_gradient(A, B, tol=1e-10), "block_cg"),
         ):
             tracer = Tracer()

@@ -1,0 +1,51 @@
+"""Tests for the bench-regression gate on ``BENCH_hotpath.json``."""
+
+from __future__ import annotations
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.tools.benchdiff import HOT_PATHS, run_diff
+
+NAME = "BENCH_hotpath.json"
+BASELINE = Path(__file__).parents[1] / "benchmarks" / "baselines" / NAME
+
+
+@pytest.fixture
+def gate(tmp_path):
+    """``gate(scale)``: exit code of the 25 % diff of the committed baseline
+    against a copy of it whose first scan's keys are multiplied by ``scale``."""
+    base = json.loads(BASELINE.read_text())
+
+    def run(scale: dict[str, float]) -> int:
+        fresh = copy.deepcopy(base)
+        for key, factor in scale.items():
+            fresh["scans"][0][key] *= factor
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        return run_diff(BASELINE.parent, tmp_path, 25.0, [NAME])
+
+    return run
+
+
+class TestHotpathGate:
+    def test_seconds_are_gated_and_the_ratio_is_not(self):
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["scans.0.cold_seconds"] == "lower"
+        assert paths["scans.0.warm_seconds"] == "lower"
+        assert not any("speedup_vs_cold_first" in path for path in paths)
+
+    def test_unchanged_record_passes(self, gate):
+        assert gate({}) == 0
+
+    @pytest.mark.parametrize("key", ["cold_seconds", "warm_seconds"])
+    def test_slower_past_the_threshold_fails(self, gate, key):
+        assert gate({key: 1.2}) == 0
+        assert gate({key: 1.3}) == 1
+
+    def test_a_faster_cold_scan_passes(self, gate):
+        # Halving the cold scan halves speedup_vs_cold_first: the ratio
+        # gate failed exactly this record (PR 17 had to re-baseline).
+        assert gate({"cold_seconds": 0.5, "speedup_vs_cold_first": 0.5}) == 0
