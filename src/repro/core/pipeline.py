@@ -493,21 +493,22 @@ class IntraoperativePipeline:
         segmentation: ImageVolume,
         transform: RigidTransform,
         timeline: Timeline,
-    ) -> tuple[CorrespondenceResult, np.ndarray, np.ndarray, RigidTransform]:
+    ) -> tuple[CorrespondenceResult, np.ndarray, np.ndarray]:
         """Stage 3 — two-phase active-surface displacement detection.
 
         The target brain mask is mapped onto the preoperative grid
         through the rigid transform, so the pipeline supports
         intraoperative grids that differ from the preoperative one
-        (anisotropic scanner matrices, patient repositioning).
+        (anisotropic scanner matrices, patient repositioning). Returns
+        the correspondence, that mask and the preoperative voxel centres
+        in the scan's frame (the match metrics sample there again).
         """
         cfg = self.config
         with timeline.stage("surface displacement"):
-            preop_centers = preop.labels.voxel_centers()
-            rigid_inverse = transform.inverse()
+            preop_in_scan = transform.inverse().apply(preop.labels.voxel_centers())
             seg_on_preop = trilinear_sample(
                 segmentation.astype(np.float64),
-                rigid_inverse.apply(preop_centers),
+                preop_in_scan,
                 fill_value=float(Tissue.AIR),
                 nearest=True,
             ).astype(np.int16)
@@ -526,7 +527,7 @@ class IntraoperativePipeline:
             timeline.note(
                 f"surface snap: reused preoperative snap ({reused.iterations} iterations)"
             )
-        return correspondence, target_mask, preop_centers, rigid_inverse
+        return correspondence, target_mask, preop_in_scan
 
     def _note_cache(
         self, timeline: Timeline, preop: PreoperativeModel, simulation
@@ -600,14 +601,11 @@ class IntraoperativePipeline:
         preop: PreoperativeModel,
         intraop_mri: ImageVolume,
         deformed: ImageVolume,
-        rigid_inverse: RigidTransform,
-        preop_centers: np.ndarray,
+        preop_in_scan: np.ndarray,
         target_mask: np.ndarray,
     ) -> tuple[float, float, float, float]:
         """Match-quality metrics (Fig. 4): rigid-only vs simulated."""
-        intraop_on_preop = trilinear_sample(
-            intraop_mri, rigid_inverse.apply(preop_centers), fill_value=0.0
-        )
+        intraop_on_preop = trilinear_sample(intraop_mri, preop_in_scan, fill_value=0.0)
         region = target_mask | preop.brain_mask
         return (
             rms_difference(preop.mri.data, intraop_on_preop, mask=region),
@@ -690,7 +688,7 @@ class IntraoperativePipeline:
         rigid_result: RegistrationResult | None = None
         segmentation: ImageVolume | None = None
         correspondence: CorrespondenceResult | None = None
-        target_mask = preop_centers = rigid_inverse = None
+        target_mask = preop_in_scan = None
         failure: ReproError | None = None
 
         if unusable is not None:
@@ -745,12 +743,9 @@ class IntraoperativePipeline:
                         "surface displacement",
                     ),
                 )
-                (
-                    correspondence,
-                    target_mask,
-                    preop_centers,
-                    rigid_inverse,
-                ) = guard.run(self._stage_surface, preop, segmentation, transform, timeline)
+                correspondence, target_mask, preop_in_scan = guard.run(
+                    self._stage_surface, preop, segmentation, transform, timeline
+                )
             except ReproError as exc:
                 recovery_seconds += guard.last_report.seconds
                 failure = exc
@@ -879,9 +874,9 @@ class IntraoperativePipeline:
         if correspondence is None:
             correspondence = stub_correspondence(preop.surface)
 
-        if rigid_inverse is not None and target_mask is not None:
+        if target_mask is not None:
             rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-                preop, intraop_mri, deformed, rigid_inverse, preop_centers, target_mask
+                preop, intraop_mri, deformed, preop_in_scan, target_mask
             )
         else:
             rigid_rms = sim_rms = rigid_mi = sim_mi = float("nan")

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.imaging.metrics import histogram_mutual_information, intensity_bins
 from repro.imaging.resample import cell_bounds, sample_index_rows, trilinear_sample
 from repro.imaging.volume import ImageVolume
 from repro.obs.trace import get_tracer
+from repro.registration.powell import minimize_powell
 from repro.registration.pyramid import pyramid
 from repro.registration.transform import RigidTransform
 from repro.util import ShapeError, ValidationError, default_rng
@@ -187,19 +187,9 @@ def register_rigid(
         with get_tracer().span(
             "mi level", kind="registration", level=level, samples=len(values)
         ) as span:
-            result = optimize.minimize(
-                cost,
-                params,
-                method="Powell",
-                options={
-                    "maxiter": max_iter,
-                    "xtol": 1e-3,
-                    "ftol": 1e-5,
-                },
-            )
-            mi_final = -float(result.fun)
+            params, fun = minimize_powell(cost, params, max_iter=max_iter, ftol=1e-5)
+            mi_final = -float(fun)
             span.set(evaluations=cost.evaluations, mutual_information=mi_final)
-        params = np.asarray(result.x, dtype=float)
         evaluations += cost.evaluations
         level_params.append(params.copy())
     return RegistrationResult(

@@ -43,6 +43,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("scans.0.warm_seconds", "lower"),
         ("mesh_generation.seconds", "lower"),
         ("mesh_generation.peak_bytes_allocated", "lower"),
+        ("rigid_registration.evaluations", "lower"),
+        ("rigid_registration.seconds", "lower"),
     ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),

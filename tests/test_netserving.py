@@ -167,6 +167,29 @@ class TestNetworkRoundTrip:
                 client.close()
 
 
+class TestIdleWake:
+    def test_submit_wakes_an_idle_pump(self, patient):
+        """An idle pump waits on the inbox, not on a timer: with a 5 s idle
+        tick a case still turns round in the time its scan takes."""
+        server = _Server()
+        server.frontend.pump_idle_s = 5.0
+        with server:
+            client = NetClient("127.0.0.1", server.port)
+            try:
+                # Pay the upload and the patient-model build first.
+                client.submit(make_request(patient, "case-warm"))
+                assert client.wait(timeout=180.0)["case-warm"].status == "completed"
+                # Each submit lands at its own phase of the idle tick.
+                for case_id in ("case-idle-0", "case-idle-1", "case-idle-2"):
+                    started = time.monotonic()
+                    client.submit(make_request(patient, case_id))
+                    result = client.wait(timeout=30.0)[case_id]
+                    assert result.status == "completed"
+                    assert time.monotonic() - started < 2.0
+            finally:
+                client.close()
+
+
 @pytest.mark.faults
 class TestWireChaos:
     def test_reset_mid_frame_recovers_via_dedup(self, patient):

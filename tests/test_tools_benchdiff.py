@@ -37,6 +37,18 @@ class TestHotpathGate:
         assert paths["scans.0.warm_seconds"] == "lower"
         assert not any("speedup_vs_cold_first" in path for path in paths)
 
+    def test_rigid_search_evaluations_and_seconds_are_gated(self, tmp_path):
+        """The count that PR 21 cut cannot creep back unnoticed."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["rigid_registration.evaluations"] == "lower"
+        assert paths["rigid_registration.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        for key in ("evaluations", "seconds"):
+            fresh = copy.deepcopy(base)
+            fresh["rigid_registration"][key] *= 1.3
+            (tmp_path / NAME).write_text(json.dumps(fresh))
+            assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_unchanged_record_passes(self, gate):
         assert gate({}) == 0
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import PipelineConfig
 from repro.imaging.phantom import make_neurosurgery_case
+from repro.imaging.volume import ImageVolume
 from repro.obs.telemetry import TelemetryFrame
 from repro.resilience.faults import (
     SERVING_FAULTS,
@@ -201,30 +202,89 @@ class TestFrames:
 # -- volume delta codec -------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def quiet_scan(patient):
+    """The preop MRI with one block moved: an XOR delta that is mostly zeros."""
+    data = patient.preop_mri.data.copy()
+    data[4:8, 4:8, 3:6] += 1.5
+    return patient.preop_mri.copy(data)
+
+
 class TestVolumeCodec:
-    def test_delta_roundtrip_bit_exact_and_smaller(self, patient):
-        entry = encode_volume(patient.intraop_mri, reference=patient.preop_mri)
+    def test_delta_roundtrip_bit_exact_and_smaller(self, patient, quiet_scan):
+        entry = encode_volume(quiet_scan, reference=patient.preop_mri)
         assert entry["codec"] == "xor-zlib"
         rebuilt = decode_volume(entry, reference=patient.preop_mri)
-        np.testing.assert_array_equal(rebuilt.data, patient.intraop_mri.data)
-        assert rebuilt.data.dtype == patient.intraop_mri.data.dtype
-        raw = np.ascontiguousarray(patient.intraop_mri.data).tobytes()
-        assert len(entry["blob"]) < len(raw)
+        np.testing.assert_array_equal(rebuilt.data, quiet_scan.data)
+        assert rebuilt.data.dtype == quiet_scan.data.dtype
+        raw = np.ascontiguousarray(quiet_scan.data).tobytes()
+        assert len(entry["blob"]) < len(raw) // 4
 
     def test_shape_mismatch_falls_back_to_plain(self, patient):
         other = make_neurosurgery_case(shape=(12, 12, 10), shift_mm=2.0, seed=5)
-        entry = encode_volume(other.intraop_mri, reference=patient.preop_mri)
+        entry = encode_volume(other.preop_labels, reference=patient.preop_labels)
         assert entry["codec"] == "zlib"
         rebuilt = decode_volume(entry)
-        np.testing.assert_array_equal(rebuilt.data, other.intraop_mri.data)
+        np.testing.assert_array_equal(rebuilt.data, other.preop_labels.data)
 
-    def test_delta_needs_its_reference(self, patient):
-        entry = encode_volume(patient.intraop_mri, reference=patient.preop_mri)
+    def test_delta_needs_its_reference(self, patient, quiet_scan):
+        entry = encode_volume(quiet_scan, reference=patient.preop_mri)
         with pytest.raises(FrameError, match="reference"):
             decode_volume(entry)
         wrong = make_neurosurgery_case(shape=(12, 12, 10), shift_mm=2.0, seed=5)
         with pytest.raises(FrameError):
             decode_volume(entry, reference=wrong.preop_mri)
+
+    def test_noise_bearing_floats_travel_raw(self, patient):
+        """zlib takes milliseconds to shave 5 % off these; the probe says no."""
+        raw = np.ascontiguousarray(patient.intraop_mri.data).tobytes()
+        for reference in (None, patient.preop_mri):
+            entry = encode_volume(patient.intraop_mri, reference=reference)
+            assert entry["codec"] == "raw" and entry["blob"] == raw
+            rebuilt = decode_volume(entry)  # raw needs no reference
+            np.testing.assert_array_equal(rebuilt.data, patient.intraop_mri.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40)),
+        kind=st.sampled_from(["noise", "int16", "labels", "flat"]),
+        with_reference=st.booleans(),
+    )
+    def test_property_every_codec_round_trips_bit_exactly(
+        self, seed, shape, kind, with_reference
+    ):
+        rng = np.random.default_rng(seed)
+
+        def volume():
+            if kind == "noise":
+                data = rng.normal(100.0, 30.0, shape)
+            elif kind == "int16":
+                data = rng.integers(-300, 3000, shape).astype(np.int16)
+            elif kind == "labels":
+                data = np.full(shape, 3, dtype=np.uint8)
+                data[: shape[0] // 2] = rng.integers(0, 6)
+            else:
+                data = np.full(shape, 7.25)
+            return ImageVolume(data, (1.0, 2.0, 0.5), (-3.0, 0.0, 4.0))
+
+        scan = volume()
+        reference = volume() if with_reference else None
+        entry = encode_volume(scan, reference=reference)
+        expected = {"raw", "xor-zlib" if with_reference else "zlib"}
+        assert entry["codec"] in expected
+        if kind in ("labels", "flat") and scan.data.nbytes > 64:
+            assert entry["codec"] != "raw"
+        rebuilt = decode_volume(entry, reference=reference)
+        assert rebuilt.data.dtype == scan.data.dtype
+        assert rebuilt.data.tobytes() == scan.data.tobytes()
+        assert rebuilt.spacing == scan.spacing and rebuilt.origin == scan.origin
+
+    def test_unknown_codec_is_refused(self, patient):
+        entry = encode_volume(patient.preop_labels)
+        entry["codec"] = "lz4"
+        with pytest.raises(FrameError, match="unknown volume codec"):
+            decode_volume(entry)
 
     def test_tampered_payload_fails_checksum(self, patient):
         entry = encode_volume(patient.preop_mri)
