@@ -176,6 +176,46 @@ def test_kernel_rigid_registration():
     assert result.transform.magnitude() < 1.5
 
 
+def test_kernel_pipeline_solve():
+    """One warm-context ``simulate_parallel`` at the *default* tolerance on the
+    30 k-equation hot-path system (4 ranks, prepared context, no warm-start
+    vector, so the count repeats exactly): iterations, seconds and the distance
+    from a ``1e-10`` solve, merged into BENCH_hotpath.json. The same size in smoke."""
+    from bench_io import update_bench_record
+    from test_hotpath_reuse import BENCH_EQUATIONS, N_RANKS
+
+    from repro.experiments.common import build_clinical_system
+    from repro.parallel.simulation import prepare_solve_context, simulate_parallel
+    from repro.solver import DEFAULT_SOLVER_TOL
+
+    system = build_clinical_system(BENCH_EQUATIONS)
+    context = prepare_solve_context(system.mesh, system.bc.node_ids, N_RANKS)
+    solve = lambda **kw: simulate_parallel(
+        system.mesh, system.bc, N_RANKS, context=context, warm_start=False, **kw
+    )
+    reference = solve(tol=1e-10)
+    _, seconds, result = _timed(solve, repeats=9)
+    assert result.cache_hit and not result.warm_started
+    max_abs = float(np.abs(result.displacement - reference.displacement).max())
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "pipeline_solve": {
+                "n_equations": int(result.n_equations),
+                "n_ranks": N_RANKS,
+                "tol": DEFAULT_SOLVER_TOL,
+                "iterations": int(result.solver.iterations),
+                "seconds": seconds,
+                "max_abs_vs_reference_mm": max_abs,
+            }
+        },
+    )
+    assert result.solver.converged
+    # 1e-7 takes about half as many iterations again on this system.
+    assert result.solver.iterations < 0.8 * solve(tol=1e-7).solver.iterations
+    assert max_abs <= 2e-3
+
+
 def test_kernel_element_stiffness(medium, benchmark):
     mesh = medium.mesh
     Ke = benchmark.pedantic(

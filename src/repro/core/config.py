@@ -13,6 +13,7 @@ from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.imaging.phantom import Tissue
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import ResiliencePolicy
+from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 
@@ -105,7 +106,7 @@ class PipelineConfig:
 
     # FEM / solver
     materials: MaterialMap = field(default_factory=lambda: BRAIN_HOMOGENEOUS)
-    solver_tol: float = 1e-7
+    solver_tol: float = DEFAULT_SOLVER_TOL
     gmres_restart: int = 30
     n_ranks: int = 1
     partitioner: str = "block"

@@ -36,6 +36,7 @@ from repro.machines.spec import MachineSpec
 from repro.mesh.generator import GridTetraMesher, mesh_labeled_volume, mesh_with_target_nodes
 from repro.mesh.surface import TriangleSurface, extract_boundary_surface
 from repro.obs.budget import BudgetMonitor, ScanVerdict
+from repro.obs.export import iterations_per_decade
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.parallel.simulation import ParallelSimulation, prepare_solve_context
@@ -116,10 +117,11 @@ class PreoperativeModel:
         invalidation makes the intent visible. The warm-start memory is
         dropped with the cached state, and the hit/miss counters are
         zeroed so the session never reports stale hit ratios across the
-        rebuild boundary.
+        rebuild boundary. The mesher's located voxel grid goes with it.
         """
         if self.solve_context is not None:
             self.solve_context.invalidate(reset_stats=True)
+        self.mesher.located_grid = None
 
     def nbytes(self) -> int:
         """Bytes of array buffers the model keeps alive, each buffer once.
@@ -543,6 +545,17 @@ class IntraoperativePipeline:
             + f" invalidations={stats.invalidations}]"
         )
 
+    @staticmethod
+    def _note_convergence(timeline: Timeline, simulation: ParallelSimulation) -> None:
+        solver = simulation.solver
+        rate = iterations_per_decade(solver.iterations, solver.history)
+        if rate is None or not solver.rhs_norm:
+            return
+        timeline.note(
+            f"gmres: {solver.iterations} it, {rate:.1f} it/decade, "
+            f"rel. residual {solver.residual_norm / solver.rhs_norm:.1e}"
+        )
+
     def _stage_simulate(
         self,
         preop: PreoperativeModel,
@@ -763,6 +776,7 @@ class IntraoperativePipeline:
             if outcome.succeeded:
                 simulation = outcome.simulation
                 self._note_cache(timeline, preop, simulation)
+                self._note_convergence(timeline, simulation)
                 if outcome.escalated:
                     report.cause = outcome.attempts[0].error or ""
                     note(

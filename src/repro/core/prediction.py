@@ -26,6 +26,7 @@ from repro.fem.material import LinearElasticMaterial, MaterialMap
 from repro.fem.model import BiomechanicalModel, SimulationResult
 from repro.mesh.surface import extract_boundary_surface
 from repro.mesh.tetra import TetrahedralMesh
+from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 #: Brain tissue mass density (kg/m^3).
@@ -113,7 +114,7 @@ def predict_gravity_shift(
     buoyancy_fraction: float = 0.85,
     support_fraction: float = 0.25,
     fixed_nodes: np.ndarray | None = None,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_SOLVER_TOL,
 ) -> ShiftPrediction:
     """Predict gravity-induced brain shift after CSF drainage.
 

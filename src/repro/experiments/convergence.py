@@ -55,7 +55,7 @@ def run(
     histories: dict[int, list[float]] = {}
     iterations: dict[int, int] = {}
     for cpus in cpu_counts:
-        sim = simulate_parallel(system.mesh, system.bc, cpus, tol=1e-5)
+        sim = simulate_parallel(system.mesh, system.bc, cpus)
         histories[cpus] = list(sim.solver.history)
         iterations[cpus] = sim.solver.iterations
 

@@ -28,6 +28,7 @@ from repro.experiments.common import (
 )
 from repro.machines.spec import DEEP_FLOW, MachineSpec
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
+from repro.solver.gmres import DEFAULT_SOLVER_TOL
 
 DEFAULT_CPU_COUNTS = (1, 2, 4, 8, 12, 16)
 
@@ -52,7 +53,7 @@ def scaling_sweep(
     machine: MachineSpec,
     cpu_counts,
     partitioner: str = "block",
-    tol: float = 1e-5,
+    tol: float = DEFAULT_SOLVER_TOL,
 ) -> list[ScalingPoint]:
     """Run the distributed simulation at each CPU count."""
     points = []

@@ -21,7 +21,7 @@ from repro.fem.assembly import assemble_stiffness
 from repro.fem.bc import DirichletBC, apply_dirichlet
 from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.mesh.tetra import TetrahedralMesh
-from repro.solver.gmres import GMRESResult, gmres
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
 from repro.solver.preconditioner import BlockJacobiPreconditioner
 from repro.util import ValidationError
 
@@ -53,7 +53,7 @@ def simulate_incremental(
     bc: DirichletBC,
     n_steps: int = 5,
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     n_blocks: int = 1,

@@ -20,7 +20,7 @@ from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
 from repro.solver.cg import conjugate_gradient
-from repro.solver.gmres import GMRESResult, gmres
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
 from repro.solver.preconditioner import (
     BlockJacobiPreconditioner,
     IdentityPreconditioner,
@@ -85,7 +85,7 @@ class BiomechanicalModel:
     solver: str = "gmres"
     preconditioner: str = "block_jacobi"
     n_blocks: int = 1
-    tol: float = 1e-7
+    tol: float = DEFAULT_SOLVER_TOL
     restart: int = 30
     max_iter: int = 3000
 

@@ -201,6 +201,17 @@ def warp_volume(
     return source.copy(data)
 
 
+#: A voxel of :func:`invert_displacement_field` whose last plain step was
+#: longer than this goes on with damped steps until one is shorter ...
+INVERSE_STEP_TOL_MM = 1e-3
+#: ... or this many were taken (nine suffice on the benchmark phantoms).
+DAMPED_STEPS_MAX = 20
+
+
+def _step_mm(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(v - previous, axis=1)
+
+
 def invert_displacement_field(
     displacement_mm: np.ndarray,
     spacing: tuple[float, float, float],
@@ -220,6 +231,12 @@ def invert_displacement_field(
     rounding in the world-to-index map) all lie in that one-voxel
     neighbourhood and are zero. A brain-shift field is zero outside the
     mesh, which is most of the grid.
+
+    After the ``iterations`` plain steps, the voxels still moving more
+    than :data:`INVERSE_STEP_TOL_MM` a step (1-3 % of them, on the mesh
+    boundary) continue with the damped step ``v <- (v - u(x + v)) / 2``
+    until they are under it; a voxel the plain iteration converged is
+    left exactly as it was.
     """
     disp = np.asarray(displacement_mm, dtype=float)
     vol_axes = [
@@ -229,9 +246,20 @@ def invert_displacement_field(
         np.any(disp != 0, axis=-1), structure=np.ones((3, 3, 3), dtype=bool)
     )
     base = vol_axes[0].index_to_world(np.argwhere(active))
-    v = -disp[active]
+    v = previous = -disp[active]
     for _ in range(iterations):
-        v = -trilinear_sample_many(vol_axes, base + v).T
+        previous, v = v, -trilinear_sample_many(vol_axes, base + v).T
+    # Where u drops to zero across one voxel (the mesh boundary) the map
+    # is no contraction and the plain step settles into a period-2 orbit
+    # millimetres wide. Those voxels alone go on with the averaged step,
+    # which halves the residual v + u(x + v) instead of reflecting it.
+    moving = np.flatnonzero(_step_mm(v, previous) > INVERSE_STEP_TOL_MM)
+    for _ in range(DAMPED_STEPS_MAX):
+        if not moving.size:
+            break
+        held = v[moving]
+        v[moving] = 0.5 * (held - trilinear_sample_many(vol_axes, base[moving] + held).T)
+        moving = moving[_step_mm(v[moving], held) > INVERSE_STEP_TOL_MM]
     inverse = np.zeros(disp.shape)
     inverse[active] = v
     return inverse

@@ -25,7 +25,7 @@ recovered FEM deformation is resampled for visualization).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -121,6 +121,10 @@ class GridTetraMesher:
     #: (Kuhn tets alternate chirality); locate() swaps the corresponding
     #: barycentric coordinates back.
     flipped: np.ndarray = None  # type: ignore[assignment]
+    #: :meth:`displacement_on_grid`'s located voxels for the last reference
+    #: grid, ``(grid key, inside, node rows, barycentrics)``; set it to
+    #: ``None`` after editing the mesh in place.
+    located_grid: tuple | None = field(default=None, repr=False, compare=False)
 
     def locate(self, points_world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Find containing elements and barycentric coordinates.
@@ -203,9 +207,35 @@ class GridTetraMesher:
 
         Returns ``(*reference.shape, 3)`` in mm; zero outside the mesh.
         """
-        pts = reference.voxel_centers().reshape(-1, 3)
-        disp = self.interpolate(nodal_displacement, pts, fill_value=0.0)
+        vals = np.asarray(nodal_displacement, dtype=float)
+        if vals.shape != (self.mesh.n_nodes, 3):
+            raise ValidationError(
+                f"nodal_displacement must be ({self.mesh.n_nodes}, 3), got {vals.shape}"
+            )
+        inside, conn, bary = self._locate_grid(reference)
+        disp = np.zeros((reference.data.size, 3))
+        disp[inside] = np.einsum("nk,nkc->nc", bary, vals[conn])
         return disp.reshape(*reference.shape, 3)
+
+    def _locate_grid(
+        self, reference: ImageVolume
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where ``reference``'s voxel centres sit in the mesh, located once.
+
+        Returns the flat indices of the voxels inside the mesh, their
+        elements' node rows ``(n, 4)`` and barycentrics ``(n, 4)``. Mesh
+        and grid are fixed for a patient, so the last grid's answer is
+        kept in ``located_grid`` (one entry, keyed on the grid's exact
+        shape, spacing and origin).
+        """
+        key = (tuple(reference.shape), tuple(reference.spacing), tuple(reference.origin))
+        if self.located_grid is None or self.located_grid[0] != key:
+            element, bary = self.locate(reference.voxel_centers().reshape(-1, 3))
+            inside = np.flatnonzero(element >= 0)
+            self.located_grid = (
+                key, inside, self.mesh.elements[element[inside]], bary[inside],
+            )
+        return self.located_grid[1:]
 
 
 class _KeptTetrahedra(NamedTuple):

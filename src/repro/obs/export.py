@@ -27,6 +27,7 @@ file-based textfile collector can ingest a serving run unchanged.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.obs.trace import SpanRecord, Tracer
@@ -384,17 +385,34 @@ def _depth(span: SpanRecord, spans: list[SpanRecord]) -> int:
     return depth
 
 
+def iterations_per_decade(iterations: int, history) -> float | None:
+    """Krylov iterations per factor of ten the residual fell by.
+
+    ``history`` is a solve's residual curve (``GMRESResult.history``);
+    ``None`` when it fell by nothing (no iterations, a zero residual).
+    """
+    if iterations < 1 or len(history) < 2 or not history[0] > history[-1] > 0.0:
+        return None
+    return iterations / math.log10(history[0] / history[-1])
+
+
 def _detail(span: SpanRecord) -> str:
     """Compact one-line rendering of the most informative attributes."""
     parts = []
     for key in sorted(span.attrs):
-        if key in ("kind",):
+        # A solver span's residual curve stays in the JSON exports; the
+        # report prints its slope next to the iteration count.
+        if key in ("kind", "residual_history"):
             continue
         value = span.attrs[key]
         if isinstance(value, float):
             parts.append(f"{key}={value:.4g}")
         else:
             parts.append(f"{key}={value}")
+        if key == "iterations":
+            rate = iterations_per_decade(value, span.attrs.get("residual_history", ()))
+            if rate is not None:
+                parts.append(f"iterations/decade={rate:.3g}")
     if span.events:
         parts.append(f"events={len(span.events)}")
     return " ".join(parts)

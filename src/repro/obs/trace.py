@@ -218,7 +218,7 @@ class Tracer:
         return stack
 
     def span(self, name: str, **attrs):
-        """Open a span; use as ``with tracer.span("solve", tol=1e-7):``.
+        """Open a span; use as ``with tracer.span("solve", tol=1e-5):``.
 
         Returns the shared no-op span when the tracer is disabled, so
         callers never need to branch on :attr:`enabled`.

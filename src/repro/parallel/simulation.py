@@ -33,7 +33,7 @@ from repro.parallel.solver import (
     DistributedRAS,
     distributed_gmres,
 )
-from repro.solver.gmres import GMRESResult
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
 from repro.util import RankFailure, ValidationError
 
 #: Rank-0 setup work per mesh entity during initialization (mesh load,
@@ -216,7 +216,7 @@ def simulate_parallel(
     machine: MachineSpec | None = None,
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     partitioner: str = "block",
-    tol: float = 1e-5,
+    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     factorization: str = "ilu",

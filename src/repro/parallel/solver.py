@@ -26,7 +26,13 @@ from repro.parallel.distributed import (
     distributed_axpy_cost,
     distributed_norm,
 )
-from repro.solver.gmres import GMRESResult, gmres_requests, run_requests
+from repro.solver.gmres import (
+    DEFAULT_SOLVER_TOL,
+    GMRESResult,
+    convergence_attrs,
+    gmres_requests,
+    run_requests,
+)
 from repro.solver.preconditioner import incomplete_factor
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 from repro.util import ValidationError
@@ -219,7 +225,7 @@ def distributed_gmres(
     b: np.ndarray,
     preconditioner: DistributedBlockJacobi | DistributedRAS | None = None,
     x0: np.ndarray | None = None,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     telemetry=_NULL,
@@ -260,11 +266,6 @@ def distributed_gmres(
             lambda v: matrix.matvec(v, telemetry),
             precond,
         )
-        span.set(
-            iterations=result.iterations,
-            restarts=result.restarts,
-            residual=result.residual_norm,
-            converged=result.converged,
-        )
+        span.set(**convergence_attrs(result, tol))
         return result
 

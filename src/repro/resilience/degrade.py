@@ -38,7 +38,7 @@ from repro.mesh.surface import TriangleSurface, extract_boundary_surface
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.resilience.guards import check_displacement_field, check_mesh_usable
 from repro.resilience.policy import DegradationLevel
-from repro.solver.gmres import GMRESResult
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
 from repro.surface.correspondence import CorrespondenceResult
 from repro.surface.evolve import ActiveSurfaceResult
 from repro.util import ConvergenceError, ValidationError
@@ -216,7 +216,7 @@ def coarse_fem_fallback(
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     cell_mm: float = 5.0,
     coarse_factor: float = 2.0,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     gate_mm: float = 200.0,

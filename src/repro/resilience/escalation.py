@@ -49,7 +49,7 @@ from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.resilience.degrade import serial_as_parallel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import check_displacement_field
-from repro.solver.gmres import GMRESResult
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
 from repro.util import ConvergenceError, RankFailure, ReproError
 
 
@@ -106,7 +106,7 @@ def solve_with_escalation(
     machine: MachineSpec | None = None,
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     partitioner: str = "block",
-    tol: float = 1e-7,
+    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     context: SolveContext | None = None,

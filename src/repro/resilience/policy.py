@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 
@@ -128,8 +129,8 @@ class ResiliencePolicy:
     coarse_factor:
         Mesh-cell multiplier for the coarse-FEM fallback.
     coarse_tol:
-        Solver tolerance for the coarse-FEM fallback (looser than the
-        full solve: the coarse mesh already bounds accuracy).
+        Solver tolerance for the coarse-FEM fallback (the full solve's
+        default, :data:`repro.solver.DEFAULT_SOLVER_TOL`).
     """
 
     enabled: bool = True
@@ -144,7 +145,7 @@ class ResiliencePolicy:
     solve_deadline_s: float | None = None
     escalation_max_iter: int = 3000
     coarse_factor: float = 2.0
-    coarse_tol: float = 1e-6
+    coarse_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_degradation, DegradationLevel):

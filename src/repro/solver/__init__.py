@@ -10,7 +10,7 @@ matrices and the distributed row-block operators satisfy.
 
 from repro.solver.block import block_conjugate_gradient, block_gmres
 from repro.solver.cg import conjugate_gradient
-from repro.solver.gmres import GMRESResult, gmres
+from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
 from repro.solver.operator import AsOperator, LinearOperator, MatrixOperator
 from repro.solver.preconditioner import (
     BlockJacobiPreconditioner,
@@ -23,6 +23,7 @@ from repro.solver.schwarz import RestrictedAdditiveSchwarz
 __all__ = [
     "AsOperator",
     "BlockJacobiPreconditioner",
+    "DEFAULT_SOLVER_TOL",
     "GMRESResult",
     "IdentityPreconditioner",
     "JacobiPreconditioner",

@@ -115,7 +115,7 @@ def cg_requests(
         rn = float(np.linalg.norm(r))
         history.append(rn)
         if rn <= target:
-            return GMRESResult(x, True, it, 0, rn, history)
+            return GMRESResult(x, True, it, 0, rn, history, b_norm)
         z = yield ("precond", r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
@@ -128,4 +128,4 @@ def cg_requests(
             residual=history[-1],
             solver=solver,
         )
-    return GMRESResult(x, False, max_iter, 0, history[-1], history)
+    return GMRESResult(x, False, max_iter, 0, history[-1], history, b_norm)

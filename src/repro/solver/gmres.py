@@ -23,6 +23,22 @@ from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
 from repro.util import ConvergenceError, ShapeError, ValidationError
 
+#: Relative tolerance of every *production* solve of the package — the
+#: pipeline (``PipelineConfig.solver_tol``), the escalation ladder, the
+#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres``,
+#: ``BiomechanicalModel`` and the Fig. 7-9 experiments. It is relative
+#: and on the left-preconditioned residual,
+#: ``||M^{-1}(b - A x)|| <= tol * ||M^{-1} b||``: PETSc's ``-ksp_rtol``
+#: default, which is what the paper's GMRES + block Jacobi ran at (it
+#: names no convergence setting). Measured against a ``1e-10`` solve
+#: (``benchmarks/BENCH_solver_tolerance.json``, EXPERIMENTS.md "Solver
+#: tolerance"): max nodal |du| 0.4-0.5 um on the 22.8 k-equation, 4-rank
+#: benchmark system and 1.4 um at paper size (77 k equations, 16 ranks),
+#: against 0.9-3 mm voxels; ``1e-7`` buys 0.004 um for half as many
+#: iterations again. The generic library entry points (:func:`gmres`,
+#: ``conjugate_gradient``, ``block_*``) keep their own ``1e-8``.
+DEFAULT_SOLVER_TOL = 1e-5
+
 
 @dataclass
 class GMRESResult:
@@ -42,6 +58,10 @@ class GMRESResult:
         Final preconditioned residual norm.
     history:
         Preconditioned residual norm after every inner iteration.
+    rhs_norm:
+        The norm the tolerance is relative to (``||M^{-1} b||`` for
+        GMRES, ``||b||`` for CG); ``0.0`` where there is none — a zero
+        right-hand side, a direct solve, a restored record.
     """
 
     x: np.ndarray
@@ -50,6 +70,7 @@ class GMRESResult:
     restarts: int
     residual_norm: float
     history: list[float] = field(default_factory=list)
+    rhs_norm: float = 0.0
 
 
 def gmres(
@@ -94,7 +115,8 @@ def gmres(
     When the ambient :class:`repro.obs.Tracer` is enabled, the solve is
     wrapped in a ``gmres`` span carrying one ``restart`` event per
     cycle (with the cycle's starting residual) and final convergence
-    attributes; a disabled tracer costs one attribute check.
+    attributes (:func:`convergence_attrs`); a disabled tracer costs one
+    attribute check.
     """
     tracer = get_tracer()
     if not tracer.enabled:
@@ -107,13 +129,26 @@ def gmres(
             operator, b, x0, preconditioner, tol, restart, max_iter,
             raise_on_fail, span,
         )
-        span.set(
-            iterations=result.iterations,
-            restarts=result.restarts,
-            residual=result.residual_norm,
-            converged=result.converged,
-        )
+        span.set(**convergence_attrs(result, tol))
         return result
+
+
+def convergence_attrs(result: GMRESResult, tol: float) -> dict:
+    """What a finished ``gmres`` span says about its solve, serial or distributed.
+
+    ``target`` is the absolute residual the run had to reach and
+    ``residual_history`` the whole curve (:attr:`GMRESResult.history`, a
+    few hundred floats at most), so a trace shows how the solve got
+    there and not only where it stopped.
+    """
+    return {
+        "iterations": result.iterations,
+        "restarts": result.restarts,
+        "residual": result.residual_norm,
+        "converged": result.converged,
+        "target": tol * result.rhs_norm,
+        "residual_history": result.history,
+    }
 
 
 def _gmres(
@@ -261,7 +296,7 @@ def gmres_requests(
         history.append(beta)
         span.event("restart", cycle=restarts, residual=beta, iteration=total_iters)
         if beta <= target:
-            return GMRESResult(x, True, total_iters, restarts - 1, beta, history)
+            return GMRESResult(x, True, total_iters, restarts - 1, beta, history, b_pre_norm)
 
         m = min(restart, max_iter - total_iters)
         V[0] = r / beta
@@ -335,12 +370,12 @@ def gmres_requests(
                     solver=solver,
                 )
             return GMRESResult(
-                x, final <= target, total_iters, restarts, final, history
+                x, final <= target, total_iters, restarts, final, history, b_pre_norm
             )
 
         final = abs(g[k_used])
         if final <= target:
-            return GMRESResult(x, True, total_iters, restarts, final, history)
+            return GMRESResult(x, True, total_iters, restarts, final, history, b_pre_norm)
 
     Ax = yield ("matvec", x)
     r = yield ("precond", b - Ax)
@@ -353,4 +388,4 @@ def gmres_requests(
             residual=final,
             solver=solver,
         )
-    return GMRESResult(x, final <= target, total_iters, restarts, final, history)
+    return GMRESResult(x, final <= target, total_iters, restarts, final, history, b_pre_norm)

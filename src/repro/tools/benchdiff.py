@@ -45,6 +45,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("mesh_generation.peak_bytes_allocated", "lower"),
         ("rigid_registration.evaluations", "lower"),
         ("rigid_registration.seconds", "lower"),
+        ("pipeline_solve.iterations", "lower"),
+        ("pipeline_solve.seconds", "lower"),
     ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),

@@ -481,6 +481,22 @@ class TestPatientModelBytes:
             {k: v for k, v in context.slots.items() if k != "matrix"}
         )
 
+    def test_located_grid_is_counted_and_dropped_with_the_fem_state(self):
+        patient = make_neurosurgery_case(shape=(32, 32, 24), shift_mm=4.0, seed=5)
+        pipeline = IntraoperativePipeline(PipelineConfig(**FAST))
+        preop = pipeline.prepare_preoperative(patient.preop_mri, patient.preop_labels)
+        before = preop.nbytes()
+        pipeline.process_scan(patient.intraop_mri, preop)
+        located = preop.mesher.located_grid
+        assert located is not None
+        held = sum(part.nbytes for part in located[1:])
+        assert 0 < held < 0.5e6
+        grown = preop.nbytes() - before  # the grid entry + the warm-start vector
+        assert held <= grown <= held + 2 * preop.solve_context.last_solution.nbytes
+        preop.invalidate_solve_context()
+        assert preop.mesher.located_grid is None
+        assert preop.nbytes() <= before
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_worker_rss_stops_growing_past_the_bound(self, monkeypatch):
         bound = 3

@@ -185,6 +185,35 @@ def _frozen_invert_displacement_field(displacement_mm, spacing, iterations=10):
     return v.reshape(*shape, 3)
 
 
+def _frozen_invert_with_damped_tail(displacement_mm, spacing, iterations=10):
+    """The frozen plain iteration, then the damped continuation, full grid.
+
+    A voxel whose last plain step was longer than 1e-3 mm goes on with
+    ``v <- (v - u(x + v)) / 2`` until a step is shorter, twenty at most;
+    every other voxel keeps the frozen body's value. Written on the whole
+    grid with the frozen per-channel sampler, so it checks the library's
+    support-only, fused-sampler continuation bit for bit.
+    """
+    disp = np.asarray(displacement_mm, dtype=float)
+    vol_axes = [
+        ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
+    ]
+    base = vol_axes[0].voxel_centers()
+    v = _frozen_invert_displacement_field(disp, spacing, iterations)
+    previous = _frozen_invert_displacement_field(disp, spacing, iterations - 1)
+    moving = np.linalg.norm(v - previous, axis=-1) > 1e-3
+    for _ in range(20):
+        u_at = np.stack(
+            [_frozen_trilinear_sample(vol_axes[a], base + v, fill_value=0.0) for a in range(3)],
+            axis=-1,
+        )
+        damped = 0.5 * (v - u_at)
+        step = np.linalg.norm(damped - v, axis=-1)
+        v = np.where(moving[..., None], damped, v)
+        moving &= step > 1e-3
+    return v
+
+
 def _sample_points(rng, vol, n):
     """Points inside, outside, exactly on faces/voxel centres, and NaN."""
     lo = vol.index_to_world(np.zeros(3))
@@ -260,7 +289,13 @@ class TestTrilinearSampleMany:
 
 
 class TestInvertDisplacementSupport:
-    """Support-only iteration == the frozen full-grid iteration."""
+    """Support-only iteration == the frozen full-grid iteration.
+
+    Where a field leaves voxels still moving more than 1e-3 mm after its
+    plain steps, the reference is the frozen body plus the damped
+    continuation (``_frozen_invert_with_damped_tail``): those voxels are
+    meant to differ from the plain iteration now.
+    """
 
     @staticmethod
     def _bump(shape, spacing, center_frac, radius_mm, amplitude, compact):
@@ -284,9 +319,11 @@ class TestInvertDisplacementSupport:
         )
         assert np.count_nonzero(np.any(forward != 0, axis=-1)) < 0.5 * np.prod(shape)
         got = invert_displacement_field(forward, spacing)
-        want = _frozen_invert_displacement_field(forward, spacing)
+        want = _frozen_invert_with_damped_tail(forward, spacing)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.array_equal(got, want)  # -0.0 == +0.0: the sign of zero is free
+        if spacing != (1.0, 1.0, 1.0):  # at 1 mm eight voxels take the damped steps
+            assert np.array_equal(got, _frozen_invert_displacement_field(forward, spacing))
 
     def test_support_touching_the_border_matches_full_grid(self):
         spacing = (1.5, 1.0, 2.0)
@@ -295,7 +332,7 @@ class TestInvertDisplacementSupport:
         )
         assert np.array_equal(
             invert_displacement_field(forward, spacing),
-            _frozen_invert_displacement_field(forward, spacing),
+            _frozen_invert_with_damped_tail(forward, spacing),
         )
 
     def test_voxels_whose_index_round_trip_is_inexact_next_to_the_support(self):
@@ -307,7 +344,7 @@ class TestInvertDisplacementSupport:
         rng = np.random.default_rng(5)
         forward = np.zeros((9, 8, 12, 3))
         forward[4:7, 2:6, 4:7] = rng.uniform(0.02, 0.08, size=(3, 4, 3, 3))
-        want = _frozen_invert_displacement_field(forward, spacing)
+        want = _frozen_invert_with_damped_tail(forward, spacing)
         assert want[3, 3, 5].any() and want[5, 3, 7].any()  # outside the support, not zero
         assert np.array_equal(invert_displacement_field(forward, spacing), want)
 
@@ -319,9 +356,52 @@ class TestInvertDisplacementSupport:
         assert np.all(np.any(forward != 0, axis=-1))
         assert np.array_equal(
             invert_displacement_field(forward, spacing, iterations=6),
-            _frozen_invert_displacement_field(forward, spacing, iterations=6),
+            _frozen_invert_with_damped_tail(forward, spacing, iterations=6),
         )
 
     def test_zero_field_inverts_to_zero(self):
         out = invert_displacement_field(np.zeros((4, 5, 6, 3)), (1.0, 1.0, 1.0))
         assert out.shape == (4, 5, 6, 3) and not out.any()
+
+
+class TestInvertDisplacementAcrossAJump:
+    """Where the plain fixed-point map is no contraction it must still converge."""
+
+    SPACING = (3.0, 3.0, 3.0)
+
+    @staticmethod
+    def _residual(forward, inverse, spacing):
+        vol = ImageVolume.zeros(forward.shape[:-1], spacing)
+        axes = [ImageVolume(np.ascontiguousarray(forward[..., a]), spacing) for a in range(3)]
+        u_at = trilinear_sample_many(axes, vol.voxel_centers() + inverse)
+        return np.linalg.norm(inverse + np.moveaxis(u_at, 0, -1), axis=-1)
+
+    def _jump(self):
+        # 3 mm along x inside the slab, zero outside: u drops by a whole
+        # 3 mm voxel across one voxel plane, as at the mesh boundary.
+        forward = np.zeros((20, 8, 8, 3))
+        forward[6:12, ..., 0] = 3.0 + 0.4 * np.cos(np.arange(8.0))[:, None]
+        forward[6:12, ..., 1] = 0.5
+        return forward
+
+    def test_plain_iteration_orbits_and_the_library_does_not(self):
+        forward = self._jump()
+        even = _frozen_invert_displacement_field(forward, self.SPACING, iterations=10)
+        odd = _frozen_invert_displacement_field(forward, self.SPACING, iterations=11)
+        assert np.abs(even - odd).max() > 2.9  # the defect: a period-2 orbit
+        assert self._residual(forward, even, self.SPACING).max() > 2.9
+
+        ten = invert_displacement_field(forward, self.SPACING, iterations=10)
+        eleven = invert_displacement_field(forward, self.SPACING, iterations=11)
+        assert self._residual(forward, ten, self.SPACING).max() < 1e-2
+        assert self._residual(forward, eleven, self.SPACING).max() < 1e-2
+        assert np.abs(ten - eleven).max() < 2e-3
+
+    def test_voxels_the_plain_iteration_converged_are_untouched(self):
+        forward = self._jump()
+        plain = _frozen_invert_displacement_field(forward, self.SPACING, iterations=10)
+        before = _frozen_invert_displacement_field(forward, self.SPACING, iterations=9)
+        settled = np.linalg.norm(plain - before, axis=-1) <= 1e-3
+        assert settled.any() and not settled.all()
+        got = invert_displacement_field(forward, self.SPACING, iterations=10)
+        assert np.array_equal(got[settled], plain[settled])

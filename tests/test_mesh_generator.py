@@ -171,6 +171,42 @@ class TestDisplacementOnGrid:
         assert inside.any()
         assert np.allclose(disp[inside], [1.0, 2.0, 3.0])
 
+    def test_located_grid_is_reused_and_equals_pointwise_interpolation(self, small_case):
+        labels = small_case.preop_labels
+        mesher = mesh_labeled_volume(labels, 6.0, BRAIN_LABELS)
+        rng = np.random.default_rng(3)
+        first, second = rng.normal(size=(2, mesher.mesh.n_nodes, 3))
+        pts = labels.voxel_centers().reshape(-1, 3)
+
+        assert mesher.located_grid is None
+        got = mesher.displacement_on_grid(first, labels)
+        assert np.array_equal(got, mesher.interpolate(first, pts).reshape(*labels.shape, 3))
+        located = mesher.located_grid
+        inside = located[1]
+        assert 0 < len(inside) < pts.shape[0] and located[2].shape == (len(inside), 4)
+
+        # Same grid, new field: no second location, same answer as locating again.
+        got = mesher.displacement_on_grid(second, labels)
+        assert mesher.located_grid is located
+        assert np.array_equal(got, mesher.interpolate(second, pts).reshape(*labels.shape, 3))
+
+        # Another grid (shifted origin) is located afresh and replaces the entry.
+        moved = ImageVolume(labels.data, labels.spacing, tuple(o + 1.0 for o in labels.origin))
+        got = mesher.displacement_on_grid(second, moved)
+        assert mesher.located_grid is not located
+        assert np.array_equal(
+            got,
+            mesher.interpolate(second, moved.voxel_centers().reshape(-1, 3)).reshape(
+                *labels.shape, 3
+            ),
+        )
+
+    def test_rejects_field_of_the_wrong_shape(self, small_case, brain_mesher):
+        with pytest.raises(ValidationError):
+            brain_mesher.displacement_on_grid(
+                np.ones((brain_mesher.mesh.n_nodes + 1, 3)), small_case.preop_labels
+            )
+
 
 # -- frozen reference --------------------------------------------------------
 # The generator as it stood before it was rewritten to touch only the

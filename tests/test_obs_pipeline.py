@@ -5,6 +5,7 @@ CLI, and the disabled-tracer overhead bound."""
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -97,6 +98,46 @@ class TestTracedSession:
         for span in with_restarts:
             assert span.events[0][1] == "restart"
             assert "residual" in span.events[0][2]
+
+    def test_solver_spans_carry_the_convergence_curve(self, traced_session):
+        session, tracer, _, _ = traced_session
+        solves = [
+            s for s in tracer.finished() if s.name == "gmres" and s.attrs["iterations"] > 0
+        ]
+        assert len(solves) == len(session.history)
+        for span in solves:
+            history, target = span.attrs["residual_history"], span.attrs["target"]
+            assert len(history) > span.attrs["iterations"]
+            assert history[-1] == span.attrs["residual"] <= target < history[0]
+        solver = session.latest().simulation.solver
+        assert solves[-1].attrs["residual_history"] == solver.history
+        assert solves[-1].attrs["target"] == pytest.approx(
+            solves[-1].attrs["tol"] * solver.rhs_norm
+        )
+
+    def test_report_prints_the_slope_not_the_curve(self, traced_session):
+        _, tracer, _, _ = traced_session
+        lines = [
+            line
+            for line in render_report(tracer).splitlines()
+            if line.lstrip().startswith("gmres")
+            and "converged=" in line  # a span line, not the percentile footer
+            and " iterations=0 " not in line  # nor the preoperative priming solve
+        ]
+        assert len(lines) == 3
+        for line in lines:
+            assert "residual_history" not in line
+            assert re.search(r" iterations=\d+ iterations/decade=\d+(\.\d+)? ", line)
+
+    def test_timeline_notes_the_convergence_rate(self, traced_session):
+        session, _, _, _ = traced_session
+        result = session.latest()
+        solver = result.simulation.solver
+        (note,) = [n for n in result.timeline.notes if n.startswith("gmres: ")]
+        assert re.fullmatch(
+            rf"gmres: {solver.iterations} it, \d+\.\d it/decade, rel\. residual \S+", note
+        )
+        assert float(note.rsplit(" ", 1)[1]) <= session.pipeline.config.solver_tol
 
     def test_chrome_export_is_valid_and_nested(self, traced_session, tmp_path):
         _, tracer, _, _ = traced_session

@@ -49,6 +49,19 @@ class TestHotpathGate:
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_default_tolerance_solve_iterations_and_seconds_are_gated(self, tmp_path):
+        """A production solve drifting back towards 1e-7 (+50 % iterations) fails."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["pipeline_solve.iterations"] == "lower"
+        assert paths["pipeline_solve.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        assert base["pipeline_solve"]["tol"] == 1e-5
+        for key in ("iterations", "seconds"):
+            fresh = copy.deepcopy(base)
+            fresh["pipeline_solve"][key] *= 1.3
+            (tmp_path / NAME).write_text(json.dumps(fresh))
+            assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_unchanged_record_passes(self, gate):
         assert gate({}) == 0
 
