@@ -91,11 +91,12 @@ class PreoperativeModel:
         is a data-only fast path; ``None`` when
         ``PipelineConfig.precompute_solve_context`` is off.
     snapped / snap_params:
-        The active surface's snap phase (mesh boundary evolved onto the
-        preoperative brain mask) and the ``cap_mm`` / ``iterations`` /
-        ``step_size`` / ``smoothing`` it was run with. The snap never
-        sees the intraoperative scan, so it is computed once here; a
-        pipeline whose surface parameters differ recomputes it per scan.
+        The active surface's snap phase (mesh boundary projected onto
+        the preoperative brain mask) and the ``cap_mm`` / ``iterations``
+        / ``step_size`` it was run with. The snap never sees the
+        intraoperative scan, so it is computed once here; a pipeline
+        whose snap parameters differ recomputes it per scan (and says so
+        in the timeline).
         Only vertex positions are kept — the force-field volumes are not.
     """
 
@@ -276,9 +277,15 @@ class IntraoperativePipeline:
                     n_elements=int(mesher.mesh.n_elements),
                 )
             brain_mask = np.isin(labels.data, cfg.brain_labels)
-            with tracer.span("surface snap", kind="stage"):
-                snap_params = self._surface_params()
+            with tracer.span("surface snap", kind="stage") as snap_span:
+                snap_params = self._snap_params()
                 snapped = snap_surface(surface, brain_mask, labels, **snap_params)
+                snap_span.set(
+                    iterations=snapped.iterations,
+                    converged=snapped.converged,
+                    residual_mm=snapped.mean_residual_mm,
+                    vertices=int(surface.n_vertices),
+                )
             solve_context = None
             if cfg.precompute_solve_context:
                 # Preoperative precomputation: partitioning, assembly,
@@ -309,14 +316,13 @@ class IntraoperativePipeline:
             snap_params=snap_params,
         )
 
-    def _surface_params(self) -> dict[str, float]:
-        """Active-surface keyword arguments; also the stored snap's key."""
+    def _snap_params(self) -> dict[str, float]:
+        """``snap_surface``'s keyword arguments; also the stored snap's key."""
         cfg = self.config
         return {
             "cap_mm": cfg.surface_cap_mm,
             "iterations": cfg.surface_iterations,
             "step_size": cfg.surface_step,
-            "smoothing": cfg.surface_smoothing,
         }
 
     # -- intraoperative ---------------------------------------------------------
@@ -506,7 +512,7 @@ class IntraoperativePipeline:
         in the scan's frame (the match metrics sample there again).
         """
         cfg = self.config
-        with timeline.stage("surface displacement"):
+        with timeline.stage("surface displacement") as span:
             preop_in_scan = transform.inverse().apply(preop.labels.voxel_centers())
             seg_on_preop = trilinear_sample(
                 segmentation.astype(np.float64),
@@ -515,21 +521,49 @@ class IntraoperativePipeline:
                 nearest=True,
             ).astype(np.int16)
             target_mask = np.isin(seg_on_preop, cfg.intraop_brain_labels)
-            params = self._surface_params()
-            reused = preop.snapped if preop.snap_params == params else None
+            snap_params = self._snap_params()
+            reused = preop.snapped if preop.snap_params == snap_params else None
             correspondence = surface_correspondence(
                 preop.surface,
                 preop.brain_mask,
                 target_mask,
                 preop.labels,
-                **params,
+                **snap_params,
+                smoothing=cfg.surface_smoothing,
                 snapped=reused,
             )
+            tracked = correspondence.tracked
+            span.set(
+                track_iterations=tracked.iterations, track_converged=tracked.converged
+            )
+            if reused is None:
+                span.set(snap_recomputed=True)
         if reused is not None:
             timeline.note(
                 f"surface snap: reused preoperative snap ({reused.iterations} iterations)"
             )
+        else:
+            timeline.note(
+                "surface snap: recomputed inside the scan "
+                f"({correspondence.snapped.iterations} iterations; the model's "
+                f"stored snap is for {preop.snap_params}, this pipeline needs "
+                f"{snap_params})"
+            )
+        timeline.note(self._track_note(tracked))
         return correspondence, target_mask, preop_in_scan
+
+    @staticmethod
+    def _track_note(tracked: ActiveSurfaceResult) -> str:
+        """What the track phase did; a capped evolution does not read as arrived."""
+        if tracked.converged:
+            return (
+                f"surface track: {tracked.iterations} it, "
+                f"residual {tracked.mean_residual_mm:.2f} mm"
+            )
+        return (
+            f"surface track: stopped at the {tracked.iterations}-iteration cap "
+            f"(last step {tracked.history[-1]:.3f} mm)"
+        )
 
     def _note_cache(
         self, timeline: Timeline, preop: PreoperativeModel, simulation
@@ -759,6 +793,8 @@ class IntraoperativePipeline:
                 correspondence, target_mask, preop_in_scan = guard.run(
                     self._stage_surface, preop, segmentation, transform, timeline
                 )
+                if not correspondence.tracked.converged:
+                    report.notes.append(self._track_note(correspondence.tracked))
             except ReproError as exc:
                 recovery_seconds += guard.last_report.seconds
                 failure = exc

@@ -64,13 +64,14 @@ class Timeline:
 
         One tracer span wraps the stage, so nested instrumentation
         (FEM assembly, solver restarts) parents under it; the table
-        entry and the span measure the same interval.
+        entry and the span measure the same interval. Yields the span so
+        the stage can attach attributes to it.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         timer = Timer(name)
-        with tracer.span(name, kind="stage", period=period):
+        with tracer.span(name, kind="stage", period=period) as span:
             with timer:
-                yield
+                yield span
         entry = TimelineEntry(name, timer.elapsed, period)
         self.entries.append(entry)
         for observer in self.observers:

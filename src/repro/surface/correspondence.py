@@ -6,13 +6,18 @@ offset between the (coarse) mesh boundary and either scan's voxelized
 boundary. Estimating it in one evolution conflates the two, so the
 pipeline runs two:
 
-1. **Snap**: evolve the mesh boundary onto the *reference* scan's brain
+1. **Snap**: project the mesh boundary onto the *reference* scan's brain
    boundary. This absorbs the mesh-discretization offset and
    establishes where each surface vertex sits on the actual scan-1
-   surface.
-2. **Track**: continue the evolution from the snapped positions onto
-   the *target* (later intraoperative) scan's brain boundary, with the
-   displacement regularized relative to the snapped shape.
+   surface. It is a projection, not an evolution: the membrane's
+   internal force penalizes the vertex-by-vertex displacement from the
+   rest shape — exactly the offset the snap exists to absorb — so the
+   distance-force snap runs without it and each vertex descends
+   ``phi^2 / 2`` on its own until it sits on the zero level set.
+2. **Track**: the paper's active surface. Evolve the elastic membrane
+   from the snapped positions onto the *target* (later intraoperative)
+   scan's brain boundary, with the displacement regularized relative to
+   the snapped shape.
 
 The correspondence displacement for each vertex is
 ``tracked - snapped``, which is what gets imposed on the volumetric
@@ -60,10 +65,17 @@ def snap_surface(
     cap_mm: float = 20.0,
     iterations: int = 250,
     step_size: float = 0.35,
-    smoothing: float = 0.4,
     tolerance_mm: float = 5e-3,
 ) -> ActiveSurfaceResult:
-    """Phase 1 alone: evolve the mesh boundary onto the reference mask.
+    """Phase 1 alone: move each boundary vertex onto the reference mask.
+
+    Every vertex follows ``x <- x - step_size * phi * grad(phi)`` (the
+    distance force, clamped as in :func:`evolve_surface`) with no
+    membrane force between vertices, a contraction onto the mask's zero
+    level set that reaches the ``tolerance_mm`` stop in a handful of
+    steps. Projected vertices can coincide, so the snapped positions are
+    per-vertex rest positions for the track phase, not a mesh to render
+    or measure areas on.
 
     The snap depends only on the surface and the *reference* scan, never
     on the intraoperative target, so the pipeline runs it once in the
@@ -76,7 +88,7 @@ def snap_surface(
         snap_field,
         iterations=iterations,
         step_size=step_size,
-        smoothing=smoothing,
+        smoothing=0.0,
         tolerance_mm=tolerance_mm,
     )
 
@@ -109,6 +121,9 @@ def surface_correspondence(
         intraoperative segmentation).
     reference:
         Volume carrying the grid geometry of the masks.
+    smoothing:
+        Membrane elasticity weight of the track phase (and of the
+        ``"gradient"`` snap); the distance-force snap has no membrane.
     force:
         ``"distance"`` (default) drives the membrane with the signed
         distance of the segmentation masks — the robust pipeline
@@ -140,6 +155,8 @@ def surface_correspondence(
                 "gradient force requires reference_image and target_image"
             )
         if snapped is None:
+            # An edge potential has no zero set to project onto: this
+            # snap keeps the membrane.
             snap_field = GradientForceField.from_image(
                 reference_image, expected_gray=expected_gray
             )
@@ -150,7 +167,13 @@ def surface_correspondence(
     else:
         if snapped is None:
             snapped = snap_surface(
-                surface, reference_mask, reference, cap_mm, **evolution
+                surface,
+                reference_mask,
+                reference,
+                cap_mm,
+                iterations=iterations,
+                step_size=step_size,
+                tolerance_mm=tolerance_mm,
             )
         track_field = DistanceForceField.from_mask(target_mask, reference, cap_mm)
     tracked = evolve_surface(

@@ -45,6 +45,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("mesh_generation.peak_bytes_allocated", "lower"),
         ("rigid_registration.evaluations", "lower"),
         ("rigid_registration.seconds", "lower"),
+        ("surface_snap.iterations", "lower"),
+        ("surface_snap.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
     ],

@@ -14,6 +14,7 @@ from repro.core.session import SurgicalSession
 from repro.core.timeline import Timeline
 from repro.imaging.phantom import Tissue, make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW
+from repro.obs import Tracer
 from repro.util import ShapeError, ValidationError
 
 
@@ -165,10 +166,11 @@ class TestPreoperativeSnap:
             "cap_mm": cfg.surface_cap_mm,
             "iterations": cfg.surface_iterations,
             "step_size": cfg.surface_step,
-            "smoothing": cfg.surface_smoothing,
         }
         assert preop.snapped.positions.shape == preop.surface.vertices.shape
-        assert 1 <= preop.snapped.iterations <= cfg.surface_iterations
+        assert 1 <= preop.snapped.iterations <= 15
+        assert preop.snapped.converged
+        assert preop.snapped.mean_residual_mm < 0.02
 
     def test_reuse_is_noted_and_equals_the_per_scan_snap(self, small_case, snap_run):
         pipeline, preop, reused = snap_run
@@ -178,7 +180,8 @@ class TestPreoperativeSnap:
         ]
         bare = dataclasses.replace(preop, snapped=None, snap_params=None)
         recomputed = pipeline.process_scan(small_case.intraop_mri, bare)
-        assert self._snap_notes(recomputed) == []
+        (note,) = self._snap_notes(recomputed)
+        assert note.startswith("surface snap: recomputed inside the scan")
         assert recomputed.correspondence.snapped is not preop.snapped
         assert np.array_equal(
             recomputed.correspondence.snapped.positions, preop.snapped.positions
@@ -197,19 +200,75 @@ class TestPreoperativeSnap:
             {"surface_iterations": 20},
             {"surface_cap_mm": 12.0},
             {"surface_step": 0.25},
-            {"surface_smoothing": 0.6},
         ],
     )
     def test_different_surface_parameters_recompute(self, small_case, snap_run, override):
         _, preop, _ = snap_run
-        other = IntraoperativePipeline(PipelineConfig(**{**self.SETTINGS, **override}))
+        tracer = Tracer()
+        other = IntraoperativePipeline(
+            PipelineConfig(**{**self.SETTINGS, **override}), tracer=tracer
+        )
         result = other.process_scan(small_case.intraop_mri, preop)
-        assert self._snap_notes(result) == []
+        (note,) = self._snap_notes(result)
+        assert note.startswith("surface snap: recomputed inside the scan")
+        (span,) = [s for s in tracer.finished() if s.name == "surface displacement"]
+        assert span.attrs["snap_recomputed"] is True
         assert result.correspondence.snapped is not preop.snapped
         own = other.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
         assert np.array_equal(
             result.correspondence.snapped.positions, own.snapped.positions
         )
+
+    def test_smoothing_alone_reuses_the_stored_snap(self, small_case, snap_run):
+        """The snap has no membrane, so the membrane's weight is not in its key."""
+        _, preop, _ = snap_run
+        tracer = Tracer()
+        other = IntraoperativePipeline(
+            PipelineConfig(**{**self.SETTINGS, "surface_smoothing": 0.6}), tracer=tracer
+        )
+        result = other.process_scan(small_case.intraop_mri, preop)
+        assert result.correspondence.snapped is preop.snapped
+        assert self._snap_notes(result) == [
+            f"surface snap: reused preoperative snap ({preop.snapped.iterations} iterations)"
+        ]
+        (span,) = [s for s in tracer.finished() if s.name == "surface displacement"]
+        assert "snap_recomputed" not in span.attrs
+
+    def test_snap_span_says_what_the_snap_did(self, small_case):
+        tracer = Tracer()
+        pipeline = IntraoperativePipeline(PipelineConfig(**self.SETTINGS), tracer=tracer)
+        preop = pipeline.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
+        (span,) = [s for s in tracer.finished() if s.name == "surface snap"]
+        assert span.attrs["iterations"] == preop.snapped.iterations
+        assert span.attrs["converged"] is True
+        assert span.attrs["residual_mm"] == preop.snapped.mean_residual_mm
+        assert span.attrs["vertices"] == preop.surface.n_vertices
+
+    def test_track_is_noted_and_a_capped_one_does_not_read_as_arrived(
+        self, small_case, snap_run
+    ):
+        _, preop, full = snap_run
+        tracked = full.correspondence.tracked
+        assert tracked.converged
+        assert (
+            f"surface track: {tracked.iterations} it, "
+            f"residual {tracked.mean_residual_mm:.2f} mm"
+        ) in full.timeline.notes
+        assert full.degradation.notes == []
+
+        capped_pipeline = IntraoperativePipeline(
+            PipelineConfig(**{**self.SETTINGS, "surface_iterations": 3})
+        )
+        capped = capped_pipeline.process_scan(small_case.intraop_mri, preop)
+        tracked = capped.correspondence.tracked
+        assert not tracked.converged and tracked.iterations == 3
+        note = (
+            "surface track: stopped at the 3-iteration cap "
+            f"(last step {tracked.history[-1]:.3f} mm)"
+        )
+        assert note in capped.timeline.notes
+        assert note in capped.degradation.notes
+        assert not capped.degradation.degraded
 
 
 class TestOneScanRunner:

@@ -49,6 +49,19 @@ class TestHotpathGate:
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_surface_snap_iterations_and_seconds_are_gated(self, tmp_path):
+        """A snap that creeps again (176 iterations with the membrane in it) fails."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["surface_snap.iterations"] == "lower"
+        assert paths["surface_snap.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        assert base["surface_snap"]["iterations"] <= 15
+        for key in ("iterations", "seconds"):
+            fresh = copy.deepcopy(base)
+            fresh["surface_snap"][key] *= 1.3
+            (tmp_path / NAME).write_text(json.dumps(fresh))
+            assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_default_tolerance_solve_iterations_and_seconds_are_gated(self, tmp_path):
         """A production solve drifting back towards 1e-7 (+50 % iterations) fails."""
         paths = dict(HOT_PATHS[NAME])
