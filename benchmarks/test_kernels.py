@@ -208,6 +208,59 @@ def test_kernel_surface_snap():
     assert snapped.mean_residual_mm < 0.02
 
 
+def test_kernel_classification():
+    """``KNNClassifier.segment`` on the hot-path phantom (40x40x30, 20
+    prototypes a class, k = 5, a small rigid map): voxels, prototypes, the
+    share of voxels not decided at the majority, and seconds (feature rows
+    included), merged into BENCH_hotpath.json. The same size in smoke."""
+    from bench_io import update_bench_record
+    from repro.core.config import PipelineConfig
+    from repro.imaging.metrics import dice_coefficient
+    from repro.imaging.phantom import make_neurosurgery_case
+    from repro.registration.transform import RigidTransform
+    from repro.segmentation.atlas import LocalizationModel
+    from repro.segmentation.prototypes import select_prototypes
+
+    cfg = PipelineConfig()
+    case = make_neurosurgery_case(shape=(40, 40, 30), shift_mm=4.0, seed=42)
+    scan = case.intraop_mri
+    localization = LocalizationModel.from_labels(
+        case.preop_labels, cfg.segmentation_classes, cfg.localization_cap_mm
+    )
+    transform = RigidTransform(
+        (0.4, -0.3, 0.2), (0.01, -0.015, 0.02), tuple(np.asarray(scan.physical_extent) / 2)
+    )
+    prototypes = select_prototypes(
+        scan, case.preop_labels, localization, cfg.segmentation_classes,
+        per_class=20, transform=transform, seed=0,
+    )
+    classifier = KNNClassifier(k=cfg.knn_k).fit_prototypes(prototypes)
+    segment = lambda: classifier.segment(scan, localization, transform)
+    _, seconds, segmentation = _timed(segment, repeats=15)
+    voxels = int(segmentation.data.size)
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "classification": {
+                "shape": list(scan.shape),
+                "voxels": voxels,
+                "prototypes": len(prototypes),
+                "k": classifier.k,
+                "open_share": classifier.open_share,
+                "seconds": seconds,
+                "seconds_per_voxel": seconds / voxels,
+            }
+        },
+    )
+    # The five-pass vote on every row took 0.065 s here. 7 % of these voxels
+    # (6 mm across) are still open after three picks; twice that would mean
+    # the prototypes no longer separate the classes.
+    assert classifier.open_share < 0.15
+    brain = np.isin(segmentation.data, cfg.intraop_brain_labels)
+    truth = np.isin(case.intraop_labels.data, cfg.intraop_brain_labels)
+    assert dice_coefficient(brain, truth) > 0.9
+
+
 def test_kernel_pipeline_solve():
     """One warm-context ``simulate_parallel`` at the *default* tolerance on the
     30 k-equation hot-path system (4 ranks, prepared context, no warm-start

@@ -36,27 +36,37 @@ def main() -> None:
     print(f"Preoperative mesh: {mesh.n_nodes} nodes, {mesh.n_elements} tets "
           f"({np.count_nonzero(mesh.materials == int(Tissue.TUMOR))} tumor elements)")
 
+    # Prototypes are marked on the intraoperative scan, as the paper's
+    # clinician marks them: the preoperative labels have no resection
+    # class, and a classifier with no prototype of it labels no cavity.
     print("Processing the post-resection intraoperative scan...")
-    result = pipeline.process_scan(case.intraop_mri, preop)
+    result = pipeline.process_scan(
+        case.intraop_mri, preop, reference_labels=case.intraop_labels
+    )
+    cavity = np.count_nonzero(result.segmentation.data == int(Tissue.RESECTION))
+    print(f"Segmented resection cavity: {cavity} voxels")
 
     # Domain update: the tumor was resected -> drop its elements.
     edit = remove_elements_by_material(mesh, (int(Tissue.TUMOR),))
     print(f"Removed {edit.removed_elements} elements; edited mesh has "
           f"{edit.mesh.n_nodes} nodes")
 
-    # Re-derive surface BCs for the edited mesh and re-solve.
+    # Re-derive surface BCs for the edited mesh and re-solve. Its boundary
+    # now includes the cavity wall, so both masks are the domain the edited
+    # mesh fills: the brain without the tumour, and the segmented brain
+    # without the resection cavity. Against the whole-brain masks the wall
+    # vertices are dragged 21-31 mm to the outer boundary.
     surf = extract_boundary_surface(edit.mesh)
-    target = np.isin(result.segmentation.data, cfg.intraop_brain_labels)
-    corr = surface_correspondence(
-        surf, case.brain_mask(), target, case.preop_labels
+    brain = case.brain_mask() & (case.preop_labels.data != int(Tissue.TUMOR))
+    remaining = tuple(
+        label for label in cfg.intraop_brain_labels if label != int(Tissue.RESECTION)
     )
+    target = np.isin(result.segmentation.data, remaining)
+    corr = surface_correspondence(surf, brain, target, case.preop_labels)
     bc = DirichletBC(surf.mesh_nodes, corr.displacements)
-    from repro.mesh.generator import GridTetraMesher  # for interpolation reuse
-
     sim = simulate_parallel(edit.mesh, bc, cfg.n_ranks, tol=cfg.solver_tol)
 
     # Compare field error against ground truth in the remaining brain.
-    brain = case.brain_mask() & (case.preop_labels.data != int(Tissue.TUMOR))
     # Interpolate edited-mesh solution onto the grid via the original
     # mesher locator (element ids differ; use barycentric through the
     # preop mesher on matching nodes is not applicable, so sample via

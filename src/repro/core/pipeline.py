@@ -473,7 +473,7 @@ class IntraoperativePipeline:
     ) -> tuple[PrototypeSet, ImageVolume]:
         """Stage 2 — k-NN tissue classification over intensity + localization."""
         cfg = self.config
-        with timeline.stage("tissue classification"):
+        with timeline.stage("tissue classification") as span:
             if prototypes is None:
                 ref = reference_labels if reference_labels is not None else preop.labels
                 prototypes = select_prototypes(
@@ -493,6 +493,16 @@ class IntraoperativePipeline:
             segmentation = classifier.segment(
                 intraop_mri, preop.localization, transform=transform
             )
+            span.set(
+                voxels=segmentation.data.size,
+                prototypes=len(prototypes),
+                k=classifier.k,
+                open_share=classifier.open_share,
+            )
+        timeline.note(
+            f"k-NN: {segmentation.data.size:,} voxels, "
+            f"{100.0 * classifier.open_share:.1f} % past the majority"
+        )
         return prototypes, segmentation
 
     def _stage_surface(

@@ -64,20 +64,28 @@ class LocalizationModel:
             channels.append(labels.copy(dist))
         return cls(tuple(classes), channels, cap_mm)
 
-    def sample_at(self, points_world: np.ndarray, transform: RigidTransform | None = None) -> np.ndarray:
-        """Sample all channels at world points, optionally through a rigid map.
+    def sample_rows(
+        self, points_world: np.ndarray, transform: RigidTransform | None = None
+    ) -> np.ndarray:
+        """Sample all channels at world points, one row per channel.
 
         ``transform`` maps target-grid points into the preoperative frame
         (the output of :func:`repro.registration.register_rigid`). Points
         falling outside the model are assigned the cap distance.
 
-        Returns ``(..., n_classes)``.
+        Returns ``(n_classes, ...)`` -- channel-major, the layout the
+        k-NN block loop reads.
         """
         pts = np.asarray(points_world, dtype=float)
         if transform is not None:
             pts = transform.apply(pts)
-        samples = trilinear_sample_many(self.channels, pts, fill_values=self.cap_mm)
-        return np.stack(samples, axis=-1)
+        return trilinear_sample_many(self.channels, pts, fill_values=self.cap_mm)
+
+    def sample_at(
+        self, points_world: np.ndarray, transform: RigidTransform | None = None
+    ) -> np.ndarray:
+        """:meth:`sample_rows` point-major: returns ``(..., n_classes)``."""
+        return np.stack(self.sample_rows(points_world, transform), axis=-1)
 
     def resample_onto(
         self, reference: ImageVolume, transform: RigidTransform | None = None

@@ -9,7 +9,8 @@ known tissue type."
 Brute-force distances are computed in voxel chunks against the (small)
 prototype set, with per-feature standardization learned from the
 prototypes so intensity and millimetre-distance channels are
-commensurable.
+commensurable. A voxel is labelled as soon as a majority of its ``k``
+votes agree; the labels are those of the full vote.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.imaging.resample import trilinear_sample
 from repro.imaging.volume import ImageVolume
 from repro.segmentation.atlas import LocalizationModel
-from repro.segmentation.prototypes import PrototypeSet, build_features
+from repro.segmentation.prototypes import PrototypeSet
 from repro.util import ShapeError, ValidationError
 
 
@@ -37,6 +39,14 @@ class KNNClassifier:
         Number of query vectors classified per vectorized block (bounds
         the ``chunk x n_prototypes`` distance matrix, the largest
         temporary of the image stages).
+
+    Attributes
+    ----------
+    open_share:
+        Of the vectors last classified, the share whose first
+        ``k // 2 + 1`` neighbours did not agree and so needed the full
+        vote. A share that climbs means the prototypes no longer
+        separate the classes.
     """
 
     k: int = 5
@@ -45,6 +55,7 @@ class KNNClassifier:
     _labels: np.ndarray | None = field(default=None, repr=False)
     _mean: np.ndarray | None = field(default=None, repr=False)
     _scale: np.ndarray | None = field(default=None, repr=False)
+    open_share: float = field(default=0.0, init=False, repr=False)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "KNNClassifier":
         """Store prototypes and learn per-feature standardization."""
@@ -80,42 +91,85 @@ class KNNClassifier:
         X = np.asarray(features, dtype=float)
         lead_shape = X.shape[:-1]
         X = X.reshape(-1, X.shape[-1])
-        if X.shape[1] != self._train.shape[1]:
-            raise ShapeError(
-                f"feature dimension {X.shape[1]} != fitted dimension {self._train.shape[1]}"
-            )
-        X = (X - self._mean) / self._scale
-        out = np.empty(len(X), dtype=np.intp)
+        c = self._train.shape[1]
+        if X.shape[1] != c:
+            raise ShapeError(f"feature dimension {X.shape[1]} != fitted dimension {c}")
+        rows = np.empty((c + 1, len(X)))
+        rows[:c] = X.T
+        return self._classify_rows(rows).reshape(lead_shape)
+
+    def _classify_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Labels of ``n`` feature vectors held channel-major.
+
+        ``rows`` is a ``(c + 1, n)`` float array the caller gives up: raw
+        features in the first ``c`` rows, the last row spare. It is
+        standardized in place and the spare row set to ones, so that one
+        product per block ranks every prototype:
+        ``|x - p|^2 - |x|^2 = -2 x.p + |p|^2`` -- the ``|x|^2`` a row
+        shares with all its distances is never formed.
+
+        A label is decided as soon as it cannot change. After
+        ``need = k // 2 + 1`` picks that agree, the ``k - need < need``
+        votes still out can neither overtake nor tie that class, so the
+        full vote would return it; only the rows whose first ``need``
+        picks disagree (``open_share`` of them) run the remaining
+        passes, the vote count and the nearest-neighbour tie-break.
+        """
         train = self._train
-        train_sq = np.sum(train * train, axis=1)
+        c = train.shape[1]
+        rows[:c] -= self._mean[:, None]
+        rows[:c] /= self._scale[:, None]
+        rows[c] = 1.0
+        ranking = np.empty((c + 1, len(train)))
+        ranking[:c] = -2.0 * train.T
+        ranking[c] = np.sum(train * train, axis=1)
         classes, class_of = np.unique(self._labels, return_inverse=True)
-        k = min(self.k, train.shape[0])
-        for start in range(0, len(X), self.chunk):
-            block = X[start : start + self.chunk]
-            # Squared Euclidean distances via the expansion trick, built
-            # in place: one chunk x n_prototypes temporary, not three.
-            d2 = (-2.0 * block) @ train.T
-            d2 += np.sum(block * block, axis=1)[:, None]
-            d2 += train_sq[None, :]
-            # k passes of argmin, each masking its pick: on a block this
-            # narrow that beats a partial sort, and exact distance ties
-            # resolve to the lowest prototype index.
-            rows = np.arange(len(block))
-            # One row of votes per class: reductions run down columns.
-            votes = np.zeros((len(classes), len(block)), dtype=np.intp)
-            for nth in range(k):
-                pick = np.argmin(d2, axis=1)
-                if nth == 0:
-                    nearest = pick
-                votes[class_of[pick], rows] += 1
-                d2[rows, pick] = np.inf
-            best = classes[np.argmax(votes, axis=0)]
-            # Ties: prefer the class of the single nearest neighbour.
-            tied = (votes == votes.max(axis=0)).sum(axis=0) > 1
-            if np.any(tied):
-                best[tied] = self._labels[nearest[tied]]
+        k = min(self.k, len(train))
+        need = k // 2 + 1
+        n = rows.shape[1]
+        out = np.empty(n, dtype=np.intp)
+        n_open = 0
+        for start in range(0, n, self.chunk):
+            # Distances up to the row constant; exact ties (duplicated
+            # prototypes) are equal columns and resolve, pass by pass, to
+            # the lowest prototype index. A one-row block is summed here:
+            # BLAS's matrix-vector kernel gives equal columns unequal sums.
+            block = rows[:, start : start + self.chunk]
+            if block.shape[1] > 1:
+                d2 = block.T @ ranking
+            else:
+                d2 = (block * ranking).sum(axis=0)[None, :]
+            every = np.arange(len(d2))
+            picks = np.empty((need, len(d2)), dtype=np.intp)
+            picks[0] = np.argmin(d2, axis=1)
+            for nth in range(1, need):
+                d2[every, picks[nth - 1]] = np.inf
+                picks[nth] = np.argmin(d2, axis=1)
+            voted = class_of[picks]
+            best = classes[voted[0]]
+            undecided = np.flatnonzero((voted[1:] != voted[0]).any(axis=0))
+            if undecided.size:
+                n_open += undecided.size
+                # The full vote, on the compressed remainder. One row of
+                # votes per class: reductions run down columns.
+                d2 = d2[undecided]
+                every = np.arange(len(d2))
+                pick = picks[need - 1, undecided]
+                votes = np.zeros((len(classes), len(d2)), dtype=np.intp)
+                for nth in range(need):
+                    votes[voted[nth, undecided], every] += 1
+                for nth in range(need, k):
+                    d2[every, pick] = np.inf
+                    pick = np.argmin(d2, axis=1)
+                    votes[class_of[pick], every] += 1
+                winner = classes[np.argmax(votes, axis=0)]
+                # Ties: prefer the class of the single nearest neighbour.
+                tied = (votes == votes.max(axis=0)).sum(axis=0) > 1
+                winner[tied] = best[undecided[tied]]
+                best[undecided] = winner
             out[start : start + self.chunk] = best
-        return out.reshape(lead_shape)
+        self.open_share = n_open / n if n else 0.0
+        return out
 
     def segment(
         self,
@@ -125,11 +179,22 @@ class KNNClassifier:
     ) -> ImageVolume:
         """Classify every voxel of an intraoperative scan.
 
-        Builds the multichannel feature volume (intensity + rigidly
-        aligned localization channels) and k-NN labels it.
+        Builds the multichannel features (intensity + rigidly aligned
+        localization channels) channel-major, as the block loop reads
+        them, and k-NN labels them: the labels of
+        ``predict(build_features(image, localization, centres, transform))``.
         """
-        feats = build_features(
-            image, localization, image.voxel_centers(), transform=transform
-        )
-        labels = self.predict(feats)
+        if not self.is_fitted:
+            raise ValidationError("classifier is not fitted")
+        c = self._train.shape[1]
+        if 1 + len(localization.channels) != c:
+            raise ShapeError(
+                f"intensity + {len(localization.channels)} localization channels "
+                f"!= fitted dimension {c}"
+            )
+        points = image.voxel_centers()
+        rows = np.empty((c + 1, image.data.size))
+        rows[0] = trilinear_sample(image, points, fill_value=0.0).ravel()
+        rows[1:c] = localization.sample_rows(points, transform).reshape(c - 1, -1)
+        labels = self._classify_rows(rows).reshape(image.shape)
         return ImageVolume(labels.astype(np.int16), image.spacing, image.origin)

@@ -20,7 +20,10 @@ is better. Regression is relative to the baseline value::
 
 Files absent from either side are skipped with a warning (a missing
 fresh record usually means the producing benchmark was not run), as are
-metrics whose baseline is non-positive (no meaningful relative band).
+metrics whose baseline is non-positive (no meaningful relative band) and
+the metrics of a block recorded at smoke size on one side and at full
+size on the other (its ``smoke`` flags differ): unlike records are not
+compared, so they are neither a regression nor a pass.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("rigid_registration.seconds", "lower"),
         ("surface_snap.iterations", "lower"),
         ("surface_snap.seconds", "lower"),
+        ("classification.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
     ],
@@ -79,21 +83,56 @@ class Delta:
         )
 
 
-def resolve(record: object, dotted: str) -> float:
-    """Fetch ``dotted`` out of a parsed JSON record.
+_MISSING = (KeyError, IndexError, TypeError, ValueError)
 
-    Path segments are dict keys or (possibly negative) list indices:
-    ``scans.-1.warm_seconds`` is the last scan's warm time.
-    """
+
+def _descend(record: object, parts: list[str]) -> object:
     node = record
-    for part in dotted.split("."):
+    for part in parts:
         if isinstance(node, list):
             node = node[int(part)]
         elif isinstance(node, dict):
             node = node[part]
         else:
             raise KeyError(f"cannot descend into {type(node).__name__} at {part!r}")
-    return float(node)
+    return node
+
+
+def resolve(record: object, dotted: str) -> float:
+    """Fetch ``dotted`` out of a parsed JSON record.
+
+    Path segments are dict keys or (possibly negative) list indices:
+    ``scans.-1.warm_seconds`` is the last scan's warm time.
+    """
+    return float(_descend(record, dotted.split(".")))
+
+
+def unlike_sizes(base: object, new: object, dotted: str) -> str | None:
+    """Why the blocks holding ``dotted`` are not comparable, if they are not.
+
+    A block that records its size class carries a ``smoke`` flag; a smoke
+    block against a full-size one is a different system, not a slower one.
+    The message names both sizes: the integer fields that differ.
+    """
+    parts = dotted.split(".")[:-1]
+    try:
+        base_block, new_block = _descend(base, parts), _descend(new, parts)
+        base_smoke, new_smoke = bool(base_block["smoke"]), bool(new_block["smoke"])
+    except _MISSING:
+        return None  # no flag on one side (or no block: the lookup says so)
+    if base_smoke == new_smoke:
+        return None
+    sizes = "; ".join(
+        f"{key} {value:,} vs {new_block[key]:,}"
+        for key, value in base_block.items()
+        if type(value) is int and type(new_block.get(key)) is int
+        and value != new_block[key]
+    )
+    kind = {True: "smoke", False: "full-size"}
+    return (
+        f"baseline is a {kind[base_smoke]} block, fresh is {kind[new_smoke]}"
+        + (f" ({sizes})" if sizes else "")
+    )
 
 
 def compare(file: str, base: dict, new: dict,
@@ -101,15 +140,25 @@ def compare(file: str, base: dict, new: dict,
     """Compare the hot-path metrics of one record pair."""
     deltas: list[Delta] = []
     warnings: list[str] = []
+    refused: set[str] = set()
     for dotted, direction in metrics:
+        block = dotted.rpartition(".")[0]
+        if block in refused:
+            continue
+        unlike = unlike_sizes(base, new, dotted)
+        if unlike is not None:
+            refused.add(block)
+            where = f"{file}:{block}" if block else file
+            warnings.append(f"{where}: {unlike} -- not compared")
+            continue
         try:
             base_value = resolve(base, dotted)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except _MISSING as exc:
             warnings.append(f"{file}:{dotted}: missing in baseline ({exc})")
             continue
         try:
             new_value = resolve(new, dotted)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except _MISSING as exc:
             warnings.append(f"{file}:{dotted}: missing in fresh record ({exc})")
             continue
         if base_value <= 0:

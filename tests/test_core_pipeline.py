@@ -354,3 +354,54 @@ class TestOneScanRunner:
         ]
         # The public entry and its one body; no batch or fail-fast twin.
         assert sorted(bodies) == ["_process_scan", "process_scan"]
+
+
+class TestClassificationStage:
+    SETTINGS = dict(
+        mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000, surface_iterations=50
+    )
+
+    def _two_scans(self, small_case, tracer=None):
+        second = make_neurosurgery_case(shape=(32, 32, 24), shift_mm=4.0, seed=44)
+        pipeline = IntraoperativePipeline(PipelineConfig(**self.SETTINGS), tracer=tracer)
+        session = SurgicalSession.begin(
+            pipeline, small_case.preop_mri, small_case.preop_labels
+        )
+        return [session.process(scan) for scan in (small_case.intraop_mri, second.intraop_mri)]
+
+    def test_session_equals_the_point_major_full_vote_classifier(
+        self, small_case, monkeypatch
+    ):
+        """Two scans with the former ``knn.py`` / ``atlas.py`` bodies overlaid:
+        the same labels, so the same fields to the last bit."""
+        from repro.segmentation.atlas import LocalizationModel
+        from repro.segmentation.knn import KNNClassifier
+        from tests.test_segmentation import (
+            _frozen_kargmin_predict,
+            _frozen_sample_at,
+            _frozen_segment,
+        )
+
+        results = self._two_scans(small_case)
+        monkeypatch.setattr(KNNClassifier, "predict", _frozen_kargmin_predict)
+        monkeypatch.setattr(KNNClassifier, "segment", _frozen_segment)
+        monkeypatch.setattr(LocalizationModel, "sample_at", _frozen_sample_at)
+        for result, former in zip(results, self._two_scans(small_case)):
+            assert np.array_equal(result.segmentation.data, former.segmentation.data)
+            assert result.field_shas() == former.field_shas()
+
+    def test_span_and_note_say_what_the_classifier_did(self, small_case):
+        tracer = Tracer()
+        results = self._two_scans(small_case, tracer)
+        spans = [s for s in tracer.finished() if s.name == "tissue classification"]
+        assert len(spans) == len(results) == 2
+        for span, result in zip(spans, results):
+            assert span.attrs["voxels"] == result.segmentation.data.size == 32 * 32 * 24
+            assert span.attrs["prototypes"] == len(result.prototypes)
+            assert span.attrs["k"] == 5
+            share = span.attrs["open_share"]
+            assert 0.0 < share < 0.2
+            assert (
+                f"k-NN: 24,576 voxels, {100.0 * share:.1f} % past the majority"
+                in result.timeline.notes
+            )

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.imaging.phantom import Tissue
+from repro.imaging.resample import trilinear_sample_many
 from repro.imaging.volume import ImageVolume
+from repro.registration.transform import RigidTransform
 from repro.segmentation.atlas import LocalizationModel
 from repro.segmentation.knn import KNNClassifier
 from repro.segmentation.prototypes import build_features, select_prototypes
@@ -300,3 +306,246 @@ class TestKNNTopK:
         assert clf.predict(np.array([[0.1]]))[0] == first
         # With k = 1 on the duplicates themselves the same rule decides alone.
         assert KNNClassifier(k=1).fit(P, y).predict(np.array([[3.2]]))[0] == first
+
+
+# -- frozen reference --------------------------------------------------------
+#
+# ``KNNClassifier.predict``'s block loop as it stood before rows were
+# decided at a majority: point-major standardization, the distance matrix
+# built in three roundings, k ``argmin`` passes and the vote on every row.
+# The same real distances rounded differently can swap two prototypes only
+# when they agree to ~1e-15 relative, which continuous random data does
+# not produce; exact duplicates tie exactly in both. ``_frozen_sample_at``
+# and ``_frozen_segment`` are the point-major feature path that fed it.
+
+
+def _frozen_kargmin_predict(clf: KNNClassifier, features: np.ndarray) -> np.ndarray:
+    X = np.asarray(features, dtype=float)
+    lead_shape = X.shape[:-1]
+    X = X.reshape(-1, X.shape[-1])
+    X = (X - clf._mean) / clf._scale
+    out = np.empty(len(X), dtype=np.intp)
+    train = clf._train
+    train_sq = np.sum(train * train, axis=1)
+    classes, class_of = np.unique(clf._labels, return_inverse=True)
+    k = min(clf.k, train.shape[0])
+    for start in range(0, len(X), clf.chunk):
+        block = X[start : start + clf.chunk]
+        d2 = (-2.0 * block) @ train.T
+        d2 += np.sum(block * block, axis=1)[:, None]
+        d2 += train_sq[None, :]
+        rows = np.arange(len(block))
+        votes = np.zeros((len(classes), len(block)), dtype=np.intp)
+        for nth in range(k):
+            pick = np.argmin(d2, axis=1)
+            if nth == 0:
+                nearest = pick
+            votes[class_of[pick], rows] += 1
+            d2[rows, pick] = np.inf
+        best = classes[np.argmax(votes, axis=0)]
+        tied = (votes == votes.max(axis=0)).sum(axis=0) > 1
+        if np.any(tied):
+            best[tied] = clf._labels[nearest[tied]]
+        out[start : start + clf.chunk] = best
+    return out.reshape(lead_shape)
+
+
+def _frozen_sample_at(model: LocalizationModel, points_world, transform=None) -> np.ndarray:
+    pts = np.asarray(points_world, dtype=float)
+    if transform is not None:
+        pts = transform.apply(pts)
+    samples = trilinear_sample_many(model.channels, pts, fill_values=model.cap_mm)
+    return np.stack(samples, axis=-1)
+
+
+def _frozen_segment(clf: KNNClassifier, image, localization, transform=None) -> ImageVolume:
+    feats = build_features(image, localization, image.voxel_centers(), transform=transform)
+    labels = _frozen_kargmin_predict(clf, feats)
+    return ImageVolume(labels.astype(np.int16), image.spacing, image.origin)
+
+
+@st.composite
+def knn_problems(draw):
+    """Prototypes, sparse class ids, queries, k and chunk from a drawn seed.
+
+    The values are continuous (no two distinct distances agree to
+    rounding); the structure is adversarial: duplicated prototypes of
+    other classes, queries sitting on prototypes (so a duplicated pair is
+    the nearest two, or straddles the k-th place), a zero-variance
+    feature, even k, k above the prototype count allowed by ``fit``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**30)))
+    n_classes = draw(st.integers(1, 30))
+    n_distinct = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 8))
+    P = rng.normal(size=(n_distinct, n_features)) * rng.uniform(0.1, 20.0, n_features)
+    class_index = rng.integers(0, n_classes, n_distinct)
+    dup = rng.choice(n_distinct, draw(st.integers(0, n_distinct)), replace=False)
+    P = np.concatenate([P, P[dup]])
+    class_index = np.concatenate([class_index, (class_index[dup] + 1) % n_classes])
+    if draw(st.booleans()):
+        P[:, rng.integers(n_features)] = 3.25  # a zero-variance feature
+    n_queries = draw(st.integers(2, 120))
+    X = rng.normal(size=(n_queries, n_features)) * 20.0
+    on = rng.random(n_queries) < 0.5
+    X[on] = P[rng.integers(0, len(P), on.sum())] + 1e-3 * rng.normal(size=(on.sum(), n_features))
+    k = draw(st.integers(1, min(9, len(P))))
+    chunk = draw(st.sampled_from([1, 7, KNNClassifier().chunk, n_queries]))
+    return P, class_index * 7 - 11, X, k, chunk
+
+
+class TestKNNDecidesAtAMajority:
+    @settings(max_examples=150, deadline=None)
+    @given(knn_problems())
+    def test_equals_frozen_kargmin_predict(self, problem):
+        P, y, X, k, chunk = problem
+        clf = KNNClassifier(k=k, chunk=chunk).fit(P, y)
+        # The oracle runs as one block: in a one-row block its product went
+        # through BLAS's matrix-vector kernel, which gives equal columns
+        # unequal sums, so there its own lowest-index rule did not hold.
+        oracle = KNNClassifier(k=k, chunk=len(X)).fit(P, y)
+        assert np.array_equal(clf.predict(X), _frozen_kargmin_predict(oracle, X))
+        assert 0.0 <= clf.open_share <= 1.0
+
+    def test_a_one_row_block_ties_exactly_too(self, rng):
+        """Duplicated prototypes, queries on them, k = 1: the lower index wins
+        whether the row is classified alone or in a block."""
+        for _ in range(50):
+            n, c = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+            P = rng.normal(size=(n, c))
+            P = np.concatenate([P, P])
+            y = np.arange(2 * n)
+            X = P[:n] + 1e-3 * rng.normal(size=(n, c))
+            alone = KNNClassifier(k=1, chunk=1).fit(P, y).predict(X)
+            assert np.array_equal(alone, KNNClassifier(k=1, chunk=n).fit(P, y).predict(X))
+            assert alone.max() < n
+
+    def test_ties_at_the_nearest_and_at_the_kth_place_reach_both_bodies(self, rng):
+        """The differential above is only as good as its cases: on this draw a
+        duplicated pair of different classes is the nearest two for some rows
+        and straddles the k-th place for others, and the labels still agree."""
+        P = rng.normal(size=(12, 3))
+        P = np.concatenate([P, P[:6]])
+        y = np.concatenate([np.arange(12) // 4, (np.arange(6) // 4 + 1) % 3])
+        X = np.concatenate([P[:6] + 1e-3 * rng.normal(size=(6, 3)), rng.normal(size=(400, 3))])
+        clf = KNNClassifier(k=5).fit(P, y)
+        Q = (X - clf._mean) / clf._scale
+        d2 = ((Q[:, None, :] - clf._train[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        ranked = np.take_along_axis(d2, order, axis=1)
+        assert (ranked[:, 0] == ranked[:, 1]).any()
+        assert (ranked[:, 4] == ranked[:, 5]).any()
+        assert np.array_equal(clf.predict(X), _frozen_kargmin_predict(clf, X))
+        assert 0.0 < clf.open_share < 1.0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_agreeing_first_picks_decide_for_every_continuation(self, k):
+        """The counting argument, enumerated: once the ``k // 2 + 1`` nearest
+        agree, no choice of the remaining neighbours' classes changes the
+        vote's winner or ties it."""
+        need = k // 2 + 1
+        n_classes = 4
+        for decided in range(n_classes):
+            for rest in itertools.product(range(n_classes), repeat=k - need):
+                votes = np.bincount([decided] * need + list(rest), minlength=n_classes)
+                assert votes.argmax() == decided
+                assert (votes == votes.max()).sum() == 1
+        # ... and with one agreeing pick fewer, some continuation overturns it.
+        overturned = [
+            rest
+            for rest in itertools.product(range(n_classes), repeat=k - need + 1)
+            if np.bincount([0] * (need - 1) + list(rest), minlength=n_classes)[1:].max()
+            >= need - 1
+        ]
+        assert overturned
+
+    def test_open_share_counts_the_rows_past_the_majority(self):
+        # Around x = 0 (k = 3, need = 2): classes 1, 1 decide at once. Around
+        # x = 10: classes 1, 2 disagree, the third pick (class 2) settles it.
+        P = np.array([[0.0], [0.2], [9.9], [10.2], [10.4], [50.0]])
+        y = np.array([1, 1, 1, 2, 2, 3])
+        clf = KNNClassifier(k=3).fit(P, y)
+        assert clf.predict(np.array([[0.1], [10.0], [0.05], [0.15]])).tolist() == [1, 2, 1, 1]
+        assert clf.open_share == 0.25
+
+
+def _anisotropic_case():
+    """A small scan on a grid unlike the model's, and a rigid map between them."""
+    from repro.imaging.phantom import make_neurosurgery_case
+
+    case = make_neurosurgery_case(shape=(20, 18, 12), shift_mm=3.0, seed=5)
+    rng = np.random.default_rng(8)
+    extent = np.asarray(case.preop_mri.physical_extent)
+    scan = ImageVolume(
+        rng.random((15, 13, 11)) * 200.0, tuple(extent / (15, 13, 11) * 0.9), (2.0, -1.0, 3.0)
+    )
+    transform = RigidTransform((1.5, -2.0, 0.7), (0.03, -0.02, 0.04), tuple(extent / 2))
+    return case, scan, transform
+
+
+class TestSegmentFeedsRows:
+    @pytest.mark.parametrize("classes", [CLASSES, CLASSES + (99,)], ids=["present", "absent"])
+    @pytest.mark.parametrize("through", ["identity", "rigid"])
+    def test_segment_equals_predict_of_build_features(
+        self, small_case_module, classes, through
+    ):
+        case = small_case_module
+        loc = LocalizationModel.from_labels(case.preop_labels, classes, cap_mm=12.0)
+        transform = None if through == "identity" else RigidTransform(
+            (1.0, -0.5, 0.8), (0.02, 0.01, -0.03), (50.0, 50.0, 40.0)
+        )
+        protos = select_prototypes(
+            case.intraop_mri, case.preop_labels, loc, per_class=15, transform=transform, seed=3
+        )
+        clf = KNNClassifier(k=5).fit_prototypes(protos)
+        seg = clf.segment(case.intraop_mri, loc, transform)
+        feats = build_features(case.intraop_mri, loc, case.intraop_mri.voxel_centers(), transform)
+        assert np.array_equal(seg.data, clf.predict(feats))
+        assert np.array_equal(seg.data, _frozen_segment(clf, case.intraop_mri, loc, transform).data)
+        assert seg.data.dtype == np.int16 and seg.shape == case.intraop_mri.shape
+        assert seg.spacing == case.intraop_mri.spacing and seg.origin == case.intraop_mri.origin
+
+    def test_anisotropic_scan_grid_through_a_rigid_map(self):
+        case, scan, transform = _anisotropic_case()
+        loc = LocalizationModel.from_labels(case.preop_labels, CLASSES, cap_mm=10.0)
+        points = scan.voxel_centers().reshape(-1, 3)[::9]
+        feats = build_features(scan, loc, points, transform)
+        clf = KNNClassifier(k=4, chunk=100).fit(feats, np.arange(len(feats)) % 5 * 2)
+        seg = clf.segment(scan, loc, transform)
+        assert len(np.unique(seg.data)) > 1
+        assert np.array_equal(
+            seg.data, clf.predict(build_features(scan, loc, scan.voxel_centers(), transform))
+        )
+        assert np.array_equal(seg.data, _frozen_segment(clf, scan, loc, transform).data)
+
+    def test_refuses_before_sampling_anything(self, small_case_module, localization, monkeypatch):
+        """An unfitted classifier, or a model whose channel count is not the
+        fitted one, raises before a single voxel is gathered."""
+        case = small_case_module
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(LocalizationModel, "sample_rows", sampled)
+        monkeypatch.setattr("repro.segmentation.knn.trilinear_sample", sampled)
+        with pytest.raises(ValidationError):
+            KNNClassifier().segment(case.intraop_mri, localization)
+        clf = KNNClassifier(k=1).fit(np.eye(4), np.arange(4))  # 4 != 1 + 6 channels
+        with pytest.raises(ShapeError):
+            clf.segment(case.intraop_mri, localization)
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("through", ["identity", "rigid"])
+    def test_sample_at_unchanged_and_rows_are_its_transpose(self, localization, through, rng):
+        transform = None if through == "identity" else RigidTransform(
+            (2.0, -1.0, 0.5), (0.05, -0.02, 0.01), (50.0, 50.0, 40.0)
+        )
+        points = rng.uniform(-20.0, 140.0, size=(6, 50, 3))  # some outside the model
+        got = localization.sample_at(points, transform)
+        assert got.shape == (6, 50, len(CLASSES))
+        assert np.array_equal(got, _frozen_sample_at(localization, points, transform))
+        rows = localization.sample_rows(points, transform)
+        assert rows.shape == (len(CLASSES), 6, 50)
+        assert np.array_equal(np.moveaxis(rows, 0, -1), got)
+        assert (got == localization.cap_mm).any() and (got < localization.cap_mm).any()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.benchdiff import HOT_PATHS, run_diff
+from repro.tools.benchdiff import HOT_PATHS, compare, run_diff
 
 NAME = "BENCH_hotpath.json"
 BASELINE = Path(__file__).parents[1] / "benchmarks" / "baselines" / NAME
@@ -62,6 +62,16 @@ class TestHotpathGate:
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_classification_seconds_are_gated(self, tmp_path):
+        """The k-NN stage drifting back to the full vote on every row (+80 %) fails."""
+        assert dict(HOT_PATHS[NAME])["classification.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        assert base["classification"]["voxels"] == 48000
+        fresh = copy.deepcopy(base)
+        fresh["classification"]["seconds"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_default_tolerance_solve_iterations_and_seconds_are_gated(self, tmp_path):
         """A production solve drifting back towards 1e-7 (+50 % iterations) fails."""
         paths = dict(HOT_PATHS[NAME])
@@ -74,6 +84,42 @@ class TestHotpathGate:
             fresh["pipeline_solve"][key] *= 1.3
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
+    def test_a_smoke_block_is_not_compared_with_a_full_size_one(self, tmp_path, capsys):
+        """Flags differ: a warning naming both sizes, neither regression nor
+        pass (the baseline's 4,046-node smoke mesh against the 25,750-node
+        one read +494 %). Flags equal: the same +30 % fails."""
+        base = json.loads(BASELINE.read_text())
+        assert base["mesh_generation"]["smoke"] is True
+        fresh = copy.deepcopy(base)
+        fresh["mesh_generation"].update(smoke=False, n_nodes=25750)
+        fresh["mesh_generation"]["seconds"] *= 5.9
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "[warn] BENCH_hotpath.json:mesh_generation: baseline is a smoke block, "
+            "fresh is full-size (n_nodes 4,046 vs 25,750) -- not compared"
+        ) in out
+        assert "mesh_generation.seconds" not in out
+        assert "mesh_generation.peak_bytes_allocated" not in out
+        gated = len(HOT_PATHS[NAME])
+        assert f"benchdiff: {gated - 2} metric(s) compared, 0 regression(s)" in out
+
+        fresh = copy.deepcopy(base)
+        fresh["mesh_generation"]["seconds"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
+    def test_a_refused_pair_yields_no_delta(self):
+        """Neither a regression nor a pass: no ``Delta`` to count, one warning."""
+        block = {"smoke": True, "n_nodes": 10, "seconds": 1.0}
+        deltas, warnings = compare(
+            NAME, {"mesh_generation": block},
+            {"mesh_generation": {**block, "smoke": False}},
+            [("mesh_generation.seconds", "lower")],
+        )
+        assert deltas == [] and len(warnings) == 1
 
     def test_unchanged_record_passes(self, gate):
         assert gate({}) == 0
