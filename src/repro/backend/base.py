@@ -35,22 +35,6 @@ class BlockApply(abc.ABC):
     def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write ``out[a:b] = solve(block_k, r[a:b])`` for every block."""
 
-    def many(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Apply the block solves to every column of ``(n, m)`` ``R``.
-
-        The default loops the columns through :meth:`__call__` with a
-        contiguous scratch vector, so each output column is bit-identical
-        to a single-vector application — the contract the batched solvers
-        rely on. Backends may override with a genuinely blocked
-        implementation as long as per-column bit-identity is preserved.
-        """
-        n = R.shape[0]
-        scratch = np.empty(n)
-        for c in range(R.shape[1]):
-            self(np.ascontiguousarray(R[:, c]), scratch)
-            out[:, c] = scratch
-        return out
-
 
 class ComputeBackend(abc.ABC):
     """Abstract kernel surface shared by all compute backends.
@@ -129,22 +113,6 @@ class ComputeBackend(abc.ABC):
         Writes into ``out`` when given (a contiguous view is fine) and
         returns the result either way.
         """
-
-    def csr_matmat(self, matrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``Y = A @ X`` for a scipy CSR matrix and dense ``(n, m)`` ``X``.
-
-        Every output column must be bit-identical to
-        ``csr_matvec(matrix, X[:, c])`` — scipy's CSR·dense product
-        accumulates each column over a row's nonzeros in the same order
-        as its matvec, so the default below satisfies the contract; a
-        backend overriding this must preserve it (the batched Krylov
-        solvers depend on it for serial/batched bit-agreement).
-        """
-        Y = matrix @ X
-        if out is not None:
-            out[:] = Y
-            return out
-        return np.asarray(Y)
 
     # -- image kernels -----------------------------------------------------
 

@@ -145,26 +145,6 @@ def _csr_matvec(data, indices, indptr, x, out):
 
 
 @njit(parallel=True, cache=True)
-def _csr_matmat(data, indices, indptr, X, out):
-    """Multi-vector CSR product, prange over rows.
-
-    Each output column accumulates over a row's nonzeros in the exact
-    order of ``_csr_matvec`` (scalar accumulator, ascending ``jj``), so
-    column ``c`` is bit-identical to ``_csr_matvec(..., X[:, c], ...)``
-    — the contract the batched Krylov solvers rely on.
-    """
-    n_rows = out.shape[0]
-    n_vec = X.shape[1]
-    for i in prange(n_rows):
-        for c in range(n_vec):
-            s = 0.0
-            for jj in range(indptr[i], indptr[i + 1]):
-                s += data[jj] * X[indices[jj], c]
-            out[i, c] = s
-    return out
-
-
-@njit(parallel=True, cache=True)
 def _block_lu_apply(row_off, ldata, lind, lptr, udata, uind, uptr, pr, pc, r, out):
     """Per-block LU application: prange over blocks, triangular solves inside.
 
@@ -402,21 +382,6 @@ class NumbaBackend(ComputeBackend):
         except Exception as exc:
             return self._fallback("csr_matvec", exc).csr_matvec(matrix, x, out)
 
-    def csr_matmat(self, matrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if "csr_matmat" in self._degraded:
-            return self._reference.csr_matmat(matrix, X, out)
-        target = out if out is not None else np.empty((matrix.shape[0], X.shape[1]))
-        try:
-            return _csr_matmat(
-                matrix.data,
-                matrix.indices,
-                matrix.indptr,
-                _c64(X),
-                target,
-            )
-        except Exception as exc:
-            return self._fallback("csr_matmat", exc).csr_matmat(matrix, X, out)
-
     def prepare_block_apply(self, ranges, factors) -> BlockApply:
         if "block_apply" in self._degraded:
             return self._reference.prepare_block_apply(ranges, factors)
@@ -470,9 +435,5 @@ class NumbaBackend(ComputeBackend):
         x = rng.normal(size=60)
         worst = max(worst, float(np.max(np.abs(
             self.csr_matvec(A, x) - ref.csr_matvec(A, x)
-        ))))
-        X = rng.normal(size=(60, 4))
-        worst = max(worst, float(np.max(np.abs(
-            self.csr_matmat(A, X) - ref.csr_matmat(A, X)
         ))))
         return worst

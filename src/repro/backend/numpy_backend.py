@@ -29,15 +29,6 @@ class ScipyBlockApply(BlockApply):
             out[a:b] = factor.solve(r[a:b])
         return out
 
-    def many(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # SuperLU handles a 2-D right-hand side by solving the columns
-        # independently (one triangular sweep each), so each output
-        # column is bit-identical to a single-vector solve — verified by
-        # tests/test_backend.py — while streaming the factors once.
-        for (a, b), factor in zip(self.ranges, self.factors):
-            out[a:b, :] = factor.solve(R[a:b, :])
-        return out
-
 
 class NumpyBackend(ComputeBackend):
     """Vectorized numpy kernels — the reference semantics."""
@@ -84,13 +75,6 @@ class NumpyBackend(ComputeBackend):
             out[:] = y
             return out
         return np.asarray(y)
-
-    def csr_matmat(self, matrix, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        Y = matrix @ X
-        if out is not None:
-            out[:] = Y
-            return out
-        return np.asarray(Y)
 
     def prepare_block_apply(self, ranges, factors) -> BlockApply:
         return ScipyBlockApply(ranges, factors)

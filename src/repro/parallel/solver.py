@@ -1,11 +1,12 @@
 """Distributed GMRES with block-Jacobi preconditioning.
 
 The virtual-parallel counterpart of :mod:`repro.solver.gmres`: the same
-Arnoldi/Givens loop (:func:`repro.solver.gmres.gmres_requests`), but
-every operation is decomposed by rank and reported to the telemetry —
-local matvec flops, halo bytes, per-block LU factorization and
-triangular solves, partial dot products and the scalar allreduces that
-synchronize them. Orthogonalization (:class:`RankReduction`) is
+Arnoldi/Givens loop (:func:`repro.solver.gmres.gmres_loop`), called with
+a row-block matvec, a telemetered preconditioner and a per-rank
+reduction, so every operation is decomposed by rank and reported to the
+telemetry — local matvec flops, halo bytes, per-block LU factorization
+and triangular solves, partial dot products and the scalar allreduces
+that synchronize them. Orthogonalization (:class:`RankReduction`) is
 classical Gram-Schmidt with one refinement pass (CGS2): two fused
 reductions per iteration, the strategy parallel GMRES implementations
 (including PETSc's) use to avoid one allreduce per inner product.
@@ -30,8 +31,7 @@ from repro.solver.gmres import (
     DEFAULT_SOLVER_TOL,
     GMRESResult,
     convergence_attrs,
-    gmres_requests,
-    run_requests,
+    gmres_loop,
 )
 from repro.solver.preconditioner import incomplete_factor
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
@@ -213,13 +213,6 @@ class RankReduction:
         return w
 
 
-class _NoPreconditioner:
-    """``preconditioner=None``: answer every application with a copy."""
-
-    def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
-        return r.copy()
-
-
 def distributed_gmres(
     matrix: RowBlockMatrix,
     b: np.ndarray,
@@ -243,7 +236,6 @@ def distributed_gmres(
     with one ``restart`` event per cycle, plus a ``preconditioner
     applications`` count attribute.
     """
-    M = preconditioner if preconditioner is not None else _NoPreconditioner()
     applications = 0
     with get_tracer().span(
         "gmres", kind="solver", distributed=True, tol=tol, restart=restart
@@ -256,15 +248,14 @@ def distributed_gmres(
             nonlocal applications
             applications += 1
             span.set(preconditioner_applications=applications)
-            return M.solve(r, telemetry)
+            if preconditioner is None:
+                return r.copy()
+            return preconditioner.solve(r, telemetry)
 
-        result = run_requests(
-            gmres_requests(
-                matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
-                RankReduction(matrix.ranges, telemetry), span, "distributed_gmres",
-            ),
-            lambda v: matrix.matvec(v, telemetry),
-            precond,
+        result = gmres_loop(
+            matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
+            lambda v: matrix.matvec(v, telemetry), precond,
+            RankReduction(matrix.ranges, telemetry), span, "distributed_gmres",
         )
         span.set(**convergence_attrs(result, tol))
         return result

@@ -8,7 +8,6 @@ cross-check, against a minimal operator interface that both serial CSR
 matrices and the distributed row-block operators satisfy.
 """
 
-from repro.solver.block import block_conjugate_gradient, block_gmres
 from repro.solver.cg import conjugate_gradient
 from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
 from repro.solver.operator import AsOperator, LinearOperator, MatrixOperator
@@ -30,8 +29,6 @@ __all__ = [
     "LinearOperator",
     "MatrixOperator",
     "RestrictedAdditiveSchwarz",
-    "block_conjugate_gradient",
-    "block_gmres",
     "conjugate_gradient",
     "contiguous_block_ranges",
     "gmres",

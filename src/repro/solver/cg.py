@@ -2,7 +2,9 @@
 
 The reduced elasticity system is symmetric positive definite, so CG is a
 natural cross-check (and ablation comparator) for the paper's GMRES
-choice.
+choice. The recurrence is written once, as the plain function
+:func:`cg_loop`, which calls the ``matvec`` and ``precond`` callables it
+is handed — the same shape as :func:`repro.solver.gmres.gmres_loop`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult, checked_system, run_requests
+from repro.solver.gmres import GMRESResult, checked_system, convergence_attrs
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
 from repro.util import ConvergenceError
@@ -38,17 +40,17 @@ def conjugate_gradient(
     A zero right-hand side short-circuits exactly like
     :func:`repro.solver.gmres`: ``x0`` is shape-validated but the
     returned solution is the zero vector with ``history == [0.0]``.
+
+    When the ambient :class:`repro.obs.Tracer` is enabled, the solve is
+    wrapped in a ``cg`` span carrying the same convergence attributes as
+    a ``gmres`` span (:func:`repro.solver.gmres.convergence_attrs`).
     """
     tracer = get_tracer()
     if not tracer.enabled:
         return _cg(operator, b, x0, preconditioner, tol, max_iter, raise_on_fail)
     with tracer.span("cg", kind="solver", tol=tol) as span:
         result = _cg(operator, b, x0, preconditioner, tol, max_iter, raise_on_fail)
-        span.set(
-            iterations=result.iterations,
-            residual=result.residual_norm,
-            converged=result.converged,
-        )
+        span.set(**convergence_attrs(result, tol))
         return result
 
 
@@ -64,25 +66,24 @@ def _cg(
     A = AsOperator(operator)
     n = A.shape[0]
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
-    return run_requests(
-        cg_requests(n, b, x0, tol, max_iter, raise_on_fail, "cg"), A.matvec, M.solve
-    )
+    return cg_loop(n, b, x0, tol, max_iter, raise_on_fail, A.matvec, M.solve, "cg")
 
 
-def cg_requests(
+def cg_loop(
     n: int,
     b: np.ndarray,
     x0: np.ndarray | None,
     tol: float,
     max_iter: int,
     raise_on_fail: bool,
+    matvec,
+    precond,
     solver: str,
-):
-    """The preconditioned CG recurrence, as a request coroutine.
+) -> GMRESResult:
+    """The preconditioned CG recurrence.
 
-    Same protocol as :func:`repro.solver.gmres.gmres_requests`: yields
-    ``("matvec", v)`` / ``("precond", r)``, returns the result record;
-    ``solver`` labels a :class:`ConvergenceError`.
+    ``matvec(v)`` returns ``A v`` and ``precond(r)`` returns
+    ``M^{-1} r``; ``solver`` labels a :class:`ConvergenceError`.
     """
     b, x = checked_system(n, b, x0, tol)
 
@@ -91,16 +92,15 @@ def cg_requests(
         # Zero RHS: exact solution is zero regardless of the (already
         # shape-validated) x0 — same contract as repro.solver.gmres.
         return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    Ax = yield ("matvec", x)
-    r = b - Ax
-    z = yield ("precond", r)
+    r = b - matvec(x)
+    z = precond(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     target = tol * b_norm
     history = [float(np.linalg.norm(r))]
 
     for it in range(1, max_iter + 1):
-        Ap = yield ("matvec", p)
+        Ap = matvec(p)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0:
             raise ConvergenceError(
@@ -116,7 +116,7 @@ def cg_requests(
         history.append(rn)
         if rn <= target:
             return GMRESResult(x, True, it, 0, rn, history, b_norm)
-        z = yield ("precond", r)
+        z = precond(r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new

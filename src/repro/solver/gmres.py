@@ -2,14 +2,13 @@
 
 Arnoldi, Givens-rotation updates of the Hessenberg least-squares
 problem, left preconditioning, and restarts — the solver configuration
-the paper runs through PETSc. The loop is written once, as the request
-coroutine :func:`gmres_requests`: it yields its matvec and
-preconditioner applications to a driver and delegates norms and
-orthogonalisation to a *reduction*. Serial :func:`gmres` is that loop
-under :func:`run_requests` with :class:`SerialReduction` (modified
-Gram-Schmidt); :func:`repro.solver.block_gmres` is the same loop under
-the multi-column driver and :func:`repro.parallel.distributed_gmres`
-under the per-rank reduction.
+the paper runs through PETSc. The loop is written once, as the plain
+function :func:`gmres_loop`: it calls the ``matvec`` and ``precond``
+callables it is handed and delegates norms and orthogonalisation to a
+*reduction*. Serial :func:`gmres` is that loop with
+:class:`SerialReduction` (modified Gram-Schmidt);
+:func:`repro.parallel.distributed_gmres` is the same loop with the
+per-rank reduction.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.util import ConvergenceError, ShapeError, ValidationError
 #: benchmark system and 1.4 um at paper size (77 k equations, 16 ranks),
 #: against 0.9-3 mm voxels; ``1e-7`` buys 0.004 um for half as many
 #: iterations again. The generic library entry points (:func:`gmres`,
-#: ``conjugate_gradient``, ``block_*``) keep their own ``1e-8``.
+#: ``conjugate_gradient``) keep their own ``1e-8``.
 DEFAULT_SOLVER_TOL = 1e-5
 
 
@@ -134,7 +133,7 @@ def gmres(
 
 
 def convergence_attrs(result: GMRESResult, tol: float) -> dict:
-    """What a finished ``gmres`` span says about its solve, serial or distributed.
+    """What a finished ``gmres`` or ``cg`` span says about its solve.
 
     ``target`` is the absolute residual the run had to reach and
     ``residual_history`` the whole curve (:attr:`GMRESResult.history`, a
@@ -165,30 +164,10 @@ def _gmres(
     A = AsOperator(operator)
     n = A.shape[0]
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
-    return run_requests(
-        gmres_requests(
-            n, b, x0, tol, restart, max_iter, raise_on_fail,
-            SerialReduction(), span, "gmres",
-        ),
-        A.matvec,
-        M.solve,
+    return gmres_loop(
+        n, b, x0, tol, restart, max_iter, raise_on_fail,
+        A.matvec, M.solve, SerialReduction(), span, "gmres",
     )
-
-
-def run_requests(requests, matvec, precond):
-    """Drive one request coroutine, handing kernel outputs straight back.
-
-    The single-column driver of :func:`gmres_requests` /
-    :func:`repro.solver.cg.cg_requests`; the multi-column one is
-    :func:`repro.solver.block.run_request_columns`.
-    """
-    kernels = {"matvec": matvec, "precond": precond}
-    try:
-        op, vector = next(requests)
-        while True:
-            op, vector = requests.send(kernels[op](vector))
-    except StopIteration as stop:
-        return stop.value
 
 
 def checked_system(n: int, b, x0, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +214,7 @@ class SerialReduction:
         """Charge ``n_vectors`` axpy/scale passes (free in one address space)."""
 
 
-def gmres_requests(
+def gmres_loop(
     n: int,
     b: np.ndarray,
     x0: np.ndarray | None,
@@ -243,28 +222,27 @@ def gmres_requests(
     restart: int,
     max_iter: int,
     raise_on_fail: bool,
+    matvec,
+    precond,
     reduction,
     span,
     solver: str,
-):
-    """The restarted Arnoldi/Givens loop, as a request coroutine.
+) -> GMRESResult:
+    """The restarted Arnoldi/Givens loop.
 
-    Yields ``("matvec", v)`` and ``("precond", r)`` and expects the
-    driver to send back ``A v`` and ``M^{-1} r``; returns the
-    :class:`GMRESResult`. Every GMRES entry point of the package is this
-    loop under a driver (:func:`run_requests` for one right-hand side,
-    :func:`repro.solver.block.run_request_columns` for several) and a
-    ``reduction`` that norms and orthogonalises (:class:`SerialReduction`
-    or :class:`repro.parallel.solver.RankReduction`). ``span`` receives
-    one ``restart`` event per cycle; ``solver`` labels a
+    ``matvec(v)`` returns ``A v`` and ``precond(r)`` returns
+    ``M^{-1} r``. Every GMRES entry point of the package is this loop
+    with a ``reduction`` that norms and orthogonalises
+    (:class:`SerialReduction` or
+    :class:`repro.parallel.solver.RankReduction`). ``span`` receives one
+    ``restart`` event per cycle; ``solver`` labels a
     :class:`ConvergenceError`.
     """
     if restart < 1:
         raise ValidationError(f"restart must be >= 1, got {restart}")
     b, x = checked_system(n, b, x0, tol)
 
-    b_pre = yield ("precond", b)
-    b_pre_norm = reduction.norm(b_pre)
+    b_pre_norm = reduction.norm(precond(b))
     if b_pre_norm == 0.0:
         # Zero RHS: the exact solution is zero whatever x0 was (x0 has
         # already been shape-validated above). Return a fresh zero
@@ -289,8 +267,7 @@ def gmres_requests(
 
     while total_iters < max_iter:
         restarts += 1
-        Ax = yield ("matvec", x)
-        r = yield ("precond", b - Ax)
+        r = precond(b - matvec(x))
         reduction.axpy_cost()  # b - Ax
         beta = reduction.norm(r)
         history.append(beta)
@@ -305,9 +282,7 @@ def gmres_requests(
         breakdown = False
 
         for k in range(m):
-            Av = yield ("matvec", V[k])
-            w = yield ("precond", Av)
-            w = reduction.orthogonalize(V, H, k, w)
+            w = reduction.orthogonalize(V, H, k, precond(matvec(V[k])))
             h_next = reduction.norm(w)
             H[k + 1, k] = h_next
             if h_next > 1e-14 * beta:
@@ -356,9 +331,7 @@ def gmres_requests(
             # The Givens estimate is unreliable after a breakdown; check
             # the true residual and stop (restarting cannot improve a
             # stagnated singular system).
-            Ax = yield ("matvec", x)
-            r = yield ("precond", b - Ax)
-            final = reduction.norm(r)
+            final = reduction.norm(precond(b - matvec(x)))
             history.append(final)
             if raise_on_fail and final > target:
                 raise ConvergenceError(
@@ -377,9 +350,7 @@ def gmres_requests(
         if final <= target:
             return GMRESResult(x, True, total_iters, restarts, final, history, b_pre_norm)
 
-    Ax = yield ("matvec", x)
-    r = yield ("precond", b - Ax)
-    final = reduction.norm(r)
+    final = reduction.norm(precond(b - matvec(x)))
     if raise_on_fail:
         raise ConvergenceError(
             f"GMRES failed to reach tol={tol} in {total_iters} iterations "

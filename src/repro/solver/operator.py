@@ -44,10 +44,6 @@ class MatrixOperator:
     def shape(self) -> tuple[int, int]:
         return self._matrix.shape
 
-    @property
-    def matrix(self):
-        return self._matrix
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._is_csr:
             return get_backend().csr_matvec(

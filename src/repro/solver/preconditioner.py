@@ -65,9 +65,6 @@ class IdentityPreconditioner:
     def solve(self, r: np.ndarray) -> np.ndarray:
         return np.asarray(r, dtype=float).copy()
 
-    def solve_many(self, R: np.ndarray) -> np.ndarray:
-        return np.asarray(R, dtype=float).copy()
-
 
 class JacobiPreconditioner:
     """Point Jacobi: divide by the matrix diagonal."""
@@ -81,10 +78,6 @@ class JacobiPreconditioner:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return r * self._inv_diag
-
-    def solve_many(self, R: np.ndarray) -> np.ndarray:
-        # Elementwise, so each column is trivially bit-identical to solve.
-        return R * self._inv_diag[:, None]
 
 
 class BlockJacobiPreconditioner:
@@ -133,13 +126,3 @@ class BlockJacobiPreconditioner:
     def solve(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return self._apply(r, self._out)
-
-    def solve_many(self, R: np.ndarray) -> np.ndarray:
-        """Batched application: the factors stream once for all columns.
-
-        Each output column is bit-identical to :meth:`solve` of that
-        column (the :class:`repro.backend.BlockApply.many` contract).
-        """
-        R = np.asarray(R, dtype=float)
-        out = np.empty_like(R)
-        return self._apply.many(R, out)

@@ -1,13 +1,11 @@
 """The one Krylov core against the two arithmetics it replaced.
 
-``repro.solver.gmres.gmres_requests`` is the only Arnoldi/Givens loop in
-the package; every GMRES entry point is that coroutine under a driver
-and a reduction. The oracle here is the code it replaced: frozen copies
-of the two *distinct* seed bodies — serial modified Gram-Schmidt
-(``seed_gmres``) and per-rank CGS2 with telemetry charges
-(``seed_distributed_gmres``). The two block bodies were replicas of
-these with driver requests in place of kernel calls, so a block column
-is compared against the same two references.
+``repro.solver.gmres.gmres_loop`` is the only Arnoldi/Givens loop in
+the package; every GMRES entry point is that function with a matvec, a
+preconditioner and a reduction. The oracle here is the code it
+replaced: frozen copies of the two *distinct* seed bodies — serial
+modified Gram-Schmidt (``seed_gmres``) and per-rank CGS2 with telemetry
+charges (``seed_distributed_gmres``).
 
 Every comparison is ``==``: solution bytes, residual history,
 iteration/restart counts, and (distributed) every telemetry total.
@@ -37,8 +35,6 @@ from repro.parallel.solver import (
 from repro.solver import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
-    block_conjugate_gradient,
-    block_gmres,
     conjugate_gradient,
     contiguous_block_ranges,
     gmres,
@@ -412,8 +408,6 @@ def outcome(call):
         r = call()
     except ConvergenceError as exc:
         return ("raised", exc.iterations, exc.residual)
-    if isinstance(r, ConvergenceError):  # an isolated block column
-        return ("raised", r.iterations, r.residual)
     assert isinstance(r, GMRESResult)
     return ("solved", r.x.tobytes(), r.history, r.iterations, r.restarts,
             r.converged, r.residual_norm)
@@ -472,8 +466,6 @@ class TestSerialCoreMatchesSeed:
             outcome(lambda c=c: gmres(A, B[:, c], x0s[c], M, *args)) for c in range(2)
         ]
         assert single == expected
-        columns = block_gmres(A, B, x0s, M, *args, isolate_errors=True)
-        assert [outcome(lambda r=r: r) for r in columns] == expected
 
 
 class TestDistributedCoreMatchesSeed:
@@ -528,26 +520,20 @@ def _row_blocks(A, n_ranks=3):
     )
 
 
-#: The five Krylov entry points behind one calling convention. ``restart``
-#: is ignored by the CG pair.
+#: The three Krylov entry points behind one calling convention. ``restart``
+#: is ignored by CG.
 ENTRY_POINTS = {
     "gmres": lambda A, b, x0, **kw: gmres(A, b, x0, **kw),
-    "block_gmres": lambda A, b, x0, **kw: block_gmres(
-        A, np.asarray(b)[:, None], [x0], **kw
-    )[0],
     "distributed_gmres": lambda A, b, x0, **kw: distributed_gmres(
         _row_blocks(A), b, None, x0, **kw
     ),
     "cg": lambda A, b, x0, restart=None, **kw: conjugate_gradient(A, b, x0, **kw),
-    "block_cg": lambda A, b, x0, restart=None, **kw: block_conjugate_gradient(
-        A, np.asarray(b)[:, None], [x0], **kw
-    )[0],
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 class TestEveryEntryPointValidatesAlike:
-    """One validation, five doors (``distributed_gmres`` used to accept ``tol <= 0``)."""
+    """One validation, three doors (``distributed_gmres`` used to accept ``tol <= 0``)."""
 
     def test_b_shape(self, entry):
         A, b = _spd_system()
@@ -644,18 +630,15 @@ class TestSpans:
             == 1 + result.iterations + len(seed_span.events)
         )
 
-    def test_block_spans_summarise_their_columns(self):
+    def test_cg_span_carries_its_convergence_curve(self):
         A, b = _spd_system(n=40)
-        B = np.stack([b, 2.0 * b[::-1]], axis=1)
-        for solve, name in (
-            (lambda: block_gmres(A, B, tol=1e-10, restart=4), "block_gmres"),
-            (lambda: block_conjugate_gradient(A, B, tol=1e-10), "block_cg"),
-        ):
-            tracer = Tracer()
-            with use_tracer(tracer):
-                results = solve()
-            (span,) = [s for s in tracer.finished() if s.name == name]
-            assert span.attrs["n_rhs"] == 2 and span.attrs["failed_columns"] == 0
-            assert span.attrs["converged"] is True
-            assert span.attrs["iterations"] == sum(r.iterations for r in results)
-            assert span.attrs["restarts"] == sum(r.restarts for r in results)
+        tol = 1e-10
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = conjugate_gradient(A, b, tol=tol)
+        (span,) = [s for s in tracer.finished() if s.name == "cg"]
+        assert result.converged and result.iterations > 1
+        assert span.attrs["target"] == tol * float(np.linalg.norm(b))
+        assert span.attrs["residual_history"] == result.history
+        assert span.attrs["restarts"] == 0
+        assert span.attrs["iterations"] == result.iterations

@@ -29,13 +29,7 @@ from repro.parallel.solver import distributed_gmres
 from repro.resilience.degrade import coarse_fem_fallback
 from repro.resilience.escalation import solve_with_escalation
 from repro.resilience.policy import ResiliencePolicy
-from repro.solver import (
-    DEFAULT_SOLVER_TOL,
-    block_conjugate_gradient,
-    block_gmres,
-    conjugate_gradient,
-    gmres,
-)
+from repro.solver import DEFAULT_SOLVER_TOL, conjugate_gradient, gmres
 
 #: Max-norm distance from the ``1e-10`` field the default may cost (mm);
 #: measured 0.02-0.24 um on this system, 0.5 um on the 22.8 k-equation
@@ -115,8 +109,6 @@ class TestOneConstant:
         # an equal float but a different object.
         assert default is DEFAULT_SOLVER_TOL
 
-    @pytest.mark.parametrize(
-        "func", [gmres, conjugate_gradient, block_gmres, block_conjugate_gradient]
-    )
+    @pytest.mark.parametrize("func", [gmres, conjugate_gradient])
     def test_library_solvers_keep_their_own_default(self, func):
         assert _default(func) == 1e-8
