@@ -76,6 +76,58 @@ def test_kernel_saturated_distance_transform(benchmark):
     benchmark(lambda: saturated_distance_transform(mask, 15.0, (1.0, 1.0, 2.0)))
 
 
+def test_kernel_distance_transform():
+    """The saturated distance transforms of the hot-path phantom (40x40x30,
+    ``session-image``'s grid): the 8 a patient's model build runs (6 present
+    tissue classes at ``localization_cap_mm``, the snap's inside and outside
+    of the brain at ``surface_cap_mm``) and the 2 of a scan's track (the
+    intraoperative brain). Seconds for all 10, the median of seven runs, and
+    the voxels inside their saturation windows, merged into BENCH_hotpath.json.
+    The same size in smoke."""
+    from bench_io import update_bench_record
+    from repro.core.config import PipelineConfig
+    from repro.imaging.distance import saturation_window
+    from repro.imaging.phantom import make_neurosurgery_case
+
+    cfg = PipelineConfig()
+    case = make_neurosurgery_case(shape=(40, 40, 30), shift_mm=4.0, seed=42)
+    labels, spacing = case.preop_labels.data, case.preop_labels.spacing
+    present = [labels == c for c in cfg.segmentation_classes if np.any(labels == c)]
+    brain = np.isin(labels, cfg.brain_labels)
+    scan_brain = np.isin(case.intraop_labels.data, cfg.brain_labels)
+    build = [(m, cfg.localization_cap_mm) for m in present]
+    build += [(brain, cfg.surface_cap_mm), (~brain, cfg.surface_cap_mm)]
+    scan = [(scan_brain, cfg.surface_cap_mm), (~scan_brain, cfg.surface_cap_mm)]
+    transforms = build + scan
+    run = lambda: [saturated_distance_transform(m, cap, spacing) for m, cap in transforms]
+    run()
+    samples = []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - t0)
+    window_voxels = 0
+    for m, cap in transforms:
+        window = saturation_window(m, cap, spacing)
+        window_voxels += 0 if window is None else int(np.prod([w.stop - w.start for w in window]))
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "distance_transform": {
+                "shape": list(labels.shape),
+                "build_transforms": len(build),
+                "scan_transforms": len(scan),
+                "voxels": int(labels.size) * len(transforms),
+                "window_voxels": window_voxels,
+                "seconds": float(np.median(samples)),
+            }
+        },
+    )
+    assert len(build) == 8
+    # The window drops the flat margin: a small class computes a fraction of the grid.
+    assert window_voxels < labels.size * len(transforms)
+
+
 def test_kernel_mesh_generation(medium, system77_equations, monkeypatch):
     """The ``system77`` mesh at its own cell size, and the size search that
     chose it: seconds and allocation peak, merged into BENCH_hotpath.json."""

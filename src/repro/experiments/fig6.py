@@ -7,19 +7,40 @@ registration, tissue classification, surface displacement,
 biomechanical simulation, visualization resample). Wall-clock is this
 machine's; the virtual year-2000 time of the biomechanical stage on the
 paper's hardware is reported alongside (Figs. 7-9 cover its scaling).
+
+:func:`run` is the runner's small timeline; :func:`paper_size` is the
+same pipeline at the paper's size — the 77 k-equation model on 16
+ranks — with every stage beside the paper's envelope. Run it with::
+
+    PYTHONPATH=src python -m repro.experiments.fig6
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import time
+from pathlib import Path
+
 import numpy as np
 
+from repro.backend import get_backend
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.timeline import Timeline
-from repro.experiments.common import ExperimentReport
+from repro.experiments.common import PAPER_SYSTEM_SMALL, ExperimentReport
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW, MachineSpec
-from repro.util import Timer
+from repro.obs.trace import Tracer, use_tracer
+from repro.util import Timer, format_table
+
+#: The paper's own numbers for a stage (Section 3.2): the display
+#: resample "requires approximately 0.5 seconds", and the volumetric
+#: deformation is simulated "in less than ten seconds" on 16 CPUs.
+PAPER_ENVELOPE = {
+    "visualization resample": "0.5 s",
+    "biomechanical simulation": "< 10 s at 16 CPUs",
+}
 
 
 def run(
@@ -76,3 +97,94 @@ def run(
         result.timeline.as_gantt(title="Intraoperative Gantt (this machine)")
     )
     return report
+
+
+def _commit() -> str:
+    """``git describe --always --dirty`` of the source tree, if it is a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10, check=False,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def _blas_threads() -> str:
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        if os.environ.get(name):
+            return f"{os.environ[name]} ({name})"
+    return "unpinned"
+
+
+def paper_size(
+    shape: tuple[int, int, int] = (96, 96, 72),
+    seed: int = 12,
+    shifts_mm: tuple[float, float] = (6.0, 9.0),
+    target_nodes: int = PAPER_SYSTEM_SMALL // 3,
+    n_ranks: int = 16,
+    machine: MachineSpec = DEEP_FLOW,
+) -> str:
+    """Fig. 6 at the paper's size: the model build, then two scans.
+
+    The second scan is the same patient at another peak shift, processed
+    as a session's next scan (the first scan's prototypes, its field as
+    ``previous``). The build lists its own stages (traced) under its total.
+    Each scan lists every stage, the *unstaged* remainder
+    (scan wall time minus the stages), the total, and the biomechanical
+    simulation in wall seconds and in ``machine``'s virtual seconds, each
+    beside the paper's envelope where it gives one.
+    """
+    config = PipelineConfig(target_mesh_nodes=target_nodes, n_ranks=n_ranks)
+    pipeline = IntraoperativePipeline(config, machine=machine)
+    cases = [make_neurosurgery_case(shape=shape, shift_mm=s, seed=seed) for s in shifts_mm]
+    tracer = Tracer()
+    start = time.perf_counter()
+    with use_tracer(tracer):
+        preop = pipeline.prepare_preoperative(cases[0].preop_mri, cases[0].preop_labels)
+    rows = [["preoperative", "prepare_preoperative", time.perf_counter() - start, "", ""]]
+    (build,) = tracer.roots()
+    for span in tracer.children_of(build.span_id):
+        rows.append(["preoperative", f"  {span.name}", span.duration, "", ""])
+    notes, previous = [], None
+    for k, case in enumerate(cases):
+        start = time.perf_counter()
+        result = pipeline.process_scan(
+            case.intraop_mri, preop, scan_index=k, previous=previous,
+            prototypes=None if previous is None else previous.prototypes,
+        )
+        wall = time.perf_counter() - start
+        period = f"scan {k + 1} ({case.shift_mm:g} mm)"
+        sim = result.simulation
+        staged = [e for e in result.timeline.entries if e.period == "intraoperative"]
+        for entry in staged:
+            virtual = sim.total_seconds if entry.stage == "biomechanical simulation" else ""
+            rows.append([period, entry.stage, entry.seconds, virtual,
+                         PAPER_ENVELOPE.get(entry.stage, "")])
+        rows.append([period, "unstaged", wall - sum(e.seconds for e in staged), "", ""])
+        rows.append([period, "TOTAL", wall, "", ""])
+        notes.append(
+            f"{period}: virtual init {sim.initialization_seconds:.3f} s + assembly "
+            f"{sim.assembly_seconds:.3f} s + solve {sim.solve_seconds:.3f} s, "
+            f"{sim.solver.iterations} GMRES iterations"
+        )
+        previous = result
+    header = [
+        f"Figure 6 at the paper's size: commit {_commit()}, backend {get_backend().name}, "
+        f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}",
+        f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
+        f"{sim.n_dof_total:,} equations ({sim.n_equations:,} free) on {n_ranks} ranks, "
+        f"virtual seconds on {machine.name}",
+    ]
+    table = format_table(["period", "stage", "wall (s)", "virtual (s)", "paper"], rows)
+    return "\n".join([*header, table, *(f"  note: {n}" for n in notes)])
+
+
+def main() -> None:
+    """``python -m repro.experiments.fig6``: print :func:`paper_size`."""
+    print(paper_size())
+
+
+if __name__ == "__main__":
+    main()

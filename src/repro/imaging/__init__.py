@@ -12,6 +12,7 @@ from repro.imaging.bias import BiasCorrection, correct_bias
 from repro.imaging.distance import (
     euclidean_distance_transform,
     saturated_distance_transform,
+    saturation_window,
     signed_distance,
 )
 from repro.imaging.filters import gaussian_smooth, gradient_magnitude, image_gradient
@@ -67,6 +68,7 @@ __all__ = [
     "save_mesh",
     "save_volume",
     "saturated_distance_transform",
+    "saturation_window",
     "signed_distance",
     "trilinear_sample",
     "trilinear_sample_many",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.backend import get_backend
 from repro.imaging.volume import ImageVolume
@@ -212,6 +211,22 @@ def _step_mm(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v - previous, axis=1)
 
 
+def _dilate_one_voxel(mask: np.ndarray) -> np.ndarray:
+    """Binary dilation by the 3×3×3 cube, nothing outside the grid.
+
+    The cube is separable: one voxel along each axis in turn, each step an
+    OR of the mask with itself shifted by one either way.
+    """
+    grown = mask
+    for axis in range(3):
+        src, grown = grown, grown.copy()
+        lead = (slice(None),) * axis
+        head, tail = lead + (slice(1, None),), lead + (slice(None, -1),)
+        grown[head] |= src[tail]
+        grown[tail] |= src[head]
+    return grown
+
+
 def invert_displacement_field(
     displacement_mm: np.ndarray,
     spacing: tuple[float, float, float],
@@ -242,9 +257,7 @@ def invert_displacement_field(
     vol_axes = [
         ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
     ]
-    active = ndimage.binary_dilation(
-        np.any(disp != 0, axis=-1), structure=np.ones((3, 3, 3), dtype=bool)
-    )
+    active = _dilate_one_voxel(np.any(disp != 0, axis=-1))
     base = vol_axes[0].index_to_world(np.argwhere(active))
     v = previous = -disp[active]
     for _ in range(iterations):

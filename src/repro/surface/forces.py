@@ -23,17 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.imaging.distance import signed_distance
-from repro.imaging.filters import gaussian_smooth, gradient_magnitude, image_gradient
+from repro.imaging.filters import gaussian_smooth, gradient_magnitude
 from repro.imaging.resample import trilinear_sample, trilinear_sample_many
 from repro.imaging.volume import ImageVolume
 from repro.util import check_volume_like
 
 
 def _gradient_volumes(potential: ImageVolume) -> list[ImageVolume]:
-    grad = image_gradient(potential)
+    """One volume per axis of :func:`image_gradient`, straight from
+    ``np.gradient``'s per-axis arrays (no stacked ``(..., 3)`` copy)."""
+    grads = np.gradient(potential.data.astype(float), *potential.spacing, edge_order=1)
     return [
-        ImageVolume(np.ascontiguousarray(grad[..., a]), potential.spacing, potential.origin)
-        for a in range(3)
+        ImageVolume(np.ascontiguousarray(g), potential.spacing, potential.origin)
+        for g in grads
     ]
 
 

@@ -53,6 +53,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("classification.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
+        ("distance_transform.window_voxels", "lower"),
+        ("distance_transform.seconds", "lower"),
     ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),

@@ -82,6 +82,29 @@ class TestFig6:
         assert any("TOTAL" in a for a in actions)
 
 
+    def test_paper_size_ledger_layout(self):
+        """The paper-size command's table, run small: a provenance header,
+        the build and its traced stages, then per scan every stage, the
+        unstaged remainder and the total, FEM in wall and virtual seconds
+        beside the paper's envelopes."""
+        text = fig6.paper_size(shape=(32, 32, 24), target_nodes=1500, n_ranks=4)
+        head, volume = text.splitlines()[:2]
+        for field in ("commit", "backend numpy", "nproc", "BLAS threads"):
+            assert field in head
+        assert "32x32x24 (24,576 voxels)" in volume and "equations" in volume
+        rows = [[c.strip() for c in line.split("|")] for line in text.splitlines()[2:] if "|" in line]
+        stages = [(r[0], r[1]) for r in rows[1:]]
+        assert ("preoperative", "localization models") in stages
+        for period in ("scan 1 (6 mm)", "scan 2 (9 mm)"):
+            scan = {r[1]: r for r in rows if r[0] == period}
+            assert list(scan)[-2:] == ["unstaged", "TOTAL"]
+            assert float(scan["biomechanical simulation"][3]) > 0
+            assert scan["biomechanical simulation"][4] == "< 10 s at 16 CPUs"
+            assert scan["visualization resample"][4] == "0.5 s"
+            staged = sum(float(r[2]) for name, r in scan.items() if name != "TOTAL")
+            assert staged == pytest.approx(float(scan["TOTAL"][2]), rel=1e-3)
+
+
 class TestScalingHarness:
     def test_fig7_scaling_shape(self, tiny_system):
         report = fig7.run(tiny_system, cpu_counts=(1, 4, 16))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imaging.resample import (
+    _dilate_one_voxel,
     invert_displacement_field,
     resample_volume,
     trilinear_sample,
@@ -286,6 +287,26 @@ class TestTrilinearSampleMany:
         got = trilinear_sample_many([vol], pts)
         assert np.array_equal(pts, kept)
         assert np.array_equal(got[0], _frozen_trilinear_sample(vol, kept))
+
+
+class TestDilateOneVoxel:
+    """The inverter's support margin: three one-voxel passes along the axes
+    equal scipy's dilation by the full 3×3×3 cube, the cube being separable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        st.floats(0.0, 0.3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_cube_dilation(self, shape, density, seed):
+        from scipy import ndimage
+
+        mask = np.random.default_rng(seed).random(shape) < density
+        kept = mask.copy()
+        want = ndimage.binary_dilation(mask, structure=np.ones((3, 3, 3), dtype=bool))
+        assert np.array_equal(_dilate_one_voxel(mask), want)
+        assert np.array_equal(mask, kept)
 
 
 class TestInvertDisplacementSupport:

@@ -1,6 +1,6 @@
 """End-to-end observability tests: traced multi-scan session, budget
 verdicts in the session summary, Chrome export validity, trace-report
-CLI, and the disabled-tracer overhead bound."""
+CLI, and the disabled tracer's pass-through to the bare solve."""
 
 from __future__ import annotations
 
@@ -245,12 +245,16 @@ class TestBudgetFlagsSlowStage:
 
 
 class TestDisabledTracerOverhead:
-    def test_noop_span_overhead_under_five_percent(self):
-        """The disabled-tracer wrapper (ambient lookup + enabled check)
-        adds <5% to a representative small solve."""
+    def test_disabled_tracer_solve_is_the_bare_solve_and_opens_no_span(self, monkeypatch):
+        """Under the disabled ambient tracer ``gmres`` is ``_gmres`` on the
+        shared no-op span: the same ``x`` and residual history bit for bit,
+        and not one span asked for. Counts, not a wall-clock ratio: the
+        overhead budget itself (< 5 % at full size) is ``BENCH_obs.json``'s,
+        measured by ``benchmarks/test_obs_overhead.py``."""
         import numpy as np
         from scipy import sparse
 
+        from repro.obs.trace import get_tracer
         from repro.solver.gmres import _gmres, gmres
 
         rng = np.random.default_rng(0)
@@ -258,27 +262,21 @@ class TestDisabledTracerOverhead:
         A = sparse.random(n, n, density=0.02, random_state=np.random.RandomState(0))
         A = (A + A.T + sparse.eye(n) * (n / 2.0)).tocsr()
         b = rng.normal(size=n)
-        batch, reps = 10, 9
-
-        def timed(fn):
-            # Interleave-friendly: min over reps of a batched sample, so
-            # transient system load inflates both measurements equally.
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        # Warm caches once, then alternate base/wrapped sampling.
-        gmres(A, b, tol=1e-8)
-        base = timed(
-            lambda: _gmres(A, b, None, None, 1e-8, 30, 2000, False, NULL_SPAN)
-        )
-        wrapped = timed(lambda: gmres(A, b, tol=1e-8))  # ambient tracer disabled
-        overhead = (wrapped - base) / base
-        assert overhead < 0.05, f"disabled-tracer overhead {overhead:.1%}"
+        opened = []
+        for method in ("span", "open_span"):
+            real = getattr(Tracer, method)
+            monkeypatch.setattr(
+                Tracer, method,
+                lambda self, name, *a, _real=real, **kw: opened.append(name) or _real(self, name, *a, **kw),
+            )
+        ambient = get_tracer()
+        assert not ambient.enabled
+        bare = _gmres(A, b, None, None, 1e-8, 30, 2000, False, NULL_SPAN)
+        wrapped = gmres(A, b, tol=1e-8)
+        assert opened == [] and ambient.spans == []
+        assert np.array_equal(wrapped.x, bare.x)
+        assert wrapped.history == bare.history and len(bare.history) > 1
+        assert (wrapped.iterations, wrapped.restarts) == (bare.iterations, bare.restarts)
 
     def test_disabled_ambient_records_nothing_end_to_end(self):
         """The default run leaves the ambient (disabled) tracer empty."""

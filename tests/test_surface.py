@@ -59,6 +59,25 @@ class TestDistanceForce:
         assert res[0] == pytest.approx(4.0, abs=1.5)
 
 
+class TestGradientVolumes:
+    def test_each_volume_is_a_component_of_image_gradient(self):
+        """``np.gradient``'s per-axis arrays, the same bits as the stacked
+        ``image_gradient`` copied out one component at a time."""
+        from repro.imaging.filters import image_gradient
+        from repro.surface.forces import _gradient_volumes
+
+        potential = ImageVolume(
+            np.random.default_rng(3).normal(size=(7, 6, 5)), (1.5, 0.75, 2.25), (1.0, -2.0, 0.5)
+        )
+        stacked = image_gradient(potential)
+        volumes = _gradient_volumes(potential)
+        assert len(volumes) == 3
+        for axis, volume in enumerate(volumes):
+            assert np.array_equal(volume.data, stacked[..., axis])
+            assert volume.data.flags.c_contiguous
+            assert volume.spacing == potential.spacing and volume.origin == potential.origin
+
+
 class TestGradientForce:
     def test_pulls_toward_edge(self):
         vol, mask, mid = ball_volume()

@@ -85,6 +85,22 @@ class TestHotpathGate:
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_distance_transform_window_and_seconds_are_gated(self, tmp_path):
+        """The transform computing the whole grid again (window_voxels +46 %
+        on this phantom) or running slower past the band fails."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["distance_transform.window_voxels"] == "lower"
+        assert paths["distance_transform.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        block = base["distance_transform"]
+        assert (block["build_transforms"], block["scan_transforms"]) == (8, 2)
+        assert block["window_voxels"] < block["voxels"]
+        for key in ("window_voxels", "seconds"):
+            fresh = copy.deepcopy(base)
+            fresh["distance_transform"][key] *= 1.3
+            (tmp_path / NAME).write_text(json.dumps(fresh))
+            assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_a_smoke_block_is_not_compared_with_a_full_size_one(self, tmp_path, capsys):
         """Flags differ: a warning naming both sizes, neither regression nor
         pass (the baseline's 4,046-node smoke mesh against the 25,750-node
