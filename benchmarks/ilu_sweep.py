@@ -42,8 +42,12 @@ SYSTEMS = (
     ("48x48x36, cell 2.2", (48, 48, 36), 2.2, 8),
 )
 #: (drop_tol, fill_factor): the former defaults, the current ones, the
-#: current threshold at twice the cap, and the neighbouring thresholds.
-SETTINGS = ((1e-4, 3.0), (1e-2, 10.0), (1e-2, 20.0), (2e-2, 10.0), (5e-2, 10.0), (1e-3, 10.0))
+#: current threshold at the former cap of 10 and at 20, and the
+#: neighbouring thresholds.
+SETTINGS = (
+    (1e-4, 3.0), (1e-2, 4.0), (1e-2, 10.0), (1e-2, 20.0),
+    (2e-2, 10.0), (5e-2, 10.0), (1e-3, 10.0),
+)
 
 
 def reduced_system(shape, cell_mm, n_ranks):

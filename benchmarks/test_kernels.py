@@ -353,6 +353,51 @@ def test_kernel_pipeline_solve():
     assert max_abs <= 2e-3
 
 
+def test_kernel_block_factorization():
+    """``factor_blocks`` on the 4 diagonal blocks of ``pipeline_solve``'s
+    30 k-equation system (the block ILU a new patient's model build pays):
+    seconds (the median of 5 calls), the threads that factored (the calling
+    thread plus one helper per spare core, up to one per block), the cores
+    the process may use, and the factors' nonzeros, merged into
+    BENCH_hotpath.json. The same size in smoke."""
+    from bench_io import update_bench_record
+    from test_hotpath_reuse import BENCH_EQUATIONS, N_RANKS
+
+    from repro.experiments.common import build_clinical_system
+    from repro.solver.preconditioner import factor_blocks, usable_cores
+
+    system = build_clinical_system(BENCH_EQUATIONS)
+    dec = Decomposition.from_partition(system.mesh, partition_block(system.mesh, N_RANKS))
+    bc = DirichletBC(dec.old_to_new[system.bc.node_ids], system.bc.displacements)
+    matrix = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc).matrix
+    blocks = [matrix.local[k][:, a:b].tocsc() for k, (a, b) in enumerate(matrix.ranges)]
+    factor = lambda: factor_blocks(blocks, "ilu")
+    factor()
+    samples = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        factors = factor()
+        samples.append(time.perf_counter() - t0)
+    factor_nnz = sum(lu.L.nnz + lu.U.nnz for lu in factors)
+    block_nnz = sum(block.nnz for block in blocks)
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "block_factorization": {
+                "n_equations": int(matrix.n),
+                "blocks": len(blocks),
+                "threads": min(len(blocks), usable_cores()),
+                "nproc": usable_cores(),
+                "block_nnz": int(block_nnz),
+                "factor_nnz": int(factor_nnz),
+                "seconds": float(np.median(samples)),
+            }
+        },
+    )
+    # The drop threshold governs the factor, not the fill cap (1.3-1.7x).
+    assert factor_nnz < 2.0 * block_nnz
+
+
 def test_kernel_element_stiffness(medium, benchmark):
     mesh = medium.mesh
     Ke = benchmark.pedantic(

@@ -32,6 +32,7 @@ from repro.experiments.common import PAPER_SYSTEM_SMALL, ExperimentReport
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW, MachineSpec
 from repro.obs.trace import Tracer, use_tracer
+from repro.solver.preconditioner import usable_cores
 from repro.util import Timer, format_table
 
 #: The paper's own numbers for a stage (Section 3.2): the display
@@ -118,6 +119,17 @@ def _blas_threads() -> str:
     return "unpinned"
 
 
+def _descendants(tracer: Tracer, span, name: str) -> list:
+    """Every span called ``name`` below ``span``, at any depth."""
+    found, pending = [], tracer.children_of(span.span_id)
+    while pending:
+        child = pending.pop()
+        if child.name == name:
+            found.append(child)
+        pending.extend(tracer.children_of(child.span_id))
+    return found
+
+
 def paper_size(
     shape: tuple[int, int, int] = (96, 96, 72),
     seed: int = 12,
@@ -130,7 +142,9 @@ def paper_size(
 
     The second scan is the same patient at another peak shift, processed
     as a session's next scan (the first scan's prototypes, its field as
-    ``previous``). The build lists its own stages (traced) under its total.
+    ``previous``). The build lists its own stages (traced) under its total,
+    and under the solve-context stage its ``preconditioner setup`` span (the
+    block factorization, on the threads the header names).
     Each scan lists every stage, the *unstaged* remainder
     (scan wall time minus the stages), the total, and the biomechanical
     simulation in wall seconds and in ``machine``'s virtual seconds, each
@@ -147,6 +161,8 @@ def paper_size(
     (build,) = tracer.roots()
     for span in tracer.children_of(build.span_id):
         rows.append(["preoperative", f"  {span.name}", span.duration, "", ""])
+        for setup in _descendants(tracer, span, "preconditioner setup"):
+            rows.append(["preoperative", f"    {setup.name}", setup.duration, "", ""])
     notes, previous = [], None
     for k, case in enumerate(cases):
         start = time.perf_counter()
@@ -172,7 +188,8 @@ def paper_size(
         previous = result
     header = [
         f"Figure 6 at the paper's size: commit {_commit()}, backend {get_backend().name}, "
-        f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}",
+        f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}, "
+        f"block factorization on {min(n_ranks, usable_cores())} threads",
         f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
         f"{sim.n_dof_total:,} equations ({sim.n_equations:,} free) on {n_ranks} ranks, "
         f"virtual seconds on {machine.name}",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.sparse import linalg as spla
 
 from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
@@ -33,9 +32,8 @@ from repro.solver.gmres import (
     convergence_attrs,
     gmres_loop,
 )
-from repro.solver.preconditioner import incomplete_factor
+from repro.solver.preconditioner import factor_blocks
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
-from repro.util import ValidationError
 
 _NULL = NullTelemetry()
 
@@ -87,10 +85,7 @@ class DistributedBlockJacobi:
         telemetry=_NULL,
         factorization: str = "ilu",
     ):
-        if factorization not in ("ilu", "lu"):
-            raise ValidationError(f"unknown factorization {factorization!r}")
         self._ranges = matrix.ranges
-        self._factors = []
         with get_tracer().span(
             "preconditioner setup",
             kind="solver",
@@ -98,11 +93,10 @@ class DistributedBlockJacobi:
             factorization=factorization,
             n_ranks=int(matrix.n_ranks),
         ):
-            for rank, (a, b) in enumerate(matrix.ranges):
-                block = matrix.local[rank][:, a:b].tocsc()
-                self._factors.append(
-                    spla.splu(block) if factorization == "lu" else incomplete_factor(block)
-                )
+            self._factors = factor_blocks(
+                [matrix.local[rank][:, a:b].tocsc() for rank, (a, b) in enumerate(matrix.ranges)],
+                factorization,
+            )
         _charge_factors(self, telemetry, FACTOR_FLOPS_PER_NNZ)
         self.shape = matrix.shape
         # Backend-prepared block application + reused apply buffer (same

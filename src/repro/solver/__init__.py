@@ -16,6 +16,7 @@ from repro.solver.preconditioner import (
     IdentityPreconditioner,
     JacobiPreconditioner,
     contiguous_block_ranges,
+    factor_blocks,
 )
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 
@@ -31,5 +32,6 @@ __all__ = [
     "RestrictedAdditiveSchwarz",
     "conjugate_gradient",
     "contiguous_block_ranges",
+    "factor_blocks",
     "gmres",
 ]

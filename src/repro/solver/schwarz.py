@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from repro.obs.trace import get_tracer
-from repro.solver.preconditioner import incomplete_factor
+from repro.solver.preconditioner import factor_blocks
 from repro.util import ShapeError, ValidationError
 
 
@@ -61,8 +60,6 @@ class RestrictedAdditiveSchwarz:
             raise ShapeError(f"matrix must be square, got {matrix.shape}")
         if overlap < 0:
             raise ValidationError(f"overlap must be >= 0, got {overlap}")
-        if factorization not in ("lu", "ilu"):
-            raise ValidationError(f"unknown factorization {factorization!r}")
         ranges = [(int(a), int(b)) for a, b in block_ranges]
         expected = 0
         for a, b in ranges:
@@ -75,9 +72,6 @@ class RestrictedAdditiveSchwarz:
         csr = matrix.tocsr()
         self.shape = matrix.shape
         self._owned = ranges
-        self._subdomains: list[np.ndarray] = []
-        self._factors = []
-        self._own_positions: list[np.ndarray] = []
         with get_tracer().span(
             "preconditioner setup",
             kind="solver",
@@ -86,16 +80,17 @@ class RestrictedAdditiveSchwarz:
             factorization=factorization,
             n_blocks=len(ranges),
         ):
-            for a, b in ranges:
-                indices = np.arange(a, b, dtype=np.intp)
-                grown = grow_subdomain(csr, indices, overlap)
-                self._subdomains.append(grown)
-                block = csr[grown, :][:, grown].tocsc()
-                self._factors.append(
-                    spla.splu(block) if factorization == "lu" else incomplete_factor(block)
-                )
-                # Positions within the subdomain vector that are owned rows.
-                self._own_positions.append(np.searchsorted(grown, indices))
+            self._subdomains = [
+                grow_subdomain(csr, np.arange(a, b, dtype=np.intp), overlap) for a, b in ranges
+            ]
+            # Positions within each subdomain vector that are owned rows.
+            self._own_positions = [
+                np.searchsorted(grown, np.arange(a, b, dtype=np.intp))
+                for (a, b), grown in zip(ranges, self._subdomains)
+            ]
+            self._factors = factor_blocks(
+                [csr[grown, :][:, grown].tocsc() for grown in self._subdomains], factorization
+            )
         # Reused apply buffer (parity with BlockJacobiPreconditioner):
         # callers must not hold the returned vector across solve calls.
         self._out = np.empty(n)

@@ -22,8 +22,9 @@ Files absent from either side are skipped with a warning (a missing
 fresh record usually means the producing benchmark was not run), as are
 metrics whose baseline is non-positive (no meaningful relative band) and
 the metrics of a block recorded at smoke size on one side and at full
-size on the other (its ``smoke`` flags differ): unlike records are not
-compared, so they are neither a regression nor a pass.
+size on the other (its ``smoke`` flags differ) or on another core count
+(its ``nproc`` differs): unlike records are not compared, so they are
+neither a regression nor a pass.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("pipeline_solve.seconds", "lower"),
         ("distance_transform.window_voxels", "lower"),
         ("distance_transform.seconds", "lower"),
+        ("block_factorization.seconds", "lower"),
     ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),
@@ -109,19 +111,34 @@ def resolve(record: object, dotted: str) -> float:
     return float(_descend(record, dotted.split(".")))
 
 
-def unlike_sizes(base: object, new: object, dotted: str) -> str | None:
+def unlike_blocks(base: object, new: object, dotted: str) -> str | None:
     """Why the blocks holding ``dotted`` are not comparable, if they are not.
 
     A block that records its size class carries a ``smoke`` flag; a smoke
     block against a full-size one is a different system, not a slower one.
-    The message names both sizes: the integer fields that differ.
+    The message names both sizes: the integer fields that differ. A block
+    that records ``nproc`` (a kernel that spreads over the cores it may
+    use) is compared only with a block that records the same ``nproc``:
+    on another core count it is another kernel, not a slower one.
     """
     parts = dotted.split(".")[:-1]
     try:
         base_block, new_block = _descend(base, parts), _descend(new, parts)
+    except _MISSING:
+        return None  # no block on one side: the lookup says so
+    if not (isinstance(base_block, dict) and isinstance(new_block, dict)):
+        return None
+    if ("nproc" in base_block or "nproc" in new_block) and (
+        base_block.get("nproc") != new_block.get("nproc")
+    ):
+        return (
+            f"baseline ran on nproc {base_block.get('nproc', 'unrecorded')}, "
+            f"fresh on nproc {new_block.get('nproc', 'unrecorded')}"
+        )
+    try:
         base_smoke, new_smoke = bool(base_block["smoke"]), bool(new_block["smoke"])
     except _MISSING:
-        return None  # no flag on one side (or no block: the lookup says so)
+        return None  # no flag on one side
     if base_smoke == new_smoke:
         return None
     sizes = "; ".join(
@@ -147,7 +164,7 @@ def compare(file: str, base: dict, new: dict,
         block = dotted.rpartition(".")[0]
         if block in refused:
             continue
-        unlike = unlike_sizes(base, new, dotted)
+        unlike = unlike_blocks(base, new, dotted)
         if unlike is not None:
             refused.add(block)
             where = f"{file}:{block}" if block else file

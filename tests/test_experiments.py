@@ -89,12 +89,16 @@ class TestFig6:
         beside the paper's envelopes."""
         text = fig6.paper_size(shape=(32, 32, 24), target_nodes=1500, n_ranks=4)
         head, volume = text.splitlines()[:2]
-        for field in ("commit", "backend numpy", "nproc", "BLAS threads"):
+        for field in ("commit", "backend numpy", "nproc", "BLAS threads", "block factorization on"):
             assert field in head
         assert "32x32x24 (24,576 voxels)" in volume and "equations" in volume
         rows = [[c.strip() for c in line.split("|")] for line in text.splitlines()[2:] if "|" in line]
         stages = [(r[0], r[1]) for r in rows[1:]]
         assert ("preoperative", "localization models") in stages
+        # The block factorization, listed under the stage that pays it.
+        at = stages.index(("preoperative", "solve context precompute"))
+        assert stages[at + 1] == ("preoperative", "preconditioner setup")
+        assert 0 < float(rows[1 + at + 1][2]) <= float(rows[1 + at][2])
         for period in ("scan 1 (6 mm)", "scan 2 (9 mm)"):
             scan = {r[1]: r for r in rows if r[0] == period}
             assert list(scan)[-2:] == ["unstaged", "TOTAL"]

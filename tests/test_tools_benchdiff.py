@@ -127,6 +127,44 @@ class TestHotpathGate:
         (tmp_path / NAME).write_text(json.dumps(fresh))
         assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_block_factorization_seconds_are_gated(self, tmp_path):
+        """The model build's block ILU back on one thread (1.6x here) fails."""
+        assert dict(HOT_PATHS[NAME])["block_factorization.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        block = base["block_factorization"]
+        assert block["threads"] == min(block["blocks"], block["nproc"])
+        assert block["factor_nnz"] < 2 * block["block_nnz"]
+        fresh = copy.deepcopy(base)
+        fresh["block_factorization"]["seconds"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
+    def test_a_block_on_another_core_count_is_not_compared(self, tmp_path, capsys):
+        """``nproc`` differs: a warning naming both, neither regression nor
+        pass. ``nproc`` equal: the same +60 % fails."""
+        base = json.loads(BASELINE.read_text())
+        fresh = copy.deepcopy(base)
+        nproc = base["block_factorization"]["nproc"]
+        fresh["block_factorization"].update(nproc=nproc + 2, threads=4)
+        fresh["block_factorization"]["seconds"] *= 1.6
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"[warn] BENCH_hotpath.json:block_factorization: baseline ran on nproc {nproc}, "
+            f"fresh on nproc {nproc + 2} -- not compared"
+        ) in out
+        assert "block_factorization.seconds" not in out
+
+        del fresh["block_factorization"]["nproc"]
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 0
+        assert "fresh on nproc unrecorded -- not compared" in capsys.readouterr().out
+
+        fresh["block_factorization"]["nproc"] = nproc
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_a_refused_pair_yields_no_delta(self):
         """Neither a regression nor a pass: no ``Delta`` to count, one warning."""
         block = {"smoke": True, "n_nodes": 10, "seconds": 1.0}
