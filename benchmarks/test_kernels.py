@@ -7,10 +7,11 @@ display of the simulated deformation we need to resample a data set
 according to the computed deformation, which requires approximately
 0.5 seconds" — exercised at the paper's true 256x256x60 matrix.
 
-``test_kernel_backend_columns`` additionally times the backend-routed
-kernels once per *available* compute backend and merges the per-backend
-columns into ``BENCH_hotpath.json`` (JIT compile time reported
-separately from steady-state timings; parity vs numpy <= 1e-10).
+``test_kernel_backend_columns`` additionally times the assembly and the
+two backend kernels (CSR mat-vec, block-Jacobi apply) once per
+*available* compute backend and merges the per-backend columns into
+``BENCH_hotpath.json`` (JIT compile time reported separately from
+steady-state timings; parity vs numpy <= 1e-10).
 """
 
 from __future__ import annotations
@@ -485,9 +486,12 @@ def test_kernel_numeric_assembly(fem57, benchmark):
 
 @pytest.mark.parametrize("kernel", ["matmul", "einsum"])
 def test_kernel_element_stiffness_from_B(fem57, benchmark, kernel):
-    """``V B^T D B`` as the backend's batched matmul vs the einsum it replaced."""
-    from repro.backend.numpy_backend import NumpyBackend
-    from repro.fem.element import shape_function_gradients, strain_displacement_matrices
+    """``V B^T D B`` as the element module's batched matmul vs the einsum it replaced."""
+    from repro.fem.element import (
+        element_stiffness_from_B,
+        shape_function_gradients,
+        strain_displacement_matrices,
+    )
 
     mesh, _ = fem57
     gradients, volumes = shape_function_gradients(mesh.element_coordinates())
@@ -500,8 +504,7 @@ def test_kernel_element_stiffness_from_B(fem57, benchmark, kernel):
         K *= V[:, None, None]
         return K
 
-    backend = NumpyBackend()
-    matmul = lambda: backend.element_stiffness_from_B(B, V, D)
+    matmul = lambda: element_stiffness_from_B(B, V, D)
     got = benchmark.pedantic({"matmul": matmul, "einsum": einsum}[kernel], rounds=3, iterations=1)
     benchmark.extra_info.update(n_elements=int(mesh.n_elements))
     assert _rel_deviation(got, einsum()) <= 1e-15
@@ -616,18 +619,6 @@ def test_kernel_backend_columns(medium):
                 )
                 col["jit_compile_seconds_total"] = col_compile
             columns[name] = col
-
-    if "numba" in columns:
-        for kernel in ("element_stiffness", "assembly"):
-            speedup = (
-                columns["numpy"][kernel]["seconds"]
-                / columns["numba"][kernel]["seconds"]
-            )
-            columns["numba"][kernel]["speedup_vs_numpy"] = speedup
-            if not SMOKE:
-                # Acceptance: >= 2x on cold element stiffness and assembly
-                # at clinical scale (smoke systems are too small to claim).
-                assert speedup >= 2.0, (kernel, speedup)
 
     update_bench_record(
         RESULT_PATH,

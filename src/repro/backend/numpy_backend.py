@@ -1,24 +1,24 @@
-"""Reference numpy implementation of the compute-backend surface.
+"""Reference numpy implementation of the compute-backend kernels.
 
-This is the always-available fallback: pure vectorized numpy/scipy, no
-optional dependencies. Every accelerated backend is validated against
-these kernels (parity <= 1e-10 in ``tests/test_backend.py``). The math
-is the code that lived inline in :mod:`repro.fem.element` /
-:mod:`repro.fem.context` before the backend seam was introduced, except
-that the element stiffness is two batched ``matmul``s where it was two
-``einsum``s (equal to within 1 ulp of an element's largest entry).
+This is the always-available backend and the base class of every other
+one: pure numpy/scipy, no optional dependencies. An accelerated backend
+overrides :meth:`NumpyBackend.csr_matvec` and
+:meth:`NumpyBackend.prepare_block_apply` and is validated against them
+(parity <= 1e-10 in ``tests/test_backend.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.base import BlockApply, ComputeBackend
-from repro.util import ValidationError
 
+class ScipyBlockApply:
+    """Sequential per-block SuperLU solves (the reference application).
 
-class ScipyBlockApply(BlockApply):
-    """Sequential per-block SuperLU solves (the reference application)."""
+    Built once per preconditioner, then called on every Krylov iteration
+    with a preallocated output buffer: ``out[a:b] = solve(block_k,
+    r[a:b])`` for every block.
+    """
 
     def __init__(self, ranges, factors):
         self.ranges = [(int(a), int(b)) for a, b in ranges]
@@ -30,51 +30,53 @@ class ScipyBlockApply(BlockApply):
         return out
 
 
-class NumpyBackend(ComputeBackend):
-    """Vectorized numpy kernels — the reference semantics."""
+class NumpyBackend:
+    """The two kernels of the Krylov solve loop, in numpy — the reference.
 
+    Stateless, so one instance is shared process-wide; kernels take and
+    return plain numpy arrays.
+    """
+
+    #: Registry identity; also hashed into solve-context fingerprints so
+    #: a cached block apply is never served to another backend.
     name = "numpy"
 
-    def shape_gradients(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = coords.shape[0]
-        # Rows of [1 x y z] per node; the inverse columns are the
-        # polynomial coefficients (a, b, c, d)/6V of each shape function.
-        mats = np.concatenate([np.ones((m, 4, 1)), coords], axis=2)  # (m, 4, 4)
-        det = np.linalg.det(mats)
-        if np.any(np.abs(det) < 1e-30):
-            raise ValidationError("degenerate tetrahedron (zero volume) in batch")
-        inv = np.linalg.inv(mats)  # (m, 4, 4): inv[:, :, i] are coeffs of N_i
-        gradients = np.transpose(inv[:, 1:4, :], (0, 2, 1))  # (m, 4, 3)
-        volumes = det / 6.0
-        return gradients, volumes
-
-    def element_stiffness_from_B(
-        self, B: np.ndarray, volumes: np.ndarray, elasticity: np.ndarray
-    ) -> np.ndarray:
-        # Batched matmul runs each 6x6.6x12 / 12x6.6x12 product through
-        # BLAS; the same contraction written as einsum falls to numpy's
-        # generic loop and is ~10x slower (benchmarks/test_kernels.py).
-        K = np.matmul(B.transpose(0, 2, 1), np.matmul(elasticity, B))
-        K *= volumes[:, None, None]
-        return K
-
-    def element_strains(self, B: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.einsum("mij,mj->mi", B, u)
-
-    def element_stress(self, elasticity: np.ndarray, strains: np.ndarray) -> np.ndarray:
-        return np.einsum("mij,mj->mi", elasticity, strains)
-
-    def coo_accumulate(
-        self, scatter: np.ndarray, values: np.ndarray, nnz: int
-    ) -> np.ndarray:
-        return np.bincount(scatter, weights=values, minlength=nnz)
-
     def csr_matvec(self, matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``y = A @ x`` for a scipy CSR matrix (rectangular allowed).
+
+        Writes into ``out`` when given (a contiguous view is fine) and
+        returns the result either way.
+        """
         y = matrix @ x
         if out is not None:
             out[:] = y
             return out
         return np.asarray(y)
 
-    def prepare_block_apply(self, ranges, factors) -> BlockApply:
+    def prepare_block_apply(self, ranges, factors) -> ScipyBlockApply:
+        """Pack per-block LU/ILU factors for repeated application.
+
+        ``ranges`` is a sequence of half-open ``(start, stop)`` row
+        ranges tiling ``[0, n)``; ``factors[k]`` is the SuperLU object
+        of block ``k`` (``scipy.sparse.linalg.splu``/``spilu`` result).
+        The result is called as ``apply(r, out)``. An override may repack
+        the factors; it must reproduce ``factors[k].solve`` to <= 1e-10.
+        """
         return ScipyBlockApply(ranges, factors)
+
+    def coo_accumulate(
+        self, scatter: np.ndarray, values: np.ndarray, nnz: int
+    ) -> np.ndarray:
+        """Accumulate COO triplet values into CSR data slots.
+
+        ``scatter[i]`` is the position of triplet ``i`` inside the
+        canonical CSR ``data`` array (duplicates share a slot); returns
+        the dense ``(nnz,)`` data vector as a weighted bincount. The
+        assembly does not call it: it is the one-shot form the blocked
+        fill (:func:`repro.fem.assembly.fill_csr_values`) is held
+        bit-identical to, and the end-to-end benchmark's probes time it.
+        """
+        return np.bincount(scatter, weights=values, minlength=nnz)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{type(self).__name__} name={self.name!r}>"

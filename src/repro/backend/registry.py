@@ -1,22 +1,19 @@
 """Runtime backend selection.
 
-Resolution order for the active backend:
-
-1. An explicit :func:`set_backend` / :func:`use_backend` call
-   (the CLI's ``--backend`` flag lands here);
-2. the ``REPRO_BACKEND`` environment variable;
-3. auto-detection — ``numba`` when importable (and JIT not disabled),
-   else ``numpy``.
+The active backend is the one named by the last :func:`set_backend` /
+:func:`use_backend` call (the CLI's ``--backend`` flag lands here);
+without one it is auto-detected on first use: ``numba`` when it can JIT
+on this host, else ``numpy``.
 
 Requesting an unavailable accelerated backend *degrades* rather than
 errors: a one-line :class:`RuntimeWarning` is emitted and the numpy
 reference is used, so a missing optional dependency can never take down
 an intraoperative run. ``numpy`` is always available.
 
-The active backend's :attr:`~repro.backend.base.ComputeBackend.name` is
-hashed into :meth:`repro.fem.SolveContext.fingerprint`, so cached
-numeric state (assembled matrices, factorized preconditioners) is
-invalidated automatically when the backend changes mid-session.
+The active backend's ``name`` is hashed into
+:meth:`repro.fem.SolveContext.fingerprint`, so a block apply cached
+under one backend is rebuilt automatically when the backend changes
+mid-session.
 """
 
 from __future__ import annotations
@@ -25,29 +22,17 @@ import importlib.util
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Callable
 
-from repro.backend.base import ComputeBackend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.util import ValidationError
 
-#: Environment variable naming the backend to use (overridden by an
-#: explicit set_backend/use_backend call).
-BACKEND_ENV = "REPRO_BACKEND"
+_active: NumpyBackend | None = None
 
 
-def _make_numba() -> ComputeBackend:
+def _make_numba() -> NumpyBackend:
     from repro.backend.numba_backend import NumbaBackend
 
     return NumbaBackend()
-
-
-_FACTORIES: dict[str, Callable[[], ComputeBackend]] = {
-    "numpy": NumpyBackend,
-    "numba": _make_numba,
-}
-
-_active: ComputeBackend | None = None
 
 
 def numba_available() -> bool:
@@ -62,31 +47,19 @@ def numba_available() -> bool:
 
 
 def available_backends() -> dict[str, bool]:
-    """Registered backend names -> currently usable on this host."""
-    availability = {name: True for name in _FACTORIES}
-    availability["numba"] = "numba" in _FACTORIES and numba_available()
-    return availability
+    """Backend names -> currently usable on this host."""
+    return {"numpy": True, "numba": numba_available()}
 
 
-def register_backend(name: str, factory: Callable[[], ComputeBackend]) -> None:
-    """Register an additional backend implementation (e.g. a GPU port).
-
-    The factory is called lazily, once per activation. Re-registering a
-    name replaces the previous factory; the builtin ``numpy`` entry
-    cannot be replaced (it is the guaranteed fallback).
-    """
-    if name == "numpy":
-        raise ValidationError("the numpy reference backend cannot be replaced")
-    _FACTORIES[name] = factory
-
-
-def _create(name: str) -> ComputeBackend:
+def _create(name: str) -> NumpyBackend:
     name = name.strip().lower()
-    if name not in _FACTORIES:
+    if name == "numpy":
+        return NumpyBackend()
+    if name != "numba":
         raise ValidationError(
-            f"unknown compute backend {name!r}; options: {sorted(_FACTORIES)}"
+            f"unknown compute backend {name!r}; options: ['numba', 'numpy']"
         )
-    if name == "numba" and not numba_available():
+    if not numba_available():
         warnings.warn(
             "numba backend requested but unavailable (numba not installed or "
             "NUMBA_DISABLE_JIT set); falling back to the numpy reference",
@@ -95,7 +68,7 @@ def _create(name: str) -> ComputeBackend:
         )
         return NumpyBackend()
     try:
-        return _FACTORIES[name]()
+        return _make_numba()
     except Exception as exc:
         warnings.warn(
             f"compute backend {name!r} failed to initialize "
@@ -106,19 +79,15 @@ def _create(name: str) -> ComputeBackend:
         return NumpyBackend()
 
 
-def get_backend() -> ComputeBackend:
-    """The active compute backend (resolving it on first use)."""
+def get_backend() -> NumpyBackend:
+    """The active compute backend (auto-detected on first use)."""
     global _active
     if _active is None:
-        requested = os.environ.get(BACKEND_ENV, "").strip()
-        if requested:
-            _active = _create(requested)
-        else:
-            _active = _create("numba" if numba_available() else "numpy")
+        _active = _create("numba" if numba_available() else "numpy")
     return _active
 
 
-def set_backend(name: str) -> ComputeBackend:
+def set_backend(name: str) -> NumpyBackend:
     """Select the backend process-wide; returns the activated instance.
 
     The returned backend may be the numpy fallback when the requested
@@ -132,10 +101,7 @@ def set_backend(name: str) -> ComputeBackend:
 
 
 def reset_backend() -> None:
-    """Drop the active selection; the next get_backend() re-resolves.
-
-    Mainly for tests that manipulate ``REPRO_BACKEND``.
-    """
+    """Drop the active selection; the next get_backend() auto-detects again."""
     global _active
     _active = None
 

@@ -746,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_backends(),
         default=None,
         help=(
-            "compute backend for FEM/solver kernels (default: REPRO_BACKEND "
-            "env var, else auto-detect: numba if importable, else numpy)"
+            "compute backend for the solver's mat-vec and block-preconditioner "
+            "kernels (default: auto-detect: numba if importable, else numpy)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

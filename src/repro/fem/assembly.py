@@ -1,8 +1,9 @@
 """Global assembly of the sparse stiffness system.
 
 Element stiffness matrices ``K_e = |V_e| B_e^T D_e B_e`` are computed in
-backend batches (:mod:`repro.backend`) and accumulated into a canonical
-CSR pattern. DOF ordering is node-major (node ``n`` owns DOFs ``3n,
+batches (:mod:`repro.fem.element`) and scatter-added into a canonical
+CSR pattern with ``np.add.at``; assembly does not go through the
+compute backend. DOF ordering is node-major (node ``n`` owns DOFs ``3n,
 3n+1, 3n+2``), which keeps each rank's rows contiguous under the node
 partitioners in :mod:`repro.mesh.partition`.
 
@@ -29,7 +30,6 @@ import functools
 import numpy as np
 from scipy import sparse
 
-from repro.backend import get_backend
 from repro.fem.element import (
     element_stiffness_from_B,
     shape_function_gradients,
@@ -163,16 +163,18 @@ def fill_csr_values(
     of the elements in the slice ``block``. Blocks of
     :data:`ASSEMBLY_BLOCK_ELEMENTS` are scattered into the running value
     array in element order, so every slot receives its contributions in
-    the order a one-shot ``coo_accumulate`` over all ``144 m`` triplets
-    adds them — the result is bit-identical to it — while nothing larger
+    the order a one-shot weighted ``bincount`` over all ``144 m`` triplets
+    (``NumpyBackend.coo_accumulate``) adds them — the result is
+    bit-identical to it — while nothing larger
     than a block's temporaries is ever allocated.
     """
-    backend = get_backend()
     data = np.zeros(indptr[-1])
     for start in range(0, len(elements), ASSEMBLY_BLOCK_ELEMENTS):
         block = slice(start, start + ASSEMBLY_BLOCK_ELEMENTS)
         slots = element_entry_slots(elements[block], indptr, pair_offset[block])
-        backend.accumulate_into(data, slots.reshape(-1), matrices_of(block).reshape(-1))
+        # Unbuffered and in input order: duplicate slots within a block all
+        # land, each slot's addends in the order the one-shot bincount adds them.
+        np.add.at(data, slots.reshape(-1), matrices_of(block).reshape(-1))
     return data
 
 

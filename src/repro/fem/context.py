@@ -137,7 +137,6 @@ class AssemblyContext:
             )
             self.nnz = int(len(self.indices))
             span.set(nnz=self.nnz)
-        self.backend_name: str | None = None
         self._matrix: sparse.csr_matrix | None = None
         self.refresh_numeric(mesh, materials)
 
@@ -145,14 +144,9 @@ class AssemblyContext:
         """Numeric phase: refill ``csr.data`` for (possibly new) materials.
 
         Reuses the cached symbolic pattern; geometry factors, elasticity
-        and element matrices are recomputed block by block on the
-        *active* compute backend, whose identity is recorded so callers
-        can tell which backend produced the cached values.
+        and element matrices are recomputed block by block.
         """
-        backend = get_backend()
-        with get_tracer().span(
-            "numeric assembly", kind="fem", nnz=self.nnz, backend=backend.name
-        ):
+        with get_tracer().span("numeric assembly", kind="fem", nnz=self.nnz):
             # References, not copies: the derived properties below read them.
             self._mesh, self._materials = mesh, materials
             data = fill_csr_values(
@@ -161,7 +155,6 @@ class AssemblyContext:
                 self._pair_offset,
                 functools.partial(stiffness_of_block, mesh, materials),
             )
-            self.backend_name = backend.name
             self._matrix = sparse.csr_matrix(
                 (data, self.indices, self.indptr), shape=(self.n_dof, self.n_dof)
             )
@@ -276,9 +269,9 @@ class SolveContext:
         negligible against the assembly/factorization work it guards —
         and makes staleness detection automatic: a resected mesh or a
         changed material map produces a different digest. The active
-        compute backend's identity is hashed too, so numeric state
-        assembled under one backend is never served to another (the
-        kernels agree only to ~1e-10, not bit-exactly).
+        compute backend's identity is hashed too: the slots hold a block
+        apply prepared by that backend, which is never served to another
+        (the backends agree only to ~1e-10, not bit-exactly).
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(b"backend:" + get_backend().name.encode())

@@ -6,20 +6,19 @@ function of node ``i`` is ``N_i = (a_i + b_i x + c_i y + d_i z) / 6V``
 gradient is constant over the element, so strain is element-wise
 constant and the stiffness integral reduces to ``V * B^T D B``.
 
-All routines operate on batches of elements at once, and the batched
-numeric work (gradients, stiffness, strain/stress products) executes on
-the active compute backend (:mod:`repro.backend`): the vectorized numpy
-reference by default, JIT-compiled ``prange`` kernels under the numba
-backend. This module owns validation and layout; the backends own the
-arithmetic.
+All routines operate on batches of elements at once, in plain numpy:
+the gradients are one batched inverse of the elements' ``[1 x y z]``
+node matrices, the stiffness two batched BLAS ``matmul`` calls, strain
+and stress one ``einsum`` each. None of them is a compute-backend kernel:
+together they are under 2 % of a paper-size run (DESIGN.md, "Removed:
+the element, accumulation and gather kernels of the backend seam").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend
-from repro.util import ShapeError
+from repro.util import ShapeError, ValidationError
 
 _f64 = lambda a: np.asarray(a, dtype=float)
 
@@ -45,7 +44,17 @@ def shape_function_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray
     coords = _f64(coords)
     if coords.ndim != 3 or coords.shape[1:] != (4, 3):
         raise ShapeError(f"coords must be (m, 4, 3), got {coords.shape}")
-    return get_backend().shape_gradients(coords)
+    m = coords.shape[0]
+    # Rows of [1 x y z] per node; the inverse columns are the
+    # polynomial coefficients (a, b, c, d)/6V of each shape function.
+    mats = np.concatenate([np.ones((m, 4, 1)), coords], axis=2)  # (m, 4, 4)
+    det = np.linalg.det(mats)
+    if np.any(np.abs(det) < 1e-30):
+        raise ValidationError("degenerate tetrahedron (zero volume) in batch")
+    inv = np.linalg.inv(mats)  # (m, 4, 4): inv[:, :, i] are coeffs of N_i
+    gradients = np.transpose(inv[:, 1:4, :], (0, 2, 1))  # (m, 4, 3)
+    volumes = det / 6.0
+    return gradients, volumes
 
 
 def strain_displacement_matrices(gradients: np.ndarray) -> np.ndarray:
@@ -88,9 +97,13 @@ def element_stiffness_from_B(
     B = _f64(B)
     if B.ndim != 3 or B.shape[1:] != (6, 12):
         raise ShapeError(f"B must be (m, 6, 12), got {B.shape}")
-    return get_backend().element_stiffness_from_B(
-        B, np.abs(_f64(volumes)), _f64(elasticity)
-    )
+    volumes = np.abs(_f64(volumes))
+    # Batched matmul runs each 6x6.6x12 / 12x6.6x12 product through
+    # BLAS; the same contraction written as einsum falls to numpy's
+    # generic loop and is ~10x slower (benchmarks/test_kernels.py).
+    K = np.matmul(B.transpose(0, 2, 1), np.matmul(_f64(elasticity), B))
+    K *= volumes[:, None, None]
+    return K
 
 
 def element_strains(gradients: np.ndarray, nodal_displacements: np.ndarray) -> np.ndarray:
@@ -102,9 +115,9 @@ def element_strains(gradients: np.ndarray, nodal_displacements: np.ndarray) -> n
     u = _f64(nodal_displacements).reshape(-1, 12)
     if u.shape[0] != B.shape[0]:
         raise ShapeError("element count mismatch between gradients and displacements")
-    return get_backend().element_strains(B, u)
+    return np.einsum("mij,mj->mi", B, u)
 
 
 def element_stress(strains: np.ndarray, elasticity: np.ndarray) -> np.ndarray:
     """Voigt stress per element: ``sigma = D epsilon``."""
-    return get_backend().element_stress(_f64(elasticity), _f64(strains))
+    return np.einsum("mij,mj->mi", _f64(elasticity), _f64(strains))

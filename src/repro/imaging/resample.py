@@ -6,8 +6,7 @@ routines here are fully vectorized gather operations, and every
 trilinear lookup in the library — single volumes, the active surface's
 force channels, the localization channels, field inversion — goes
 through the one kernel :func:`trilinear_sample_many`, whose gather step
-is the compute backend's
-:meth:`~repro.backend.ComputeBackend.trilinear_gather`.
+is :func:`trilinear_gather`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.imaging.volume import ImageVolume
 from repro.util import ShapeError
 
@@ -43,6 +41,44 @@ def cell_bounds(shape: tuple[int, int, int]):
     return (n - 1).astype(float), np.maximum(n - 2, 0), (ny, nz), strides
 
 
+def trilinear_gather(
+    channels,
+    base: np.ndarray,
+    strides: tuple[int, int, int],
+    fx: np.ndarray,
+    fy: np.ndarray,
+    fz: np.ndarray,
+) -> np.ndarray:
+    """Eight-corner gather and trilinear blend of several channels.
+
+    ``channels`` are ``C`` flat (C-order raveled) float64 volumes on
+    one grid; ``base[p]`` is the flat offset of point ``p``'s lower
+    corner ``(i0, j0, k0)`` and ``strides`` the flat offsets to the
+    upper neighbour along x, y, z (0 on a singleton axis), so every
+    corner is ``base + const``. ``fx``/``fy``/``fz`` are the
+    fractional weights in ``[0, 1]``. Returns ``(C, n)``.
+
+    Index arithmetic and weights are the caller's (computed once for
+    all channels); this is only the memory-bound gather. The blend
+    order — x, then y, then z, each ``lo * (1 - f) + hi * f`` — means a
+    channel's result does not depend on which other channels ride along.
+    """
+    di, dj, dk = strides
+    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    out = np.empty((len(channels), base.shape[0]))
+    for c, flat in enumerate(channels):
+        # Shifted views put the corner offset in the view's start, so
+        # all eight gathers share the one index vector.
+        c00 = flat.take(base) * gx + flat[di:].take(base) * fx
+        c10 = flat[dj:].take(base) * gx + flat[di + dj :].take(base) * fx
+        c01 = flat[dk:].take(base) * gx + flat[di + dk :].take(base) * fx
+        c11 = flat[dj + dk :].take(base) * gx + flat[di + dj + dk :].take(base) * fx
+        c0 = c00 * gy + c10 * fy
+        c1 = c01 * gy + c11 * fy
+        np.add(c0 * gz, c1 * fz, out=out[c])
+    return out
+
+
 def sample_index_rows(
     idx: np.ndarray,
     bounds,
@@ -66,7 +102,7 @@ def sample_index_rows(
     fx, fy, fz = np.clip(idx - cell, 0.0, 1.0)
     i0, j0, k0 = cell
     base = (i0 * ny + j0) * nz + k0
-    result = get_backend().trilinear_gather(channels, base, strides, fx, fy, fz)
+    result = trilinear_gather(channels, base, strides, fx, fy, fz)
     if not valid.all():
         result[:, ~valid] = fills[:, None]
     return result

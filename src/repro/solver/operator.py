@@ -2,7 +2,10 @@
 
 The solvers only ever need ``shape`` and ``matvec``; anything providing
 those works, including the distributed operators in
-:mod:`repro.parallel.distributed` whose matvec hides communication.
+:mod:`repro.parallel.distributed` whose matvec hides communication. A
+CSR matrix — the assembled stiffness, the solve loop's hot path — is
+multiplied by the compute backend's ``csr_matvec`` (:mod:`repro.backend`),
+one of the two kernels the backend keeps.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import get_backend
-from repro.backend.numpy_backend import NumpyBackend
 from repro.fem import BRAIN_HETEROGENEOUS, BRAIN_HOMOGENEOUS, AssemblyContext, assembly
 from repro.fem.assembly import (
     ASSEMBLY_BLOCK_ELEMENTS,
@@ -30,7 +29,11 @@ from repro.fem.assembly import (
     fill_csr_values,
     node_pair_pattern,
 )
-from repro.fem.element import shape_function_gradients, strain_displacement_matrices
+from repro.fem.element import (
+    element_stiffness_from_B,
+    shape_function_gradients,
+    strain_displacement_matrices,
+)
 from repro.mesh.generator import mesh_labeled_volume
 from repro.mesh.surface import extract_boundary_surface
 from repro.parallel import prepare_solve_context
@@ -145,7 +148,7 @@ class TestMatmulElementKernel:
         V = np.abs(volumes)
         frozen = np.einsum("mji,mjk->mik", B, np.einsum("mij,mjk->mik", D, B))
         frozen *= V[:, None, None]
-        got = NumpyBackend().element_stiffness_from_B(B, V, D)
+        got = element_stiffness_from_B(B, V, D)
         assert got.shape == frozen.shape and got.flags.c_contiguous
         largest = np.abs(frozen).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - frozen) <= 4 * np.spacing(largest))

@@ -11,6 +11,7 @@ from repro.imaging.resample import (
     _dilate_one_voxel,
     invert_displacement_field,
     resample_volume,
+    trilinear_gather,
     trilinear_sample,
     trilinear_sample_many,
     warp_volume,
@@ -24,6 +25,31 @@ def linear_volume(shape=(8, 9, 7), spacing=(1.0, 1.0, 1.0), coeffs=(1.0, 2.0, -0
     centers = vol.voxel_centers()
     data = centers @ np.asarray(coeffs) + const
     return vol.copy(data), np.asarray(coeffs), const
+
+
+class TestTrilinearGather:
+    def test_trilinear_gather_matches_eight_corner_sum(self, rng):
+        shape = (4, 5, 6)
+        channels = [rng.normal(size=shape) for _ in range(3)]
+        n = 50
+        ijk = np.stack([rng.integers(0, s - 1, n) for s in shape], axis=1)
+        f = rng.random((n, 3))
+        expected = np.zeros((3, n))
+        for a, b, c in np.ndindex(2, 2, 2):
+            weight = (
+                np.where(a, f[:, 0], 1 - f[:, 0])
+                * np.where(b, f[:, 1], 1 - f[:, 1])
+                * np.where(c, f[:, 2], 1 - f[:, 2])
+            )
+            for ch, data in enumerate(channels):
+                expected[ch] += weight * data[ijk[:, 0] + a, ijk[:, 1] + b, ijk[:, 2] + c]
+        base = np.ravel_multi_index(tuple(ijk.T), shape)
+        args = (base, (shape[1] * shape[2], shape[2], 1), f[:, 0], f[:, 1], f[:, 2])
+        got = trilinear_gather([d.ravel() for d in channels], *args)
+        assert got.shape == (3, n)
+        assert np.allclose(got, expected, atol=1e-12)
+        alone = trilinear_gather([channels[1].ravel()], *args)
+        assert np.array_equal(alone[0], got[1])
 
 
 class TestTrilinearSample:
