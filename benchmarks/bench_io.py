@@ -1,9 +1,10 @@
 """Merge-updating writes of the shared ``BENCH_hotpath.json`` record.
 
 Two benchmark modules contribute to the same file — the cold-vs-warm
-hot-path comparison (``test_hotpath_reuse.py``) and the per-backend
-kernel columns (``test_kernels.py``) — so each writes by reading the
-existing record and replacing only its own top-level keys.
+(fresh build vs prepared context) hot-path comparison
+(``test_hotpath_reuse.py``) and the per-backend kernel columns
+(``test_kernels.py``) — so each writes by reading the existing record
+and replacing only its own top-level keys.
 """
 
 from __future__ import annotations

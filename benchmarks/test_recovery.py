@@ -8,7 +8,7 @@ recovery buys:
   the identical scans;
 * checkpoint footprint (bytes on disk after the session);
 * resume latency — reopening the checkpoint, rebuilding the
-  preoperative model, restoring prototypes + solve-context warm state;
+  preoperative model, restoring prototypes and the cache counters;
 * the headline acceptance criterion: a scan processed right after
   ``resume()`` stays within ``WARM_RATIO_LIMIT`` (1.3x) of the same
   scan processed by the uninterrupted session — i.e. recovery does not
@@ -116,7 +116,7 @@ def run_recovery_benchmark(shape, workdir: pathlib.Path) -> dict:
     warm_resumed_seconds, result = _timed(
         resumed.process, cases[N_SCANS].intraop_mri
     )
-    assert result.simulation.cache_hit and result.simulation.warm_started
+    assert result.simulation.cache_hit
 
     durable_mean = sum(durable_scan_seconds) / len(durable_scan_seconds)
     memory_mean = sum(memory_scan_seconds) / len(memory_scan_seconds)

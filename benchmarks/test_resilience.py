@@ -33,7 +33,7 @@ pytestmark = pytest.mark.bench
 RESULT_PATH = pathlib.Path(__file__).with_name("BENCH_resilience.json")
 
 #: One representative plan per fault class, aimed at scan index 1 (the
-#: second scan, so warm-start state exists to attack). The expected
+#: second scan, so the session's cross-scan state exists). The expected
 #: level documents the deterministic outcome the assertions pin down.
 FAULT_DRILLS = (
     ("scan-nan-light", "1:scan-nan=0.02", "full-fem"),
@@ -42,7 +42,6 @@ FAULT_DRILLS = (
     ("scan-motion", "1:scan-motion=0.3", "full-fem"),
     ("kill-rank", "1:kill-rank=1", "full-fem"),
     ("stall-rank", "1:stall-rank=0", "full-fem"),
-    ("poison-warm-start", "1:poison-warm-start", "full-fem"),
     ("stagnate-solver", "1:stagnate-solver", "coarse-fem"),
 )
 
@@ -147,7 +146,7 @@ def check_acceptance(record: dict) -> None:
     assert scans[1]["level"] == "coarse-fem"
     assert scans[1]["rungs_tried"][-1] == "direct"
     assert scans[1]["cause"] and scans[1]["faults"]
-    # ...and the next clean scan returns to full-FEM on warm caches.
+    # ...and the next clean scan returns to full-FEM on the cached context.
     assert scans[2]["level"] == "full-fem"
     assert scans[2]["cache_hit"]
 

@@ -145,7 +145,7 @@ def paper_size_study() -> dict:
     context = prepare_solve_context(system.mesh, system.bc.node_ids, PAPER_RANKS)
     solve = lambda tol, machine=None: simulate_parallel(  # noqa: E731
         system.mesh, system.bc, PAPER_RANKS, machine=machine, tol=tol,
-        context=context, warm_start=False,
+        context=context,
     )
     reference = solve(REFERENCE_TOL)
     by_tol = {}

@@ -202,7 +202,6 @@ def fig45_study() -> dict:
     for variant in VARIANTS:
         snap, snapped = snap_row(variant, built, config)
         preop = dataclasses.replace(built, snapped=snapped)
-        preop.invalidate_solve_context()  # no warm start from the previous row
         result = pipeline.process_scan(case.intraop_mri, preop)
         report = fig5.run(Fig4Outcome(report=None, case=case, result=result))
         values = {row[0]: row[1] for row in report.rows}

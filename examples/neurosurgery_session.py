@@ -14,8 +14,8 @@ are picked interactively on the *first* scan only and re-used for every
 later scan — the paper's automatic statistical-model update. The FEM
 stage likewise precomputes its scan-invariant state (assembled
 stiffness, elimination structure, subdomain factors) preoperatively, so
-every scan's biomechanical simulation is a data-only fast path whose
-GMRES solve warm-starts from the previous scan's displacement field.
+every scan's biomechanical simulation is a data-only fast path: the
+right-hand side and a GMRES solve from zero.
 
 Run:  python examples/neurosurgery_session.py
 """
@@ -65,11 +65,7 @@ def main() -> None:
         err = np.linalg.norm(result.grid_displacement - case.true_forward_mm, axis=-1)
         brain = case.brain_mask()
         sim = result.simulation
-        fem_path = (
-            "warm" if sim.cache_hit and sim.warm_started
-            else "hit" if sim.cache_hit
-            else "cold"
-        )
+        fem_path = "hit" if sim.cache_hit else "cold"
         rows.append(
             [
                 label,
@@ -109,8 +105,7 @@ def main() -> None:
         "rigid-only alignment degrades as the brain deforms — the paper's case\n"
         "for intraoperative nonrigid registration. Every FEM stage above ran on\n"
         "the precomputed solve context (assembly, elimination and factorization\n"
-        "done preoperatively); scans after the first also warm-started GMRES\n"
-        "from the previous displacement field."
+        "done preoperatively)."
     )
 
 

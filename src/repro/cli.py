@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "deterministic fault plan, e.g. "
-            "'0:poison-warm-start;0:kill-rank=1;0:scan-nan=0.1' "
+            "'0:stall-rank=1;0:kill-rank=1;0:scan-nan=0.1' "
             "(SCAN:KIND[=PARAM] entries separated by ';')"
         ),
     )

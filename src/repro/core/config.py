@@ -41,10 +41,6 @@ class PipelineConfig:
         :meth:`~repro.core.IntraoperativePipeline.prepare_preoperative`,
         when "time is plentiful", so every intraoperative simulation is
         a data-only fast path.
-    warm_start:
-        Seed each scan's Krylov solve with the previous scan's
-        displacement field (brain shift evolves incrementally, so the
-        previous solution is a good initial guess).
     resilience:
         The intraoperative resilience layer's knobs
         (:class:`repro.resilience.ResiliencePolicy`): per-stage retries,
@@ -111,7 +107,6 @@ class PipelineConfig:
     n_ranks: int = 1
     partitioner: str = "block"
     precompute_solve_context: bool = True
-    warm_start: bool = True
 
     # Resilience / fault injection
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)

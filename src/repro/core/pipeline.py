@@ -115,8 +115,7 @@ class PreoperativeModel:
 
         Call after editing the mesh or materials in place; fingerprint
         checking also catches such changes automatically, but an explicit
-        invalidation makes the intent visible. The warm-start memory is
-        dropped with the cached state, and the hit/miss counters are
+        invalidation makes the intent visible. The hit/miss counters are
         zeroed so the session never reports stale hit ratios across the
         rebuild boundary. The mesher's located voxel grid goes with it.
         """
@@ -583,8 +582,7 @@ class IntraoperativePipeline:
         stats = simulation.cache_stats
         timeline.note(
             "solve context: "
-            + ("hit (data-only fast path" if simulation.cache_hit else "miss (rebuilt")
-            + (", warm-started solve)" if simulation.warm_started else ")")
+            + ("hit (data-only fast path)" if simulation.cache_hit else "miss (rebuilt)")
             + f" [hits={stats.hits} misses={stats.misses}"
             + f" invalidations={stats.invalidations}]"
         )
@@ -612,10 +610,9 @@ class IntraoperativePipeline:
         Runs through the escalation ladder, which costs nothing beyond
         its first rung (the nominal ``simulate_parallel`` call) on a
         healthy system; a disabled policy stops after that rung and its
-        error propagates. Emergency rungs run on isolated contexts, and
-        a poisoned warm start is cleared by the cold rung — the shared
-        per-patient cache survives either way, so the next scan still
-        gets its warm fast path.
+        error propagates. Emergency rungs run on isolated contexts, so
+        the shared per-patient cache survives them and the next scan
+        still gets its data-only fast path.
         """
         cfg = self.config
         policy = cfg.resilience
@@ -635,7 +632,6 @@ class IntraoperativePipeline:
                 restart=cfg.gmres_restart,
                 max_iter=policy.escalation_max_iter,
                 context=preop.solve_context,
-                warm_start=cfg.warm_start,
                 gate_mm=policy.displacement_gate_mm,
                 deadline_s=deadline,
                 faults=cfg.fault_plan,

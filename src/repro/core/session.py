@@ -14,11 +14,11 @@ Sessions can be made **durable** by attaching a checkpoint directory
 write-ahead and committed atomically through
 :class:`repro.persist.SessionStore`; after a crash,
 :meth:`SurgicalSession.resume` reopens the directory, rebuilds the
-preoperative model deterministically, restores the prototype set and
-the solve-context warm state (so the first resumed scan still takes the
-cache-hit + warm-start fast path), and reconstructs the committed
-history — including the ``previous`` result the degradation ladder and
-warm-start chain need. :func:`repro.persist.replay_session` verifies a
+preoperative model deterministically, restores the prototype set, and
+reconstructs the committed history — including the ``previous`` result
+the degradation ladder needs. A scan's field depends only on the
+patient model, the prototype locations and that scan, so nothing else
+crosses the crash. :func:`repro.persist.replay_session` verifies a
 checkpoint end-to-end by re-running it and demanding bit-exact
 displacement fields.
 
@@ -97,10 +97,9 @@ class SurgicalSession:
         ``preop`` skips the (expensive) preoperative preparation by
         adopting an already-built model — the serving layer's per-patient
         cache. The caller guarantees it was prepared from exactly
-        ``preop_mri``/``preop_labels`` under this pipeline's config, and
-        should reset its solve-context warm memory
-        (:meth:`repro.fem.SolveContext.reset_warm_state`) when the model
-        was used by a previous case.
+        ``preop_mri``/``preop_labels`` under this pipeline's config. A
+        model another case already used needs no reset: no solve reads
+        what an earlier one left in its context.
         """
         if preop is None:
             preop = pipeline.prepare_preoperative(preop_mri, preop_labels)
@@ -127,10 +126,10 @@ class SurgicalSession:
 
         The preoperative model is rebuilt deterministically from the
         checkpointed volumes (the heavyweight FEM state is recomputed,
-        not deserialized), then the stored warm state is grafted onto it
-        when the context fingerprint still matches — so the next
-        :meth:`process` call takes the same cache-hit + warm-start fast
-        path an uninterrupted session would. Committed scans come back
+        not deserialized), so the next :meth:`process` call takes the
+        same cache-hit fast path an uninterrupted session would; the
+        solve context's hit/miss counters continue from the last
+        committed record's. Committed scans come back
         as ``restored=True`` history entries; interrupted scans (begun
         but never committed) are simply re-processed when their input is
         re-submitted. Journaled ``crash-after`` faults are marked fired
@@ -148,9 +147,13 @@ class SurgicalSession:
         )
         preop_mri, preop_labels = store.load_preop()
         preop = pipeline.prepare_preoperative(preop_mri, preop_labels)
-        if preop.solve_context is not None:
-            store.restore_context(preop.solve_context)
         history = store.load_history(preop)
+        stats = next(
+            (r.cache_stats for r in reversed(store.committed()) if r.cache_stats),
+            None,
+        )
+        if preop.solve_context is not None and stats is not None:
+            preop.solve_context.stats = CacheStats.from_dict(stats)
         store.attach_plan(pipeline.config.fault_plan)
         return cls(
             pipeline=pipeline,
@@ -218,12 +221,7 @@ class SurgicalSession:
         _note_scan_complete(result, scan)
         if self.store is not None:
             self.store.crash_point(scan, "solve")
-            self.store.commit_scan(
-                scan,
-                result,
-                prototypes=self._prototypes,
-                context=self.preop.solve_context,
-            )
+            self.store.commit_scan(scan, result, prototypes=self._prototypes)
             self.store.crash_point(scan, "commit")
         return result
 
@@ -240,8 +238,7 @@ class SurgicalSession:
         resumed and summarized but not replay-verified.
 
         For an already-durable session this re-commits anything
-        uncommitted and refreshes the solve-context snapshot + manifest
-        — cheap, and idempotent.
+        uncommitted and refreshes the manifest — cheap, and idempotent.
         """
         if self.store is None:
             if checkpoint_dir is None:
@@ -265,11 +262,7 @@ class SurgicalSession:
             )
             self.store.journal_begin(scan, None)
             self.store.commit_scan(
-                scan,
-                result,
-                prototypes=self._prototypes,
-                context=self.preop.solve_context,
-                grid=grid,
+                scan, result, prototypes=self._prototypes, grid=grid
             )
         self.store.sync_manifest()
         return self.store.root
@@ -306,10 +299,8 @@ class SurgicalSession:
                 cache = "restored"
             elif record.cache_stats is None:
                 cache = "off"
-            elif record.cache_hit:
-                cache = "hit+warm" if record.warm_started else "hit"
             else:
-                cache = "miss"
+                cache = "hit" if record.cache_hit else "miss"
             verdict = scan.budget_verdict
             rows.append(
                 [

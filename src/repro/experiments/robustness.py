@@ -132,7 +132,6 @@ def resilience_drill(
         ("1:scan-nan=0.02", "sanitized in place"),
         ("1:scan-nan=0.5", "scan unusable"),
         ("1:kill-rank=1", "rank substitution"),
-        ("1:poison-warm-start", "cold restart"),
         ("1:stagnate-solver", "ladder exhausted"),
     )
     case = make_neurosurgery_case(shape=shape, shift_mm=5.0, seed=seed)

@@ -88,8 +88,7 @@ PAPER_CLAIMS = {
     "Robustness C": (
         "Paper requirement: an intraoperative system must keep delivering a usable result "
         "— stress-tested with deterministic fault injection (corrupted scans, killed ranks, "
-        "poisoned warm starts, solver stagnation) through the escalation ladder and "
-        "graceful-degradation levels."
+        "solver stagnation) through the escalation ladder and graceful-degradation levels."
     ),
     "Supplement": "Solver behaviour: block Jacobi weakens as the decomposition refines.",
     "Baseline": (

@@ -23,10 +23,10 @@ therefore hoisted into context objects built once per patient:
 * :class:`SolveContext` — the top-level per-patient cache threaded
   through :class:`repro.core.IntraoperativePipeline`. It owns the two
   contexts above, opaque slots the parallel layer populates
-  (decomposition, row-block matrix, factorized preconditioner), the
-  previous scan's solution (brain shift evolves incrementally, so the
-  last displacement field warm-starts the next Krylov solve), and
-  hit/miss/invalidation counters. A fingerprint over the mesh,
+  (decomposition, row-block matrix, factorized preconditioner) and
+  hit/miss/invalidation counters. It holds nothing a scan leaves
+  behind: every Krylov solve starts from zero, so a scan's field depends
+  only on the patient model and that scan. A fingerprint over the mesh,
   materials, constrained node set and solver configuration detects
   staleness: a resection (mesh edit) or material change invalidates the
   cache and triggers a full rebuild.
@@ -235,7 +235,7 @@ class ReductionContext:
 
 
 class SolveContext:
-    """Per-patient cache of scan-invariant FEM state + warm-start memory.
+    """Per-patient cache of scan-invariant FEM state.
 
     The object itself is layer-agnostic: it owns the assembly and
     reduction contexts plus a ``slots`` dict that higher layers (the
@@ -252,7 +252,6 @@ class SolveContext:
         self.assembly: AssemblyContext | None = None
         self.reduction: ReductionContext | None = None
         self.slots: dict[str, object] = {}
-        self.last_solution: np.ndarray | None = None
         self.stats = CacheStats()
         self._fingerprint: bytes | None = None
 
@@ -308,9 +307,7 @@ class SolveContext:
     def invalidate(self, reset_stats: bool = False) -> None:
         """Explicitly drop all cached state (e.g. after a mesh edit).
 
-        The warm-start memory (``last_solution``) is dropped along with
-        the assembly/reduction/preconditioner state. With
-        ``reset_stats=True`` the hit/miss/invalidation counters are also
+        With ``reset_stats=True`` the hit/miss/invalidation counters are also
         zeroed, so a post-failure rebuild starts a fresh accounting
         epoch instead of reporting stale hit ratios.
         """
@@ -325,77 +322,14 @@ class SolveContext:
         self.assembly = None
         self.reduction = None
         self.slots.clear()
-        self.last_solution = None
-
-    # -- persistence (durable sessions) ---------------------------------------
-
-    def warm_state(self) -> dict | None:
-        """Serializable warm-start state, or ``None`` when unprepared.
-
-        Covers everything a resumed session needs to recover the warm
-        fast path without re-running a scan: the fingerprint the cached
-        build corresponds to, the previous solution vector, and the
-        hit/miss/invalidation counters (so cross-crash accounting stays
-        continuous). The heavyweight assembly/reduction/preconditioner
-        state is deliberately *not* serialized — it rebuilds
-        deterministically from the checkpointed preoperative inputs.
-        """
-        if self._fingerprint is None:
-            return None
-        return {
-            "fingerprint": self._fingerprint,
-            "last_solution": (
-                None if self.last_solution is None else self.last_solution.copy()
-            ),
-            "stats": self.stats.as_dict(),
-        }
-
-    def restore_warm_state(
-        self,
-        fingerprint: bytes,
-        last_solution: np.ndarray | None,
-        stats: dict | None = None,
-    ) -> bool:
-        """Adopt persisted warm-start memory if it matches this build.
-
-        Returns ``True`` when the stored fingerprint equals the
-        context's current one (the deterministic preoperative rebuild
-        produced the same state the checkpoint was taken against) and
-        the warm memory was installed; ``False`` leaves the context
-        untouched — a cold-but-correct resume.
-        """
-        if self._fingerprint is None or fingerprint != self._fingerprint:
-            return False
-        if last_solution is not None:
-            self.last_solution = np.asarray(last_solution, dtype=float).copy()
-        if stats is not None:
-            self.stats.hits = int(stats.get("hits", 0))
-            self.stats.misses = int(stats.get("misses", 0))
-            self.stats.invalidations = int(stats.get("invalidations", 0))
-        return True
 
     def reset_warm_state(self) -> None:
-        """Drop the warm memory but keep the expensive cached build.
+        """Zero the per-case hit/miss/invalidation counters.
 
-        The assembly/reduction/preconditioner state is patient-specific
-        and scan-invariant; the warm-start memory and the hit/miss
-        counters belong to one *case* (one session's scan chain). When a
-        cached context is handed to a new case of the same patient
-        (:class:`repro.serving.SessionWorkerPool`'s preop-model cache),
-        resetting the warm state makes the reuse numerically invisible:
-        the new case's first solve starts cold, exactly like a fresh
-        session, so its displacement fields are bit-identical to a
-        from-scratch run — while still skipping the rebuild.
+        The cached build is kept, and there is no other per-case state to
+        drop: a context handed to a new case of the same patient already
+        gives that case's first solve the fields of a fresh session. The
+        end-to-end benchmark (``benchmarks/e2e/``) still calls this name;
+        it goes with the next change to that benchmark.
         """
-        self.last_solution = None
         self.stats.reset()
-
-    def warm_start_vector(self, n_free: int) -> np.ndarray | None:
-        """Previous scan's reduced solution, if compatible (else None)."""
-        if self.last_solution is not None and self.last_solution.shape == (n_free,):
-            return self.last_solution.copy()
-        return None
-
-    def record_solution(self, x: np.ndarray) -> None:
-        """Store the reduced solution for warm-starting the next scan."""
-        self.last_solution = np.asarray(x, dtype=float).copy()

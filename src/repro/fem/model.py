@@ -114,7 +114,6 @@ class BiomechanicalModel:
         bc: DirichletBC,
         body_force: np.ndarray | None = None,
         context: SolveContext | None = None,
-        warm_start: bool = True,
     ) -> SimulationResult:
         """Compute the volumetric deformation implied by surface displacements.
 
@@ -125,14 +124,13 @@ class BiomechanicalModel:
         interior.
 
         ``context`` carries the scan-invariant state (assembled matrix,
-        elimination structure, block-Jacobi factors, previous solution)
-        across repeated calls with the same mesh/materials/constrained
-        nodes; ``warm_start`` additionally seeds the Krylov solve with
-        the previous call's solution on a cache hit.
+        elimination structure, block-Jacobi factors) across repeated
+        calls with the same mesh/materials/constrained nodes. The Krylov
+        solve always starts from zero.
         """
         if len(bc.node_ids) == 0:
             raise ValidationError("simulation requires at least one prescribed node")
-        warm = False
+        cache_hit = False
         if context is not None:
             fp = SolveContext.fingerprint(
                 self.mesh,
@@ -143,10 +141,10 @@ class BiomechanicalModel:
                 preconditioner=self.preconditioner,
                 n_blocks=self.n_blocks,
             )
-            warm = context.prepare(fp)
+            cache_hit = context.prepare(fp)
         tracer = get_tracer()
         assembly_timer = Timer("assembly")
-        with tracer.span("assembly", kind="fem", cache_hit=warm), assembly_timer:
+        with tracer.span("assembly", kind="fem", cache_hit=cache_hit), assembly_timer:
             if context is None:
                 with tracer.span("assemble stiffness", kind="fem"):
                     stiffness = assemble_stiffness(self.mesh, self.materials)
@@ -154,7 +152,7 @@ class BiomechanicalModel:
                 with tracer.span("bc application", kind="fem"):
                     reduced = apply_dirichlet(stiffness, load, bc)
             else:
-                if not warm:
+                if not cache_hit:
                     context.assembly = AssemblyContext(self.mesh, self.materials)
                     context.reduction = ReductionContext(
                         context.assembly.matrix(), bc.dof_indices()
@@ -170,7 +168,7 @@ class BiomechanicalModel:
         with tracer.span(
             "solve", kind="fem", solver=self.solver, n_free=reduced.n_free
         ), solve_timer:
-            if warm and "preconditioner" in context.slots:
+            if cache_hit and "preconditioner" in context.slots:
                 pre = context.slots["preconditioner"]
             else:
                 with tracer.span(
@@ -182,14 +180,10 @@ class BiomechanicalModel:
                     pre = self._make_preconditioner(reduced)
                 if context is not None:
                     context.slots["preconditioner"] = pre
-            x0 = None
-            if warm and warm_start:
-                x0 = context.warm_start_vector(reduced.n_free)
             if self.solver == "gmres":
                 result = gmres(
                     reduced.matrix,
                     reduced.rhs,
-                    x0=x0,
                     preconditioner=pre,
                     tol=self.tol,
                     restart=self.restart,
@@ -199,14 +193,10 @@ class BiomechanicalModel:
                 result = conjugate_gradient(
                     reduced.matrix,
                     reduced.rhs,
-                    x0=x0,
                     preconditioner=pre,
                     tol=self.tol,
                     max_iter=self.max_iter,
                 )
-        if context is not None:
-            context.record_solution(result.x)
-
         full = reduced.expand(result.x)
         return SimulationResult(
             displacement=full.reshape(-1, 3),

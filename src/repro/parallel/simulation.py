@@ -77,9 +77,6 @@ class ParallelSimulation:
         Whether this run reused a prepared :class:`SolveContext` (the
         data-only fast path: no partitioning, assembly, elimination
         slicing, or preconditioner factorization).
-    warm_started:
-        Whether GMRES started from the previous scan's displacement
-        field instead of zero.
     cache_stats:
         Snapshot of the context's hit/miss/invalidation counters after
         this run (``None`` when no context was supplied).
@@ -95,8 +92,16 @@ class ParallelSimulation:
     cluster: NullTelemetry
     system: DistributedSystem
     cache_hit: bool = False
-    warm_started: bool = False
     cache_stats: CacheStats | None = None
+
+    @property
+    def warm_started(self) -> bool:
+        """Always ``False``: every solve starts from zero.
+
+        Kept only because the end-to-end benchmark (``benchmarks/e2e/``)
+        reads it; it goes with the next change to that benchmark.
+        """
+        return False
 
     @property
     def total_seconds(self) -> float:
@@ -114,7 +119,7 @@ class _Setup:
 
     Construction checks the partitioner/preconditioner names, matches
     ``context`` against the fingerprint of every input the cached
-    distributed state depends on (``warm`` is True on a match), creates
+    distributed state depends on (``cache_hit`` is True on a match), creates
     the telemetry and runs the initialization phase; the methods are the
     later steps that depend on it.
     """
@@ -142,7 +147,7 @@ class _Setup:
         self.preconditioner = preconditioner
         self.factorization = factorization
         self.ras_overlap = ras_overlap
-        self.warm = context is not None and context.prepare(
+        self.cache_hit = context is not None and context.prepare(
             SolveContext.fingerprint(
                 mesh,
                 materials,
@@ -159,9 +164,9 @@ class _Setup:
             VirtualCluster(machine, n_ranks) if machine is not None else NullTelemetry()
         )
         with get_tracer().span(
-            "initialization", kind="phase", n_ranks=n_ranks, cache_hit=self.warm
+            "initialization", kind="phase", n_ranks=n_ranks, cache_hit=self.cache_hit
         ):
-            if self.warm:
+            if self.cache_hit:
                 # Initialization (mesh scatter, index construction) was done
                 # preoperatively — the phase is recorded but charges nothing.
                 self.decomposition = context.slots["decomposition"]
@@ -184,7 +189,7 @@ class _Setup:
 
     def get_preconditioner(self, matrix, solve_span):
         """The context's factorized preconditioner, built on a miss."""
-        if self.warm and "preconditioner" in self.context.slots:
+        if self.cache_hit and "preconditioner" in self.context.slots:
             # Reused subdomain factors: the factorization flops are not
             # charged again — only the per-application triangular solves.
             solve_span.set(preconditioner_reused=True)
@@ -223,7 +228,6 @@ def simulate_parallel(
     preconditioner: str = "block_jacobi",
     ras_overlap: int = 1,
     context: SolveContext | None = None,
-    warm_start: bool = True,
     faults: Sequence[object] | None = None,
 ) -> ParallelSimulation:
     """Run the distributed biomechanical simulation at ``n_ranks`` CPUs.
@@ -252,10 +256,8 @@ def simulate_parallel(
         are all skipped — the per-scan work is one coupling matvec for
         the right-hand side plus the Krylov solve. A mismatch (resected
         mesh, changed materials) rebuilds and repopulates the context.
-    warm_start:
-        Start GMRES from the previous scan's displacement field held by
-        the context (brain shift evolves incrementally, so the previous
-        solution is a good initial guess). Only active on a cache hit.
+        GMRES always starts from zero, so a scan's field does not depend
+        on the scans solved before it.
     faults:
         Injected solver faults to execute at the start of the solve
         phase — objects exposing ``kind``/``param`` (duck-typed so this
@@ -268,13 +270,13 @@ def simulate_parallel(
         mesh, materials, bc, n_ranks, machine, partitioner,
         preconditioner, factorization, ras_overlap, context,
     )
-    warm, telemetry = setup.warm, setup.telemetry
+    cache_hit, telemetry = setup.cache_hit, setup.telemetry
     tracer = get_tracer()
 
-    with tracer.span("assembly", kind="phase", cache_hit=warm):
+    with tracer.span("assembly", kind="phase", cache_hit=cache_hit):
         system = build_distributed_system(
             setup.decomposition, materials, setup.renumbered(bc), telemetry,
-            context=context, reuse=warm,
+            context=context, reuse=cache_hit,
         )
 
     with tracer.span(
@@ -300,14 +302,10 @@ def simulate_parallel(
                         rank, STALL_VIRTUAL_SECONDS * telemetry.spec.flops_rate
                     )
         pre = setup.get_preconditioner(system.matrix, solve_span)
-        x0 = None
-        if warm and warm_start:
-            x0 = context.warm_start_vector(system.n_free)
         result = distributed_gmres(
             system.matrix,
             system.rhs,
             preconditioner=pre,
-            x0=x0,
             tol=tol,
             restart=restart,
             max_iter=max_iter,
@@ -333,9 +331,6 @@ def simulate_parallel(
                 rows=int(system.matrix.ranges[rank, 1] - system.matrix.ranges[rank, 0]),
             )
 
-    if context is not None:
-        context.record_solution(result.x)
-
     init_s, asm_s, solve_s = setup.phase_seconds()
 
     return ParallelSimulation(
@@ -348,8 +343,7 @@ def simulate_parallel(
         solve_seconds=solve_s,
         cluster=telemetry,
         system=system,
-        cache_hit=warm,
-        warm_started=x0 is not None,
+        cache_hit=cache_hit,
         cache_stats=context.stats.snapshot() if context is not None else None,
     )
 
@@ -392,9 +386,5 @@ def prepare_solve_context(
         preconditioner=preconditioner,
         ras_overlap=ras_overlap,
         context=context,
-        warm_start=False,
     )
-    # The priming solve's solution is identically zero — drop it so the
-    # first real scan is not reported as warm-started from nothing.
-    context.last_solution = None
     return context

@@ -2,8 +2,8 @@
 
 A neurosurgical session is long-lived state on a machine that can fail:
 the preoperative model, the prototype voxels recorded on the first
-scan, the warm solve-context, and every committed scan's displacement
-fields. This package makes that state durable:
+scan, and every committed scan's displacement fields. This package
+makes that state durable:
 
 * :mod:`repro.persist.atomic` — atomic rename-based writes and BLAKE2b
   content checksums (re-exported from :mod:`repro.util.atomicio`).

@@ -54,7 +54,6 @@ _CONFIG_SCALARS = (
     "n_ranks",
     "partitioner",
     "precompute_solve_context",
-    "warm_start",
     "seed",
 )
 #: PipelineConfig fields serialized as integer lists.
@@ -246,7 +245,6 @@ class ScanRecord:
     solver_converged: bool = True
     solver_residual: float = 0.0
     cache_hit: bool = False
-    warm_started: bool = False
     cache_stats: dict | None = None
     timeline: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -288,7 +286,6 @@ class ScanRecord:
             solver_converged=bool(sim.solver.converged),
             solver_residual=float(sim.solver.residual_norm),
             cache_hit=bool(sim.cache_hit),
-            warm_started=bool(sim.warm_started),
             cache_stats=(
                 None if sim.cache_stats is None else sim.cache_stats.as_dict()
             ),
@@ -328,7 +325,6 @@ class ScanRecord:
             },
             "cache": {
                 "hit": self.cache_hit,
-                "warm": self.warm_started,
                 "stats": self.cache_stats,
             },
             "timeline": [list(entry) for entry in self.timeline],
@@ -360,7 +356,6 @@ class ScanRecord:
             solver_converged=bool(solver.get("converged", True)),
             solver_residual=float(solver.get("residual", 0.0)),
             cache_hit=bool(cache.get("hit", False)),
-            warm_started=bool(cache.get("warm", False)),
             cache_stats=cache.get("stats"),
             timeline=[tuple(entry) for entry in data.get("timeline", [])],
             notes=list(data.get("notes", [])),
@@ -378,13 +373,12 @@ class ScanSummary:
     """A scan as a session holds it once a later scan is its ``previous``.
 
     Only the latest scan of a session is read as a whole (the degradation
-    ladder re-applies its field, the warm start continues from it); an
-    older one is read for its summary row, its serving outcome and a
-    post-hoc checkpoint. This is that: the journal's :class:`ScanRecord`
-    plus the nodal displacement, and the two small report objects the
-    record only carries a label of. The dense per-voxel arrays (deformed
-    MRI, grid displacement, segmentation) are gone: the grid field is a
-    function of the nodal one (:meth:`grid_on`) — also when a fallback
+    ladder re-applies its field); an older one is read for its summary
+    row, its serving outcome and a post-hoc checkpoint. This is that:
+    the journal's :class:`ScanRecord` plus the nodal displacement, and
+    the two small report objects the record only carries a label of. The
+    dense per-voxel arrays (deformed MRI, grid displacement,
+    segmentation) are gone: the grid field is a function of the nodal one (:meth:`grid_on`) — also when a fallback
     re-applied the previous scan's pair of fields or delivered zeros —
     and is kept only for a coarse-FEM fallback, solved on another mesh.
     A scan restored from a checkpoint is the same type, ``restored=True``.

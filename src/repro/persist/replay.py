@@ -2,11 +2,12 @@
 
 Every stage of the pipeline is deterministic given its inputs (seeded
 rigid sampling, seeded prototype selection, fixed-iteration active
-surface, preconditioned GMRES with a fixed restart schedule), and the
-warm-start chain is part of the journaled state: scan *n*'s initial
-Krylov guess is scan *n-1*'s recorded reduced solution in both the
-original run and the replay. Re-running the session from scan 0 on the
-journaled inputs must therefore reproduce every committed displacement
+surface, preconditioned GMRES from zero with a fixed restart schedule).
+A scan's field depends on the patient model, the prototype locations
+fixed at scan 0, and that scan — plus, through the fault plan and the
+degradation ladder's ``previous`` field, its index and its
+predecessor. Re-running the session from scan 0 on the journaled
+inputs must therefore reproduce every committed displacement
 field **bit-exactly** — which is what :func:`replay_session` checks, by
 comparing recomputed BLAKE2b array checksums against the journal.
 
@@ -96,8 +97,8 @@ def replay_session(
     the caller's numerical risk), preoperative volumes and per-scan
     inputs from the journaled payloads. Scans without a journaled input
     (post-hoc checkpoints) are reported ``skipped``, as is everything
-    after them — the warm-start chain cannot be reproduced across a
-    gap.
+    after them: scan indices key the fault plan, so a scan replayed
+    after a gap would run under another scan's faults.
     """
     # Lazy imports: repro.core.session imports this package.
     from repro.core.pipeline import IntraoperativePipeline
@@ -114,7 +115,7 @@ def replay_session(
     session = SurgicalSession.begin(pipeline, preop_mri, preop_labels)
 
     report = ReplayReport(checkpoint=str(store.root))
-    chain_broken = False
+    gap = False
     for record in store.committed():
         if record.input_file is None:
             report.scans.append(
@@ -124,15 +125,11 @@ def replay_session(
                     "no journaled input (post-hoc checkpoint)",
                 )
             )
-            chain_broken = True
+            gap = True
             continue
-        if chain_broken:
+        if gap:
             report.scans.append(
-                ScanReplay(
-                    record.scan,
-                    "skipped",
-                    "warm-start chain broken by an earlier skipped scan",
-                )
+                ScanReplay(record.scan, "skipped", "after an earlier skipped scan")
             )
             continue
         volume = store.load_input(record)

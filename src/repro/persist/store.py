@@ -10,14 +10,12 @@ A :class:`SessionStore` owns one checkpoint directory::
       prototypes.npz       latest good prototype set (locations/labels/features)
       scans/
         scan_0000_input.npz    journaled intraoperative input (write-ahead)
-        scan_0000_result.npz   committed essentials (nodal + grid displacement,
-                               plus the solve-context warm state after this scan)
+        scan_0000_result.npz   committed essentials (nodal + grid displacement)
 
-    The solve-context warm state is deliberately embedded in each scan's
-    result payload rather than kept in a separate rewritten file: warm
-    state is only trustworthy for a *committed* scan (resume must
-    warm-start exactly where an uninterrupted run — and a deterministic
-    replay — would), and commit atomicity then covers it for free.
+    No solve-context state is stored: a scan's field depends only on the
+    patient model, the prototype locations and that scan, so a resumed
+    session rebuilds the model and carries on. Result payloads written
+    by older versions also hold ``context_*`` arrays; they are ignored.
 
 Per scan the protocol is: durably record the *input* and a ``begin``
 journal entry before any processing (write-ahead), process, persist the
@@ -250,15 +248,12 @@ class SessionStore:
             )
         self.crash_point(scan, "begin")
 
-    def commit_scan(
-        self, scan: int, result, prototypes=None, context=None, grid=None
-    ) -> ScanRecord:
+    def commit_scan(self, scan: int, result, prototypes=None, grid=None) -> ScanRecord:
         """Persist a processed scan's essentials and commit the journal.
 
-        The payloads (result arrays, refreshed prototypes, solve-context
-        warm state) all land via atomic replaces *before* the journal's
-        ``commit`` entry — the single durable commit point — followed by
-        a manifest refresh. ``result`` is an
+        The payloads (result arrays, refreshed prototypes) all land via
+        atomic replaces *before* the journal's ``commit`` entry — the
+        single durable commit point — followed by a manifest refresh. ``result`` is an
         :class:`~repro.core.IntraoperativeResult`, or the
         :class:`~repro.persist.checkpoint.ScanSummary` a session kept of
         one together with its dense ``grid`` field
@@ -272,18 +267,6 @@ class SessionStore:
             if grid is None:
                 grid = result.grid_displacement
             arrays = {"nodal": nodal, "grid": np.asarray(grid, dtype=float)}
-            state = None if context is None else context.warm_state()
-            if state is not None:
-                arrays["context_fingerprint"] = np.frombuffer(
-                    state["fingerprint"], dtype=np.uint8
-                )
-                if state["last_solution"] is not None:
-                    arrays["context_solution"] = state["last_solution"]
-                stats = state["stats"]
-                arrays["context_stats"] = np.array(
-                    [stats["hits"], stats["misses"], stats["invalidations"]],
-                    dtype=np.int64,
-                )
             begun = {e.get("scan"): e for e in self.journal.begun()}
             begin_entry = begun.get(scan, {})
             files = {
@@ -338,8 +321,8 @@ class SessionStore:
         """Check an *immutable* file against the manifest's byte checksum.
 
         Only meaningful for files written once at :meth:`create` (the
-        preoperative volumes). Mutable payloads (prototypes, context,
-        scan results) are rewritten before the journal's commit point,
+        preoperative volumes). Mutable payloads (prototypes, scan
+        results) are rewritten before the journal's commit point,
         so their manifest index entries can legitimately lag by one
         crash window — they self-verify through their embedded payload
         checksums instead.
@@ -372,37 +355,6 @@ class SessionStore:
             labels=np.asarray(fields["labels"], dtype=np.intp),
             features=np.asarray(fields["features"], dtype=float),
         )
-
-    def restore_context(self, context) -> bool:
-        """Rehydrate the solve-context warm state; ``True`` on success.
-
-        The context must already be rebuilt (the deterministic
-        preoperative precompute); only the warm memory and counters are
-        restored, taken from the **latest committed** scan's payload —
-        never from an interrupted scan, so a resumed session warm-starts
-        exactly where an uninterrupted run (and a replay) would. A
-        fingerprint mismatch (library drift, changed config) degrades
-        to a cold-but-correct resume.
-        """
-        records = self.committed()
-        if context is None or not records:
-            return False
-        fields = load_payload(self.root / records[-1].result_file, "scan-result")
-        if "context_fingerprint" not in fields:
-            return False
-        fingerprint = bytes(np.asarray(fields["context_fingerprint"], dtype=np.uint8))
-        last = fields.get("context_solution")
-        stats_arr = fields.get("context_stats")
-        stats = None
-        if stats_arr is not None:
-            stats = {
-                "hits": int(stats_arr[0]),
-                "misses": int(stats_arr[1]),
-                "invalidations": int(stats_arr[2]),
-            }
-        restored = context.restore_warm_state(fingerprint, last, stats)
-        self._tracer().event("persist.context", restored=restored)
-        return restored
 
     def committed(self) -> list[ScanRecord]:
         return self.journal.committed()
@@ -571,7 +523,6 @@ def _restored_result(
         cluster=NullTelemetry(),
         system=None,
         cache_hit=record.cache_hit,
-        warm_started=record.warm_started,
         cache_stats=cache_stats,
     )
     timeline = Timeline()

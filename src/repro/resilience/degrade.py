@@ -157,7 +157,6 @@ def synthetic_simulation(
         cluster=NullTelemetry(),
         system=None,
         cache_hit=False,
-        warm_started=False,
         cache_stats=None,
     )
 
@@ -175,7 +174,6 @@ def serial_as_parallel(result) -> ParallelSimulation:
         cluster=NullTelemetry(),
         system=None,
         cache_hit=False,
-        warm_started=False,
         cache_stats=None,
     )
 
@@ -252,7 +250,6 @@ def coarse_fem_fallback(
         restart=restart,
         max_iter=max_iter,
         context=None,
-        warm_start=False,
     )
     if not simulation.solver.converged:
         raise ConvergenceError(

@@ -1,21 +1,18 @@
 """Solver escalation ladder for the biomechanical simulation stage.
 
-When the intraoperative solve fails — a poisoned warm start, a dead
-virtual rank, injected stagnation, a genuinely hard system — the
-pipeline does not give up after one attempt. It climbs a ladder of
-progressively more robust (and more expensive) strategies:
+When the intraoperative solve fails — a dead virtual rank, injected
+stagnation, a genuinely hard system — the pipeline does not give up
+after one attempt. It climbs a ladder of progressively more robust (and
+more expensive) strategies:
 
-1. ``warm-gmres``  — the nominal fast path: shared context, previous
-   scan's solution as the initial guess.
-2. ``cold-gmres``  — drop the warm-start memory (the prime suspect) and
-   restart from zero; cached matrices and preconditioner factors are
-   still reused.
-3. ``ras-gmres``   — a stronger preconditioner (restricted additive
+1. ``gmres``       — the nominal path: block-Jacobi GMRES from zero on
+   the shared context's cached matrices and preconditioner factors.
+2. ``ras-gmres``   — a stronger preconditioner (restricted additive
    Schwarz) on an *isolated* context, so the shared per-patient cache
    fingerprint is never clobbered by an emergency configuration.
-4. ``cg``          — conjugate gradients on the reduced SPD system,
+3. ``cg``          — conjugate gradients on the reduced SPD system,
    solved serially (an entirely different Krylov method).
-5. ``direct``      — sparse LU of the reduced system: slow, but immune
+4. ``direct``      — sparse LU of the reduced system: slow, but immune
    to Krylov stagnation.
 
 A :class:`repro.util.RankFailure` anywhere on the ladder permanently
@@ -110,7 +107,6 @@ def solve_with_escalation(
     restart: int = 30,
     max_iter: int = 3000,
     context: SolveContext | None = None,
-    warm_start: bool = True,
     gate_mm: float = 200.0,
     deadline_s: float | None = None,
     faults: FaultPlan | None = None,
@@ -126,7 +122,7 @@ def solve_with_escalation(
 
     Rung success requires a converged solver *and* a finite displacement
     field inside the ``gate_mm`` physical gate; anything else falls
-    through to the next rung. Rungs beyond ``cold-gmres`` run with an
+    through to the next rung. Rungs beyond ``gmres`` run with an
     isolated (``None``) context so emergency configurations never
     invalidate the shared per-patient cache.
 
@@ -164,20 +160,12 @@ def solve_with_escalation(
             if spec is not None
         ]
 
-    warm_available = (
-        context is not None and warm_start and context.last_solution is not None
-    )
-    if warm_available and faults is not None:
-        poisoned = faults.poison_vector(context.last_solution, scan_index)
-        if poisoned is not None:
-            context.last_solution = poisoned
-
     def take_faults() -> list[object]:
         injected = list(pending_faults)
         pending_faults.clear()
         return injected
 
-    def rung_warm() -> ParallelSimulation:
+    def rung_gmres() -> ParallelSimulation:
         return simulate_parallel(
             mesh,
             bc,
@@ -189,28 +177,6 @@ def solve_with_escalation(
             restart=restart,
             max_iter=iter_cap,
             context=context,
-            warm_start=True,
-            faults=take_faults(),
-        )
-
-    def rung_cold() -> ParallelSimulation:
-        # The warm-start vector is the prime suspect — drop it, keep the
-        # cached matrices/preconditioner (unless a rank died, in which
-        # case the decomposition itself is unusable at this rank count).
-        if context is not None:
-            context.last_solution = None
-        return simulate_parallel(
-            mesh,
-            bc,
-            n_ranks=use_ranks,
-            machine=use_machine,
-            materials=materials,
-            partitioner=partitioner,
-            tol=solve_tol,
-            restart=restart,
-            max_iter=iter_cap,
-            context=None if rank_failed else context,
-            warm_start=False,
             faults=take_faults(),
         )
 
@@ -227,7 +193,6 @@ def solve_with_escalation(
             max_iter=iter_cap,
             preconditioner="ras",
             context=None,
-            warm_start=False,
             faults=take_faults(),
         )
 
@@ -242,7 +207,7 @@ def solve_with_escalation(
             restart=restart,
             max_iter=iter_cap,
         )
-        return serial_as_parallel(model.simulate(bc, context=None, warm_start=False))
+        return serial_as_parallel(model.simulate(bc, context=None))
 
     def rung_direct() -> ParallelSimulation:
         if stagnate is not None:
@@ -278,17 +243,15 @@ def solve_with_escalation(
             cluster=NullTelemetry(),
             system=None,
             cache_hit=False,
-            warm_started=False,
             cache_stats=None,
         )
 
-    ladder: list[tuple[str, object]] = []
-    if warm_available:
-        ladder.append(("warm-gmres", rung_warm))
-    ladder.append(("cold-gmres", rung_cold))
-    ladder.append(("ras-gmres", rung_ras))
-    ladder.append(("cg", rung_cg))
-    ladder.append(("direct", rung_direct))
+    ladder: list[tuple[str, object]] = [
+        ("gmres", rung_gmres),
+        ("ras-gmres", rung_ras),
+        ("cg", rung_cg),
+        ("direct", rung_direct),
+    ]
     if not escalate:
         del ladder[1:]
 

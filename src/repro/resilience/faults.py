@@ -12,9 +12,6 @@ faults keyed by intraoperative scan index:
 * ``kill-rank`` / ``stall-rank`` — kill a virtual compute rank during
   the distributed solve (raises :class:`repro.util.RankFailure`) or
   charge it a stall of extra virtual seconds.
-* ``poison-warm-start`` — overwrite entries of the cached warm-start
-  vector with NaNs, so the next warm solve trips the solver's
-  finite-input guard.
 * ``stagnate-solver`` — force Krylov stagnation by clamping the
   iteration budget (and failing the direct rung), driving the solve
   through the full escalation ladder into graceful degradation.
@@ -43,14 +40,14 @@ from repro.util import ValidationError, default_rng
 #: Fault kinds that corrupt the intraoperative acquisition.
 SCAN_FAULTS = ("scan-nan", "scan-spike", "scan-motion")
 #: Fault kinds aimed at the distributed solve.
-SOLVER_FAULTS = ("kill-rank", "stall-rank", "poison-warm-start", "stagnate-solver")
+SOLVER_FAULTS = ("kill-rank", "stall-rank", "stagnate-solver")
 #: Fault kinds that kill the whole process (durable-session drills).
 PROCESS_FAULTS = ("crash-after",)
 FAULT_KINDS = SCAN_FAULTS + SOLVER_FAULTS + PROCESS_FAULTS
 
 #: Kinds consumed on first trigger (the fault is transient: the retry
 #: after recovery does not hit it again).
-ONE_SHOT_KINDS = frozenset({"kill-rank", "stall-rank", "poison-warm-start", "crash-after"})
+ONE_SHOT_KINDS = frozenset({"kill-rank", "stall-rank", "crash-after"})
 
 #: Persistence barriers a ``crash-after`` fault can target, in scan
 #: order: after the write-ahead ``begin`` record, after the solve (all
@@ -72,9 +69,8 @@ class FaultSpec:
         One of :data:`FAULT_KINDS`.
     param:
         Kind-specific parameter: corrupted-voxel fraction for scan
-        faults, rank index for ``kill-rank``/``stall-rank``, poisoned
-        entry count for ``poison-warm-start``, iteration clamp for
-        ``stagnate-solver``, persistence stage name (one of
+        faults, rank index for ``kill-rank``/``stall-rank``, iteration
+        clamp for ``stagnate-solver``, persistence stage name (one of
         :data:`CRASH_STAGES`) for ``crash-after``. ``None`` uses the
         kind's default.
     """
@@ -126,8 +122,7 @@ class FaultPlan:
     """A seeded, reproducible schedule of :class:`FaultSpec` entries.
 
     The plan is *deterministic*: the same specs and seed always corrupt
-    the same voxels and poison the same vector entries, so failure-path
-    tests are exact, not flaky.
+    the same voxels, so failure-path tests are exact, not flaky.
     """
 
     def __init__(self, specs: list[FaultSpec] | None = None, seed: int = 0):
@@ -251,20 +246,6 @@ class FaultPlan:
                 data += stripes[None, :, None]
             out = ImageVolume(data, out.spacing, out.origin)
         return out
-
-    # -- warm-start poisoning ----------------------------------------------
-
-    def poison_vector(self, vector: np.ndarray, scan: int) -> np.ndarray | None:
-        """NaN-poison entries of a copy of ``vector`` (None if inactive)."""
-        spec = self.take(scan, "poison-warm-start")
-        if spec is None or vector is None:
-            return None
-        rng = self._rng(scan)
-        poisoned = np.asarray(vector, dtype=float).copy()
-        k = max(1, int(spec.param or 3))
-        idx = rng.choice(poisoned.size, size=min(k, poisoned.size), replace=False)
-        poisoned[idx] = np.nan
-        return poisoned
 
     # -- parsing ------------------------------------------------------------
 

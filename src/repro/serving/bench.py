@@ -11,8 +11,8 @@ the dominant per-case fixed cost, so the win holds even on one core.
 
 Correctness is part of the benchmark: every case's displacement-field
 checksums from the pool run must equal the serial run's **bit-exactly**
-(warm memory is reset between cases sharing a cached model, so reuse is
-numerically invisible).
+(every solve starts from zero, so a cached model's reuse is numerically
+invisible).
 """
 
 from __future__ import annotations

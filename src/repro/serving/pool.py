@@ -6,9 +6,9 @@ keeps a **checksum-keyed preoperative-model cache**: cases whose
 (preoperative volumes, config) BLAKE2b key matches a model already
 prepared by that worker skip the whole preoperative rebuild —
 localization models, meshing, assembly, Dirichlet elimination,
-preconditioner factorization — and only reset the solve-context warm
-memory so their results stay bit-identical to a from-scratch session
-(:meth:`repro.fem.SolveContext.reset_warm_state`). The cache is an LRU of
+preconditioner factorization — and take the cached model as it is:
+no solve reads what an earlier one left in the solve context, so
+their results stay bit-identical to a from-scratch session. The cache is an LRU of
 at most :data:`PREOP_CACHE_MODELS` models, so a worker's memory stops growing
 with the patients it has served, and every result message tells the
 parent which models are resident *now*: the scheduler's affinity and
@@ -240,11 +240,6 @@ def _serve_case(
                 preop = preop_cache.get(key)
                 cache_hit = preop is not None
                 pipeline = _build_pipeline(request.config, telemetry)
-                if cache_hit and preop.solve_context is not None:
-                    # Case isolation: the cached build is patient state, the
-                    # warm memory is case state. Reset makes reuse
-                    # numerically invisible (bit-identical to a cold build).
-                    preop.solve_context.reset_warm_state()
                 if not cache_hit:
                     t0 = time.perf_counter()
                     preop = pipeline.prepare_preoperative(

@@ -143,7 +143,7 @@ class CaseRequest:
         BLAKE2b over the preoperative volumes (data + grid) and the
         scan-invariant pipeline configuration: two cases with equal keys
         can share one prepared :class:`repro.core.PreoperativeModel`
-        (with the warm memory reset between cases). Memoized — the
+        as it is. Memoized — the
         volumes are treated as immutable once submitted.
         """
         cached = getattr(self, "_preop_key", None)
@@ -182,7 +182,6 @@ class ScanOutcome:
     grid_sha: str
     solver_iterations: int = 0
     cache_hit: bool = False
-    warm_started: bool = False
     degradation: str | None = None
     restored: bool = False
 
@@ -194,7 +193,6 @@ class ScanOutcome:
             "grid_sha": self.grid_sha,
             "solver_iterations": self.solver_iterations,
             "cache_hit": self.cache_hit,
-            "warm_started": self.warm_started,
             "degradation": self.degradation,
             "restored": self.restored,
         }
@@ -218,7 +216,6 @@ def outcome_from_result(scan: int, result) -> ScanOutcome:
         grid_sha=record.grid_sha,
         solver_iterations=record.solver_iterations,
         cache_hit=record.cache_hit,
-        warm_started=record.warm_started,
         degradation=record.degradation,
         restored=summary.restored,
     )

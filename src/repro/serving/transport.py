@@ -374,7 +374,6 @@ def result_from_journal(case_id: str, checkpoint_dir: str, records) -> CaseResul
             grid_sha=record.grid_sha,
             solver_iterations=record.solver_iterations,
             cache_hit=record.cache_hit,
-            warm_started=record.warm_started,
             degradation=record.degradation,
             restored=True,
         )

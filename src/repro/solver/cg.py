@@ -32,10 +32,8 @@ def conjugate_gradient(
     Returns the same result record type as :func:`repro.solver.gmres` so
     callers can switch solvers freely; ``restarts`` is always 0.
 
-    ``x0`` warm-starts the iteration (parity with the GMRES path): the
-    convergence target ``tol * ||b||`` does not depend on the initial
-    guess, so a good ``x0`` — e.g. the previous intraoperative scan's
-    solution — strictly shrinks the number of iterations required.
+    ``x0`` is the initial guess (parity with the GMRES path): the
+    convergence target ``tol * ||b||`` does not depend on it.
 
     A zero right-hand side short-circuits exactly like
     :func:`repro.solver.gmres`: ``x0`` is shape-validated but the

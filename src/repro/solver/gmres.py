@@ -186,8 +186,7 @@ def checked_system(n: int, b, x0, tol: float) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"x0 must be ({n},), got {x.shape}")
     if x0 is not None and not np.all(np.isfinite(x)):
         raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
+            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite entries"
         )
     return b, x
 

@@ -142,11 +142,9 @@ class TestPipelineIntegration:
 class TestPreoperativeSnap:
     """The scan-invariant snap phase is built once, preoperatively."""
 
-    # warm_start off: the runs below share one solve context, and a warm
-    # start would make the second solve depend on the first.
     SETTINGS = dict(
         mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000,
-        surface_iterations=50, warm_start=False,
+        surface_iterations=50,
     )
 
     @pytest.fixture(scope="class")
@@ -307,7 +305,6 @@ class TestOneScanRunner:
                     result.field_shas(),
                     [entry.stage for entry in result.timeline.entries],
                     result.simulation.solver.iterations,
-                    result.simulation.warm_started,
                     result.degradation.label,
                     result.degradation.rungs_tried,
                     result.degradation.degraded or result.degradation.escalated,
@@ -316,8 +313,8 @@ class TestOneScanRunner:
             ]
         assert runs[True] == runs[False]
         first, later = runs[False]
-        assert first[4:] == ("full-fem", ["cold-gmres"], False)
-        assert later[4:] == ("full-fem", ["warm-gmres"], False)
+        assert first[3:] == ("full-fem", ["gmres"], False)
+        assert later[3:] == ("full-fem", ["gmres"], False)
 
     @pytest.mark.parametrize("stage", GUARDED_STAGES)
     @pytest.mark.parametrize("enabled, attempts", [(False, 1), (True, 2)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,12 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.core.timeline import Timeline
+from repro.fem import SolveContext
 from repro.imaging.phantom import make_neurosurgery_case
+from repro.serving import CaseRequest
+from repro.serving.pool import _serve_case
 from repro.util import ValidationError
+from repro.util.memory import LRUStore
 
 
 class TestGantt:
@@ -142,3 +148,87 @@ class TestGradientForceCorrespondence:
             surface_correspondence(
                 surf, mask, mask, small_case.preop_labels, force="levelset"
             )
+
+
+def order_config() -> PipelineConfig:
+    return PipelineConfig(
+        mesh_cell_mm=8.0,
+        n_ranks=2,
+        rigid_max_iter=1,
+        rigid_samples=2000,
+        surface_iterations=80,
+    )
+
+
+@pytest.fixture(scope="module")
+def one_patient():
+    """Four cases whose intraoperative scans serve as one patient's scans.
+
+    The phantom's anatomy does not depend on the seed, so the first
+    case's preoperative volumes stand for the patient; the seeds vary the
+    scanner noise, which keeps the four fields distinct.
+    """
+    return [
+        make_neurosurgery_case(shape=(32, 32, 24), shift_mm=shift, seed=seed)
+        for shift, seed in zip((3.0, 5.0, 7.0, 9.0), (61, 62, 63, 64))
+    ]
+
+
+def _no_reset(self):
+    raise AssertionError("a solve context was reset between cases")
+
+
+class TestScanOrderIndependence:
+    """A scan's field depends on the patient model, scan 0 and that scan only."""
+
+    def test_later_scans_get_the_same_field_in_any_order(
+        self, one_patient, monkeypatch
+    ):
+        monkeypatch.setattr(SolveContext, "reset_warm_state", _no_reset)
+        preop_case = one_patient[0]
+        pipeline = IntraoperativePipeline(order_config())
+        # Both sessions share one model, as a worker's cache hands it on.
+        preop = pipeline.prepare_preoperative(
+            preop_case.preop_mri, preop_case.preop_labels
+        )
+        runs = []
+        for order in ((0, 1, 2, 3), (0, 3, 1, 2)):
+            session = SurgicalSession.begin(
+                pipeline, preop_case.preop_mri, preop_case.preop_labels, preop=preop
+            )
+            shas = {}
+            for k in order:
+                result = session.process(one_patient[k].intraop_mri)
+                assert result.simulation.cache_hit
+                shas[k] = result.field_shas()[0]
+            runs.append(shas)
+        assert runs[0] == runs[1]
+        assert len(set(runs[0].values())) == 4
+
+    def test_cached_model_serves_a_new_case_its_first_scan_fields(
+        self, one_patient, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(SolveContext, "reset_warm_state", _no_reset)
+        preop_case = one_patient[0]
+        cache = LRUStore(2)
+
+        def serve(case_id, scans):
+            request = CaseRequest(
+                case_id=case_id,
+                preop_mri=preop_case.preop_mri,
+                preop_labels=preop_case.preop_labels,
+                scans=[one_patient[k].intraop_mri for k in scans],
+                config=order_config(),
+            )
+            return _serve_case(request, cache, threading.Event(), str(tmp_path), 0)
+
+        assert serve("case-a", (0, 1)).ok
+        later = serve("case-b", (2,))
+        assert later.ok and later.preop_cache_hit
+        fresh = SurgicalSession.begin(
+            IntraoperativePipeline(order_config()),
+            preop_case.preop_mri,
+            preop_case.preop_labels,
+        )
+        expected = fresh.process(one_patient[2].intraop_mri).field_shas()[0]
+        assert later.scans[0].nodal_sha == expected

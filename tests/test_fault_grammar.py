@@ -35,7 +35,7 @@ VALID = [
     ("pipeline", "1:kill-rank=2"),
     ("pipeline", "2:scan-nan=0.1"),
     ("pipeline", "3:crash-after=mid-write"),
-    ("pipeline", "0:poison-warm-start; 1:stall-rank, 2:stagnate-solver"),
+    ("pipeline", "0:kill-rank; 1:stall-rank, 2:stagnate-solver"),
     ("serving", "2:kill-shard=1"),
     ("serving", "0:slow-shard=0@0.25"),
     ("serving", "1:hang-worker=1"),
@@ -61,6 +61,7 @@ MALFORMED = [
 UNKNOWN_KIND = [
     ("pipeline", "0:meteor-strike", "meteor-strike"),
     ("pipeline", "1:kill-shard", "kill-shard"),  # serving kind, wrong plan
+    ("pipeline", "1:poison-warm-start", "poison-warm-start"),  # retired kind
     ("serving", "0:meteor-strike=1", "meteor-strike"),
     ("serving", "1:kill-rank=1", "kill-rank"),  # pipeline kind, wrong plan
 ]

@@ -9,7 +9,7 @@ would take pytest down with it):
 2. the checkpoint directory left behind is consistent — the journal
    shows the interrupted scan, nothing is torn;
 3. ``--resume`` completes the remaining scans, re-using the restored
-   prototype set and solve-context warm state;
+   prototype set on a rebuilt solve context;
 4. ``repro replay`` re-runs every journaled scan and reproduces the
    committed displacement-field checksums exactly.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,8 +78,8 @@ class TestCrashAfterSolve:
         resumed = run_cli(["pipeline", "--resume", "--checkpoint-dir", str(ckpt)], tmp_path)
         assert resumed.returncode == 0, resumed.stderr
         assert "restored" in resumed.stdout, "scan 0 must show as restored"
-        # The interrupted scan re-runs on the restored warm context.
-        assert "hit+warm" in resumed.stdout
+        # The interrupted scan re-runs on the rebuilt context: a cache hit.
+        assert re.search(r"\| hit +\|", resumed.stdout), resumed.stdout
         assert "3 scan(s) committed" in resumed.stdout
 
         replay = run_cli(["replay", str(ckpt)], tmp_path)
