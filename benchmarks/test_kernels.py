@@ -560,10 +560,8 @@ def test_kernel_backend_columns(medium):
     """Per-backend timing + parity columns, merged into BENCH_hotpath.json."""
     from repro.backend import get_backend, numba_available, use_backend
     from repro.fem.bc import apply_dirichlet
-    from repro.solver.preconditioner import (
-        BlockJacobiPreconditioner,
-        contiguous_block_ranges,
-    )
+    from repro.parallel.distributed import RowBlockMatrix
+    from repro.parallel.solver import DistributedBlockJacobi
     from bench_io import update_bench_record
 
     mesh = medium.mesh
@@ -592,8 +590,10 @@ def test_kernel_backend_columns(medium):
             col["csr_matvec"] = {"first_call_seconds": first, "seconds": best}
 
             reduced = apply_dirichlet(K, np.zeros(mesh.n_dof), medium.bc)
-            pre = BlockJacobiPreconditioner(
-                reduced.matrix, contiguous_block_ranges(reduced.n_free, 16)
+            bounds = np.linspace(0, reduced.n_free, 17).astype(int)
+            pre = DistributedBlockJacobi(
+                RowBlockMatrix.from_csr(reduced.matrix, np.column_stack([bounds[:-1], bounds[1:]])),
+                factorization="lu",
             )
             r = np.random.default_rng(6).normal(size=reduced.n_free)
             first, best, _ = _timed(lambda: pre.solve(r), repeats=10)

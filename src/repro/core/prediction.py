@@ -26,7 +26,6 @@ from repro.fem.material import LinearElasticMaterial, MaterialMap
 from repro.fem.model import BiomechanicalModel, SimulationResult
 from repro.mesh.surface import extract_boundary_surface
 from repro.mesh.tetra import TetrahedralMesh
-from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 #: Brain tissue mass density (kg/m^3).
@@ -114,7 +113,6 @@ def predict_gravity_shift(
     buoyancy_fraction: float = 0.85,
     support_fraction: float = 0.25,
     fixed_nodes: np.ndarray | None = None,
-    tol: float = DEFAULT_SOLVER_TOL,
 ) -> ShiftPrediction:
     """Predict gravity-induced brain shift after CSF drainage.
 
@@ -152,7 +150,7 @@ def predict_gravity_shift(
     )
     body_force = force_density * g  # (3,) N/mm^3
 
-    model = BiomechanicalModel(mesh, materials=_to_mpa(materials), tol=tol)
+    model = BiomechanicalModel(mesh, materials=_to_mpa(materials))
     result = model.simulate(bc, body_force=body_force)
     return ShiftPrediction(
         displacement=result.displacement,

@@ -240,8 +240,8 @@ def incremental_ablation(
             surface, case.brain_mask(), target, case.preop_labels
         )
         bc = DirichletBC(surface.mesh_nodes, corr.displacements)
-        linear = simulate_incremental(mesher.mesh, bc, n_steps=1, tol=1e-8)
-        stepped = simulate_incremental(mesher.mesh, bc, n_steps=6, tol=1e-8)
+        linear = simulate_incremental(mesher.mesh, bc, n_steps=1)
+        stepped = simulate_incremental(mesher.mesh, bc, n_steps=6)
         peak = float(np.abs(linear.displacement).max())
         departure = float(np.abs(linear.displacement - stepped.displacement).max())
         report.rows.append([shift, peak, departure, departure / max(peak, 1e-12)])

@@ -237,12 +237,10 @@ class ReductionContext:
 class SolveContext:
     """Per-patient cache of scan-invariant FEM state.
 
-    The object itself is layer-agnostic: it owns the assembly and
-    reduction contexts plus a ``slots`` dict that higher layers (the
-    serial :class:`repro.fem.BiomechanicalModel`, the virtual-parallel
-    :func:`repro.parallel.simulate_parallel`) populate with their own
+    The object owns the assembly and reduction contexts plus a ``slots``
+    dict that :func:`repro.parallel.simulate_parallel` populates with its
     scan-invariant state — decomposition, row-block matrix, factorized
-    preconditioners. Consistency is enforced by fingerprint: callers
+    preconditioner. Consistency is enforced by fingerprint: callers
     compute :meth:`fingerprint` over everything the cached state depends
     on and call :meth:`prepare`; a match is a cache hit, a mismatch
     discards the stale state and counts an invalidation.

@@ -152,7 +152,6 @@ class _Setup:
                 mesh,
                 materials,
                 bc.node_ids,
-                layer="parallel",
                 n_ranks=n_ranks,
                 partitioner=partitioner,
                 preconditioner=preconditioner,

@@ -99,9 +99,9 @@ class DistributedBlockJacobi:
             )
         _charge_factors(self, telemetry, FACTOR_FLOPS_PER_NNZ)
         self.shape = matrix.shape
-        # Backend-prepared block application + reused apply buffer (same
-        # contract as the serial BlockJacobiPreconditioner: callers must
-        # not hold the returned vector across solve calls).
+        # Backend-prepared block application + reused apply buffer: the
+        # apply path allocates nothing, and callers must not hold the
+        # returned vector across solve calls.
         self._apply = get_backend().prepare_block_apply(
             [(int(a), int(b)) for a, b in self._ranges], self._factors
         )

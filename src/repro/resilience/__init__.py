@@ -16,7 +16,7 @@ Modules
 :mod:`~repro.resilience.guards`
     Per-stage retry/deadline guards and boundary validators.
 :mod:`~repro.resilience.escalation`
-    The solver escalation ladder (GMRES → RAS-GMRES → CG → direct).
+    The solver escalation ladder (GMRES → RAS-GMRES → direct).
 :mod:`~repro.resilience.degrade`
     Graceful-degradation fallbacks and the report attached to results.
 """

@@ -10,10 +10,8 @@ more expensive) strategies:
 2. ``ras-gmres``   — a stronger preconditioner (restricted additive
    Schwarz) on an *isolated* context, so the shared per-patient cache
    fingerprint is never clobbered by an emergency configuration.
-3. ``cg``          — conjugate gradients on the reduced SPD system,
-   solved serially (an entirely different Krylov method).
-4. ``direct``      — sparse LU of the reduced system: slow, but immune
-   to Krylov stagnation.
+3. ``direct``      — :class:`repro.fem.BiomechanicalModel`, one sparse
+   LU of the reduced system: slow, but immune to Krylov stagnation.
 
 A :class:`repro.util.RankFailure` anywhere on the ladder permanently
 drops the remaining rungs to one rank with no machine model (dynamic
@@ -30,15 +28,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.sparse.linalg import splu
-
-from repro.fem.assembly import assemble_stiffness
-from repro.fem.bc import DirichletBC, apply_dirichlet
+from repro.fem.bc import DirichletBC
 from repro.fem.context import SolveContext
 from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.fem.model import BiomechanicalModel
-from repro.machines.cost import NullTelemetry
 from repro.machines.spec import MachineSpec
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
@@ -46,7 +39,7 @@ from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.resilience.degrade import serial_as_parallel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import check_displacement_field
-from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
+from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ConvergenceError, RankFailure, ReproError
 
 
@@ -196,19 +189,6 @@ def solve_with_escalation(
             faults=take_faults(),
         )
 
-    def rung_cg() -> ParallelSimulation:
-        model = BiomechanicalModel(
-            mesh=mesh,
-            materials=materials,
-            solver="cg",
-            preconditioner="block_jacobi",
-            n_blocks=1,
-            tol=solve_tol,
-            restart=restart,
-            max_iter=iter_cap,
-        )
-        return serial_as_parallel(model.simulate(bc, context=None))
-
     def rung_direct() -> ParallelSimulation:
         if stagnate is not None:
             # The injected stagnation models a systemic numerical problem
@@ -220,36 +200,11 @@ def solve_with_escalation(
                 solver="direct",
                 stage="biomechanical simulation",
             )
-        stiffness = assemble_stiffness(mesh, materials)
-        reduced = apply_dirichlet(stiffness, np.zeros(mesh.n_dof), bc)
-        x = splu(reduced.matrix.tocsc()).solve(reduced.rhs)
-        residual = float(np.linalg.norm(reduced.matrix @ x - reduced.rhs))
-        solver = GMRESResult(
-            x=x,
-            converged=bool(np.isfinite(residual)),
-            iterations=1,
-            restarts=0,
-            residual_norm=residual,
-            history=[residual],
-        )
-        return ParallelSimulation(
-            displacement=reduced.expand(x).reshape(-1, 3),
-            solver=solver,
-            n_equations=reduced.n_free,
-            n_dof_total=mesh.n_dof,
-            initialization_seconds=0.0,
-            assembly_seconds=0.0,
-            solve_seconds=0.0,
-            cluster=NullTelemetry(),
-            system=None,
-            cache_hit=False,
-            cache_stats=None,
-        )
+        return serial_as_parallel(BiomechanicalModel(mesh, materials).simulate(bc))
 
     ladder: list[tuple[str, object]] = [
         ("gmres", rung_gmres),
         ("ras-gmres", rung_ras),
-        ("cg", rung_cg),
         ("direct", rung_direct),
     ]
     if not escalate:

@@ -2,27 +2,25 @@
 
 The paper solves the assembled elasticity system with PETSc's GMRES and
 block-Jacobi preconditioning; this subpackage re-implements both from
-scratch (restarted GMRES via Arnoldi + Givens rotations, block-Jacobi
-with per-block sparse LU), plus conjugate gradients as an SPD
-cross-check, against a minimal operator interface that both serial CSR
-matrices and the distributed row-block operators satisfy.
+scratch: restarted GMRES via Arnoldi + Givens rotations, plus conjugate
+gradients as an SPD cross-check, against a minimal operator interface
+that both serial CSR matrices and the distributed row-block operators
+satisfy, and the block factorization every block preconditioner uses.
+Block Jacobi itself is :class:`repro.parallel.solver.DistributedBlockJacobi`.
 """
 
 from repro.solver.cg import conjugate_gradient
 from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
 from repro.solver.operator import AsOperator, LinearOperator, MatrixOperator
 from repro.solver.preconditioner import (
-    BlockJacobiPreconditioner,
     IdentityPreconditioner,
     JacobiPreconditioner,
-    contiguous_block_ranges,
     factor_blocks,
 )
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 
 __all__ = [
     "AsOperator",
-    "BlockJacobiPreconditioner",
     "DEFAULT_SOLVER_TOL",
     "GMRESResult",
     "IdentityPreconditioner",
@@ -31,7 +29,6 @@ __all__ = [
     "MatrixOperator",
     "RestrictedAdditiveSchwarz",
     "conjugate_gradient",
-    "contiguous_block_ranges",
     "factor_blocks",
     "gmres",
 ]

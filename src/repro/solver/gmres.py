@@ -24,9 +24,9 @@ from repro.util import ConvergenceError, ShapeError, ValidationError
 
 #: Relative tolerance of every *production* solve of the package — the
 #: pipeline (``PipelineConfig.solver_tol``), the escalation ladder, the
-#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres``,
-#: ``BiomechanicalModel`` and the Fig. 7-9 experiments. It is relative
-#: and on the left-preconditioned residual,
+#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres`` and
+#: the Fig. 7-9 experiments. It is relative and on the left-preconditioned
+#: residual,
 #: ``||M^{-1}(b - A x)|| <= tol * ||M^{-1} b||``: PETSc's ``-ksp_rtol``
 #: default, which is what the paper's GMRES + block Jacobi ran at (it
 #: names no convergence setting). Measured against a ``1e-10`` solve

@@ -91,7 +91,7 @@ class RestrictedAdditiveSchwarz:
             self._factors = factor_blocks(
                 [csr[grown, :][:, grown].tocsc() for grown in self._subdomains], factorization
             )
-        # Reused apply buffer (parity with BlockJacobiPreconditioner):
+        # Reused apply buffer (as in DistributedBlockJacobi):
         # callers must not hold the returned vector across solve calls.
         self._out = np.empty(n)
 

@@ -20,6 +20,22 @@ BRAIN_LABELS = (
 )
 
 
+def contiguous_ranges(n: int, n_blocks: int) -> np.ndarray:
+    """``(k, 2)`` equal contiguous half-open row ranges tiling ``[0, n)``, no empty one."""
+    bounds = np.linspace(0, n, min(n_blocks, n) + 1).astype(int)
+    return np.column_stack([bounds[:-1], bounds[1:]])
+
+
+def block_jacobi(matrix, ranges, factorization: str = "lu"):
+    """Block Jacobi over ``ranges`` of a plain sparse matrix (exact block LU by default)."""
+    from repro.parallel.distributed import RowBlockMatrix
+    from repro.parallel.solver import DistributedBlockJacobi
+
+    return DistributedBlockJacobi(
+        RowBlockMatrix.from_csr(matrix, np.asarray(ranges)), factorization=factorization
+    )
+
+
 @pytest.fixture(scope="session")
 def small_case():
     """A 32x32x24 neurosurgery case with 5 mm peak shift."""

@@ -28,15 +28,10 @@ from repro.parallel.assembly import build_distributed_system
 from repro.parallel.decomposition import Decomposition
 from repro.parallel.solver import DistributedBlockJacobi
 from repro.solver import preconditioner
-from repro.solver.preconditioner import (
-    ILU_DROP_TOL,
-    BlockJacobiPreconditioner,
-    factor_blocks,
-    incomplete_factor,
-)
+from repro.solver.preconditioner import ILU_DROP_TOL, factor_blocks, incomplete_factor
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 from repro.util import ValidationError
-from tests.conftest import BRAIN_LABELS
+from tests.conftest import BRAIN_LABELS, block_jacobi
 
 
 def _frozen_factor_loop(blocks, factorization):
@@ -141,6 +136,8 @@ class TestBitIdentity:
         assert np.array_equal(got, expected)
 
     def test_serial_block_jacobi_applies_the_oracle_factors(self, fem_systems, cores):
+        # A serial caller's block Jacobi: exact LU blocks over a plain CSR
+        # matrix, split by ``RowBlockMatrix.from_csr``.
         matrix, blocks = fem_systems[4]
         cores(4)
         ranges = [(int(a), int(b)) for a, b in matrix.ranges]
@@ -148,7 +145,7 @@ class TestBitIdentity:
         expected = get_backend().prepare_block_apply(
             ranges, _frozen_factor_loop(blocks, "lu")
         )(r, np.empty(matrix.n))
-        got = BlockJacobiPreconditioner(matrix.to_csr(), ranges).solve(r)
+        got = block_jacobi(matrix.to_csr(), ranges).solve(r)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("factorization", ["ilu", "lu"])
@@ -175,7 +172,7 @@ class TestBitIdentity:
                 lambda block, name=name, factor=factor: calls.append(name) or factor(block),
             )
         DistributedBlockJacobi(matrix)
-        BlockJacobiPreconditioner(matrix.to_csr(), matrix.ranges)
+        block_jacobi(matrix.to_csr(), matrix.ranges)
         RestrictedAdditiveSchwarz(matrix.to_csr(), matrix.ranges, factorization="ilu")
         assert calls.count("ilu") == 8 and calls.count("lu") == 4
 

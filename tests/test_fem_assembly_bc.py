@@ -167,44 +167,17 @@ class TestDirichlet:
 
 
 class TestBiomechanicalModel:
-    def test_patch_test_through_model(self, brain_mesh_module):
-        mesh = brain_mesh_module
-        surf = extract_boundary_surface(mesh)
-        field = mesh.nodes * 0.001  # pure dilation
-        bc = DirichletBC(surf.mesh_nodes, field[surf.mesh_nodes])
-        model = BiomechanicalModel(mesh, tol=1e-10)
-        result = model.simulate(bc)
-        assert result.solver.converged
-        assert np.allclose(result.displacement, field, atol=1e-6)
-
-    def test_solver_options_validated(self, brain_mesh_module):
-        with pytest.raises(ValidationError):
-            BiomechanicalModel(brain_mesh_module, solver="lobpcg")
-        with pytest.raises(ValidationError):
-            BiomechanicalModel(brain_mesh_module, preconditioner="amg")
-        with pytest.raises(ValidationError):
-            BiomechanicalModel(brain_mesh_module, n_blocks=0)
-
     def test_requires_nonempty_bc(self, brain_mesh_module):
         model = BiomechanicalModel(brain_mesh_module)
         with pytest.raises(ValidationError):
             model.simulate(DirichletBC(np.array([], dtype=int), np.zeros((0, 3))))
-
-    def test_cg_matches_gmres(self, brain_mesh_module):
-        mesh = brain_mesh_module
-        surf = extract_boundary_surface(mesh)
-        rng = np.random.default_rng(0)
-        disp = rng.normal(0, 0.5, (len(surf.mesh_nodes), 3))
-        bc = DirichletBC(surf.mesh_nodes, disp)
-        a = BiomechanicalModel(mesh, solver="gmres", tol=1e-10).simulate(bc)
-        b = BiomechanicalModel(mesh, solver="cg", tol=1e-10).simulate(bc)
-        assert np.allclose(a.displacement, b.displacement, atol=1e-6)
 
     def test_reports_counts_and_times(self, brain_mesh_module):
         mesh = brain_mesh_module
         surf = extract_boundary_surface(mesh)
         bc = DirichletBC(surf.mesh_nodes, np.zeros((len(surf.mesh_nodes), 3)))
         result = BiomechanicalModel(mesh).simulate(bc)
+        assert result.solver.converged and result.solver.iterations == 1
         assert result.n_dof_total == mesh.n_dof
         assert result.n_equations == mesh.n_dof - 3 * len(surf.mesh_nodes)
         assert result.assembly_seconds > 0

@@ -1,8 +1,8 @@
 """Tests for the scan-invariant solve contexts (cross-scan hot-path reuse).
 
 Covers the symbolic/numeric assembly split, the precomputed Dirichlet
-elimination, cache-hit-vs-cold numerical equivalence (serial and
-distributed), the independence of a solve from the ones before it, and
+elimination, cache-hit-vs-cold numerical equivalence (and agreement
+with the direct serial model), the independence of a solve from the ones before it, and
 fingerprint-based invalidation after a resection mesh edit.
 """
 
@@ -19,7 +19,6 @@ from repro.fem import (
     CacheStats,
     DirichletBC,
     ReductionContext,
-    SolveContext,
     apply_dirichlet,
     assemble_stiffness,
 )
@@ -89,33 +88,6 @@ class TestReductionContext:
             ctx.reduce(np.zeros(3))
 
 
-class TestSerialModelContext:
-    def test_warm_equals_cold(self, brain_mesh, surface_bc):
-        model = BiomechanicalModel(brain_mesh, tol=1e-12)
-        cold = model.simulate(surface_bc)
-        ctx = SolveContext()
-        miss = model.simulate(surface_bc, context=ctx)
-        hit = model.simulate(surface_bc, context=ctx)
-        assert ctx.stats.hits == 1 and ctx.stats.misses == 1
-        assert np.abs(miss.displacement - cold.displacement).max() <= 1e-10
-        assert np.abs(hit.displacement - cold.displacement).max() <= 1e-10
-
-    def test_cg_context_path(self, brain_mesh, surface_bc):
-        model = BiomechanicalModel(brain_mesh, solver="cg", tol=1e-12)
-        cold = model.simulate(surface_bc)
-        ctx = SolveContext()
-        model.simulate(surface_bc, context=ctx)
-        warm = model.simulate(surface_bc, context=ctx)
-        assert np.abs(warm.displacement - cold.displacement).max() <= 1e-10
-
-    def test_solver_change_invalidates(self, brain_mesh, surface_bc):
-        ctx = SolveContext()
-        BiomechanicalModel(brain_mesh, n_blocks=1).simulate(surface_bc, context=ctx)
-        BiomechanicalModel(brain_mesh, n_blocks=2).simulate(surface_bc, context=ctx)
-        assert ctx.stats.misses == 2
-        assert ctx.stats.invalidations == 1
-
-
 class TestParallelContext:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
     def test_warm_equals_cold_and_serial(self, brain_mesh, surface_bc, n_ranks):
@@ -127,7 +99,7 @@ class TestParallelContext:
         assert warm.cache_hit
         assert not cold.cache_hit
         assert np.abs(warm.displacement - cold.displacement).max() <= 1e-10
-        serial = BiomechanicalModel(brain_mesh, tol=1e-12).simulate(surface_bc)
+        serial = BiomechanicalModel(brain_mesh).simulate(surface_bc)
         assert np.abs(warm.displacement - serial.displacement).max() <= 1e-8
 
     def test_solve_ignores_the_scans_before_it(self, brain_mesh, surface_bc):

@@ -18,7 +18,7 @@ from repro.machines.cost import VirtualCluster
 from repro.machines.spec import DEEP_FLOW, ULTRA_HPC_6000
 from repro.segmentation.knn import KNNClassifier
 from repro.solver.gmres import gmres
-from repro.solver.preconditioner import BlockJacobiPreconditioner
+from tests.conftest import block_jacobi
 
 seeds = st.integers(0, 2**30)
 
@@ -110,7 +110,7 @@ class TestSolverProperties:
             B = sparse.random(10, 10, density=0.4, random_state=rng)
             blocks.append((B + B.T + sparse.eye(10) * 10).tocsr())
         A = sparse.block_diag(blocks).tocsr()
-        pre = BlockJacobiPreconditioner(A, [(0, 10), (10, 20), (20, 30)])
+        pre = block_jacobi(A, [(0, 10), (10, 20), (20, 30)])
         b = np.random.default_rng(seed).normal(size=30)
         result = gmres(A, b, preconditioner=pre, tol=1e-10)
         assert result.converged

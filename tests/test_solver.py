@@ -11,12 +11,9 @@ from scipy import sparse
 from repro.solver.cg import conjugate_gradient
 from repro.solver.gmres import gmres
 from repro.solver.operator import AsOperator, MatrixOperator
-from repro.solver.preconditioner import (
-    BlockJacobiPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-)
+from repro.solver.preconditioner import IdentityPreconditioner, JacobiPreconditioner
 from repro.util import ConvergenceError, ShapeError, ValidationError
+from tests.conftest import block_jacobi
 
 
 def spd_matrix(n=40, seed=0, density=0.2):
@@ -184,13 +181,13 @@ class TestPreconditioners:
 
     def test_block_jacobi_single_block_is_direct(self):
         A, rng = spd_matrix(30, seed=8)
-        p = BlockJacobiPreconditioner(A, [(0, 30)])
+        p = block_jacobi(A, [(0, 30)])
         b = rng.normal(size=30)
         assert np.allclose(A @ p.solve(b), b, atol=1e-8)
 
     def test_block_jacobi_blocks_independent(self):
         A, _ = spd_matrix(20, seed=9)
-        p = BlockJacobiPreconditioner(A, [(0, 10), (10, 20)])
+        p = block_jacobi(A, [(0, 10), (10, 20)])
         r = np.zeros(20)
         r[:10] = 1.0
         out = p.solve(r)
@@ -199,17 +196,17 @@ class TestPreconditioners:
     def test_block_jacobi_validates_ranges(self):
         A, _ = spd_matrix(10)
         with pytest.raises(ValidationError):
-            BlockJacobiPreconditioner(A, [(0, 5), (6, 10)])  # gap
+            block_jacobi(A, [(0, 5), (6, 10)])  # gap
         with pytest.raises(ValidationError):
-            BlockJacobiPreconditioner(A, [(0, 5), (5, 9)])  # short
+            block_jacobi(A, [(0, 5), (5, 9)])  # short
 
     def test_more_blocks_weaker_preconditioner(self):
         A, rng = spd_matrix(120, seed=10, density=0.05)
         b = rng.normal(size=120)
-        it1 = gmres(A, b, preconditioner=BlockJacobiPreconditioner(A, [(0, 120)]), tol=1e-9).iterations
+        it1 = gmres(A, b, preconditioner=block_jacobi(A, [(0, 120)]), tol=1e-9).iterations
         it4 = gmres(
             A, b,
-            preconditioner=BlockJacobiPreconditioner(A, [(0, 30), (30, 60), (60, 90), (90, 120)]),
+            preconditioner=block_jacobi(A, [(0, 30), (30, 60), (60, 90), (90, 120)]),
             tol=1e-9,
         ).iterations
         assert it1 <= it4

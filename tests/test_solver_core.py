@@ -32,17 +32,12 @@ from repro.parallel.solver import (
     DistributedRAS,
     distributed_gmres,
 )
-from repro.solver import (
-    BlockJacobiPreconditioner,
-    JacobiPreconditioner,
-    conjugate_gradient,
-    contiguous_block_ranges,
-    gmres,
-)
+from repro.solver import JacobiPreconditioner, conjugate_gradient, gmres
 from repro.solver.gmres import GMRESResult
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
 from repro.util import ConvergenceError, ShapeError, ValidationError
+from tests.conftest import block_jacobi, contiguous_ranges
 
 # ---------------------------------------------------------------------------
 # Frozen seed references (verbatim from the commit before the core existed;
@@ -453,9 +448,7 @@ class TestSerialCoreMatchesSeed:
         M = {
             "none": lambda: None,
             "jacobi": lambda: JacobiPreconditioner(A),
-            "block": lambda: BlockJacobiPreconditioner(
-                A, contiguous_block_ranges(n, case["n_blocks"])
-            ),
+            "block": lambda: block_jacobi(A, contiguous_ranges(n, case["n_blocks"])),
         }[case["precond"]]()
         args = (case["tol"], case["restart"], case["max_iter"], case["raise_on_fail"])
         expected = [
@@ -474,7 +467,7 @@ class TestDistributedCoreMatchesSeed:
     def test_gmres_telemetry_and_block_columns(self, case, kind):
         A, B, x0s = case["A"], case["B"], case["x0s"]
         n = A.shape[0]
-        ranges = np.array(contiguous_block_ranges(n, case["n_blocks"]))
+        ranges = contiguous_ranges(n, case["n_blocks"])
         matrix = RowBlockMatrix.from_csr(A, ranges)
         if case["precond"] == "none":
             M = None
@@ -515,9 +508,7 @@ def _spd_system(n=24, seed=5):
 
 
 def _row_blocks(A, n_ranks=3):
-    return RowBlockMatrix.from_csr(
-        A, np.array(contiguous_block_ranges(A.shape[0], n_ranks))
-    )
+    return RowBlockMatrix.from_csr(A, contiguous_ranges(A.shape[0], n_ranks))
 
 
 #: The three Krylov entry points behind one calling convention. ``restart``

@@ -7,9 +7,9 @@ import pytest
 from scipy import sparse
 
 from repro.solver.gmres import gmres
-from repro.solver.preconditioner import BlockJacobiPreconditioner
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 from repro.util import ValidationError
+from tests.conftest import block_jacobi
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ class TestRAS:
     def test_zero_overlap_matches_block_jacobi(self, fem_system):
         matrix, rhs, ranges = fem_system
         ras = RestrictedAdditiveSchwarz(matrix, ranges, overlap=0)
-        bj = BlockJacobiPreconditioner(matrix, ranges)
+        bj = block_jacobi(matrix, ranges)
         r = np.random.default_rng(0).normal(size=matrix.shape[0])
         assert np.allclose(ras.solve(r), bj.solve(r), atol=1e-10)
 

@@ -19,11 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PipelineConfig
-from repro.core.prediction import predict_gravity_shift
 from repro.experiments.common import build_clinical_system
 from repro.experiments.fig7 import scaling_sweep
-from repro.fem.incremental import simulate_incremental
-from repro.fem.model import BiomechanicalModel
 from repro.parallel.simulation import simulate_parallel
 from repro.parallel.solver import distributed_gmres
 from repro.resilience.degrade import coarse_fem_fallback
@@ -94,13 +91,10 @@ class TestOneConstant:
         [
             pytest.param(_field_default(PipelineConfig, "solver_tol"), id="PipelineConfig"),
             pytest.param(_field_default(ResiliencePolicy, "coarse_tol"), id="ResiliencePolicy"),
-            pytest.param(_field_default(BiomechanicalModel, "tol"), id="BiomechanicalModel"),
             pytest.param(_default(solve_with_escalation), id="solve_with_escalation"),
             pytest.param(_default(coarse_fem_fallback), id="coarse_fem_fallback"),
             pytest.param(_default(distributed_gmres), id="distributed_gmres"),
             pytest.param(_default(simulate_parallel), id="simulate_parallel"),
-            pytest.param(_default(simulate_incremental), id="simulate_incremental"),
-            pytest.param(_default(predict_gravity_shift), id="predict_gravity_shift"),
             pytest.param(_default(scaling_sweep), id="fig7.scaling_sweep"),
         ],
     )
