@@ -42,10 +42,9 @@ class PipelineConfig:
         when "time is plentiful", so every intraoperative simulation is
         a data-only fast path.
     resilience:
-        The intraoperative resilience layer's knobs
-        (:class:`repro.resilience.ResiliencePolicy`): per-stage retries,
-        the solver escalation ladder, boundary validators, and the
-        graceful-degradation bound. Enabled by default;
+        The intraoperative resilience layer's settings
+        (:class:`repro.resilience.ResiliencePolicy`): the master switch
+        and the graceful-degradation bounds. Enabled by default;
         ``resilience.enabled = False`` is the fail-fast configuration
         of the same guarded runner — one attempt per stage, the
         ladder's first rung only, no degradation, non-finite input

@@ -65,6 +65,11 @@ from repro.util import ConvergenceError, ReproError, ValidationError
 from repro.util.atomicio import checksum_array
 from repro.util.memory import reachable_array_bytes
 
+#: Share of non-finite intraoperative voxels up to which a resilient
+#: pipeline sanitizes the scan; past it the acquisition is unusable and
+#: the scan degrades (previous field / rigid-only).
+MAX_NONFINITE_FRACTION = 0.25
+
 
 @dataclass
 class PreoperativeModel:
@@ -615,10 +620,7 @@ class IntraoperativePipeline:
         still gets its data-only fast path.
         """
         cfg = self.config
-        policy = cfg.resilience
-        deadline = policy.solve_deadline_s
-        if deadline is None and self.budget is not None:
-            deadline = max(self.budget.headroom(), 1.0)
+        deadline = None if self.budget is None else max(self.budget.headroom(), 1.0)
         with timeline.stage("biomechanical simulation"):
             bc = DirichletBC(preop.surface.mesh_nodes, correspondence.displacements)
             return solve_with_escalation(
@@ -630,13 +632,11 @@ class IntraoperativePipeline:
                 partitioner=cfg.partitioner,
                 tol=cfg.solver_tol,
                 restart=cfg.gmres_restart,
-                max_iter=policy.escalation_max_iter,
                 context=preop.solve_context,
-                gate_mm=policy.displacement_gate_mm,
                 deadline_s=deadline,
                 faults=cfg.fault_plan,
                 scan_index=scan_index,
-                escalate=policy.enabled,
+                escalate=cfg.resilience.enabled,
             )
 
     def _stage_resample(
@@ -714,7 +714,7 @@ class IntraoperativePipeline:
             fraction = intraop_mri.nonfinite_fraction()
             if not policy.enabled:
                 intraop_mri.validate_finite("intraoperative scan")
-            elif policy.sanitize_inputs and fraction <= policy.max_nonfinite_fraction:
+            elif fraction <= MAX_NONFINITE_FRACTION:
                 intraop_mri, n_fixed = intraop_mri.sanitized()
                 timeline.note(
                     f"input hardening: replaced {n_fixed} non-finite "
@@ -723,7 +723,7 @@ class IntraoperativePipeline:
             else:
                 unusable = (
                     f"intraoperative scan unusable: {fraction:.1%} non-finite "
-                    f"voxels (limit {policy.max_nonfinite_fraction:.0%})"
+                    f"voxels (limit {MAX_NONFINITE_FRACTION:.0%})"
                 )
 
         report = DegradationReport()
@@ -760,9 +760,7 @@ class IntraoperativePipeline:
             # detection leave no boundary conditions to simulate from
             # and divert to the degradation ladder below, which a
             # disabled policy leaves by re-raising them.
-            guard = StageGuard(
-                "rigid registration", policy.retry_for("rigid registration")
-            )
+            guard = StageGuard("rigid registration", policy.stage_attempts)
             try:
                 rigid_result, transform = guard.run(
                     self._stage_rigid, intraop_mri, preop, timeline
@@ -775,9 +773,7 @@ class IntraoperativePipeline:
                 rigid_result = None
                 note(f"rigid registration failed ({exc}); using identity transform")
             try:
-                guard = StageGuard(
-                    "tissue classification", policy.retry_for("tissue classification")
-                )
+                guard = StageGuard("tissue classification", policy.stage_attempts)
                 prototypes, segmentation = guard.run(
                     self._stage_classify,
                     intraop_mri,
@@ -789,11 +785,9 @@ class IntraoperativePipeline:
                 )
                 guard = StageGuard(
                     "surface displacement",
-                    policy.retry_for("surface displacement"),
+                    policy.stage_attempts,
                     validator=lambda out: check_displacement_field(
-                        out[0].displacements,
-                        policy.displacement_gate_mm,
-                        "surface displacement",
+                        out[0].displacements, name="surface displacement"
                     ),
                 )
                 correspondence, target_mask, preop_in_scan = guard.run(
@@ -843,9 +837,7 @@ class IntraoperativePipeline:
         grid_disp = None
         deformed = None
         if simulation is not None:
-            guard = StageGuard(
-                "visualization resample", policy.retry_for("visualization resample")
-            )
+            guard = StageGuard("visualization resample", policy.stage_attempts)
             try:
                 grid_disp, deformed = guard.run(
                     self._stage_resample, preop, simulation.displacement, timeline
@@ -876,11 +868,7 @@ class IntraoperativePipeline:
                             brain_labels=cfg.brain_labels,
                             materials=cfg.materials,
                             cell_mm=cfg.mesh_cell_mm,
-                            coarse_factor=policy.coarse_factor,
-                            tol=policy.coarse_tol,
                             restart=cfg.gmres_restart,
-                            max_iter=policy.escalation_max_iter,
-                            gate_mm=policy.displacement_gate_mm,
                         )
                 except ReproError as exc:
                     note(f"coarse-fem fallback failed: {exc}")

@@ -119,10 +119,9 @@ def resilience_drill(
     One 2-scan session per fault class, the fault aimed at the second
     scan; records the degradation level reached, the escalation rungs
     climbed, and whether the session survived (it always must). The
-    knobs live on :class:`repro.resilience.ResiliencePolicy`
-    (``max_degradation``, ``max_nonfinite_fraction``,
-    ``displacement_gate_mm``, ``coarse_factor``, per-stage retries) and
-    faults parse from ``--faults "SCAN:KIND[=PARAM];..."``.
+    settings live on :class:`repro.resilience.ResiliencePolicy`
+    (``enabled``, ``max_degradation``, ``min_degradation``) and faults
+    parse from ``--faults "SCAN:KIND[=PARAM];..."``.
     """
     from repro.core.session import SurgicalSession
     from repro.imaging.phantom import make_neurosurgery_case

@@ -6,9 +6,10 @@ displacements as Dirichlet boundary conditions, solve the reduced
 system, and return the volumetric displacement field "inside and outside
 the surfaces". The paper's solver — GMRES with block Jacobi on P CPUs —
 is :func:`repro.parallel.simulate_parallel`. This serial model solves the
-same reduced system directly, with one sparse LU; the escalation
-ladder's ``direct`` rung, gravity prediction and incremental loading run
-it.
+same reduced system directly, with one sparse LU, and takes a body
+force: gravity prediction, incremental loading and the analytic
+patch-test oracle run it. The scan pipeline does not — at the paper's
+size the LU takes 82.6–90.9 s and ≈ 1.8 GB.
 """
 
 from __future__ import annotations

@@ -11,12 +11,12 @@ Modules
 :mod:`~repro.resilience.faults`
     Deterministic, seedable fault injection (:class:`FaultPlan`).
 :mod:`~repro.resilience.policy`
-    The knobs (:class:`ResiliencePolicy`) and the ordered
+    The three settings (:class:`ResiliencePolicy`) and the ordered
     :class:`DegradationLevel` ladder.
 :mod:`~repro.resilience.guards`
-    Per-stage retry/deadline guards and boundary validators.
+    Per-stage retry guards and boundary validators.
 :mod:`~repro.resilience.escalation`
-    The solver escalation ladder (GMRES → RAS-GMRES → direct).
+    The solver escalation ladder (GMRES → RAS-GMRES).
 :mod:`~repro.resilience.degrade`
     Graceful-degradation fallbacks and the report attached to results.
 """
@@ -59,7 +59,6 @@ from repro.resilience.guards import (
 from repro.resilience.policy import (
     DegradationLevel,
     ResiliencePolicy,
-    RetryPolicy,
     parse_level,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "FaultSpec",
     "GuardReport",
     "ResiliencePolicy",
-    "RetryPolicy",
     "RungAttempt",
     "ServingFaultPlan",
     "ServingFaultSpec",

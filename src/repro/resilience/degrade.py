@@ -38,7 +38,7 @@ from repro.mesh.surface import TriangleSurface, extract_boundary_surface
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.resilience.guards import check_displacement_field, check_mesh_usable
 from repro.resilience.policy import DegradationLevel
-from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
+from repro.solver.gmres import GMRESResult
 from repro.surface.correspondence import CorrespondenceResult
 from repro.surface.evolve import ActiveSurfaceResult
 from repro.util import ConvergenceError, ValidationError
@@ -161,23 +161,6 @@ def synthetic_simulation(
     )
 
 
-def serial_as_parallel(result) -> ParallelSimulation:
-    """Wrap a serial :class:`repro.fem.SimulationResult` for the pipeline."""
-    return ParallelSimulation(
-        displacement=result.displacement,
-        solver=result.solver,
-        n_equations=result.n_equations,
-        n_dof_total=result.n_dof_total,
-        initialization_seconds=0.0,
-        assembly_seconds=0.0,
-        solve_seconds=0.0,
-        cluster=NullTelemetry(),
-        system=None,
-        cache_hit=False,
-        cache_stats=None,
-    )
-
-
 def resample_through_field(
     mri: ImageVolume, grid_displacement: np.ndarray
 ) -> ImageVolume:
@@ -203,6 +186,9 @@ def stub_correspondence(surface: TriangleSurface) -> CorrespondenceResult:
 
 # -- fallback levels ----------------------------------------------------------
 
+#: Mesh-cell multiplier of the coarse-FEM fallback.
+COARSE_FACTOR = 2.0
+
 
 def coarse_fem_fallback(
     labels: ImageVolume,
@@ -213,26 +199,22 @@ def coarse_fem_fallback(
     brain_labels,
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     cell_mm: float = 5.0,
-    coarse_factor: float = 2.0,
-    tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
-    max_iter: int = 3000,
-    gate_mm: float = 200.0,
-    max_aspect: float = 50.0,
 ) -> FallbackField:
-    """Biomechanical fallback on a ``coarse_factor``-times coarser mesh.
+    """Biomechanical fallback on a :data:`COARSE_FACTOR`-times coarser mesh.
 
     The fine active-surface displacements are mapped onto the coarse
     boundary by nearest fine surface node, the (much smaller) system is
-    solved serially with an isolated context, and the coarse solution is
-    interpolated back to the fine mesh nodes for downstream consumers.
+    solved serially with an isolated context at the production solver
+    defaults, and the coarse solution is interpolated back to the fine
+    mesh nodes for downstream consumers.
     Raises a :class:`repro.util.ReproError` subtype when the coarse path
     itself is unusable (degenerate mesh, diverged solve), letting the
     caller continue down the degradation ladder.
     """
-    coarse_cell = float(cell_mm) * float(coarse_factor)
+    coarse_cell = float(cell_mm) * COARSE_FACTOR
     mesher = mesh_labeled_volume(labels, coarse_cell, brain_labels)
-    check_mesh_usable(mesher.mesh, max_aspect=max_aspect, name="coarse fallback mesh")
+    check_mesh_usable(mesher.mesh, name="coarse fallback mesh")
     surface = extract_boundary_surface(mesher.mesh)
 
     displacements = np.asarray(surface_displacements, dtype=float)
@@ -246,9 +228,7 @@ def coarse_fem_fallback(
         bc,
         n_ranks=1,
         materials=materials,
-        tol=tol,
         restart=restart,
-        max_iter=max_iter,
         context=None,
     )
     if not simulation.solver.converged:
@@ -260,7 +240,7 @@ def coarse_fem_fallback(
             stage="degradation",
         )
     check_displacement_field(
-        simulation.displacement, gate_mm, name="coarse fallback displacement"
+        simulation.displacement, name="coarse fallback displacement"
     )
 
     grid = mesher.displacement_on_grid(simulation.displacement, mri)

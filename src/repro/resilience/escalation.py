@@ -2,25 +2,26 @@
 
 When the intraoperative solve fails — a dead virtual rank, injected
 stagnation, a genuinely hard system — the pipeline does not give up
-after one attempt. It climbs a ladder of progressively more robust (and
-more expensive) strategies:
+after one attempt. It climbs a two-rung ladder:
 
 1. ``gmres``       — the nominal path: block-Jacobi GMRES from zero on
    the shared context's cached matrices and preconditioner factors.
 2. ``ras-gmres``   — a stronger preconditioner (restricted additive
    Schwarz) on an *isolated* context, so the shared per-patient cache
    fingerprint is never clobbered by an emergency configuration.
-3. ``direct``      — :class:`repro.fem.BiomechanicalModel`, one sparse
-   LU of the reduced system: slow, but immune to Krylov stagnation.
 
-A :class:`repro.util.RankFailure` anywhere on the ladder permanently
-drops the remaining rungs to one rank with no machine model (dynamic
-resource substitution). Every rung is recorded as a
-:class:`RungAttempt` and an ``escalation.rung`` trace event; the ladder
-never raises — an exhausted :class:`EscalationOutcome` is returned for
-the degradation layer (:mod:`repro.resilience.degrade`) to act on —
-unless it was cut to its first rung (``escalate=False``), whose error
-propagates.
+There is no exact rung: a sparse LU of the paper-size system takes
+82.6–90.9 s and ≈ 1.8 GB, far outside the intraoperative budget, so a
+scan both rungs fail on goes to the degradation levels
+(:mod:`repro.resilience.degrade`) instead.
+
+A :class:`repro.util.RankFailure` on the first rung drops the second to
+one rank with no machine model (dynamic resource substitution). Every
+rung is recorded as a :class:`RungAttempt` and an ``escalation.rung``
+trace event; the ladder never raises — an exhausted
+:class:`EscalationOutcome` is returned for the degradation layer to act
+on — unless it was cut to its first rung (``escalate=False``), whose
+error propagates.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from dataclasses import dataclass, field
 from repro.fem.bc import DirichletBC
 from repro.fem.context import SolveContext
 from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
-from repro.fem.model import BiomechanicalModel
 from repro.machines.spec import MachineSpec
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
-from repro.resilience.degrade import serial_as_parallel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import check_displacement_field
 from repro.solver.gmres import DEFAULT_SOLVER_TOL
@@ -98,9 +97,7 @@ def solve_with_escalation(
     partitioner: str = "block",
     tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
-    max_iter: int = 3000,
     context: SolveContext | None = None,
-    gate_mm: float = 200.0,
     deadline_s: float | None = None,
     faults: FaultPlan | None = None,
     scan_index: int = 0,
@@ -114,10 +111,11 @@ def solve_with_escalation(
     started after the allowance is spent (the first rung always runs).
 
     Rung success requires a converged solver *and* a finite displacement
-    field inside the ``gate_mm`` physical gate; anything else falls
-    through to the next rung. Rungs beyond ``gmres`` run with an
-    isolated (``None``) context so emergency configurations never
-    invalidate the shared per-patient cache.
+    field inside the physical gate
+    (:data:`repro.resilience.guards.DISPLACEMENT_GATE_MM`); anything else
+    falls through to the next rung. ``ras-gmres`` runs with an isolated
+    (``None``) context so an emergency configuration never invalidates
+    the shared per-patient cache.
 
     ``escalate=False`` (a disabled
     :class:`repro.resilience.ResiliencePolicy`) is the ladder cut to its
@@ -134,11 +132,12 @@ def solve_with_escalation(
 
     # Persistent stagnation fault: for this scan, clamp the iteration
     # budget and push the convergence target out of reach, so every
-    # iterative rung stagnates by construction (and the direct rung
-    # fails outright) — the deterministic route into degradation.
+    # rung stagnates by construction — the deterministic route into
+    # degradation.
     stagnate = faults.take(scan_index, "stagnate-solver") if faults is not None else None
-    iter_cap = max_iter if stagnate is None else max(1, int(stagnate.param or 2))
-    solve_tol = tol if stagnate is None else 1e-300
+    limits: dict[str, float] = {"tol": tol}
+    if stagnate is not None:
+        limits = {"tol": 1e-300, "max_iter": max(1, int(stagnate.param or 2))}
 
     # One-shot solver faults fire on the first rung that reaches the
     # solve phase, then are consumed.
@@ -158,7 +157,7 @@ def solve_with_escalation(
         pending_faults.clear()
         return injected
 
-    def rung_gmres() -> ParallelSimulation:
+    def solve(preconditioner: str, rung_context: SolveContext | None) -> ParallelSimulation:
         return simulate_parallel(
             mesh,
             bc,
@@ -166,57 +165,26 @@ def solve_with_escalation(
             machine=use_machine,
             materials=materials,
             partitioner=partitioner,
-            tol=solve_tol,
             restart=restart,
-            max_iter=iter_cap,
-            context=context,
+            preconditioner=preconditioner,
+            context=rung_context,
             faults=take_faults(),
+            **limits,
         )
 
-    def rung_ras() -> ParallelSimulation:
-        return simulate_parallel(
-            mesh,
-            bc,
-            n_ranks=use_ranks,
-            machine=use_machine,
-            materials=materials,
-            partitioner=partitioner,
-            tol=solve_tol,
-            restart=restart,
-            max_iter=iter_cap,
-            preconditioner="ras",
-            context=None,
-            faults=take_faults(),
-        )
-
-    def rung_direct() -> ParallelSimulation:
-        if stagnate is not None:
-            # The injected stagnation models a systemic numerical problem
-            # (bad matrix data), which a direct method cannot dodge.
-            raise ConvergenceError(
-                "injected stagnation fault: direct solve failed",
-                iterations=0,
-                residual=float("nan"),
-                solver="direct",
-                stage="biomechanical simulation",
-            )
-        return serial_as_parallel(BiomechanicalModel(mesh, materials).simulate(bc))
-
-    ladder: list[tuple[str, object]] = [
-        ("gmres", rung_gmres),
-        ("ras-gmres", rung_ras),
-        ("direct", rung_direct),
-    ]
+    # (rung, preconditioner, context): the emergency rung never touches
+    # the shared per-patient cache.
+    ladder = [("gmres", "block_jacobi", context), ("ras-gmres", "ras", None)]
     if not escalate:
         del ladder[1:]
 
-    for index, (name, fn) in enumerate(ladder):
+    for index, (name, preconditioner, rung_context) in enumerate(ladder):
         elapsed = time.perf_counter() - start
         if deadline_s is not None and index > 0 and elapsed > deadline_s:
             cause = (
                 f"solve deadline exhausted after {elapsed:.2f} s "
                 f"(> {deadline_s:.2f} s); rungs not tried: "
-                + ", ".join(n for n, _ in ladder[index:])
+                + ", ".join(rung[0] for rung in ladder[index:])
             )
             tracer.event("escalation.deadline", elapsed=elapsed, deadline=deadline_s)
             return EscalationOutcome(
@@ -224,7 +192,7 @@ def solve_with_escalation(
             )
         t0 = time.perf_counter()
         try:
-            sim = fn()
+            sim = solve(preconditioner, rung_context)
             if not sim.solver.converged:
                 raise ConvergenceError(
                     f"{name} rung did not converge",
@@ -233,9 +201,7 @@ def solve_with_escalation(
                     solver=name,
                     stage="biomechanical simulation",
                 )
-            check_displacement_field(
-                sim.displacement, gate_mm, name=f"{name} displacement"
-            )
+            check_displacement_field(sim.displacement, name=f"{name} displacement")
             attempts.append(
                 RungAttempt(
                     rung=name,

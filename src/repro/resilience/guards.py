@@ -1,16 +1,16 @@
 """Stage guards and boundary validators for the intraoperative pipeline.
 
-A :class:`StageGuard` wraps one pipeline stage with the retry/backoff
-policy from :class:`repro.resilience.ResiliencePolicy`, optional
-deadline enforcement (wired to the live :class:`repro.obs.BudgetMonitor`
-headroom by the pipeline), and a boundary validator run on the stage's
-output — so a stage either returns a *checked* value or raises a typed
-:class:`repro.util.ReproError` the degradation layer can act on.
+A :class:`StageGuard` runs one pipeline stage for up to ``attempts``
+tries (:attr:`repro.resilience.ResiliencePolicy.stage_attempts`) with a
+boundary validator on the stage's output — so a stage either returns a
+*checked* value or raises a typed :class:`repro.util.ReproError` the
+degradation layer can act on. The only deadline in the scan is the
+escalation ladder's (:func:`repro.resilience.solve_with_escalation`).
 
 The validators are the pipeline's data contracts made executable:
 finite-field checks on images and displacement fields, a physical
-magnitude gate on computed deformations, and mesh-quality gates for the
-coarse-fallback mesher.
+magnitude gate on computed deformations (:data:`DISPLACEMENT_GATE_MM`),
+and mesh-quality gates for the coarse-fallback mesher.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from repro.mesh.quality import quality_report
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.flight import get_flight_recorder
 from repro.obs.trace import get_tracer
-from repro.resilience.policy import RetryPolicy
-from repro.util import DeadlineExceeded, ReproError, ValidationError
+from repro.util import ReproError, ValidationError
+
+#: Peak displacement (mm) past which a computed field is rejected: no
+#: brain shifts this far, so the field is a diverged or corrupted solve.
+DISPLACEMENT_GATE_MM = 200.0
 
 
 @dataclass
@@ -45,18 +48,14 @@ class GuardReport:
 
 @dataclass
 class StageGuard:
-    """Run one pipeline stage under retry, deadline, and validation.
+    """Run one pipeline stage under retry and validation.
 
     Parameters
     ----------
     stage:
         Stage name (matches the timeline/budget stage names).
-    retry:
-        Total attempts and backoff between them.
-    deadline_s:
-        Wall-clock allowance across *all* attempts; ``None`` disables.
-        Exceeding it raises :class:`repro.util.DeadlineExceeded` — the
-        guard never starts a retry it has no time for.
+    attempts:
+        Total tries (1 = no retry).
     validator:
         Called with the stage's return value; must raise a
         :class:`repro.util.ReproError` subtype to reject it. Validation
@@ -64,8 +63,7 @@ class StageGuard:
     """
 
     stage: str
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    deadline_s: float | None = None
+    attempts: int = 1
     validator: object | None = None
 
     def run(self, fn, *args, **kwargs):
@@ -79,16 +77,7 @@ class StageGuard:
         start = time.perf_counter()
         self.last_report = GuardReport(stage=self.stage)
         last_error: ReproError | None = None
-        for attempt in range(1, self.retry.attempts + 1):
-            elapsed = time.perf_counter() - start
-            if self.deadline_s is not None and elapsed > self.deadline_s:
-                raise DeadlineExceeded(
-                    f"stage {self.stage!r} exceeded its deadline after "
-                    f"{attempt - 1} attempts ({elapsed:.2f} s > {self.deadline_s:.2f} s)",
-                    stage=self.stage,
-                    elapsed=elapsed,
-                    deadline=self.deadline_s,
-                )
+        for attempt in range(1, self.attempts + 1):
             self.last_report.attempts = attempt
             try:
                 result = fn(*args, **kwargs)
@@ -111,8 +100,6 @@ class StageGuard:
                     attempt=attempt,
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                if attempt < self.retry.attempts and self.retry.backoff_s > 0:
-                    time.sleep(self.retry.backoff_s)
         self.last_report.seconds = time.perf_counter() - start
         if getattr(last_error, "stage", None) in (None, ""):
             try:
@@ -135,7 +122,9 @@ def check_finite_array(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def check_displacement_field(
-    displacements: np.ndarray, gate_mm: float, name: str = "displacement field"
+    displacements: np.ndarray,
+    gate_mm: float = DISPLACEMENT_GATE_MM,
+    name: str = "displacement field",
 ) -> np.ndarray:
     """Finite-and-physical gate on a computed displacement field.
 

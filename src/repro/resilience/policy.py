@@ -1,8 +1,10 @@
-"""Resilience policy: retry budgets, gates, and degradation bounds.
+"""Resilience policy: the master switch and the degradation bounds.
 
-One dataclass gathers every knob of the intraoperative resilience layer,
-the way :class:`repro.core.PipelineConfig` does for the pipeline proper.
-The clinical contract it encodes (per the per-operative neuronavigator
+One dataclass holds the three settings of the intraoperative resilience
+layer that anything sets — the CLI, the serving pool and the checkpoint
+manifest. The gates, retry counts and fallback sizes it once also held
+had one value each; they live beside the code that uses them. The
+clinical contract it encodes (per the per-operative neuronavigator
 framework): *always return a compensation* — full-FEM when possible, a
 degraded one when not — inside a bounded time, and never let one bad
 acquisition abort the session.
@@ -13,10 +15,9 @@ embed a policy without import cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
-from repro.solver.gmres import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 
@@ -49,37 +50,6 @@ LEVEL_BY_NAME = {label: level for level, label in _LEVEL_LABELS.items()}
 
 
 @dataclass
-class RetryPolicy:
-    """Retry budget for one guarded stage.
-
-    ``attempts`` counts *total* tries (1 = no retry); ``backoff_s`` is
-    slept between tries (kept at 0 in tests; real deployments may want
-    a beat for transient scanner/IO hiccups).
-    """
-
-    attempts: int = 1
-    backoff_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValidationError(f"attempts must be >= 1, got {self.attempts}")
-        if self.backoff_s < 0:
-            raise ValidationError(f"backoff_s must be >= 0, got {self.backoff_s}")
-
-
-def _default_stage_retries() -> dict[str, RetryPolicy]:
-    # Image-side stages get one retry (transient numerical hiccups or
-    # injected corruption cleared by sanitization); the simulation stage
-    # has its own escalation ladder instead of blind retries.
-    return {
-        "rigid registration": RetryPolicy(attempts=2),
-        "tissue classification": RetryPolicy(attempts=2),
-        "surface displacement": RetryPolicy(attempts=2),
-        "visualization resample": RetryPolicy(attempts=2),
-    }
-
-
-@dataclass
 class ResiliencePolicy:
     """Settings for the intraoperative resilience layer.
 
@@ -88,13 +58,11 @@ class ResiliencePolicy:
     enabled:
         Master switch. Off is the fail-fast *configuration* of the same
         guarded scan runner, not another runner: every stage gets one
-        attempt (:meth:`retry_for`), no degradation rung is allowed and
+        attempt (:attr:`stage_attempts`), no degradation rung is allowed and
         no floor is forced (:attr:`ceiling`, :meth:`allows`,
         :attr:`floor`), the solve is the escalation ladder's first rung
         only, non-finite input is rejected rather than sanitized — and
         every error propagates as raised.
-    stage_retries:
-        Per-stage :class:`RetryPolicy` (stages absent run once).
     max_degradation:
         Deepest fallback the pipeline may take. A failure needing a
         deeper level re-raises the underlying error instead — the
@@ -108,44 +76,11 @@ class ResiliencePolicy:
         tier's load-shedding hook: under overload the gateway stamps a
         floor on the case instead of rejecting it, trading fidelity for
         bounded latency. Must not exceed ``max_degradation``.
-    sanitize_inputs:
-        Replace non-finite intraoperative voxels (up to
-        ``max_nonfinite_fraction``) instead of rejecting the scan.
-    max_nonfinite_fraction:
-        Above this corrupted-voxel fraction the acquisition is deemed
-        unusable and the scan degrades immediately (previous field /
-        rigid-only) rather than trusting a mostly-synthetic image.
-    displacement_gate_mm:
-        Reject any computed displacement field whose magnitude exceeds
-        this bound (a physically impossible brain shift signals a
-        diverged or corrupted solve).
-    solve_deadline_s:
-        Wall-clock allowance for the escalation ladder; ``None`` defers
-        to the live :class:`repro.obs.BudgetMonitor` headroom when one
-        is attached, else unlimited. Once exhausted, remaining rungs
-        are skipped and the scan degrades.
-    escalation_max_iter:
-        Iteration budget for escalation-rung solves.
-    coarse_factor:
-        Mesh-cell multiplier for the coarse-FEM fallback.
-    coarse_tol:
-        Solver tolerance for the coarse-FEM fallback (the full solve's
-        default, :data:`repro.solver.DEFAULT_SOLVER_TOL`).
     """
 
     enabled: bool = True
-    stage_retries: dict[str, RetryPolicy] = field(
-        default_factory=_default_stage_retries
-    )
     max_degradation: DegradationLevel = DegradationLevel.RIGID_ONLY
     min_degradation: DegradationLevel = DegradationLevel.FULL_FEM
-    sanitize_inputs: bool = True
-    max_nonfinite_fraction: float = 0.25
-    displacement_gate_mm: float = 200.0
-    solve_deadline_s: float | None = None
-    escalation_max_iter: int = 3000
-    coarse_factor: float = 2.0
-    coarse_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_degradation, DegradationLevel):
@@ -157,25 +92,11 @@ class ResiliencePolicy:
                 f"min_degradation {self.min_degradation.label!r} exceeds "
                 f"max_degradation {self.max_degradation.label!r}"
             )
-        if not 0.0 <= self.max_nonfinite_fraction <= 1.0:
-            raise ValidationError(
-                "max_nonfinite_fraction must be in [0, 1], "
-                f"got {self.max_nonfinite_fraction}"
-            )
-        if self.displacement_gate_mm <= 0:
-            raise ValidationError(
-                f"displacement_gate_mm must be > 0, got {self.displacement_gate_mm}"
-            )
-        if self.coarse_factor <= 1.0:
-            raise ValidationError(
-                f"coarse_factor must be > 1, got {self.coarse_factor}"
-            )
 
-    def retry_for(self, stage: str) -> RetryPolicy:
-        """The stage's retry budget; a disabled policy retries nothing."""
-        if not self.enabled:
-            return RetryPolicy()
-        return self.stage_retries.get(stage, RetryPolicy())
+    @property
+    def stage_attempts(self) -> int:
+        """Tries per guarded stage: one retry when enabled, none when not."""
+        return 2 if self.enabled else 1
 
     @property
     def ceiling(self) -> DegradationLevel:

@@ -577,11 +577,20 @@ class NetworkFrontEnd:
         return self
 
     def stop_from_thread(self, timeout: float = 60.0) -> None:
-        """Drain and join a :meth:`start_in_thread` server."""
+        """Drain and join a :meth:`start_in_thread` server.
+
+        Raises :class:`repro.util.ValidationError` when the server thread
+        is still alive ``timeout`` seconds after the drain request.
+        """
         if self._loop is not None and self._thread is not None:
             with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.request_drain)
+                self.request_drain()
             self._thread.join(timeout)
+            if self._thread.is_alive():
+                raise ValidationError(
+                    f"network front-end still running {timeout:.0f} s "
+                    "after the drain request"
+                )
 
     def request_drain(self) -> None:
         """Begin a graceful drain (signal handler / programmatic).
@@ -589,13 +598,23 @@ class NetworkFrontEnd:
         New submissions are refused (``draining``), pending cases get
         :attr:`drain_timeout_s` to reach a terminal status through the
         pump, then the gateway drains (checkpointing in-flight work) and
-        the listener closes. Idempotent.
+        the listener closes. Idempotent. Called off the loop's thread,
+        it hops onto the loop, which is where the drain runs.
         """
+        if self._loop is not None and not self._on_loop_thread():
+            self._loop.call_soon_threadsafe(self.request_drain)
+            return
         if self._draining:
             return
         self._draining = True
         self.metrics.counter("net.drain_requests").inc()
         asyncio.ensure_future(self._drain())
+
+    def _on_loop_thread(self) -> bool:
+        try:
+            return asyncio.get_running_loop() is self._loop
+        except RuntimeError:
+            return False
 
     async def _drain(self) -> None:
         deadline = time.monotonic() + self.drain_timeout_s

@@ -16,7 +16,6 @@ from repro.util.atomicio import (
 )
 from repro.util.errors import (
     ConvergenceError,
-    DeadlineExceeded,
     MeshError,
     RankFailure,
     ReproError,
@@ -35,7 +34,6 @@ from repro.util.validation import (
 
 __all__ = [
     "ConvergenceError",
-    "DeadlineExceeded",
     "MeshError",
     "RankFailure",
     "ReproError",

@@ -35,7 +35,7 @@ class ConvergenceError(ReproError):
         Final residual (algorithm specific norm), if known.
     solver:
         Which algorithm failed (``"gmres"``, ``"cg"``,
-        ``"distributed_gmres"``, ``"direct"``, ...), so recovery code
+        ``"distributed_gmres"``, ``"escalation"``, ...), so recovery code
         can attribute the failure without parsing the message.
     stage:
         Pipeline stage the failure occurred in, when known (filled by
@@ -76,23 +76,3 @@ class RankFailure(ReproError):
         super().__init__(message)
         self.rank = rank
         self.phase = phase
-
-
-class DeadlineExceeded(ReproError):
-    """A guarded stage ran out of its real-time allowance.
-
-    Attributes
-    ----------
-    stage:
-        The guarded stage name.
-    elapsed / deadline:
-        Seconds spent vs. seconds allowed.
-    """
-
-    def __init__(
-        self, message: str, stage: str = "", elapsed: float = 0.0, deadline: float = 0.0
-    ):
-        super().__init__(message)
-        self.stage = stage
-        self.elapsed = elapsed
-        self.deadline = deadline

@@ -15,6 +15,7 @@ without re-execution (exactly-once admission).
 
 from __future__ import annotations
 
+import threading
 import time
 from pathlib import Path
 
@@ -136,10 +137,21 @@ class TestNetworkRoundTrip:
             finally:
                 client.close()
 
-    def test_draining_refuses_new_cases(self, patient):
+    def test_draining_refuses_new_cases(self, patient, monkeypatch):
         with _Server() as server:
+            # Hold the first case at the gateway's door: while it is in
+            # flight the drain waits, so the listener stays open.
+            release = threading.Event()
+            submit = server.gateway.submit
+
+            def held_submit(request):
+                release.wait(30.0)
+                return submit(request)
+
+            monkeypatch.setattr(server.gateway, "submit", held_submit)
             client = NetClient("127.0.0.1", server.port)
             try:
+                assert client.submit(make_request(patient, "case-early"))["accepted"]
                 server.frontend.request_drain()
                 time.sleep(0.1)
                 with pytest.raises(NetError, match="draining"):
@@ -148,7 +160,14 @@ class TestNetworkRoundTrip:
                 assert pong["draining"] and not pong["ready"]
                 assert pong["reason"] == "draining"
             finally:
+                release.set()
                 client.close()
+            # The drain requested from this thread ran on the loop: the
+            # server stops once the case in flight is done, well inside
+            # the timeout (which raises if the thread outlives it).
+            server.frontend.stop_from_thread(timeout=30.0)
+            assert not server.frontend._thread.is_alive()
+            assert server.counter("serving.admitted") == 1
 
     def test_unknown_preop_key_asks_for_upload(self, patient):
         with _Server() as server:

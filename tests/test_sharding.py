@@ -14,6 +14,7 @@ terminal evictions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -223,12 +224,25 @@ class TestDegradationFloor:
             )
 
     def test_manifest_roundtrip(self):
+        """Every policy field survives the checkpoint manifest, so a
+        replay runs under the policy that recorded the session."""
         from repro.persist.checkpoint import config_from_manifest, config_to_manifest
 
+        non_default = {
+            "enabled": False,
+            "max_degradation": DegradationLevel.PREVIOUS_FIELD,
+            "min_degradation": DegradationLevel.COARSE_FEM,
+        }
+        names = [f.name for f in dataclasses.fields(ResiliencePolicy)]
+        unlisted = [name for name in names if name not in non_default]
+        assert not unlisted, f"policy fields with no round-trip case: {unlisted}"
         config = PipelineConfig(mesh_cell_mm=CELL_MM)
-        config.resilience.min_degradation = DegradationLevel.RIGID_ONLY
+        for name, value in non_default.items():
+            assert getattr(config.resilience, name) != value
+            setattr(config.resilience, name, value)
         restored = config_from_manifest(config_to_manifest(config))
-        assert restored.resilience.min_degradation == DegradationLevel.RIGID_ONLY
+        for name in names:
+            assert getattr(restored.resilience, name) == getattr(config.resilience, name), name
 
     def test_forced_floor_skips_work_and_records_cause(self, patient, intraop_scans):
         from repro.core.pipeline import IntraoperativePipeline

@@ -23,9 +23,7 @@ from repro.experiments.common import build_clinical_system
 from repro.experiments.fig7 import scaling_sweep
 from repro.parallel.simulation import simulate_parallel
 from repro.parallel.solver import distributed_gmres
-from repro.resilience.degrade import coarse_fem_fallback
 from repro.resilience.escalation import solve_with_escalation
-from repro.resilience.policy import ResiliencePolicy
 from repro.solver import DEFAULT_SOLVER_TOL, conjugate_gradient, gmres
 
 #: Max-norm distance from the ``1e-10`` field the default may cost (mm);
@@ -90,9 +88,7 @@ class TestOneConstant:
         "default",
         [
             pytest.param(_field_default(PipelineConfig, "solver_tol"), id="PipelineConfig"),
-            pytest.param(_field_default(ResiliencePolicy, "coarse_tol"), id="ResiliencePolicy"),
             pytest.param(_default(solve_with_escalation), id="solve_with_escalation"),
-            pytest.param(_default(coarse_fem_fallback), id="coarse_fem_fallback"),
             pytest.param(_default(distributed_gmres), id="distributed_gmres"),
             pytest.param(_default(simulate_parallel), id="simulate_parallel"),
             pytest.param(_default(scaling_sweep), id="fig7.scaling_sweep"),
