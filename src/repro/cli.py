@@ -265,11 +265,45 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return host or "0.0.0.0", int(port)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve concurrent phantom surgical cases through a worker pool."""
+def _write_metrics(metrics, path: Path) -> None:
+    """Write a registry's snapshot to ``path`` and Prometheus text beside it.
+
+    The snapshot is what ``repro obs metrics`` / ``repro obs slo`` read:
+    the SLO table is derived from its histograms, not stored.
+    """
     import json
 
-    from repro.obs import write_chrome_trace, write_prometheus
+    from repro.obs import write_prometheus
+
+    path.write_text(json.dumps(metrics.snapshot(), indent=2) + "\n")
+    print(f"wrote metrics snapshot: {path}")
+    prom = path.with_suffix(".prom")
+    print(f"wrote Prometheus exposition: {write_prometheus(metrics, prom)}")
+
+
+def _write_obs_bundle(loop, obs: Path) -> None:
+    """Write a serving loop's ``--obs-dir`` bundle under ``obs``.
+
+    The merged multi-process trace (``trace.json``), the metrics
+    (``metrics.json`` + ``metrics.prom``) and a copy of every
+    flight-recorder ring (``flight-<name>.json``).
+    """
+    import shutil
+
+    from repro.obs import write_chrome_trace
+
+    obs.mkdir(parents=True, exist_ok=True)
+    print(f"wrote merged trace: {write_chrome_trace(loop.tracer, obs / 'trace.json')}")
+    _write_metrics(loop.metrics, obs / "metrics.json")
+    if loop.flight_dir and Path(loop.flight_dir).is_dir():
+        for dump in sorted(Path(loop.flight_dir).glob("*.json")):
+            shutil.copy2(dump, obs / f"flight-{dump.name}")
+            print(f"wrote flight dump: {obs / f'flight-{dump.name}'}")
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Serve concurrent phantom surgical cases through a worker pool."""
+    from repro.obs import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
     from repro.serving import CaseRequest, SessionServer, ShardGateway
 
@@ -347,15 +381,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 path = write_chrome_trace(server.tracer, args.chrome)
                 print(f"wrote merged Chrome trace (one lane per process): {path}")
             if args.metrics_json:
-                path = Path(args.metrics_json)
-                payload = {
-                    "metrics": metrics.snapshot(),
-                    "slo": server.slo.summary(),
-                }
-                path.write_text(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote metrics+SLO bundle: {path}")
-                prom = path.with_suffix(".prom")
-                print(f"wrote Prometheus exposition: {write_prometheus(metrics, prom)}")
+                _write_metrics(metrics, Path(args.metrics_json))
             print(f"flight recorder dumps: {server.flight_dir}")
         completed = sum(1 for r in results.values() if r.ok)
         return 0 if completed == args.cases else 1
@@ -540,7 +566,6 @@ def cmd_bench_netsoak(args: argparse.Namespace) -> int:
 def cmd_bench_throughput(args: argparse.Namespace) -> int:
     """Benchmark pool serving against serial sessions (same patient)."""
     import json
-    import shutil
 
     from repro.serving import run_throughput_benchmark
 
@@ -562,38 +587,19 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
         print(f"wrote {path}")
     if args.obs_dir and sink:
-        # The telemetry-enabled pool run's full observability bundle:
-        # the merged multi-process trace, metrics + SLO scores, and the
-        # per-worker flight-recorder rings.
-        from repro.obs import write_chrome_trace, write_prometheus
+        # The telemetry-enabled pool run's observability bundle.
+        from repro.obs import render_slo_summary, slo_summary
 
         server = sink[-1]
-        obs = Path(args.obs_dir)
-        obs.mkdir(parents=True, exist_ok=True)
-        print(f"wrote merged trace: {write_chrome_trace(server.tracer, obs / 'trace.json')}")
-        print(f"wrote metrics: {write_prometheus(server.metrics, obs / 'metrics.prom')}")
-        bundle = obs / "metrics.json"
-        bundle.write_text(
-            json.dumps(
-                {"metrics": server.metrics.snapshot(), "slo": server.slo.summary()},
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"wrote metrics+SLO bundle: {bundle}")
-        if server.flight_dir and Path(server.flight_dir).is_dir():
-            for dump in sorted(Path(server.flight_dir).glob("*.json")):
-                shutil.copy2(dump, obs / f"flight-{dump.name}")
-                print(f"wrote flight dump: {obs / f'flight-{dump.name}'}")
+        _write_obs_bundle(server, Path(args.obs_dir))
         print()
-        print(server.slo.table())
+        print(render_slo_summary(slo_summary(server.metrics)))
     return 0 if report.bit_identical else 1
 
 
 def cmd_bench_soak(args: argparse.Namespace) -> int:
     """Chaos-soak the sharded tier: sustained load + injected faults."""
     import json
-    import shutil
     import tempfile
 
     from repro.serving.soak import DEFAULT_FAULTS, run_soak
@@ -627,26 +633,7 @@ def cmd_bench_soak(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
         print(f"wrote {path}")
     if args.obs_dir and sink:
-        from repro.obs import write_chrome_trace, write_prometheus
-
-        gateway = sink[-1]
-        obs = Path(args.obs_dir)
-        obs.mkdir(parents=True, exist_ok=True)
-        print(f"wrote merged trace: {write_chrome_trace(gateway.tracer, obs / 'trace.json')}")
-        print(f"wrote metrics: {write_prometheus(gateway.metrics, obs / 'metrics.prom')}")
-        bundle = obs / "metrics.json"
-        slo = gateway.slo.summary() if gateway.slo is not None else {}
-        bundle.write_text(
-            json.dumps(
-                {"metrics": gateway.metrics.snapshot(), "slo": slo}, indent=2
-            )
-            + "\n"
-        )
-        print(f"wrote metrics+SLO bundle: {bundle}")
-        if gateway.flight_dir and Path(gateway.flight_dir).is_dir():
-            for dump in sorted(Path(gateway.flight_dir).glob("*.json")):
-                shutil.copy2(dump, obs / f"flight-{dump.name}")
-                print(f"wrote flight dump: {obs / f'flight-{dump.name}'}")
+        _write_obs_bundle(sink[-1], Path(args.obs_dir))
     healthy = not report.lost_cases and not report.unterminated_cases
     return 0 if healthy else 1
 
@@ -683,25 +670,29 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print()
         return 0
 
-    # metrics / slo read the bundle written by `serve --metrics-json` or
-    # `bench-throughput --obs-dir` ({"metrics": snapshot, "slo": summary}).
+    # metrics / slo read the metrics snapshot written by `serve
+    # --metrics-json` or `--obs-dir` (older bundles nest it under
+    # "metrics"); the SLO table is derived from its histograms.
+    from repro.obs import (
+        MetricsRegistry,
+        prometheus_text,
+        render_slo_summary,
+        slo_summary,
+    )
+
     path = Path(args.path)
     if path.is_dir():
         path = path / "metrics.json"
     payload = json.loads(path.read_text())
+    registry = MetricsRegistry()
+    registry.merge(payload.get("metrics", payload))
     if args.obs_command == "metrics":
-        from repro.obs import MetricsRegistry, prometheus_text
-
-        registry = MetricsRegistry()
-        registry.merge(payload.get("metrics", payload))
         print(prometheus_text(registry), end="")
         return 0
     if args.obs_command == "slo":
-        from repro.obs import render_slo_summary
-
-        summary = payload.get("slo")
-        if summary is None:
-            print(f"{path}: no SLO summary in bundle", file=sys.stderr)
+        summary = slo_summary(registry)
+        if not summary["series"]:
+            print(f"{path}: no latency samples in bundle", file=sys.stderr)
             return 1
         print(render_slo_summary(summary))
         return 0
@@ -886,8 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         default=None,
         help=(
-            "write the aggregated metrics snapshot + SLO summary bundle here "
-            "(a .prom Prometheus exposition is written alongside)"
+            "write the aggregated metrics snapshot here (`repro obs slo` "
+            "derives the SLO table from it; a .prom Prometheus exposition "
+            "is written alongside)"
         ),
     )
     p.add_argument(
@@ -965,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "run the pool leg with telemetry on and write its observability "
-            "bundle here (merged trace, metrics, SLOs, flight dumps)"
+            "bundle here (merged trace, metrics, flight dumps)"
         ),
     )
     p.set_defaults(func=cmd_bench_throughput)
@@ -1011,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the gateway's observability bundle here "
-            "(merged trace, metrics, SLOs, flight dumps)"
+            "(merged trace, metrics, flight dumps)"
         ),
     )
     p.set_defaults(func=cmd_bench_soak)

@@ -17,9 +17,10 @@ gives the repro the instrumentation layer such a system assumes:
   perf report with self/total times and repeat-span percentiles, and
   Prometheus text exposition for metrics.
 * :mod:`repro.obs.budget` — real-time per-stage / per-scan time budgets
-  with live headroom, warning events, and per-scan verdicts.
-* :mod:`repro.obs.slo` — service-level objectives: p50/p95/p99 latency
-  percentiles per stage scored against the paper budgets.
+  with live headroom, warning events, and per-scan verdicts; and
+  :func:`~repro.obs.budget.slo_summary`, the service-level view: p50/p95/p99
+  per stage, read from the budget histograms of any metrics registry and
+  scored against the paper budgets.
 * :mod:`repro.obs.flight` — a bounded ring buffer of recent telemetry,
   dumped atomically on faults for post-mortem analysis.
 * :mod:`repro.obs.telemetry` — cross-process trace propagation: trace
@@ -42,9 +43,12 @@ Like :mod:`repro.util`, this subpackage depends only on
 from repro.obs.budget import (
     PAPER_SCAN_BUDGET,
     PAPER_STAGE_BUDGETS,
+    SCAN_TOTAL,
     BudgetMonitor,
     ScanVerdict,
     StageCheck,
+    render_slo_summary,
+    slo_summary,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -65,12 +69,6 @@ from repro.obs.flight import (
     use_flight_recorder,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.slo import (
-    SCAN_TOTAL,
-    SLOTracker,
-    default_slo_targets,
-    render_slo_summary,
-)
 from repro.obs.telemetry import (
     CaseTelemetry,
     TelemetryFrame,
@@ -101,7 +99,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SLOTracker",
     "ScanVerdict",
     "Span",
     "SpanRecord",
@@ -110,7 +107,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "chrome_trace",
-    "default_slo_targets",
     "get_flight_recorder",
     "get_tracer",
     "graft_frame",
@@ -124,6 +120,7 @@ __all__ = [
     "render_slo_summary",
     "set_flight_recorder",
     "set_tracer",
+    "slo_summary",
     "span_from_dict",
     "use_flight_recorder",
     "use_tracer",

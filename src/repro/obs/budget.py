@@ -10,6 +10,12 @@ progresses, and it tracks live headroom, emits warning events the
 moment a stage blows its allocation, and records a per-scan
 :class:`ScanVerdict` for the session summary.
 
+Across many scans the same durations answer the service-level question:
+with a registry attached the monitor records every stage and scan in
+histograms, and :func:`slo_summary` reads p50/p95/p99 per stage back
+out of any registry (a server's holds its workers', merged), scored
+against the same paper budgets. One store, one scorer.
+
 Default budgets derive from the paper's reported numbers, with margin:
 
 * ``biomechanical simulation`` — 10 s, the headline claim itself.
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer
-from repro.util import ValidationError
+from repro.util import ValidationError, format_table
 
 #: Per-stage intraoperative budgets (seconds), paper-derived (see module
 #: docstring). Stages absent from the mapping are unbudgeted.
@@ -97,24 +103,6 @@ class ScanVerdict:
             parts.append("scan total")
         return "OVER(" + ", ".join(parts) + ")"
 
-    def as_dict(self) -> dict:
-        return {
-            "scan": self.scan_index,
-            "total_seconds": self.total_seconds,
-            "scan_budget": self.scan_budget,
-            "within_budget": self.within_budget,
-            "headroom_seconds": self.headroom_seconds,
-            "checks": [
-                {"stage": c.stage, "seconds": c.seconds, "budget": c.budget}
-                for c in self.checks
-            ],
-            "over_stages": [
-                {"stage": c.stage, "seconds": c.seconds, "budget": c.budget}
-                for c in self.over_stages
-            ],
-            "warnings": list(self.warnings),
-        }
-
 
 class BudgetMonitor:
     """Tracks per-stage and per-scan time budgets across a session.
@@ -132,7 +120,10 @@ class BudgetMonitor:
         spans/events); defaults to the ambient tracer.
     metrics:
         Optional registry: over-budget stages and scans increment
-        ``budget.stage_overruns`` / ``budget.scan_overruns``.
+        ``budget.stage_overruns`` / ``budget.scan_overruns``; every
+        stage and sealed scan duration lands in the
+        ``budget.stage_seconds[stage=...]`` / ``budget.scan_seconds``
+        histograms.
 
     Usage is one ``begin_scan`` per scan, ``observe_stage`` after each
     stage, ``finish_scan`` to seal the verdict::
@@ -185,9 +176,12 @@ class BudgetMonitor:
 
         Emits a ``budget.warning`` trace event and increments the
         overrun metrics the moment a stage exceeds its allocation or
-        the running total exhausts the scan budget, so downstream
+        the running total first crosses the scan budget (once per scan:
+        the stages after the crossing do not repeat it), so downstream
         consumers see the problem *during* the scan, not in the
-        post-mortem.
+        post-mortem. With a registry attached the duration also lands
+        in the ``budget.stage_seconds[stage=<name>]`` histogram, the
+        series :func:`slo_summary` reads.
         """
         if self._current is None:
             self.begin_scan()
@@ -195,7 +189,12 @@ class BudgetMonitor:
         budget = self.stage_budgets.get(stage)
         check = StageCheck(stage=stage, seconds=float(seconds), budget=budget)
         current.checks.append(check)
+        was_within = current.total_seconds <= self.scan_budget
         current.total_seconds += check.seconds
+        if self.metrics is not None:
+            self.metrics.histogram(f"budget.stage_seconds[stage={stage}]").observe(
+                check.seconds
+            )
 
         warning = None
         if check.over:
@@ -203,7 +202,7 @@ class BudgetMonitor:
                 f"stage {stage!r} exceeded its budget: "
                 f"{check.seconds:.2f} s > {budget:.2f} s"
             )
-        elif current.total_seconds > self.scan_budget:
+        elif was_within and current.total_seconds > self.scan_budget:
             warning = (
                 f"scan budget exhausted after {stage!r}: "
                 f"{current.total_seconds:.2f} s > {self.scan_budget:.2f} s"
@@ -244,16 +243,94 @@ class BudgetMonitor:
             )
         return verdict
 
-    # -- session-level reporting --------------------------------------------
 
-    @property
-    def all_within_budget(self) -> bool:
-        return all(v.within_budget for v in self.verdicts)
+# -- the SLO view --------------------------------------------------------------
 
-    def summary(self) -> dict:
-        return {
-            "scan_budget": self.scan_budget,
-            "stage_budgets": dict(self.stage_budgets),
-            "scans": [v.as_dict() for v in self.verdicts],
-            "all_within_budget": self.all_within_budget,
+#: Series name for whole-scan (end-to-end) latency.
+SCAN_TOTAL = "scan total"
+
+_STAGE_PREFIX = "budget.stage_seconds[stage="
+
+#: Series read from fixed histograms, with their targets (None: tracked,
+#: never scored — the serving layer's own latencies have no paper budget).
+_FIXED_SERIES = {
+    SCAN_TOTAL: ("budget.scan_seconds", PAPER_SCAN_BUDGET),
+    "queue wait": ("serving.queue_wait_seconds", None),
+    "case service": ("serving.case_seconds", None),
+}
+
+
+def slo_summary(metrics: MetricsRegistry) -> dict:
+    """Latency percentiles per stage scored against the paper budgets.
+
+    A pure view of a :class:`~repro.obs.MetricsRegistry` (a server's
+    merged registry, or a ``metrics.json`` snapshot merged back into
+    one): every ``budget.stage_seconds[stage=...]`` histogram is a
+    series under its stage name with its :data:`PAPER_STAGE_BUDGETS`
+    target, ``"scan total"`` reads ``budget.scan_seconds`` against
+    :data:`PAPER_SCAN_BUDGET`, and ``"queue wait"`` / ``"case service"``
+    read the serving histograms unscored. A series is ``met`` when its
+    p95 is within target ("95 % of scans fit the budget", the standard
+    SLO reading of the paper's hard-real-time claim); ``violations``
+    counts samples above it. JSON-serializable;
+    :func:`render_slo_summary` prints it.
+    """
+    sources = dict(_FIXED_SERIES)
+    for name in metrics.names():
+        if name.startswith(_STAGE_PREFIX):
+            stage = name[len(_STAGE_PREFIX) : -1]
+            sources[stage] = (name, PAPER_STAGE_BUDGETS.get(stage))
+    series = {}
+    for label in sorted(sources):
+        name, target = sources[label]
+        hist = metrics.get(name)
+        if hist is None or not hist.count:
+            continue
+        p95 = hist.quantile(0.95)
+        series[label] = {
+            "count": hist.count,
+            "p50": hist.quantile(0.5),
+            "p95": p95,
+            "p99": hist.quantile(0.99),
+            "max": hist.max,
+            "target": target,
+            "violations": (
+                0 if target is None else sum(v > target for v in hist.values)
+            ),
+            "met": target is None or p95 <= target,
         }
+    return {
+        "series": series,
+        "total_violations": sum(s["violations"] for s in series.values()),
+        "all_met": all(s["met"] for s in series.values()),
+    }
+
+
+def render_slo_summary(summary: dict) -> str:
+    """Render a :func:`slo_summary` dict (live or loaded from JSON)."""
+    if not summary.get("series"):
+        return "(no SLO samples recorded)"
+    rows = []
+    for name, s in summary["series"].items():
+        rows.append(
+            [
+                name,
+                s["count"],
+                f"{s['p50']:.3f}",
+                f"{s['p95']:.3f}",
+                f"{s['p99']:.3f}",
+                "-" if s["target"] is None else f"{s['target']:.1f}",
+                s["violations"],
+                ("ok" if s["met"] else "MISSED") if s["target"] is not None else "-",
+            ]
+        )
+    table = format_table(
+        ["stage", "n", "p50 (s)", "p95 (s)", "p99 (s)", "target (s)", "viol", "SLO@p95"],
+        rows,
+        title="Latency SLOs vs paper budgets",
+    )
+    table += (
+        f"\n  violations: {summary['total_violations']}"
+        f" | all SLOs met: {summary['all_met']}"
+    )
+    return table

@@ -1,10 +1,10 @@
 """Cross-process telemetry: trace propagation and serializable frames.
 
 The serving tier runs each surgical case inside a worker *process*;
-every span the solvers record, every metric the registry accumulates,
-every budget verdict the monitor seals lives in that process and dies
-with it — unless it is shipped home. This module is the wire layer that
-ships it:
+every span the solvers record, every metric the registry accumulates
+(the budget monitor's stage and scan durations among them) lives in
+that process and dies with it — unless it is shipped home. This module
+is the wire layer that ships it:
 
 * :class:`TraceContext` — stamped on a case request by the server at
   dispatch: the distributed trace id, the server-side parent span the
@@ -16,8 +16,8 @@ ships it:
   the tracer and recorder as ambient for the duration of the case, and
   captures everything into a frame at the end.
 * :class:`TelemetryFrame` — the compact, picklable return payload:
-  finished spans (as plain dicts), a metrics snapshot, budget verdicts,
-  and the recent flight-ring entries.
+  finished spans (as plain dicts), a metrics snapshot, and the recent
+  flight-ring entries.
 * :func:`graft_frame` — server-side: adopts the frame's spans under the
   server's ``serve.case`` span (fresh ids, rebased clocks, worker pid
   preserved for the multi-pid Perfetto export) and merges the metrics
@@ -54,8 +54,8 @@ class TraceContext:
         frame's spans are shifted so the remote clock origin lands here
         (clock domains across processes are never compared directly).
     collect_spans:
-        False turns off remote span recording (metrics, verdicts and
-        flight entries still flow) — the cheap mode.
+        False turns off remote span recording (metrics and flight
+        entries still flow) — the cheap mode.
     process_label:
         Lane title the remote process should report (e.g. ``"worker-3"``;
         the worker id is appended when None).
@@ -92,9 +92,9 @@ class TelemetryFrame:
     *remote* clock; ``clock_base`` is the remote-clock instant that
     aligns with the context's ``anchor`` (the moment the worker began
     the case), so the graft can rebase. ``metrics`` is a
-    :meth:`~repro.obs.MetricsRegistry.snapshot`; ``verdicts`` are budget
-    :meth:`~repro.obs.budget.ScanVerdict.as_dict` records; ``flight``
-    holds the recent flight-ring entries at capture time.
+    :meth:`~repro.obs.MetricsRegistry.snapshot` (budget durations
+    included); ``flight`` holds the recent flight-ring entries at
+    capture time.
     """
 
     trace_id: str
@@ -104,7 +104,6 @@ class TelemetryFrame:
     anchor: float | None = None
     spans: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    verdicts: list[dict] = field(default_factory=list)
     flight: list[dict] = field(default_factory=list)
     error: str | None = None
     version: int = FRAME_FORMAT_VERSION
@@ -200,7 +199,6 @@ class CaseTelemetry:
             anchor=self.context.anchor,
             spans=spans,
             metrics=self.metrics.snapshot(),
-            verdicts=[v.as_dict() for v in self.monitor.verdicts],
             flight=self.flight.as_dicts(),
             error=error,
         )

@@ -50,9 +50,9 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.obs.budget import render_slo_summary, slo_summary
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SCAN_TOTAL, SLOTracker
 from repro.obs.telemetry import TraceContext, graft_frame
 from repro.obs.trace import Tracer, get_tracer
 from repro.resilience.faults import SERVING_FAULTS, ServingFaultPlan
@@ -121,11 +121,11 @@ class ShardGateway:
         span covering queue wait through terminal record; requests are
         stamped with a :class:`repro.obs.telemetry.TraceContext` at
         dispatch; worker telemetry frames are grafted into the loop's
-        trace and merged into its registry; budget verdicts feed the
-        :attr:`slo` tracker; and flight-recorder rings (one per worker,
-        one for the control plane) are persisted under
-        :attr:`flight_dir`. ``False`` serves dark — the pre-telemetry
-        fast path, every hook skipped.
+        trace and merged into its registry (the workers' budget
+        histograms with it, which :meth:`summary_table` scores as SLOs);
+        and flight-recorder rings (one per worker, one for the control
+        plane) are persisted under :attr:`flight_dir`. ``False`` serves
+        dark — the pre-telemetry fast path, every hook skipped.
     flight_dir:
         Directory for flight-recorder dumps (workers spool
         ``worker-<id>.json`` after every scan; the loop dumps
@@ -181,7 +181,6 @@ class ShardGateway:
             self.tracer = Tracer(process_label=self.label)
         else:
             self.tracer = None
-        self.slo = SLOTracker(metrics=self.metrics) if self.telemetry else None
         if self.telemetry and flight_dir is None:
             flight_dir = tempfile.mkdtemp(prefix=f"repro-{self.label}-flight-")
         self.flight_dir = flight_dir
@@ -654,8 +653,6 @@ class ShardGateway:
         self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc()
         wait = queued.waited()
         self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-        if self.slo is not None:
-            self.slo.observe("queue wait", wait, target=None)
         at = dict(
             case=request.case_id,
             shard=shard.shard_id,
@@ -751,7 +748,7 @@ class ShardGateway:
         self._trace().event("serving.case", status=result.status, **at)
 
     def _absorb_telemetry(self, result: CaseResult) -> None:
-        """Graft the worker's frame; close the case span; feed the SLOs."""
+        """Graft the worker's frame (its metrics with it); close the case span."""
         if not self.telemetry:
             return
         frame = result.telemetry
@@ -769,22 +766,16 @@ class ShardGateway:
         else:
             # The worker never replied with a frame (dark request, or
             # the case died with its worker): the trace stays intact,
-            # the span is annotated instead of broken.
+            # the span is annotated instead of broken, and the raw scan
+            # timings stand in for the budget histogram the frame held.
             self.metrics.counter("telemetry.frames_lost").inc()
             span_attrs["telemetry_lost"] = True
-        self._close_case_span(result.case_id, **span_attrs)
-        if self.slo is None:
-            return
-        self.slo.observe("case service", result.service_seconds, target=None)
-        if frame is not None and frame.verdicts:
-            for verdict in frame.verdicts:
-                self.slo.observe_verdict(verdict)
-        else:
-            # No budget verdicts came home — score the raw scan timings
-            # against the whole-scan budget so the SLO still sees them.
             for outcome in result.scans:
                 if not outcome.restored:
-                    self.slo.observe(SCAN_TOTAL, outcome.seconds)
+                    self.metrics.histogram("budget.scan_seconds").observe(
+                        outcome.seconds
+                    )
+        self._close_case_span(result.case_id, **span_attrs)
 
     # -- deadline / death / hang handling -------------------------------------
 
@@ -1171,6 +1162,8 @@ class ShardGateway:
         throughput = self.metrics.value("serving.throughput_scans_per_s", 0.0)
         if throughput:
             table += f" | throughput: {throughput:.3f} scans/s"
-        if self.slo is not None and self.slo.summary()["series"]:
-            table += "\n\n" + self.slo.table()
+        if self.telemetry:
+            slo = slo_summary(self.metrics)
+            if slo["series"]:
+                table += "\n\n" + render_slo_summary(slo)
         return table

@@ -81,8 +81,8 @@ class CaseRequest:
     trace_context:
         Distributed-trace identity stamped by the server at dispatch
         (:class:`repro.obs.telemetry.TraceContext`). When present the
-        worker records spans / metrics / budget verdicts for this case
-        and ships them back in :attr:`CaseResult.telemetry`; ``None``
+        worker records spans and metrics (budget durations included) for
+        this case and ships them back in :attr:`CaseResult.telemetry`; ``None``
         serves the case dark (no per-case instrumentation).
     flight_dir:
         Directory where the worker persists its flight-recorder ring
@@ -250,8 +250,8 @@ class CaseResult:
         (the request's, or the drain spool for drained cases).
     telemetry:
         The worker's :class:`repro.obs.telemetry.TelemetryFrame` for
-        this case — finished spans, metrics snapshot, budget verdicts,
-        flight entries — when the request carried a trace context.
+        this case — finished spans, metrics snapshot, flight entries —
+        when the request carried a trace context.
         ``None`` for cases that never reached a worker, were served
         dark, or whose worker died before replying (the server then
         annotates its ``serve.case`` span instead).

@@ -13,8 +13,9 @@ The contract it checks is the serving tier's headline robustness claim:
 * **Shed before reject** — overload walks the
   :class:`repro.serving.SheddingLadder` (coarse-FEM -> previous-field ->
   rigid-only) before any case is refused admission.
-* **Latency accounting survives chaos** — the SLO tracker's per-stage
-  percentiles (vs. the paper's stage budgets) cover every scan served,
+* **Latency accounting survives chaos** — the SLO view's per-stage
+  percentiles (:func:`repro.obs.slo_summary` over the gateway's merged
+  metrics, vs. the paper's stage budgets) cover every scan served,
   including post-failover replays.
 
 :func:`run_soak` returns a :class:`SoakReport`;
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import PipelineConfig
+from repro.obs.budget import slo_summary
 from repro.resilience.faults import ServingFaultPlan
 from repro.serving.admission import SheddingLadder
 from repro.serving.gateway import ShardGateway
@@ -409,7 +411,7 @@ def _audit(
         durable_cases=len(durable),
         lost_cases=lost,
         unterminated_cases=unterminated,
-        latency=gateway.slo.summary() if gateway.slo is not None else {},
+        latency=slo_summary(gateway.metrics) if gateway.telemetry else {},
         workers_peak_rss_mb=peak_rss_mb,
     )
 

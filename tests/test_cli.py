@@ -139,3 +139,51 @@ class TestObsFlight:
         rc = main(["obs", "flight", str(tmp_path / "absent.json")])
         assert rc == 1
         assert capsys.readouterr().err.strip()
+
+
+class TestObsMetricsBundle:
+    """``repro obs slo`` / ``repro obs metrics`` over a metrics-only bundle."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        import json
+
+        from repro.obs import BudgetMonitor, MetricsRegistry
+
+        metrics = MetricsRegistry()
+        monitor = BudgetMonitor(metrics=metrics)
+        for seconds in (2.0, 25.0):
+            monitor.begin_scan()
+            monitor.observe_stage("rigid registration", 1.0)
+            monitor.observe_stage("biomechanical simulation", seconds)
+            monitor.finish_scan()
+        metrics.histogram("serving.queue_wait_seconds").observe(0.5)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(metrics.snapshot()))
+        return path
+
+    def test_slo_prints_per_stage_rows(self, capsys, bundle):
+        rc = main(["obs", "slo", str(bundle.parent)])
+        assert rc == 0
+        rows = {
+            line.split("|")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        }
+        assert "MISSED" in rows["biomechanical simulation"]
+        assert "ok" in rows["rigid registration"]
+        assert "ok" in rows["scan total"]
+        assert rows["queue wait"].rstrip().endswith("-")
+
+    def test_slo_without_latency_samples_fails(self, capsys, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text('{"counters": {"serving.scans": 2}}')
+        assert main(["obs", "slo", str(path)]) == 1
+        assert "no latency samples" in capsys.readouterr().err
+
+    def test_metrics_exports_stage_histograms(self, capsys, bundle):
+        rc = main(["obs", "metrics", str(bundle)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert 'budget_stage_seconds{stage="biomechanical simulation",quantile="0.5"}' in out
+        assert 'budget_stage_seconds_count{stage="rigid registration"} 2' in out

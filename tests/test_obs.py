@@ -413,6 +413,24 @@ class TestBudgetMonitor:
         assert verdict.scan_over and not verdict.over_stages
         assert verdict.label == "OVER(scan total)"
 
+    def test_scan_total_exhaustion_warns_once(self):
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        monitor = BudgetMonitor(
+            stage_budgets={}, scan_budget=10.0, tracer=tracer, metrics=metrics
+        )
+        monitor.begin_scan()
+        warnings = [monitor.observe_stage(s, 6.0) for s in ("a", "b", "c", "d")]
+        verdict = monitor.finish_scan()
+        # Only the stage whose total first crosses the budget warns.
+        assert warnings[0] is None and warnings[1] is not None
+        assert warnings[2:] == [None, None]
+        assert verdict.warnings == [warnings[1]]
+        assert metrics.value("budget.scan_overruns") == 1
+        assert metrics.value("budget.scans_over") == 1
+        events = [s for s in tracer.finished() if s.name == "budget.warning"]
+        assert len(events) == 1
+
     def test_live_headroom(self):
         monitor = BudgetMonitor(scan_budget=100.0)
         assert monitor.headroom() == 100.0
@@ -441,6 +459,8 @@ class TestBudgetMonitor:
         assert metrics.value("budget.scans") == 2
         assert metrics.value("budget.scans_over") == 1
         assert metrics.get("budget.scan_seconds").count == 2
+        stage = metrics.get("budget.stage_seconds[stage=biomechanical simulation]")
+        assert stage.values == [25.0, 1.0]
 
     def test_begin_scan_auto_seals_open_scan(self):
         monitor = BudgetMonitor()
@@ -459,17 +479,6 @@ class TestBudgetMonitor:
             BudgetMonitor(scan_budget=0.0)
         with pytest.raises(ValidationError):
             BudgetMonitor(stage_budgets={"x": -1.0})
-
-    def test_summary_and_all_within(self):
-        monitor = BudgetMonitor()
-        monitor.begin_scan()
-        monitor.observe_stage("biomechanical simulation", 1.0)
-        monitor.finish_scan()
-        assert monitor.all_within_budget
-        summary = monitor.summary()
-        assert summary["all_within_budget"] is True
-        assert summary["scans"][0]["within_budget"] is True
-        assert summary["stage_budgets"] == PAPER_STAGE_BUDGETS
 
     def test_paper_defaults(self):
         assert PAPER_STAGE_BUDGETS["biomechanical simulation"] == 10.0

@@ -4,7 +4,7 @@ Covers the wire pieces in isolation (no worker processes): trace
 contexts, the worker-side CaseTelemetry harness, frame capture and
 pickling, span grafting with id remapping and clock rebasing, the
 registry's snapshot/merge semantics (including a concurrent
-observe-vs-merge race), histogram quantiles, the SLO tracker, the
+observe-vs-merge race), histogram quantiles, the SLO view, the
 flight recorder ring + dump round-trip, Prometheus text exposition,
 and the multi-pid Chrome trace export. The serving-tier end-to-end
 paths live in tests/test_serving.py.
@@ -18,7 +18,13 @@ import threading
 
 import pytest
 
-from repro.obs.budget import PAPER_SCAN_BUDGET, BudgetMonitor
+from repro.obs.budget import (
+    PAPER_SCAN_BUDGET,
+    SCAN_TOTAL,
+    BudgetMonitor,
+    render_slo_summary,
+    slo_summary,
+)
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
@@ -34,12 +40,6 @@ from repro.obs.flight import (
     use_flight_recorder,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.slo import (
-    SCAN_TOTAL,
-    SLOTracker,
-    default_slo_targets,
-    render_slo_summary,
-)
 from repro.obs.telemetry import (
     CaseTelemetry,
     TelemetryFrame,
@@ -122,8 +122,9 @@ class TestCaseTelemetry:
         assert frame.pid > 0
         assert [s["name"] for s in frame.spans] == ["scan"]
         assert frame.metrics["counters"]["gmres.solves"] == 2
-        assert frame.verdicts[0]["within_budget"] is True
-        assert frame.verdicts[0]["checks"][0]["stage"] == "biomechanical simulation"
+        histograms = frame.metrics["histograms"]
+        assert histograms["budget.stage_seconds[stage=biomechanical simulation]"] == [1.0]
+        assert histograms["budget.scan_seconds"] == [1.0]
         assert frame.flight[0]["kind"] == "scan.complete"
         assert frame.error is None
         assert frame.n_spans == 1
@@ -353,94 +354,82 @@ class TestHistogramQuantile:
         assert summary["p99"] == pytest.approx(99.01)
 
 
-# -- SLO tracker -------------------------------------------------------------
+# -- SLO view ----------------------------------------------------------------
+
+
+def _scan(metrics: MetricsRegistry, *stages: tuple[str, float]) -> None:
+    """One scan through a budget monitor recording into ``metrics``."""
+    monitor = BudgetMonitor(metrics=metrics)
+    monitor.begin_scan()
+    for stage, seconds in stages:
+        monitor.observe_stage(stage, seconds)
+    monitor.finish_scan()
 
 
 class TestSLOTracker:
+    """The SLO table: :func:`slo_summary`, a view of the budget histograms."""
+
     def test_default_targets_are_paper_budgets(self):
-        targets = default_slo_targets()
-        assert targets["biomechanical simulation"] == 10.0
-        assert targets[SCAN_TOTAL] == PAPER_SCAN_BUDGET
+        metrics = MetricsRegistry()
+        _scan(metrics, ("biomechanical simulation", 1.0))
+        series = slo_summary(metrics)["series"]
+        assert series["biomechanical simulation"]["target"] == 10.0
+        assert series[SCAN_TOTAL]["target"] == PAPER_SCAN_BUDGET
 
     def test_observe_scores_against_target(self):
         metrics = MetricsRegistry()
-        slo = SLOTracker(metrics=metrics)
-        assert slo.observe("biomechanical simulation", 1.0) is False
-        assert slo.observe("biomechanical simulation", 25.0) is True
-        assert slo.total_violations == 1
-        assert metrics.value("slo.violations") == 1
-        assert metrics.value("slo.violations[biomechanical simulation]") == 1
-
-    def test_target_none_tracks_without_scoring(self):
-        slo = SLOTracker()
-        assert slo.observe("queue wait", 1e6, target=None) is False
-        summary = slo.series_summary("queue wait")
-        assert summary["count"] == 1
-        assert summary["target"] is None
-        assert summary["met"] is True
-
-    def test_observe_verdict_live_and_dict_forms(self):
-        monitor = BudgetMonitor()
-        monitor.begin_scan()
-        monitor.observe_stage("biomechanical simulation", 25.0)
-        verdict = monitor.finish_scan()
-
-        live = SLOTracker()
-        assert live.observe_verdict(verdict) == 1
-
-        shipped = SLOTracker()
-        assert shipped.observe_verdict(verdict.as_dict()) == 1
-        # Both forms feed identical series: the stage and the scan total.
-        for slo in (live, shipped):
-            assert slo.series_summary("biomechanical simulation")["violations"] == 1
-            assert slo.series_summary(SCAN_TOTAL)["count"] == 1
-
-    def test_observe_verdict_old_frame_without_checks(self):
-        # Pre-versioned frames only listed over-budget stages.
-        slo = SLOTracker()
-        violations = slo.observe_verdict(
-            {
-                "total_seconds": 30.0,
-                "scan_budget": 180.0,
-                "over_stages": [
-                    {"stage": "biomechanical simulation", "seconds": 25.0,
-                     "budget": 10.0}
-                ],
-            }
-        )
-        assert violations == 1
-
-    def test_summary_attainment_and_all_met(self):
-        slo = SLOTracker(targets={"s": 10.0}, attainment_quantile=0.5)
-        for v in (1.0, 2.0, 50.0):  # p50 = 2.0 <= 10.0: met despite outlier
-            slo.observe("s", v)
-        summary = slo.summary()
-        assert summary["series"]["s"]["met"] is True
-        assert summary["series"]["s"]["violations"] == 1
-        assert summary["all_met"] is True
+        _scan(metrics, ("biomechanical simulation", 1.0))
+        _scan(metrics, ("biomechanical simulation", 25.0))
+        summary = slo_summary(metrics)
+        assert summary["series"]["biomechanical simulation"]["violations"] == 1
+        assert summary["series"][SCAN_TOTAL]["violations"] == 0
         assert summary["total_violations"] == 1
 
+    def test_target_none_tracks_without_scoring(self):
+        metrics = MetricsRegistry()
+        metrics.histogram("serving.queue_wait_seconds").observe(1e6)
+        metrics.histogram("serving.case_seconds").observe(1e6)
+        summary = slo_summary(metrics)
+        for name in ("queue wait", "case service"):
+            assert summary["series"][name]["count"] == 1
+            assert summary["series"][name]["target"] is None
+            assert summary["series"][name]["violations"] == 0
+            assert summary["series"][name]["met"] is True
+        assert summary["all_met"] is True
+
+    def test_summary_attainment_and_all_met(self):
+        metrics = MetricsRegistry()
+        # 19 fast solves and one outlier: p95 stays under the 10 s budget.
+        for _ in range(19):
+            _scan(metrics, ("biomechanical simulation", 1.0))
+        _scan(metrics, ("biomechanical simulation", 50.0))
+        summary = slo_summary(metrics)
+        sim = summary["series"]["biomechanical simulation"]
+        assert sim["violations"] == 1
+        assert sim["met"] is True
+        assert summary["all_met"] is True
+        # Two outliers in twenty-one put p95 past the budget.
+        _scan(metrics, ("biomechanical simulation", 50.0))
+        summary = slo_summary(metrics)
+        assert summary["series"]["biomechanical simulation"]["met"] is False
+        assert summary["all_met"] is False
+
     def test_table_and_render_from_json_round_trip(self):
-        slo = SLOTracker()
-        slo.observe("biomechanical simulation", 25.0)
-        slo.observe("queue wait", 0.1, target=None)
-        table = slo.table()
+        metrics = MetricsRegistry()
+        _scan(metrics, ("biomechanical simulation", 25.0))
+        metrics.histogram("serving.queue_wait_seconds").observe(0.1)
+        table = render_slo_summary(slo_summary(metrics))
         assert "biomechanical simulation" in table
+        assert "queue wait" in table
         assert "MISSED" in table
-        # The dict form survives JSON and renders identically.
-        restored = json.loads(json.dumps(slo.summary()))
-        assert render_slo_summary(restored) == table
+        # The snapshot survives JSON and scores identically once merged.
+        restored = MetricsRegistry()
+        restored.merge(json.loads(json.dumps(metrics.snapshot())))
+        assert slo_summary(restored) == slo_summary(metrics)
+        assert render_slo_summary(slo_summary(restored)) == table
 
     def test_render_empty_summary(self):
-        assert "no SLO samples" in SLOTracker().table()
-
-    def test_unknown_series_raises(self):
-        with pytest.raises(ValidationError):
-            SLOTracker().series_summary("nope")
-
-    def test_invalid_attainment_quantile(self):
-        with pytest.raises(ValidationError):
-            SLOTracker(attainment_quantile=0.0)
+        assert "no SLO samples" in render_slo_summary(slo_summary(MetricsRegistry()))
 
 
 # -- flight recorder ---------------------------------------------------------

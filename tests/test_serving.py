@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.imaging.phantom import make_neurosurgery_case
+from repro.obs.budget import slo_summary
 from repro.serving import (
     AdmissionQueue,
     CaseRequest,
@@ -448,9 +449,10 @@ class TestServingTelemetry:
         # Worker-side metrics merged into the server registry.
         assert server.metrics.value("gmres.solves") >= 2
 
-        # Budget verdicts fed the SLO tracker: paper-target series
-        # scored, serving-layer series tracked unscored.
-        series = server.slo.summary()["series"]
+        # The workers' budget histograms merged home and the SLO view
+        # reads them: paper-target series scored, serving-layer series
+        # tracked unscored.
+        series = slo_summary(server.metrics)["series"]
         assert "scan total" in series
         assert "biomechanical simulation" in series
         assert series["queue wait"]["target"] is None
@@ -473,7 +475,7 @@ class TestServingTelemetry:
             server.shutdown()
         assert results["dark"].ok
         assert server.tracer is None
-        assert server.slo is None
+        assert "Latency SLOs" not in server.summary_table()
         assert results["dark"].telemetry is None
         assert results["dark"].flight_dump is None
         assert server.metrics.value("telemetry.frames") == 0
