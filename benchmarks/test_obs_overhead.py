@@ -136,20 +136,20 @@ def _run_session(tracer: Tracer | None) -> dict:
 
 def measure_serving_telemetry_overhead() -> dict:
     """Same serving workload, telemetry off vs on, through real workers."""
-    from repro.serving.bench import make_case_requests, run_pool
+    from repro.serving.soak import make_soak_requests, run_pool
 
     params = SERVING_SMOKE if SMOKE else SERVING_FULL
-    config = PipelineConfig(mesh_cell_mm=params["mesh_cell_mm"])
 
     def requests():
         # Fresh requests per run: dispatch stamps trace contexts on them.
-        return make_case_requests(
+        # One patient, so every case after the first hits the preop cache.
+        return make_soak_requests(
             params["n_cases"],
             params["scans_per_case"],
             params["shape"],
-            5.0,
+            params["mesh_cell_mm"],
+            1,
             7,
-            config,
         )
 
     dark_seconds, dark_checksums, _ = run_pool(

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
-from repro.imaging.phantom import make_neurosurgery_case
+from repro.imaging.phantom import _phantom_case, make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW, ULTRA80_CLUSTER, ULTRA_HPC_6000
 
 MACHINES = {
@@ -51,22 +51,6 @@ def _add_shape(parser: argparse.ArgumentParser, default=(64, 64, 48)) -> None:
         "--shape", type=int, nargs=3, default=list(default), metavar=("NX", "NY", "NZ")
     )
     parser.add_argument("--seed", type=int, default=0)
-
-
-def _phantom_case(shape, shift, seed, index, total):
-    """Deterministic phantom for scan ``index`` of a ``total``-scan session.
-
-    Brain shift grows linearly over the procedure (scan ``total - 1``
-    reaches the full ``shift``); the noise seed varies per scan like a
-    real scanner. For a single-scan session this is exactly the
-    original ``make_neurosurgery_case(shape, shift, seed)`` call, so
-    inputs regenerated from checkpointed app metadata are bit-identical
-    to the originals.
-    """
-    fraction = (index + 1) / max(total, 1)
-    return make_neurosurgery_case(
-        shape=tuple(shape), shift_mm=shift * fraction, seed=seed + index
-    )
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -301,15 +285,29 @@ def _write_obs_bundle(loop, obs: Path) -> None:
             print(f"wrote flight dump: {obs / f'flight-{dump.name}'}")
 
 
+def _phantom_requests(args: argparse.Namespace) -> list:
+    """The ``serve`` / ``submit`` case load: ``--cases`` over ``--patients``.
+
+    Same-patient cases exercise the preop-model cache, distinct patients
+    scheduling; with ``--checkpoint-root`` every case is durable.
+    """
+    from repro.serving.soak import make_soak_requests
+
+    return make_soak_requests(
+        args.cases, args.scans, args.shape, args.cell, args.patients, args.seed,
+        checkpoint_root=args.checkpoint_root, shift_mm=args.shift, deadline_s=args.deadline,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve concurrent phantom surgical cases through a worker pool."""
     from repro.obs import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
-    from repro.serving import CaseRequest, SessionServer, ShardGateway
+    from repro.serving import SessionServer, ShardGateway
+    from repro.serving.soak import run_wave
 
     if args.listen:
         return _serve_listen(args)
-    config = PipelineConfig(mesh_cell_mm=args.cell)
     metrics = MetricsRegistry()
     telemetry = not args.no_telemetry
     # One loop either way (SessionServer is its one-shard configuration):
@@ -341,40 +339,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         kwargs.update(n_workers=args.workers)
     server = loop(**kwargs)
     try:
-        # args.patients distinct patients, round-robin over the cases:
-        # same-patient cases exercise the preop-model cache, distinct
-        # patients exercise scheduling.
-        patients = [
-            make_neurosurgery_case(
-                shape=tuple(args.shape), shift_mm=args.shift, seed=args.seed + p
-            )
-            for p in range(min(args.patients, args.cases))
-        ]
-        for index in range(args.cases):
-            patient = patients[index % len(patients)]
-            scans = [
-                _phantom_case(
-                    args.shape, args.shift, args.seed + 100 + index, s, args.scans
-                ).intraop_mri
-                for s in range(args.scans)
-            ]
-            checkpoint_dir = None
-            if args.checkpoint_root:
-                checkpoint_dir = str(Path(args.checkpoint_root) / f"case-{index:02d}")
-            rejected = server.submit(
-                CaseRequest(
-                    case_id=f"case-{index:02d}",
-                    preop_mri=patient.preop_mri,
-                    preop_labels=patient.preop_labels,
-                    scans=scans,
-                    config=config,
-                    deadline_s=args.deadline,
-                    checkpoint_dir=checkpoint_dir,
-                )
-            )
-            if rejected is not None:
-                print(f"rejected case-{index:02d}: {rejected.detail}")
-        results = server.run()
+        requests = _phantom_requests(args)
+        admitted, _ = run_wave(server, requests)
+        for request in requests:
+            if request.case_id not in admitted:
+                print(f"rejected {request.case_id}: {server.results[request.case_id].detail}")
         print(server.summary_table())
         if telemetry:
             if args.chrome:
@@ -383,7 +352,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if args.metrics_json:
                 _write_metrics(metrics, Path(args.metrics_json))
             print(f"flight recorder dumps: {server.flight_dir}")
-        completed = sum(1 for r in results.values() if r.ok)
+        completed = sum(1 for r in server.results.values() if r.ok)
         return 0 if completed == args.cases else 1
     finally:
         server.shutdown()
@@ -450,7 +419,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.serving import NetClient, NetError
 
     host, port = _parse_hostport(args.connect)
-    config = PipelineConfig(mesh_cell_mm=args.cell)
     client = NetClient(host or "127.0.0.1", port)
     try:
         pong = client.ping(probe="ready")
@@ -458,43 +426,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
             f"server {host}:{port} live={pong.get('live')} "
             f"ready={pong.get('ready')} ({pong.get('reason')})"
         )
-        patients = [
-            make_neurosurgery_case(
-                shape=tuple(args.shape), shift_mm=args.shift, seed=args.seed + p
-            )
-            for p in range(min(args.patients, args.cases))
-        ]
-        from repro.serving import CaseRequest
-
-        for index in range(args.cases):
-            patient = patients[index % len(patients)]
-            scans = [
-                _phantom_case(
-                    args.shape, args.shift, args.seed + 100 + index, s, args.scans
-                ).intraop_mri
-                for s in range(args.scans)
-            ]
-            checkpoint_dir = None
-            if args.checkpoint_root:
-                checkpoint_dir = str(
-                    Path(args.checkpoint_root) / f"case-{index:02d}"
-                )
+        for request in _phantom_requests(args):
             try:
-                ack = client.submit(
-                    CaseRequest(
-                        case_id=f"case-{index:02d}",
-                        preop_mri=patient.preop_mri,
-                        preop_labels=patient.preop_labels,
-                        scans=scans,
-                        config=config,
-                        deadline_s=args.deadline,
-                        checkpoint_dir=checkpoint_dir,
-                    )
-                )
+                ack = client.submit(request)
             except NetError as exc:
-                print(f"refused case-{index:02d}: {exc}")
+                print(f"refused {request.case_id}: {exc}")
                 continue
-            print(f"submitted case-{index:02d}: {ack.get('detail', 'ok')}")
+            print(f"submitted {request.case_id}: {ack.get('detail', 'ok')}")
         results = client.wait(timeout=args.timeout)
         ok = 0
         for case_id in sorted(results):
@@ -519,18 +457,48 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 def cmd_bench_netsoak(args: argparse.Namespace) -> int:
     """Chaos-soak the serving tier through the network path."""
-    import json
-    import tempfile
-
     from repro.serving.soak import (
         DEFAULT_NET_GATEWAY_FAULTS,
         DEFAULT_WIRE_FAULTS,
         run_net_soak,
     )
 
-    faults = args.faults if args.faults is not None else DEFAULT_NET_GATEWAY_FAULTS
-    wire = args.wire_faults if args.wire_faults is not None else DEFAULT_WIRE_FAULTS
-    kwargs = dict(
+    return _soak_verb(
+        args,
+        run_net_soak,
+        "repro-netsoak-ckpt-",
+        faults=_schedule(args.faults, DEFAULT_NET_GATEWAY_FAULTS),
+        wire_faults=_schedule(args.wire_faults, DEFAULT_WIRE_FAULTS),
+    )
+
+
+def _schedule(text: str | None, default: str) -> str | None:
+    """A fault-schedule flag: unset takes ``default``, ``''`` injects nothing."""
+    return (default if text is None else text) or None
+
+
+def _print_report(report, json_path: str | None) -> None:
+    """Print a driver report's table; write its JSON to ``json_path`` if set."""
+    import json
+
+    print(report.table())
+    if json_path:
+        path = Path(json_path)
+        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+        print(f"wrote {path}")
+
+
+def _soak_verb(args: argparse.Namespace, run, prefix: str, **kwargs) -> int:
+    """Run one soak driver with the flags both soak verbs share.
+
+    Journals durable cases under ``--checkpoint-root`` (default: a temp
+    directory named ``prefix*``), prints the table, writes ``--json`` and
+    ``--obs-dir``, and exits 1 on a lost, unterminated or double-solved case.
+    """
+    import tempfile
+
+    sink: list = []
+    kwargs.update(
         n_cases=args.cases,
         n_shards=args.shards,
         workers_per_shard=args.workers,
@@ -540,21 +508,18 @@ def cmd_bench_netsoak(args: argparse.Namespace) -> int:
         n_patients=args.patients,
         queue_capacity=args.queue_capacity,
         durable_every=args.durable_every,
-        faults=faults or None,
-        wire_faults=wire or None,
         max_attempts=args.max_attempts,
         seed=args.seed,
+        gateway_sink=sink,
     )
     if args.checkpoint_root:
-        report = run_net_soak(checkpoint_root=args.checkpoint_root, **kwargs)
+        report = run(checkpoint_root=args.checkpoint_root, **kwargs)
     else:
-        with tempfile.TemporaryDirectory(prefix="repro-netsoak-ckpt-") as root:
-            report = run_net_soak(checkpoint_root=root, **kwargs)
-    print(report.table())
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
+        with tempfile.TemporaryDirectory(prefix=prefix) as root:
+            report = run(checkpoint_root=root, **kwargs)
+    _print_report(report, args.json)
+    if getattr(args, "obs_dir", None) and sink:
+        _write_obs_bundle(sink[-1], Path(args.obs_dir))
     healthy = (
         not report.lost_cases
         and not report.unterminated_cases
@@ -565,8 +530,6 @@ def cmd_bench_netsoak(args: argparse.Namespace) -> int:
 
 def cmd_bench_throughput(args: argparse.Namespace) -> int:
     """Benchmark pool serving against serial sessions (same patient)."""
-    import json
-
     from repro.serving import run_throughput_benchmark
 
     sink: list = []
@@ -581,11 +544,7 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
         telemetry=bool(args.obs_dir),
         server_sink=sink,
     )
-    print(report.table())
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
+    _print_report(report, args.json)
     if args.obs_dir and sink:
         # The telemetry-enabled pool run's observability bundle.
         from repro.obs import render_slo_summary, slo_summary
@@ -599,43 +558,15 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
 
 def cmd_bench_soak(args: argparse.Namespace) -> int:
     """Chaos-soak the sharded tier: sustained load + injected faults."""
-    import json
-    import tempfile
-
     from repro.serving.soak import DEFAULT_FAULTS, run_soak
 
-    sink: list = []
-    faults = args.faults if args.faults is not None else DEFAULT_FAULTS
-    kwargs = dict(
-        n_cases=args.cases,
-        n_shards=args.shards,
-        workers_per_shard=args.workers,
-        scans_per_case=args.scans,
-        shape=tuple(args.shape),
-        mesh_cell_mm=args.cell,
-        n_patients=args.patients,
+    return _soak_verb(
+        args,
+        run_soak,
+        "repro-soak-ckpt-",
         waves=args.waves,
-        queue_capacity=args.queue_capacity,
-        durable_every=args.durable_every,
-        faults=faults or None,
-        max_attempts=args.max_attempts,
-        seed=args.seed,
-        gateway_sink=sink,
+        faults=_schedule(args.faults, DEFAULT_FAULTS),
     )
-    if args.checkpoint_root:
-        report = run_soak(checkpoint_root=args.checkpoint_root, **kwargs)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-soak-ckpt-") as root:
-            report = run_soak(checkpoint_root=root, **kwargs)
-    print(report.table())
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
-    if args.obs_dir and sink:
-        _write_obs_bundle(sink[-1], Path(args.obs_dir))
-    healthy = not report.lost_cases and not report.unterminated_cases
-    return 0 if healthy else 1
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -725,6 +656,39 @@ def cmd_predict(args: argparse.Namespace) -> int:
         f"({mesher.mesh.n_nodes} nodes, {'heterogeneous' if args.heterogeneous else 'homogeneous'} model)"
     )
     return 0
+
+
+def _add_soak_flags(
+    parser: argparse.ArgumentParser, queue_capacity: int, faults_help: str
+) -> None:
+    """The flags ``bench-soak`` and ``bench-netsoak`` share."""
+    _add_shape(parser, default=(24, 24, 16))
+    parser.add_argument("--cases", type=int, default=8)
+    parser.add_argument("--shards", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=1, help="workers per shard")
+    parser.add_argument("--scans", type=int, default=1, help="scans per case")
+    parser.add_argument("--cell", type=float, default=8.0, help="mesh cell size (mm)")
+    parser.add_argument("--patients", type=int, default=2)
+    parser.add_argument("--queue-capacity", type=int, default=queue_capacity)
+    parser.add_argument(
+        "--durable-every",
+        type=int,
+        default=2,
+        help="journal every Nth case (durable-case loss is the audit's red line)",
+    )
+    parser.add_argument(
+        "--checkpoint-root",
+        default=None,
+        help="root for durable-case journals (default: a temp directory)",
+    )
+    parser.add_argument(
+        "--max-attempts",
+        type=int,
+        default=3,
+        help="re-admission budget per case after worker/shard failures",
+    )
+    parser.add_argument("--faults", default=None, help=faults_help)
+    parser.add_argument("--json", default=None, help="write the soak report as JSON here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -963,41 +927,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_throughput)
 
     p = sub.add_parser("bench-soak", help=cmd_bench_soak.__doc__)
-    _add_shape(p, default=(24, 24, 16))
-    p.add_argument("--cases", type=int, default=8)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1, help="workers per shard")
-    p.add_argument("--scans", type=int, default=1, help="scans per case")
-    p.add_argument("--cell", type=float, default=8.0, help="mesh cell size (mm)")
-    p.add_argument("--patients", type=int, default=2)
-    p.add_argument("--waves", type=int, default=2, help="submission bursts")
-    p.add_argument("--queue-capacity", type=int, default=4)
-    p.add_argument(
-        "--durable-every",
-        type=int,
-        default=2,
-        help="journal every Nth case (durable-case loss is the audit's red line)",
-    )
-    p.add_argument(
-        "--checkpoint-root",
-        default=None,
-        help="root for durable-case journals (default: a temp directory)",
-    )
-    p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="re-admission budget per case after worker/shard failures",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        help=(
+    _add_soak_flags(
+        p,
+        queue_capacity=4,
+        faults_help=(
             "chaos schedule by dispatch ordinal "
             "(default: hang + slowdown + dropped result + shard kill; '' = none)"
         ),
     )
-    p.add_argument("--json", default=None, help="write the soak report as JSON here")
+    p.add_argument("--waves", type=int, default=2, help="submission bursts")
     p.add_argument(
         "--obs-dir",
         default=None,
@@ -1009,35 +947,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_soak)
 
     p = sub.add_parser("bench-netsoak", help=cmd_bench_netsoak.__doc__)
-    _add_shape(p, default=(24, 24, 16))
-    p.add_argument("--cases", type=int, default=8)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1, help="workers per shard")
-    p.add_argument("--scans", type=int, default=1, help="scans per case")
-    p.add_argument("--cell", type=float, default=8.0, help="mesh cell size (mm)")
-    p.add_argument("--patients", type=int, default=2)
-    p.add_argument("--queue-capacity", type=int, default=8)
-    p.add_argument(
-        "--durable-every",
-        type=int,
-        default=2,
-        help="journal every Nth case (durable-case loss is the audit's red line)",
-    )
-    p.add_argument(
-        "--checkpoint-root",
-        default=None,
-        help="root for durable-case journals (default: a temp directory)",
-    )
-    p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="re-admission budget per case after worker/shard failures",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        help=(
+    _add_soak_flags(
+        p,
+        queue_capacity=8,
+        faults_help=(
             "gateway chaos by dispatch ordinal "
             "(default: a worker hang + a dropped result; '' = none)"
         ),
@@ -1050,9 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
             "mid-frame reset, truncated frame, delayed ACK, partition; "
             "'' = none)"
         ),
-    )
-    p.add_argument(
-        "--json", default=None, help="write the soak report as JSON here"
     )
     p.set_defaults(func=cmd_bench_netsoak)
 

@@ -35,12 +35,6 @@ class PipelineConfig:
         FEM material map (paper default: homogeneous brain).
     n_ranks:
         Virtual CPU count for the parallel simulation (1 = serial path).
-    precompute_solve_context:
-        Build the scan-invariant FEM state (assembled matrix,
-        elimination structure, preconditioner factors) during
-        :meth:`~repro.core.IntraoperativePipeline.prepare_preoperative`,
-        when "time is plentiful", so every intraoperative simulation is
-        a data-only fast path.
     resilience:
         The intraoperative resilience layer's settings
         (:class:`repro.resilience.ResiliencePolicy`): the master switch
@@ -82,7 +76,6 @@ class PipelineConfig:
     rigid_levels: int = 2
     rigid_max_iter: int = 3
     rigid_samples: int = 12000
-    skip_rigid: bool = False
 
     # Localization / classification
     localization_cap_mm: float = 15.0
@@ -105,7 +98,6 @@ class PipelineConfig:
     gmres_restart: int = 30
     n_ranks: int = 1
     partitioner: str = "block"
-    precompute_solve_context: bool = True
 
     # Resilience / fault injection
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)

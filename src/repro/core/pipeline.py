@@ -93,8 +93,7 @@ class PreoperativeModel:
         Precomputed scan-invariant FEM state (assembled stiffness,
         Dirichlet-elimination structure, preconditioner factors) built
         during the preoperative phase so each intraoperative simulation
-        is a data-only fast path; ``None`` when
-        ``PipelineConfig.precompute_solve_context`` is off.
+        is a data-only fast path.
     snapped / snap_params:
         The active surface's snap phase (mesh boundary projected onto
         the preoperative brain mask) and the ``cap_mm`` / ``iterations``
@@ -290,20 +289,18 @@ class IntraoperativePipeline:
                     residual_mm=snapped.mean_residual_mm,
                     vertices=int(surface.n_vertices),
                 )
-            solve_context = None
-            if cfg.precompute_solve_context:
-                # Preoperative precomputation: partitioning, assembly,
-                # elimination slicing and preconditioner factorization all
-                # happen now, while "time is plentiful" — process_scan only
-                # updates the right-hand side and solves.
-                with tracer.span("solve context precompute", kind="stage"):
-                    solve_context = prepare_solve_context(
-                        mesher.mesh,
-                        surface.mesh_nodes,
-                        cfg.n_ranks,
-                        materials=cfg.materials,
-                        partitioner=cfg.partitioner,
-                    )
+            # Preoperative precomputation: partitioning, assembly,
+            # elimination slicing and preconditioner factorization all
+            # happen now, while "time is plentiful" — process_scan only
+            # updates the right-hand side and solves.
+            with tracer.span("solve context precompute", kind="stage"):
+                solve_context = prepare_solve_context(
+                    mesher.mesh,
+                    surface.mesh_nodes,
+                    cfg.n_ranks,
+                    materials=cfg.materials,
+                    partitioner=cfg.partitioner,
+                )
         if self.metrics is not None:
             self.metrics.gauge("mesh.nodes").set(mesher.mesh.n_nodes)
             self.metrics.gauge("mesh.elements").set(mesher.mesh.n_elements)
@@ -450,12 +447,10 @@ class IntraoperativePipeline:
 
     def _stage_rigid(
         self, intraop_mri: ImageVolume, preop: PreoperativeModel, timeline: Timeline
-    ) -> tuple[RegistrationResult | None, RigidTransform]:
+    ) -> tuple[RegistrationResult, RigidTransform]:
         """Stage 1 — MI rigid registration: intraop points -> preop frame."""
         cfg = self.config
         with timeline.stage("rigid registration"):
-            if cfg.skip_rigid:
-                return None, RigidTransform.identity()
             rigid_result = register_rigid(
                 intraop_mri,
                 preop.mri,

@@ -323,3 +323,19 @@ def make_neurosurgery_case(
         shift_mm=shift_mm,
         resected=resection,
     )
+
+
+def _phantom_case(shape, shift, seed, index, total):
+    """Deterministic phantom for scan ``index`` of a ``total``-scan session.
+
+    Brain shift grows linearly over the procedure (scan ``total - 1``
+    reaches the full ``shift``); the noise seed varies per scan like a
+    real scanner. For a single-scan session this is exactly the
+    original ``make_neurosurgery_case(shape, shift, seed)`` call, so
+    inputs regenerated from checkpointed app metadata are bit-identical
+    to the originals.
+    """
+    fraction = (index + 1) / max(total, 1)
+    return make_neurosurgery_case(
+        shape=tuple(shape), shift_mm=shift * fraction, seed=seed + index
+    )

@@ -75,7 +75,6 @@ from repro.obs.telemetry import (
     TraceContext,
     graft_frame,
     make_trace_context,
-    span_from_dict,
 )
 from repro.obs.trace import (
     Span,
@@ -84,6 +83,7 @@ from repro.obs.trace import (
     get_tracer,
     new_trace_id,
     set_tracer,
+    span_from_dict,
     use_tracer,
 )
 

@@ -30,7 +30,7 @@ import json
 import math
 from pathlib import Path
 
-from repro.obs.trace import SpanRecord, Tracer
+from repro.obs.trace import SpanRecord, Tracer, span_from_dict
 from repro.util import ValidationError
 from repro.util.atomicio import atomic_write_text, atomic_writer
 
@@ -93,22 +93,7 @@ def read_jsonl(path) -> list[SpanRecord]:
                 continue
             if kind != "span":
                 continue
-            spans.append(
-                SpanRecord(
-                    span_id=int(obj["id"]),
-                    parent_id=obj.get("parent"),
-                    name=str(obj["name"]),
-                    start=float(obj["start"]),
-                    end=None if obj.get("end") is None else float(obj["end"]),
-                    thread=obj.get("thread", "main"),
-                    pid=int(obj.get("pid", 0)),
-                    attrs=obj.get("attrs", {}),
-                    events=[
-                        (e["ts"], e["name"], e.get("attrs", {}))
-                        for e in obj.get("events", [])
-                    ],
-                )
-            )
+            spans.append(span_from_dict(obj))
     return spans
 
 

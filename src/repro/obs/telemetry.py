@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.obs.budget import BudgetMonitor
 from repro.obs.flight import FlightRecorder, use_flight_recorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import SpanRecord, Tracer, new_trace_id, use_tracer
+from repro.obs.trace import Tracer, new_trace_id, span_from_dict, use_tracer
 
 FRAME_FORMAT_VERSION = 1
 
@@ -111,24 +111,6 @@ class TelemetryFrame:
     @property
     def n_spans(self) -> int:
         return len(self.spans)
-
-
-def span_from_dict(obj: dict) -> SpanRecord:
-    """Rehydrate one :meth:`SpanRecord.as_dict` payload."""
-    return SpanRecord(
-        span_id=int(obj["id"]),
-        parent_id=obj.get("parent"),
-        name=str(obj["name"]),
-        start=float(obj["start"]),
-        end=None if obj.get("end") is None else float(obj["end"]),
-        thread=obj.get("thread", "main"),
-        pid=int(obj.get("pid", 0)),
-        attrs=obj.get("attrs", {}),
-        events=[
-            (e["ts"], e["name"], e.get("attrs", {}))
-            for e in obj.get("events", [])
-        ],
-    )
 
 
 class CaseTelemetry:

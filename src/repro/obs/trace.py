@@ -96,6 +96,24 @@ class SpanRecord:
         }
 
 
+def span_from_dict(obj: dict) -> SpanRecord:
+    """Rehydrate one :meth:`SpanRecord.as_dict` payload."""
+    return SpanRecord(
+        span_id=int(obj["id"]),
+        parent_id=obj.get("parent"),
+        name=str(obj["name"]),
+        start=float(obj["start"]),
+        end=None if obj.get("end") is None else float(obj["end"]),
+        thread=obj.get("thread", "main"),
+        pid=int(obj.get("pid", 0)),
+        attrs=obj.get("attrs", {}),
+        events=[
+            (e["ts"], e["name"], e.get("attrs", {}))
+            for e in obj.get("events", [])
+        ],
+    )
+
+
 class _NullSpan:
     """Shared do-nothing span returned by a disabled tracer."""
 

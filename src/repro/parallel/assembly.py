@@ -207,8 +207,3 @@ def serial_reference_system(
     """Serial reduced system on the decomposed mesh (for equivalence tests)."""
     stiffness = assemble_stiffness(decomposition.mesh, materials)
     return apply_dirichlet(stiffness, np.zeros(decomposition.mesh.n_dof), bc)
-
-
-def element_work_estimate(mesh) -> float:
-    """Total serial assembly flops (for speedup baselines)."""
-    return float(mesh.n_elements * FLOPS_PER_ELEMENT + 4 * mesh.n_elements * FLOPS_PER_INCIDENCE)

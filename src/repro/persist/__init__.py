@@ -5,8 +5,9 @@ the preoperative model, the prototype voxels recorded on the first
 scan, and every committed scan's displacement fields. This package
 makes that state durable:
 
-* :mod:`repro.persist.atomic` — atomic rename-based writes and BLAKE2b
-  content checksums (re-exported from :mod:`repro.util.atomicio`).
+* atomic rename-based writes and BLAKE2b content checksums, re-exported
+  from :mod:`repro.util.atomicio` (the layers below this package —
+  imaging I/O, trace exporters — use them without importing it).
 * :mod:`repro.persist.checkpoint` — versioned, checksummed npz payload
   containers, config round-tripping, :class:`ScanRecord` and the
   :class:`ScanSummary` a session keeps of a superseded scan.
@@ -24,16 +25,6 @@ recover with ``SurgicalSession.resume``, verify with
 :func:`replay_session` (CLI: ``repro replay``).
 """
 
-from repro.persist.atomic import (
-    atomic_payload,
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-    atomic_writer,
-    checksum_array,
-    checksum_bytes,
-    checksum_file,
-)
 from repro.persist.checkpoint import (
     CHECKPOINT_VERSION,
     ScanRecord,
@@ -48,6 +39,16 @@ from repro.persist.store import CRASH_EXIT_CODE, SessionStore, completed_records
 
 # Must come after store: replay imports SessionStore through the package.
 from repro.persist.replay import ReplayReport, ScanReplay, replay_session
+from repro.util.atomicio import (
+    atomic_payload,
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    atomic_writer,
+    checksum_array,
+    checksum_bytes,
+    checksum_file,
+)
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -39,7 +39,6 @@ _CONFIG_SCALARS = (
     "rigid_levels",
     "rigid_max_iter",
     "rigid_samples",
-    "skip_rigid",
     "localization_cap_mm",
     "knn_k",
     "prototypes_per_class",
@@ -53,7 +52,6 @@ _CONFIG_SCALARS = (
     "gmres_restart",
     "n_ranks",
     "partitioner",
-    "precompute_solve_context",
     "seed",
 )
 #: PipelineConfig fields serialized as integer lists.

@@ -54,7 +54,6 @@ from repro.resilience.guards import (
     check_displacement_field,
     check_finite_array,
     check_mesh_usable,
-    check_volume_finite,
 )
 from repro.resilience.policy import (
     DegradationLevel,
@@ -85,7 +84,6 @@ __all__ = [
     "check_displacement_field",
     "check_finite_array",
     "check_mesh_usable",
-    "check_volume_finite",
     "coarse_fem_fallback",
     "parse_level",
     "previous_field_fallback",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.imaging.volume import ImageVolume
 from repro.mesh.quality import quality_report
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.flight import get_flight_recorder
@@ -140,11 +139,6 @@ def check_displacement_field(
             f"{gate_mm:.0f} mm physical gate (diverged solve?)"
         )
     return displacements
-
-
-def check_volume_finite(volume: ImageVolume, name: str) -> ImageVolume:
-    """Finite-voxel gate on an image volume (delegates to the volume)."""
-    return volume.validate_finite(name)
 
 
 def check_mesh_usable(

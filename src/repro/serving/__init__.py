@@ -21,7 +21,9 @@ content-addressed preop upload with delta-streamed scans, health
 probes, wire chaos, SIGTERM drain) and :mod:`repro.serving.netclient`
 (idempotent retrying client with circuit breaking). ``repro serve``,
 ``repro submit`` and ``repro bench-throughput`` drive it from the
-command line; :mod:`repro.serving.soak` is the chaos-soak harness.
+command line; :mod:`repro.serving.soak` holds the serving drivers (the
+throughput comparison and the chaos soaks) and their one case-load
+builder.
 """
 
 from repro.serving.admission import (
@@ -31,7 +33,6 @@ from repro.serving.admission import (
     SheddingDecision,
     SheddingLadder,
 )
-from repro.serving.bench import ThroughputReport, run_throughput_benchmark
 from repro.serving.gateway import ShardGateway
 from repro.serving.netclient import CircuitBreaker, NetClient, NetError
 from repro.serving.pool import SessionWorkerPool, WorkerHandle
@@ -46,6 +47,7 @@ from repro.serving.protocol import (
 from repro.serving.scheduler import POLICIES, Scheduler
 from repro.serving.server import SessionServer
 from repro.serving.shard import ConsistentHashRing, Shard
+from repro.serving.soak import ThroughputReport, run_throughput_benchmark
 from repro.serving.transport import (
     FrameError,
     NetworkFrontEnd,

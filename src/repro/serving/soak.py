@@ -1,6 +1,27 @@
-"""Chaos-soak harness: sustained sharded serving under injected faults.
+"""Serving drivers: the throughput comparison and the chaos soaks.
 
-The soak drives a :class:`repro.serving.ShardGateway` through a
+Every driver draws its cases from :func:`make_soak_requests`, the one
+phantom case-load builder (``repro serve`` and ``repro submit`` use it
+too): ``n_cases`` cases over ``n_patients`` patients, scan ``k`` of
+case ``c`` a growing brain shift with noise seed ``seed + 100 + c*S + k``.
+:func:`run_wave` is the one submit-and-run step of the in-process drivers.
+
+:func:`run_throughput_benchmark` is the serving layer's throughput
+claim: N concurrent cases of one patient served by a
+:class:`repro.serving.SessionServer` finish faster than N serial
+back-to-back :class:`repro.core.SurgicalSession` runs, because (a)
+workers solve in separate processes (GIL-free, scales with cores) and
+(b) the checksum-keyed preop cache prepares the patient model **once**
+where serial sessions rebuild it per case — meshing, assembly,
+Dirichlet elimination and preconditioner factorization are the dominant
+per-case fixed cost, so the win holds even on one core. Correctness is
+part of it: every case's displacement-field checksums from the pool run
+must equal the serial run's **bit-exactly** (every solve starts from
+zero, so a cached model's reuse is numerically invisible).
+``benchmarks/test_throughput.py`` persists it as ``BENCH_throughput.json``;
+``repro bench-throughput`` runs it from the command line.
+
+:func:`run_soak` drives a :class:`repro.serving.ShardGateway` through a
 sustained multi-wave case load while a
 :class:`repro.resilience.ServingFaultPlan` injects shard kills, worker
 hangs, shard slowdowns and dropped results, then audits the wreckage.
@@ -18,10 +39,9 @@ The contract it checks is the serving tier's headline robustness claim:
   metrics, vs. the paper's stage budgets) cover every scan served,
   including post-failover replays.
 
-:func:`run_soak` returns a :class:`SoakReport`;
-``benchmarks/test_soak.py`` persists it as ``BENCH_soak.json`` and
-asserts the contract, and ``repro bench-soak`` runs it from the command
-line.
+It returns a :class:`SoakReport`; ``benchmarks/test_soak.py`` persists
+it as ``BENCH_soak.json`` and asserts the contract, and
+``repro bench-soak`` runs it from the command line.
 
 :func:`run_net_soak` runs the same contract through the network path:
 a :class:`repro.serving.transport.NetworkFrontEnd` on a real socket, a
@@ -42,11 +62,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import PipelineConfig
+from repro.imaging.phantom import _phantom_case, make_neurosurgery_case
 from repro.obs.budget import slo_summary
 from repro.resilience.faults import ServingFaultPlan
 from repro.serving.admission import SheddingLadder
 from repro.serving.gateway import ShardGateway
-from repro.serving.protocol import SERVED_STATUSES, CaseRequest
+from repro.serving.protocol import SERVED_STATUSES, CaseRequest, outcome_from_result
+from repro.serving.server import SessionServer
 from repro.util import ValidationError, format_table
 
 #: Default injected-fault schedule, keyed by gateway dispatch ordinal:
@@ -70,6 +92,78 @@ DEFAULT_WIRE_FAULTS = (
 #: and a dropped result so the network path, not shard failover, is the
 #: star of the audit.
 DEFAULT_NET_GATEWAY_FAULTS = "1:hang-worker=0,2:drop-result=0"
+
+
+@dataclass
+class ThroughputReport:
+    """Serial-vs-pool comparison for one benchmark run."""
+
+    n_cases: int
+    n_workers: int
+    scans_per_case: int
+    serial_seconds: float
+    pool_seconds: float
+    bit_identical: bool
+    preop_cache_hits: int
+    shape: tuple[int, int, int]
+    mesh_cell_mm: float
+    serial_checksums: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    pool_checksums: dict[str, list[str]] = field(default_factory=dict, repr=False)
+
+    @property
+    def total_scans(self) -> int:
+        return self.n_cases * self.scans_per_case
+
+    @property
+    def serial_scans_per_s(self) -> float:
+        return self.total_scans / self.serial_seconds
+
+    @property
+    def pool_scans_per_s(self) -> float:
+        return self.total_scans / self.pool_seconds
+
+    @property
+    def speedup(self) -> float:
+        """Aggregate-throughput ratio (pool over serial)."""
+        return self.serial_seconds / self.pool_seconds
+
+    def as_dict(self) -> dict:
+        return {
+            "n_cases": self.n_cases,
+            "n_workers": self.n_workers,
+            "scans_per_case": self.scans_per_case,
+            "total_scans": self.total_scans,
+            "shape": list(self.shape),
+            "mesh_cell_mm": self.mesh_cell_mm,
+            "serial_seconds": self.serial_seconds,
+            "pool_seconds": self.pool_seconds,
+            "serial_scans_per_s": self.serial_scans_per_s,
+            "pool_scans_per_s": self.pool_scans_per_s,
+            "speedup": self.speedup,
+            "bit_identical": self.bit_identical,
+            "preop_cache_hits": self.preop_cache_hits,
+        }
+
+    def table(self) -> str:
+        rows = [
+            ["serial sessions", f"{self.serial_seconds:.2f}",
+             f"{self.serial_scans_per_s:.3f}", "1.00"],
+            [f"{self.n_workers}-worker pool", f"{self.pool_seconds:.2f}",
+             f"{self.pool_scans_per_s:.3f}", f"{self.speedup:.2f}"],
+        ]
+        table = format_table(
+            ["configuration", "wall (s)", "scans/s", "speedup"],
+            rows,
+            title=(
+                f"Serving throughput: {self.n_cases} cases x "
+                f"{self.scans_per_case} scan(s), same patient"
+            ),
+        )
+        table += (
+            f"\n  bit-identical displacement fields: {self.bit_identical}"
+            f" | preop cache hits: {self.preop_cache_hits}/{self.n_cases - 1} possible"
+        )
+        return table
 
 
 @dataclass
@@ -214,47 +308,184 @@ def make_soak_requests(
     mesh_cell_mm: float,
     n_patients: int,
     seed: int,
-    durable_every: int,
-    checkpoint_root: str | None,
+    durable_every: int = 1,
+    checkpoint_root: str | None = None,
+    shift_mm: float = 5.0,
+    deadline_s: float | None = None,
 ) -> list[CaseRequest]:
-    """A soak workload: ``n_patients`` distinct patients, cases round-robin.
+    """A phantom case load: ``n_patients`` distinct patients, cases round-robin.
 
-    Multiple patients exercise the ring (distinct preop keys spread
-    across shards); every ``durable_every``-th case is journaled under
-    ``checkpoint_root`` so shard kills have durable state to replay.
+    Patient ``p`` is the phantom of seed ``seed + p``; scan ``k`` of case
+    ``c`` is ``_phantom_case(shape, shift_mm, seed + 100 + c*S, k, S)``,
+    a shift growing to ``shift_mm`` with a noise seed of its own. Same-
+    patient cases exercise the preop-model cache, distinct patients the
+    ring (their preop keys spread across shards). When a
+    ``checkpoint_root`` is given, every ``durable_every``-th case is
+    journaled under it so shard kills have durable state to replay.
     """
-    from repro.imaging.phantom import make_neurosurgery_case
-
     patients = [
-        make_neurosurgery_case(shape=tuple(shape), shift_mm=5.0, seed=seed + p)
-        for p in range(max(1, n_patients))
+        make_neurosurgery_case(shape=tuple(shape), shift_mm=shift_mm, seed=seed + p)
+        for p in range(min(max(1, n_patients), n_cases))
     ]
     config = PipelineConfig(mesh_cell_mm=mesh_cell_mm)
     requests = []
     for case in range(n_cases):
         patient = patients[case % len(patients)]
+        case_seed = seed + 100 + case * scans_per_case
         scans = [
-            make_neurosurgery_case(
-                shape=tuple(shape),
-                shift_mm=5.0 * (scan + 1) / scans_per_case,
-                seed=seed + 100 + case * scans_per_case + scan,
-            ).intraop_mri
+            _phantom_case(shape, shift_mm, case_seed, scan, scans_per_case).intraop_mri
             for scan in range(scans_per_case)
         ]
+        case_id = f"case-{case:03d}"
         checkpoint = None
         if checkpoint_root is not None and durable_every > 0 and case % durable_every == 0:
-            checkpoint = str(Path(checkpoint_root) / f"case-{case:03d}")
+            checkpoint = str(Path(checkpoint_root) / case_id)
         requests.append(
             CaseRequest(
-                case_id=f"case-{case:03d}",
+                case_id=case_id,
                 preop_mri=patient.preop_mri,
                 preop_labels=patient.preop_labels,
                 scans=scans,
                 config=config,
+                deadline_s=deadline_s,
                 checkpoint_dir=checkpoint,
             )
         )
     return requests
+
+
+def run_wave(loop, requests: list[CaseRequest]) -> tuple[list[str], list[str]]:
+    """Submit one wave of ``requests`` to a serving loop, then ``run()`` it.
+
+    ``loop`` is a :class:`ShardGateway` or a :class:`SessionServer`; its
+    ``results`` then hold every terminal case, refused ones included.
+    Returns the admitted and the durable (journaled) case ids.
+    """
+    admitted: list[str] = []
+    durable: list[str] = []
+    for request in requests:
+        if loop.submit(request) is None:
+            admitted.append(request.case_id)
+            if request.checkpoint_dir is not None:
+                durable.append(request.case_id)
+    loop.run()
+    return admitted, durable
+
+
+def run_serial(requests: list[CaseRequest]) -> tuple[float, dict[str, list[str]]]:
+    """Back-to-back sessions, one per case; returns (seconds, checksums)."""
+    from repro.core.pipeline import IntraoperativePipeline
+    from repro.core.session import SurgicalSession
+
+    checksums: dict[str, list[str]] = {}
+    t0 = time.perf_counter()
+    for request in requests:
+        pipeline = IntraoperativePipeline(
+            config=request.config if request.config is not None else PipelineConfig()
+        )
+        session = SurgicalSession.begin(
+            pipeline, request.preop_mri, request.preop_labels
+        )
+        shas = []
+        for index, scan in enumerate(request.scans):
+            result = session.process(scan)
+            shas.append(outcome_from_result(index, result).nodal_sha)
+        checksums[request.case_id] = shas
+    return time.perf_counter() - t0, checksums
+
+
+def run_pool(
+    requests: list[CaseRequest],
+    n_workers: int,
+    metrics=None,
+    policy: str = "fifo",
+    telemetry: bool = False,
+    server_sink: list | None = None,
+) -> tuple[float, dict[str, list[str]], int]:
+    """Serve all cases through a worker pool.
+
+    Returns ``(seconds, checksums, preop_cache_hits)``. Worker spawn is
+    excluded from the timing (a server is long-lived; admission-to-last-
+    result is the serving latency), submission and scheduling are not.
+    ``telemetry`` turns the full cross-process telemetry path on
+    (defaults off so the headline throughput number measures serving,
+    not instrumentation); passing a ``server_sink`` list appends the
+    server before shutdown so callers can export its trace/SLOs.
+    """
+    server = SessionServer(
+        n_workers=n_workers,
+        queue_capacity=max(len(requests), 1),
+        policy=policy,
+        metrics=metrics,
+        telemetry=telemetry,
+    )
+    if server_sink is not None:
+        server_sink.append(server)
+    try:
+        t0 = time.perf_counter()
+        run_wave(server, requests)
+        elapsed = time.perf_counter() - t0
+        checksums = {}
+        hits = 0
+        for request in requests:
+            result = server.results[request.case_id]
+            if not result.ok:
+                raise ValidationError(
+                    f"benchmark case {request.case_id!r} ended "
+                    f"{result.status}: {result.detail}"
+                )
+            checksums[request.case_id] = [s.nodal_sha for s in result.scans]
+            hits += int(result.preop_cache_hit)
+    finally:
+        server.shutdown()
+    return elapsed, checksums, hits
+
+
+def run_throughput_benchmark(
+    n_cases: int = 4,
+    n_workers: int = 4,
+    scans_per_case: int = 1,
+    shape: tuple[int, int, int] = (32, 32, 24),
+    mesh_cell_mm: float = 3.0,
+    shift_mm: float = 5.0,
+    seed: int = 7,
+    metrics=None,
+    telemetry: bool = False,
+    server_sink: list | None = None,
+) -> ThroughputReport:
+    """Measure pool-vs-serial throughput on one patient's concurrent cases.
+
+    The default sizing (coarse image grid, 3 mm mesh) makes the
+    preoperative build the dominant fixed cost — the clinically faithful
+    regime (the paper precomputes preoperatively *because* that work is
+    heavy) — so the preop-cache architecture, not core count, carries
+    the speedup and the benchmark is meaningful on small CI machines.
+    """
+    requests = make_soak_requests(
+        n_cases, scans_per_case, shape, mesh_cell_mm, 1, seed, shift_mm=shift_mm
+    )
+    serial_seconds, serial_checksums = run_serial(requests)
+    pool_seconds, pool_checksums, hits = run_pool(
+        requests,
+        n_workers,
+        metrics=metrics,
+        telemetry=telemetry,
+        server_sink=server_sink,
+    )
+    bit_identical = serial_checksums == pool_checksums
+    return ThroughputReport(
+        n_cases=n_cases,
+        n_workers=n_workers,
+        scans_per_case=scans_per_case,
+        serial_seconds=serial_seconds,
+        pool_seconds=pool_seconds,
+        bit_identical=bit_identical,
+        preop_cache_hits=hits,
+        shape=tuple(shape),
+        mesh_cell_mm=mesh_cell_mm,
+        serial_checksums=serial_checksums,
+        pool_checksums=pool_checksums,
+    )
 
 
 def run_soak(
@@ -284,18 +515,10 @@ def run_soak(
     Passing a ``gateway_sink`` list appends the gateway before shutdown
     so callers can export its trace, metrics and flight recorders.
     """
-    faults = (
-        ServingFaultPlan.parse(faults) if isinstance(faults, str) else faults
-    )
+    faults = _fault_plan(faults)
     requests = make_soak_requests(
-        n_cases,
-        scans_per_case,
-        shape,
-        mesh_cell_mm,
-        n_patients,
-        seed,
-        durable_every,
-        checkpoint_root,
+        n_cases, scans_per_case, shape, mesh_cell_mm, n_patients, seed,
+        durable_every, checkpoint_root,
     )
     gateway = ShardGateway(
         n_shards=n_shards,
@@ -313,13 +536,11 @@ def run_soak(
         t0 = time.perf_counter()
         per_wave = max(1, (len(requests) + waves - 1) // max(1, waves))
         for wave_start in range(0, len(requests), per_wave):
-            for request in requests[wave_start : wave_start + per_wave]:
-                outcome = gateway.submit(request)
-                if outcome is None:
-                    admitted.append(request.case_id)
-                    if request.checkpoint_dir is not None:
-                        durable.append(request.case_id)
-            gateway.run()
+            wave_admitted, wave_durable = run_wave(
+                gateway, requests[wave_start : wave_start + per_wave]
+            )
+            admitted += wave_admitted
+            durable += wave_durable
         peak_rss_mb = _workers_peak_rss_mb(gateway)
         gateway.drain(timeout=30.0)
         elapsed = time.perf_counter() - t0
@@ -328,6 +549,10 @@ def run_soak(
         )
     finally:
         gateway.shutdown()
+
+
+def _fault_plan(faults: str | ServingFaultPlan | None) -> ServingFaultPlan | None:
+    return ServingFaultPlan.parse(faults) if isinstance(faults, str) else faults
 
 
 def _workers_peak_rss_mb(gateway: ShardGateway) -> float:
@@ -450,23 +675,10 @@ def run_net_soak(
     from repro.serving.netclient import NetClient
     from repro.serving.transport import NetworkFrontEnd
 
-    faults = (
-        ServingFaultPlan.parse(faults) if isinstance(faults, str) else faults
-    )
-    wire_faults = (
-        ServingFaultPlan.parse(wire_faults)
-        if isinstance(wire_faults, str)
-        else wire_faults
-    )
+    faults, wire_faults = _fault_plan(faults), _fault_plan(wire_faults)
     requests = make_soak_requests(
-        n_cases,
-        scans_per_case,
-        shape,
-        mesh_cell_mm,
-        n_patients,
-        seed,
-        durable_every,
-        checkpoint_root,
+        n_cases, scans_per_case, shape, mesh_cell_mm, n_patients, seed,
+        durable_every, checkpoint_root,
     )
     gateway = ShardGateway(
         n_shards=n_shards,

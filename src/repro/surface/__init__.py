@@ -25,7 +25,6 @@ from repro.surface.evolve import ActiveSurfaceResult, evolve_surface
 from repro.surface.forces import (
     DistanceForceField,
     GradientForceField,
-    distance_force_from_mask,
 )
 from repro.surface.membrane import ElasticMembrane
 
@@ -35,7 +34,6 @@ __all__ = [
     "DistanceForceField",
     "ElasticMembrane",
     "GradientForceField",
-    "distance_force_from_mask",
     "evolve_surface",
     "snap_surface",
     "surface_correspondence",

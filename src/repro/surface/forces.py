@@ -106,10 +106,3 @@ class GradientForceField:
     def residual(self, points_world: np.ndarray) -> np.ndarray:
         """Negated potential at the points (high = far from an edge)."""
         return -trilinear_sample(self.potential, points_world, fill_value=0.0)
-
-
-def distance_force_from_mask(
-    mask: np.ndarray, reference: ImageVolume, cap_mm: float = 20.0
-) -> DistanceForceField:
-    """Convenience wrapper: :meth:`DistanceForceField.from_mask`."""
-    return DistanceForceField.from_mask(mask, reference, cap_mm)

@@ -46,9 +46,8 @@ from repro.obs.telemetry import (
     TraceContext,
     graft_frame,
     make_trace_context,
-    span_from_dict,
 )
-from repro.obs.trace import SpanRecord, Tracer, get_tracer
+from repro.obs.trace import SpanRecord, Tracer, get_tracer, span_from_dict
 from repro.util import ValidationError
 
 

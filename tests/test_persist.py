@@ -31,6 +31,7 @@ from repro.persist import (
     atomic_writer,
     checksum_array,
     config_from_manifest,
+    config_to_manifest,
     load_payload,
     replay_session,
     save_payload,
@@ -386,6 +387,17 @@ class TestReplay:
 
 
 class TestOlderCheckpoint:
+    def test_removed_config_fields_are_ignored(self):
+        # Older versions recorded skip_rigid and precompute_solve_context,
+        # two PipelineConfig fields that are gone: a manifest carrying
+        # them loads into the same config as one without them.
+        manifest = config_to_manifest(fast_config())
+        older = dict(manifest, skip_rigid=False, precompute_solve_context=True)
+        config = config_from_manifest(older)
+        assert config == config_from_manifest(manifest)
+        assert not hasattr(config, "skip_rigid")
+        assert not hasattr(config, "precompute_solve_context")
+
     def test_warm_start_fields_of_older_versions_still_open(
         self, checkpointed, tmp_path
     ):

@@ -32,7 +32,7 @@ from repro.serving import (
     SessionWorkerPool,
     ThroughputReport,
 )
-from repro.serving.bench import run_serial
+from repro.serving.soak import run_serial
 from repro.util import ValidationError
 
 SHAPE = (24, 24, 16)
