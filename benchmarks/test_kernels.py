@@ -33,7 +33,7 @@ from repro.fem.assembly import (
 from repro.fem.bc import DirichletBC
 from repro.fem.context import AssemblyContext
 from repro.fem.material import BRAIN_HOMOGENEOUS
-from repro.imaging.distance import saturated_distance_transform
+from repro.imaging.distance import saturated_distance_transform, signed_distance
 from repro.imaging.resample import trilinear_sample, warp_volume
 from repro.imaging.volume import ImageVolume
 from repro.mesh.generator import mesh_labeled_volume
@@ -265,7 +265,11 @@ def test_kernel_classification():
     """``KNNClassifier.segment`` on the hot-path phantom (40x40x30, 20
     prototypes a class, k = 5, a small rigid map): voxels, prototypes, the
     share of voxels not decided at the majority, and seconds (feature rows
-    included), merged into BENCH_hotpath.json. The same size in smoke."""
+    included), merged into BENCH_hotpath.json. ``classification`` labels
+    every voxel; ``classification_band`` is the path a scan runs, k-NN only
+    within ``surface_cap_mm`` of the preoperative brain boundary and the
+    mapped prior elsewhere, and records how many voxels that is. The same
+    size in smoke."""
     from bench_io import update_bench_record
     from repro.core.config import PipelineConfig
     from repro.imaging.metrics import dice_coefficient
@@ -312,6 +316,31 @@ def test_kernel_classification():
     brain = np.isin(segmentation.data, cfg.intraop_brain_labels)
     truth = np.isin(case.intraop_labels.data, cfg.intraop_brain_labels)
     assert dice_coefficient(brain, truth) > 0.9
+
+    labels = case.preop_labels
+    cap = cfg.surface_cap_mm
+    phi = signed_distance(np.isin(labels.data, cfg.brain_labels), cap, labels.spacing)
+    band = np.abs(phi) < cap
+    segment = lambda: classifier.segment(scan, localization, transform, band=band, prior=labels)
+    _, seconds, banded = _timed(segment, repeats=15)
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "classification_band": {
+                "shape": list(scan.shape),
+                "voxels": voxels,
+                "band_voxels": classifier.classified,
+                "prototypes": len(prototypes),
+                "k": classifier.k,
+                "open_share": classifier.open_share,
+                "seconds": seconds,
+            }
+        },
+    )
+    # The band is ~40 % of the grid; outside it the mapped prior changes no
+    # voxel's brain / non-brain side.
+    assert classifier.classified < 0.6 * voxels
+    assert np.array_equal(np.isin(banded.data, cfg.intraop_brain_labels), brain)
 
 
 def test_kernel_pipeline_solve():

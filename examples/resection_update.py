@@ -22,6 +22,7 @@ from repro.fem.bc import DirichletBC
 from repro.imaging import Tissue, make_neurosurgery_case
 from repro.mesh import extract_boundary_surface, remove_elements_by_material
 from repro.parallel import simulate_parallel
+from repro.segmentation import KNNClassifier
 from repro.surface import surface_correspondence
 from repro.util import format_table
 from repro.validation import displacement_error_stats
@@ -43,7 +44,14 @@ def main() -> None:
     result = pipeline.process_scan(
         case.intraop_mri, preop, reference_labels=case.intraop_labels
     )
-    cavity = np.count_nonzero(result.segmentation.data == int(Tissue.RESECTION))
+    # The pipeline classifies only the band the outer brain surface can
+    # reach (surface_cap_mm); the cavity wall lies deeper, so classify the
+    # whole scan with the scan's own prototypes and rigid map.
+    classifier = KNNClassifier(k=cfg.knn_k).fit_prototypes(result.prototypes)
+    segmentation = classifier.segment(
+        case.intraop_mri, preop.localization, result.rigid.transform
+    )
+    cavity = np.count_nonzero(segmentation.data == int(Tissue.RESECTION))
     print(f"Segmented resection cavity: {cavity} voxels")
 
     # Domain update: the tumor was resected -> drop its elements.
@@ -61,7 +69,7 @@ def main() -> None:
     remaining = tuple(
         label for label in cfg.intraop_brain_labels if label != int(Tissue.RESECTION)
     )
-    target = np.isin(result.segmentation.data, remaining)
+    target = np.isin(segmentation.data, remaining)
     corr = surface_correspondence(surf, brain, target, case.preop_labels)
     bc = DirichletBC(surf.mesh_nodes, corr.displacements)
     sim = simulate_parallel(edit.mesh, bc, cfg.n_ranks, tol=cfg.solver_tol)

@@ -28,6 +28,7 @@ from repro.core.config import PipelineConfig
 from repro.core.timeline import Timeline
 from repro.fem.bc import DirichletBC
 from repro.fem.context import SolveContext
+from repro.imaging.distance import signed_distance
 from repro.imaging.metrics import mutual_information, rms_difference
 from repro.imaging.phantom import Tissue
 from repro.imaging.resample import invert_displacement_field, trilinear_sample, warp_volume
@@ -61,6 +62,7 @@ from repro.surface.correspondence import (
     surface_correspondence,
 )
 from repro.surface.evolve import ActiveSurfaceResult
+from repro.surface.forces import DistanceForceField
 from repro.util import ConvergenceError, ReproError, ValidationError
 from repro.util.atomicio import checksum_array
 from repro.util.memory import reachable_array_bytes
@@ -69,6 +71,13 @@ from repro.util.memory import reachable_array_bytes
 #: pipeline sanitizes the scan; past it the acquisition is unusable and
 #: the scan degrades (previous field / rigid-only).
 MAX_NONFINITE_FRACTION = 0.25
+
+
+def _label_name(label: int) -> str:
+    try:
+        return Tissue(label).name.lower()
+    except ValueError:
+        return f"label {label}"
 
 
 @dataclass
@@ -102,6 +111,13 @@ class PreoperativeModel:
         whose snap parameters differ recomputes it per scan (and says so
         in the timeline).
         Only vertex positions are kept — the force-field volumes are not.
+    band:
+        The voxels of the preoperative grid within ``snap_params``'s
+        ``cap_mm`` of the brain boundary (``|phi| < cap`` on the snap's
+        signed distance): where the active surface can look, so the only
+        voxels of a scan the k-NN classifies (after the rigid map).
+        Every other voxel keeps the preoperative label. A pipeline whose
+        cap differs builds a band for its own cap per scan.
     """
 
     mri: ImageVolume
@@ -113,6 +129,7 @@ class PreoperativeModel:
     solve_context: SolveContext | None = None
     snapped: ActiveSurfaceResult | None = None
     snap_params: dict[str, float] | None = None
+    band: np.ndarray | None = None
 
     def invalidate_solve_context(self) -> None:
         """Force a rebuild of the cached FEM state on the next scan.
@@ -282,7 +299,12 @@ class IntraoperativePipeline:
             brain_mask = np.isin(labels.data, cfg.brain_labels)
             with tracer.span("surface snap", kind="stage") as snap_span:
                 snap_params = self._snap_params()
-                snapped = snap_surface(surface, brain_mask, labels, **snap_params)
+                cap = snap_params["cap_mm"]
+                snap_field = DistanceForceField.from_mask(brain_mask, labels, cap)
+                snapped = snap_surface(
+                    surface, brain_mask, labels, **snap_params, field=snap_field
+                )
+                band = np.abs(snap_field.phi.data) < cap
                 snap_span.set(
                     iterations=snapped.iterations,
                     converged=snapped.converged,
@@ -315,6 +337,7 @@ class IntraoperativePipeline:
             solve_context=solve_context,
             snapped=snapped,
             snap_params=snap_params,
+            band=band,
         )
 
     def _snap_params(self) -> dict[str, float]:
@@ -325,6 +348,15 @@ class IntraoperativePipeline:
             "iterations": cfg.surface_iterations,
             "step_size": cfg.surface_step,
         }
+
+    def _classification_band(self, preop: PreoperativeModel) -> np.ndarray:
+        """The model's band when it was built for this pipeline's cap, else one
+        built here from the brain mask (not kept: the model stays the same).
+        A model without ``snap_params`` does not say which cap its band has."""
+        cap = self.config.surface_cap_mm
+        if preop.band is not None and (preop.snap_params or {}).get("cap_mm") == cap:
+            return preop.band
+        return np.abs(signed_distance(preop.brain_mask, cap, preop.labels.spacing)) < cap
 
     # -- intraoperative ---------------------------------------------------------
 
@@ -490,18 +522,33 @@ class IntraoperativePipeline:
                 )
             classifier = KNNClassifier(k=cfg.knn_k).fit_prototypes(prototypes)
             segmentation = classifier.segment(
-                intraop_mri, preop.localization, transform=transform
+                intraop_mri,
+                preop.localization,
+                transform=transform,
+                band=self._classification_band(preop),
+                prior=preop.labels,
             )
+            voxels = segmentation.data.size
+            band_share = classifier.classified / voxels
             span.set(
-                voxels=segmentation.data.size,
+                voxels=voxels,
+                band_voxels=classifier.classified,
+                band_share=band_share,
                 prototypes=len(prototypes),
                 k=classifier.k,
                 open_share=classifier.open_share,
             )
-        timeline.note(
-            f"k-NN: {segmentation.data.size:,} voxels, "
+        note = (
+            f"k-NN: {classifier.classified:,} of {voxels:,} voxels in the "
+            f"±{cfg.surface_cap_mm:g} mm band ({100.0 * band_share:.1f} %), "
             f"{100.0 * classifier.open_share:.1f} % past the majority"
         )
+        if classifier.prior_only:
+            note += "; outside it, labels k-NN never emits: " + ", ".join(
+                f"{_label_name(label)} {count:,}"
+                for label, count in classifier.prior_only.items()
+            )
+        timeline.note(note)
         return prototypes, segmentation
 
     def _stage_surface(

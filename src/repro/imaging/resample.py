@@ -182,20 +182,35 @@ def trilinear_sample(
     """
     if not nearest:
         return trilinear_sample_many([volume], points_world, fill_value)[0]
-    pts, out_shape = _flat_points(points_world)
-    idx = volume.world_to_index(pts)
-    data = volume.data
-    nx, ny, nz = data.shape
-    rounded = np.rint(idx).astype(np.intp)
-    valid = (
-        (rounded[:, 0] >= 0) & (rounded[:, 0] < nx)
-        & (rounded[:, 1] >= 0) & (rounded[:, 1] < ny)
-        & (rounded[:, 2] >= 0) & (rounded[:, 2] < nz)
-    )
-    result = np.full(idx.shape[0], fill_value, dtype=float)
-    r = rounded[valid]
-    result[valid] = data[r[:, 0], r[:, 1], r[:, 2]].astype(float)
-    return result.reshape(out_shape)
+    flat, valid = nearest_flat_index(volume, points_world)
+    result = np.full(flat.shape, fill_value, dtype=float)
+    result[valid] = volume.data.ravel().take(flat[valid])
+    return result.reshape(np.shape(points_world)[:-1])
+
+
+def nearest_flat_index(
+    volume: ImageVolume, points_world: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (C-order) index of the voxel nearest each world point.
+
+    Returns ``(flat, valid)``, both of length ``N`` (the points
+    flattened): ``valid`` is False where the rounded index falls off the
+    grid (or the point is NaN), and there ``flat`` is 0, so
+    ``data.ravel().take(flat)`` never leaves the buffer. One rounding
+    serves every volume on the grid: a label gather and a mask test
+    share it.
+    """
+    pts, _ = _flat_points(points_world)
+    idx = np.array(pts.T, order="C")
+    idx -= volume._origin_arr[:, None]
+    idx /= volume._spacing_arr[:, None]
+    np.rint(idx, out=idx)
+    upper, _, (ny, nz), _ = cell_bounds(volume.shape)
+    valid = ((idx >= 0) & (idx <= upper)).all(axis=0)
+    if not valid.all():
+        idx[:, ~valid] = 0.0
+    i, j, k = idx.astype(np.intp)
+    return (i * ny + j) * nz + k, valid
 
 
 def resample_volume(

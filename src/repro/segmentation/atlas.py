@@ -33,11 +33,16 @@ class LocalizationModel:
         One distance volume per class, on the preoperative grid.
     cap_mm:
         Saturation radius of the distance transform.
+    absent:
+        Indices of the channels whose class is absent from the labels:
+        flat at ``cap_mm``, so sampling fills their rows with the cap
+        instead of gathering a constant volume.
     """
 
     classes: tuple[int, ...]
     channels: list[ImageVolume]
     cap_mm: float
+    absent: tuple[int, ...] = ()
 
     @classmethod
     def from_labels(
@@ -55,14 +60,16 @@ class LocalizationModel:
         if not classes:
             raise ValidationError("at least one class is required")
         channels = []
-        for cls_value in classes:
+        absent = []
+        for index, cls_value in enumerate(classes):
             mask = labels.data == cls_value
             if mask.any():
                 dist = saturated_distance_transform(mask, cap_mm, labels.spacing)
             else:
                 dist = np.full(labels.shape, cap_mm, dtype=float)
+                absent.append(index)
             channels.append(labels.copy(dist))
-        return cls(tuple(classes), channels, cap_mm)
+        return cls(tuple(classes), channels, cap_mm, tuple(absent))
 
     def sample_rows(
         self, points_world: np.ndarray, transform: RigidTransform | None = None
@@ -71,7 +78,8 @@ class LocalizationModel:
 
         ``transform`` maps target-grid points into the preoperative frame
         (the output of :func:`repro.registration.register_rigid`). Points
-        falling outside the model are assigned the cap distance.
+        falling outside the model are assigned the cap distance, and so
+        is every point of an absent class's channel.
 
         Returns ``(n_classes, ...)`` -- channel-major, the layout the
         k-NN block loop reads.
@@ -79,7 +87,13 @@ class LocalizationModel:
         pts = np.asarray(points_world, dtype=float)
         if transform is not None:
             pts = transform.apply(pts)
-        return trilinear_sample_many(self.channels, pts, fill_values=self.cap_mm)
+        present = [i for i in range(len(self.channels)) if i not in self.absent]
+        rows = np.full((len(self.channels), *pts.shape[:-1]), self.cap_mm)
+        if present:
+            rows[present] = trilinear_sample_many(
+                [self.channels[i] for i in present], pts, fill_values=self.cap_mm
+            )
+        return rows
 
     def sample_at(
         self, points_world: np.ndarray, transform: RigidTransform | None = None

@@ -11,6 +11,11 @@ prototype set, with per-feature standardization learned from the
 prototypes so intensity and millimetre-distance channels are
 commensurable. A voxel is labelled as soon as a majority of its ``k``
 votes agree; the labels are those of the full vote.
+
+An intraoperative scan is classified only inside a band: the voxels whose
+rigidly mapped centre lies within the active surface's reach of the
+preoperative brain boundary. Every other voxel keeps the rigidly mapped
+preoperative label.
 """
 
 from __future__ import annotations
@@ -19,11 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.imaging.resample import trilinear_sample
+from repro.imaging.phantom import Tissue
+from repro.imaging.resample import nearest_flat_index, trilinear_sample
 from repro.imaging.volume import ImageVolume
 from repro.segmentation.atlas import LocalizationModel
 from repro.segmentation.prototypes import PrototypeSet
 from repro.util import ShapeError, ValidationError
+
+
+#: Relative spread (of a feature's mean) at or below which ``fit`` treats a
+#: channel as flat: 16 machine epsilons, a few ulps.
+FLAT_SPREAD_EPS = 16 * np.finfo(float).eps
 
 
 @dataclass
@@ -47,6 +58,12 @@ class KNNClassifier:
         ``k // 2 + 1`` neighbours did not agree and so needed the full
         vote. A share that climbs means the prototypes no longer
         separate the classes.
+    classified:
+        Voxels the last :meth:`segment` ran k-NN on: the band's, or every
+        voxel without one.
+    prior_only:
+        Of the last :meth:`segment`'s voxels outside the band, the count
+        per prior label that k-NN never emits (no prototype has it).
     """
 
     k: int = 5
@@ -56,6 +73,8 @@ class KNNClassifier:
     _mean: np.ndarray | None = field(default=None, repr=False)
     _scale: np.ndarray | None = field(default=None, repr=False)
     open_share: float = field(default=0.0, init=False, repr=False)
+    classified: int = field(default=0, init=False, repr=False)
+    prior_only: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "KNNClassifier":
         """Store prototypes and learn per-feature standardization."""
@@ -71,7 +90,10 @@ class KNNClassifier:
             raise ValidationError(f"need at least k={self.k} prototypes, got {len(X)}")
         self._mean = X.mean(axis=0)
         scale = X.std(axis=0)
-        scale[scale == 0] = 1.0
+        # A channel whose spread is at the rounding of its mean is flat: a
+        # trilinear blend of a constant lands a few ulps either side of it,
+        # and dividing by that spread would turn the ulps into O(1) noise.
+        scale[scale <= FLAT_SPREAD_EPS * np.abs(self._mean)] = 1.0
         self._scale = scale
         self._train = (X - self._mean) / scale
         self._labels = y.astype(np.intp)
@@ -176,13 +198,21 @@ class KNNClassifier:
         image: ImageVolume,
         localization: LocalizationModel,
         transform=None,
+        band: np.ndarray | None = None,
+        prior: ImageVolume | None = None,
     ) -> ImageVolume:
-        """Classify every voxel of an intraoperative scan.
+        """Classify an intraoperative scan's voxels.
 
-        Builds the multichannel features (intensity + rigidly aligned
-        localization channels) channel-major, as the block loop reads
-        them, and k-NN labels them: the labels of
-        ``predict(build_features(image, localization, centres, transform))``.
+        Each voxel centre is mapped once through ``transform`` (scan
+        points -> the localization model's frame). ``band`` is a boolean
+        mask on the grid of ``prior``, the preoperative label volume:
+        k-NN runs only on the voxels whose mapped centre rounds to a band
+        voxel, and every other voxel takes the ``prior`` label it rounds
+        to (AIR off that grid). Without a band every voxel is in it. The
+        features of a classified voxel (intensity + localization
+        channels at the mapped centre) are those of
+        ``build_features(image, localization, centres, transform)``, so
+        its label is that of :meth:`predict` on them.
         """
         if not self.is_fitted:
             raise ValidationError("classifier is not fitted")
@@ -192,9 +222,34 @@ class KNNClassifier:
                 f"intensity + {len(localization.channels)} localization channels "
                 f"!= fitted dimension {c}"
             )
-        points = image.voxel_centers()
-        rows = np.empty((c + 1, image.data.size))
-        rows[0] = trilinear_sample(image, points, fill_value=0.0).ravel()
-        rows[1:c] = localization.sample_rows(points, transform).reshape(c - 1, -1)
-        labels = self._classify_rows(rows).reshape(image.shape)
-        return ImageVolume(labels.astype(np.int16), image.spacing, image.origin)
+        if (band is None) != (prior is None):
+            raise ValidationError("band and prior are given together or not at all")
+        if band is not None and np.shape(band) != prior.shape:
+            raise ShapeError(f"band shape {np.shape(band)} != prior shape {prior.shape}")
+        centres = image.voxel_centers()
+        mapped = centres if transform is None else transform.apply(centres)
+        centres, mapped = centres.reshape(-1, 3), mapped.reshape(-1, 3)
+        labels = np.empty(len(centres), dtype=np.int16)
+        inside, n = slice(None), len(centres)
+        self.prior_only = {}
+        if band is not None:
+            flat, on_grid = nearest_flat_index(prior, mapped)
+            in_band = np.asarray(band, dtype=bool).ravel().take(flat)
+            in_band &= on_grid
+            inside = np.flatnonzero(in_band)
+            n = inside.size
+            outside = np.flatnonzero(~in_band)
+            kept = np.where(
+                on_grid[outside], prior.data.ravel().take(flat[outside]), int(Tissue.AIR)
+            )
+            labels[outside] = kept
+            never = kept[~np.isin(kept, np.unique(self._labels))]
+            self.prior_only = {
+                int(v): int(count) for v, count in zip(*np.unique(never, return_counts=True))
+            }
+        rows = np.empty((c + 1, n))
+        rows[0] = trilinear_sample(image, centres[inside], fill_value=0.0)
+        rows[1:c] = localization.sample_rows(mapped[inside])
+        labels[inside] = self._classify_rows(rows)
+        self.classified = n
+        return ImageVolume(labels.reshape(image.shape), image.spacing, image.origin)

@@ -66,6 +66,7 @@ def snap_surface(
     iterations: int = 250,
     step_size: float = 0.35,
     tolerance_mm: float = 5e-3,
+    field: DistanceForceField | None = None,
 ) -> ActiveSurfaceResult:
     """Phase 1 alone: move each boundary vertex onto the reference mask.
 
@@ -81,8 +82,14 @@ def snap_surface(
     on the intraoperative target, so the pipeline runs it once in the
     preoperative phase and hands the result to every
     :func:`surface_correspondence` call through ``snapped=``.
+
+    ``field`` is the mask's distance force field at ``cap_mm``, when the
+    caller has built it already (the pipeline keeps its signed distance
+    for the classification band); the caller vouches that it matches.
     """
-    snap_field = DistanceForceField.from_mask(reference_mask, reference, cap_mm)
+    snap_field = field
+    if snap_field is None:
+        snap_field = DistanceForceField.from_mask(reference_mask, reference, cap_mm)
     return evolve_surface(
         surface,
         snap_field,

@@ -52,6 +52,7 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("surface_snap.iterations", "lower"),
         ("surface_snap.seconds", "lower"),
         ("classification.seconds", "lower"),
+        ("classification_band.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
         ("distance_transform.window_voxels", "lower"),

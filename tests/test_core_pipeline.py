@@ -398,7 +398,15 @@ class TestClassificationStage:
             assert span.attrs["k"] == 5
             share = span.attrs["open_share"]
             assert 0.0 < share < 0.2
-            assert (
-                f"k-NN: 24,576 voxels, {100.0 * share:.1f} % past the majority"
-                in result.timeline.notes
+            band = span.attrs["band_voxels"]
+            assert 0 < band < 24_576 and span.attrs["band_share"] == band / 24_576
+            (note,) = [n for n in result.timeline.notes if n.startswith("k-NN:")]
+            assert note.startswith(
+                f"k-NN: {band:,} of 24,576 voxels in the ±20 mm band "
+                f"({100.0 * band / 24_576:.1f} %), {100.0 * share:.1f} % past the majority"
+            )
+            # Outside the band the prior's tumour stays: a class no prototype has.
+            seg = result.segmentation.data
+            assert note.endswith(
+                f"; outside it, labels k-NN never emits: tumor {np.sum(seg == Tissue.TUMOR):,}"
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PipelineConfig
+from repro.imaging.distance import signed_distance
 from repro.imaging.phantom import Tissue
 from repro.imaging.resample import trilinear_sample_many
 from repro.imaging.volume import ImageVolume
@@ -64,6 +67,20 @@ class TestLocalizationModel:
             small_case_module.preop_labels, (99,), cap_mm=9.0
         )
         assert np.all(model.channels[0].data == 9.0)
+        assert model.absent == (0,)
+
+    def test_absent_class_row_is_the_cap_without_a_gather(self, small_case_module, rng):
+        """A trilinear blend of the flat volume lands ulps off the cap; the
+        absent class's row is the cap itself, the other rows are unchanged."""
+        labels = small_case_module.preop_labels
+        model = LocalizationModel.from_labels(labels, CLASSES + (99,), cap_mm=12.0)
+        assert model.absent == (len(CLASSES),)
+        points = rng.uniform(0.0, 100.0, size=(500, 3))
+        rows = model.sample_rows(points)
+        assert np.all(rows[-1] == 12.0)
+        present = LocalizationModel.from_labels(labels, CLASSES, cap_mm=12.0)
+        assert present.absent == ()
+        assert np.array_equal(rows[:-1], present.sample_rows(points))
 
     def test_sample_outside_returns_cap(self, localization):
         far = np.array([[1e4, 1e4, 1e4]])
@@ -186,6 +203,23 @@ class TestKNN:
         clf = KNNClassifier(k=1).fit(rng.normal(size=(10, 3)), np.zeros(10, dtype=int))
         with pytest.raises(ShapeError):
             clf.predict(np.zeros((5, 4)))
+
+    def test_a_channel_flat_but_for_ulps_is_no_feature(self):
+        """A flat channel whose prototypes differ only by ulps (a blend of a
+        constant) gets scale 1, not its ~1e-15 spread: it adds nothing to the
+        distances instead of an O(1) vote against the real channel."""
+        cap = 15.0
+        up, down = np.nextafter(cap, np.inf), np.nextafter(cap, -np.inf)
+        protos = np.array([[0.0, up], [1.0, up], [10.0, down], [11.0, down]])
+        labels = np.array([1, 1, 2, 2])
+        clf = KNNClassifier(k=1).fit(protos, labels)
+        assert 0.0 < protos[:, 1].std() and clf._scale[1] == 1.0
+        queries = np.array([[0.6, down], [10.4, up]])
+        # Scaled by its spread, the ulps alone would swap both labels.
+        assert clf.predict(queries).tolist() == [1, 2]
+        flat = KNNClassifier(k=1).fit(np.c_[protos[:, 0], np.full(4, cap)], labels)
+        assert flat._scale[1] == 1.0
+        assert np.array_equal(clf.predict(queries), flat.predict(np.c_[queries[:, 0], [cap, cap]]))
 
     def test_too_few_prototypes_raises(self, rng):
         with pytest.raises(ValidationError):
@@ -358,10 +392,31 @@ def _frozen_sample_at(model: LocalizationModel, points_world, transform=None) ->
     return np.stack(samples, axis=-1)
 
 
-def _frozen_segment(clf: KNNClassifier, image, localization, transform=None) -> ImageVolume:
-    feats = build_features(image, localization, image.voxel_centers(), transform=transform)
+def _frozen_segment(
+    clf: KNNClassifier, image, localization, transform=None, band=None, prior=None
+) -> ImageVolume:
+    """Every voxel through the point-major full vote; with a band, each voxel
+    whose mapped centre rounds outside it (or off the prior's grid) then
+    takes the prior's label there (AIR off the grid)."""
+    centres = image.voxel_centers()
+    feats = build_features(image, localization, centres, transform=transform)
     labels = _frozen_kargmin_predict(clf, feats)
+    if band is not None:
+        in_band, kept, _ = _nearest_band_and_prior(band, prior, centres, transform)
+        labels = np.where(in_band, labels, kept)
     return ImageVolume(labels.astype(np.int16), image.spacing, image.origin)
+
+
+def _nearest_band_and_prior(band, prior, centres, transform):
+    """Band test, prior label (AIR off the grid) and on-grid flag at the voxel
+    each mapped centre rounds to."""
+    mapped = centres if transform is None else transform.apply(centres)
+    ijk = np.rint(prior.world_to_index(mapped)).astype(np.intp)
+    on_grid = ((ijk >= 0) & (ijk < prior.shape)).all(axis=-1)
+    i, j, k = np.moveaxis(np.where(on_grid[..., None], ijk, 0), -1, 0)
+    in_band = on_grid & band[i, j, k]
+    kept = np.where(on_grid, prior.data[i, j, k], int(Tissue.AIR))
+    return in_band, kept, on_grid
 
 
 @st.composite
@@ -549,3 +604,114 @@ class TestSampleRows:
         assert rows.shape == (len(CLASSES), 6, 50)
         assert np.array_equal(np.moveaxis(rows, 0, -1), got)
         assert (got == localization.cap_mm).any() and (got < localization.cap_mm).any()
+
+
+BRAIN = PipelineConfig().brain_labels
+
+
+def _brain_band(labels: ImageVolume, cap_mm: float) -> np.ndarray:
+    phi = signed_distance(np.isin(labels.data, BRAIN), cap_mm, labels.spacing)
+    return np.abs(phi) < cap_mm
+
+
+class TestBandLimitedSegment:
+    """``segment`` with a band: k-NN inside it, the mapped prior outside."""
+
+    def test_inside_the_full_segmentation_outside_the_mapped_prior(self, small_case_module):
+        case = small_case_module
+        labels = case.preop_labels
+        loc = LocalizationModel.from_labels(labels, CLASSES, cap_mm=12.0)
+        # Far enough to push part of the scan off the preoperative grid.
+        transform = RigidTransform((12.0, -9.0, 6.0), (0.03, -0.02, 0.05), (50.0, 50.0, 40.0))
+        protos = select_prototypes(
+            case.intraop_mri, labels, loc, per_class=15, transform=transform, seed=3
+        )
+        clf = KNNClassifier(k=5).fit_prototypes(protos)
+        band = _brain_band(labels, 10.0)
+        full = clf.segment(case.intraop_mri, loc, transform).data
+        assert clf.classified == full.size and clf.prior_only == {}
+        part = clf.segment(case.intraop_mri, loc, transform, band=band, prior=labels).data
+        in_band, kept, on_grid = _nearest_band_and_prior(
+            band, labels, case.intraop_mri.voxel_centers(), transform
+        )
+        assert 0 < clf.classified == in_band.sum() < full.size
+        assert np.array_equal(part[in_band], full[in_band])
+        assert np.array_equal(part[~in_band], kept[~in_band])
+        assert (~on_grid).any() and np.all(part[~on_grid] == Tissue.AIR)
+        never = kept[~in_band][~np.isin(kept[~in_band], CLASSES)]
+        assert never.size and clf.prior_only == {
+            int(v): int(n) for v, n in zip(*np.unique(never, return_counts=True))
+        }
+
+    def test_band_and_prior_go_together_on_one_grid(self, small_case_module, localization):
+        case = small_case_module
+        clf = KNNClassifier(k=1).fit(np.eye(1 + len(CLASSES)), np.arange(1 + len(CLASSES)))
+        band = _brain_band(case.preop_labels, 10.0)
+        with pytest.raises(ValidationError):
+            clf.segment(case.intraop_mri, localization, band=band)
+        with pytest.raises(ShapeError):
+            clf.segment(case.intraop_mri, localization, band=band[1:], prior=case.preop_labels)
+
+    @pytest.mark.parametrize("shift_mm", [2.0, 4.0, 6.0])
+    def test_brain_split_is_the_full_segmentations(self, shift_mm):
+        """On the phantom, labels move only where the prior keeps a class
+        k-NN never emits (the tumour, brain either way): the brain mask the
+        active surface tracks is the full segmentation's."""
+        from repro.imaging.phantom import make_neurosurgery_case
+
+        cfg = PipelineConfig()
+        case = make_neurosurgery_case(shape=(32, 32, 24), shift_mm=shift_mm, seed=7)
+        labels = case.preop_labels
+        loc = LocalizationModel.from_labels(
+            labels, cfg.segmentation_classes, cfg.localization_cap_mm
+        )
+        protos = select_prototypes(
+            case.intraop_mri, labels, loc, cfg.segmentation_classes, per_class=20, seed=0
+        )
+        clf = KNNClassifier(k=cfg.knn_k).fit_prototypes(protos)
+        full = clf.segment(case.intraop_mri, loc).data
+        band = _brain_band(labels, cfg.surface_cap_mm)
+        part = clf.segment(case.intraop_mri, loc, band=band, prior=labels).data
+        assert 0.2 < clf.classified / full.size < 0.6
+        assert (part != full).any()
+        brain = lambda seg: np.isin(seg, cfg.intraop_brain_labels)
+        assert np.array_equal(brain(part), brain(full))
+
+
+class TestBandFromThePipeline:
+    SETTINGS = dict(mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000, surface_iterations=50)
+
+    def test_band_follows_surface_cap_and_adds_no_config_field(self, small_case_module):
+        from repro.core.pipeline import IntraoperativePipeline
+
+        case = small_case_module
+        pipes = {
+            cap: IntraoperativePipeline(PipelineConfig(**self.SETTINGS, surface_cap_mm=cap))
+            for cap in (10.0, 20.0)
+        }
+        preops = {
+            cap: pipe.prepare_preoperative(case.preop_mri, case.preop_labels)
+            for cap, pipe in pipes.items()
+        }
+        for cap, preop in preops.items():
+            assert np.array_equal(preop.band, _brain_band(case.preop_labels, cap))
+        assert 0.0 < preops[10.0].band.mean() < preops[20.0].band.mean() < 1.0
+        # A pipeline whose cap is not the model's classifies its own band.
+        assert pipes[20.0]._classification_band(preops[20.0]) is preops[20.0].band
+        assert np.array_equal(
+            pipes[10.0]._classification_band(preops[20.0]), preops[10.0].band
+        )
+        result = pipes[10.0].process_scan(case.intraop_mri, preops[20.0])
+        assert any(n.startswith("k-NN:") and "±10 mm band" in n for n in result.timeline.notes)
+        # The band's width is surface_cap_mm: no knob of its own.
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} <= CONFIG_FIELDS
+
+
+#: ``PipelineConfig``'s fields before the band-limited classifier.
+CONFIG_FIELDS = {
+    "brain_labels", "intraop_brain_labels", "segmentation_classes", "rigid_levels",
+    "rigid_max_iter", "rigid_samples", "localization_cap_mm", "knn_k",
+    "prototypes_per_class", "mesh_cell_mm", "target_mesh_nodes", "surface_cap_mm",
+    "surface_iterations", "surface_step", "surface_smoothing", "materials", "solver_tol",
+    "gmres_restart", "n_ranks", "partitioner", "resilience", "fault_plan", "seed",
+}
