@@ -343,6 +343,51 @@ def test_kernel_classification():
     assert np.array_equal(np.isin(banded.data, cfg.intraop_brain_labels), brain)
 
 
+def test_kernel_resample():
+    """The resample stage's two kernels on the hot-path phantom (40x40x30,
+    the 6 mm mesh, the phantom's 4 mm shift at the mesh nodes carried to the
+    grid as a scan's field is): ``invert_displacement_field`` and
+    ``warp_volume`` seconds, the voxels the inverter iterates, its sweeps a
+    voxel and damped voxels, and the voxels the warp samples, merged into
+    BENCH_hotpath.json. The same size in smoke."""
+    from bench_io import update_bench_record
+    from repro.core.config import PipelineConfig
+    from repro.imaging.phantom import make_neurosurgery_case
+    from repro.imaging.resample import invert_with_counts
+
+    case = make_neurosurgery_case(shape=(40, 40, 30), shift_mm=4.0, seed=42)
+    mri = case.preop_mri
+    mesher = mesh_labeled_volume(case.preop_labels, 6.0, PipelineConfig().brain_labels)
+    nodes = mesher.mesh.nodes
+    axes = [ImageVolume(np.ascontiguousarray(case.true_forward_mm[..., a]), mri.spacing,
+                        mri.origin) for a in range(3)]
+    nodal = np.stack([trilinear_sample(axis, nodes) for axis in axes], axis=1)
+    forward = mesher.displacement_on_grid(nodal, mri)
+    _, invert_seconds, (inverse, counts) = _timed(
+        lambda: invert_with_counts(forward, mri.spacing), repeats=15
+    )
+    _, warp_seconds, _ = _timed(lambda: warp_volume(mri, inverse), repeats=15)
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "resample": {
+                "shape": list(mri.shape),
+                "active_voxels": counts.active_voxels,
+                "sweeps_per_voxel": counts.voxel_sweeps / counts.active_voxels,
+                "damped_voxels": counts.damped_voxels,
+                "warped_voxels": counts.displaced_voxels,
+                "invert_seconds": invert_seconds,
+                "warp_seconds": warp_seconds,
+                "seconds": invert_seconds + warp_seconds,
+            }
+        },
+    )
+    # Ten plain sweeps a voxel was the iteration before each voxel stopped
+    # on its own; the warp samples only where the inverse is non-zero.
+    assert counts.voxel_sweeps < 6 * counts.active_voxels
+    assert counts.displaced_voxels < 0.5 * mri.data.size
+
+
 def test_kernel_pipeline_solve():
     """One warm-context ``simulate_parallel`` at the *default* tolerance on the
     30 k-equation hot-path system (4 ranks, prepared context, GMRES from zero,

@@ -31,7 +31,7 @@ from repro.fem.context import SolveContext
 from repro.imaging.distance import signed_distance
 from repro.imaging.metrics import mutual_information, rms_difference
 from repro.imaging.phantom import Tissue
-from repro.imaging.resample import invert_displacement_field, trilinear_sample, warp_volume
+from repro.imaging.resample import invert_with_counts, trilinear_sample, warp_volume
 from repro.imaging.volume import ImageVolume
 from repro.machines.spec import MachineSpec
 from repro.mesh.generator import GridTetraMesher, mesh_labeled_volume, mesh_with_target_nodes
@@ -687,8 +687,14 @@ class IntraoperativePipeline:
         """Stage 5 — deform the preop MRI onto the new configuration."""
         with timeline.stage("visualization resample"):
             grid_disp = preop.mesher.displacement_on_grid(displacement, preop.mri)
-            inverse = invert_displacement_field(grid_disp, preop.mri.spacing)
+            inverse, counts = invert_with_counts(grid_disp, preop.mri.spacing)
             deformed = warp_volume(preop.mri, inverse, fill_value=0.0)
+        timeline.note(
+            f"resample: {counts.active_voxels:,} active voxels, "
+            f"{counts.voxel_sweeps / max(counts.active_voxels, 1):.2f} sweeps a voxel, "
+            f"{counts.damped_voxels:,} damped; warped {counts.displaced_voxels:,} "
+            f"of {preop.mri.data.size:,} voxels"
+        )
         return grid_disp, deformed
 
     def _match_metrics(
@@ -699,14 +705,20 @@ class IntraoperativePipeline:
         preop_in_scan: np.ndarray,
         target_mask: np.ndarray,
     ) -> tuple[float, float, float, float]:
-        """Match-quality metrics (Fig. 4): rigid-only vs simulated."""
-        intraop_on_preop = trilinear_sample(intraop_mri, preop_in_scan, fill_value=0.0)
+        """Match-quality metrics (Fig. 4): rigid-only vs simulated.
+
+        All four read only the scored region, so only its voxels are
+        sampled: the same values in the same order as masking full-grid
+        arrays.
+        """
         region = target_mask | preop.brain_mask
+        scan = trilinear_sample(intraop_mri, preop_in_scan[region], fill_value=0.0)
+        rigid, simulated = preop.mri.data[region], deformed.data[region]
         return (
-            rms_difference(preop.mri.data, intraop_on_preop, mask=region),
-            rms_difference(deformed.data, intraop_on_preop, mask=region),
-            mutual_information(preop.mri.data, intraop_on_preop, mask=region),
-            mutual_information(deformed.data, intraop_on_preop, mask=region),
+            rms_difference(rigid, scan),
+            rms_difference(simulated, scan),
+            mutual_information(rigid, scan),
+            mutual_information(simulated, scan),
         )
 
     # -- the one scan orchestration --------------------------------------------

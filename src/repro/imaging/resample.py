@@ -12,10 +12,12 @@ is :func:`trilinear_gather`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.imaging.volume import ImageVolume
+from repro.obs.trace import get_tracer
 from repro.util import ShapeError
 
 
@@ -24,6 +26,17 @@ def _flat_points(points_world: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]
     if pts.shape[-1] != 3:
         raise ShapeError(f"points_world must have trailing dimension 3, got {pts.shape}")
     return pts.reshape(-1, 3), pts.shape[:-1]
+
+
+def world_to_index_rows(rows: np.ndarray, volume: ImageVolume) -> np.ndarray:
+    """World -> fractional index, in place, on a ``(3, N)`` float array.
+
+    The same ``(x - origin) / spacing`` per element as
+    :meth:`ImageVolume.world_to_index`. Returns ``rows``.
+    """
+    rows -= volume._origin_arr[:, None]
+    rows /= volume._spacing_arr[:, None]
+    return rows
 
 
 def cell_bounds(shape: tuple[int, int, int]):
@@ -145,12 +158,9 @@ def trilinear_sample_many(
             raise ShapeError("trilinear_sample_many: volumes must share one grid")
     fills = np.broadcast_to(np.asarray(fill_values, dtype=float), (len(volumes),))
 
-    # World -> index on rows: the same (x - origin) / spacing per element
-    # as ``ImageVolume.world_to_index``. ``np.array`` always copies, so
-    # the in-place steps never touch the caller's points.
-    idx = np.array(pts.T, order="C")
-    idx -= first._origin_arr[:, None]
-    idx /= first._spacing_arr[:, None]
+    # ``np.array`` always copies, so world -> index in place never
+    # touches the caller's points.
+    idx = world_to_index_rows(np.array(pts.T, order="C"), first)
     channels = [vol.data.astype(float, copy=False).ravel() for vol in volumes]
     result = sample_index_rows(idx, cell_bounds(first.shape), channels, fills)
     return result.reshape(len(volumes), *out_shape)
@@ -201,9 +211,7 @@ def nearest_flat_index(
     share it.
     """
     pts, _ = _flat_points(points_world)
-    idx = np.array(pts.T, order="C")
-    idx -= volume._origin_arr[:, None]
-    idx /= volume._spacing_arr[:, None]
+    idx = world_to_index_rows(np.array(pts.T, order="C"), volume)
     np.rint(idx, out=idx)
     upper, _, (ny, nz), _ = cell_bounds(volume.shape)
     valid = ((idx >= 0) & (idx <= upper)).all(axis=0)
@@ -246,20 +254,46 @@ def warp_volume(
         raise ShapeError(
             f"displacement field shape {disp.shape} != {(*source.shape, 3)}"
         )
-    pts = source.voxel_centers() + disp
-    data = trilinear_sample(source, pts, fill_value=fill_value, nearest=nearest)
+    # Where the displacement is exactly zero the pull-back point is the
+    # voxel's own centre, so the output is the source voxel itself. Only
+    # the displaced voxels (a NaN displacement among them) are sampled, at
+    # the same centre + displacement sums as on the full grid.
+    rows = disp.reshape(-1, 3)
+    moved = np.flatnonzero((rows[:, 0] != 0) | (rows[:, 1] != 0) | (rows[:, 2] != 0))
+    data = np.array(source.data, dtype=float, order="C")
+    centers = source.index_to_world(np.column_stack(np.unravel_index(moved, source.shape)))
+    data.reshape(-1)[moved] = trilinear_sample(
+        source, centers + rows[moved], fill_value=fill_value, nearest=nearest
+    )
     return source.copy(data)
 
 
-#: A voxel of :func:`invert_displacement_field` whose last plain step was
-#: longer than this goes on with damped steps until one is shorter ...
+#: A voxel of :func:`invert_displacement_field` retires during the plain
+#: steps once one moves it no further than this: where the map contracts,
+#: its residual ``|v + u(x + v)|`` is smaller still.
+PLAIN_STEP_TOL_MM = 1e-6
+#: A voxel whose last plain step was longer than this goes on with damped
+#: steps until one is shorter ...
 INVERSE_STEP_TOL_MM = 1e-3
 #: ... or this many were taken (nine suffice on the benchmark phantoms).
 DAMPED_STEPS_MAX = 20
 
 
-def _step_mm(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(v - previous, axis=1)
+class InverseCounts(NamedTuple):
+    """What one :func:`invert_with_counts` call iterated.
+
+    ``active_voxels`` were iterated (the support of ``u`` grown by one
+    voxel); ``voxel_sweeps`` is the number of (voxel, step) pairs sampled,
+    so ``voxel_sweeps / active_voxels`` is the sweeps a voxel took;
+    ``damped_voxels`` took damped steps after the plain ones; and
+    ``displaced_voxels`` is where the inverse is non-zero, the voxels
+    :func:`warp_volume` samples through it.
+    """
+
+    active_voxels: int
+    voxel_sweeps: int
+    damped_voxels: int
+    displaced_voxels: int
 
 
 def _dilate_one_voxel(mask: np.ndarray) -> np.ndarray:
@@ -298,32 +332,66 @@ def invert_displacement_field(
     neighbourhood and are zero. A brain-shift field is zero outside the
     mesh, which is most of the grid.
 
-    After the ``iterations`` plain steps, the voxels still moving more
-    than :data:`INVERSE_STEP_TOL_MM` a step (1-3 % of them, on the mesh
-    boundary) continue with the damped step ``v <- (v - u(x + v)) / 2``
-    until they are under it; a voxel the plain iteration converged is
-    left exactly as it was.
+    Each voxel iterates on its own and retires as soon as one plain step
+    moves it no more than :data:`PLAIN_STEP_TOL_MM` (four or five steps on
+    a brain-shift field). A voxel still moving after ``iterations`` plain
+    steps is held to the rule the whole grid once was: if its last step was
+    longer than :data:`INVERSE_STEP_TOL_MM` (1-3 % of the voxels, on the
+    mesh boundary) it continues with the damped step
+    ``v <- (v - u(x + v)) / 2`` until one is shorter, at most
+    :data:`DAMPED_STEPS_MAX` more. Both phases are one loop over a
+    shrinking set of voxels; they differ only in the update and the
+    tolerance.
     """
+    return invert_with_counts(displacement_mm, spacing, iterations)[0]
+
+
+def invert_with_counts(
+    displacement_mm: np.ndarray,
+    spacing: tuple[float, float, float],
+    iterations: int = 10,
+) -> tuple[np.ndarray, InverseCounts]:
+    """:func:`invert_displacement_field` and the :class:`InverseCounts` of its work."""
     disp = np.asarray(displacement_mm, dtype=float)
-    vol_axes = [
-        ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
-    ]
-    active = _dilate_one_voxel(np.any(disp != 0, axis=-1))
-    base = vol_axes[0].index_to_world(np.argwhere(active))
-    v = previous = -disp[active]
-    for _ in range(iterations):
-        previous, v = v, -trilinear_sample_many(vol_axes, base + v).T
-    # Where u drops to zero across one voxel (the mesh boundary) the map
-    # is no contraction and the plain step settles into a period-2 orbit
-    # millimetres wide. Those voxels alone go on with the averaged step,
-    # which halves the residual v + u(x + v) instead of reflecting it.
-    moving = np.flatnonzero(_step_mm(v, previous) > INVERSE_STEP_TOL_MM)
-    for _ in range(DAMPED_STEPS_MAX):
-        if not moving.size:
-            break
-        held = v[moving]
-        v[moving] = 0.5 * (held - trilinear_sample_many(vol_axes, base[moving] + held).T)
-        moving = moving[_step_mm(v[moving], held) > INVERSE_STEP_TOL_MM]
+    shape = disp.shape[:-1]
+    channels = [np.ascontiguousarray(disp[..., a]).ravel() for a in range(3)]
+    grid = ImageVolume(channels[0].reshape(shape), spacing)
+    support = (channels[0] != 0) | (channels[1] != 0) | (channels[2] != 0)
+    flat = np.flatnonzero(_dilate_one_voxel(support.reshape(shape)))
+    # Voxel centres and iterates as (3, A) rows, the sampler's layout;
+    # the centres are index_to_world's origin + index * spacing.
+    base = np.stack(np.unravel_index(flat, shape)).astype(float)
+    base *= grid._spacing_arr[:, None]
+    base += grid._origin_arr[:, None]
+    bounds, fills = cell_bounds(shape), np.zeros(3)
+    # The voxels still moving, compacted: their columns of v, centres and
+    # current iterates. A voxel's column of v is written when it retires.
+    v = np.empty((3, flat.size))
+    live, centers = np.arange(flat.size), base
+    held = -np.stack([c.take(flat) for c in channels])
+    sweeps = damped = 0
+    with get_tracer().span("invert field", kind="imaging") as span:
+        for step in range(iterations + DAMPED_STEPS_MAX):
+            if not live.size:
+                break
+            if step == iterations:
+                damped = live.size
+            sweeps += live.size
+            idx = world_to_index_rows(centers + held, grid)
+            u_at = sample_index_rows(idx, bounds, channels, fills)
+            # Where u drops to zero across one voxel (the mesh boundary) the
+            # plain map is no contraction and settles into a period-2 orbit
+            # millimetres wide; the averaged step halves the residual
+            # v + u(x + v) there instead of reflecting it.
+            stepped = -u_at if step < iterations else 0.5 * (held - u_at)
+            # The last plain step decides who takes damped steps.
+            tol = PLAIN_STEP_TOL_MM if step < iterations - 1 else INVERSE_STEP_TOL_MM
+            going = np.linalg.norm(stepped - held, axis=0) > tol
+            v[:, live[~going]] = stepped[:, ~going]
+            live, centers, held = live[going], centers[:, going], stepped[:, going]
+        v[:, live] = held  # still moving after the last damped step
+        span.set(active_voxels=flat.size, voxel_sweeps=sweeps, damped_voxels=damped)
     inverse = np.zeros(disp.shape)
-    inverse[active] = v
-    return inverse
+    inverse.reshape(-1, 3)[flat] = v.T
+    displaced = int(np.count_nonzero((v[0] != 0) | (v[1] != 0) | (v[2] != 0)))
+    return inverse, InverseCounts(flat.size, sweeps, damped, displaced)

@@ -75,12 +75,17 @@ class ImageVolume:
         return (xyz - self._origin_arr) / self._spacing_arr
 
     def voxel_centers(self) -> np.ndarray:
-        """World coordinates of every voxel centre, shape ``(*shape, 3)``."""
-        grids = np.meshgrid(
-            *[np.arange(n, dtype=float) for n in self.shape], indexing="ij"
-        )
-        ijk = np.stack(grids, axis=-1)
-        return self.index_to_world(ijk)
+        """World coordinates of every voxel centre, shape ``(*shape, 3)``.
+
+        Column ``a`` is ``origin[a] + i * spacing[a]`` on one axis of
+        ``shape[a]`` values, broadcast over the grid: the same two
+        operations per element as :meth:`index_to_world`.
+        """
+        centers = np.empty((*self.shape, 3))
+        for a, n in enumerate(self.shape):
+            axis = self._origin_arr[a] + np.arange(n, dtype=float) * self._spacing_arr[a]
+            centers[..., a] = axis.reshape([n if b == a else 1 for b in range(3)])
+        return centers
 
     # -- data hygiene ------------------------------------------------------
 

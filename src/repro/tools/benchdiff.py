@@ -53,6 +53,7 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("surface_snap.seconds", "lower"),
         ("classification.seconds", "lower"),
         ("classification_band.seconds", "lower"),
+        ("resample.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
         ("distance_transform.window_voxels", "lower"),

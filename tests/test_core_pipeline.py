@@ -410,3 +410,62 @@ class TestClassificationStage:
             assert note.endswith(
                 f"; outside it, labels k-NN never emits: tumor {np.sum(seg == Tissue.TUMOR):,}"
             )
+
+
+class TestResampleStage:
+    SETTINGS = TestClassificationStage.SETTINGS
+
+    @pytest.fixture(scope="class")
+    def traced_scan(self, small_case):
+        tracer = Tracer()
+        pipeline = IntraoperativePipeline(PipelineConfig(**self.SETTINGS), tracer=tracer)
+        preop = pipeline.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
+        return pipeline, preop, pipeline.process_scan(small_case.intraop_mri, preop), tracer
+
+    def test_span_and_note_say_what_the_inverter_did(self, traced_scan):
+        from repro.imaging.resample import _dilate_one_voxel, warp_volume
+
+        _, preop, result, tracer = traced_scan
+        (stage,) = [s for s in tracer.finished() if s.name == "visualization resample"]
+        (span,) = [s for s in tracer.finished() if s.name == "invert field"]
+        assert span.parent_id == stage.span_id and span.attrs["kind"] == "imaging"
+        active, sweeps = span.attrs["active_voxels"], span.attrs["voxel_sweeps"]
+        support = np.any(result.grid_displacement != 0, axis=-1)
+        assert active == np.count_nonzero(_dilate_one_voxel(support))
+        assert active <= sweeps < 10 * active
+        deformed = warp_volume(preop.mri, np.zeros((*preop.mri.shape, 3)))
+        warped = np.count_nonzero(result.deformed_mri.data != deformed.data)
+        (note,) = [n for n in result.timeline.notes if n.startswith("resample:")]
+        match = re.fullmatch(
+            r"resample: ([\d,]+) active voxels, ([\d.]+) sweeps a voxel, ([\d,]+) damped; "
+            r"warped ([\d,]+) of 24,576 voxels",
+            note,
+        )
+        assert match, note
+        assert int(match[1].replace(",", "")) == active
+        assert match[2] == f"{sweeps / active:.2f}"
+        assert int(match[3].replace(",", "")) == span.attrs["damped_voxels"]
+        assert warped <= int(match[4].replace(",", "")) <= active
+
+    def test_match_metrics_equal_the_full_grid_computation(self, traced_scan, small_case):
+        """Sampling only the scored region gives the four numbers bit for bit."""
+        from repro.imaging.metrics import mutual_information, rms_difference
+        from repro.imaging.resample import trilinear_sample
+
+        pipeline, preop, result, _ = traced_scan
+        scan = small_case.intraop_mri
+        preop_in_scan = result.rigid.transform.inverse().apply(preop.labels.voxel_centers())
+        target_mask = np.isin(result.segmentation.data, pipeline.config.intraop_brain_labels)
+        got = pipeline._match_metrics(
+            preop, scan, result.deformed_mri, preop_in_scan, target_mask
+        )
+        on_preop = trilinear_sample(scan, preop_in_scan, fill_value=0.0)
+        region = target_mask | preop.brain_mask
+        assert 0 < np.count_nonzero(region) < region.size
+        want = (
+            rms_difference(preop.mri.data, on_preop, mask=region),
+            rms_difference(result.deformed_mri.data, on_preop, mask=region),
+            mutual_information(preop.mri.data, on_preop, mask=region),
+            mutual_information(result.deformed_mri.data, on_preop, mask=region),
+        )
+        assert got == want

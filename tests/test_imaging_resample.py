@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imaging.resample import (
+    INVERSE_STEP_TOL_MM,
+    PLAIN_STEP_TOL_MM,
     _dilate_one_voxel,
     invert_displacement_field,
+    invert_with_counts,
     resample_volume,
     trilinear_gather,
     trilinear_sample,
@@ -17,6 +20,7 @@ from repro.imaging.resample import (
     warp_volume,
 )
 from repro.imaging.volume import ImageVolume
+from repro.obs.trace import Tracer, set_tracer
 from repro.util import ShapeError
 
 
@@ -145,12 +149,18 @@ class TestInvertDisplacement:
 
 # -- frozen references -------------------------------------------------------
 #
-# The bodies of ``trilinear_sample`` (linear branch) and
-# ``invert_displacement_field`` as they stood before the fused sampler and
-# the support-only inversion replaced them. The library must reproduce them
-# bit for bit: the end-to-end benchmark's input generator calls
-# ``invert_displacement_field``, so this is what keeps its inputs and ground
-# truth the same across the change.
+# The body of ``trilinear_sample`` (linear branch) as it stood before the
+# fused sampler replaced it, which the library reproduces bit for bit, and
+# two generations of ``invert_displacement_field``. The full-grid plain
+# iteration (ten sweeps on every voxel, then the damped tail) is the
+# accuracy reference of today's per-voxel iteration, which stops each voxel
+# when it converges; ``_frozen_invert_per_voxel`` is today's rule on the
+# full grid with the frozen sampler, which the library equals bit for bit.
+# The end-to-end benchmark's input generator calls the inverter, so these
+# bodies no longer pin its inputs: the per-voxel rule moves the phantom's
+# inverse by under 1e-6 mm, which changes no truth label of the four
+# workloads, and that is checked by comparing ``make_inputs(...).sha`` on
+# both trees.
 
 
 def _frozen_trilinear_sample(volume, points_world, fill_value=0.0):
@@ -239,6 +249,35 @@ def _frozen_invert_with_damped_tail(displacement_mm, spacing, iterations=10):
         v = np.where(moving[..., None], damped, v)
         moving &= step > 1e-3
     return v
+
+
+def _frozen_invert_per_voxel(displacement_mm, spacing, iterations=10, damped_steps=20):
+    """Per-voxel retirement on the full grid with the frozen sampler.
+
+    Every voxel takes plain steps ``v <- -u(x + v)`` until one moves it
+    ``PLAIN_STEP_TOL_MM`` or less. After the last of ``iterations`` plain
+    steps the tolerance is ``INVERSE_STEP_TOL_MM``: a voxel whose last
+    plain step was longer goes on with ``v <- (v - u(x + v)) / 2`` until
+    one is shorter, ``damped_steps`` at most. Returns ``(v, moving)``: the
+    field and the voxels that never retired.
+    """
+    disp = np.asarray(displacement_mm, dtype=float)
+    vol_axes = [
+        ImageVolume(np.ascontiguousarray(disp[..., a]), spacing) for a in range(3)
+    ]
+    base = vol_axes[0].voxel_centers()
+    v = -disp.copy()
+    moving = np.ones(disp.shape[:-1], dtype=bool)
+    for sweep in range(iterations + damped_steps):
+        u_at = np.stack(
+            [_frozen_trilinear_sample(vol_axes[a], base + v, fill_value=0.0) for a in range(3)],
+            axis=-1,
+        )
+        stepped = -u_at if sweep < iterations else 0.5 * (v - u_at)
+        step = np.linalg.norm(stepped - v, axis=-1)
+        v = np.where(moving[..., None], stepped, v)
+        moving &= step > (PLAIN_STEP_TOL_MM if sweep < iterations - 1 else INVERSE_STEP_TOL_MM)
+    return v, moving
 
 
 def _sample_points(rng, vol, n):
@@ -335,13 +374,21 @@ class TestDilateOneVoxel:
         assert np.array_equal(mask, kept)
 
 
-class TestInvertDisplacementSupport:
-    """Support-only iteration == the frozen full-grid iteration.
+def _residual(forward, inverse, spacing):
+    """``|v + u(x + v)|`` at every voxel."""
+    vol = ImageVolume.zeros(forward.shape[:-1], spacing)
+    axes = [ImageVolume(np.ascontiguousarray(forward[..., a]), spacing) for a in range(3)]
+    u_at = trilinear_sample_many(axes, vol.voxel_centers() + inverse)
+    return np.linalg.norm(inverse + np.moveaxis(u_at, 0, -1), axis=-1)
 
-    Where a field leaves voxels still moving more than 1e-3 mm after its
-    plain steps, the reference is the frozen body plus the damped
-    continuation (``_frozen_invert_with_damped_tail``): those voxels are
-    meant to differ from the plain iteration now.
+
+class TestInvertDisplacementSupport:
+    """Support-only, per-voxel iteration == the same rule on the full grid.
+
+    ``_frozen_invert_per_voxel`` iterates every voxel with the frozen
+    per-channel sampler; the library iterates only the dilated support,
+    with the fused sampler, on a shrinking index set. Every field here
+    must come out bit for bit the same.
     """
 
     @staticmethod
@@ -366,11 +413,9 @@ class TestInvertDisplacementSupport:
         )
         assert np.count_nonzero(np.any(forward != 0, axis=-1)) < 0.5 * np.prod(shape)
         got = invert_displacement_field(forward, spacing)
-        want = _frozen_invert_with_damped_tail(forward, spacing)
+        want, _ = _frozen_invert_per_voxel(forward, spacing)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.array_equal(got, want)  # -0.0 == +0.0: the sign of zero is free
-        if spacing != (1.0, 1.0, 1.0):  # at 1 mm eight voxels take the damped steps
-            assert np.array_equal(got, _frozen_invert_displacement_field(forward, spacing))
 
     def test_support_touching_the_border_matches_full_grid(self):
         spacing = (1.5, 1.0, 2.0)
@@ -379,7 +424,7 @@ class TestInvertDisplacementSupport:
         )
         assert np.array_equal(
             invert_displacement_field(forward, spacing),
-            _frozen_invert_with_damped_tail(forward, spacing),
+            _frozen_invert_per_voxel(forward, spacing)[0],
         )
 
     def test_voxels_whose_index_round_trip_is_inexact_next_to_the_support(self):
@@ -391,7 +436,7 @@ class TestInvertDisplacementSupport:
         rng = np.random.default_rng(5)
         forward = np.zeros((9, 8, 12, 3))
         forward[4:7, 2:6, 4:7] = rng.uniform(0.02, 0.08, size=(3, 4, 3, 3))
-        want = _frozen_invert_with_damped_tail(forward, spacing)
+        want, _ = _frozen_invert_per_voxel(forward, spacing)
         assert want[3, 3, 5].any() and want[5, 3, 7].any()  # outside the support, not zero
         assert np.array_equal(invert_displacement_field(forward, spacing), want)
 
@@ -403,7 +448,7 @@ class TestInvertDisplacementSupport:
         assert np.all(np.any(forward != 0, axis=-1))
         assert np.array_equal(
             invert_displacement_field(forward, spacing, iterations=6),
-            _frozen_invert_with_damped_tail(forward, spacing, iterations=6),
+            _frozen_invert_per_voxel(forward, spacing, iterations=6)[0],
         )
 
     def test_zero_field_inverts_to_zero(self):
@@ -415,13 +460,6 @@ class TestInvertDisplacementAcrossAJump:
     """Where the plain fixed-point map is no contraction it must still converge."""
 
     SPACING = (3.0, 3.0, 3.0)
-
-    @staticmethod
-    def _residual(forward, inverse, spacing):
-        vol = ImageVolume.zeros(forward.shape[:-1], spacing)
-        axes = [ImageVolume(np.ascontiguousarray(forward[..., a]), spacing) for a in range(3)]
-        u_at = trilinear_sample_many(axes, vol.voxel_centers() + inverse)
-        return np.linalg.norm(inverse + np.moveaxis(u_at, 0, -1), axis=-1)
 
     def _jump(self):
         # 3 mm along x inside the slab, zero outside: u drops by a whole
@@ -436,19 +474,170 @@ class TestInvertDisplacementAcrossAJump:
         even = _frozen_invert_displacement_field(forward, self.SPACING, iterations=10)
         odd = _frozen_invert_displacement_field(forward, self.SPACING, iterations=11)
         assert np.abs(even - odd).max() > 2.9  # the defect: a period-2 orbit
-        assert self._residual(forward, even, self.SPACING).max() > 2.9
+        assert _residual(forward, even, self.SPACING).max() > 2.9
 
         ten = invert_displacement_field(forward, self.SPACING, iterations=10)
         eleven = invert_displacement_field(forward, self.SPACING, iterations=11)
-        assert self._residual(forward, ten, self.SPACING).max() < 1e-2
-        assert self._residual(forward, eleven, self.SPACING).max() < 1e-2
+        assert _residual(forward, ten, self.SPACING).max() < 1e-2
+        assert _residual(forward, eleven, self.SPACING).max() < 1e-2
         assert np.abs(ten - eleven).max() < 2e-3
 
     def test_voxels_the_plain_iteration_converged_are_untouched(self):
+        """A voxel that retires within the plain steps takes no damped step."""
         forward = self._jump()
-        plain = _frozen_invert_displacement_field(forward, self.SPACING, iterations=10)
-        before = _frozen_invert_displacement_field(forward, self.SPACING, iterations=9)
-        settled = np.linalg.norm(plain - before, axis=-1) <= 1e-3
+        plain, moving = _frozen_invert_per_voxel(forward, self.SPACING, 10, damped_steps=0)
+        settled = ~moving
         assert settled.any() and not settled.all()
         got = invert_displacement_field(forward, self.SPACING, iterations=10)
         assert np.array_equal(got[settled], plain[settled])
+        assert not np.array_equal(got[moving], plain[moving])
+
+
+def _brain_shift(shape, shift_mm):
+    from repro.imaging.phantom import BrainPhantom, brain_shift_field
+
+    phantom = BrainPhantom()
+    spacing = tuple(float(v) for v in 2.24 * np.asarray(phantom.head_semi_axes) / shape)
+    labels = phantom.label_volume(shape, spacing)
+    return brain_shift_field(labels, phantom.craniotomy_center(), magnitude_mm=shift_mm), spacing
+
+
+class TestInvertDisplacementAccuracy:
+    """The per-voxel iteration against the ten-sweep full-grid body it replaced.
+
+    A voxel retires during the plain steps at its first step of
+    ``PLAIN_STEP_TOL_MM`` or less, so where the map contracts its residual
+    ``|v + u(x + v)|`` is below that; ten sweeps took it further, but
+    by less than that step. A voxel that does not retire takes the same
+    ten plain steps and the same damped tail as before, so the largest
+    residual, which sits on those voxels (where ``u`` drops to zero across
+    one voxel, as at a mesh boundary), is the old body's.
+    """
+
+    @staticmethod
+    def _fields():
+        bump = TestInvertDisplacementSupport._bump
+        yield "jump", TestInvertDisplacementAcrossAJump._jump(None), (3.0, 3.0, 3.0)
+        yield "shift 6 mm", *_brain_shift((24, 24, 16), 6.0)
+        yield "shift 2 mm", *_brain_shift((24, 24, 16), 2.0)
+        for spacing in [(1.0, 1.0, 1.0), (2.875, 2.875, 3.1)]:
+            field = bump(
+                (14, 12, 10), spacing, (0.45, 0.5, 0.4), 3.5 * min(spacing), (1.2, -0.8, 0.6),
+                compact=True,
+            )
+            yield f"bump {spacing}", field, spacing
+
+    def test_residual_and_distance_from_the_ten_sweep_body(self):
+        for name, forward, spacing in self._fields():
+            got, counts = invert_with_counts(forward, spacing)
+            old = _frozen_invert_with_damped_tail(forward, spacing)
+            new_res, old_res = _residual(forward, got, spacing), _residual(forward, old, spacing)
+            assert np.abs(got - old).max() <= PLAIN_STEP_TOL_MM, name
+            assert np.percentile(new_res, 99) <= 1e-3, name
+            assert new_res.max() <= old_res.max(), name
+            assert counts.voxel_sweeps < 10 * counts.active_voxels, name  # the old cost
+
+    def test_counts_and_span(self):
+        forward, spacing = _brain_shift((24, 24, 16), 6.0)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            got, counts = invert_with_counts(forward, spacing)
+        finally:
+            set_tracer(previous)
+        (span,) = [s for s in tracer.finished() if s.name == "invert field"]
+        assert span.attrs["kind"] == "imaging"
+        assert span.attrs["active_voxels"] == counts.active_voxels
+        assert span.attrs["voxel_sweeps"] == counts.voxel_sweeps
+        assert span.attrs["damped_voxels"] == counts.damped_voxels
+        support = np.any(forward != 0, axis=-1)
+        assert counts.active_voxels == np.count_nonzero(_dilate_one_voxel(support))
+        assert counts.displaced_voxels == np.count_nonzero(np.any(got != 0, axis=-1))
+        assert counts.active_voxels <= counts.voxel_sweeps
+        assert np.array_equal(got, invert_displacement_field(forward, spacing))
+
+
+def _frozen_warp(source, displacement_mm, fill_value=0.0, nearest=False):
+    """``warp_volume`` as it stood before it sampled only the displaced voxels."""
+    pts = source.voxel_centers() + np.asarray(displacement_mm, dtype=float)
+    data = trilinear_sample(source, pts, fill_value=fill_value, nearest=nearest)
+    return source.copy(data)
+
+
+class TestWarpSupport:
+    """Only displaced voxels are sampled; the others are the source voxel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+        density=st.floats(0.0, 1.0),
+        labels=st.booleans(),
+    )
+    def test_support_equals_full_grid_and_the_rest_is_the_source(
+        self, seed, shape, density, labels
+    ):
+        rng = np.random.default_rng(seed)
+        spacing = tuple(rng.uniform(0.3, 3.0, 3))
+        origin = tuple(rng.uniform(-20.0, 20.0, 3))
+        if labels:
+            data = rng.integers(0, 9, shape).astype(np.uint8)
+        else:
+            data = rng.normal(scale=40.0, size=shape)
+        source = ImageVolume(data, spacing, origin)
+        disp = rng.normal(scale=2.0 * max(spacing), size=(*shape, 3))
+        disp[rng.random(shape) >= density] = 0.0
+        disp[rng.random(shape) < 0.2, rng.integers(0, 3)] = 0.0  # zero on some axes only
+        if disp.size and rng.random() < 0.5:
+            disp[tuple(rng.integers(0, n) for n in shape) + (rng.integers(0, 3),)] = np.nan
+        fill = float(rng.normal())
+        with np.errstate(invalid="ignore"):  # the NaN point's float -> int cast
+            got = warp_volume(source, disp, fill_value=fill, nearest=labels)
+            want = _frozen_warp(source, disp, fill_value=fill, nearest=labels)
+        moved = np.any(disp != 0, axis=-1)
+        assert got.data.dtype == want.data.dtype == np.float64
+        assert got.same_grid_as(source)
+        assert np.array_equal(got.data[moved], want.data[moved])
+        assert np.array_equal(got.data[~moved], source.data[~moved])
+        assert np.all(got.data[np.isnan(disp).any(axis=-1)] == fill)
+
+    def test_nearest_is_the_full_grid_warp_on_a_label_volume(self):
+        labels = ImageVolume(
+            np.random.default_rng(3).integers(0, 7, (12, 10, 8)).astype(np.uint8),
+            (2.0, 1.5, 2.5),
+            (-11.0, -7.5, -10.0),
+        )
+        forward = TestInvertDisplacementSupport._bump(
+            labels.shape, labels.spacing, (0.5, 0.5, 0.5), 6.0, (2.0, -1.5, 1.0), compact=True
+        )
+        inverse = invert_displacement_field(forward, labels.spacing)
+        got = warp_volume(labels, inverse, fill_value=0, nearest=True)
+        want = _frozen_warp(labels, inverse, fill_value=0, nearest=True)
+        assert np.count_nonzero(np.any(inverse != 0, axis=-1)) < 0.5 * labels.data.size
+        assert np.array_equal(got.data, want.data)
+
+    def test_off_grid_and_nan_points_get_the_fill_value(self):
+        source = ImageVolume(np.arange(60.0).reshape(3, 4, 5) + 1.0, (1.0, 2.0, 0.5))
+        disp = np.zeros((3, 4, 5, 3))
+        disp[0, 0, 0] = (-5.0, 0.0, 0.0)  # off the grid
+        disp[2, 3, 4, 2] = 0.5  # off the last face
+        disp[1, 1, 1, 1] = np.nan
+        disp[1, 2, 3, 0] = 1.0  # one voxel along x: exact
+        for nearest in (False, True):
+            with np.errstate(invalid="ignore"):
+                got = warp_volume(source, disp, fill_value=-3.0, nearest=nearest).data
+            assert got[0, 0, 0] == got[2, 3, 4] == got[1, 1, 1] == -3.0
+            assert got[1, 2, 3] == source.data[2, 2, 3]
+            untouched = ~np.any(disp != 0, axis=-1)
+            assert np.count_nonzero(~untouched) == 4
+            assert np.array_equal(got[untouched], source.data[untouched])
+
+    def test_zero_displacement_is_the_source_exactly(self):
+        # (3 * 0.1) / 0.1 > 3: the full-grid warp put the fill value on the
+        # last plane of this grid, its centres' index rounding off the grid.
+        source = ImageVolume(np.arange(1.0, 25.0).reshape(4, 3, 2), (0.1, 1.0, 1.0))
+        assert (3 * 0.1) / 0.1 > 3
+        full = _frozen_warp(source, np.zeros((4, 3, 2, 3)), fill_value=-1.0)
+        assert np.all(full.data[3] == -1.0)
+        got = warp_volume(source, np.zeros((4, 3, 2, 3)), fill_value=-1.0)
+        assert np.array_equal(got.data, source.data)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.imaging.volume import ImageVolume
 from repro.util import ShapeError
@@ -33,6 +35,26 @@ class TestGeometry:
         assert centers.shape == (2, 3, 4, 3)
         assert np.allclose(centers[0, 0, 0], [10.0, -5.0, 0.0])
         assert np.allclose(centers[1, 2, 3], [12.0, -3.0, 1.5])
+
+
+def _frozen_voxel_centers(volume):
+    """``voxel_centers`` as it stood before it was built from 1-D axes."""
+    grids = np.meshgrid(*[np.arange(n, dtype=float) for n in volume.shape], indexing="ij")
+    return volume.index_to_world(np.stack(grids, axis=-1))
+
+
+class TestVoxelCentersFromAxes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        spacing=st.tuples(*[st.floats(1e-3, 50.0) for _ in range(3)]),
+        origin=st.tuples(*[st.floats(-1e3, 1e3) for _ in range(3)]),
+    )
+    def test_equals_the_meshgrid_body(self, shape, spacing, origin):
+        vol = ImageVolume(np.zeros(shape), spacing, origin)
+        got = vol.voxel_centers()
+        assert got.shape == (*shape, 3) and got.dtype == np.float64
+        assert np.array_equal(got, _frozen_voxel_centers(vol))
 
 
 class TestValidationAndCopy:

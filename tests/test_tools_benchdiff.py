@@ -72,6 +72,19 @@ class TestHotpathGate:
         (tmp_path / NAME).write_text(json.dumps(fresh))
         assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_resample_seconds_are_gated(self, tmp_path):
+        """The inverter back on ten sweeps a voxel, or the warp back on the
+        whole grid (+70 % on this phantom), fails."""
+        assert dict(HOT_PATHS[NAME])["resample.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        block = base["resample"]
+        assert block["seconds"] == block["invert_seconds"] + block["warp_seconds"]
+        assert block["sweeps_per_voxel"] < 10
+        fresh = copy.deepcopy(base)
+        fresh["resample"]["seconds"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_default_tolerance_solve_iterations_and_seconds_are_gated(self, tmp_path):
         """A production solve drifting back towards 1e-7 (+50 % iterations) fails."""
         paths = dict(HOT_PATHS[NAME])
