@@ -428,6 +428,56 @@ def test_kernel_pipeline_solve():
     assert max_abs <= 2e-3
 
 
+def test_kernel_pipeline_solve_production():
+    """``pipeline_solve``'s system and call on the pipeline's own solve: the
+    ``PipelineConfig`` default partitioner (compact coordinate-bisection
+    subdomains) and ``PIPELINE_PRECONDITIONER`` (block Jacobi balanced by a
+    rigid-body coarse space). Iterations, seconds and the distance from a
+    ``1e-10`` solve, merged into BENCH_hotpath.json. The same size in smoke."""
+    from bench_io import update_bench_record
+    from test_hotpath_reuse import BENCH_EQUATIONS, N_RANKS
+
+    from repro.core.config import PipelineConfig
+    from repro.experiments.common import build_clinical_system
+    from repro.parallel.simulation import prepare_solve_context, simulate_parallel
+    from repro.parallel.solver import PIPELINE_PRECONDITIONER
+    from repro.solver import DEFAULT_SOLVER_TOL
+
+    system = build_clinical_system(BENCH_EQUATIONS)
+    solver = dict(
+        partitioner=PipelineConfig().partitioner, preconditioner=PIPELINE_PRECONDITIONER
+    )
+    context = prepare_solve_context(system.mesh, system.bc.node_ids, N_RANKS, **solver)
+    solve = lambda **kw: simulate_parallel(
+        system.mesh, system.bc, N_RANKS, context=context, **solver, **kw
+    )
+    reference = solve(tol=1e-10)
+    _, seconds, result = _timed(solve, repeats=9)
+    assert result.cache_hit
+    max_abs = float(np.abs(result.displacement - reference.displacement).max())
+    paper = simulate_parallel(system.mesh, system.bc, N_RANKS).solver.iterations
+    update_bench_record(
+        RESULT_PATH,
+        {
+            "pipeline_solve_production": {
+                "n_equations": int(result.n_equations),
+                "n_ranks": N_RANKS,
+                "tol": DEFAULT_SOLVER_TOL,
+                **solver,
+                "iterations": int(result.solver.iterations),
+                "seconds": seconds,
+                "max_abs_vs_reference_mm": max_abs,
+                "paper_configuration_iterations": int(paper),
+            }
+        },
+    )
+    assert result.solver.converged
+    # The compact subdomains plus the coarse space take well under the
+    # paper configuration's (block slabs, block Jacobi) iterations.
+    assert result.solver.iterations <= 0.8 * paper
+    assert max_abs <= 2e-3
+
+
 def test_kernel_block_factorization():
     """``factor_blocks`` on the 4 diagonal blocks of ``pipeline_solve``'s
     30 k-equation system (the block ILU a new patient's model build pays):

@@ -83,7 +83,7 @@ def main() -> None:
     print(
         "block            = the paper's equal-node-count decomposition\n"
         "work_weighted    = the paper's proposed connectivity-aware fix\n"
-        "coordinate_bisection / greedy_graph = standard geometric/graph methods\n"
+        "coordinate_bisection = compact geometric subdomains (the pipeline's default)\n"
         "(lower edge cut also reduces halo communication in every matvec)"
     )
 

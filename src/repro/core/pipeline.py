@@ -41,6 +41,7 @@ from repro.obs.export import iterations_per_decade
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.parallel.simulation import ParallelSimulation, prepare_solve_context
+from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.registration.rigid import RegistrationResult, register_rigid
 from repro.registration.transform import RigidTransform
 from repro.resilience.degrade import (
@@ -322,6 +323,7 @@ class IntraoperativePipeline:
                     cfg.n_ranks,
                     materials=cfg.materials,
                     partitioner=cfg.partitioner,
+                    preconditioner=PIPELINE_PRECONDITIONER,
                 )
         if self.metrics is not None:
             self.metrics.gauge("mesh.nodes").set(mesher.mesh.n_nodes)

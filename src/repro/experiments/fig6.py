@@ -144,7 +144,8 @@ def paper_size(
     as a session's next scan (the first scan's prototypes, its field as
     ``previous``). The build lists its own stages (traced) under its total,
     and under the solve-context stage its ``preconditioner setup`` span (the
-    block factorization, on the threads the header names).
+    block factorization, on the threads the header names) and its
+    ``coarse space setup`` span (``K Z`` and the coarse factor).
     Each scan lists every stage, the *unstaged* remainder
     (scan wall time minus the stages), the total, and the biomechanical
     simulation in wall seconds and in ``machine``'s virtual seconds, each
@@ -161,8 +162,9 @@ def paper_size(
     (build,) = tracer.roots()
     for span in tracer.children_of(build.span_id):
         rows.append(["preoperative", f"  {span.name}", span.duration, "", ""])
-        for setup in _descendants(tracer, span, "preconditioner setup"):
-            rows.append(["preoperative", f"    {setup.name}", setup.duration, "", ""])
+        for name in ("preconditioner setup", "coarse space setup"):
+            for setup in _descendants(tracer, span, name):
+                rows.append(["preoperative", f"    {setup.name}", setup.duration, "", ""])
     notes, previous = [], None
     for k, case in enumerate(cases):
         start = time.perf_counter()
@@ -191,8 +193,8 @@ def paper_size(
         f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}, "
         f"block factorization on {min(n_ranks, usable_cores())} threads",
         f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
-        f"{sim.n_dof_total:,} equations ({sim.n_equations:,} free) on {n_ranks} ranks, "
-        f"virtual seconds on {machine.name}",
+        f"{sim.n_dof_total:,} equations ({sim.n_equations:,} free) on {n_ranks} ranks "
+        f"({config.partitioner} partition), virtual seconds on {machine.name}",
     ]
     table = format_table(["period", "stage", "wall (s)", "virtual (s)", "paper"], rows)
     return "\n".join([*header, table, *(f"  note: {n}" for n in notes)])

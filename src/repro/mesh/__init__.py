@@ -19,7 +19,6 @@ from repro.mesh.generator import GridTetraMesher, mesh_labeled_volume, mesh_with
 from repro.mesh.partition import (
     partition_block,
     partition_coordinate_bisection,
-    partition_greedy_graph,
     partition_work_weighted,
 )
 from repro.mesh.quality import aspect_ratios, quality_report
@@ -37,7 +36,6 @@ __all__ = [
     "mesh_with_target_nodes",
     "partition_block",
     "partition_coordinate_bisection",
-    "partition_greedy_graph",
     "partition_work_weighted",
     "remove_elements_by_material",
     "remove_elements_in_mask",

@@ -5,8 +5,9 @@ numbers of mesh nodes to each CPU" — :func:`partition_block`. It also
 identifies the resulting load imbalance (unequal node connectivity in
 assembly; unequal boundary-condition elimination in the solve) and
 proposes connectivity-aware decompositions as future work — implemented
-here as :func:`partition_work_weighted`, plus two standard geometric /
-graph alternatives used by the ablation benchmarks.
+here as :func:`partition_work_weighted` — plus
+:func:`partition_coordinate_bisection`, the compact geometric split the
+intraoperative pipeline runs on.
 
 All partitioners return an ``(n_nodes,)`` integer array of rank ids in
 ``[0, n_parts)``; every rank receives at least one node when
@@ -103,62 +104,6 @@ def partition_coordinate_bisection(mesh: TetrahedralMesh, n_parts: int) -> np.nd
         recurse(order[cut:], parts - left_parts, first_rank + left_parts)
 
     recurse(np.arange(mesh.n_nodes, dtype=np.intp), n_parts, 0)
-    return part
-
-
-def partition_greedy_graph(mesh: TetrahedralMesh, n_parts: int, seed_strategy: str = "peripheral") -> np.ndarray:
-    """Greedy BFS graph growing on the mesh edge graph.
-
-    Grows each part by breadth-first search from a seed until the target
-    node count is reached; produces connected parts with modest edge
-    cuts. ``seed_strategy`` is ``"peripheral"`` (start from an extremal
-    node) or ``"first"`` (lowest unassigned index).
-    """
-    _check_parts(mesh.n_nodes, n_parts)
-    if seed_strategy not in ("peripheral", "first"):
-        raise ValidationError(f"unknown seed_strategy {seed_strategy!r}")
-    edges = mesh.edge_array()
-    adjacency: list[list[int]] = [[] for _ in range(mesh.n_nodes)]
-    for a, b in edges:
-        adjacency[a].append(int(b))
-        adjacency[b].append(int(a))
-
-    part = np.full(mesh.n_nodes, -1, dtype=np.intp)
-    targets = [mesh.n_nodes // n_parts + (1 if r < mesh.n_nodes % n_parts else 0) for r in range(n_parts)]
-    unassigned = mesh.n_nodes
-
-    for rank in range(n_parts):
-        if seed_strategy == "peripheral":
-            free = np.flatnonzero(part < 0)
-            seed = int(free[np.argmin(mesh.nodes[free, 0])])
-        else:
-            seed = int(np.flatnonzero(part < 0)[0])
-        queue = [seed]
-        taken = 0
-        head = 0
-        part[seed] = rank
-        taken += 1
-        while taken < targets[rank]:
-            if head >= len(queue):
-                free = np.flatnonzero(part < 0)
-                if len(free) == 0:
-                    break
-                nxt = int(free[0])
-                part[nxt] = rank
-                taken += 1
-                queue.append(nxt)
-                head = len(queue) - 1
-                continue
-            node = queue[head]
-            head += 1
-            for nb in adjacency[node]:
-                if part[nb] < 0 and taken < targets[rank]:
-                    part[nb] = rank
-                    taken += 1
-                    queue.append(nb)
-        unassigned -= taken
-    # Any stragglers (disconnected leftovers) go to the last rank.
-    part[part < 0] = n_parts - 1
     return part
 
 

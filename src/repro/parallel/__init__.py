@@ -23,14 +23,18 @@ from repro.parallel.simulation import (
     simulate_parallel,
 )
 from repro.parallel.solver import (
+    PIPELINE_PRECONDITIONER,
     DistributedBlockJacobi,
+    DistributedCoarseCorrection,
     DistributedRAS,
     distributed_gmres,
 )
 
 __all__ = [
+    "PIPELINE_PRECONDITIONER",
     "Decomposition",
     "DistributedBlockJacobi",
+    "DistributedCoarseCorrection",
     "DistributedRAS",
     "DistributedSystem",
     "ParallelSimulation",

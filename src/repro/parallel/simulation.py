@@ -21,7 +21,6 @@ from repro.machines.spec import MachineSpec
 from repro.mesh.partition import (
     partition_block,
     partition_coordinate_bisection,
-    partition_greedy_graph,
     partition_work_weighted,
 )
 from repro.mesh.tetra import TetrahedralMesh
@@ -29,7 +28,9 @@ from repro.obs.trace import get_tracer
 from repro.parallel.assembly import DistributedSystem, build_distributed_system
 from repro.parallel.decomposition import Decomposition
 from repro.parallel.solver import (
+    PRECONDITIONERS,
     DistributedBlockJacobi,
+    DistributedCoarseCorrection,
     DistributedRAS,
     distributed_gmres,
 )
@@ -49,7 +50,6 @@ PARTITIONERS = {
     "block": partition_block,
     "work_weighted": partition_work_weighted,
     "coordinate_bisection": partition_coordinate_bisection,
-    "greedy_graph": partition_greedy_graph,
 }
 
 
@@ -141,8 +141,10 @@ class _Setup:
             raise ValidationError(
                 f"unknown partitioner {partitioner!r}; options: {sorted(PARTITIONERS)}"
             )
-        if preconditioner not in ("block_jacobi", "ras"):
-            raise ValidationError(f"unknown preconditioner {preconditioner!r}")
+        if preconditioner not in PRECONDITIONERS:
+            raise ValidationError(
+                f"unknown preconditioner {preconditioner!r}; options: {list(PRECONDITIONERS)}"
+            )
         self.context = context
         self.preconditioner = preconditioner
         self.factorization = factorization
@@ -173,7 +175,9 @@ class _Setup:
                     pass
             else:
                 part = PARTITIONERS[partitioner](mesh, n_ranks)
-                self.decomposition = Decomposition.from_partition(mesh, part, n_ranks)
+                self.decomposition = Decomposition.from_partition(
+                    mesh, part, n_ranks, fixed_nodes=bc.node_ids
+                )
                 with self.telemetry.phase("initialization"):
                     self.telemetry.compute(
                         0, INIT_FLOPS_PER_ENTITY * (mesh.n_nodes + mesh.n_elements)
@@ -186,18 +190,28 @@ class _Setup:
         """``bc`` in the decomposition's node numbering."""
         return DirichletBC(self.decomposition.old_to_new[bc.node_ids], bc.displacements)
 
-    def get_preconditioner(self, matrix, solve_span):
+    def get_preconditioner(self, system: DistributedSystem, solve_span):
         """The context's factorized preconditioner, built on a miss."""
         if self.cache_hit and "preconditioner" in self.context.slots:
             # Reused subdomain factors: the factorization flops are not
             # charged again — only the per-application triangular solves.
             solve_span.set(preconditioner_reused=True)
             return self.context.slots["preconditioner"]
+        matrix = system.matrix
         if self.preconditioner == "ras":
             pre = DistributedRAS(matrix, self.telemetry, overlap=self.ras_overlap)
-        else:
+        elif self.preconditioner == "block_jacobi":
             pre = DistributedBlockJacobi(
                 matrix, self.telemetry, factorization=self.factorization
+            )
+        else:
+            nodes, components = np.divmod(system.free_dofs, 3)
+            pre = DistributedCoarseCorrection(
+                matrix,
+                system.decomposition.mesh.nodes[nodes],
+                components,
+                self.telemetry,
+                factorization=self.factorization,
             )
         if self.context is not None:
             self.context.slots["preconditioner"] = pre
@@ -243,10 +257,15 @@ def simulate_parallel(
         accounting (e.g. for numerical-equivalence tests).
     partitioner:
         One of ``block`` (paper's equal-node-count scheme),
-        ``work_weighted``, ``coordinate_bisection``, ``greedy_graph``.
+        ``work_weighted``, ``coordinate_bisection`` (the pipeline's
+        default, :class:`repro.core.PipelineConfig`).
     preconditioner:
-        ``"block_jacobi"`` (paper configuration) or ``"ras"``
-        (restricted additive Schwarz with ``ras_overlap`` layers).
+        ``"block_jacobi"`` (paper configuration),
+        ``"coarse_block_jacobi"`` (block Jacobi balanced by a rigid-body
+        coarse space; the intraoperative pipeline's
+        :data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`) or
+        ``"ras"`` (restricted additive Schwarz with ``ras_overlap``
+        layers).
     context:
         A :class:`repro.fem.SolveContext` carrying scan-invariant state
         across calls. On a fingerprint match (same mesh, materials,
@@ -300,7 +319,7 @@ def simulate_parallel(
                     telemetry.compute(
                         rank, STALL_VIRTUAL_SECONDS * telemetry.spec.flops_rate
                     )
-        pre = setup.get_preconditioner(system.matrix, solve_span)
+        pre = setup.get_preconditioner(system, solve_span)
         result = distributed_gmres(
             system.matrix,
             system.rhs,

@@ -10,6 +10,11 @@ that synchronize them. Orthogonalization (:class:`RankReduction`) is
 classical Gram-Schmidt with one refinement pass (CGS2): two fused
 reductions per iteration, the strategy parallel GMRES implementations
 (including PETSc's) use to avoid one allreduce per inner product.
+
+The intraoperative pipeline solves with :data:`PIPELINE_PRECONDITIONER`:
+block Jacobi balanced by a coarse space of rigid-body modes
+(:class:`DistributedCoarseCorrection`), which restores the global
+coupling that the per-rank blocks discard.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy import linalg, sparse
 
 from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
@@ -42,6 +48,26 @@ _NULL = NullTelemetry()
 FACTOR_FLOPS_PER_NNZ = 12.0
 #: Flops per factor nonzero for one forward+backward triangular solve.
 SOLVE_FLOPS_PER_NNZ = 4.0
+
+#: The preconditioner the intraoperative pipeline solves with: the one
+#: name both the preoperative context build and the escalation ladder's
+#: first rung pass, so the two fingerprints agree and every scan after
+#: the build is a cache hit.
+PIPELINE_PRECONDITIONER = "coarse_block_jacobi"
+#: Every name :func:`repro.parallel.simulate_parallel` accepts.
+PRECONDITIONERS = ("block_jacobi", PIPELINE_PRECONDITIONER, "ras")
+
+#: A rank's rigid-body mode is kept when its singular value is at least
+#: this share of the rank's largest (a rank whose free DOFs cannot carry
+#: all six modes, e.g. too few free nodes, contributes fewer).
+MODE_RANK_TOL = 1e-8
+#: An entry of ``K Z`` is kept when it is above this share of the largest.
+#: A row whose stencil lies inside its own rank and clear of the prescribed
+#: surface is zero in exact arithmetic (the element stiffness annihilates
+#: rigid motions), about half the rows on compact subdomains; their
+#: round-off entries sit below 1e-15 of the largest, the kept ones above
+#: 1e-6, on the ``session-fem`` and paper-size systems.
+KZ_DROP_TOL = 1e-10
 
 
 def _charge_factors(preconditioner, telemetry, flops_per_nnz: float) -> None:
@@ -116,6 +142,144 @@ class DistributedBlockJacobi:
         _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ)
         r = np.asarray(r, dtype=float)
         return self._apply(r, self._out)
+
+
+def rigid_body_modes(
+    points: np.ndarray, components: np.ndarray, ranges: np.ndarray
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Every rank's six rigid-body modes on its own rows, and their basis.
+
+    Row ``i`` is the DOF ``components[i]`` (0, 1, 2 for x, y, z) of the
+    node at ``points[i]``. Returns ``(Z, T)``. ``Z`` is the ``(n, 6P)``
+    CSR whose columns ``6p .. 6p + 5`` are rank ``p``'s three translations
+    and three rotations about its rows' centroid, on its rows ``[a, b)``:
+    three nonzeros a row, the row's translation and the two rotations that
+    move its component. ``T`` is ``(6P, m)`` and block diagonal, with
+    ``Z T`` orthonormal on every rank; modes a rank's rows cannot carry are
+    dropped (:data:`MODE_RANK_TOL`), so ``m <= 6P``.
+    """
+    points = np.asarray(points, dtype=float)
+    components = np.asarray(components, dtype=np.intp)
+    n, n_ranks = len(components), len(ranges)
+    lengths = ranges[:, 1] - ranges[:, 0]
+    rank = np.repeat(np.arange(n_ranks), lengths)
+    centroids = np.stack(
+        [np.bincount(rank, points[:, k], n_ranks) for k in range(3)], axis=1
+    ) / np.maximum(lengths, 1)[:, None]
+    x = points - centroids[rank]
+    rows = np.arange(n)
+    after, before = (components + 1) % 3, (components + 2) % 3
+    # The rotation about axis k moves x by e_k x x: component c gains
+    # x[c+2] from the rotation about c+1 and -x[c+1] from the one about c+2.
+    columns = np.stack([components, 3 + after, 3 + before], axis=1) + 6 * rank[:, None]
+    values = np.stack([np.ones(n), x[rows, before], -x[rows, after]], axis=1)
+    z = sparse.csr_matrix(
+        (values.ravel(), columns.ravel(), np.arange(0, 3 * n + 1, 3)), shape=(n, 6 * n_ranks)
+    )
+    z.sort_indices()
+    bases = []
+    for p, (a, b) in enumerate(ranges):
+        _, sigma, vt = np.linalg.svd(z[a:b, 6 * p : 6 * p + 6].toarray(), full_matrices=False)
+        keep = sigma > MODE_RANK_TOL * sigma.max(initial=0.0)
+        bases.append(vt[keep].T / sigma[keep])
+    return z, linalg.block_diag(*bases)
+
+
+class DistributedCoarseCorrection:
+    """Block Jacobi balanced by a rigid-body coarse space.
+
+    With ``B`` the :class:`DistributedBlockJacobi` of ``matrix`` (``K``)
+    and ``Z`` every rank's six rigid-body modes on its own rows
+    (:func:`rigid_body_modes`; ``points[i]`` and ``components[i]`` are the
+    node position and the component of row ``i``), the preconditioner is
+    the balancing form
+
+        ``M = (I - QK) B (I - KQ) + Q``,  ``Q = Z E^-1 Z^T``,  ``E = Z^T K Z``.
+
+    ``Q`` solves exactly on the coarse space (``M K Z = Z``) and ``B``
+    works on its ``K``-orthogonal complement, so the low-energy modes
+    that the per-rank blocks cannot see no longer cost GMRES iterations.
+    One rank's block cuts no coupling: with one rank there is no coarse
+    space (``coarse_dim == 0``) and ``M`` is ``B``.
+
+    Set-up keeps ``Z`` and ``K Z`` as CSR matrices over all ranks (three
+    nonzeros a row of ``Z``; ``K Z`` only on rows that couple to another
+    rank or to the prescribed surface, :data:`KZ_DROP_TOL`) and the
+    coarse inverse ``T (T^T E T)^-1 T^T`` in ``Z``'s own columns, so an
+    application is four sparse products, two ``6P``-square products and
+    two vector updates over the whole vector, whatever the rank count,
+    and no extra matvec. The telemetry is charged for exactly that:
+    ``K Z`` (a six-wide halo exchange and the local products), the
+    reduction of ``E``, its factorization and inverse, replicated, at
+    set-up; per application two ``48 P``-byte all-reduces, two replicated
+    coarse products and the local products with ``Z`` and ``K Z``.
+    """
+
+    def __init__(
+        self,
+        matrix: RowBlockMatrix,
+        points: np.ndarray,
+        components: np.ndarray,
+        telemetry=_NULL,
+        factorization: str = "ilu",
+    ):
+        self._blocks = DistributedBlockJacobi(matrix, telemetry, factorization)
+        self.shape = matrix.shape
+        self.modes = None
+        self.coarse_dim = 0
+        if matrix.n_ranks == 1:
+            return
+        with get_tracer().span(
+            "coarse space setup", kind="solver", n_ranks=int(matrix.n_ranks)
+        ) as span:
+            z, basis = self.modes = rigid_body_modes(points, components, matrix.ranges)
+            self.coarse_dim = basis.shape[1]
+            span.set(coarse_dim=self.coarse_dim)
+            kz = sparse.vstack([block @ z for block in matrix.local], format="csr")
+            coarse = basis.T @ (z.T @ kz).toarray() @ basis
+            # Replicated on every rank: E's Cholesky factor, applied as the
+            # explicit inverse it yields in Z's own columns (one 6P-square
+            # product per coarse solve, no triangular-solve call overhead).
+            factor = linalg.cho_factor(0.5 * (coarse + coarse.T))
+            self._coarse_inverse = basis @ linalg.cho_solve(factor, basis.T)
+            kz.data[np.abs(kz.data) <= KZ_DROP_TOL * np.abs(kz.data).max(initial=0.0)] = 0.0
+            kz.eliminate_zeros()
+            self._z, self._zt, self._kz, self._kzt = z, z.T.tocsr(), kz, kz.T.tocsr()
+        starts = np.append(matrix.ranges[:, 0], matrix.n)
+        lengths = np.diff(starts).astype(float)
+        kz_nnz = np.diff(kz.indptr[starts]).astype(float)
+        # Per-application charges: one Z and one KZ product per half, and
+        # a replicated 6P-square product per coarse solve.
+        self._half_flops = 6.0 * lengths + 2.0 * kz_nnz
+        self._coarse_flops = np.full(matrix.n_ranks, 2.0 * self._coarse_inverse.size)
+        if type(telemetry) is not NullTelemetry:
+            # KZ: each rank imports six mode values per halo entry and
+            # multiplies its rows by them; E's row blocks are summed across
+            # ranks and factored on every rank.
+            m = float(len(self._coarse_inverse))
+            telemetry.halo_exchange({k: 6.0 * v for k, v in matrix.halo_pairs.items()})
+            telemetry.compute_all(6.0 * matrix.local_nnz + 12.0 * kz_nnz)
+            telemetry.allreduce(8.0 * m * m)
+            telemetry.compute_all(np.full(matrix.n_ranks, m**3 / 3.0 + 2.0 * m**3))
+
+    def _coarse_solve(self, partials: np.ndarray, telemetry) -> np.ndarray:
+        """``E^-1`` of a coarse vector summed over the ranks (one all-reduce)."""
+        telemetry.allreduce(8.0 * len(partials))
+        telemetry.compute_all(self._coarse_flops)
+        return self._coarse_inverse @ partials
+
+    def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
+        if not self.coarse_dim:
+            return self._blocks.solve(r, telemetry)
+        r = np.asarray(r, dtype=float)
+        telemetry.compute_all(self._half_flops)
+        c0 = self._coarse_solve(self._zt @ r, telemetry)
+        # B (I - KQ) r, with K Q r = (K Z) c0.
+        z_vec = self._blocks.solve(r - self._kz @ c0, telemetry)
+        # (I - QK) z + Q r = z + Z (c0 - E^-1 (KZ)^T z), since Z^T K = (KZ)^T.
+        telemetry.compute_all(self._half_flops)
+        z_vec += self._z @ (c0 - self._coarse_solve(self._kzt @ z_vec, telemetry))
+        return z_vec
 
 
 class DistributedRAS:
@@ -210,7 +374,10 @@ class RankReduction:
 def distributed_gmres(
     matrix: RowBlockMatrix,
     b: np.ndarray,
-    preconditioner: DistributedBlockJacobi | DistributedRAS | None = None,
+    preconditioner: DistributedBlockJacobi
+    | DistributedCoarseCorrection
+    | DistributedRAS
+    | None = None,
     x0: np.ndarray | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
@@ -223,7 +390,8 @@ def distributed_gmres(
     Mathematically equivalent to :func:`repro.solver.gmres` (up to the
     Gram-Schmidt variant); the telemetry records the parallel execution.
     ``preconditioner`` is a :class:`DistributedBlockJacobi`, a
-    :class:`DistributedRAS` or ``None`` (unpreconditioned). Input
+    :class:`DistributedCoarseCorrection`, a :class:`DistributedRAS` or
+    ``None`` (unpreconditioned). Input
     validation and zero-RHS behaviour are the serial solver's: ``x0`` is
     shape-validated, the returned solution is zero, ``history`` is
     ``[0.0]``. Tracing mirrors the serial solver too: a ``gmres`` span

@@ -4,8 +4,11 @@ When the intraoperative solve fails — a dead virtual rank, injected
 stagnation, a genuinely hard system — the pipeline does not give up
 after one attempt. It climbs a two-rung ladder:
 
-1. ``gmres``       — the nominal path: block-Jacobi GMRES from zero on
-   the shared context's cached matrices and preconditioner factors.
+1. ``gmres``       — the nominal path: GMRES from zero with the
+   pipeline's preconditioner
+   (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`, block Jacobi
+   with a rigid-body coarse space) on the shared context's cached
+   matrices and preconditioner factors.
 2. ``ras-gmres``   — a stronger preconditioner (restricted additive
    Schwarz) on an *isolated* context, so the shared per-patient cache
    fingerprint is never clobbered by an emergency configuration.
@@ -36,6 +39,7 @@ from repro.machines.spec import MachineSpec
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
+from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import check_displacement_field
 from repro.solver.gmres import DEFAULT_SOLVER_TOL
@@ -173,8 +177,9 @@ def solve_with_escalation(
         )
 
     # (rung, preconditioner, context): the emergency rung never touches
-    # the shared per-patient cache.
-    ladder = [("gmres", "block_jacobi", context), ("ras-gmres", "ras", None)]
+    # the shared per-patient cache. The first rung's preconditioner is the
+    # one the preoperative build prepared the context with, so it hits.
+    ladder = [("gmres", PIPELINE_PRECONDITIONER, context), ("ras-gmres", "ras", None)]
     if not escalate:
         del ladder[1:]
 

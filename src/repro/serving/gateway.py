@@ -69,6 +69,14 @@ from repro.serving.scheduler import Scheduler
 from repro.serving.shard import ConsistentHashRing, Shard
 from repro.util import ValidationError, format_table
 
+#: Heartbeat-silence floor before a busy worker counts as hung, while the
+#: estimator is uncalibrated.
+HANG_GRACE_FLOOR_S = 5.0
+#: The same floor for a worker building a patient model it did not hold
+#: at dispatch: a cold paper-size build plus its first scan is silent for
+#: about 5.6 s on a 2-vCPU machine, past :data:`HANG_GRACE_FLOOR_S`.
+BUILD_GRACE_FLOOR_S = 15.0
+
 
 def _retry_jitter(case_id: str, attempt: int) -> float:
     """Deterministic jitter fraction in [0, 1) for a re-admission."""
@@ -895,24 +903,43 @@ class ShardGateway:
                 self.metrics.counter(f"serving.deaths[shard={shard.shard_id}]").inc()
                 self._worker_lost(shard, worker_id, request, "death", "died")
 
-    def _hang_grace(self) -> float:
+    def _hang_grace(self, building: bool = False) -> float:
         """Heartbeat-silence threshold before a busy worker counts as hung.
 
         Workers beat between scans, so the longest legitimate silence is
         about one preop build plus one scan. Adaptive: three times that
-        EWMA estimate, floored at 5 s (uncalibrated estimator) — long
-        solves survive, wedged workers are caught within a few multiples
-        of real service time.
+        EWMA estimate, floored at :data:`HANG_GRACE_FLOOR_S` (uncalibrated
+        estimator), or at :data:`BUILD_GRACE_FLOOR_S` for a worker
+        ``building`` its patient model — long solves and cold builds
+        survive, wedged workers are caught within a few multiples of real
+        service time. ``hang_timeout_s``, when set, is the grace for both.
         """
         if self.hang_timeout_s is not None:
             return self.hang_timeout_s
         est = self.estimator
-        return max(5.0, 3.0 * (est.preop_seconds + est.scan_seconds))
+        floor = BUILD_GRACE_FLOOR_S if building else HANG_GRACE_FLOOR_S
+        return max(floor, 3.0 * (est.preop_seconds + est.scan_seconds))
+
+    def _worker_state(self, pool, handle, now: float) -> tuple[str, float, float]:
+        """A worker's health state, heartbeat age and grace: the one
+        classification :meth:`health` reports and :meth:`_detect_hangs`
+        acts on."""
+        age = now - pool.heartbeats.get(handle.worker_id, now)
+        if handle.idle:
+            return "idle", age, self._hang_grace()
+        building = self._building.get(handle.busy.case_id, False)
+        grace = self._hang_grace(building)
+        if age > grace:
+            return "wedged", age, grace
+        return ("building-preop" if building else "serving"), age, grace
 
     def _detect_hangs(self) -> None:
-        grace = self._hang_grace()
+        now = time.monotonic()
         for shard in self.live_shards():
-            for handle in shard.pool.stale_workers(grace):
+            for handle in list(shard.pool.workers):
+                state, _, grace = self._worker_state(shard.pool, handle, now)
+                if state != "wedged" or not handle.alive:
+                    continue
                 request = shard.pool.terminate_worker(handle.worker_id)
                 self.metrics.counter("serving.hangs").inc()
                 self._worker_lost(
@@ -937,12 +964,12 @@ class ShardGateway:
         * ``idle`` — alive, no case.
         * ``serving`` — busy, heartbeating within the hang grace.
         * ``building-preop`` — busy on a case whose patient model the
-          worker did not hold at dispatch: the long silence is the model
-          build, not a wedge, and readiness stays true — so this is
-          tested before the heartbeat age.
-        * ``wedged`` — busy, not building, and heartbeat-silent past the
-          hang grace; the next :meth:`tick` will terminate and re-admit
-          it.
+          worker did not hold at dispatch, and heartbeating within the
+          longer build grace: the long silence is the model build, not a
+          wedge, and readiness stays true.
+        * ``wedged`` — busy and heartbeat-silent past its grace (the build
+          grace while building); the next :meth:`tick` will terminate and
+          re-admit it.
         """
         grace = self._hang_grace()
         now = time.monotonic()
@@ -955,15 +982,7 @@ class ShardGateway:
                 continue
             workers = []
             for handle in shard.pool.workers:
-                age = now - shard.pool.heartbeats.get(handle.worker_id, now)
-                if handle.idle:
-                    state = "idle"
-                elif self._building.get(handle.busy.case_id, False):
-                    state = "building-preop"
-                elif age > grace:
-                    state = "wedged"
-                else:
-                    state = "serving"
+                state, age, _ = self._worker_state(shard.pool, handle, now)
                 counts[state] += 1
                 workers.append(
                     {
@@ -994,6 +1013,7 @@ class ShardGateway:
             "queue_capacity": self.queue.capacity,
             "inflight": len(self._inflight),
             "hang_grace_s": round(grace, 3),
+            "build_grace_s": round(self._hang_grace(building=True), 3),
             "workers": counts,
             "shards": shards,
         }

@@ -56,6 +56,8 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("resample.seconds", "lower"),
         ("pipeline_solve.iterations", "lower"),
         ("pipeline_solve.seconds", "lower"),
+        ("pipeline_solve_production.iterations", "lower"),
+        ("pipeline_solve_production.seconds", "lower"),
         ("distance_transform.window_voxels", "lower"),
         ("distance_transform.seconds", "lower"),
         ("block_factorization.seconds", "lower"),

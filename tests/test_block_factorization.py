@@ -28,7 +28,12 @@ from repro.parallel.assembly import build_distributed_system
 from repro.parallel.decomposition import Decomposition
 from repro.parallel.solver import DistributedBlockJacobi
 from repro.solver import preconditioner
-from repro.solver.preconditioner import ILU_DROP_TOL, factor_blocks, incomplete_factor
+from repro.solver.preconditioner import (
+    ILU_COLUMN_ORDER,
+    ILU_DROP_TOL,
+    factor_blocks,
+    incomplete_factor,
+)
 from repro.solver.schwarz import RestrictedAdditiveSchwarz
 from repro.util import ValidationError
 from tests.conftest import BRAIN_LABELS, block_jacobi
@@ -180,7 +185,9 @@ class TestBitIdentity:
     def test_fill_cap_does_not_bind(self, fem_systems, n_ranks):
         _, blocks = fem_systems[n_ranks]
         for block in blocks:
-            loose = spla.spilu(block, drop_tol=ILU_DROP_TOL, fill_factor=10.0)
+            loose = spla.spilu(
+                block, drop_tol=ILU_DROP_TOL, fill_factor=10.0, permc_spec=ILU_COLUMN_ORDER
+            )
             assert _same_factor(incomplete_factor(block), loose)
 
 

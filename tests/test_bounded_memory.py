@@ -552,8 +552,9 @@ class TestHealthBuildingBeforeWedged:
             pool = gateway.shards[0].pool
             (handle,) = pool.workers
             handle.busy = _StubRequest("first-case", "new-patient")
-            # A stubbed heartbeat table: silent far past any hang grace.
-            pool.heartbeats[handle.worker_id] = time.monotonic() - 1e6
+            # A stubbed heartbeat table: silent past the hang grace, inside
+            # the build grace a cold model build is held to.
+            pool.heartbeats[handle.worker_id] = time.monotonic() - 6.0
             gateway._building["first-case"] = True
             health = gateway.health()
             assert health["workers"] == {
@@ -564,6 +565,11 @@ class TestHealthBuildingBeforeWedged:
             health = gateway.health()
             assert health["workers"]["wedged"] == 1
             assert not health["ready"] and health["reason"] == "all workers wedged"
+            # Silent past the build grace too, a building worker is wedged:
+            # the classification the hang detector terminates on.
+            gateway._building["first-case"] = True
+            pool.heartbeats[handle.worker_id] = time.monotonic() - 1e6
+            assert gateway.health()["workers"]["wedged"] == 1
             handle.busy = None
         finally:
             gateway.shutdown()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.mesh.partition import (
     partition_block,
     partition_coordinate_bisection,
-    partition_greedy_graph,
     partition_statistics,
     partition_work_weighted,
 )
@@ -22,7 +21,6 @@ PARTITIONERS = [
     partition_block,
     partition_work_weighted,
     partition_coordinate_bisection,
-    partition_greedy_graph,
 ]
 
 
@@ -161,13 +159,6 @@ class TestPartitioners:
     def test_work_weighted_rejects_negative_weights(self, brain_mesh):
         with pytest.raises(ValidationError):
             partition_work_weighted(brain_mesh, 2, weights=-np.ones(brain_mesh.n_nodes))
-
-    def test_greedy_graph_seed_strategies(self, brain_mesh):
-        a = partition_greedy_graph(brain_mesh, 4, seed_strategy="peripheral")
-        b = partition_greedy_graph(brain_mesh, 4, seed_strategy="first")
-        assert a.shape == b.shape
-        with pytest.raises(ValidationError):
-            partition_greedy_graph(brain_mesh, 4, seed_strategy="bogus")
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 12))

@@ -64,9 +64,36 @@ class TestDecomposition:
         assert dec.mesh.total_volume() == pytest.approx(brain_mesh.total_volume())
 
     def test_block_partition_identity_permutation(self, brain_mesh):
+        """The block partition keeps every rank on its own run of original
+        indices: the renumbering is the identity up to the order inside a
+        run (reverse Cuthill-McKee of the rank's node graph)."""
         part = partition_block(brain_mesh, 4)
         dec = Decomposition.from_partition(brain_mesh, part)
-        assert np.array_equal(dec.new_to_old, np.arange(brain_mesh.n_nodes))
+        for a, b in dec.node_ranges:
+            assert np.array_equal(np.sort(dec.new_to_old[a:b]), np.arange(a, b))
+
+    @pytest.mark.parametrize("leave_out_surface", [False, True])
+    def test_each_rank_is_banded(self, brain_mesh, leave_out_surface):
+        """Inside its run a rank's nodes are in reverse Cuthill-McKee order
+        of its node graph (free nodes only, given ``fixed_nodes``): the
+        rank's graph has a narrower band than in the original order."""
+        part = partition_coordinate_bisection(brain_mesh, 3)
+        fixed = extract_boundary_surface(brain_mesh).mesh_nodes if leave_out_surface else []
+        dec = Decomposition.from_partition(brain_mesh, part, fixed_nodes=fixed)
+        free = np.ones(brain_mesh.n_nodes, dtype=bool)
+        free[fixed] = False
+        edges = brain_mesh.edge_array()
+
+        def bandwidth(order):
+            position = np.full(brain_mesh.n_nodes, -1)
+            position[order] = np.arange(len(order))
+            inside = (position[edges] >= 0).all(axis=1) & free[edges].all(axis=1)
+            return np.abs(np.diff(position[edges[inside]], axis=1)).max()
+
+        for rank, (a, b) in enumerate(dec.node_ranges):
+            original = np.flatnonzero(part == rank)
+            assert np.array_equal(np.sort(dec.new_to_old[a:b]), original)
+            assert bandwidth(dec.new_to_old[a:b]) < bandwidth(original)
 
     def test_rank_of_node(self, brain_mesh):
         part = partition_block(brain_mesh, 4)

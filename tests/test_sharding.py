@@ -324,6 +324,34 @@ class TestPoolRobustness:
 
 
 class TestShardGateway:
+    @pytest.mark.faults
+    def test_a_cold_build_outlasts_the_hang_grace(self, patient, intraop_scans):
+        """Health and hang detection share one classification. Under an
+        uncalibrated estimator a worker building its patient model and
+        silent for 6 s reads ``building-preop`` and survives the hang
+        check; one silent as long on a model it holds is wedged and
+        terminated. Heartbeats are set directly: no sleep."""
+        gateway = ShardGateway(n_shards=1, workers_per_shard=2, max_attempts=1)
+        try:
+            pool = gateway.shards[0].pool
+            building, serving = pool.workers
+            now = time.monotonic()
+            for handle, case_id, cold in ((building, "cold", True), (serving, "warm", False)):
+                handle.busy = make_request(patient, intraop_scans[:1], case_id=case_id)
+                gateway._building[case_id] = cold
+                pool.heartbeats[handle.worker_id] = now - 6.0
+            health = gateway.health()
+            assert health["hang_grace_s"] < 6.0 < health["build_grace_s"]
+            states = {w["case"]: w["state"] for w in health["shards"][0]["workers"]}
+            assert states == {"cold": "building-preop", "warm": "wedged"}
+            gateway._detect_hangs()
+            assert gateway.metrics.value("serving.hangs") == 1
+            assert building in pool.workers and building.busy.case_id == "cold"
+            assert serving not in pool.workers
+            assert "hung (silent > 5.0 s)" in gateway.results["warm"].detail
+        finally:
+            gateway.shutdown()
+
     def test_serves_with_ring_affinity(self, patient, intraop_scans):
         other = make_neurosurgery_case(shape=SHAPE, shift_mm=5.0, seed=21)
         gateway = ShardGateway(n_shards=2, workers_per_shard=1)

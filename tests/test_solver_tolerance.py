@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.core.config import PipelineConfig
 from repro.experiments.common import build_clinical_system
 from repro.experiments.fig7 import scaling_sweep
-from repro.parallel.simulation import simulate_parallel
-from repro.parallel.solver import distributed_gmres
+from repro.parallel.simulation import PARTITIONERS, simulate_parallel
+from repro.parallel.solver import PRECONDITIONERS, distributed_gmres
 from repro.resilience.escalation import solve_with_escalation
 from repro.solver import DEFAULT_SOLVER_TOL, conjugate_gradient, gmres
 
@@ -67,6 +67,22 @@ class TestAccuracyAtTheDefault:
     )
     def test_any_rank_count_and_preconditioner(self, system, reference, n_ranks, preconditioner):
         sim = simulate_parallel(system.mesh, system.bc, n_ranks, preconditioner=preconditioner)
+        assert sim.solver.converged
+        assert np.abs(sim.displacement - reference).max() <= FIELD_TOL_MM
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        preconditioner=st.sampled_from(PRECONDITIONERS),
+        n_ranks=st.sampled_from([1, 2, 4, 8]),
+        partitioner=st.sampled_from(sorted(PARTITIONERS)),
+    )
+    def test_preconditioner_rank_and_partitioner_differential(
+        self, system, reference, preconditioner, n_ranks, partitioner
+    ):
+        sim = simulate_parallel(
+            system.mesh, system.bc, n_ranks,
+            partitioner=partitioner, preconditioner=preconditioner,
+        )
         assert sim.solver.converged
         assert np.abs(sim.displacement - reference).max() <= FIELD_TOL_MM
 

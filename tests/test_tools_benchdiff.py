@@ -98,6 +98,24 @@ class TestHotpathGate:
             (tmp_path / NAME).write_text(json.dumps(fresh))
             assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_production_solve_iterations_and_seconds_are_gated(self, tmp_path):
+        """The pipeline's own solve (compact subdomains, rigid-body coarse
+        space) losing its iterations (block slabs, plain block Jacobi: 37
+        against 26, +42 %) fails; so does its apply growing 30 % dearer."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["pipeline_solve_production.iterations"] == "lower"
+        assert paths["pipeline_solve_production.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        block = base["pipeline_solve_production"]
+        assert block["partitioner"] == "coordinate_bisection"
+        assert block["preconditioner"] == "coarse_block_jacobi"
+        assert block["n_equations"] == base["pipeline_solve"]["n_equations"]
+        for key in ("iterations", "seconds"):
+            fresh = copy.deepcopy(base)
+            fresh["pipeline_solve_production"][key] *= 1.3
+            (tmp_path / NAME).write_text(json.dumps(fresh))
+            assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_distance_transform_window_and_seconds_are_gated(self, tmp_path):
         """The transform computing the whole grid again (window_voxels +46 %
         on this phantom) or running slower past the band fails."""
