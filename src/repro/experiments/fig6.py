@@ -100,6 +100,16 @@ def run(
     return report
 
 
+#: The spans of the solve-context precompute that Fig. 6 lists under it.
+SOLVE_CONTEXT_SPANS = (
+    "symbolic assembly",
+    "numeric assembly",
+    "reduction setup",
+    "preconditioner setup",
+    "coarse space setup",
+)
+
+
 def _commit() -> str:
     """``git describe --always --dirty`` of the source tree, if it is a checkout."""
     try:
@@ -143,9 +153,11 @@ def paper_size(
     The second scan is the same patient at another peak shift, processed
     as a session's next scan (the first scan's prototypes, its field as
     ``previous``). The build lists its own stages (traced) under its total,
-    and under the solve-context stage its ``preconditioner setup`` span (the
-    block factorization, on the threads the header names) and its
-    ``coarse space setup`` span (``K Z`` and the coarse factor).
+    and under the solve-context stage its :data:`SOLVE_CONTEXT_SPANS`: the
+    symbolic and numeric assembly, the Dirichlet elimination's ``reduction
+    setup``, the ``preconditioner setup`` (the block factorization, on the
+    threads the header names) and the ``coarse space setup`` (``K Z`` and
+    the coarse factor).
     Each scan lists every stage, the *unstaged* remainder
     (scan wall time minus the stages), the total, and the biomechanical
     simulation in wall seconds and in ``machine``'s virtual seconds, each
@@ -162,7 +174,7 @@ def paper_size(
     (build,) = tracer.roots()
     for span in tracer.children_of(build.span_id):
         rows.append(["preoperative", f"  {span.name}", span.duration, "", ""])
-        for name in ("preconditioner setup", "coarse space setup"):
+        for name in SOLVE_CONTEXT_SPANS:
             for setup in _descendants(tracer, span, name):
                 rows.append(["preoperative", f"    {setup.name}", setup.duration, "", ""])
     notes, previous = [], None

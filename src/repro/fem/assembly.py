@@ -99,14 +99,15 @@ def node_pair_pattern(
     block_row, block_col = np.divmod(blocks, n_nodes)
     per_row = np.bincount(block_row, minlength=n_nodes)
     first_block = np.concatenate([[0], np.cumsum(per_row)])
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * per_row, 3))])
+    row_length = np.repeat(3 * per_row, 3)
+    indptr = np.concatenate([[0], np.cumsum(row_length)])
     # Offset of every block's first column inside each of its rows: 3q.
     offset = 3 * (np.arange(len(blocks)) - first_block[block_row])
-    row_start = indptr[3 * block_row[:, None] + _AXES]
-    indices = np.empty(9 * len(blocks), dtype=np.int32)
-    indices[row_start[:, :, None] + (offset[:, None] + _AXES)[:, None, :]] = (
-        3 * block_col[:, None] + _AXES
-    )[:, None, :]
+    # The three DOF rows of block row I hold the same 3 c_I columns, its
+    # blocks' in order: one gather of the run that starts at 3 first_block[I].
+    columns = (3 * block_col[:, None] + _AXES).astype(np.int32).ravel()
+    run_start = np.repeat(3 * first_block[:-1], 3)
+    indices = columns[np.arange(indptr[-1]) - np.repeat(indptr[:-1] - run_start, row_length)]
     pair_offset = offset.astype(np.int32)[block_of].reshape(len(el), 4, 4)
     return indices, indptr.astype(np.int32), pair_offset
 

@@ -101,9 +101,10 @@ def partition_free_fixed(n: int, fixed: np.ndarray) -> np.ndarray:
     """Free (unconstrained) DOF indices of an ``n``-DOF system.
 
     ``fixed`` is the array of prescribed DOF indices (any order); the
-    free set comes back sorted. Shared by the one-shot elimination below
-    and by :class:`repro.fem.context.ReductionContext`, which caches the
-    partition across scans.
+    free set comes back sorted. :func:`eliminate_fixed` splits the matrix
+    by it, for the one-shot elimination below and for
+    :class:`repro.fem.context.ReductionContext`, which caches the split
+    across scans.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     if len(fixed) and (fixed.min() < 0 or fixed.max() >= n):
@@ -111,6 +112,21 @@ def partition_free_fixed(n: int, fixed: np.ndarray) -> np.ndarray:
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[fixed] = True
     return np.flatnonzero(~is_fixed)
+
+
+def eliminate_fixed(
+    matrix: sparse.spmatrix, fixed: np.ndarray
+) -> tuple[np.ndarray, sparse.csr_matrix, sparse.csc_matrix]:
+    """Split ``K`` by a prescribed DOF set: ``(free, K[free, free], K[free, fixed])``.
+
+    ``free`` is sorted (:func:`partition_free_fixed`); the free-DOF block
+    is CSR and the coupling block CSC, its columns in ``fixed``'s order.
+    The free rows are selected from the CSR once, and that row block is
+    column-indexed into both blocks, with no CSC copy of ``K``.
+    """
+    free = partition_free_fixed(matrix.shape[0], fixed)
+    rows = matrix.tocsr()[free]
+    return free, rows[:, free], rows[:, fixed].tocsc()
 
 
 def apply_dirichlet(
@@ -128,11 +144,8 @@ def apply_dirichlet(
         raise ShapeError(f"rhs must be ({n},), got {rhs.shape}")
     fixed = bc.dof_indices()
     values = bc.dof_values()
-    free = partition_free_fixed(n, fixed)
-    csc = matrix.tocsc()
-    coupling = csc[:, fixed][free, :]
+    free, reduced, coupling = eliminate_fixed(matrix, fixed)
     reduced_rhs = rhs[free] - coupling @ values
-    reduced = csc[:, free][free, :].tocsr()
     return ReducedSystem(
         matrix=reduced,
         rhs=np.asarray(reduced_rhs).ravel(),

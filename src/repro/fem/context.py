@@ -49,7 +49,7 @@ from repro.fem.assembly import (
     node_pair_pattern,
     stiffness_of_block,
 )
-from repro.fem.bc import ReducedSystem, partition_free_fixed
+from repro.fem.bc import ReducedSystem, eliminate_fixed
 from repro.fem.element import shape_function_gradients, strain_displacement_matrices
 from repro.fem.material import MaterialMap
 from repro.mesh.tetra import TetrahedralMesh
@@ -199,10 +199,9 @@ class ReductionContext:
             "reduction setup", kind="fem", n_dof=int(n), n_fixed=len(fixed_dofs)
         ):
             self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.intp)
-            self.free_dofs = partition_free_fixed(n, self.fixed_dofs)
-            csc = matrix.tocsc()
-            self.coupling = csc[:, self.fixed_dofs][self.free_dofs, :]
-            self.matrix = csc[:, self.free_dofs][self.free_dofs, :].tocsr()
+            self.free_dofs, self.matrix, self.coupling = eliminate_fixed(
+                matrix, self.fixed_dofs
+            )
 
     @property
     def n_free(self) -> int:

@@ -7,11 +7,12 @@ gradient is constant over the element, so strain is element-wise
 constant and the stiffness integral reduces to ``V * B^T D B``.
 
 All routines operate on batches of elements at once, in plain numpy:
-the gradients are one batched inverse of the elements' ``[1 x y z]``
-node matrices, the stiffness two batched BLAS ``matmul`` calls, strain
-and stress one ``einsum`` each. None of them is a compute-backend kernel:
-together they are under 2 % of a paper-size run (DESIGN.md, "Removed:
-the element, accumulation and gather kernels of the backend seam").
+the gradients are closed-form cross products of each element's edge
+vectors over its Jacobian determinant, the stiffness two batched BLAS
+``matmul`` calls, strain and stress one ``einsum`` each. None of them is
+a compute-backend kernel: together they are under 2 % of a paper-size
+run (DESIGN.md, "Removed: the element, accumulation and gather kernels
+of the backend seam").
 """
 
 from __future__ import annotations
@@ -44,15 +45,23 @@ def shape_function_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray
     coords = _f64(coords)
     if coords.ndim != 3 or coords.shape[1:] != (4, 3):
         raise ShapeError(f"coords must be (m, 4, 3), got {coords.shape}")
-    m = coords.shape[0]
-    # Rows of [1 x y z] per node; the inverse columns are the
-    # polynomial coefficients (a, b, c, d)/6V of each shape function.
-    mats = np.concatenate([np.ones((m, 4, 1)), coords], axis=2)  # (m, 4, 4)
-    det = np.linalg.det(mats)
+    # With edges e_k = x_k - x_0 the Jacobian determinant is the triple
+    # product e1 . (e2 x e3) = 6V, and the gradients of N_1..N_3 are the
+    # rows of the inverse Jacobian's transpose: the cross products of the
+    # other two edges over det. The N_i sum to one, so grad N_0 = -sum.
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    e3 = coords[:, 3] - coords[:, 0]
+    c23 = np.cross(e2, e3)
+    det = np.einsum("ij,ij->i", e1, c23)
     if np.any(np.abs(det) < 1e-30):
         raise ValidationError("degenerate tetrahedron (zero volume) in batch")
-    inv = np.linalg.inv(mats)  # (m, 4, 4): inv[:, :, i] are coeffs of N_i
-    gradients = np.transpose(inv[:, 1:4, :], (0, 2, 1))  # (m, 4, 3)
+    gradients = np.empty_like(coords)
+    gradients[:, 1] = c23
+    gradients[:, 2] = np.cross(e3, e1)
+    gradients[:, 3] = np.cross(e1, e2)
+    gradients[:, 1:] /= det[:, None, None]
+    gradients[:, 0] = -gradients[:, 1:].sum(axis=1)
     volumes = det / 6.0
     return gradients, volumes
 

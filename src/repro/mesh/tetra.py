@@ -20,6 +20,11 @@ from repro.util import MeshError, ShapeError
 #: oriented so the face normal points out of the element.
 TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], dtype=np.intp)
 
+#: Most nodes :meth:`TetrahedralMesh.boundary_faces` can key: a face code
+#: ``(lo n + mid) n + hi`` reaches ``n**3 - 1``, which fits int64 up to
+#: ``n = 2**21`` (6.3 M DOFs, far past any mesh the pipeline solves).
+MAX_FACE_KEY_NODES = 1 << 21
+
 
 @dataclass
 class TetrahedralMesh:
@@ -120,22 +125,6 @@ class TetrahedralMesh:
             self._node_element_counts = counts
         return self._node_element_counts
 
-    def node_adjacency(self) -> "list[np.ndarray]":
-        """Adjacent node lists (mesh edges), as an array per node."""
-        edges = set()
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        for i, j in pairs:
-            a = self.elements[:, i]
-            b = self.elements[:, j]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            edges.update(zip(lo.tolist(), hi.tolist()))
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [np.array(sorted(x), dtype=np.intp) for x in adj]
-
     def edge_array(self) -> np.ndarray:
         """Unique undirected edges as an ``(e, 2)`` array."""
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -167,7 +156,16 @@ class TetrahedralMesh:
             ``(f, 3)`` node-index triples oriented outward.
         owners:
             ``(f,)`` owning element index per face.
+
+        Raises :class:`repro.util.MeshError` past
+        :data:`MAX_FACE_KEY_NODES` nodes.
         """
+        n = self.n_nodes
+        if n > MAX_FACE_KEY_NODES:
+            raise MeshError(
+                f"boundary_faces keys faces by one int64 code: {n} nodes exceed "
+                f"the {MAX_FACE_KEY_NODES} it can encode"
+            )
         if materials is None:
             keep = np.arange(self.n_elements)
         else:
@@ -176,14 +174,20 @@ class TetrahedralMesh:
         faces = elems[:, TET_FACES]  # (m, 4, 3)
         flat = faces.reshape(-1, 3)
         owners = np.repeat(keep, 4)
-        key = np.sort(flat, axis=1)
-        order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-        key_sorted = key[order]
-        # A face is boundary iff its sorted key appears exactly once.
-        same_next = np.zeros(len(key_sorted), dtype=bool)
-        if len(key_sorted) > 1:
-            same_next[:-1] = np.all(key_sorted[:-1] == key_sorted[1:], axis=1)
-        same_prev = np.zeros(len(key_sorted), dtype=bool)
+        # One code (lo n + mid) n + hi per face, of its nodes in ascending
+        # order, orders faces as a lexicographic sort of the sorted triples
+        # would; the stable sort keeps the order of equal codes, as lexsort
+        # does.
+        a, b, c = flat.T.astype(np.int64)
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        code = (lo * n + (a + b + c - lo - hi)) * n + hi
+        order = np.argsort(code, kind="stable")
+        code_sorted = code[order]
+        # A face is boundary iff its code appears exactly once.
+        same_next = np.zeros(len(code_sorted), dtype=bool)
+        same_next[:-1] = code_sorted[:-1] == code_sorted[1:]
+        same_prev = np.zeros(len(code_sorted), dtype=bool)
         same_prev[1:] = same_next[:-1]
         unique = ~(same_next | same_prev)
         picked = order[unique]

@@ -69,10 +69,12 @@ class RowBlockMatrix:
         if expected != n:
             raise ValidationError(f"ranges cover [0, {expected}) but matrix has {n} rows")
         csr = matrix.tocsr()
-        stops = ranges[:, 1]
         local = []
         halo: dict[tuple[int, int], float] = {}
         nnz = np.zeros(len(ranges), dtype=np.int64)
+        # Columns a block reads, marked on one reused mask: the marked
+        # columns outside the block's own rows are its halo, in order.
+        referenced = np.zeros(n, dtype=bool)
         for rank, (a, b) in enumerate(ranges):
             # Rows a..b of a CSR are one contiguous run of data/indices:
             # the block holds views of the source (only its rebased
@@ -85,12 +87,16 @@ class RowBlockMatrix:
             block.indptr = csr.indptr[a : b + 1] - lo
             local.append(block)
             nnz[rank] = block.nnz
-            cols = np.unique(block.indices)
-            external = cols[(cols < a) | (cols >= b)]
+            referenced[block.indices] = True
+            referenced[a:b] = False
+            external = np.flatnonzero(referenced)
+            referenced[external] = False
             if len(external):
-                owners = np.searchsorted(stops, external, side="right")
-                for src, count in zip(*np.unique(owners, return_counts=True)):
-                    halo[(int(src), rank)] = float(count * 8)
+                # Halo entries per source rank: ``external`` is sorted, so
+                # each rank's run of it lies between two search positions.
+                counts = np.diff(np.searchsorted(external, ranges[:, 0]), append=len(external))
+                for src in np.flatnonzero(counts):
+                    halo[(int(src), rank)] = float(counts[src] * 8)
         return cls(local=local, ranges=ranges, n=n, halo_pairs=halo, local_nnz=nnz)
 
     @property

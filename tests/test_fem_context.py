@@ -88,6 +88,66 @@ class TestReductionContext:
             ctx.reduce(np.zeros(3))
 
 
+def _frozen_elimination(matrix, fixed):
+    """The CSC-slicing body ``ReductionContext`` had before the one-pass
+    row selection, kept as its oracle: ``(free, K_ff, coupling)``."""
+    is_fixed = np.zeros(matrix.shape[0], dtype=bool)
+    is_fixed[fixed] = True
+    free = np.flatnonzero(~is_fixed)
+    csc = matrix.tocsc()
+    coupling = csc[:, fixed][free, :]
+    return free, csc[:, free][free, :].tocsr(), coupling
+
+
+def _assert_same_bits(a, b):
+    assert a.format == b.format and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+class TestReductionOneRowPass:
+    """The reduction's blocks and per-scan rhs are the oracle's, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stiffness(self, brain_mesh):
+        return AssemblyContext(brain_mesh, BRAIN_HETEROGENEOUS).matrix()
+
+    @pytest.mark.parametrize("order", ["node-major", "shuffled"])
+    def test_blocks_and_rhs(self, stiffness, surface_bc, order):
+        fixed = surface_bc.dof_indices()
+        values = surface_bc.dof_values()
+        if order == "shuffled":
+            perm = np.random.default_rng(4).permutation(len(fixed))
+            fixed, values = fixed[perm], values[perm]
+        ctx = ReductionContext(stiffness, fixed)
+        free0, matrix0, coupling0 = _frozen_elimination(stiffness, fixed)
+        assert np.array_equal(ctx.free_dofs, free0)
+        _assert_same_bits(ctx.matrix, matrix0)
+        _assert_same_bits(ctx.coupling, coupling0)
+        load = np.linspace(-1.0, 1.0, stiffness.shape[0])
+        assert np.array_equal(ctx.reduce(values).rhs, -(coupling0 @ values))
+        assert np.array_equal(
+            ctx.reduce(values, load).rhs, load[free0] - coupling0 @ values
+        )
+
+    def test_apply_dirichlet_shares_it(self, stiffness, surface_bc):
+        load = np.linspace(-1.0, 1.0, stiffness.shape[0])
+        reduced = apply_dirichlet(stiffness, load, surface_bc)
+        free0, matrix0, coupling0 = _frozen_elimination(stiffness, surface_bc.dof_indices())
+        _assert_same_bits(reduced.matrix, matrix0)
+        assert np.array_equal(
+            reduced.rhs, load[free0] - coupling0 @ surface_bc.dof_values()
+        )
+
+    def test_no_fixed_dofs(self, stiffness):
+        ctx = ReductionContext(stiffness, np.array([], dtype=np.intp))
+        _, matrix0, coupling0 = _frozen_elimination(stiffness, np.array([], dtype=np.intp))
+        _assert_same_bits(ctx.matrix, matrix0)
+        assert ctx.coupling.shape == coupling0.shape == (stiffness.shape[0], 0)
+        assert np.array_equal(ctx.reduce(np.zeros(0)).rhs, np.zeros(stiffness.shape[0]))
+
+
 class TestParallelContext:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
     def test_warm_equals_cold_and_serial(self, brain_mesh, surface_bc, n_ranks):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fem import assembly
 from repro.fem.element import (
     element_strains,
     element_stress,
@@ -21,7 +22,7 @@ from repro.fem.material import (
     MaterialMap,
 )
 from repro.imaging.phantom import Tissue
-from repro.util import ValidationError
+from repro.util import ShapeError, ValidationError
 
 
 class TestMaterial:
@@ -117,6 +118,79 @@ class TestShapeFunctions:
         nodal = coords[0] @ a  # linear field at nodes
         grad = (g[0] * nodal[:, None]).sum(axis=0)
         assert np.allclose(grad, a, atol=1e-8 * (1 + np.abs(a).max()))
+
+
+def _frozen_inverse_gradients(coords):
+    """The batched-inverse body ``shape_function_gradients`` had before the
+    closed form, kept as its oracle: the ``[1 x y z]`` node matrix's
+    inverse columns are the shape functions' coefficients."""
+    coords = np.asarray(coords, dtype=float)
+    mats = np.concatenate([np.ones((coords.shape[0], 4, 1)), coords], axis=2)
+    det = np.linalg.det(mats)
+    inv = np.linalg.inv(mats)
+    return np.transpose(inv[:, 1:4, :], (0, 2, 1)), det / 6.0
+
+
+def _relative_gradient_error(coords):
+    g, v = shape_function_gradients(coords)
+    g0, v0 = _frozen_inverse_gradients(coords)
+    scale = np.abs(g0).max(axis=(1, 2))
+    return (
+        (np.abs(g - g0).max(axis=(1, 2)) / scale).max(),
+        (np.abs(v - v0) / np.abs(v0)).max(),
+    )
+
+
+class TestClosedFormGradients:
+    """The closed-form gradients against the batched-inverse oracle."""
+
+    def test_well_shaped(self):
+        rng = np.random.default_rng(3)
+        coords = reference_tet(4.0) + rng.uniform(-0.8, 0.8, (500, 4, 3))
+        coords += rng.uniform(-100, 100, (500, 1, 3))  # away from the origin
+        grad_err, vol_err = _relative_gradient_error(coords)
+        assert grad_err <= 1e-14 and vol_err <= 1e-14
+
+    @pytest.mark.parametrize("height", [1e-3, 1e-6])
+    def test_slivers(self, height):
+        # Four nearly coplanar nodes: two opposite edges of a unit square
+        # lifted apart by ``height``.
+        rng = np.random.default_rng(5)
+        base = np.array([[0.0, 0, 0], [1, 1, 0], [1, 0, height], [0, 1, height]])
+        coords = base * rng.uniform(0.5, 2.0, (200, 1, 1)) + rng.uniform(-5, 5, (200, 1, 3))
+        grad_err, vol_err = _relative_gradient_error(coords)
+        assert grad_err <= 1e-14 and vol_err <= 1e-14
+
+    def test_inverted(self):
+        rng = np.random.default_rng(7)
+        coords = reference_tet(2.0) + rng.uniform(-0.5, 0.5, (200, 4, 3))
+        inverted = coords[:, [0, 2, 1, 3]]
+        g, v = shape_function_gradients(inverted)
+        assert np.all(v < 0)
+        grad_err, vol_err = _relative_gradient_error(inverted)
+        assert grad_err <= 1e-14 and vol_err <= 1e-14
+        # Swapping two nodes swaps their gradients and flips the volume only.
+        g_pos, v_pos = shape_function_gradients(coords)
+        assert np.allclose(g, g_pos[:, [0, 2, 1, 3]], rtol=1e-14, atol=0)
+        assert np.allclose(v, -v_pos, rtol=1e-14, atol=0)
+
+    def test_zero_volume_raises(self):
+        coplanar = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]])
+        well = reference_tet()
+        with pytest.raises(ValidationError):
+            shape_function_gradients(np.concatenate([well, coplanar]))
+
+    def test_shape_checked(self):
+        with pytest.raises(ShapeError):
+            shape_function_gradients(np.zeros((2, 3, 3)))
+
+    def test_global_stiffness_matches_the_oracle(self, brain_mesh, monkeypatch):
+        K = assembly.assemble_stiffness(brain_mesh, BRAIN_HETEROGENEOUS).tocsr()
+        monkeypatch.setattr(assembly, "shape_function_gradients", _frozen_inverse_gradients)
+        K0 = assembly.assemble_stiffness(brain_mesh, BRAIN_HETEROGENEOUS).tocsr()
+        assert np.array_equal(K.indices, K0.indices)
+        assert np.array_equal(K.indptr, K0.indptr)
+        assert np.abs(K.data - K0.data).max() <= 1e-14 * np.abs(K0.data).max()
 
 
 class TestStrainDisplacement:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mesh.tetra import TetrahedralMesh
+from repro.mesh import tetra
+from repro.mesh.tetra import MAX_FACE_KEY_NODES, TET_FACES, TetrahedralMesh
 from repro.util import MeshError, ShapeError
 
 
@@ -86,10 +87,75 @@ class TestConnectivity:
         assert len(faces) == 4  # all faces of the selected tet
 
     def test_node_adjacency_symmetric(self):
-        adj = two_tets().node_adjacency()
-        for a, neighbours in enumerate(adj):
-            for b in neighbours:
-                assert a in adj[b]
+        # Each undirected edge once, as (lo, hi): both directions of the
+        # adjacency are the pairs of nodes that share an element, no other.
+        mesh = two_tets()
+        adjacent = np.zeros((mesh.n_nodes, mesh.n_nodes), dtype=bool)
+        a, b = mesh.edge_array().T
+        adjacent[a, b] = True
+        assert not np.any(adjacent & adjacent.T)
+        adjacent |= adjacent.T
+        shared = np.zeros_like(adjacent)
+        for element in mesh.elements:
+            shared[np.ix_(element, element)] = True
+        np.fill_diagonal(shared, False)
+        assert np.array_equal(adjacent, shared)
+
+
+def _frozen_boundary_faces(mesh, materials=None):
+    """The three-column ``lexsort`` body ``boundary_faces`` had before the
+    one-key sort, kept as its oracle."""
+    if materials is None:
+        keep = np.arange(mesh.n_elements)
+    else:
+        keep = np.flatnonzero(np.isin(mesh.materials, materials))
+    flat = mesh.elements[keep][:, TET_FACES].reshape(-1, 3)
+    owners = np.repeat(keep, 4)
+    key = np.sort(flat, axis=1)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key_sorted = key[order]
+    same_next = np.zeros(len(key_sorted), dtype=bool)
+    if len(key_sorted) > 1:
+        same_next[:-1] = np.all(key_sorted[:-1] == key_sorted[1:], axis=1)
+    same_prev = np.zeros(len(key_sorted), dtype=bool)
+    same_prev[1:] = same_next[:-1]
+    picked = order[~(same_next | same_prev)]
+    return flat[picked], owners[picked]
+
+
+class TestBoundaryFacesOneKeySort:
+    """``boundary_faces`` gives the oracle's faces in the oracle's order."""
+
+    @pytest.mark.parametrize("materials", [None, "first", "all but first"])
+    def test_bit_identical_on_a_brain_mesh(self, brain_mesh, materials):
+        labels = tuple(int(m) for m in np.unique(brain_mesh.materials))
+        assert len(labels) > 1
+        chosen = {None: None, "first": labels[:1], "all but first": labels[1:]}[materials]
+        faces, owners = brain_mesh.boundary_faces(chosen)
+        faces0, owners0 = _frozen_boundary_faces(brain_mesh, chosen)
+        assert len(faces) > 0
+        assert faces.dtype == faces0.dtype and owners.dtype == owners0.dtype
+        assert np.array_equal(faces, faces0)
+        assert np.array_equal(owners, owners0)
+
+    @pytest.mark.parametrize("materials", [None, (4,), (6,)])
+    def test_bit_identical_on_small_meshes(self, materials):
+        for mesh in (unit_tet(), two_tets()):
+            faces, owners = mesh.boundary_faces(materials)
+            faces0, owners0 = _frozen_boundary_faces(mesh, materials)
+            assert np.array_equal(faces, faces0) and np.array_equal(owners, owners0)
+
+    def test_the_code_fits_int64_up_to_the_bound(self):
+        # The largest code of n nodes is n**3 - 1 (Python ints: exact).
+        n = MAX_FACE_KEY_NODES
+        assert ((n - 1) * n + (n - 1)) * n + (n - 1) == n**3 - 1 <= np.iinfo(np.int64).max
+        assert (n + 1) ** 3 - 1 > np.iinfo(np.int64).max
+
+    def test_past_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(tetra, "MAX_FACE_KEY_NODES", 4)
+        unit_tet().boundary_faces()  # 4 nodes: at the bound
+        with pytest.raises(MeshError):
+            two_tets().boundary_faces()
 
 
 class TestEditing:

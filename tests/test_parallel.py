@@ -121,6 +121,55 @@ class TestDecomposition:
             Decomposition.from_partition(brain_mesh, np.zeros(3, dtype=int))
 
 
+def _frozen_halo_pairs(matrix, ranges):
+    """The ``np.unique`` halo loop ``RowBlockMatrix.from_csr`` had before
+    the column mask, kept as its oracle."""
+    csr = matrix.tocsr()
+    stops = ranges[:, 1]
+    halo = {}
+    for rank, (a, b) in enumerate(ranges):
+        cols = np.unique(csr.indices[csr.indptr[a] : csr.indptr[b]])
+        external = cols[(cols < a) | (cols >= b)]
+        if len(external):
+            owners = np.searchsorted(stops, external, side="right")
+            for src, count in zip(*np.unique(owners, return_counts=True)):
+                halo[(int(src), rank)] = float(count * 8)
+    return halo
+
+
+class TestHaloPairsMask:
+    """``from_csr().halo_pairs`` equals the oracle's, key order included."""
+
+    @staticmethod
+    def _assert_identical(matrix, ranges):
+        halo = RowBlockMatrix.from_csr(matrix, ranges).halo_pairs
+        halo0 = _frozen_halo_pairs(matrix, ranges)
+        assert list(halo.items()) == list(halo0.items())
+        assert all(type(v) is float for v in halo.values())
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            [[0, 60]],
+            [[0, 20], [20, 45], [45, 60]],
+            [[0, 0], [0, 31], [31, 31], [31, 60]],  # empty ranks too
+            [[0, 7], [7, 14], [14, 30], [30, 41], [41, 59], [59, 60]],
+        ],
+    )
+    def test_random_matrix(self, ranges):
+        rng = np.random.RandomState(2)
+        A = sparse.random(60, 60, density=0.08, random_state=rng) + sparse.eye(60)
+        self._assert_identical(A.tocsr(), np.array(ranges))
+
+    @pytest.mark.parametrize("n_ranks", [2, 4, 16])
+    def test_reduced_stiffness(self, mesh_and_bc, n_ranks):
+        mesh, bc = mesh_and_bc
+        dec = Decomposition.from_partition(mesh, partition_coordinate_bisection(mesh, n_ranks))
+        bc_new = DirichletBC(dec.old_to_new[bc.node_ids], bc.displacements)
+        system = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc_new)
+        self._assert_identical(system.matrix.to_csr(), system.dof_ranges)
+
+
 class TestRowBlockMatrix:
     @pytest.fixture()
     def matrix(self):

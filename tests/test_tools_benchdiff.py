@@ -170,6 +170,22 @@ class TestHotpathGate:
         (tmp_path / NAME).write_text(json.dumps(fresh))
         assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_patient_model_build_seconds_are_gated(self, tmp_path):
+        """The model build growing 30 % dearer fails; the record splits it
+        into the traced FEM stages beside the median of its builds."""
+        assert dict(HOT_PATHS[NAME])["patient_model_build.seconds"] == "lower"
+        base = json.loads(BASELINE.read_text())
+        block = base["patient_model_build"]
+        assert block["builds"] >= 3 and "nproc" in block
+        assert set(block["stages"]) == {
+            "mesh", "symbolic", "numeric", "reduction", "preconditioner", "coarse",
+        }
+        assert 0 < sum(block["stages"].values()) < block["seconds"]
+        fresh = copy.deepcopy(base)
+        fresh["patient_model_build"]["seconds"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_a_block_on_another_core_count_is_not_compared(self, tmp_path, capsys):
         """``nproc`` differs: a warning naming both, neither regression nor
         pass. ``nproc`` equal: the same +60 % fails."""
