@@ -659,9 +659,9 @@ class IntraoperativePipeline:
         Runs through the escalation ladder, which costs nothing beyond
         its first rung (the nominal ``simulate_parallel`` call) on a
         healthy system; a disabled policy stops after that rung and its
-        error propagates. Emergency rungs run on isolated contexts, so
-        the shared per-patient cache survives them and the next scan
-        still gets its data-only fast path.
+        error propagates. The one-rank retry after a rank failure runs
+        on an isolated context, so the shared per-patient cache survives
+        it and the next scan still gets its data-only fast path.
         """
         cfg = self.config
         deadline = None if self.budget is None else max(self.budget.headroom(), 1.0)

@@ -148,22 +148,15 @@ def build_distributed_system(
         )
         # The numerical assembly itself (vectorized; result identical to
         # stacking the per-rank row strips).
-        if context is not None:
-            context.assembly = AssemblyContext(mesh, materials)
-            stiffness = context.assembly.matrix()
-        else:
-            stiffness = assemble_stiffness(mesh, materials)
-        load = np.zeros(mesh.n_dof)
+        assembly = AssemblyContext(mesh, materials)
+        stiffness = assembly.matrix()
 
         # Broadcast of prescribed surface displacements to all ranks.
         telemetry.broadcast(float(bc.dof_values().nbytes + bc.dof_indices().nbytes))
 
         # Rank-local elimination of the prescribed DOFs.
-        if context is not None:
-            context.reduction = ReductionContext(stiffness, bc.dof_indices())
-            reduced = context.reduction.reduce(bc.dof_values(), load)
-        else:
-            reduced = apply_dirichlet(stiffness, load, bc)
+        reduction = ReductionContext(stiffness, bc.dof_indices())
+        reduced = reduction.reduce(bc.dof_values(), np.zeros(mesh.n_dof))
         dof_ranges_full = decomposition.dof_ranges()
         is_fixed = np.zeros(mesh.n_dof, dtype=bool)
         is_fixed[reduced.fixed_dofs] = True
@@ -186,6 +179,7 @@ def build_distributed_system(
 
         matrix = RowBlockMatrix.from_csr(reduced.matrix, free_ranges)
         if context is not None:
+            context.assembly, context.reduction = assembly, reduction
             context.slots["matrix"] = matrix
             context.slots["free_ranges"] = free_ranges
             context.slots["coupling_per_rank"] = coupling_per_rank

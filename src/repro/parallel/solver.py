@@ -39,7 +39,7 @@ from repro.solver.gmres import (
     gmres_loop,
 )
 from repro.solver.preconditioner import factor_blocks
-from repro.solver.schwarz import RestrictedAdditiveSchwarz
+from repro.util import ValidationError
 
 _NULL = NullTelemetry()
 
@@ -282,17 +282,33 @@ class DistributedCoarseCorrection:
         return z_vec
 
 
-class DistributedRAS:
-    """Distributed restricted additive Schwarz with overlap.
+def grow_subdomain(csr: sparse.csr_matrix, indices: np.ndarray, overlap: int) -> np.ndarray:
+    """Grow an index set by ``overlap`` matrix-graph adjacency layers.
 
-    Each rank's subdomain is its owned rows grown by ``overlap``
-    matrix-graph layers; applying the preconditioner requires importing
+    One layer adds every column referenced by the current rows.
+    """
+    grown = np.asarray(indices, dtype=np.intp)
+    for _ in range(overlap):
+        rows = csr[grown, :]
+        grown = np.unique(np.concatenate([grown, rows.indices.astype(np.intp)]))
+    return grown
+
+
+class DistributedRAS:
+    """Distributed restricted additive Schwarz (RAS) with overlap.
+
+    Block Jacobi is the zero-overlap member of the Schwarz family: each
+    rank solves its own diagonal block and discards all coupling. Here
+    each rank's subdomain is its owned rows grown by ``overlap``
+    matrix-graph layers (:func:`grow_subdomain`); an application imports
     the residual values of the overlap region from neighbouring ranks
-    (charged to the telemetry as a halo exchange), then a local
-    factorized solve restricted back to owned rows. The subdomains,
-    their incomplete factors and the application itself are the serial
-    :class:`repro.solver.RestrictedAdditiveSchwarz`; this class adds what
-    is distributed about it — the halo bytes and the flop charges.
+    (charged to the telemetry as a halo exchange), solves on the grown
+    subdomain with its factor (``"ilu"`` by default, ``"lu"`` for exact
+    subdomain solves, as :class:`DistributedBlockJacobi`) and keeps the
+    owned rows. ``overlap=0`` is block Jacobi. The recovered coupling
+    costs extra factorization and a halo exchange per application; the
+    paper's PETSc offered it as ``-pc_asm``, and Ablation C measures the
+    trade.
     """
 
     def __init__(
@@ -300,13 +316,36 @@ class DistributedRAS:
         matrix: RowBlockMatrix,
         telemetry=_NULL,
         overlap: int = 1,
+        factorization: str = "ilu",
     ):
-        self._ras = RestrictedAdditiveSchwarz(
-            matrix.to_csr(), matrix.ranges, overlap=overlap, factorization="ilu"
-        )
+        if overlap < 0:
+            raise ValidationError(f"overlap must be >= 0, got {overlap}")
+        self._ranges = matrix.ranges
+        csr = matrix.to_csr()
+        with get_tracer().span(
+            "preconditioner setup",
+            kind="solver",
+            preconditioner="ras",
+            overlap=overlap,
+            factorization=factorization,
+            n_ranks=int(matrix.n_ranks),
+        ):
+            #: Sorted row indices of every grown subdomain (owned rows + overlap).
+            self.subdomains = [
+                grow_subdomain(csr, np.arange(a, b, dtype=np.intp), overlap)
+                for a, b in matrix.ranges
+            ]
+            # Positions within each subdomain vector that are owned rows.
+            self._own_positions = [
+                np.searchsorted(grown, np.arange(a, b, dtype=np.intp))
+                for (a, b), grown in zip(matrix.ranges, self.subdomains)
+            ]
+            self._factors = factor_blocks(
+                [csr[grown, :][:, grown].tocsc() for grown in self.subdomains], factorization
+            )
         stops = matrix.ranges[:, 1]
         halo: dict[tuple[int, int], float] = {}
-        for rank, ((a, b), grown) in enumerate(zip(matrix.ranges, self._ras.subdomains)):
+        for rank, ((a, b), grown) in enumerate(zip(matrix.ranges, self.subdomains)):
             external = grown[(grown < a) | (grown >= b)]
             if len(external):
                 owners = np.searchsorted(stops, external, side="right")
@@ -315,16 +354,25 @@ class DistributedRAS:
         self._halo = halo
         _charge_factors(self, telemetry, FACTOR_FLOPS_PER_NNZ)
         self.shape = matrix.shape
+        # Reused apply buffer (as in DistributedBlockJacobi): callers
+        # must not hold the returned vector across solve calls.
+        self._out = np.empty(matrix.n)
 
     @functools.cached_property
     def _factor_nnz(self) -> np.ndarray:
         """Per-rank ``L`` plus ``U`` nonzeros (first read extracts both; see above)."""
-        return np.array(self._ras.factor_nnz(), dtype=float)
+        return np.array([lu.L.nnz + lu.U.nnz for lu in self._factors], dtype=float)
 
     def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
         telemetry.halo_exchange(self._halo)
         _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ)
-        return self._ras.solve(r)
+        r = np.asarray(r, dtype=float)
+        out = self._out
+        for (a, b), subdomain, factor, own in zip(
+            self._ranges, self.subdomains, self._factors, self._own_positions
+        ):
+            out[a:b] = factor.solve(r[subdomain])[own]
+        return out
 
 
 class RankReduction:

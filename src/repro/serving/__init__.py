@@ -17,7 +17,7 @@ durable cases through their persistence journal; graceful drain
 checkpoints in-flight sessions and surfaces stragglers as terminal
 evictions. The network layer puts the gateway behind a real socket:
 :mod:`repro.serving.transport` (checksummed frame protocol,
-content-addressed preop upload with delta-streamed scans, health
+content-addressed preop upload, checksummed volume codecs, health
 probes, wire chaos, SIGTERM drain) and :mod:`repro.serving.netclient`
 (idempotent retrying client with circuit breaking). ``repro serve``,
 ``repro submit`` and ``repro bench-throughput`` drive it from the

@@ -45,13 +45,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.serving.protocol import (
-    STATUS_COMPLETED,
-    STATUS_DEGRADED,
     STATUS_DRAINED,
     STATUS_FAILED,
     CaseRequest,
     CaseResult,
     outcome_from_result,
+    served_status,
 )
 from repro.util import ValidationError
 from repro.util.memory import LRUStore
@@ -288,19 +287,11 @@ def _serve_case(
                 flight_dump = _spool_flight(
                     telemetry, spool, "scan", case_id=request.case_id, scan=index
                 )
-            # Healthy scans on the resilient path still carry the
-            # "full-fem" label; only deeper rungs count as degraded.
-            degraded = sorted(
-                {
-                    o.degradation
-                    for o in outcomes
-                    if o.degradation not in (None, "full-fem")
-                }
-            )
+            status, degraded = served_status(o.degradation for o in outcomes)
             return finish(
                 CaseResult(
                     case_id=request.case_id,
-                    status=STATUS_DEGRADED if degraded else STATUS_COMPLETED,
+                    status=status,
                     detail="ok" if not degraded else "degraded: " + ", ".join(degraded),
                     worker=worker_id,
                     scans=outcomes,
@@ -679,22 +670,6 @@ class SessionWorkerPool:
     def pending_respawns(self) -> int:
         """Dead slots still waiting out their respawn backoff."""
         return len(self._respawn_due)
-
-    def stale_workers(self, timeout_s: float) -> list[WorkerHandle]:
-        """Busy, alive workers silent for longer than ``timeout_s``.
-
-        Workers beat between scans and while idle; a busy worker that
-        stopped beating past any plausible scan time is wedged (e.g. an
-        injected ``hang-worker`` fault), not slow.
-        """
-        now = time.monotonic()
-        return [
-            w
-            for w in self.workers
-            if not w.idle
-            and w.alive
-            and now - self.heartbeats.get(w.worker_id, now) > timeout_s
-        ]
 
     def terminate_worker(self, worker_id: int) -> CaseRequest | None:
         """Forcibly kill one worker (deadline enforcement); respawn its slot.

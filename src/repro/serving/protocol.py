@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.imaging.volume import ImageVolume
+from repro.resilience.policy import DegradationLevel
 from repro.util import ValidationError
 from repro.util.atomicio import checksum_array, checksum_bytes
 
@@ -48,6 +49,19 @@ CASE_STATUSES = (
 #: every scan (the clinical success criterion: full-FEM or a declared
 #: fallback, never silence).
 SERVED_STATUSES = (STATUS_COMPLETED, STATUS_DEGRADED)
+
+
+def served_status(labels) -> tuple[str, list[str]]:
+    """A served case's status, and the scan labels that degrade it.
+
+    ``labels`` are the scans' degradation labels (``None`` for a scan
+    that carries none). ``"full-fem"`` is a full-quality result, also
+    after solver escalation; only a label past it degrades the case. The
+    worker and the journal replay of a durable case both decide by this.
+    """
+    full = DegradationLevel.FULL_FEM.label
+    degraded = sorted({label for label in labels if label not in (None, full)})
+    return (STATUS_DEGRADED if degraded else STATUS_COMPLETED), degraded
 
 
 @dataclass

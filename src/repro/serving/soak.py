@@ -664,7 +664,7 @@ def run_net_soak(
 
     The gateway runs behind a :class:`NetworkFrontEnd` on a loopback
     listener; a retrying :class:`NetClient` uploads each patient's
-    preop model once, submits every case with delta-compressed scans,
+    preop model once, submits every case with its scans,
     and rides out the injected wire chaos (resets, truncations, delayed
     ACKs, duplicate deliveries, a partition) with reconnect + resubmit.
     On top of :func:`run_soak`'s durability contract the report's

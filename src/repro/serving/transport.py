@@ -23,15 +23,12 @@ open internet).
 
 Volumes do not re-pickle per hop. The preoperative acquisition uploads
 once per patient, content-addressed by the existing ``preop_key``
-(``T_PREOP_CHECK`` / ``T_PREOP_PUT``); intraoperative scans then stream
-as **deltas**: the scan's raw bytes XORed against the stored preop MRI
-bytes and zlib-compressed (:func:`encode_volume`). XOR-of-bytes is
-bit-exact for any dtype — unlike float subtraction — and intraoperative
-scans differ from the preop only where tissue moved, so the delta
-compresses far better than the volume — when it compresses at all: a
-stream whose head does not shrink (noise-bearing float intensities)
-travels as its ``raw`` bytes. Every encoded volume carries its BLAKE2b
-checksum, verified after decode.
+(``T_PREOP_CHECK`` / ``T_PREOP_PUT``); a submission then carries only
+its intraoperative scans (:func:`encode_volume`). A volume is
+zlib-compressed when its head shrinks (label maps) and travels as its
+``raw`` bytes when it does not (noise-bearing float intensities: every
+scan). Every encoded volume carries its BLAKE2b checksum, verified
+after decode.
 
 **The server** — :class:`NetworkFrontEnd` owns an asyncio listener and
 pumps the (single-threaded, blocking) gateway from one executor thread:
@@ -82,12 +79,11 @@ from repro.persist.store import completed_records
 from repro.resilience.faults import WIRE_FAULTS, ServingFaultPlan
 from repro.serving.gateway import ShardGateway
 from repro.serving.protocol import (
-    STATUS_COMPLETED,
-    STATUS_DEGRADED,
     STATUS_REJECTED,
     CaseRequest,
     CaseResult,
     ScanOutcome,
+    served_status,
 )
 from repro.util import ValidationError
 from repro.util.atomicio import checksum_array
@@ -250,15 +246,11 @@ async def read_frame(reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BY
 # -- volume / request codecs --------------------------------------------------
 
 
-def encode_volume(volume: ImageVolume, reference: ImageVolume | None = None) -> dict:
-    """Encode a volume for the wire, delta-compressed when that pays.
+def encode_volume(volume: ImageVolume) -> dict:
+    """Encode a volume for the wire, ``zlib``-compressed when that pays.
 
-    With a ``reference`` of identical dtype and shape (the stored preop
-    MRI), the raw bytes are XORed against the reference's and the XOR
-    stream zlib-compressed (``xor-zlib``) — bit-exact for any dtype and
-    small wherever the scan matches the preop. Otherwise plain ``zlib``.
-    Either way only when the stream compresses: float intensities that
-    carry noise shrink ~5 % for milliseconds of zlib, so when the first
+    Only when the stream compresses: float intensities that carry noise
+    shrink ~5 % for milliseconds of zlib, so when the first
     :data:`CODEC_PROBE_BYTES` do not, the volume's own bytes go as ``raw``.
     The entry carries the array's BLAKE2b checksum, verified on decode.
     """
@@ -271,42 +263,20 @@ def encode_volume(volume: ImageVolume, reference: ImageVolume | None = None) -> 
         "origin": tuple(float(o) for o in volume.origin),
         "sha": checksum_array(data),
     }
-    codec, stream = "zlib", raw
-    if reference is not None:
-        ref = np.ascontiguousarray(reference.data)
-        if ref.dtype == data.dtype and ref.shape == data.shape:
-            codec = "xor-zlib"
-            stream = np.bitwise_xor(
-                np.frombuffer(raw, dtype=np.uint8),
-                np.frombuffer(ref.tobytes(), dtype=np.uint8),
-            ).tobytes()
-    probe = stream[:CODEC_PROBE_BYTES]
+    probe = raw[:CODEC_PROBE_BYTES]
     if len(zlib.compress(probe, 6)) > CODEC_PROBE_RATIO * len(probe):
-        codec, stream = "raw", raw
+        entry["codec"], entry["blob"] = "raw", raw
     else:
-        stream = zlib.compress(stream, 6)
-    entry["codec"] = codec
-    entry["blob"] = stream
+        entry["codec"], entry["blob"] = "zlib", zlib.compress(raw, 6)
     return entry
 
 
-def decode_volume(entry: dict, reference: ImageVolume | None = None) -> ImageVolume:
+def decode_volume(entry: dict) -> ImageVolume:
     """Invert :func:`encode_volume`; verifies the embedded checksum."""
     codec = entry.get("codec")
-    if codec not in ("raw", "zlib", "xor-zlib"):
+    if codec not in ("raw", "zlib"):
         raise FrameError(f"unknown volume codec {codec!r}")
     raw = entry["blob"] if codec == "raw" else zlib.decompress(entry["blob"])
-    if codec == "xor-zlib":
-        if reference is None:
-            raise FrameError("xor-zlib volume needs its reference to decode")
-        ref = np.frombuffer(
-            np.ascontiguousarray(reference.data).tobytes(), dtype=np.uint8
-        )
-        if len(raw) != ref.size:
-            raise FrameError(
-                f"xor-zlib delta is {len(raw)} bytes, reference is {ref.size}"
-            )
-        raw = np.bitwise_xor(np.frombuffer(raw, dtype=np.uint8), ref).tobytes()
     data = (
         np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
         .reshape(entry["shape"])
@@ -320,9 +290,8 @@ def decode_volume(entry: dict, reference: ImageVolume | None = None) -> ImageVol
 def encode_submit(request: CaseRequest, tag=None) -> dict:
     """The ``T_SUBMIT`` payload for a case: everything but the preops.
 
-    Scans are delta-encoded against the preop MRI; the preop volumes
-    themselves travel once per patient via ``T_PREOP_PUT`` and are
-    referenced here by ``preop_key`` only.
+    The preop volumes travel once per patient via ``T_PREOP_PUT`` and
+    are referenced here by ``preop_key`` only.
     """
     return {
         "tag": tag,
@@ -333,10 +302,7 @@ def encode_submit(request: CaseRequest, tag=None) -> dict:
         "checkpoint_dir": request.checkpoint_dir,
         "idempotency_key": request.idempotency_key or request.case_id,
         "client_enqueue_unix": request.client_enqueue_unix,
-        "scans": [
-            encode_volume(scan, reference=request.preop_mri)
-            for scan in request.scans
-        ],
+        "scans": [encode_volume(scan) for scan in request.scans],
     }
 
 
@@ -349,7 +315,7 @@ def decode_submit(
         case_id=payload["case_id"],
         preop_mri=mri,
         preop_labels=labels,
-        scans=[decode_volume(entry, reference=mri) for entry in payload["scans"]],
+        scans=[decode_volume(entry) for entry in payload["scans"]],
         config=payload.get("config"),
         deadline_s=payload.get("deadline_s"),
         checkpoint_dir=payload.get("checkpoint_dir"),
@@ -379,15 +345,7 @@ def result_from_journal(case_id: str, checkpoint_dir: str, records) -> CaseResul
         )
         for record in records
     ]
-    # Mirror the worker's status rule: the "full-fem" label is the
-    # escalated-but-full-quality result; only deeper rungs degrade.
-    status = (
-        STATUS_DEGRADED
-        if any(
-            record.degradation not in (None, "full-fem") for record in records
-        )
-        else STATUS_COMPLETED
-    )
+    status, _ = served_status(record.degradation for record in records)
     return CaseResult(
         case_id=case_id,
         status=status,

@@ -17,7 +17,6 @@ from repro.solver.preconditioner import (
     JacobiPreconditioner,
     factor_blocks,
 )
-from repro.solver.schwarz import RestrictedAdditiveSchwarz
 
 __all__ = [
     "AsOperator",
@@ -27,7 +26,6 @@ __all__ = [
     "JacobiPreconditioner",
     "LinearOperator",
     "MatrixOperator",
-    "RestrictedAdditiveSchwarz",
     "conjugate_gradient",
     "factor_blocks",
     "gmres",

@@ -56,8 +56,7 @@ def incomplete_factor(block: sparse.csc_matrix) -> spla.SuperLU:
 
     The one incomplete factorization behind every block preconditioner
     (:class:`repro.parallel.solver.DistributedBlockJacobi`,
-    :class:`repro.parallel.solver.DistributedRAS`,
-    :class:`repro.solver.schwarz.RestrictedAdditiveSchwarz`), in the
+    :class:`repro.parallel.solver.DistributedRAS`), in the
     block's own row order (:data:`ILU_COLUMN_ORDER`).
     """
     return spla.spilu(

@@ -26,7 +26,7 @@ from repro.mesh.partition import partition_block
 from repro.mesh.surface import extract_boundary_surface
 from repro.parallel.assembly import build_distributed_system
 from repro.parallel.decomposition import Decomposition
-from repro.parallel.solver import DistributedBlockJacobi
+from repro.parallel.solver import DistributedBlockJacobi, DistributedRAS
 from repro.solver import preconditioner
 from repro.solver.preconditioner import (
     ILU_COLUMN_ORDER,
@@ -34,7 +34,6 @@ from repro.solver.preconditioner import (
     factor_blocks,
     incomplete_factor,
 )
-from repro.solver.schwarz import RestrictedAdditiveSchwarz
 from repro.util import ValidationError
 from tests.conftest import BRAIN_LABELS, block_jacobi
 
@@ -158,7 +157,7 @@ class TestBitIdentity:
         matrix, _ = fem_systems[4]
         cores(4)
         csr = matrix.to_csr()
-        ras = RestrictedAdditiveSchwarz(csr, matrix.ranges, overlap=1, factorization=factorization)
+        ras = DistributedRAS(matrix, overlap=1, factorization=factorization)
         blocks = [csr[grown, :][:, grown].tocsc() for grown in ras.subdomains]
         r = np.random.default_rng(5).normal(size=matrix.n)
         expected = np.empty(matrix.n)
@@ -178,7 +177,7 @@ class TestBitIdentity:
             )
         DistributedBlockJacobi(matrix)
         block_jacobi(matrix.to_csr(), matrix.ranges)
-        RestrictedAdditiveSchwarz(matrix.to_csr(), matrix.ranges, factorization="ilu")
+        DistributedRAS(matrix, factorization="ilu")
         assert calls.count("ilu") == 8 and calls.count("lu") == 4
 
     @pytest.mark.parametrize("n_ranks", [4, 16])

@@ -22,7 +22,7 @@ from repro.machines import DEEP_FLOW
 from repro.machines.cost import NullTelemetry, VirtualCluster
 from repro.mesh.partition import partition_block
 from repro.mesh.surface import extract_boundary_surface
-from repro.parallel.assembly import build_distributed_system
+from repro.parallel.assembly import build_distributed_system, serial_reference_system
 from repro.parallel.decomposition import Decomposition
 from repro.parallel.distributed import RowBlockMatrix
 from repro.parallel.solver import (
@@ -92,6 +92,24 @@ def decomposed(brain_mesh):
 
 
 class TestDistributedSystemCopies:
+    def test_with_and_without_a_context_bit_for_bit(self, decomposed):
+        """One build path: a context only stores what the build made. Both
+        equal the one-shot ``assemble_stiffness`` + ``apply_dirichlet``
+        elimination the build without a context ran before."""
+        dec, bc = decomposed
+        context = SolveContext()
+        stored = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc, context=context)
+        plain = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc)
+        reference = serial_reference_system(dec, BRAIN_HOMOGENEOUS, bc)
+        assert context.assembly is not None and context.reduction is not None
+        for system in (stored, plain):
+            csr = system.matrix.to_csr()
+            for name in ("data", "indices", "indptr"):
+                assert getattr(csr, name).tobytes() == getattr(reference.matrix, name).tobytes()
+            assert system.rhs.tobytes() == reference.rhs.tobytes()
+            assert np.array_equal(system.free_dofs, reference.free_dofs)
+            assert np.array_equal(system.dof_ranges, stored.dof_ranges)
+
     def test_coupling_counts_equal_the_sliced_count(self, decomposed):
         dec, bc = decomposed
         context = SolveContext()
@@ -169,4 +187,6 @@ class TestLazyFactorCount:
         assert "_factor_nnz" not in vars(pre)
         cluster = VirtualCluster(DEEP_FLOW, system.matrix.n_ranks)
         pre.solve(system.rhs, cluster)
-        assert cluster.flops_total == SOLVE_FLOPS_PER_NNZ * sum(pre._ras.factor_nnz())
+        assert cluster.flops_total == SOLVE_FLOPS_PER_NNZ * sum(
+            lu.L.nnz + lu.U.nnz for lu in pre._factors
+        )

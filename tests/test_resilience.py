@@ -15,6 +15,8 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.imaging.volume import ImageVolume
+from repro.parallel.simulation import simulate_parallel
+from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.persist import ScanSummary
 from repro.resilience import (
     DegradationLevel,
@@ -26,6 +28,7 @@ from repro.resilience import (
     solve_with_escalation,
     synthetic_simulation,
 )
+from repro.resilience import escalation
 from repro.util import (
     ConvergenceError,
     ReproError,
@@ -173,19 +176,37 @@ class TestEscalationLadder:
             brain_mesh, brain_bc, tol=1e-7, faults=plan, scan_index=0
         )
         assert not outcome.succeeded
-        assert outcome.rungs_tried == ["gmres", "ras-gmres"]
+        assert outcome.rungs_tried == ["gmres"]
         assert "exhausted" in outcome.cause
         assert all(not a.ok for a in outcome.attempts)
 
-    def test_deadline_skips_the_second_rung(self, brain_mesh, brain_bc):
+    def test_stagnation_makes_one_solve_attempt(self, brain_mesh, brain_bc, monkeypatch):
+        """A stagnating scan is not solved twice before it degrades."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return simulate_parallel(*args, **kwargs)
+
+        monkeypatch.setattr(escalation, "simulate_parallel", counted)
         plan = FaultPlan.parse("0:stagnate-solver", seed=0)
         outcome = solve_with_escalation(
-            brain_mesh, brain_bc, tol=1e-7, deadline_s=0.0, faults=plan, scan_index=0
+            brain_mesh, brain_bc, n_ranks=2, tol=1e-7, faults=plan, scan_index=0
+        )
+        assert not outcome.succeeded and not outcome.rank_failed
+        assert len(calls) == 1
+
+    def test_deadline_skips_the_second_rung(self, brain_mesh, brain_bc):
+        plan = FaultPlan.parse("0:kill-rank=1", seed=0)
+        outcome = solve_with_escalation(
+            brain_mesh, brain_bc, n_ranks=2, tol=1e-7, deadline_s=0.0,
+            faults=plan, scan_index=0,
         )
         assert not outcome.succeeded
+        assert outcome.rank_failed
         assert outcome.rungs_tried == ["gmres"]
         assert "deadline" in outcome.cause
-        assert outcome.cause.endswith("rungs not tried: ras-gmres")
+        assert outcome.cause.endswith("rungs not tried: gmres@1")
 
     def test_kill_rank_triggers_resource_substitution(self, brain_mesh, brain_bc):
         plan = FaultPlan.parse("0:kill-rank=1", seed=0)
@@ -196,9 +217,28 @@ class TestEscalationLadder:
         assert outcome.rank_failed
         assert outcome.attempts[0].error is not None
         assert "RankFailure" in outcome.attempts[0].error
-        # Rescued by the next rung, on one rank.
-        assert outcome.rungs_tried == ["gmres", "ras-gmres"]
+        # Rescued by the retry, on one rank.
+        assert outcome.rungs_tried == ["gmres", "gmres@1"]
         assert outcome.simulation.system.matrix.n_ranks == 1
+
+    def test_rank_failure_rescue_is_the_one_rank_solve(self, brain_mesh, brain_bc):
+        """``gmres@1`` is the pipeline's own solve on one rank, and its
+        field is the former ``ras-gmres`` rung's (RAS on one rank, where
+        every block preconditioner is the same whole-matrix ILU), bit
+        for bit."""
+        plan = FaultPlan.parse("0:kill-rank=1", seed=0)
+        outcome = solve_with_escalation(
+            brain_mesh, brain_bc, n_ranks=2, partitioner="coordinate_bisection",
+            tol=1e-7, faults=plan, scan_index=0,
+        )
+        rescue = outcome.simulation.displacement
+        for preconditioner in (PIPELINE_PRECONDITIONER, "ras"):
+            one_rank = simulate_parallel(
+                brain_mesh, brain_bc, n_ranks=1, partitioner="coordinate_bisection",
+                tol=1e-7, preconditioner=preconditioner,
+            )
+            assert one_rank.solver.iterations == outcome.attempts[-1].iterations
+            assert rescue.tobytes() == one_rank.displacement.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +263,7 @@ class TestDegradationLevels:
         clean0, faulty, clean2 = (r.degradation for r in session.history)
         assert clean0.level is DegradationLevel.FULL_FEM
         assert faulty.level is DegradationLevel.COARSE_FEM
-        assert faulty.rungs_tried == ["gmres", "ras-gmres"]
+        assert faulty.rungs_tried == ["gmres", "gmres@1"]
         assert faulty.cause and "exhausted" in faulty.cause
         assert len(faulty.faults) == 2
         # The degraded field is still a usable, finite displacement.

@@ -301,18 +301,32 @@ class TestPoolRobustness:
 
     @pytest.mark.faults
     def test_wedged_worker_detected_by_heartbeat(self, patient, intraop_scans):
+        """A wedged worker stops beating: the heartbeat age the gateway
+        reads (``pool.heartbeats``) passes three beat periods, where a
+        live idle worker beats every period; terminating the worker hands
+        its case back. Bounded polls, no sleep."""
         pool = SessionWorkerPool(1, heartbeat_s=0.1)
+
+        def age() -> float:
+            return time.monotonic() - pool.heartbeats[0]
+
         try:
-            assert pool.inject_hang() == 0
-            time.sleep(0.5)  # the worker reads the wedge and goes silent
-            request = make_request(patient, intraop_scans[:1], case_id="wedged")
-            pool.dispatch(pool.workers[0], request)
-            assert pool.stale_workers(30.0) == []  # dispatch stamped the beat
+            spawned = pool.heartbeats[0]
             deadline = time.monotonic() + 10.0
-            while not pool.stale_workers(0.3) and time.monotonic() < deadline:
+            while pool.heartbeats[0] == spawned and time.monotonic() < deadline:
                 pool.poll_results(timeout=0.05)
-            stale = pool.stale_workers(0.3)
-            assert [w.worker_id for w in stale] == [0]
+            assert pool.heartbeats[0] > spawned  # the live worker beats
+            assert pool.inject_hang() == 0
+            # A beat sent before the wedge may still be queued; once it is
+            # absorbed the worker stays silent.
+            deadline = time.monotonic() + 10.0
+            while age() <= 0.3 and time.monotonic() < deadline:
+                pool.poll_results(timeout=0.05)
+            assert age() > 0.3
+            request = make_request(patient, intraop_scans[:1], case_id="wedged")
+            dispatched = time.monotonic()
+            pool.dispatch(pool.workers[0], request)
+            assert pool.heartbeats[0] >= dispatched  # dispatch stamped the beat
             back = pool.terminate_worker(0)
             assert back is not None and back.case_id == "wedged"
             assert pool.n_workers == 1 and pool.workers[0].alive

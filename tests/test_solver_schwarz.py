@@ -1,15 +1,46 @@
-"""Tests for the restricted additive Schwarz preconditioner."""
+"""Tests for the restricted additive Schwarz preconditioner (``DistributedRAS``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy.sparse import linalg as spla
 
+from repro.parallel.distributed import RowBlockMatrix
+from repro.parallel.solver import DistributedRAS
 from repro.solver.gmres import gmres
-from repro.solver.schwarz import RestrictedAdditiveSchwarz
+from repro.solver.preconditioner import incomplete_factor
 from repro.util import ValidationError
-from tests.conftest import block_jacobi
+from tests.conftest import block_jacobi, contiguous_ranges
+
+
+def ras(matrix, ranges, overlap: int = 1, factorization: str = "lu") -> DistributedRAS:
+    """RAS over ``ranges`` of a plain sparse matrix (exact subdomain LU by default)."""
+    return DistributedRAS(
+        RowBlockMatrix.from_csr(matrix, np.asarray(ranges)),
+        overlap=overlap,
+        factorization=factorization,
+    )
+
+
+def _frozen_ras_apply(matrix, ranges, overlap, factorization, r):
+    """The serial ``RestrictedAdditiveSchwarz`` (``repro.solver.schwarz``)
+    that ``DistributedRAS`` wrapped, frozen verbatim when the two were
+    merged: grow each owned range by ``overlap`` matrix-graph layers,
+    factor every grown subdomain block one after another, solve on it and
+    keep the owned rows. It pins the merged class bit for bit."""
+    csr = matrix.tocsr()
+    out = np.empty(matrix.shape[0])
+    for a, b in ranges:
+        grown = np.arange(a, b, dtype=np.intp)
+        for _ in range(overlap):
+            rows = csr[grown, :]
+            grown = np.unique(np.concatenate([grown, rows.indices.astype(np.intp)]))
+        block = csr[grown, :][:, grown].tocsc()
+        factor = spla.splu(block) if factorization == "lu" else incomplete_factor(block)
+        own = np.searchsorted(grown, np.arange(a, b, dtype=np.intp))
+        out[a:b] = factor.solve(np.asarray(r, dtype=float)[grown])[own]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -38,49 +69,56 @@ def fem_system():
 class TestRAS:
     def test_zero_overlap_matches_block_jacobi(self, fem_system):
         matrix, rhs, ranges = fem_system
-        ras = RestrictedAdditiveSchwarz(matrix, ranges, overlap=0)
-        bj = block_jacobi(matrix, ranges)
         r = np.random.default_rng(0).normal(size=matrix.shape[0])
-        assert np.allclose(ras.solve(r), bj.solve(r), atol=1e-10)
+        got = ras(matrix, ranges, overlap=0).solve(r).copy()
+        assert np.allclose(got, block_jacobi(matrix, ranges).solve(r), atol=1e-10)
 
     def test_overlap_reduces_iterations(self, fem_system):
         matrix, rhs, ranges = fem_system
-        it0 = gmres(
-            matrix, rhs, preconditioner=RestrictedAdditiveSchwarz(matrix, ranges, 0), tol=1e-8
-        ).iterations
-        it1 = gmres(
-            matrix, rhs, preconditioner=RestrictedAdditiveSchwarz(matrix, ranges, 1), tol=1e-8
-        ).iterations
-        it2 = gmres(
-            matrix, rhs, preconditioner=RestrictedAdditiveSchwarz(matrix, ranges, 2), tol=1e-8
-        ).iterations
+        it0, it1, it2 = (
+            gmres(matrix, rhs, preconditioner=ras(matrix, ranges, k), tol=1e-8).iterations
+            for k in (0, 1, 2)
+        )
         assert it1 < it0
         assert it2 <= it1
 
     def test_subdomains_grow_with_overlap(self, fem_system):
         matrix, _, ranges = fem_system
-        s0 = RestrictedAdditiveSchwarz(matrix, ranges, 0).subdomain_sizes()
-        s2 = RestrictedAdditiveSchwarz(matrix, ranges, 2).subdomain_sizes()
+        s0 = [len(s) for s in ras(matrix, ranges, 0).subdomains]
+        s2 = [len(s) for s in ras(matrix, ranges, 2).subdomains]
         assert all(b >= a for a, b in zip(s0, s2))
         assert sum(s2) > sum(s0)
 
     def test_single_block_is_direct(self, fem_system):
         matrix, rhs, _ = fem_system
-        ras = RestrictedAdditiveSchwarz(matrix, [(0, matrix.shape[0])], overlap=0)
-        result = gmres(matrix, rhs, preconditioner=ras, tol=1e-10)
+        pre = ras(matrix, [(0, matrix.shape[0])], overlap=0)
+        result = gmres(matrix, rhs, preconditioner=pre, tol=1e-10)
         assert result.iterations <= 2
 
     def test_ilu_subdomains_converge(self, fem_system):
         matrix, rhs, ranges = fem_system
-        ras = RestrictedAdditiveSchwarz(matrix, ranges, overlap=1, factorization="ilu")
-        result = gmres(matrix, rhs, preconditioner=ras, tol=1e-8)
+        pre = ras(matrix, ranges, overlap=1, factorization="ilu")
+        result = gmres(matrix, rhs, preconditioner=pre, tol=1e-8)
         assert result.converged
 
     def test_validation(self, fem_system):
         matrix, _, ranges = fem_system
         with pytest.raises(ValidationError):
-            RestrictedAdditiveSchwarz(matrix, ranges, overlap=-1)
+            ras(matrix, ranges, overlap=-1)
         with pytest.raises(ValidationError):
-            RestrictedAdditiveSchwarz(matrix, ranges, factorization="qr")
+            ras(matrix, ranges, factorization="qr")
         with pytest.raises(ValidationError):
-            RestrictedAdditiveSchwarz(matrix, [(0, 10)], overlap=0)
+            ras(matrix, [(0, 10)], overlap=0)
+
+
+class TestFrozenSerialRAS:
+    @pytest.mark.parametrize("factorization", ["ilu", "lu"])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 4])
+    @pytest.mark.parametrize("overlap", [0, 1, 2])
+    def test_apply_is_bit_identical(self, fem_system, overlap, n_ranks, factorization):
+        matrix, _, _ = fem_system
+        ranges = contiguous_ranges(matrix.shape[0], n_ranks)
+        r = np.random.default_rng(overlap + 3 * n_ranks).normal(size=matrix.shape[0])
+        got = ras(matrix, ranges, overlap, factorization).solve(r)
+        expected = _frozen_ras_apply(matrix, ranges, overlap, factorization, r)
+        assert np.array_equal(got, expected)

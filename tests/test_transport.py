@@ -4,14 +4,16 @@ Property-style coverage of the network layer's pure parts — the
 length-prefixed BLAKE2b-checksummed frame format (round-trip for
 ``CaseRequest`` / ``CaseResult`` / ``TelemetryFrame`` payloads,
 rejection of truncated tails and of any single flipped bit), the
-XOR-delta volume codec, the circuit breaker's state machine and the
-deterministic retry jitter — plus the two satellite contracts: the
+raw/zlib volume codec, the circuit breaker's state machine and the
+deterministic retry jitter — plus the satellite contracts: the
 admission queue charging client-stamped network wait against the
-deadline, and ``ServingFaultPlan.parse`` naming every valid fault kind
-when it rejects.
+deadline, ``ServingFaultPlan.parse`` naming every valid fault kind
+when it rejects, and a journal replay reporting its live case's status.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from repro.core.config import PipelineConfig
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.imaging.volume import ImageVolume
 from repro.obs.telemetry import TelemetryFrame
+from repro.persist import completed_records
+from repro.resilience import FaultPlan
 from repro.resilience.faults import (
     SERVING_FAULTS,
     WIRE_FAULTS,
@@ -42,6 +46,8 @@ from repro.serving import (
     encode_volume,
 )
 from repro.serving.netclient import _jitter
+from repro.serving.pool import _serve_case
+from repro.serving.protocol import STATUS_COMPLETED, STATUS_DEGRADED
 from repro.serving.transport import (
     DIGEST_SIZE,
     HEADER,
@@ -50,8 +56,10 @@ from repro.serving.transport import (
     T_SUBMIT,
     decode_submit,
     encode_submit,
+    result_from_journal,
 )
 from repro.util import ValidationError
+from repro.util.memory import LRUStore
 
 SHAPE = (16, 16, 12)
 
@@ -199,61 +207,25 @@ class TestFrames:
         assert DIGEST_SIZE == 16  # wire contract: 128-bit BLAKE2b tags
 
 
-# -- volume delta codec -------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def quiet_scan(patient):
-    """The preop MRI with one block moved: an XOR delta that is mostly zeros."""
-    data = patient.preop_mri.data.copy()
-    data[4:8, 4:8, 3:6] += 1.5
-    return patient.preop_mri.copy(data)
+# -- volume codec ---------------------------------------------------------------
 
 
 class TestVolumeCodec:
-    def test_delta_roundtrip_bit_exact_and_smaller(self, patient, quiet_scan):
-        entry = encode_volume(quiet_scan, reference=patient.preop_mri)
-        assert entry["codec"] == "xor-zlib"
-        rebuilt = decode_volume(entry, reference=patient.preop_mri)
-        np.testing.assert_array_equal(rebuilt.data, quiet_scan.data)
-        assert rebuilt.data.dtype == quiet_scan.data.dtype
-        raw = np.ascontiguousarray(quiet_scan.data).tobytes()
-        assert len(entry["blob"]) < len(raw) // 4
-
-    def test_shape_mismatch_falls_back_to_plain(self, patient):
-        other = make_neurosurgery_case(shape=(12, 12, 10), shift_mm=2.0, seed=5)
-        entry = encode_volume(other.preop_labels, reference=patient.preop_labels)
-        assert entry["codec"] == "zlib"
-        rebuilt = decode_volume(entry)
-        np.testing.assert_array_equal(rebuilt.data, other.preop_labels.data)
-
-    def test_delta_needs_its_reference(self, patient, quiet_scan):
-        entry = encode_volume(quiet_scan, reference=patient.preop_mri)
-        with pytest.raises(FrameError, match="reference"):
-            decode_volume(entry)
-        wrong = make_neurosurgery_case(shape=(12, 12, 10), shift_mm=2.0, seed=5)
-        with pytest.raises(FrameError):
-            decode_volume(entry, reference=wrong.preop_mri)
-
     def test_noise_bearing_floats_travel_raw(self, patient):
         """zlib takes milliseconds to shave 5 % off these; the probe says no."""
         raw = np.ascontiguousarray(patient.intraop_mri.data).tobytes()
-        for reference in (None, patient.preop_mri):
-            entry = encode_volume(patient.intraop_mri, reference=reference)
-            assert entry["codec"] == "raw" and entry["blob"] == raw
-            rebuilt = decode_volume(entry)  # raw needs no reference
-            np.testing.assert_array_equal(rebuilt.data, patient.intraop_mri.data)
+        entry = encode_volume(patient.intraop_mri)
+        assert entry["codec"] == "raw" and entry["blob"] == raw
+        rebuilt = decode_volume(entry)
+        np.testing.assert_array_equal(rebuilt.data, patient.intraop_mri.data)
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**30),
         shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40)),
         kind=st.sampled_from(["noise", "int16", "labels", "flat"]),
-        with_reference=st.booleans(),
     )
-    def test_property_every_codec_round_trips_bit_exactly(
-        self, seed, shape, kind, with_reference
-    ):
+    def test_property_every_codec_round_trips_bit_exactly(self, seed, shape, kind):
         rng = np.random.default_rng(seed)
 
         def volume():
@@ -269,28 +241,69 @@ class TestVolumeCodec:
             return ImageVolume(data, (1.0, 2.0, 0.5), (-3.0, 0.0, 4.0))
 
         scan = volume()
-        reference = volume() if with_reference else None
-        entry = encode_volume(scan, reference=reference)
-        expected = {"raw", "xor-zlib" if with_reference else "zlib"}
-        assert entry["codec"] in expected
+        entry = encode_volume(scan)
+        assert entry["codec"] in ("raw", "zlib")
         if kind in ("labels", "flat") and scan.data.nbytes > 64:
             assert entry["codec"] != "raw"
-        rebuilt = decode_volume(entry, reference=reference)
+        rebuilt = decode_volume(entry)
         assert rebuilt.data.dtype == scan.data.dtype
         assert rebuilt.data.tobytes() == scan.data.tobytes()
         assert rebuilt.spacing == scan.spacing and rebuilt.origin == scan.origin
 
     def test_unknown_codec_is_refused(self, patient):
-        entry = encode_volume(patient.preop_labels)
-        entry["codec"] = "lz4"
-        with pytest.raises(FrameError, match="unknown volume codec"):
-            decode_volume(entry)
+        # "xor-zlib" (scans XORed against the preop MRI) is no longer a codec.
+        for codec in ("lz4", "xor-zlib"):
+            entry = encode_volume(patient.preop_labels)
+            entry["codec"] = codec
+            with pytest.raises(FrameError, match="unknown volume codec"):
+                decode_volume(entry)
 
     def test_tampered_payload_fails_checksum(self, patient):
         entry = encode_volume(patient.preop_mri)
         entry["sha"] = "0" * len(entry["sha"])
         with pytest.raises(FrameError, match="checksum"):
             decode_volume(entry)
+
+
+# -- one served-status rule for a live case and its journal replay -----------
+
+
+@pytest.mark.faults
+class TestServedStatus:
+    @pytest.mark.parametrize(
+        "plan, label, status",
+        [
+            (None, "full-fem", STATUS_COMPLETED),
+            ("0:kill-rank=1", "full-fem", STATUS_COMPLETED),  # rescued by gmres@1
+            ("0:stagnate-solver", "coarse-fem", STATUS_DEGRADED),
+        ],
+    )
+    def test_live_case_and_journal_replay_agree(
+        self, small_case, tmp_path, plan, label, status
+    ):
+        config = PipelineConfig(
+            mesh_cell_mm=9.0,
+            n_ranks=2,
+            rigid_levels=1,
+            rigid_max_iter=2,
+            rigid_samples=2000,
+            surface_iterations=60,
+            prototypes_per_class=20,
+            fault_plan=None if plan is None else FaultPlan.parse(plan, seed=7),
+        )
+        checkpoint = str(tmp_path / "case")
+        request = CaseRequest(
+            case_id="live",
+            preop_mri=small_case.preop_mri,
+            preop_labels=small_case.preop_labels,
+            scans=[small_case.intraop_mri],
+            config=config,
+            checkpoint_dir=checkpoint,
+        )
+        live = _serve_case(request, LRUStore(1), threading.Event(), str(tmp_path), 0)
+        assert [o.degradation for o in live.scans] == [label]
+        replay = result_from_journal("live", checkpoint, completed_records(checkpoint, 1))
+        assert live.status == replay.status == status
 
 
 # -- retry client: breaker + jitter ------------------------------------------
