@@ -4,9 +4,9 @@ The final step of the paper's pipeline resamples the preoperative data
 through the recovered volumetric deformation (≈0.5 s in the paper). All
 routines here are fully vectorized gather operations, and every
 trilinear lookup in the library — single volumes, the active surface's
-force channels, the localization channels, field inversion — goes
-through the one kernel :func:`trilinear_sample_many`, whose gather step
-is :func:`trilinear_gather`.
+force channels, the localization channels, field inversion, the rigid
+registration's MI cost — takes its cells and weights from
+:func:`axis_cells` and its samples from :func:`trilinear_gather`.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ def trilinear_gather(
     channels,
     base: np.ndarray,
     strides: tuple[int, int, int],
-    fx: np.ndarray,
-    fy: np.ndarray,
-    fz: np.ndarray,
+    weights,
+    complements,
 ) -> np.ndarray:
     """Eight-corner gather and trilinear blend of several channels.
 
@@ -68,8 +67,9 @@ def trilinear_gather(
     one grid; ``base[p]`` is the flat offset of point ``p``'s lower
     corner ``(i0, j0, k0)`` and ``strides`` the flat offsets to the
     upper neighbour along x, y, z (0 on a singleton axis), so every
-    corner is ``base + const``. ``fx``/``fy``/``fz`` are the
-    fractional weights in ``[0, 1]``. Returns ``(C, n)``.
+    corner is ``base + const``. ``weights`` are the three fractional
+    weight rows ``fx, fy, fz`` in ``[0, 1]`` and ``complements`` their
+    ``1 - f`` rows, as :func:`axis_cells` returns them. Returns ``(C, n)``.
 
     Index arithmetic and weights are the caller's (computed once for
     all channels); this is only the memory-bound gather. The blend
@@ -77,19 +77,48 @@ def trilinear_gather(
     channel's result does not depend on which other channels ride along.
     """
     di, dj, dk = strides
-    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    fx, fy, fz = weights
+    gx, gy, gz = complements
     out = np.empty((len(channels), base.shape[0]))
+
+    def blend(lo, hi, g, f):
+        # lo * g + hi * f in lo's buffer: no temporary per term.
+        lo *= g
+        hi *= f
+        lo += hi
+        return lo
+
     for c, flat in enumerate(channels):
         # Shifted views put the corner offset in the view's start, so
         # all eight gathers share the one index vector.
-        c00 = flat.take(base) * gx + flat[di:].take(base) * fx
-        c10 = flat[dj:].take(base) * gx + flat[di + dj :].take(base) * fx
-        c01 = flat[dk:].take(base) * gx + flat[di + dk :].take(base) * fx
-        c11 = flat[dj + dk :].take(base) * gx + flat[di + dj + dk :].take(base) * fx
-        c0 = c00 * gy + c10 * fy
-        c1 = c01 * gy + c11 * fy
-        np.add(c0 * gz, c1 * fz, out=out[c])
+        c00 = blend(flat.take(base), flat[di:].take(base), gx, fx)
+        c10 = blend(flat[dj:].take(base), flat[di + dj :].take(base), gx, fx)
+        c01 = blend(flat[dk:].take(base), flat[di + dk :].take(base), gx, fx)
+        c11 = blend(flat[dj + dk :].take(base), flat[di + dj + dk :].take(base), gx, fx)
+        c0 = blend(c00, c10, gy, fy)
+        c1 = blend(c01, c11, gy, fy)
+        c0 *= gz
+        c1 *= fz
+        np.add(c0, c1, out=out[c])
     return out
+
+
+def axis_cells(idx: np.ndarray, upper, cell_max):
+    """The trilinear step's per-axis quantities of fractional indices ``idx``.
+
+    ``idx`` is one axis's row of fractional voxel indices, or a ``(3, N)``
+    block of all three; ``upper`` and ``cell_max`` are that axis's (or the
+    ``(3, 1)`` columns of) :func:`cell_bounds`. Returns ``(inside, cell, f,
+    1 - f)``: where the index lies on the grid (False for NaN), the lower
+    corner clamped so the eight-corner gather stays in bounds, and the
+    weight of the upper corner with its complement. Each element depends
+    only on its own index, so a row gives the bits it has in a block.
+    This is the library's one trilinear index/weight computation.
+    """
+    inside = (idx >= 0) & (idx <= upper)
+    cell = np.clip(np.floor(idx).astype(np.intp), 0, cell_max)
+    f = np.clip(idx - cell, 0.0, 1.0)
+    return inside, cell, f, 1 - f
 
 
 def sample_index_rows(
@@ -104,18 +133,17 @@ def sample_index_rows(
     indices — one row per axis, because numpy broadcasts a trailing axis
     of length 3 several times slower than three contiguous rows — and
     ``bounds`` the grid's :func:`cell_bounds`. Points outside the grid
-    (or NaN) get ``fills[c]``. Returns ``(C, N)``. This is the library's
-    one trilinear index/weight computation.
+    (or NaN) get ``fills[c]``. Returns ``(C, N)``, from one
+    all-axes call of :func:`axis_cells`.
     """
     upper, cell_max, (ny, nz), strides = bounds
-    valid = ((idx >= 0) & (idx <= upper)).all(axis=0)
-    # Clamped cells keep the eight-corner gather in bounds; invalid points
-    # are overwritten with the fill value afterwards.
-    cell = np.clip(np.floor(idx).astype(np.intp), 0, cell_max)
-    fx, fy, fz = np.clip(idx - cell, 0.0, 1.0)
+    inside, cell, f, g = axis_cells(idx, upper, cell_max)
+    valid = inside.all(axis=0)
     i0, j0, k0 = cell
     base = (i0 * ny + j0) * nz + k0
-    result = trilinear_gather(channels, base, strides, fx, fy, fz)
+    # Invalid points gathered from their clamped cells; the fill value
+    # overwrites them.
+    result = trilinear_gather(channels, base, strides, f, g)
     if not valid.all():
         result[:, ~valid] = fills[:, None]
     return result

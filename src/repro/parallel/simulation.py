@@ -199,7 +199,12 @@ class _Setup:
             return self.context.slots["preconditioner"]
         matrix = system.matrix
         if self.preconditioner == "ras":
-            pre = DistributedRAS(matrix, self.telemetry, overlap=self.ras_overlap)
+            pre = DistributedRAS(
+                matrix,
+                self.telemetry,
+                overlap=self.ras_overlap,
+                factorization=self.factorization,
+            )
         elif self.preconditioner == "block_jacobi":
             pre = DistributedBlockJacobi(
                 matrix, self.telemetry, factorization=self.factorization

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.imaging.metrics import histogram_mutual_information, intensity_bins
-from repro.imaging.resample import cell_bounds, sample_index_rows, trilinear_sample
+from repro.imaging.resample import (
+    axis_cells,
+    cell_bounds,
+    trilinear_gather,
+    trilinear_sample,
+)
 from repro.imaging.volume import ImageVolume
 from repro.obs.trace import get_tracer
 from repro.registration.powell import minimize_powell
 from repro.registration.pyramid import pyramid
-from repro.registration.transform import RigidTransform
+from repro.registration.transform import RigidTransform, rotation_matrix
 from repro.util import ShapeError, ValidationError, default_rng
 from repro.util.rng import SeedLike
 
@@ -56,10 +61,21 @@ class MutualInformationCost:
     the six parameters is computed here once: the fixed points relative
     to the rotation centre, the fixed samples' histogram rows (bin index
     times ``bins``), the moving volume as one flat float array, and its
-    grid constants as columns. A call then maps the points with the same
-    per-element arithmetic as ``RigidTransform.apply`` followed by
-    ``ImageVolume.world_to_index`` — on a ``(3, N)`` array, in place —
-    samples, bins the moving side and reads MI off the joint histogram.
+    grid constants. A call maps the points with the same per-element
+    arithmetic as ``RigidTransform.apply`` followed by
+    ``ImageVolume.world_to_index``, samples, bins the moving side and
+    reads MI off the joint histogram.
+
+    Powell's line searches move one parameter at a time, so a call
+    remembers what the next one may reuse: the rotation matrix and the
+    rotated points, keyed on the bits of the three angles, and per axis
+    the index row with its :func:`~repro.imaging.resample.axis_cells`
+    quantities, keyed on the bits of that row of the rotation matrix and
+    of that axis's translation. Every element of a row is a function of
+    those bits alone, so a reused row is the row a fresh call computes.
+    Keys are bytes, not values: ``-0.0`` and ``0.0`` (or two NaNs) are
+    different keys. A translation step recomputes one row of three and
+    no matrix product.
     """
 
     def __init__(
@@ -83,27 +99,52 @@ class MutualInformationCost:
             raise ValidationError("MutualInformationCost: no samples")
         self.evaluations = 0
         self._bins = bins
-        self._center = center
-        self._center_col = np.asarray(center)[:, None]
-        self._centred = fixed_points - np.asarray(center)
+        self._center = np.asarray(center, dtype=float)
+        self._centred = fixed_points - self._center
         self._fixed_rows = intensity_bins(fixed_values, bins) * bins
         self._channels = [moving.data.astype(float, copy=False).ravel()]
-        self._origin_col = moving._origin_arr[:, None]
-        self._spacing_col = moving._spacing_arr[:, None]
-        self._bounds = cell_bounds(moving.shape)
-        self._fill = np.zeros(1)
+        self._origin = moving._origin_arr
+        self._spacing = moving._spacing_arr
+        self._upper, self._cell_max, (ny, nz), self._strides = cell_bounds(moving.shape)
+        self._pitch = (ny * nz, nz, 1)
+        self._angles = None
+        self._matrix = self._rotated = None
+        self._row_keys: list[bytes | None] = [None, None, None]
+        self._rows: list[tuple] = [(), (), ()]
+
+    def _row(self, axis: int, params: np.ndarray) -> tuple:
+        """``(inside, flat offset of the lower cell, f, 1 - f)`` along ``axis``."""
+        key = self._matrix[axis].tobytes() + params[axis].tobytes()
+        if key != self._row_keys[axis]:
+            if self._rotated is None:
+                # The (N, 3) @ (3, 3) product ``apply`` performs.
+                self._rotated = self._centred @ self._matrix.T
+            idx = self._rotated[:, axis] + self._center[axis]
+            idx += params[axis]
+            idx -= self._origin[axis]
+            idx /= self._spacing[axis]
+            inside, cell, f, g = axis_cells(idx, self._upper[axis], self._cell_max[axis])
+            self._row_keys[axis] = key
+            self._rows[axis] = inside, cell * self._pitch[axis], f, g
+        return self._rows[axis]
 
     def sample(self, params: np.ndarray) -> np.ndarray:
         """The moving volume at the transformed fixed points (0 outside it)."""
-        transform = RigidTransform.from_params(params, self._center)
-        # The (N, 3) @ (3, 3) product is the one ``apply`` performs; only
-        # its result is re-laid as rows.
-        idx = np.ascontiguousarray((self._centred @ transform.matrix.T).T)
-        idx += self._center_col
-        idx += np.asarray(transform.translation)[:, None]
-        idx -= self._origin_col
-        idx /= self._spacing_col
-        return sample_index_rows(idx, self._bounds, self._channels, self._fill)[0]
+        p = np.asarray(params, dtype=float)
+        if p.shape != (6,):
+            raise ShapeError(f"params must have shape (6,), got {p.shape}")
+        angles = p[3:].tobytes()
+        if angles != self._angles:
+            self._angles = angles
+            self._matrix = rotation_matrix(*p[3:])
+            self._rotated = None
+        inside, offset, f, g = zip(*(self._row(axis, p) for axis in range(3)))
+        base = offset[0] + offset[1] + offset[2]
+        moved = trilinear_gather(self._channels, base, self._strides, f, g)[0]
+        valid = inside[0] & inside[1] & inside[2]
+        if not valid.all():
+            moved[~valid] = 0.0
+        return moved
 
     def __call__(self, params: np.ndarray) -> float:
         self.evaluations += 1

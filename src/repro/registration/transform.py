@@ -15,7 +15,7 @@ import numpy as np
 from repro.util import ShapeError
 
 
-def _rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
+def rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
     """Rotation matrix R = Rz @ Ry @ Rx."""
     cx, sx = np.cos(rx), np.sin(rx)
     cy, sy = np.cos(ry), np.sin(ry)
@@ -46,7 +46,7 @@ class RigidTransform:
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_matrix", _rotation_matrix(*self.rotation))
+        object.__setattr__(self, "_matrix", rotation_matrix(*self.rotation))
 
     @classmethod
     def identity(cls, center: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> "RigidTransform":

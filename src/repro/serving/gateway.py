@@ -275,11 +275,12 @@ class ShardGateway:
         )
 
     def _worker_flight_dump(self, worker_id: int) -> str | None:
-        """Path of a worker's persisted flight ring, when one exists."""
+        """Name (under :attr:`flight_dir`) of a worker's persisted flight ring,
+        when one exists."""
         if self.flight_dir is None:
             return None
         spool = Path(self.flight_dir) / f"worker-{worker_id}.json"
-        return str(spool) if spool.is_file() else None
+        return spool.name if spool.is_file() else None
 
     def _backlog_seconds(self) -> float:
         """Estimated seconds of work queued or running ahead of a new case."""

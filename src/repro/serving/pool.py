@@ -167,11 +167,16 @@ def _flight_spool(request: CaseRequest, worker_id: int) -> Path | None:
 
 
 def _spool_flight(telemetry, spool: Path | None, reason: str, **context) -> str | None:
-    """Persist the worker's flight ring (atomic; survives a later SIGKILL)."""
+    """Persist the worker's flight ring (atomic; survives a later SIGKILL).
+
+    Returns the dump's name relative to the request's ``flight_dir``, so
+    a served result does not carry (and its size does not depend on) the
+    server's directory path.
+    """
     if telemetry is None or spool is None:
         return None
     telemetry.flight.dump(spool, reason, context=context)
-    return str(spool)
+    return spool.name
 
 
 def _serve_case(

@@ -270,8 +270,10 @@ class CaseResult:
         dark, or whose worker died before replying (the server then
         annotates its ``serve.case`` span instead).
     flight_dump:
-        Path of the worker's persisted flight-recorder ring for this
-        case, when the request carried a ``flight_dir``.
+        Name of the worker's persisted flight-recorder ring for this
+        case relative to the request's ``flight_dir`` (e.g.
+        ``worker-0.json``), when the request carried one; a reader joins
+        it with the ``flight_dir`` it passed.
     """
 
     case_id: str

@@ -48,7 +48,7 @@ class TestTrilinearGather:
             for ch, data in enumerate(channels):
                 expected[ch] += weight * data[ijk[:, 0] + a, ijk[:, 1] + b, ijk[:, 2] + c]
         base = np.ravel_multi_index(tuple(ijk.T), shape)
-        args = (base, (shape[1] * shape[2], shape[2], 1), f[:, 0], f[:, 1], f[:, 2])
+        args = (base, (shape[1] * shape[2], shape[2], 1), f.T, 1 - f.T)
         got = trilinear_gather([d.ravel() for d in channels], *args)
         assert got.shape == (3, n)
         assert np.allclose(got, expected, atol=1e-12)

@@ -299,6 +299,17 @@ class TestDistributedRAS:
         ras = simulate_parallel(mesh, bc, 6, tol=1e-8, preconditioner="ras", ras_overlap=1)
         assert ras.solver.iterations <= bj.solver.iterations
 
+    @pytest.mark.parametrize("preconditioner", ["ras", "block_jacobi"])
+    def test_one_exact_rank_converges_in_one_iteration(self, mesh_and_bc, preconditioner):
+        """``factorization`` reaches RAS as it reaches block Jacobi: one rank of
+        exact LU is the inverse of the whole matrix."""
+        mesh, bc = mesh_and_bc
+        sim = simulate_parallel(
+            mesh, bc, 1, preconditioner=preconditioner, ras_overlap=0, factorization="lu"
+        )
+        assert sim.solver.converged
+        assert sim.solver.iterations == 1
+
     def test_telemetry_charges_overlap_halo(self, mesh_and_bc):
         from repro.machines.cost import VirtualCluster
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from repro.imaging.phantom import make_neurosurgery_case
+from repro.imaging.resample import axis_cells
 from repro.imaging.volume import ImageVolume
 from repro.obs.trace import Tracer, use_tracer
 from repro.registration import powell
@@ -357,6 +358,104 @@ class TestMutualInformationCost:
             MutualInformationCost(values[:0], points[:0], moving, center, bins=8)
         with pytest.raises(ShapeError):
             MutualInformationCost(values, points, moving, center, 8)(np.zeros(5))
+
+
+def _walk_step(rng, params, visited, extent, kind, axis):
+    """The next point of a walk: Powell's coordinate-line moves and the rest."""
+    p = params.copy()
+    if kind == "line":
+        p[axis] += rng.normal(0.0, 0.1 * extent if axis < 3 else 0.1)
+    elif kind == "back":
+        p = visited[int(rng.integers(len(visited)))].copy()
+    elif kind == "zero":
+        p[axis] = rng.choice([0.0, -0.0])
+    elif kind == "nan":
+        p[axis] = np.nan
+    return p
+
+
+class TestMutualInformationCostMemo:
+    """The cost remembers rows between calls; every call is still the frozen one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+        kind=st.sampled_from(["float", "int", "flat"]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["line", "line", "line", "back", "zero", "nan"]),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_a_walk_equals_the_frozen_cost_after_every_step(self, seed, shape, kind, steps):
+        rng = np.random.default_rng(seed)
+        moving, points, values, center = _mi_case(rng, shape, kind)
+        extent = float(np.max(moving.physical_extent))
+        cost = MutualInformationCost(values, points, moving, center, 8)
+        params = np.zeros(6)
+        visited = [params]
+        for step, axis in steps:
+            params = _walk_step(rng, params, visited, extent, step, axis)
+            visited.append(params)
+            event(step)
+            with np.errstate(invalid="ignore"):
+                want = _frozen_mi_cost(params, values, points, moving, center, 8)
+                world = RigidTransform.from_params(params, center).apply(points)
+                frozen = _frozen_trilinear_sample(moving, world, fill_value=0.0)
+                got = cost(params)
+                sample = cost.sample(params)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            assert np.array_equal(sample, frozen, equal_nan=True)
+
+    def test_signed_zeros_are_different_keys(self, monkeypatch):
+        """-0.0 and 0.0 compare equal but are different bits: both recompute."""
+        calls = self._count_rows(monkeypatch)
+        moving, points, values, center = _mi_case(np.random.default_rng(2), (6, 5, 4), "float")
+        cost = MutualInformationCost(values, points, moving, center, 8)
+        cost(np.zeros(6))
+        calls.clear()
+        cost(np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        assert len(calls) == 1
+        cost(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.0]))
+        assert len(calls) > 1
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        from repro.registration import rigid
+
+        calls = []
+
+        def counted(idx, upper, cell_max):
+            calls.append(idx.shape)
+            return axis_cells(idx, upper, cell_max)
+
+        monkeypatch.setattr(rigid, "axis_cells", counted)
+        return calls
+
+    def test_a_translation_step_recomputes_one_row(self, monkeypatch):
+        calls = self._count_rows(monkeypatch)
+        moving, points, values, center = _mi_case(np.random.default_rng(3), (7, 6, 5), "float")
+        cost = MutualInformationCost(values, points, moving, center, 8)
+        start = np.array([0.3, -0.2, 0.1, 0.02, -0.01, 0.03])
+        cost(start)
+        assert len(calls) == 3  # one row per axis
+        params = start
+        for axis in range(3):
+            params = params + 0.5 * np.eye(6)[axis]
+            calls.clear()
+            cost(params)
+            assert calls == [(len(values),)]
+        calls.clear()
+        cost(params.copy())  # the point just visited
+        assert calls == []
+        # A rotation about z leaves the z row of the matrix, and so the z
+        # index row, as they were.
+        cost(params + 0.01 * np.eye(6)[5])
+        assert len(calls) == 2
 
 
 class TestRegisterRigidUnchanged:

@@ -518,9 +518,9 @@ class TestServingTelemetry:
         assert "worker.death" in events
 
         # Scan 0 completed and spooled the flight ring before the kill:
-        # the result points at the post-mortem on disk.
-        assert result.flight_dump is not None
-        payload = load_flight_dump(result.flight_dump)
+        # the result names the post-mortem under the flight directory.
+        assert result.flight_dump == "worker-0.json"
+        payload = load_flight_dump(Path(server.flight_dir) / result.flight_dump)
         assert payload["label"] == "worker-0"
         kinds = [e["kind"] for e in payload["entries"]]
         assert "scan.complete" in kinds

@@ -183,8 +183,9 @@ class TestDriftFixedByTheMerge:
         assert result.attempts == 1
         assert result.worker == 0
         # Scan 0 completed and spooled the worker's ring before the kill.
-        assert result.flight_dump is not None
-        kinds = [e["kind"] for e in load_flight_dump(result.flight_dump)["entries"]]
+        assert result.flight_dump == "worker-0.json"
+        dump = load_flight_dump(Path(loop.flight_dir) / result.flight_dump)
+        kinds = [e["kind"] for e in dump["entries"]]
         assert "scan.complete" in kinds
 
     @pytest.mark.faults
