@@ -25,7 +25,6 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.imaging.phantom import make_neurosurgery_case
-from repro.persist import ScanSummary
 from repro.resilience import DegradationLevel, FaultPlan
 
 pytestmark = pytest.mark.bench
@@ -67,10 +66,9 @@ def run_drill(case, plan: FaultPlan | None, n_scans: int = 2) -> SurgicalSession
     return session
 
 
-def scan_record(scan: int, entry) -> dict:
+def scan_record(entry) -> dict:
     """One scan's drill record, from the full result or the session's summary."""
-    summary = ScanSummary.of(scan, entry)
-    report = summary.degradation
+    report = entry.degradation
     return {
         "level": report.label,
         "rungs_tried": list(report.rungs_tried),
@@ -78,8 +76,8 @@ def scan_record(scan: int, entry) -> dict:
         "cause": report.cause,
         "faults": list(report.faults),
         "recovery_seconds": report.wall_seconds,
-        "scan_seconds": summary.record.seconds(),
-        "cache_hit": summary.record.cache_hit,
+        "scan_seconds": entry.record.seconds(),
+        "cache_hit": entry.record.cache_hit,
     }
 
 
@@ -91,7 +89,7 @@ def run_resilience_benchmark(case) -> dict:
     for name, plan_text, expected in FAULT_DRILLS:
         session = run_drill(case, FaultPlan.parse(plan_text, seed=7))
         faulted = session.history[1]
-        rec = scan_record(1, faulted)
+        rec = scan_record(faulted)
         rec.update(
             {
                 "class": name,
@@ -111,7 +109,7 @@ def run_resilience_benchmark(case) -> dict:
     session = run_drill(case, plan, n_scans=3)
     acceptance = {
         "plan": plan.describe(),
-        "scans": [scan_record(i, r) for i, r in enumerate(session.history)],
+        "scans": [scan_record(r) for r in session.history],
         "zero_aborts": session.n_scans == 3,
         "summary_table": session.summary_table(),
     }

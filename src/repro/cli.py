@@ -154,7 +154,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"resilience: {result.degradation.summary()}")
     print()
     print(f"match RMS: rigid {result.match_rigid_rms:.2f} -> simulated {result.match_simulated_rms:.2f}")
-    if case is not None and not result.restored:
+    restored = result.record.restored
+    if case is not None and not restored:
         err = np.linalg.norm(result.grid_displacement - case.true_forward_mm, axis=-1)
         brain = case.brain_mask()
         print(f"field error (brain): mean {err[brain].mean():.2f} mm, p95 {np.percentile(err[brain], 95):.2f} mm")
@@ -163,14 +164,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(session.summary_table())
     if session.store is not None:
         print(f"checkpoint: {session.store.root} ({session.store.describe()})")
-    if machine is not None and not result.restored:
+    if machine is not None and not restored:
         sim = result.simulation
         print(
             f"virtual biomech time on {machine.name} at {args.cpus} CPUs: "
             f"{sim.total_seconds:.2f} s (init {sim.initialization_seconds:.2f} + "
             f"assembly {sim.assembly_seconds:.2f} + solve {sim.solve_seconds:.2f})"
         )
-    if args.out and case is not None and not result.restored:
+    if args.out and case is not None and not restored:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         from repro.viz.figures import figure4_panels, figure5_render

@@ -42,6 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.parallel.simulation import ParallelSimulation, prepare_solve_context
 from repro.parallel.solver import PIPELINE_PRECONDITIONER
+from repro.persist.checkpoint import ScanRecord
 from repro.registration.rigid import RegistrationResult, register_rigid
 from repro.registration.transform import RigidTransform
 from repro.resilience.degrade import (
@@ -192,12 +193,16 @@ class IntraoperativeResult:
         resilience disabled carries one too (always ``full-fem``: it
         either delivers that or raises); only a restored result may
         have ``None``.
-    restored:
-        ``True`` when this result was reconstructed from a session
-        checkpoint rather than computed in this process. Restored
-        results carry the journaled essentials (displacements, match
-        metrics, timeline) but synthetic solver/segmentation stand-ins;
-        ``deformed_mri`` is only rehydrated on demand.
+    scan:
+        0-based index of the scan within its session (the pipeline's
+        ``scan_index``).
+    record:
+        The scan's :class:`repro.persist.ScanRecord`, built on first
+        read and then kept: the journal commits it, a session summarizes
+        the scan with it and a served reply carries it. A result
+        restored from a checkpoint holds the journal's record
+        (``record.restored``) beside synthetic solver / segmentation
+        stand-ins.
     """
 
     deformed_mri: ImageVolume
@@ -215,8 +220,11 @@ class IntraoperativeResult:
     match_simulated_mi: float
     budget_verdict: ScanVerdict | None = None
     degradation: DegradationReport | None = None
-    restored: bool = False
+    scan: int = 0
     _field_shas: tuple[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _record: ScanRecord | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -224,8 +232,7 @@ class IntraoperativeResult:
         """``(nodal_sha, grid_sha)``: the two fields' digests, computed once.
 
         Each costs a pass over its field (the grid one is 3 x voxels
-        float64), and a scan's serving outcome, its checkpoint commit and
-        the summary a session keeps of it all record the same two.
+        float64); the scan's :attr:`record` and the replay check read them.
         """
         if self._field_shas is None:
             self._field_shas = (
@@ -233,6 +240,17 @@ class IntraoperativeResult:
                 checksum_array(np.asarray(self.grid_displacement, dtype=float)),
             )
         return self._field_shas
+
+    @property
+    def record(self) -> ScanRecord:
+        """The scan's :class:`~repro.persist.ScanRecord`, built once."""
+        if self._record is None:
+            self._record = ScanRecord.of(self)
+        return self._record
+
+    @record.setter
+    def record(self, record: ScanRecord) -> None:
+        self._record = record
 
 
 @dataclass
@@ -1004,5 +1022,6 @@ class IntraoperativePipeline:
             match_rigid_mi=rigid_mi,
             match_simulated_mi=sim_mi,
             degradation=report,
+            scan=scan_index,
         )
 

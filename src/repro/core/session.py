@@ -25,8 +25,8 @@ displacement fields.
 What a session holds does not grow with the scans it has processed:
 only the latest scan is kept as a full result (it is the next scan's
 ``previous``); every older one is replaced by its
-:class:`repro.persist.ScanSummary` — see DESIGN.md, "What a session
-holds".
+:class:`repro.persist.ScanSummary` — see DESIGN.md, "One record per
+scan".
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class SurgicalSession:
         One entry per processed scan, in order: the latest as its full
         :class:`IntraoperativeResult`, every older one as the
         :class:`repro.persist.ScanSummary` kept of it. After
-        :meth:`resume`, entries recovered from the checkpoint have
-        ``restored=True``.
+        :meth:`resume`, entries recovered from the checkpoint hold the
+        journal's records (``record.restored``).
     store:
         The attached :class:`repro.persist.SessionStore`, or ``None``
         for an in-memory (non-durable) session.
@@ -129,9 +129,9 @@ class SurgicalSession:
         not deserialized), so the next :meth:`process` call takes the
         same cache-hit fast path an uninterrupted session would; the
         solve context's hit/miss counters continue from the last
-        committed record's. Committed scans come back
-        as ``restored=True`` history entries; interrupted scans (begun
-        but never committed) are simply re-processed when their input is
+        committed record's. Committed scans come back as history entries
+        holding the journal's records; interrupted scans (begun but never
+        committed) are simply re-processed when their input is
         re-submitted. Journaled ``crash-after`` faults are marked fired
         on the pipeline's fault plan so they do not kill the process a
         second time.
@@ -172,7 +172,7 @@ class SurgicalSession:
         if self.history:
             scan = len(self.history) - 1
             before = self.history[scan - 1] if scan else None
-            self.history[scan] = ScanSummary.of(scan, self.history[scan], before)
+            self.history[scan] = ScanSummary.of(self.history[scan], before)
         self.history.append(result)
 
     def process(
@@ -218,7 +218,7 @@ class SurgicalSession:
         if result.prototypes is not None:
             self._prototypes = result.prototypes
         self._append(result)
-        _note_scan_complete(result, scan)
+        _note_scan_complete(result)
         if self.store is not None:
             self.store.crash_point(scan, "solve")
             self.store.commit_scan(scan, result, prototypes=self._prototypes)
@@ -291,17 +291,15 @@ class SurgicalSession:
         """
         if not self.history:
             return "(no scans processed)"
-        scans = [ScanSummary.of(i, entry) for i, entry in enumerate(self.history)]
+        records = [entry.record for entry in self.history]
         rows = []
-        for i, scan in enumerate(scans, start=1):
-            record = scan.record
-            if scan.restored:
+        for i, record in enumerate(records, start=1):
+            if record.restored:
                 cache = "restored"
             elif record.cache_stats is None:
                 cache = "off"
             else:
                 cache = "hit" if record.cache_hit else "miss"
-            verdict = scan.budget_verdict
             rows.append(
                 [
                     i,
@@ -312,7 +310,7 @@ class SurgicalSession:
                     record.solver_iterations,
                     cache,
                     "-" if record.degradation is None else record.degradation,
-                    "-" if verdict is None else verdict.label,
+                    "-" if record.budget is None else record.budget,
                 ]
             )
         table = format_table(
@@ -331,11 +329,7 @@ class SurgicalSession:
             title="Surgical session summary",
         )
         stats = next(
-            (
-                scan.record.cache_stats
-                for scan in reversed(scans)
-                if scan.record.cache_stats is not None
-            ),
+            (r.cache_stats for r in reversed(records) if r.cache_stats is not None),
             None,
         )
         if stats is not None:
@@ -348,23 +342,20 @@ class SurgicalSession:
         return table
 
 
-def _note_scan_complete(result: IntraoperativeResult, scan: int) -> None:
+def _note_scan_complete(result: IntraoperativeResult) -> None:
     """Flight-recorder breadcrumbs for one committed scan."""
     flight = get_flight_recorder()
     if not flight.enabled:
         return
-    verdict = getattr(result, "budget_verdict", None)
+    record = result.record
     flight.note(
         "scan.complete",
-        scan=scan,
-        seconds=float(result.timeline.total("intraoperative")),
-        degradation=(
-            None if result.degradation is None else result.degradation.label
-        ),
-        within_budget=None if verdict is None else verdict.within_budget,
+        scan=record.scan,
+        seconds=record.seconds(),
+        degradation=record.degradation,
+        budget=record.budget,
     )
     if result.degradation is not None and (
         result.degradation.degraded or result.degradation.escalated
     ):
-        flight.note("scan.degraded", scan=scan, label=result.degradation.label)
-
+        flight.note("scan.degraded", scan=record.scan, label=record.degradation)

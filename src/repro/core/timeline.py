@@ -85,9 +85,6 @@ class Timeline:
             e.seconds for e in self.entries if period is None or e.period == period
         )
 
-    def seconds_for(self, stage: str) -> float:
-        return sum(e.seconds for e in self.entries if e.stage == stage)
-
     def as_table(self, title: str | None = None) -> str:
         rows = [(e.period, e.stage, e.seconds) for e in self.entries]
         rows.append(("intraoperative", "TOTAL (intraoperative)", self.total("intraoperative")))

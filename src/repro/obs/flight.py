@@ -5,8 +5,8 @@ a worker process dies mid-solve, a case blows its deadline, or the
 degradation ladder fires, the question is always "what were the last
 things that happened in there?". A :class:`FlightRecorder` answers it
 the way an aircraft recorder does — a fixed-capacity ring buffer of the
-most recent entries (span completions, events, metric deltas, fault and
-degradation notes) that any layer can append to for near-zero cost, and
+most recent entries (scan completions, control-plane decisions, fault
+and degradation notes) that any layer can append to for near-zero cost, and
 that is **dumped atomically** to JSON (via
 :func:`repro.util.atomicio.atomic_write_json`) the moment something goes
 wrong.
@@ -99,21 +99,6 @@ class FlightRecorder:
                 self.dropped += 1
             self._ring.append(entry)
 
-    def record_span(self, record) -> None:
-        """Append a compact line for one finished trace span."""
-        if not self.enabled:
-            return
-        self.note(
-            "span",
-            name=record.name,
-            seconds=record.duration,
-            **{k: v for k, v in record.attrs.items() if k != "kind"},
-        )
-
-    def record_metric_delta(self, name: str, value: float, delta: float) -> None:
-        """Append a metric-change note (counters crossing the ring)."""
-        self.note("metric", name=name, value=value, delta=delta)
-
     def entries(self) -> list[FlightEntry]:
         """Snapshot of the ring, oldest first."""
         with self._lock:
@@ -125,7 +110,7 @@ class FlightRecorder:
             self.dropped = 0
 
     def as_dicts(self) -> list[dict]:
-        """The ring as plain dicts (frame shipping / dumps)."""
+        """The ring as plain dicts (dumps)."""
         return [entry.as_dict() for entry in self.entries()]
 
     # -- persistence ---------------------------------------------------------

@@ -16,8 +16,8 @@ is the wire layer that ships it:
   the tracer and recorder as ambient for the duration of the case, and
   captures everything into a frame at the end.
 * :class:`TelemetryFrame` — the compact, picklable return payload:
-  finished spans (as plain dicts), a metrics snapshot, and the recent
-  flight-ring entries.
+  finished spans (as plain dicts) and a metrics snapshot. The flight
+  ring does not travel: the worker spools it to disk.
 * :func:`graft_frame` — server-side: adopts the frame's spans under the
   server's ``serve.case`` span (fresh ids, rebased clocks, worker pid
   preserved for the multi-pid Perfetto export) and merges the metrics
@@ -54,8 +54,8 @@ class TraceContext:
         frame's spans are shifted so the remote clock origin lands here
         (clock domains across processes are never compared directly).
     collect_spans:
-        False turns off remote span recording (metrics and flight
-        entries still flow) — the cheap mode.
+        False turns off remote span recording (metrics still flow) —
+        the cheap mode.
     process_label:
         Lane title the remote process should report (e.g. ``"worker-3"``;
         the worker id is appended when None).
@@ -93,8 +93,7 @@ class TelemetryFrame:
     aligns with the context's ``anchor`` (the moment the worker began
     the case), so the graft can rebase. ``metrics`` is a
     :meth:`~repro.obs.MetricsRegistry.snapshot` (budget durations
-    included); ``flight`` holds the recent flight-ring entries at
-    capture time.
+    included).
     """
 
     trace_id: str
@@ -104,7 +103,6 @@ class TelemetryFrame:
     anchor: float | None = None
     spans: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    flight: list[dict] = field(default_factory=list)
     error: str | None = None
     version: int = FRAME_FORMAT_VERSION
 
@@ -181,7 +179,6 @@ class CaseTelemetry:
             anchor=self.context.anchor,
             spans=spans,
             metrics=self.metrics.snapshot(),
-            flight=self.flight.as_dicts(),
             error=error,
         )
 

@@ -10,10 +10,11 @@ by relative path + checksum.
 
 This module also serializes :class:`repro.core.PipelineConfig` to a
 JSON-safe dict and back, so a replayed session can be reconstructed
-from the manifest alone, and defines :class:`ScanRecord` — the
-journaled essentials of one committed intraoperative scan — and
-:class:`ScanSummary`, the record plus the nodal field that a session
-keeps in memory of every scan but its latest.
+from the manifest alone, and defines :class:`ScanRecord` — the one
+summary of a processed scan, which the journal commits, a session keeps
+and a served reply carries — and :class:`ScanSummary`, the record plus
+the nodal field that a session keeps in memory of every scan but its
+latest.
 """
 
 from __future__ import annotations
@@ -216,15 +217,23 @@ def config_from_manifest(data: dict, base=None):
 # -- per-scan journal record --------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
-    """Journaled essentials of one committed intraoperative scan.
+    """The one summary of a processed intraoperative scan.
 
-    Everything the session needs to (a) render the scan in a resumed
-    summary table, (b) serve as ``previous`` for the degradation ladder,
-    and (c) verify a deterministic replay — without storing the full
-    :class:`~repro.core.IntraoperativeResult` (deformed volumes are
-    recomputed from the displacement field on demand).
+    Built once per scan (:attr:`repro.core.IntraoperativeResult.record`)
+    and read by every consumer: the journal commits it (with the store's
+    file fields), a session's summary table and superseded scans keep
+    it, and a served :class:`~repro.serving.CaseResult` carries it. It is
+    everything needed to (a) render the scan in a resumed summary table,
+    (b) serve as ``previous`` for the degradation ladder, and (c) verify
+    a deterministic replay — without the full result (deformed volumes
+    are recomputed from the displacement field on demand).
+
+    ``restored`` is never journaled: a record read back from the journal
+    (:meth:`from_dict`) is restored, one built from a result is not.
+    Frozen, because every consumer shares the one record; slotted, so it
+    pickles as its values (a served reply carries it).
     """
 
     scan: int
@@ -249,31 +258,24 @@ class ScanRecord:
     degradation: str | None = None
     budget: str | None = None
     prototypes_carried: bool = True
+    restored: bool = False
 
     @classmethod
-    def of(
-        cls,
-        scan: int,
-        result,
-        result_file: str = "",
-        input_file: str | None = None,
-        input_sha: str | None = None,
-    ) -> "ScanRecord":
+    def of(cls, result) -> "ScanRecord":
         """The record of a processed :class:`~repro.core.IntraoperativeResult`.
 
-        The three file fields are the store's; a record that is not
-        (yet) on disk has none.
+        Call it through ``result.record``, which builds it once. The
+        three file fields are the store's (``SessionStore.commit_scan``
+        adds them); a record that is not on disk has none.
         """
         sim = result.simulation
         verdict = result.budget_verdict
         nodal_sha, grid_sha = result.field_shas()
         return cls(
-            scan=scan,
-            result_file=result_file,
+            scan=result.scan,
+            result_file="",
             nodal_sha=nodal_sha,
             grid_sha=grid_sha,
-            input_file=input_file,
-            input_sha=input_sha,
             surface_umax=float(result.correspondence.magnitudes.max()),
             match_rigid_rms=float(result.match_rigid_rms),
             match_simulated_rms=float(result.match_simulated_rms),
@@ -360,6 +362,7 @@ class ScanRecord:
             degradation=data.get("degradation"),
             budget=data.get("budget"),
             prototypes_carried=bool(data.get("prototypes_carried", True)),
+            restored=True,
         )
 
 
@@ -371,39 +374,34 @@ class ScanSummary:
     """A scan as a session holds it once a later scan is its ``previous``.
 
     Only the latest scan of a session is read as a whole (the degradation
-    ladder re-applies its field); an older one is read for its summary
-    row, its serving outcome and a post-hoc checkpoint. This is that:
-    the journal's :class:`ScanRecord` plus the nodal displacement, and
-    the two small report objects the record only carries a label of. The
+    ladder re-applies its field); an older one is read for its record (a
+    summary row, a served reply, a post-hoc checkpoint). This is that:
+    the scan's :class:`ScanRecord` plus the nodal displacement, and the
+    degradation report the record only carries a label of. The
     dense per-voxel arrays (deformed MRI, grid displacement,
     segmentation) are gone: the grid field is a function of the nodal one (:meth:`grid_on`) — also when a fallback
     re-applied the previous scan's pair of fields or delivered zeros —
     and is kept only for a coarse-FEM fallback, solved on another mesh.
-    A scan restored from a checkpoint is the same type, ``restored=True``.
+    A scan restored from a checkpoint is the same type; its record is
+    the journal's (``record.restored``).
     """
 
     record: ScanRecord
     nodal_displacement: np.ndarray
     degradation: object | None = None
-    budget_verdict: object | None = None
     grid_displacement: np.ndarray | None = None
-    restored: bool = False
 
     @classmethod
-    def of(cls, scan: int, result, previous: "ScanSummary | None" = None):
-        """Summarize a scan (a summary is returned as it is).
+    def of(cls, result, previous: "ScanSummary | None" = None):
+        """Summarize a scan's full result.
 
         ``previous`` is the summary of the scan before it, which a
         previous-field fallback's grid is read from.
         """
-        if isinstance(result, cls):
-            return result
         summary = cls(
-            record=ScanRecord.of(scan, result),
+            record=result.record,
             nodal_displacement=np.asarray(result.nodal_displacement, dtype=float),
             degradation=result.degradation,
-            budget_verdict=result.budget_verdict,
-            restored=bool(result.restored),
         )
         summary.keep_grid(result.grid_displacement, previous)
         return summary

@@ -257,7 +257,9 @@ class SessionStore:
         :class:`~repro.core.IntraoperativeResult`, or the
         :class:`~repro.persist.checkpoint.ScanSummary` a session kept of
         one together with its dense ``grid`` field
-        (:meth:`ScanSummary.grid_on`); both commit the same record.
+        (:meth:`ScanSummary.grid_on`). Either way the scan's own
+        ``record`` is committed with the store's file fields added, and
+        ``result.record`` becomes the committed record.
         """
         t0 = time.perf_counter()
         tracer = self._tracer()
@@ -274,10 +276,7 @@ class SessionStore:
                 "input_file": begin_entry.get("input_file"),
                 "input_sha": begin_entry.get("input_sha"),
             }
-            if isinstance(result, ScanSummary):
-                record = replace(result.record, **files)
-            else:
-                record = ScanRecord.of(scan, result, **files)
+            record = replace(result.record, **files)
             known = {"nodal": record.nodal_sha, "grid": record.grid_sha}
             save_payload(self.root / rel, "scan-result", known, **arrays)
             self._note_file(rel)
@@ -293,6 +292,7 @@ class SessionStore:
                 self._note_file(self.PROTOTYPES)
             self.crash_point(scan, "mid-write")
             self.journal.commit_scan(record)
+            result.record = record
             self.sync_manifest()
             span.set(bytes=(self.root / rel).stat().st_size)
         if self.metrics is not None:
@@ -379,7 +379,8 @@ class SessionStore:
     def load_history(self, preop) -> list:
         """Reconstruct the committed history as a resumed session holds it.
 
-        Every scan comes back ``restored=True``: the latest as an
+        Every scan comes back holding the journal's record
+        (``record.restored``): the latest as an
         :class:`~repro.core.IntraoperativeResult` with its deformed
         volume recomputed from the stored field (it is the ``previous``
         of the next scan), every older one as the
@@ -414,15 +415,12 @@ class SessionStore:
                 )
             if record is records[-1]:
                 latest = _restored_result(record, nodal, grid, preop, degradation)
-                latest._field_shas = (record.nodal_sha, record.grid_sha)
+                latest.record = record
                 results.append(latest)
             else:
                 # As a live session keeps it (ScanSummary.of).
                 summary = ScanSummary(
-                    record=record,
-                    nodal_displacement=nodal,
-                    degradation=degradation,
-                    restored=True,
+                    record=record, nodal_displacement=nodal, degradation=degradation
                 )
                 summary.keep_grid(grid, results[-1] if results else None)
                 results.append(summary)
@@ -532,10 +530,6 @@ def _restored_result(
         timeline.note(str(note))
     timeline.note("restored from checkpoint")
 
-    correspondence = stub_correspondence(preop.surface)
-    if len(correspondence.displacements):
-        correspondence.displacements[0, 0] = record.surface_umax
-
     segmentation = ImageVolume(
         np.zeros(preop.labels.shape, dtype=np.int16),
         preop.labels.spacing,
@@ -547,7 +541,7 @@ def _restored_result(
         grid_displacement=grid,
         segmentation=segmentation,
         rigid=None,
-        correspondence=correspondence,
+        correspondence=stub_correspondence(preop.surface),
         simulation=simulation,
         timeline=timeline,
         prototypes=None,
@@ -556,5 +550,5 @@ def _restored_result(
         match_rigid_mi=record.match_rigid_mi,
         match_simulated_mi=record.match_simulated_mi,
         degradation=degradation,
-        restored=True,
+        scan=record.scan,
     )

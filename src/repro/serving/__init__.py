@@ -41,8 +41,6 @@ from repro.serving.protocol import (
     SERVED_STATUSES,
     CaseRequest,
     CaseResult,
-    ScanOutcome,
-    outcome_from_result,
 )
 from repro.serving.scheduler import POLICIES, Scheduler
 from repro.serving.server import SessionServer
@@ -71,7 +69,6 @@ __all__ = [
     "POLICIES",
     "QueuedCase",
     "SERVED_STATUSES",
-    "ScanOutcome",
     "Scheduler",
     "ServiceEstimator",
     "SessionServer",
@@ -86,6 +83,5 @@ __all__ = [
     "decode_volume",
     "encode_frame",
     "encode_volume",
-    "outcome_from_result",
     "run_throughput_benchmark",
 ]

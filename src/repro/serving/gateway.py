@@ -24,8 +24,8 @@ lost reply or a shard loss:
   :meth:`kill_shard`), its in-flight cases are re-admitted to the
   survivors with bounded retry: capped exponential backoff with
   deterministic jitter, ``max_attempts`` accounting, and journal replay
-  for durable cases (committed scans come back bit-exact,
-  ``restored=True`` — never recomputed).
+  for durable cases (committed scans come back bit-exact as the
+  journal's records, ``restored`` — never recomputed).
 * **Hang detection** — a worker that stops heartbeating past an
   adaptive timeout (scaled from the EWMA service estimates) is wedged,
   not slow: it is terminated and its case re-admitted, so a
@@ -737,10 +737,10 @@ class ShardGateway:
             m.counter("serving.preop_cache_hits").inc()
         elif result.preop_seconds > 0:
             self.estimator.observe_preop(result.preop_seconds)
-        for outcome in result.scans:
-            if not outcome.restored:
-                self.estimator.observe_scan(outcome.seconds)
-                m.histogram("serving.scan_seconds").observe(outcome.seconds)
+        for record in result.scans:
+            if not record.restored:
+                self.estimator.observe_scan(record.seconds())
+                m.histogram("serving.scan_seconds").observe(record.seconds())
         self._absorb_telemetry(result)
         at = dict(
             case=result.case_id,
@@ -757,10 +757,14 @@ class ShardGateway:
         self._trace().event("serving.case", status=result.status, **at)
 
     def _absorb_telemetry(self, result: CaseResult) -> None:
-        """Graft the worker's frame (its metrics with it); close the case span."""
+        """Graft the worker's frame (its metrics with it); close the case span.
+
+        The frame stops here: once grafted it is dropped from the result,
+        so a reply carries only the scan records.
+        """
         if not self.telemetry:
             return
-        frame = result.telemetry
+        frame, result.telemetry = result.telemetry, None
         span_attrs = {"status": result.status, "worker": result.worker}
         if frame is not None:
             grafted = graft_frame(
@@ -779,10 +783,10 @@ class ShardGateway:
             # timings stand in for the budget histogram the frame held.
             self.metrics.counter("telemetry.frames_lost").inc()
             span_attrs["telemetry_lost"] = True
-            for outcome in result.scans:
-                if not outcome.restored:
+            for record in result.scans:
+                if not record.restored:
                     self.metrics.histogram("budget.scan_seconds").observe(
-                        outcome.seconds
+                        record.seconds()
                     )
         self._close_case_span(result.case_id, **span_attrs)
 

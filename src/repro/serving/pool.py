@@ -20,7 +20,7 @@ Reliability contract:
   :class:`repro.persist.SessionStore`; a worker death mid-case leaves
   the checkpoint resumable, and re-dispatching the same request makes
   the replacement worker *resume* it — committed scans come back from
-  the journal (bit-exact, ``restored=True``), only the remainder is
+  the journal (bit-exact, ``record.restored``), only the remainder is
   recomputed.
 * **Graceful drain**: setting the pool's drain event makes busy workers
   finish their current scan, checkpoint the in-flight session (to the
@@ -49,7 +49,6 @@ from repro.serving.protocol import (
     STATUS_FAILED,
     CaseRequest,
     CaseResult,
-    outcome_from_result,
     served_status,
 )
 from repro.util import ValidationError
@@ -101,7 +100,7 @@ def _build_pipeline(config, telemetry=None):
 def _resume_case(
     request: CaseRequest, worker_id: int, telemetry=None
 ) -> tuple[object, list, float]:
-    """Reopen a case's checkpoint; returns (session, outcomes, preop_s).
+    """Reopen a case's checkpoint; returns (session, records, preop_s).
 
     The manifest is authoritative for the numeric configuration (the
     committed scans were produced under it); the request's fault plan
@@ -123,10 +122,7 @@ def _resume_case(
         _build_pipeline(config, telemetry), request.checkpoint_dir
     )
     preop_seconds = time.perf_counter() - t0
-    outcomes = [
-        outcome_from_result(i, result) for i, result in enumerate(session.history)
-    ]
-    return session, outcomes, preop_seconds
+    return session, [entry.record for entry in session.history], preop_seconds
 
 
 def _apply_shed(request: CaseRequest) -> None:
@@ -211,7 +207,7 @@ def _serve_case(
         return result
 
     t_start = time.perf_counter()
-    outcomes = []
+    records = []
     preop_seconds = 0.0
     cache_hit = False
     checkpoint = request.checkpoint_dir
@@ -230,14 +226,14 @@ def _serve_case(
                 and (Path(checkpoint) / "MANIFEST.json").is_file()
             )
             if resuming:
-                session, outcomes, preop_seconds = _resume_case(
+                session, records, preop_seconds = _resume_case(
                     request, worker_id, telemetry
                 )
                 if telemetry is not None:
                     telemetry.flight.note(
                         "case.resume",
                         case_id=request.case_id,
-                        restored_scans=len(outcomes),
+                        restored_scans=len(records),
                     )
             else:
                 key = request.preop_key()
@@ -280,7 +276,7 @@ def _serve_case(
                             status=STATUS_DRAINED,
                             detail=f"drained after scan {index - 1} -> {root}",
                             worker=worker_id,
-                            scans=outcomes,
+                            scans=[entry.record for entry in session.history],
                             service_seconds=time.perf_counter() - t_start,
                             preop_cache_hit=cache_hit,
                             preop_seconds=preop_seconds,
@@ -288,18 +284,18 @@ def _serve_case(
                         )
                     )
                 result = session.process(request.scans[index])
-                outcomes.append(outcome_from_result(index, result))
+                records.append(result.record)
                 flight_dump = _spool_flight(
                     telemetry, spool, "scan", case_id=request.case_id, scan=index
                 )
-            status, degraded = served_status(o.degradation for o in outcomes)
+            status, degraded = served_status(r.degradation for r in records)
             return finish(
                 CaseResult(
                     case_id=request.case_id,
                     status=status,
                     detail="ok" if not degraded else "degraded: " + ", ".join(degraded),
                     worker=worker_id,
-                    scans=outcomes,
+                    scans=records,
                     service_seconds=time.perf_counter() - t_start,
                     preop_cache_hit=cache_hit,
                     preop_seconds=preop_seconds,
@@ -322,7 +318,7 @@ def _serve_case(
                 status=STATUS_FAILED,
                 detail=detail,
                 worker=worker_id,
-                scans=outcomes,
+                scans=records,
                 service_seconds=time.perf_counter() - t_start,
                 preop_cache_hit=cache_hit,
                 preop_seconds=preop_seconds,

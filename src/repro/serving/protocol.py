@@ -1,4 +1,4 @@
-"""The serving wire protocol: case requests, per-scan outcomes, results.
+"""The serving wire protocol: case requests, per-scan records, results.
 
 A *case* is one patient's surgical session submitted to the
 :class:`repro.serving.SessionServer`: the preoperative acquisition (MRI
@@ -8,12 +8,12 @@ checkpoint directory). Everything in a :class:`CaseRequest` is plain
 data — numpy volumes and config dataclasses — so requests cross the
 process boundary to the worker pool by pickling.
 
-Results flow back as :class:`CaseResult`: a terminal status, one
-:class:`ScanOutcome` per processed scan carrying the BLAKE2b checksums
-of the displacement fields (the same digests the persistence journal
-records, so serving results are directly comparable against serial
-sessions and against checkpoints), and the queue/service timings the
-server's metrics aggregate.
+Results flow back as :class:`CaseResult`: a terminal status, the
+:class:`repro.persist.ScanRecord` of every processed scan — the record
+the persistence journal commits, with the BLAKE2b checksums of the
+displacement fields, so serving results are directly comparable against
+serial sessions and against checkpoints — and the queue/service timings
+the server's metrics aggregate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.imaging.volume import ImageVolume
+from repro.persist.checkpoint import ScanRecord, config_to_manifest
 from repro.resilience.policy import DegradationLevel
 from repro.util import ValidationError
 from repro.util.atomicio import checksum_array, checksum_bytes
@@ -163,8 +164,6 @@ class CaseRequest:
         cached = getattr(self, "_preop_key", None)
         if cached is not None:
             return cached
-        from repro.persist.checkpoint import config_to_manifest
-
         config = self.config if self.config is not None else PipelineConfig()
         parts = []
         for volume in (self.preop_mri, self.preop_labels):
@@ -177,62 +176,6 @@ class CaseRequest:
         parts.append(repr(sorted(config_to_manifest(config).items())))
         self._preop_key = checksum_bytes("|".join(parts).encode())
         return self._preop_key
-
-
-@dataclass
-class ScanOutcome:
-    """Essentials of one scan processed on behalf of a case.
-
-    ``nodal_sha`` / ``grid_sha`` are :func:`repro.util.checksum_array`
-    digests of the displacement fields — bit-exact comparable against a
-    serial session or a checkpoint journal. ``restored`` marks scans
-    recovered from a checkpoint during re-admission rather than
-    recomputed by this worker.
-    """
-
-    scan: int
-    seconds: float
-    nodal_sha: str
-    grid_sha: str
-    solver_iterations: int = 0
-    cache_hit: bool = False
-    degradation: str | None = None
-    restored: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "scan": self.scan,
-            "seconds": self.seconds,
-            "nodal_sha": self.nodal_sha,
-            "grid_sha": self.grid_sha,
-            "solver_iterations": self.solver_iterations,
-            "cache_hit": self.cache_hit,
-            "degradation": self.degradation,
-            "restored": self.restored,
-        }
-
-
-def outcome_from_result(scan: int, result) -> ScanOutcome:
-    """Build a :class:`ScanOutcome` from what a session holds of a scan.
-
-    That is an ``IntraoperativeResult`` for the scan just processed and
-    a :class:`repro.persist.ScanSummary` for an older or restored one;
-    the summary already carries the digests.
-    """
-    from repro.persist.checkpoint import ScanSummary
-
-    summary = ScanSummary.of(scan, result)
-    record = summary.record
-    return ScanOutcome(
-        scan=scan,
-        seconds=float(record.seconds()),
-        nodal_sha=record.nodal_sha,
-        grid_sha=record.grid_sha,
-        solver_iterations=record.solver_iterations,
-        cache_hit=record.cache_hit,
-        degradation=record.degradation,
-        restored=summary.restored,
-    )
 
 
 @dataclass
@@ -250,7 +193,9 @@ class CaseResult:
         Id of the worker that (last) served the case; ``None`` when the
         case never reached a worker.
     scans:
-        One :class:`ScanOutcome` per processed scan, in order.
+        The :class:`repro.persist.ScanRecord` of each processed scan, in
+        order; ``restored`` on a scan recovered from a checkpoint rather
+        than recomputed by the worker.
     queue_seconds / service_seconds:
         Time spent queued (admission -> dispatch) and being served.
     attempts:
@@ -264,11 +209,10 @@ class CaseResult:
         (the request's, or the drain spool for drained cases).
     telemetry:
         The worker's :class:`repro.obs.telemetry.TelemetryFrame` for
-        this case — finished spans, metrics snapshot, flight entries —
-        when the request carried a trace context.
-        ``None`` for cases that never reached a worker, were served
-        dark, or whose worker died before replying (the server then
-        annotates its ``serve.case`` span instead).
+        this case — finished spans and a metrics snapshot — on its way
+        from the worker to the gateway, which grafts it into its own
+        trace and then drops it: a result the gateway recorded (and a
+        client received) carries ``None``.
     flight_dump:
         Name of the worker's persisted flight-recorder ring for this
         case relative to the request's ``flight_dir`` (e.g.
@@ -280,7 +224,7 @@ class CaseResult:
     status: str
     detail: str = ""
     worker: int | None = None
-    scans: list[ScanOutcome] = field(default_factory=list)
+    scans: list[ScanRecord] = field(default_factory=list)
     queue_seconds: float = 0.0
     service_seconds: float = 0.0
     attempts: int = 0

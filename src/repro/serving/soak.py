@@ -67,7 +67,7 @@ from repro.obs.budget import slo_summary
 from repro.resilience.faults import ServingFaultPlan
 from repro.serving.admission import SheddingLadder
 from repro.serving.gateway import ShardGateway
-from repro.serving.protocol import SERVED_STATUSES, CaseRequest, outcome_from_result
+from repro.serving.protocol import SERVED_STATUSES, CaseRequest
 from repro.serving.server import SessionServer
 from repro.util import ValidationError, format_table
 
@@ -386,11 +386,9 @@ def run_serial(requests: list[CaseRequest]) -> tuple[float, dict[str, list[str]]
         session = SurgicalSession.begin(
             pipeline, request.preop_mri, request.preop_labels
         )
-        shas = []
-        for index, scan in enumerate(request.scans):
-            result = session.process(scan)
-            shas.append(outcome_from_result(index, result).nodal_sha)
-        checksums[request.case_id] = shas
+        checksums[request.case_id] = [
+            session.process(scan).record.nodal_sha for scan in request.scans
+        ]
     return time.perf_counter() - t0, checksums
 
 

@@ -82,7 +82,6 @@ from repro.serving.protocol import (
     STATUS_REJECTED,
     CaseRequest,
     CaseResult,
-    ScanOutcome,
     served_status,
 )
 from repro.util import ValidationError
@@ -327,30 +326,16 @@ def decode_submit(
 def result_from_journal(case_id: str, checkpoint_dir: str, records) -> CaseResult:
     """A replayed :class:`CaseResult` for a fully committed durable case.
 
-    The exactly-once answer to a duplicate delivery: every scan comes
-    back ``restored=True`` with the journal's committed checksums —
-    bit-exact what the original execution produced — without touching a
-    worker.
+    The exactly-once answer to a duplicate delivery: the journal's own
+    committed records (``restored``, with their checksums — bit-exact
+    what the original execution produced), without touching a worker.
     """
-    scans = [
-        ScanOutcome(
-            scan=record.scan,
-            seconds=0.0,
-            nodal_sha=record.nodal_sha,
-            grid_sha=record.grid_sha,
-            solver_iterations=record.solver_iterations,
-            cache_hit=record.cache_hit,
-            degradation=record.degradation,
-            restored=True,
-        )
-        for record in records
-    ]
     status, _ = served_status(record.degradation for record in records)
     return CaseResult(
         case_id=case_id,
         status=status,
         detail="replayed from journal (duplicate delivery)",
-        scans=scans,
+        scans=records,
         preop_cache_hit=True,
         checkpoint=checkpoint_dir,
     )
@@ -664,7 +649,7 @@ class NetworkFrontEnd:
             await self._resolve(result.case_id, result)
 
     async def _resolve(self, case_id: str, result: CaseResult) -> None:
-        key = self._case_key.get(case_id, case_id)
+        key = self._case_key.pop(case_id, case_id)
         self._terminal[key] = result
         self._pending.pop(key, None)
         for conn in self._waiters.pop(key, set()):
@@ -882,7 +867,6 @@ class NetworkFrontEnd:
             if records is not None:
                 result = result_from_journal(case_id, checkpoint_dir, records)
                 self._terminal[key] = result
-                self._case_key[case_id] = key
                 self.metrics.counter("net.duplicates").inc()
                 self.metrics.counter("net.journal_dedup").inc()
                 await self._admit(

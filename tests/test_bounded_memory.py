@@ -299,7 +299,7 @@ class TestSessionHoldsOneScan:
         assert latest is results[-1] and session.latest() is latest
         assert all(isinstance(entry, ScanSummary) for entry in older)
         for scan, (entry, result) in enumerate(zip(older, results)):
-            assert entry.record.scan == scan and not entry.restored
+            assert entry.record.scan == scan and not entry.record.restored
             assert entry.nodal_displacement is result.nodal_displacement
             assert entry.grid_displacement is None  # a function of the nodal field
             assert np.array_equal(
@@ -343,8 +343,8 @@ class TestSessionHoldsOneScan:
         assert resumed[0].summary_table() == resumed[1].summary_table()
         assert "restored" in resumed[0].summary_table()
         *older, latest = resumed[0].history
-        assert all(isinstance(e, ScanSummary) and e.restored for e in older)
-        assert isinstance(latest, IntraoperativeResult) and latest.restored
+        assert all(isinstance(e, ScanSummary) and e.record.restored for e in older)
+        assert isinstance(latest, IntraoperativeResult) and latest.record.restored
 
     @pytest.mark.parametrize(
         "faults",
@@ -413,26 +413,34 @@ class TestSessionHoldsOneScan:
         assert resumed.summary_table().count("previous-field") == 2
 
     def test_a_scans_fields_are_hashed_once(self, case, scans, tmp_path, monkeypatch):
+        # ... and its record built once: the commit, the summary, the
+        # served reply and every summary_table() read the same one.
         from repro.core import pipeline as pipeline_module
-        from repro.serving.protocol import outcome_from_result
+        from repro.persist import ScanRecord
 
-        hashed = []
+        hashed, built = [], []
         real = pipeline_module.checksum_array
         monkeypatch.setattr(
             pipeline_module, "checksum_array", lambda a: hashed.append(1) or real(a)
+        )
+        of = ScanRecord.of
+        monkeypatch.setattr(
+            ScanRecord, "of", classmethod(lambda cls, r: built.append(r.scan) or of(r))
         )
         pipeline = IntraoperativePipeline(PipelineConfig(**FAST))
         session = SurgicalSession.begin(
             pipeline, case.preop_mri, case.preop_labels, checkpoint_dir=tmp_path / "ckpt"
         )
-        for index, scan in enumerate(scans[:3]):
+        for scan in scans[:3]:
             result = session.process(scan)  # commits, summarizes the scan before
-            outcome = outcome_from_result(index, result)
             session.summary_table()
-            assert (outcome.nodal_sha, outcome.grid_sha) == result.field_shas()
+            record = result.record  # what a worker replies with
+            session.summary_table()
+            assert (record.nodal_sha, record.grid_sha) == result.field_shas()
         assert len(hashed) == 2 * 3  # the nodal and the grid field of each scan
+        assert built == [0, 1, 2]
         assert [r.grid_sha for r in session.store.committed()] == [
-            outcome_from_result(i, e).grid_sha for i, e in enumerate(session.history)
+            e.record.grid_sha for e in session.history
         ]
 
     @pytest.mark.persistence

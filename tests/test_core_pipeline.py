@@ -33,7 +33,6 @@ class TestTimeline:
         tl.add("c", 3.0, "intraoperative")
         assert tl.total() == 6.0
         assert tl.total("intraoperative") == 5.0
-        assert tl.seconds_for("b") == 2.0
 
     def test_as_table_contains_stages(self):
         tl = Timeline()

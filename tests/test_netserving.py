@@ -15,6 +15,8 @@ without re-execution (exactly-once admission).
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -313,5 +315,50 @@ class TestJournalGatedAdmission:
                 assert server.counter("net.journal_dedup") == 1
                 assert server.counter("serving.admitted") == 0
                 assert server.frontend.exec_counts == {}
+            finally:
+                client.close()
+
+
+def _as_json(records) -> list[str]:
+    """Records as their journal JSON (NaN-safe equality)."""
+    return [json.dumps(r.as_dict(), sort_keys=True) for r in records]
+
+
+class TestRepliesCarryOnlyRecords:
+    def test_frame_stops_at_gateway_and_case_maps_drain(self, patient, tmp_path):
+        checkpoint = str(tmp_path / "case-d")
+        with _Server() as server:
+            client = NetClient("127.0.0.1", server.port)
+            try:
+                client.submit(make_request(patient, "case-0"))
+                client.submit(
+                    make_request(patient, "case-d", checkpoint_dir=checkpoint)
+                )
+                results = client.wait(timeout=180.0)
+                assert sorted(results) == ["case-0", "case-d"]
+                # The worker's telemetry frame was grafted into the
+                # gateway's trace and travelled no further.
+                assert all(r.telemetry is None for r in results.values())
+                grafted = [
+                    s
+                    for s in server.gateway.tracer.finished()
+                    if s.name == "process_scan"
+                ]
+                assert len(grafted) == 2
+                assert all(s.pid not in (0, os.getpid()) for s in grafted)
+                assert server.counter("telemetry.frames") == 2
+                # A duplicate delivery under a fresh key is answered from
+                # the journal: the committed records themselves.
+                ack = client.submit(
+                    make_request(patient, "case-d2", checkpoint_dir=checkpoint)
+                )
+                assert ack["dedup"] == "journal"
+                replay = client.wait(timeout=30.0)["case-d2"]
+                assert all(r.restored for r in replay.scans)
+                assert not any(r.restored for r in results["case-d"].scans)
+                assert _as_json(replay.scans) == _as_json(results["case-d"].scans)
+                # No per-case entry outlives its case.
+                assert server.frontend._case_key == {}
+                assert server.frontend._waiters == {}
             finally:
                 client.close()

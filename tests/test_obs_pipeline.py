@@ -153,8 +153,11 @@ class TestTracedSession:
     def test_budget_verdict_recorded_per_scan(self, traced_session):
         session, _, _, monitor = traced_session
         assert len(monitor.verdicts) == 3
-        for result in session.history:
-            assert result.budget_verdict is not None
+        # Older scans keep the verdict's label in their record.
+        assert session.latest().budget_verdict is not None
+        assert [entry.record.budget for entry in session.history] == [
+            verdict.label for verdict in monitor.verdicts
+        ]
         summary = session.summary_table()
         assert "budget" in summary
         # One verdict label per scan row (phantom scans fit the budget).

@@ -277,7 +277,7 @@ class TestResume:
     def test_history_and_prototypes_restored(self, checkpointed, tmp_path):
         session, _ = resume_copy(checkpointed, tmp_path)
         assert session.n_scans == 2
-        assert all(result.restored for result in session.history)
+        assert all(entry.record.restored for entry in session.history)
         assert session._prototypes is not None
         assert "restored" in session.summary_table()
         # Journaled facts survive the round trip.
@@ -292,7 +292,7 @@ class TestResume:
         # the latest, is a full result on both.
         live, restored = original.history[0], session.history[0]
         assert isinstance(live, ScanSummary) and isinstance(restored, ScanSummary)
-        assert restored.restored and not live.restored
+        assert restored.record.restored and not live.record.restored
         np.testing.assert_array_equal(
             live.nodal_displacement, restored.nodal_displacement
         )
@@ -441,6 +441,30 @@ class TestOlderCheckpoint:
         assert report.scans[0].matched and report.ok
 
 
+    def test_journal_without_restored_key_resumes(self, checkpointed, tmp_path):
+        # ``restored`` is never journaled, so a commit entry has exactly
+        # the keys older versions wrote, and their journals resume with
+        # every record read back as restored.
+        root, original, _ = checkpointed
+        older_keys = {
+            "scan", "result_file", "nodal_sha", "grid_sha", "input_file",
+            "input_sha", "surface_umax", "match", "solver", "cache",
+            "timeline", "notes", "degradation", "budget", "prototypes_carried",
+        }
+        journal = ScanJournal.load(root / "journal.jsonl")
+        commits = [e["record"] for e in journal.entries if e.get("type") == "commit"]
+        assert [set(record) for record in commits] == [older_keys] * 2
+        session, _ = resume_copy(checkpointed, tmp_path)
+        records = [entry.record for entry in session.history]
+        assert all(record.restored for record in records)
+        assert [json.dumps(r.as_dict(), sort_keys=True) for r in records] == [
+            json.dumps(record, sort_keys=True) for record in commits
+        ]
+        assert session.summary_table().count("restored") == 2
+        session.process(make_cases()[1].intraop_mri)
+        assert session.n_scans == 3 and not session.latest().record.restored
+
+
 class TestPostHocCheckpoint:
     def test_checkpoint_then_resume(self, tmp_path):
         case0, _ = make_cases()
@@ -456,7 +480,7 @@ class TestPostHocCheckpoint:
         (record,) = SessionStore.open(root).committed()
         assert record.input_file is None, "post-hoc commits have no input"
         resumed = SurgicalSession.resume(IntraoperativePipeline(fast_config()), root)
-        assert resumed.n_scans == 1 and resumed.history[0].restored
+        assert resumed.n_scans == 1 and resumed.history[0].record.restored
         # Without journaled inputs the scan cannot be replay-verified.
         report = replay_session(root)
         assert report.skipped and not report.mismatched

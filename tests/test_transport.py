@@ -13,6 +13,7 @@ when it rejects, and a journal replay reporting its live case's status.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.core.config import PipelineConfig
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.imaging.volume import ImageVolume
 from repro.obs.telemetry import TelemetryFrame
-from repro.persist import completed_records
+from repro.persist import ScanRecord, completed_records
 from repro.resilience import FaultPlan
 from repro.resilience.faults import (
     SERVING_FAULTS,
@@ -38,7 +39,6 @@ from repro.serving import (
     CaseResult,
     CircuitBreaker,
     FrameError,
-    ScanOutcome,
     ServiceEstimator,
     decode_frame,
     decode_volume,
@@ -105,12 +105,17 @@ class TestFrames:
             detail="rigid-only fallback",
             worker=3,
             scans=[
-                ScanOutcome(
+                ScanRecord(
                     scan=0,
-                    seconds=1.25,
+                    result_file="",
                     nodal_sha="aa",
                     grid_sha="bb",
+                    match_rigid_rms=0.5,
+                    match_simulated_rms=0.25,
+                    match_rigid_mi=1.0,
+                    match_simulated_mi=1.5,
                     solver_iterations=17,
+                    timeline=[("rigid registration", 1.25, "intraoperative")],
                     degradation="rigid-only",
                 )
             ],
@@ -304,6 +309,40 @@ class TestServedStatus:
         assert [o.degradation for o in live.scans] == [label]
         replay = result_from_journal("live", checkpoint, completed_records(checkpoint, 1))
         assert live.status == replay.status == status
+
+    def test_served_records_are_the_journals(self, small_case, tmp_path, monkeypatch):
+        # A durable two-scan case served by a worker: each scan's record
+        # is built once, the reply carries the committed records, and the
+        # journal replay returns those same records, restored.
+        built = []
+        of = ScanRecord.of
+        monkeypatch.setattr(
+            ScanRecord, "of", classmethod(lambda cls, r: built.append(r.scan) or of(r))
+        )
+        checkpoint = str(tmp_path / "case")
+        request = CaseRequest(
+            case_id="live",
+            preop_mri=small_case.preop_mri,
+            preop_labels=small_case.preop_labels,
+            scans=[small_case.intraop_mri, small_case.intraop_mri],
+            config=PipelineConfig(
+                mesh_cell_mm=9.0, rigid_levels=1, rigid_max_iter=1,
+                rigid_samples=2000, surface_iterations=40, prototypes_per_class=20,
+            ),
+            checkpoint_dir=checkpoint,
+        )
+        live = _serve_case(request, LRUStore(1), threading.Event(), str(tmp_path), 0)
+        assert live.status == STATUS_COMPLETED
+        assert built == [0, 1]
+        committed = completed_records(checkpoint, 2)
+
+        def as_json(records):  # the journal's JSON: NaN-safe equality
+            return [json.dumps(r.as_dict(), sort_keys=True) for r in records]
+
+        assert as_json(live.scans) == as_json(committed)
+        assert not any(r.restored for r in live.scans)
+        replay = result_from_journal("live", checkpoint, committed)
+        assert replay.scans == committed and all(r.restored for r in replay.scans)
 
 
 # -- retry client: breaker + jitter ------------------------------------------
