@@ -110,8 +110,8 @@ class PreoperativeModel:
         the preoperative brain mask) and the ``cap_mm`` / ``iterations``
         / ``step_size`` it was run with. The snap never sees the
         intraoperative scan, so it is computed once here; a pipeline
-        whose snap parameters differ recomputes it per scan (and says so
-        in the timeline).
+        whose snap parameters differ recomputes it per scan (its surface
+        entry counts ``snap_recomputed``).
         Only vertex positions are kept — the force-field volumes are not.
     band:
         The voxels of the preoperative grid within ``snap_params``'s
@@ -502,7 +502,7 @@ class IntraoperativePipeline:
     ) -> tuple[RegistrationResult, RigidTransform]:
         """Stage 1 — MI rigid registration: intraop points -> preop frame."""
         cfg = self.config
-        with timeline.stage("rigid registration"):
+        with timeline.stage("rigid registration") as counts:
             rigid_result = register_rigid(
                 intraop_mri,
                 preop.mri,
@@ -511,6 +511,7 @@ class IntraoperativePipeline:
                 max_samples=cfg.rigid_samples,
                 seed=cfg.seed,
             )
+            counts["evaluations"] = int(rigid_result.evaluations)
             return rigid_result, rigid_result.transform
 
     def _stage_classify(
@@ -524,7 +525,7 @@ class IntraoperativePipeline:
     ) -> tuple[PrototypeSet, ImageVolume]:
         """Stage 2 — k-NN tissue classification over intensity + localization."""
         cfg = self.config
-        with timeline.stage("tissue classification") as span:
+        with timeline.stage("tissue classification") as counts:
             if prototypes is None:
                 ref = reference_labels if reference_labels is not None else preop.labels
                 prototypes = select_prototypes(
@@ -548,27 +549,15 @@ class IntraoperativePipeline:
                 band=self._classification_band(preop),
                 prior=preop.labels,
             )
-            voxels = segmentation.data.size
-            band_share = classifier.classified / voxels
-            span.set(
-                voxels=voxels,
-                band_voxels=classifier.classified,
-                band_share=band_share,
-                prototypes=len(prototypes),
-                k=classifier.k,
-                open_share=classifier.open_share,
+            voxels, band = int(segmentation.data.size), int(classifier.classified)
+            counts.update(
+                voxels=voxels, band_mm=float(cfg.surface_cap_mm), band_voxels=band,
+                band_share=band / voxels, prototypes=len(prototypes),
+                k=int(classifier.k), open_share=float(classifier.open_share),
             )
-        note = (
-            f"k-NN: {classifier.classified:,} of {voxels:,} voxels in the "
-            f"±{cfg.surface_cap_mm:g} mm band ({100.0 * band_share:.1f} %), "
-            f"{100.0 * classifier.open_share:.1f} % past the majority"
-        )
-        if classifier.prior_only:
-            note += "; outside it, labels k-NN never emits: " + ", ".join(
-                f"{_label_name(label)} {count:,}"
-                for label, count in classifier.prior_only.items()
-            )
-        timeline.note(note)
+            # Outside the band: prior labels no prototype carries.
+            for label, count in classifier.prior_only.items():
+                counts[f"prior_only_{_label_name(label).replace(' ', '_')}"] = int(count)
         return prototypes, segmentation
 
     def _stage_surface(
@@ -588,7 +577,7 @@ class IntraoperativePipeline:
         in the scan's frame (the match metrics sample there again).
         """
         cfg = self.config
-        with timeline.stage("surface displacement") as span:
+        with timeline.stage("surface displacement") as counts:
             preop_in_scan = transform.inverse().apply(preop.labels.voxel_centers())
             seg_on_preop = trilinear_sample(
                 segmentation.astype(np.float64),
@@ -609,23 +598,15 @@ class IntraoperativePipeline:
                 snapped=reused,
             )
             tracked = correspondence.tracked
-            span.set(
-                track_iterations=tracked.iterations, track_converged=tracked.converged
-            )
+            counts["snap_iterations"] = int(correspondence.snapped.iterations)
             if reused is None:
-                span.set(snap_recomputed=True)
-        if reused is not None:
-            timeline.note(
-                f"surface snap: reused preoperative snap ({reused.iterations} iterations)"
+                counts["snap_recomputed"] = True
+            counts.update(
+                track_iterations=int(tracked.iterations),
+                track_converged=bool(tracked.converged),
+                track_residual_mm=float(tracked.mean_residual_mm),
+                track_last_step_mm=float(tracked.history[-1] if tracked.history else 0.0),
             )
-        else:
-            timeline.note(
-                "surface snap: recomputed inside the scan "
-                f"({correspondence.snapped.iterations} iterations; the model's "
-                f"stored snap is for {preop.snap_params}, this pipeline needs "
-                f"{snap_params})"
-            )
-        timeline.note(self._track_note(tracked))
         return correspondence, target_mask, preop_in_scan
 
     @staticmethod
@@ -639,30 +620,6 @@ class IntraoperativePipeline:
         return (
             f"surface track: stopped at the {tracked.iterations}-iteration cap "
             f"(last step {tracked.history[-1]:.3f} mm)"
-        )
-
-    def _note_cache(
-        self, timeline: Timeline, preop: PreoperativeModel, simulation
-    ) -> None:
-        if preop.solve_context is None or simulation.cache_stats is None:
-            return
-        stats = simulation.cache_stats
-        timeline.note(
-            "solve context: "
-            + ("hit (data-only fast path)" if simulation.cache_hit else "miss (rebuilt)")
-            + f" [hits={stats.hits} misses={stats.misses}"
-            + f" invalidations={stats.invalidations}]"
-        )
-
-    @staticmethod
-    def _note_convergence(timeline: Timeline, simulation: ParallelSimulation) -> None:
-        solver = simulation.solver
-        rate = iterations_per_decade(solver.iterations, solver.history)
-        if rate is None or not solver.rhs_norm:
-            return
-        timeline.note(
-            f"gmres: {solver.iterations} it, {rate:.1f} it/decade, "
-            f"rel. residual {solver.residual_norm / solver.rhs_norm:.1e}"
         )
 
     def _stage_simulate(
@@ -683,9 +640,9 @@ class IntraoperativePipeline:
         """
         cfg = self.config
         deadline = None if self.budget is None else max(self.budget.headroom(), 1.0)
-        with timeline.stage("biomechanical simulation"):
+        with timeline.stage("biomechanical simulation") as counts:
             bc = DirichletBC(preop.surface.mesh_nodes, correspondence.displacements)
-            return solve_with_escalation(
+            outcome = solve_with_escalation(
                 preop.mesher.mesh,
                 bc,
                 n_ranks=cfg.n_ranks,
@@ -700,21 +657,33 @@ class IntraoperativePipeline:
                 scan_index=scan_index,
                 escalate=cfg.resilience.enabled,
             )
+            if outcome.succeeded:  # beyond the record's solver_* / cache_* facts
+                sim, solver = outcome.simulation, outcome.simulation.solver
+                counts.update(
+                    virtual_init_s=float(sim.initialization_seconds),
+                    virtual_assembly_s=float(sim.assembly_seconds),
+                    virtual_solve_s=float(sim.solve_seconds),
+                    iterations=int(solver.iterations),
+                    equations=int(sim.n_dof_total),
+                    free_equations=int(sim.n_equations),
+                )
+                rate = iterations_per_decade(solver.iterations, solver.history)
+                if rate is not None:
+                    counts["it_per_decade"] = float(rate)
+                if solver.rhs_norm:
+                    counts["rel_residual"] = float(solver.residual_norm / solver.rhs_norm)
+            return outcome
 
     def _stage_resample(
         self, preop: PreoperativeModel, displacement: np.ndarray, timeline: Timeline
     ) -> tuple[np.ndarray, ImageVolume]:
         """Stage 5 — deform the preop MRI onto the new configuration."""
-        with timeline.stage("visualization resample"):
+        with timeline.stage("visualization resample") as counts:
             grid_disp = preop.mesher.displacement_on_grid(displacement, preop.mri)
-            inverse, counts = invert_with_counts(grid_disp, preop.mri.spacing)
+            inverse, inverted = invert_with_counts(grid_disp, preop.mri.spacing)
             deformed = warp_volume(preop.mri, inverse, fill_value=0.0)
-        timeline.note(
-            f"resample: {counts.active_voxels:,} active voxels, "
-            f"{counts.voxel_sweeps / max(counts.active_voxels, 1):.2f} sweeps a voxel, "
-            f"{counts.damped_voxels:,} damped; warped {counts.displaced_voxels:,} "
-            f"of {preop.mri.data.size:,} voxels"
-        )
+            counts.update({k: int(v) for k, v in inverted._asdict().items()})
+            counts["voxels"] = int(preop.mri.data.size)
         return grid_disp, deformed
 
     def _match_metrics(
@@ -885,8 +854,6 @@ class IntraoperativePipeline:
             recovery_seconds += sum(a.seconds for a in outcome.attempts if not a.ok)
             if outcome.succeeded:
                 simulation = outcome.simulation
-                self._note_cache(timeline, preop, simulation)
-                self._note_convergence(timeline, simulation)
                 if outcome.escalated:
                     report.cause = outcome.attempts[0].error or ""
                     note(

@@ -2,7 +2,8 @@
 
 Records the ordered wall-clock cost of every image-processing action
 before and during surgery, so the experiments can print the same
-timeline the paper draws.
+timeline the paper draws, and beside each stage the exact counts it
+produced (band voxels, GMRES iterations, virtual seconds, ...).
 
 The timeline is a thin consumer of :mod:`repro.obs`: every
 :meth:`Timeline.stage` opens one tracer span (named after the stage) so
@@ -23,11 +24,19 @@ from repro.util import Timer, format_table
 
 @dataclass
 class TimelineEntry:
-    """One timed pipeline stage."""
+    """One timed pipeline stage and the named counts it produced."""
 
     stage: str
     seconds: float
     period: str  # "preoperative" | "intraoperative"
+    counts: dict = field(default_factory=dict)
+
+
+def _format_counts(counts: dict) -> str:
+    """``name=value`` pairs, floats to 4 significant digits."""
+    return " ".join(
+        f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in counts.items()
+    )
 
 
 @dataclass
@@ -39,8 +48,9 @@ class Timeline:
     entries:
         Timed stages in execution order.
     notes:
-        Free-form annotations attached to the record (e.g. solve-context
-        cache hit/miss information), appended below the stage table.
+        Events of the scan (budget warnings and verdict, injected
+        faults, input hardening, resilience decisions), appended below
+        the stage table. What a stage counted is on its entry.
     tracer:
         Tracer the stage spans are recorded on; ``None`` uses the
         ambient :func:`repro.obs.get_tracer` (a no-op by default).
@@ -55,7 +65,7 @@ class Timeline:
     observers: list = field(default_factory=list, repr=False, compare=False)
 
     def note(self, text: str) -> None:
-        """Attach a free-form annotation to the timeline."""
+        """Attach an event annotation to the timeline."""
         self.notes.append(text)
 
     @contextmanager
@@ -64,15 +74,18 @@ class Timeline:
 
         One tracer span wraps the stage, so nested instrumentation
         (FEM assembly, solver restarts) parents under it; the table
-        entry and the span measure the same interval. Yields the span so
-        the stage can attach attributes to it.
+        entry and the span measure the same interval. Yields the
+        entry's ``counts`` dict: the stage writes its named counts into
+        it, and on exit they are stored on the entry and set on the span.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         timer = Timer(name)
+        counts: dict = {}
         with tracer.span(name, kind="stage", period=period) as span:
             with timer:
-                yield span
-        entry = TimelineEntry(name, timer.elapsed, period)
+                yield counts
+            span.set(**counts)
+        entry = TimelineEntry(name, timer.elapsed, period, counts)
         self.entries.append(entry)
         for observer in self.observers:
             observer(entry)
@@ -86,9 +99,9 @@ class Timeline:
         )
 
     def as_table(self, title: str | None = None) -> str:
-        rows = [(e.period, e.stage, e.seconds) for e in self.entries]
-        rows.append(("intraoperative", "TOTAL (intraoperative)", self.total("intraoperative")))
-        table = format_table(["period", "stage", "seconds"], rows, title=title)
+        rows = [(e.period, e.stage, e.seconds, _format_counts(e.counts)) for e in self.entries]
+        rows.append(("intraoperative", "TOTAL (intraoperative)", self.total("intraoperative"), ""))
+        table = format_table(["period", "stage", "seconds", "counts"], rows, title=title)
         if self.notes:
             table += "\n" + "\n".join(f"  note: {n}" for n in self.notes)
         return table
@@ -98,26 +111,24 @@ class Timeline:
 
         Each stage occupies a bar proportional to its duration, placed
         after the preceding stages — the paper draws exactly this
-        "action vs time" staircase.
+        "action vs time" staircase. Every bar stays inside the
+        ``width``-column chart, so all rows are as wide as the header.
         """
         total = self.total()
         if total <= 0 or not self.entries:
             return "(empty timeline)"
-        name_width = max(len(e.stage) for e in self.entries)
-        lines = []
-        if title:
-            lines.append(title)
-        lines.append(f"{'stage'.ljust(name_width)} | 0{' ' * (width - 6)}{total:.1f}s")
-        lines.append(f"{'-' * name_width}-+-{'-' * width}")
+        names = max(len("stage"), *(len(e.stage) for e in self.entries))
+        walls = [f"{e.seconds:.2f}s" for e in self.entries]
+        wall = max(len("wall"), *map(len, walls))
+        axis = "0" + f"{total:.1f}s".rjust(width - 1)
+        lines = [title] if title else []
+        lines.append(f"{'stage':<{names}} | {axis} {'wall':>{wall}}")
+        lines.append(f"{'-' * names}-+-{'-' * len(axis)}-{'-' * wall}")
         elapsed = 0.0
-        for entry in self.entries:
-            start = int(round(elapsed / total * width))
-            length = max(1, int(round(entry.seconds / total * width)))
-            if start + length > width:
-                length = width - start
-            bar = " " * start + "#" * max(length, 1)
-            lines.append(
-                f"{entry.stage.ljust(name_width)} | {bar.ljust(width)} {entry.seconds:.2f}s"
-            )
+        for entry, text in zip(self.entries, walls):
+            start = min(round(elapsed / total * width), width - 1)
+            bar = "#" * min(max(1, round(entry.seconds / total * width)), width - start)
+            row = f"{entry.stage:<{names}} | {' ' * start + bar:<{len(axis)}}"
+            lines.append(f"{row} {text:>{wall}}")
             elapsed += entry.seconds
         return "\n".join(lines)

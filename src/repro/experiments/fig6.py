@@ -27,13 +27,12 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
-from repro.core.timeline import Timeline
 from repro.experiments.common import PAPER_SYSTEM_SMALL, ExperimentReport
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW, MachineSpec
 from repro.obs.trace import Tracer, use_tracer
 from repro.solver.preconditioner import usable_cores
-from repro.util import Timer, format_table
+from repro.util import format_table
 
 #: The paper's own numbers for a stage (Section 3.2): the display
 #: resample "requires approximately 0.5 seconds", and the volumetric
@@ -57,12 +56,9 @@ def run(
     cfg.n_ranks = min(n_ranks, machine.max_cpus) if machine else cfg.n_ranks
     pipeline = IntraoperativePipeline(cfg, machine=machine)
 
-    preop_timeline = Timeline()
-    prep_timer = Timer("preoperative preparation")
-    with prep_timer:
-        preop = pipeline.prepare_preoperative(case.preop_mri, case.preop_labels)
-    preop_timeline.add("preoperative segmentation + model building", prep_timer.elapsed, "preoperative")
-
+    start = time.perf_counter()
+    preop = pipeline.prepare_preoperative(case.preop_mri, case.preop_labels)
+    build = time.perf_counter() - start
     result = pipeline.process_scan(case.intraop_mri, preop)
 
     report = ExperimentReport(
@@ -70,25 +66,23 @@ def run(
         title="Timeline of image processing for image guided neurosurgery",
         headers=["period", "action", "seconds (this machine)"],
     )
-    for entry in preop_timeline.entries:
-        report.rows.append([entry.period, entry.stage, entry.seconds])
+    report.rows.append(["preoperative", "preoperative segmentation + model building", build])
     report.rows.append(["intraoperative", "intraoperative MRI acquisition", "(scanner)"])
-    for entry in result.timeline.entries:
-        report.rows.append([entry.period, entry.stage, entry.seconds])
-    report.rows.append(
-        ["intraoperative", "TOTAL intraoperative processing", result.timeline.total("intraoperative")]
-    )
+    record = result.record
+    for stage, seconds, period, _ in record.timeline:
+        report.rows.append([period, stage, seconds])
+    report.rows.append(["intraoperative", "TOTAL intraoperative processing", record.seconds()])
 
-    sim = result.simulation
+    sim = record.counts("biomechanical simulation")
     if machine is not None:
         report.notes.append(
             f"biomechanical simulation on {machine.name} with {cfg.n_ranks} CPUs "
-            f"(virtual): init {sim.initialization_seconds:.2f} s + assembly "
-            f"{sim.assembly_seconds:.2f} s + solve {sim.solve_seconds:.2f} s"
+            f"(virtual): init {sim['virtual_init_s']:.2f} s + assembly "
+            f"{sim['virtual_assembly_s']:.2f} s + solve {sim['virtual_solve_s']:.2f} s"
         )
     disp = np.linalg.norm(result.nodal_displacement, axis=1)
     report.notes.append(
-        f"system: {sim.n_dof_total} equations, peak surface displacement {disp.max():.1f} mm"
+        f"system: {sim['equations']} equations, peak surface displacement {disp.max():.1f} mm"
     )
     report.notes.append(
         "paper ordering preserved: rigid registration -> tissue classification -> "
@@ -186,18 +180,17 @@ def paper_size(
         )
         wall = time.perf_counter() - start
         period = f"scan {k + 1} ({case.shift_mm:g} mm)"
-        sim = result.simulation
-        staged = [e for e in result.timeline.entries if e.period == "intraoperative"]
-        for entry in staged:
-            virtual = sim.total_seconds if entry.stage == "biomechanical simulation" else ""
-            rows.append([period, entry.stage, entry.seconds, virtual,
-                         PAPER_ENVELOPE.get(entry.stage, "")])
-        rows.append([period, "unstaged", wall - sum(e.seconds for e in staged), "", ""])
+        record = result.record
+        sim = record.counts("biomechanical simulation")
+        split = (sim["virtual_init_s"], sim["virtual_assembly_s"], sim["virtual_solve_s"])
+        for stage, seconds, _, _ in record.timeline:
+            virtual = sum(split) if stage == "biomechanical simulation" else ""
+            rows.append([period, stage, seconds, virtual, PAPER_ENVELOPE.get(stage, "")])
+        rows.append([period, "unstaged", wall - record.seconds(), "", ""])
         rows.append([period, "TOTAL", wall, "", ""])
         notes.append(
-            f"{period}: virtual init {sim.initialization_seconds:.3f} s + assembly "
-            f"{sim.assembly_seconds:.3f} s + solve {sim.solve_seconds:.3f} s, "
-            f"{sim.solver.iterations} GMRES iterations"
+            f"{period}: virtual init {split[0]:.3f} s + assembly {split[1]:.3f} s + "
+            f"solve {split[2]:.3f} s, {sim['iterations']} GMRES iterations"
         )
         previous = result
     header = [
@@ -205,7 +198,7 @@ def paper_size(
         f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}, "
         f"block factorization on {min(n_ranks, usable_cores())} threads",
         f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
-        f"{sim.n_dof_total:,} equations ({sim.n_equations:,} free) on {n_ranks} ranks "
+        f"{sim['equations']:,} equations ({sim['free_equations']:,} free) on {n_ranks} ranks "
         f"({config.partitioner} partition), virtual seconds on {machine.name}",
     ]
     table = format_table(["period", "stage", "wall (s)", "virtual (s)", "paper"], rows)

@@ -230,6 +230,9 @@ class ScanRecord:
     a deterministic replay — without the full result (deformed volumes
     are recomputed from the displacement field on demand).
 
+    ``timeline`` holds one ``(stage, seconds, period, counts)`` per timed
+    stage, ``counts`` being the named numbers the stage produced
+    (:meth:`counts`); ``notes`` holds the scan's events only.
     ``restored`` is never journaled: a record read back from the journal
     (:meth:`from_dict`) is restored, one built from a result is not.
     Frozen, because every consumer shares the one record; slotted, so it
@@ -289,7 +292,7 @@ class ScanRecord:
             cache_stats=(
                 None if sim.cache_stats is None else sim.cache_stats.as_dict()
             ),
-            timeline=[(e.stage, e.seconds, e.period) for e in result.timeline.entries],
+            timeline=[(e.stage, e.seconds, e.period, e.counts) for e in result.timeline.entries],
             notes=list(result.timeline.notes),
             degradation=(
                 None if result.degradation is None else result.degradation.label
@@ -300,7 +303,11 @@ class ScanRecord:
 
     def seconds(self, period: str = "intraoperative") -> float:
         """Total of the timeline's stages in ``period`` (Timeline.total)."""
-        return sum(seconds for _, seconds, p in self.timeline if p == period)
+        return sum(seconds for _, seconds, p, _ in self.timeline if p == period)
+
+    def counts(self, stage: str) -> dict:
+        """The named counts of the timeline's ``stage`` (empty if it did not run)."""
+        return next((c for name, _, _, c in self.timeline if name == stage), {})
 
     def as_dict(self) -> dict:
         return {
@@ -357,7 +364,9 @@ class ScanRecord:
             solver_residual=float(solver.get("residual", 0.0)),
             cache_hit=bool(cache.get("hit", False)),
             cache_stats=cache.get("stats"),
-            timeline=[tuple(entry) for entry in data.get("timeline", [])],
+            timeline=[  # older journals wrote [stage, seconds, period]: no counts
+                (*e[:3], dict(e[3]) if len(e) > 3 else {}) for e in data.get("timeline", [])
+            ],
             notes=list(data.get("notes", [])),
             degradation=data.get("degradation"),
             budget=data.get("budget"),

@@ -524,8 +524,8 @@ def _restored_result(
         cache_stats=cache_stats,
     )
     timeline = Timeline()
-    for stage, seconds, period in record.timeline:
-        timeline.entries.append(TimelineEntry(str(stage), float(seconds), str(period)))
+    for stage, seconds, period, counts in record.timeline:
+        timeline.entries.append(TimelineEntry(stage, seconds, period, dict(counts)))
     for note in record.notes:
         timeline.note(str(note))
     timeline.note("restored from checkpoint")

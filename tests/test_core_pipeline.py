@@ -153,8 +153,9 @@ class TestPreoperativeSnap:
         return pipeline, preop, pipeline.process_scan(small_case.intraop_mri, preop)
 
     @staticmethod
-    def _snap_notes(result):
-        return [n for n in result.timeline.notes if n.startswith("surface snap:")]
+    def _snap_counts(result):
+        counts = result.record.counts("surface displacement")
+        return {k: v for k, v in counts.items() if k.startswith("snap_")}
 
     def test_model_carries_the_snap_and_its_parameters(self, snap_run):
         pipeline, preop, _ = snap_run
@@ -172,13 +173,13 @@ class TestPreoperativeSnap:
     def test_reuse_is_noted_and_equals_the_per_scan_snap(self, small_case, snap_run):
         pipeline, preop, reused = snap_run
         assert reused.correspondence.snapped is preop.snapped
-        assert self._snap_notes(reused) == [
-            f"surface snap: reused preoperative snap ({preop.snapped.iterations} iterations)"
-        ]
+        assert self._snap_counts(reused) == {"snap_iterations": preop.snapped.iterations}
         bare = dataclasses.replace(preop, snapped=None, snap_params=None)
         recomputed = pipeline.process_scan(small_case.intraop_mri, bare)
-        (note,) = self._snap_notes(recomputed)
-        assert note.startswith("surface snap: recomputed inside the scan")
+        assert self._snap_counts(recomputed) == {
+            "snap_iterations": recomputed.correspondence.snapped.iterations,
+            "snap_recomputed": True,
+        }
         assert recomputed.correspondence.snapped is not preop.snapped
         assert np.array_equal(
             recomputed.correspondence.snapped.positions, preop.snapped.positions
@@ -206,8 +207,7 @@ class TestPreoperativeSnap:
             PipelineConfig(**{**self.SETTINGS, **override}), tracer=tracer
         )
         result = other.process_scan(small_case.intraop_mri, preop)
-        (note,) = self._snap_notes(result)
-        assert note.startswith("surface snap: recomputed inside the scan")
+        assert self._snap_counts(result)["snap_recomputed"] is True
         (span,) = [s for s in tracer.finished() if s.name == "surface displacement"]
         assert span.attrs["snap_recomputed"] is True
         assert result.correspondence.snapped is not preop.snapped
@@ -225,9 +225,7 @@ class TestPreoperativeSnap:
         )
         result = other.process_scan(small_case.intraop_mri, preop)
         assert result.correspondence.snapped is preop.snapped
-        assert self._snap_notes(result) == [
-            f"surface snap: reused preoperative snap ({preop.snapped.iterations} iterations)"
-        ]
+        assert self._snap_counts(result) == {"snap_iterations": preop.snapped.iterations}
         (span,) = [s for s in tracer.finished() if s.name == "surface displacement"]
         assert "snap_recomputed" not in span.attrs
 
@@ -247,11 +245,11 @@ class TestPreoperativeSnap:
         _, preop, full = snap_run
         tracked = full.correspondence.tracked
         assert tracked.converged
-        assert (
-            f"surface track: {tracked.iterations} it, "
-            f"residual {tracked.mean_residual_mm:.2f} mm"
-        ) in full.timeline.notes
-        assert full.degradation.notes == []
+        counts = full.record.counts("surface displacement")
+        assert counts["track_iterations"] == tracked.iterations
+        assert counts["track_converged"] is True
+        assert counts["track_residual_mm"] == tracked.mean_residual_mm
+        assert full.timeline.notes == [] and full.degradation.notes == []
 
         capped_pipeline = IntraoperativePipeline(
             PipelineConfig(**{**self.SETTINGS, "surface_iterations": 3})
@@ -259,12 +257,14 @@ class TestPreoperativeSnap:
         capped = capped_pipeline.process_scan(small_case.intraop_mri, preop)
         tracked = capped.correspondence.tracked
         assert not tracked.converged and tracked.iterations == 3
-        note = (
+        counts = capped.record.counts("surface displacement")
+        assert counts["track_iterations"] == 3 and counts["track_converged"] is False
+        assert counts["track_last_step_mm"] == tracked.history[-1]
+        assert capped.degradation.notes == [
             "surface track: stopped at the 3-iteration cap "
             f"(last step {tracked.history[-1]:.3f} mm)"
-        )
-        assert note in capped.timeline.notes
-        assert note in capped.degradation.notes
+        ]
+        assert capped.timeline.notes == []
         assert not capped.degradation.degraded
 
 
@@ -399,16 +399,13 @@ class TestClassificationStage:
             assert 0.0 < share < 0.2
             band = span.attrs["band_voxels"]
             assert 0 < band < 24_576 and span.attrs["band_share"] == band / 24_576
-            (note,) = [n for n in result.timeline.notes if n.startswith("k-NN:")]
-            assert note.startswith(
-                f"k-NN: {band:,} of 24,576 voxels in the ±20 mm band "
-                f"({100.0 * band / 24_576:.1f} %), {100.0 * share:.1f} % past the majority"
-            )
+            counts = result.record.counts("tissue classification")
+            assert counts == {k: v for k, v in span.attrs.items() if k in counts}
+            assert counts["band_mm"] == 20.0
             # Outside the band the prior's tumour stays: a class no prototype has.
             seg = result.segmentation.data
-            assert note.endswith(
-                f"; outside it, labels k-NN never emits: tumor {np.sum(seg == Tissue.TUMOR):,}"
-            )
+            assert counts["prior_only_tumor"] == np.sum(seg == Tissue.TUMOR) > 0
+            assert not result.timeline.notes
 
 
 class TestResampleStage:
@@ -434,17 +431,12 @@ class TestResampleStage:
         assert active <= sweeps < 10 * active
         deformed = warp_volume(preop.mri, np.zeros((*preop.mri.shape, 3)))
         warped = np.count_nonzero(result.deformed_mri.data != deformed.data)
-        (note,) = [n for n in result.timeline.notes if n.startswith("resample:")]
-        match = re.fullmatch(
-            r"resample: ([\d,]+) active voxels, ([\d.]+) sweeps a voxel, ([\d,]+) damped; "
-            r"warped ([\d,]+) of 24,576 voxels",
-            note,
-        )
-        assert match, note
-        assert int(match[1].replace(",", "")) == active
-        assert match[2] == f"{sweeps / active:.2f}"
-        assert int(match[3].replace(",", "")) == span.attrs["damped_voxels"]
-        assert warped <= int(match[4].replace(",", "")) <= active
+        counts = result.record.counts("visualization resample")
+        assert counts["voxels"] == 24_576
+        assert counts["active_voxels"] == active
+        assert counts["voxel_sweeps"] == sweeps
+        assert counts["damped_voxels"] == span.attrs["damped_voxels"]
+        assert warped <= counts["displaced_voxels"] <= active
 
     def test_match_metrics_equal_the_full_grid_computation(self, traced_scan, small_case):
         """Sampling only the scored region gives the four numbers bit for bit."""
@@ -468,3 +460,104 @@ class TestResampleStage:
             mutual_information(result.deformed_mri.data, on_preop, mask=region),
         )
         assert got == want
+
+
+class TestScanRecordStages:
+    """What a stage counted lives on its timeline entry, and the record carries it."""
+
+    SETTINGS = dict(
+        mesh_cell_mm=8.0, rigid_max_iter=1, rigid_samples=2000,
+        surface_iterations=50, n_ranks=2,
+    )
+    STAGES = [
+        "rigid registration", "tissue classification", "surface displacement",
+        "biomechanical simulation", "visualization resample",
+    ]
+
+    @staticmethod
+    def _scan(small_case, monkeypatch, **overrides):
+        """One scan on DEEP_FLOW, with the classifier and the inverter's counts kept."""
+        import repro.core.pipeline as pipeline_module
+        from repro.segmentation.knn import KNNClassifier
+
+        seen = {}
+        segment, invert = KNNClassifier.segment, pipeline_module.invert_with_counts
+
+        def spy_segment(self, *args, **kwargs):
+            seen["classifier"] = self
+            return segment(self, *args, **kwargs)
+
+        def spy_invert(*args, **kwargs):
+            inverse, seen["inverted"] = invert(*args, **kwargs)
+            return inverse, seen["inverted"]
+
+        monkeypatch.setattr(KNNClassifier, "segment", spy_segment)
+        monkeypatch.setattr(pipeline_module, "invert_with_counts", spy_invert)
+        config = PipelineConfig(**{**TestScanRecordStages.SETTINGS, **overrides})
+        pipeline = IntraoperativePipeline(config, machine=DEEP_FLOW)
+        preop = pipeline.prepare_preoperative(small_case.preop_mri, small_case.preop_labels)
+        return pipeline.process_scan(small_case.intraop_mri, preop), seen
+
+    @staticmethod
+    def _assert_record_has_every_stage_once(result):
+        entries = result.timeline.entries
+        assert result.record.timeline == [
+            (e.stage, e.seconds, e.period, e.counts) for e in entries
+        ]
+        names = [stage for stage, _, _, _ in result.record.timeline]
+        assert len(names) == len(set(names))
+
+    def test_full_fem_scan_counts_equal_their_sources(self, small_case, monkeypatch):
+        result, seen = self._scan(small_case, monkeypatch)
+        self._assert_record_has_every_stage_once(result)
+        assert [stage for stage, _, _, _ in result.record.timeline] == self.STAGES
+        assert result.timeline.notes == [] and result.record.notes == []
+        record = result.record
+        assert record.counts("rigid registration") == {
+            "evaluations": result.rigid.evaluations
+        }
+        classifier, knn = seen["classifier"], record.counts("tissue classification")
+        assert knn["band_voxels"] == classifier.classified
+        assert knn["open_share"] == classifier.open_share
+        assert knn["prior_only_tumor"] == classifier.prior_only[int(Tissue.TUMOR)]
+        inverted, resample = seen["inverted"], record.counts("visualization resample")
+        assert resample == {
+            "active_voxels": inverted.active_voxels,
+            "voxel_sweeps": inverted.voxel_sweeps,
+            "damped_voxels": inverted.damped_voxels,
+            "displaced_voxels": inverted.displaced_voxels,
+            "voxels": 32 * 32 * 24,
+        }
+        sim, fem = result.simulation, record.counts("biomechanical simulation")
+        assert fem["iterations"] == sim.solver.iterations == record.solver_iterations
+        assert (fem["virtual_init_s"], fem["virtual_assembly_s"], fem["virtual_solve_s"]) == (
+            sim.initialization_seconds, sim.assembly_seconds, sim.solve_seconds
+        )
+        assert fem["virtual_solve_s"] > 0
+        assert (fem["equations"], fem["free_equations"]) == (sim.n_dof_total, sim.n_equations)
+        # The record's own solver / cache facts are not copied into counts.
+        assert not {"converged", "restarts", "cache_hit", "hits"} & set(fem)
+
+    def test_degraded_scan_records_its_fallback_stage(self, small_case, monkeypatch):
+        from repro.resilience import FaultPlan
+
+        plan = FaultPlan.parse("0:stagnate-solver", seed=0)
+        result, _ = self._scan(small_case, monkeypatch, fault_plan=plan)
+        assert result.degradation.degraded
+        self._assert_record_has_every_stage_once(result)
+        names = [stage for stage, _, _, _ in result.record.timeline]
+        assert names[:4] == self.STAGES[:4]
+        assert names[4] == "coarse-fem fallback"
+        assert result.record.counts("tissue classification")["band_voxels"] > 0
+        assert result.record.counts("biomechanical simulation") == {}
+        assert any(n.startswith("resilience: ") for n in result.timeline.notes)
+
+    def test_same_seed_gives_equal_counts_in_the_journal_form(self, small_case, monkeypatch):
+        first, _ = self._scan(small_case, monkeypatch)
+        second, _ = self._scan(small_case, monkeypatch)
+        counts = [
+            [(stage, c) for stage, _, _, c in result.record.as_dict()["timeline"]]
+            for result in (first, second)
+        ]
+        assert counts[0] == counts[1]
+        assert all(c for _, c in counts[0])

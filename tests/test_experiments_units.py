@@ -64,3 +64,30 @@ class TestTimelineGanttEdgeCases:
         for line in tl.as_gantt(width=width).splitlines()[2:]:
             bar = line.split("| ", 1)[1].rsplit(" ", 1)[0]
             assert len(bar.rstrip()) <= width
+
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            [("rigid registration", 9.95), ("k-NN", 0.04), ("resample", 0.01)],
+            [("a", 9.95), ("b", 0.04), ("c", 0.01)],
+        ],
+    )
+    def test_every_row_is_as_wide_as_the_header(self, stages):
+        """Late short stages stay inside the chart; short names keep the header aligned."""
+        from repro.core.timeline import Timeline
+
+        tl = Timeline()
+        for name, seconds in stages:
+            tl.add(name, seconds)
+        width = 50
+        header, rule, *rows = tl.as_gantt(width=width).splitlines()
+        chart = header.index(" | ") + 3
+        assert rule[chart - 2] == "+"
+        for line in (rule, *rows):
+            assert len(line) == len(header)
+        for line, (_, seconds) in zip(rows, stages):
+            assert line[chart - 2] == "|"
+            bar, wall = line[chart : chart + width], line[chart + width :]
+            assert bar.strip(" ") and set(bar.strip(" ")) == {"#"}
+            assert wall.strip() == f"{seconds:.2f}s"
+        assert rows[-1][chart + width - 1] == "#"

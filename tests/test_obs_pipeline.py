@@ -16,7 +16,7 @@ from repro.core.session import SurgicalSession
 from repro.core.timeline import Timeline
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.obs.budget import BudgetMonitor
-from repro.obs.export import chrome_trace, render_report, write_jsonl
+from repro.obs.export import chrome_trace, iterations_per_decade, render_report, write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer, use_tracer
 
@@ -132,11 +132,13 @@ class TestTracedSession:
         session, _, _, _ = traced_session
         result = session.latest()
         solver = result.simulation.solver
-        (note,) = [n for n in result.timeline.notes if n.startswith("gmres: ")]
-        assert re.fullmatch(
-            rf"gmres: {solver.iterations} it, \d+\.\d it/decade, rel\. residual \S+", note
-        )
-        assert float(note.rsplit(" ", 1)[1]) <= session.pipeline.config.solver_tol
+        counts = result.record.counts("biomechanical simulation")
+        assert counts["iterations"] == solver.iterations
+        assert counts["it_per_decade"] == iterations_per_decade(
+            solver.iterations, solver.history
+        ) > 0
+        assert counts["rel_residual"] == solver.residual_norm / solver.rhs_norm
+        assert counts["rel_residual"] <= session.pipeline.config.solver_tol
 
     def test_chrome_export_is_valid_and_nested(self, traced_session, tmp_path):
         _, tracer, _, _ = traced_session

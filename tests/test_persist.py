@@ -440,6 +440,30 @@ class TestOlderCheckpoint:
         report = replay_session(copy)
         assert report.scans[0].matched and report.ok
 
+    def test_timeline_entries_without_counts_still_open(self, checkpointed, tmp_path):
+        # Older versions journaled each timeline entry as [stage, seconds,
+        # period]; such an entry resumes with empty counts.
+        root, original, _ = checkpointed
+        copy = tmp_path / "ckpt"
+        shutil.copytree(root, copy)
+        journal = ScanJournal.load(copy / "journal.jsonl")
+        for entry in journal.entries:
+            if entry.get("type") == "commit":
+                assert all(len(e) == 4 and e[3] for e in entry["record"]["timeline"])
+                entry["record"]["timeline"] = [e[:3] for e in entry["record"]["timeline"]]
+        journal.flush()
+
+        manifest = SessionStore.open(copy).manifest
+        config = config_from_manifest(manifest["config"], base=fast_config())
+        session = SurgicalSession.resume(IntraoperativePipeline(config), copy)
+        for entry, before in zip(session.history, original.history):
+            stages = len(before.record.timeline)
+            assert [c for _, _, _, c in entry.record.timeline] == [{}] * stages
+            assert entry.record.seconds() == before.record.seconds()
+        assert all(e.counts == {} for e in session.latest().timeline.entries)
+        assert session.summary_table().count("restored") == 2
+        report = replay_session(copy)
+        assert report.ok and all(scan.matched for scan in report.scans)
 
     def test_journal_without_restored_key_resumes(self, checkpointed, tmp_path):
         # ``restored`` is never journaled, so a commit entry has exactly

@@ -702,7 +702,7 @@ class TestBandFromThePipeline:
             pipes[10.0]._classification_band(preops[20.0]), preops[10.0].band
         )
         result = pipes[10.0].process_scan(case.intraop_mri, preops[20.0])
-        assert any(n.startswith("k-NN:") and "±10 mm band" in n for n in result.timeline.notes)
+        assert result.record.counts("tissue classification")["band_mm"] == 10.0
         # The band's width is surface_cap_mm: no knob of its own.
         assert {f.name for f in dataclasses.fields(PipelineConfig)} <= CONFIG_FIELDS
 

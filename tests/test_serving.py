@@ -277,8 +277,10 @@ class TestServing:
     def test_running_deadline_terminates_worker(self, patient, intraop_scans):
         server = SessionServer(n_workers=1)
         try:
+            # Two scans of this patient take ~0.25 s with the build, under
+            # the deadline; eight (~0.7 s) are still running when it passes.
             server.submit(
-                make_request(patient, intraop_scans, case_id="slow", deadline_s=0.3)
+                make_request(patient, intraop_scans * 4, case_id="slow", deadline_s=0.3)
             )
             results = server.run()
             assert results["slow"].status == "evicted"
