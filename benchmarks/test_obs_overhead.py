@@ -12,7 +12,7 @@ benchmark measures both directions and records them in
   ``NULL_SPAN``). Acceptance: < 5% overhead.
 * ``session`` — wall-clock of an end-to-end 3-scan surgical session
   untraced (default ambient disabled tracer) vs fully traced
-  (hierarchical spans + metrics + budget monitor), with the number of
+  (hierarchical spans + metrics), with the number of
   spans recorded per traced scan.
 * ``serving`` — the same multi-case workload through the serving tier
   with telemetry off (dark requests, no tracer/SLO/flight) vs on (trace
@@ -39,7 +39,6 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.imaging.phantom import make_neurosurgery_case
-from repro.obs.budget import BudgetMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.solver.gmres import _gmres, gmres
@@ -119,7 +118,6 @@ def _run_session(tracer: Tracer | None) -> dict:
         pipeline = IntraoperativePipeline(
             PipelineConfig(**SESSION_CONFIG),
             tracer=tracer,
-            budget=BudgetMonitor(tracer=tracer),
             metrics=MetricsRegistry(),
         )
     t0 = time.perf_counter()

@@ -11,8 +11,8 @@ example runs a 3-scan session with every observability hook attached:
   GMRES residual events);
 * a :class:`repro.obs.MetricsRegistry` absorbs the solver convergence
   records and the solve-context cache counters;
-* a :class:`repro.obs.BudgetMonitor` checks every stage against the
-  paper-derived time budget and stamps a per-scan verdict.
+* every scan's record carries its verdict against the paper-derived
+  time budget (:meth:`repro.persist.ScanRecord.verdict`).
 
 It then writes both trace exports next to this script:
 
@@ -31,13 +31,7 @@ from __future__ import annotations
 
 import pathlib
 
-from repro import (
-    BudgetMonitor,
-    IntraoperativePipeline,
-    MetricsRegistry,
-    PipelineConfig,
-    Tracer,
-)
+from repro import IntraoperativePipeline, MetricsRegistry, PipelineConfig, Tracer
 from repro.core.session import SurgicalSession
 from repro.imaging import make_neurosurgery_case
 from repro.obs import render_report, write_chrome_trace, write_jsonl
@@ -49,11 +43,9 @@ def main() -> None:
     shape = (48, 48, 36)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    monitor = BudgetMonitor(tracer=tracer, metrics=metrics)
     pipeline = IntraoperativePipeline(
         PipelineConfig(mesh_cell_mm=6.0, n_ranks=4, rigid_max_iter=2),
         tracer=tracer,
-        budget=monitor,
         metrics=metrics,
     )
 
@@ -67,7 +59,7 @@ def main() -> None:
     )
     for i, case in enumerate(cases, start=1):
         result = session.process(case.intraop_mri)
-        verdict = result.budget_verdict
+        verdict = result.record.verdict()
         print(
             f"scan {i}: {result.timeline.total('intraoperative'):.2f} s, "
             f"budget {verdict.label} (headroom {verdict.headroom_seconds:+.1f} s)"

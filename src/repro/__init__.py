@@ -42,7 +42,7 @@ from repro.fem import (
 )
 from repro.imaging import BrainPhantom, ImageVolume, NeurosurgeryCase, Tissue, make_neurosurgery_case
 from repro.machines import DEEP_FLOW, ULTRA80_CLUSTER, ULTRA_HPC_6000, MachineSpec, VirtualCluster
-from repro.obs import BudgetMonitor, MetricsRegistry, Tracer, use_tracer
+from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.parallel import simulate_parallel
 from repro.resilience import (
     DegradationLevel,
@@ -57,7 +57,6 @@ __all__ = [
     "DEEP_FLOW",
     "BiomechanicalModel",
     "BrainPhantom",
-    "BudgetMonitor",
     "DegradationLevel",
     "DegradationReport",
     "DirichletBC",

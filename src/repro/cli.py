@@ -3,7 +3,7 @@
 Usage (after installation)::
 
     python -m repro.cli pipeline --shape 64 64 48 --shift 6 --out results/
-    python -m repro.cli pipeline --trace trace.jsonl --chrome trace.json --budget
+    python -m repro.cli pipeline --trace trace.jsonl --chrome trace.json
     python -m repro.cli pipeline --scans 3 --checkpoint-dir session/
     python -m repro.cli pipeline --resume --checkpoint-dir session/
     python -m repro.cli replay session/
@@ -57,7 +57,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Run the full intraoperative pipeline on a phantom case."""
     from repro.core.session import SurgicalSession
     from repro.obs import (
-        BudgetMonitor,
         Tracer,
         render_report,
         use_tracer,
@@ -68,7 +67,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     machine = MACHINES[args.machine] if args.machine else None
     tracing = bool(args.trace or args.chrome)
     tracer = Tracer(enabled=tracing)
-    monitor = BudgetMonitor(tracer=tracer) if args.budget else None
 
     if args.resume:
         if not args.checkpoint_dir:
@@ -87,7 +85,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         total = int(app.get("scans", args.scans))
         config = config_from_manifest(probe.manifest.get("config", {}))
         pipeline = IntraoperativePipeline(
-            config, machine=machine, tracer=tracer if tracing else None, budget=monitor
+            config, machine=machine, tracer=tracer if tracing else None
         )
         with use_tracer(tracer) if tracing else _no_context():
             session = SurgicalSession.resume(pipeline, args.checkpoint_dir)
@@ -110,7 +108,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
             config.resilience.max_degradation = parse_level(args.max_degradation)
         pipeline = IntraoperativePipeline(
-            config, machine=machine, tracer=tracer if tracing else None, budget=monitor
+            config, machine=machine, tracer=tracer if tracing else None
         )
         app = {
             "shape": list(args.shape),
@@ -142,12 +140,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if tracing:
         print()
         print(render_report(tracer, title="Trace report (self/total seconds)"))
-    if monitor is not None and result.budget_verdict is not None:
-        verdict = result.budget_verdict
-        print(
-            f"budget verdict: {verdict.label} "
-            f"(headroom {verdict.headroom_seconds:+.1f} s of {verdict.scan_budget:.0f} s)"
-        )
+    verdict = result.record.verdict()
+    print(
+        f"budget verdict: {verdict.label} "
+        f"(headroom {verdict.headroom_seconds:+.1f} s of {verdict.scan_budget:.0f} s)"
+    )
     if result.degradation is not None and (
         result.degradation.degraded or result.degradation.escalated
     ):
@@ -733,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chrome", default=None, help="write a Chrome trace_event JSON to this path"
-    )
-    p.add_argument(
-        "--budget",
-        action="store_true",
-        help="check stage/scan durations against the paper-derived time budget",
     )
     p.add_argument(
         "--scans",

@@ -36,7 +36,7 @@ from repro.imaging.volume import ImageVolume
 from repro.machines.spec import MachineSpec
 from repro.mesh.generator import GridTetraMesher, mesh_labeled_volume, mesh_with_target_nodes
 from repro.mesh.surface import TriangleSurface, extract_boundary_surface
-from repro.obs.budget import BudgetMonitor, ScanVerdict
+from repro.obs.budget import PAPER_SCAN_BUDGET, ScanVerdict
 from repro.obs.export import iterations_per_decade
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer, use_tracer
@@ -183,9 +183,6 @@ class IntraoperativeResult:
         the brain region, before (rigid-only) and after the
         biomechanical deformation — the paper's Fig. 4(d) comparison,
         quantified.
-    budget_verdict:
-        Real-time budget verdict for this scan (``None`` when the
-        pipeline ran without a :class:`repro.obs.BudgetMonitor`).
     degradation:
         :class:`repro.resilience.DegradationReport` describing what the
         resilience layer did for this scan — level delivered, escalation
@@ -218,7 +215,6 @@ class IntraoperativeResult:
     match_simulated_rms: float
     match_rigid_mi: float
     match_simulated_mi: float
-    budget_verdict: ScanVerdict | None = None
     degradation: DegradationReport | None = None
     scan: int = 0
     _field_shas: tuple[str, str] | None = field(
@@ -264,21 +260,15 @@ class IntraoperativePipeline:
         assembly phases, solver restarts); ``None`` uses the ambient
         tracer from :func:`repro.obs.get_tracer` — a no-op unless one
         was installed via :func:`repro.obs.use_tracer`.
-    budget:
-        A :class:`repro.obs.BudgetMonitor`: stage durations are fed to
-        it live during :meth:`process_scan`, warnings land in the
-        timeline notes, and the per-scan verdict is attached to the
-        result (and the session summary).
     metrics:
         A :class:`repro.obs.MetricsRegistry` absorbing the run's
         numbers: mesh sizes, GMRES iterations/restarts/residual,
-        solve-context cache hits/misses/hit-ratio, per-scan seconds.
+        solve-context cache hits/misses/hit-ratio.
     """
 
     config: PipelineConfig = field(default_factory=PipelineConfig)
     machine: MachineSpec | None = None
     tracer: Tracer | None = field(default=None, repr=False)
-    budget: BudgetMonitor | None = field(default=None, repr=False)
     metrics: MetricsRegistry | None = field(default=None, repr=False)
 
     def _tracer(self) -> Tracer:
@@ -425,26 +415,18 @@ class IntraoperativePipeline:
         only (an unconverged or diverged solve raises), no degradation,
         non-finite input rejected — each error propagates as raised.
 
-        When the pipeline carries observability hooks (``tracer``,
-        ``budget``, ``metrics`` — or an ambient tracer installed via
-        :func:`repro.obs.use_tracer`), the scan is wrapped in a
-        ``process_scan`` span with one child span per stage, stage
-        durations are checked live against the time budget (warnings
-        appear in the timeline notes the moment a stage overruns), and
-        the run's numbers land in the metrics registry.
+        Once its stages finish, the scan is judged against the paper's
+        time budget (:meth:`repro.obs.ScanVerdict.of`): each warning is
+        a ``budget:`` timeline note and a ``budget.warning`` trace
+        event, and the verdict is read from the scan's record
+        (:meth:`repro.persist.ScanRecord.verdict`). When the pipeline
+        carries observability hooks (``tracer``, ``metrics`` — or an
+        ambient tracer installed via :func:`repro.obs.use_tracer`), the
+        scan is wrapped in a ``process_scan`` span with one child span
+        per stage, and the run's numbers land in the metrics registry.
         """
         tracer = self._tracer()
-        monitor = self.budget
         timeline = Timeline(tracer=tracer)
-        if monitor is not None:
-            monitor.begin_scan()
-
-            def _observe_budget(entry) -> None:
-                warning = monitor.observe_stage(entry.stage, entry.seconds)
-                if warning is not None:
-                    timeline.note("budget: " + warning)
-
-            timeline.observers.append(_observe_budget)
 
         # Install the pipeline's tracer as ambient for the scan so the
         # deep modules (FEM assembly, Krylov solvers, preconditioners)
@@ -463,26 +445,23 @@ class IntraoperativePipeline:
             )
             if result.degradation is not None and result.degradation.degraded:
                 scan_span.set(degradation=result.degradation.label)
-            if monitor is not None:
-                verdict = monitor.finish_scan()
-                result.budget_verdict = verdict
-                timeline.note(
-                    f"budget verdict: {verdict.label} "
-                    f"(headroom {verdict.headroom_seconds:+.1f} s "
-                    f"of {verdict.scan_budget:.0f} s)"
-                )
-                scan_span.set(budget=verdict.label)
+            verdict = ScanVerdict.of(
+                ((e.stage, e.seconds) for e in timeline.entries), scan_index
+            )
+            for warning in verdict.warnings:
+                timeline.note("budget: " + warning)
+                tracer.event("budget.warning", scan=scan_index, warning=warning)
+            scan_span.set(budget=verdict.label)
 
-        self._record_scan_metrics(result, timeline)
+        self._record_scan_metrics(result)
         return result
 
-    def _record_scan_metrics(self, result: IntraoperativeResult, timeline: Timeline) -> None:
+    def _record_scan_metrics(self, result: IntraoperativeResult) -> None:
         """Land one scan's numbers in the metrics registry (if attached)."""
         if self.metrics is None:
             return
         m = self.metrics
         m.counter("pipeline.scans").inc()
-        m.histogram("scan.seconds").observe(timeline.total("intraoperative"))
         m.record_solver_result(result.simulation.solver)
         if result.simulation.cache_stats is not None:
             m.record_cache_stats(result.simulation.cache_stats)
@@ -639,7 +618,7 @@ class IntraoperativePipeline:
         it and the next scan still gets its data-only fast path.
         """
         cfg = self.config
-        deadline = None if self.budget is None else max(self.budget.headroom(), 1.0)
+        deadline = max(PAPER_SCAN_BUDGET - timeline.total(), 1.0)
         with timeline.stage("biomechanical simulation") as counts:
             bc = DirichletBC(preop.surface.mesh_nodes, correspondence.displacements)
             outcome = solve_with_escalation(

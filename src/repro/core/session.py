@@ -283,11 +283,11 @@ class SurgicalSession:
     def summary_table(self) -> str:
         """Per-scan summary of processing time, match quality and budget.
 
-        When the pipeline ran with a :class:`repro.obs.BudgetMonitor`,
-        the ``budget`` column records each scan's verdict (``ok`` or
-        ``OVER(...)``); the solve-context cache hit *ratio* across the
-        session is appended below the table. Scans recovered from a
-        checkpoint show ``restored`` in the cache column.
+        The ``budget`` column records each scan's verdict (``ok`` or
+        ``OVER(...)``, :meth:`repro.persist.ScanRecord.verdict`); the
+        solve-context cache hit *ratio* across the session is appended
+        below the table. Scans recovered from a checkpoint show
+        ``restored`` in the cache column.
         """
         if not self.history:
             return "(no scans processed)"
@@ -310,7 +310,7 @@ class SurgicalSession:
                     record.solver_iterations,
                     cache,
                     "-" if record.degradation is None else record.degradation,
-                    "-" if record.budget is None else record.budget,
+                    record.verdict().label,
                 ]
             )
         table = format_table(
@@ -353,7 +353,7 @@ def _note_scan_complete(result: IntraoperativeResult) -> None:
         scan=record.scan,
         seconds=record.seconds(),
         degradation=record.degradation,
-        budget=record.budget,
+        budget=record.verdict().label,
     )
     if result.degradation is not None and (
         result.degradation.degraded or result.degradation.escalated

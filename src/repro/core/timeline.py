@@ -8,9 +8,7 @@ produced (band voxels, GMRES iterations, virtual seconds, ...).
 The timeline is a thin consumer of :mod:`repro.obs`: every
 :meth:`Timeline.stage` opens one tracer span (named after the stage) so
 the flat Fig. 6 table and the hierarchical trace record the same
-boundaries, and registered *observers* (e.g. the real-time
-:class:`repro.obs.BudgetMonitor`) see each entry the moment its stage
-finishes rather than in a post-mortem.
+boundaries.
 """
 
 from __future__ import annotations
@@ -48,21 +46,17 @@ class Timeline:
     entries:
         Timed stages in execution order.
     notes:
-        Events of the scan (budget warnings and verdict, injected
-        faults, input hardening, resilience decisions), appended below
-        the stage table. What a stage counted is on its entry.
+        Events of the scan (budget warnings, injected faults, input
+        hardening, resilience decisions), appended below the stage
+        table. What a stage counted is on its entry.
     tracer:
         Tracer the stage spans are recorded on; ``None`` uses the
         ambient :func:`repro.obs.get_tracer` (a no-op by default).
-    observers:
-        Callables invoked with each :class:`TimelineEntry` as soon as
-        its stage completes (live budget accounting).
     """
 
     entries: list[TimelineEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     tracer: Tracer | None = field(default=None, repr=False, compare=False)
-    observers: list = field(default_factory=list, repr=False, compare=False)
 
     def note(self, text: str) -> None:
         """Attach an event annotation to the timeline."""
@@ -85,10 +79,7 @@ class Timeline:
             with timer:
                 yield counts
             span.set(**counts)
-        entry = TimelineEntry(name, timer.elapsed, period, counts)
-        self.entries.append(entry)
-        for observer in self.observers:
-            observer(entry)
+        self.entries.append(TimelineEntry(name, timer.elapsed, period, counts))
 
     def add(self, name: str, seconds: float, period: str = "intraoperative") -> None:
         self.entries.append(TimelineEntry(name, seconds, period))

@@ -16,8 +16,9 @@ gives the repro the instrumentation layer such a system assumes:
   ``trace_event`` JSON (Perfetto / ``about:tracing``), a text span-tree
   perf report with self/total times and repeat-span percentiles, and
   Prometheus text exposition for metrics.
-* :mod:`repro.obs.budget` — real-time per-stage / per-scan time budgets
-  with live headroom, warning events, and per-scan verdicts; and
+* :mod:`repro.obs.budget` — the paper's per-stage / per-scan time
+  budgets: :meth:`~repro.obs.budget.ScanVerdict.of` judges a scan's stage
+  durations (its verdict, warnings and headroom); and
   :func:`~repro.obs.budget.slo_summary`, the service-level view: p50/p95/p99
   per stage, read from the budget histograms of any metrics registry and
   scored against the paper budgets.
@@ -44,7 +45,6 @@ from repro.obs.budget import (
     PAPER_SCAN_BUDGET,
     PAPER_STAGE_BUDGETS,
     SCAN_TOTAL,
-    BudgetMonitor,
     ScanVerdict,
     StageCheck,
     render_slo_summary,
@@ -91,7 +91,6 @@ __all__ = [
     "PAPER_SCAN_BUDGET",
     "PAPER_STAGE_BUDGETS",
     "SCAN_TOTAL",
-    "BudgetMonitor",
     "CaseTelemetry",
     "Counter",
     "FlightEntry",

@@ -1,20 +1,20 @@
-"""Real-time budget monitor for the intraoperative pipeline.
+"""Real-time budget verdicts for the intraoperative pipeline.
 
 The paper's claim is not "fast" but *fast enough*: the whole per-scan
 analysis must fit inside the surgical pause while the scanner and the
 surgeon wait, and the biomechanical solve specifically inside ~10 s
-(Fig. 6's timeline, the "<10 s on 16 processors" headline). A
-:class:`BudgetMonitor` makes that constraint executable: give it a
-per-stage and per-scan time budget, feed it stage durations as the scan
-progresses, and it tracks live headroom, emits warning events the
-moment a stage blows its allocation, and records a per-scan
-:class:`ScanVerdict` for the session summary.
+(Fig. 6's timeline, the "<10 s on 16 processors" headline).
+:meth:`ScanVerdict.of` makes that constraint executable: it judges a
+scan's ``(stage, seconds)`` pairs against the paper-derived per-stage
+and per-scan budgets and returns the verdict, its warnings and its
+headroom. It is a pure function of the stage durations, so a scan's
+verdict is read from its :class:`~repro.persist.ScanRecord` (live,
+restored or served) with :meth:`~repro.persist.ScanRecord.verdict`.
 
 Across many scans the same durations answer the service-level question:
-with a registry attached the monitor records every stage and scan in
-histograms, and :func:`slo_summary` reads p50/p95/p99 per stage back
-out of any registry (a server's holds its workers', merged), scored
-against the same paper budgets. One store, one scorer.
+the serving gateway records every served scan's stage and scan seconds
+in histograms, and :func:`slo_summary` reads p50/p95/p99 per stage back
+out of the registry, scored against the same paper budgets.
 
 Default budgets derive from the paper's reported numbers, with margin:
 
@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, get_tracer
-from repro.util import ValidationError, format_table
+from repro.util import format_table
 
 #: Per-stage intraoperative budgets (seconds), paper-derived (see module
 #: docstring). Stages absent from the mapping are unbudgeted.
@@ -103,144 +102,33 @@ class ScanVerdict:
             parts.append("scan total")
         return "OVER(" + ", ".join(parts) + ")"
 
+    @classmethod
+    def of(cls, pairs, scan: int) -> "ScanVerdict":
+        """Judge a scan's ``(stage, seconds)`` pairs against the paper budgets.
 
-class BudgetMonitor:
-    """Tracks per-stage and per-scan time budgets across a session.
-
-    Parameters
-    ----------
-    stage_budgets:
-        Stage name -> allowed seconds; defaults to the paper-derived
-        :data:`PAPER_STAGE_BUDGETS`. Unlisted stages only count toward
-        the scan total.
-    scan_budget:
-        Allowed seconds for one complete scan's processing.
-    tracer:
-        Warning events are recorded on this tracer (``budget.warning``
-        spans/events); defaults to the ambient tracer.
-    metrics:
-        Optional registry: over-budget stages and scans increment
-        ``budget.stage_overruns`` / ``budget.scan_overruns``; every
-        stage and sealed scan duration lands in the
-        ``budget.stage_seconds[stage=...]`` / ``budget.scan_seconds``
-        histograms.
-
-    Usage is one ``begin_scan`` per scan, ``observe_stage`` after each
-    stage, ``finish_scan`` to seal the verdict::
-
-        monitor = BudgetMonitor()
-        monitor.begin_scan(0)
-        monitor.observe_stage("rigid registration", 12.0)
-        verdict = monitor.finish_scan()
-    """
-
-    def __init__(
-        self,
-        stage_budgets: dict[str, float] | None = None,
-        scan_budget: float = PAPER_SCAN_BUDGET,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if scan_budget <= 0:
-            raise ValidationError(f"scan_budget must be > 0, got {scan_budget}")
-        self.stage_budgets = dict(
-            PAPER_STAGE_BUDGETS if stage_budgets is None else stage_budgets
-        )
-        for stage, budget in self.stage_budgets.items():
-            if budget <= 0:
-                raise ValidationError(
-                    f"stage budget for {stage!r} must be > 0, got {budget}"
-                )
-        self.scan_budget = float(scan_budget)
-        self._tracer = tracer
-        self.metrics = metrics
-        self.verdicts: list[ScanVerdict] = []
-        self._current: ScanVerdict | None = None
-
-    def _trace(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    # -- per-scan lifecycle -------------------------------------------------
-
-    def begin_scan(self, scan_index: int | None = None) -> None:
-        """Open accounting for a new scan (auto-sealing any open one)."""
-        if self._current is not None:
-            self.finish_scan()
-        index = len(self.verdicts) if scan_index is None else int(scan_index)
-        self._current = ScanVerdict(
-            scan_index=index, total_seconds=0.0, scan_budget=self.scan_budget
-        )
-
-    def observe_stage(self, stage: str, seconds: float) -> str | None:
-        """Account one finished stage; returns the warning text if any.
-
-        Emits a ``budget.warning`` trace event and increments the
-        overrun metrics the moment a stage exceeds its allocation or
-        the running total first crosses the scan budget (once per scan:
-        the stages after the crossing do not repeat it), so downstream
-        consumers see the problem *during* the scan, not in the
-        post-mortem. With a registry attached the duration also lands
-        in the ``budget.stage_seconds[stage=<name>]`` histogram, the
-        series :func:`slo_summary` reads.
+        Each stage is checked against :data:`PAPER_STAGE_BUDGETS` (an
+        unlisted stage only counts toward the total) and the running
+        total against :data:`PAPER_SCAN_BUDGET`. A stage over its own
+        budget warns; the stage whose running total first crosses the
+        scan budget warns once more (the stages after it do not repeat
+        it), also when that stage is itself over its own budget.
         """
-        if self._current is None:
-            self.begin_scan()
-        current = self._current
-        budget = self.stage_budgets.get(stage)
-        check = StageCheck(stage=stage, seconds=float(seconds), budget=budget)
-        current.checks.append(check)
-        was_within = current.total_seconds <= self.scan_budget
-        current.total_seconds += check.seconds
-        if self.metrics is not None:
-            self.metrics.histogram(f"budget.stage_seconds[stage={stage}]").observe(
-                check.seconds
-            )
-
-        warning = None
-        if check.over:
-            warning = (
-                f"stage {stage!r} exceeded its budget: "
-                f"{check.seconds:.2f} s > {budget:.2f} s"
-            )
-        elif was_within and current.total_seconds > self.scan_budget:
-            warning = (
-                f"scan budget exhausted after {stage!r}: "
-                f"{current.total_seconds:.2f} s > {self.scan_budget:.2f} s"
-            )
-        if warning is not None:
-            current.warnings.append(warning)
-            self._trace().event(
-                "budget.warning",
-                stage=stage,
-                seconds=check.seconds,
-                budget=budget if budget is not None else self.scan_budget,
-                scan=current.scan_index,
-            )
-            if self.metrics is not None:
-                kind = "stage" if check.over else "scan"
-                self.metrics.counter(f"budget.{kind}_overruns").inc()
-        return warning
-
-    def headroom(self) -> float:
-        """Live remaining seconds in the current scan's budget."""
-        if self._current is None:
-            return self.scan_budget
-        return self.scan_budget - self._current.total_seconds
-
-    def finish_scan(self) -> ScanVerdict:
-        """Seal and return the current scan's verdict."""
-        if self._current is None:
-            raise ValidationError("no scan in progress (call begin_scan first)")
-        verdict = self._current
-        self._current = None
-        self.verdicts.append(verdict)
-        if self.metrics is not None:
-            self.metrics.counter("budget.scans").inc()
-            if not verdict.within_budget:
-                self.metrics.counter("budget.scans_over").inc()
-            self.metrics.histogram("budget.scan_seconds").observe(
-                verdict.total_seconds
-            )
+        verdict = cls(scan_index=scan, total_seconds=0.0, scan_budget=PAPER_SCAN_BUDGET)
+        for stage, seconds in pairs:
+            check = StageCheck(stage, float(seconds), PAPER_STAGE_BUDGETS.get(stage))
+            was_within = not verdict.scan_over
+            verdict.checks.append(check)
+            verdict.total_seconds += check.seconds
+            if check.over:
+                verdict.warnings.append(
+                    f"stage {stage!r} exceeded its budget: "
+                    f"{check.seconds:.2f} s > {check.budget:.2f} s"
+                )
+            if was_within and verdict.scan_over:
+                verdict.warnings.append(
+                    f"scan budget exhausted after {stage!r}: "
+                    f"{verdict.total_seconds:.2f} s > {verdict.scan_budget:.2f} s"
+                )
         return verdict
 
 

@@ -2,9 +2,8 @@
 
 The serving tier runs each surgical case inside a worker *process*;
 every span the solvers record, every metric the registry accumulates
-(the budget monitor's stage and scan durations among them) lives in
-that process and dies with it — unless it is shipped home. This module
-is the wire layer that ships it:
+lives in that process and dies with it — unless it is shipped home.
+This module is the wire layer that ships it:
 
 * :class:`TraceContext` — stamped on a case request by the server at
   dispatch: the distributed trace id, the server-side parent span the
@@ -12,9 +11,9 @@ is the wire layer that ships it:
   server's clock used to rebase worker timestamps (worker and server
   ``perf_counter`` domains are not assumed comparable).
 * :class:`CaseTelemetry` — the worker-side harness: builds a per-case
-  tracer / metrics registry / budget monitor / flight recorder, installs
-  the tracer and recorder as ambient for the duration of the case, and
-  captures everything into a frame at the end.
+  tracer / metrics registry / flight recorder, installs the tracer and
+  recorder as ambient for the duration of the case, and captures
+  everything into a frame at the end.
 * :class:`TelemetryFrame` — the compact, picklable return payload:
   finished spans (as plain dicts) and a metrics snapshot. The flight
   ring does not travel: the worker spools it to disk.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.budget import BudgetMonitor
 from repro.obs.flight import FlightRecorder, use_flight_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, new_trace_id, span_from_dict, use_tracer
@@ -92,8 +90,7 @@ class TelemetryFrame:
     *remote* clock; ``clock_base`` is the remote-clock instant that
     aligns with the context's ``anchor`` (the moment the worker began
     the case), so the graft can rebase. ``metrics`` is a
-    :meth:`~repro.obs.MetricsRegistry.snapshot` (budget durations
-    included).
+    :meth:`~repro.obs.MetricsRegistry.snapshot`.
     """
 
     trace_id: str
@@ -115,9 +112,8 @@ class CaseTelemetry:
     """Worker-side per-case observability harness.
 
     Builds the full local stack — an enabled :class:`Tracer` under the
-    propagated trace id, a :class:`MetricsRegistry`, a
-    :class:`BudgetMonitor` wired to both, and a :class:`FlightRecorder`
-    — and installs tracer + recorder as ambient for the ``with`` body
+    propagated trace id, a :class:`MetricsRegistry` and a
+    :class:`FlightRecorder` — and installs tracer + recorder as ambient for the ``with`` body
     (the pipeline, solvers and guards pick them up without plumbing).
     :meth:`frame` captures the case's telemetry for the trip home.
 
@@ -145,7 +141,6 @@ class CaseTelemetry:
             process_label=label,
         )
         self.metrics = MetricsRegistry()
-        self.monitor = BudgetMonitor(tracer=self.tracer, metrics=self.metrics)
         self.flight = FlightRecorder(capacity=flight_capacity, label=label)
         self.clock_base = self.tracer.now()
         self._scopes = None

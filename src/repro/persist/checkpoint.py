@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.obs.budget import ScanVerdict
 from repro.resilience.policy import DegradationLevel
 from repro.util import ValidationError
 from repro.util.atomicio import atomic_payload, checksum_array
@@ -232,7 +233,8 @@ class ScanRecord:
 
     ``timeline`` holds one ``(stage, seconds, period, counts)`` per timed
     stage, ``counts`` being the named numbers the stage produced
-    (:meth:`counts`); ``notes`` holds the scan's events only.
+    (:meth:`counts`); ``notes`` holds the scan's events only. The scan's
+    budget verdict is a function of the timeline (:meth:`verdict`).
     ``restored`` is never journaled: a record read back from the journal
     (:meth:`from_dict`) is restored, one built from a result is not.
     Frozen, because every consumer shares the one record; slotted, so it
@@ -259,7 +261,6 @@ class ScanRecord:
     timeline: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     degradation: str | None = None
-    budget: str | None = None
     prototypes_carried: bool = True
     restored: bool = False
 
@@ -272,7 +273,6 @@ class ScanRecord:
         adds them); a record that is not on disk has none.
         """
         sim = result.simulation
-        verdict = result.budget_verdict
         nodal_sha, grid_sha = result.field_shas()
         return cls(
             scan=result.scan,
@@ -297,7 +297,6 @@ class ScanRecord:
             degradation=(
                 None if result.degradation is None else result.degradation.label
             ),
-            budget=None if verdict is None else verdict.label,
             prototypes_carried=result.prototypes is not None,
         )
 
@@ -308,6 +307,12 @@ class ScanRecord:
     def counts(self, stage: str) -> dict:
         """The named counts of the timeline's ``stage`` (empty if it did not run)."""
         return next((c for name, _, _, c in self.timeline if name == stage), {})
+
+    def verdict(self) -> ScanVerdict:
+        """The scan's budget verdict: :meth:`ScanVerdict.of` its timeline."""
+        return ScanVerdict.of(
+            ((stage, seconds) for stage, seconds, _, _ in self.timeline), self.scan
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -337,7 +342,6 @@ class ScanRecord:
             "timeline": [list(entry) for entry in self.timeline],
             "notes": list(self.notes),
             "degradation": self.degradation,
-            "budget": self.budget,
             "prototypes_carried": self.prototypes_carried,
         }
 
@@ -369,7 +373,6 @@ class ScanRecord:
             ],
             notes=list(data.get("notes", [])),
             degradation=data.get("degradation"),
-            budget=data.get("budget"),
             prototypes_carried=bool(data.get("prototypes_carried", True)),
             restored=True,
         )

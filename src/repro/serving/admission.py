@@ -6,8 +6,8 @@ estimated *queue wait* and *case service* components, judged against the
 case's deadline. A case is admitted when the queue has capacity and its
 estimated completion fits the deadline; otherwise the verdict's ``label``
 (``ok`` / ``OVER(...)``) travels back to the caller as the rejection
-reason — the same compact language the intraoperative budget monitor
-uses for scan verdicts.
+reason — the same compact language an intraoperative scan's budget
+verdict uses.
 
 Service estimates start at zero (admit-everything) and calibrate online
 from observed preoperative-build and per-scan durations via an
@@ -203,7 +203,7 @@ class AdmissionQueue:
         preop_cached: bool = False,
         waited_s: float = 0.0,
     ) -> ScanVerdict:
-        """Judge a candidate case against its deadline, budget-monitor style.
+        """Judge a candidate case against its deadline, scan-verdict style.
 
         ``backlog_seconds`` is the estimated work queued/running ahead of
         the case; the verdict's checks break the estimate into its queue

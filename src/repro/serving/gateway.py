@@ -129,10 +129,9 @@ class ShardGateway:
         span covering queue wait through terminal record; requests are
         stamped with a :class:`repro.obs.telemetry.TraceContext` at
         dispatch; worker telemetry frames are grafted into the loop's
-        trace and merged into its registry (the workers' budget
-        histograms with it, which :meth:`summary_table` scores as SLOs);
-        and flight-recorder rings (one per worker, one for the control
-        plane) are persisted under :attr:`flight_dir`. ``False`` serves
+        trace and merged into its registry; and flight-recorder rings
+        (one per worker, one for the control plane) are persisted under
+        :attr:`flight_dir`. ``False`` serves
         dark — the pre-telemetry fast path, every hook skipped.
     flight_dir:
         Directory for flight-recorder dumps (workers spool
@@ -737,10 +736,15 @@ class ShardGateway:
             m.counter("serving.preop_cache_hits").inc()
         elif result.preop_seconds > 0:
             self.estimator.observe_preop(result.preop_seconds)
+        # The SLO series (slo_summary): every scan served, not restored,
+        # lit or dark, read from its record.
         for record in result.scans:
             if not record.restored:
-                self.estimator.observe_scan(record.seconds())
-                m.histogram("serving.scan_seconds").observe(record.seconds())
+                scan_seconds = record.seconds()
+                self.estimator.observe_scan(scan_seconds)
+                m.histogram("budget.scan_seconds").observe(scan_seconds)
+                for stage, seconds, _, _ in record.timeline:
+                    m.histogram(f"budget.stage_seconds[stage={stage}]").observe(seconds)
         self._absorb_telemetry(result)
         at = dict(
             case=result.case_id,
@@ -779,15 +783,9 @@ class ShardGateway:
         else:
             # The worker never replied with a frame (dark request, or
             # the case died with its worker): the trace stays intact,
-            # the span is annotated instead of broken, and the raw scan
-            # timings stand in for the budget histogram the frame held.
+            # the span is annotated instead of broken.
             self.metrics.counter("telemetry.frames_lost").inc()
             span_attrs["telemetry_lost"] = True
-            for record in result.scans:
-                if not record.restored:
-                    self.metrics.histogram("budget.scan_seconds").observe(
-                        record.seconds()
-                    )
         self._close_case_span(result.case_id, **span_attrs)
 
     # -- deadline / death / hang handling -------------------------------------

@@ -80,18 +80,14 @@ def _build_pipeline(config, telemetry=None):
     """A fresh pipeline for one case, wired to the case's telemetry.
 
     Without a telemetry harness the pipeline runs dark (no tracer, no
-    budget monitor, no metrics) — the pre-telemetry behavior.
+    metrics) — the pre-telemetry behavior.
     """
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import IntraoperativePipeline
 
     kwargs = {}
     if telemetry is not None:
-        kwargs = {
-            "tracer": telemetry.tracer,
-            "budget": telemetry.monitor,
-            "metrics": telemetry.metrics,
-        }
+        kwargs = {"tracer": telemetry.tracer, "metrics": telemetry.metrics}
     return IntraoperativePipeline(
         config=config if config is not None else PipelineConfig(), **kwargs
     )

@@ -96,9 +96,9 @@ class CaseRequest:
     trace_context:
         Distributed-trace identity stamped by the server at dispatch
         (:class:`repro.obs.telemetry.TraceContext`). When present the
-        worker records spans and metrics (budget durations included) for
-        this case and ships them back in :attr:`CaseResult.telemetry`; ``None``
-        serves the case dark (no per-case instrumentation).
+        worker records spans and metrics for this case and ships them
+        back in :attr:`CaseResult.telemetry`; ``None`` serves the case
+        dark (no per-case instrumentation).
     flight_dir:
         Directory where the worker persists its flight-recorder ring
         (``worker-<id>.json``, atomically, after every scan and on

@@ -35,7 +35,7 @@ The contract it checks is the serving tier's headline robustness claim:
   :class:`repro.serving.SheddingLadder` (coarse-FEM -> previous-field ->
   rigid-only) before any case is refused admission.
 * **Latency accounting survives chaos** — the SLO view's per-stage
-  percentiles (:func:`repro.obs.slo_summary` over the gateway's merged
+  percentiles (:func:`repro.obs.slo_summary` over the gateway's
   metrics, vs. the paper's stage budgets) cover every scan served,
   including post-failover replays.
 

@@ -10,7 +10,6 @@ from repro.fem.context import CacheStats
 from repro.obs.budget import (
     PAPER_SCAN_BUDGET,
     PAPER_STAGE_BUDGETS,
-    BudgetMonitor,
     ScanVerdict,
     StageCheck,
 )
@@ -378,111 +377,65 @@ class TestExporters:
         assert text.splitlines()[2].startswith("solve")  # rendered at depth 0
 
 
-class TestBudgetMonitor:
+class TestScanVerdict:
+    """``ScanVerdict.of``: a scan's ``(stage, seconds)`` pairs judged against
+    the paper budgets. Pure data in, verdict out: nothing sleeps."""
+
     def test_within_budget_scan(self):
-        monitor = BudgetMonitor()
-        monitor.begin_scan()
-        assert monitor.observe_stage("rigid registration", 5.0) is None
-        assert monitor.observe_stage("biomechanical simulation", 8.0) is None
-        verdict = monitor.finish_scan()
+        verdict = ScanVerdict.of(
+            [("rigid registration", 5.0), ("biomechanical simulation", 8.0)], scan=3
+        )
         assert verdict.within_budget
         assert verdict.label == "ok"
+        assert verdict.warnings == []
+        assert verdict.scan_index == 3
         assert verdict.headroom_seconds == pytest.approx(PAPER_SCAN_BUDGET - 13.0)
 
     def test_flags_artificially_slowed_stage(self):
-        tracer = Tracer()
-        monitor = BudgetMonitor(tracer=tracer)
-        monitor.begin_scan()
-        warning = monitor.observe_stage("biomechanical simulation", 25.0)
-        assert warning is not None and "exceeded its budget" in warning
-        verdict = monitor.finish_scan()
+        verdict = ScanVerdict.of([("biomechanical simulation", 25.0)], 0)
         assert not verdict.within_budget
         assert verdict.label == "OVER(biomechanical simulation)"
-        assert verdict.warnings == [warning]
-        # The warning also landed on the tracer as a budget.warning event.
-        events = [s for s in tracer.finished() if s.name == "budget.warning"]
-        assert events and events[0].attrs["stage"] == "biomechanical simulation"
+        assert verdict.warnings == [
+            "stage 'biomechanical simulation' exceeded its budget: 25.00 s > 10.00 s"
+        ]
+        assert [c.over for c in verdict.checks] == [True]
 
     def test_scan_total_exhaustion_without_stage_overrun(self):
-        monitor = BudgetMonitor(stage_budgets={}, scan_budget=10.0)
-        monitor.begin_scan()
-        assert monitor.observe_stage("a", 6.0) is None
-        warning = monitor.observe_stage("b", 6.0)
-        assert warning is not None and "scan budget exhausted" in warning
-        verdict = monitor.finish_scan()
+        verdict = ScanVerdict.of([("a", 100.0), ("b", 100.0)], 0)
         assert verdict.scan_over and not verdict.over_stages
         assert verdict.label == "OVER(scan total)"
+        assert verdict.warnings == ["scan budget exhausted after 'b': 200.00 s > 180.00 s"]
 
     def test_scan_total_exhaustion_warns_once(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer()
-        monitor = BudgetMonitor(
-            stage_budgets={}, scan_budget=10.0, tracer=tracer, metrics=metrics
-        )
-        monitor.begin_scan()
-        warnings = [monitor.observe_stage(s, 6.0) for s in ("a", "b", "c", "d")]
-        verdict = monitor.finish_scan()
+        verdict = ScanVerdict.of([(s, 60.0) for s in ("a", "b", "c", "d")], 0)
         # Only the stage whose total first crosses the budget warns.
-        assert warnings[0] is None and warnings[1] is not None
-        assert warnings[2:] == [None, None]
-        assert verdict.warnings == [warnings[1]]
-        assert metrics.value("budget.scan_overruns") == 1
-        assert metrics.value("budget.scans_over") == 1
-        events = [s for s in tracer.finished() if s.name == "budget.warning"]
-        assert len(events) == 1
+        assert verdict.warnings == ["scan budget exhausted after 'd': 240.00 s > 180.00 s"]
+        verdict = ScanVerdict.of([(s, 100.0) for s in ("a", "b", "c", "d")], 0)
+        assert len(verdict.warnings) == 1 and "after 'b'" in verdict.warnings[0]
 
-    def test_live_headroom(self):
-        monitor = BudgetMonitor(scan_budget=100.0)
-        assert monitor.headroom() == 100.0
-        monitor.begin_scan()
-        monitor.observe_stage("x", 30.0)
-        assert monitor.headroom() == pytest.approx(70.0)
+    def test_stage_overrun_that_exhausts_the_scan_warns_twice(self):
+        verdict = ScanVerdict.of([("biomechanical simulation", 185.0)], 0)
+        assert verdict.label == "OVER(biomechanical simulation, scan total)"
+        assert verdict.warnings == [
+            "stage 'biomechanical simulation' exceeded its budget: 185.00 s > 10.00 s",
+            "scan budget exhausted after 'biomechanical simulation': 185.00 s > 180.00 s",
+        ]
 
     def test_unbudgeted_stage_counts_toward_total_only(self):
-        monitor = BudgetMonitor(scan_budget=50.0)
-        monitor.begin_scan()
-        assert monitor.observe_stage("mystery stage", 40.0) is None
-        verdict = monitor.finish_scan()
+        verdict = ScanVerdict.of([("mystery stage", 170.0), ("rigid registration", 5.0)], 0)
         assert verdict.checks[0].budget is None
         assert not verdict.checks[0].over
-
-    def test_metrics_integration(self):
-        metrics = MetricsRegistry()
-        monitor = BudgetMonitor(scan_budget=10.0, metrics=metrics)
-        monitor.begin_scan()
-        monitor.observe_stage("biomechanical simulation", 25.0)
-        monitor.finish_scan()
-        monitor.begin_scan()
-        monitor.observe_stage("biomechanical simulation", 1.0)
-        monitor.finish_scan()
-        assert metrics.value("budget.stage_overruns") == 1
-        assert metrics.value("budget.scans") == 2
-        assert metrics.value("budget.scans_over") == 1
-        assert metrics.get("budget.scan_seconds").count == 2
-        stage = metrics.get("budget.stage_seconds[stage=biomechanical simulation]")
-        assert stage.values == [25.0, 1.0]
-
-    def test_begin_scan_auto_seals_open_scan(self):
-        monitor = BudgetMonitor()
-        monitor.begin_scan()
-        monitor.observe_stage("x", 1.0)
-        monitor.begin_scan()
-        assert len(monitor.verdicts) == 1
-        assert monitor.verdicts[0].total_seconds == 1.0
-
-    def test_finish_without_begin_raises(self):
-        with pytest.raises(ValidationError):
-            BudgetMonitor().finish_scan()
-
-    def test_validates_budgets(self):
-        with pytest.raises(ValidationError):
-            BudgetMonitor(scan_budget=0.0)
-        with pytest.raises(ValidationError):
-            BudgetMonitor(stage_budgets={"x": -1.0})
+        assert verdict.total_seconds == 175.0
+        assert verdict.within_budget
+        verdict = ScanVerdict.of([("mystery stage", 181.0)], 0)
+        assert verdict.label == "OVER(scan total)"
 
     def test_paper_defaults(self):
         assert PAPER_STAGE_BUDGETS["biomechanical simulation"] == 10.0
         assert PAPER_SCAN_BUDGET == 180.0
+        verdict = ScanVerdict.of([("visualization resample", 5.5)], 0)
+        assert verdict.label == "OVER(visualization resample)"
+        assert verdict.scan_budget == PAPER_SCAN_BUDGET
 
 
 class TestTimelineObsIntegration:
@@ -497,19 +450,6 @@ class TestTimelineObsIntegration:
         assert record.name == "rigid registration"
         assert record.attrs["kind"] == "stage"
         assert record.attrs["period"] == "intraoperative"
-
-    def test_observers_fire_per_entry(self):
-        from repro.core.timeline import Timeline
-
-        seen = []
-        tl = Timeline()
-        tl.observers.append(seen.append)
-        with tl.stage("a"):
-            pass
-        with tl.stage("b", period="preoperative"):
-            pass
-        assert [e.stage for e in seen] == ["a", "b"]
-        assert seen[1].period == "preoperative"
 
     def test_timeline_as_table_empty(self):
         from repro.core.timeline import Timeline

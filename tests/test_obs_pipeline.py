@@ -15,7 +15,7 @@ from repro.core.pipeline import IntraoperativePipeline
 from repro.core.session import SurgicalSession
 from repro.core.timeline import Timeline
 from repro.imaging.phantom import make_neurosurgery_case
-from repro.obs.budget import BudgetMonitor
+from repro.obs.budget import PAPER_STAGE_BUDGETS
 from repro.obs.export import chrome_trace, iterations_per_decade, render_report, write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer, use_tracer
@@ -28,21 +28,20 @@ FAST_CONFIG = dict(
 
 @pytest.fixture(scope="module")
 def traced_session():
-    """A fully-instrumented 3-scan session (tracer + metrics + budget)."""
+    """A fully-instrumented 3-scan session (tracer + metrics)."""
     cases = [
         make_neurosurgery_case(shape=SHAPE, shift_mm=s, seed=60 + i)
         for i, s in enumerate((3.0, 4.0, 5.0))
     ]
     tracer = Tracer()
     metrics = MetricsRegistry()
-    monitor = BudgetMonitor(tracer=tracer, metrics=metrics)
     pipeline = IntraoperativePipeline(
-        PipelineConfig(**FAST_CONFIG), tracer=tracer, budget=monitor, metrics=metrics
+        PipelineConfig(**FAST_CONFIG), tracer=tracer, metrics=metrics
     )
     session = SurgicalSession.begin(pipeline, cases[0].preop_mri, cases[0].preop_labels)
     for case in cases:
         session.process(case.intraop_mri)
-    return session, tracer, metrics, monitor
+    return session, tracer, metrics
 
 
 def _depth_of(span, by_id):
@@ -55,13 +54,13 @@ def _depth_of(span, by_id):
 
 class TestTracedSession:
     def test_three_scan_roots(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         scans = [s for s in tracer.roots() if s.name == "scan"]
         assert len(scans) == 3
         assert [s.attrs["index"] for s in scans] == [0, 1, 2]
 
     def test_spans_nest_at_least_three_levels(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         spans = tracer.finished()
         by_id = {s.span_id: s for s in spans}
         max_depth = max(_depth_of(s, by_id) for s in spans)
@@ -76,7 +75,7 @@ class TestTracedSession:
         assert chain[-1] == "scan"  # rooted at the session scan span
 
     def test_stage_spans_parent_under_process_scan(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         spans = tracer.finished()
         by_id = {s.span_id: s for s in spans}
         stages = [s for s in spans if s.attrs.get("kind") == "stage"]
@@ -85,7 +84,7 @@ class TestTracedSession:
         assert all(by_id[s.parent_id].name == "process_scan" for s in intraop)
 
     def test_solver_spans_carry_convergence_attrs(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         solver = [
             s
             for s in tracer.finished()
@@ -99,7 +98,7 @@ class TestTracedSession:
             assert "residual" in span.events[0][2]
 
     def test_solver_spans_carry_the_convergence_curve(self, traced_session):
-        session, tracer, _, _ = traced_session
+        session, tracer, _ = traced_session
         solves = [
             s for s in tracer.finished() if s.name == "gmres" and s.attrs["iterations"] > 0
         ]
@@ -115,7 +114,7 @@ class TestTracedSession:
         )
 
     def test_report_prints_the_slope_not_the_curve(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         lines = [
             line
             for line in render_report(tracer).splitlines()
@@ -129,7 +128,7 @@ class TestTracedSession:
             assert re.search(r" iterations=\d+ iterations/decade=\d+(\.\d+)? ", line)
 
     def test_timeline_notes_the_convergence_rate(self, traced_session):
-        session, _, _, _ = traced_session
+        session, _, _ = traced_session
         result = session.latest()
         solver = result.simulation.solver
         counts = result.record.counts("biomechanical simulation")
@@ -141,7 +140,7 @@ class TestTracedSession:
         assert counts["rel_residual"] <= session.pipeline.config.solver_tol
 
     def test_chrome_export_is_valid_and_nested(self, traced_session, tmp_path):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         path = tmp_path / "session.json"
         path.write_text(json.dumps(chrome_trace(tracer)))
         doc = json.loads(path.read_text())  # must round-trip as valid JSON
@@ -152,21 +151,23 @@ class TestTracedSession:
         names = {e["name"] for e in complete}
         assert {"scan", "process_scan", "biomechanical simulation"} <= names
 
-    def test_budget_verdict_recorded_per_scan(self, traced_session):
-        session, _, _, monitor = traced_session
-        assert len(monitor.verdicts) == 3
-        # Older scans keep the verdict's label in their record.
-        assert session.latest().budget_verdict is not None
-        assert [entry.record.budget for entry in session.history] == [
-            verdict.label for verdict in monitor.verdicts
-        ]
+    def test_scan_verdict_recorded_per_scan(self, traced_session):
+        session, tracer, _ = traced_session
+        # Every scan's verdict is read from its record, also an older one's.
+        verdicts = [entry.record.verdict() for entry in session.history]
+        assert [v.scan_index for v in verdicts] == [0, 1, 2]
+        assert [v.label for v in verdicts] == ["ok"] * 3  # phantom scans fit
+        for entry, verdict in zip(session.history, verdicts):
+            assert verdict.total_seconds == pytest.approx(entry.record.seconds())
+        processed = [s for s in tracer.finished() if s.name == "process_scan"]
+        assert [s.attrs["budget"] for s in processed] == ["ok"] * 3
         summary = session.summary_table()
         assert "budget" in summary
-        # One verdict label per scan row (phantom scans fit the budget).
-        assert summary.count("ok") >= 3 or "OVER" in summary
+        rows = [line for line in summary.splitlines() if line.lstrip()[:1].isdigit()]
+        assert len(rows) == 3 and all(row.rstrip().endswith("ok") for row in rows)
 
     def test_summary_surfaces_cache_hit_ratio(self, traced_session):
-        session, _, _, _ = traced_session
+        session, _, _ = traced_session
         summary = session.summary_table()
         assert "cache_hit_ratio:" in summary
         stats = session.latest().simulation.cache_stats
@@ -174,17 +175,16 @@ class TestTracedSession:
         assert f"{stats.hit_ratio:.2f}" in summary
 
     def test_metrics_absorbed_solver_and_cache(self, traced_session):
-        _, _, metrics, _ = traced_session
+        _, _, metrics = traced_session
         assert metrics.value("pipeline.scans") == 3
         assert metrics.value("gmres.solves") == 3
         assert metrics.value("gmres.iterations") > 0
         assert metrics.get("gmres.iterations_per_solve").count == 3
         assert 0.0 <= metrics.value("solve_context.hit_ratio") <= 1.0
         assert metrics.value("mesh.nodes") > 0
-        assert metrics.get("scan.seconds").count == 3
 
     def test_render_report_shows_self_time_tree(self, traced_session):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         report = render_report(tracer, title="Session report")
         assert "self (s)" in report
         assert "biomechanical simulation" in report
@@ -195,7 +195,7 @@ class TestTracedSession:
         assert stage_line.startswith(" ")
 
     def test_trace_report_cli(self, traced_session, tmp_path, capsys):
-        _, tracer, _, _ = traced_session
+        _, tracer, _ = traced_session
         path = write_jsonl(tracer, tmp_path / "session.jsonl")
         rc = main(["trace-report", str(path)])
         assert rc == 0
@@ -204,47 +204,37 @@ class TestTracedSession:
 
 
 class TestBudgetFlagsSlowStage:
-    def test_artificially_slowed_stage_is_flagged(self):
-        """A stage past its budget triggers a live warning, the timeline
-        note, and an OVER verdict. The 1 ns budget is one any timed stage
-        exceeds, so nothing has to sleep."""
+    def test_artificially_slowed_stage_is_flagged(self, monkeypatch):
+        """A stage past its budget gives a ``budget:`` note, a
+        ``budget.warning`` event and an OVER verdict on the record. The
+        1 ns budget is one any timed stage exceeds, so nothing sleeps."""
+        monkeypatch.setitem(PAPER_STAGE_BUDGETS, "rigid registration", 1e-9)
+        case = make_neurosurgery_case(shape=SHAPE, shift_mm=4.0, seed=70)
         tracer = Tracer()
-        monitor = BudgetMonitor(
-            stage_budgets={"slow stage": 1e-9}, scan_budget=60.0, tracer=tracer
-        )
-        monitor.begin_scan()
-        timeline = Timeline(tracer=tracer)
-        warnings = []
+        pipeline = IntraoperativePipeline(PipelineConfig(**FAST_CONFIG), tracer=tracer)
+        preop = pipeline.prepare_preoperative(case.preop_mri, case.preop_labels)
+        result = pipeline.process_scan(case.intraop_mri, preop)
+        verdict = result.record.verdict()
+        assert verdict.label == "OVER(rigid registration)"
+        assert len(verdict.warnings) == 1 and "'rigid registration'" in verdict.warnings[0]
+        assert [n for n in result.timeline.notes if n.startswith("budget:")] == [
+            "budget: " + verdict.warnings[0]
+        ]
+        assert result.record.notes == result.timeline.notes
+        (scan_span,) = [s for s in tracer.finished() if s.name == "process_scan"]
+        assert scan_span.attrs["budget"] == verdict.label
+        events = [attrs for _, name, attrs in scan_span.events if name == "budget.warning"]
+        assert events == [{"scan": 0, "warning": verdict.warnings[0]}]
 
-        def observe(entry):
-            warning = monitor.observe_stage(entry.stage, entry.seconds)
-            if warning is not None:
-                warnings.append(warning)
-                timeline.note("budget: " + warning)
-
-        timeline.observers.append(observe)
-        with timeline.stage("slow stage"):
-            pass
-        verdict = monitor.finish_scan()
-        assert warnings and "slow stage" in warnings[0]
-        assert verdict.label == "OVER(slow stage)"
-        assert any("budget:" in n for n in timeline.notes)
-        events = [s for s in tracer.finished() if s.name == "budget.warning"]
-        assert events and events[0].attrs["stage"] == "slow stage"
-
-    def test_pipeline_with_tight_budget_reports_over(self):
+    def test_pipeline_with_tight_budget_reports_over(self, monkeypatch):
         """End-to-end: a pipeline whose simulation budget is impossibly
         tight marks the scan verdict OVER in the session summary."""
+        monkeypatch.setitem(PAPER_STAGE_BUDGETS, "biomechanical simulation", 1e-6)
         case = make_neurosurgery_case(shape=SHAPE, shift_mm=4.0, seed=70)
-        monitor = BudgetMonitor(
-            stage_budgets={"biomechanical simulation": 1e-6}, scan_budget=600.0
-        )
-        pipeline = IntraoperativePipeline(
-            PipelineConfig(**FAST_CONFIG), budget=monitor
-        )
+        pipeline = IntraoperativePipeline(PipelineConfig(**FAST_CONFIG))
         session = SurgicalSession.begin(pipeline, case.preop_mri, case.preop_labels)
         result = session.process(case.intraop_mri)
-        assert result.budget_verdict.label == "OVER(biomechanical simulation)"
+        assert result.record.verdict().label == "OVER(biomechanical simulation)"
         assert "OVER(biomechanical simulation)" in session.summary_table()
         assert any("budget:" in n for n in result.timeline.notes)
 

@@ -21,7 +21,6 @@ import pytest
 from repro.obs.budget import (
     PAPER_SCAN_BUDGET,
     SCAN_TOTAL,
-    BudgetMonitor,
     render_slo_summary,
     slo_summary,
 )
@@ -111,9 +110,7 @@ class TestCaseTelemetry:
             with get_tracer().span("scan", index=0):
                 pass
             telemetry.metrics.counter("gmres.solves").inc(2)
-            telemetry.monitor.begin_scan()
-            telemetry.monitor.observe_stage("biomechanical simulation", 1.0)
-            telemetry.monitor.finish_scan()
+            telemetry.metrics.histogram("gmres.iterations_per_solve").observe(27)
             get_flight_recorder().note("scan.complete", scan=0)
         frame = telemetry.frame()
         assert frame.trace_id == "trace"
@@ -122,8 +119,9 @@ class TestCaseTelemetry:
         assert [s["name"] for s in frame.spans] == ["scan"]
         assert frame.metrics["counters"]["gmres.solves"] == 2
         histograms = frame.metrics["histograms"]
-        assert histograms["budget.stage_seconds[stage=biomechanical simulation]"] == [1.0]
-        assert histograms["budget.scan_seconds"] == [1.0]
+        assert histograms["gmres.iterations_per_solve"] == [27]
+        # The SLO series are the gateway's, written from the served records.
+        assert not any(name.startswith("budget.") for name in histograms)
         assert not hasattr(frame, "flight"), "the ring is spooled, not shipped"
         assert telemetry.flight.entries()[0].kind == "scan.complete"
         assert frame.error is None
@@ -230,12 +228,12 @@ class TestGraftFrame:
         frame.metrics = {
             "counters": {"gmres.solves": 3},
             "gauges": {"gmres.last_residual": 1e-8},
-            "histograms": {"serving.scan_seconds": [0.5, 0.7]},
+            "histograms": {"serving.case_seconds": [0.5, 0.7]},
         }
         graft_frame(server, frame, metrics=registry)
         assert registry.value("gmres.solves") == 4
         assert registry.value("gmres.last_residual[worker=2]") == pytest.approx(1e-8)
-        assert registry.get("serving.scan_seconds").count == 2
+        assert registry.get("serving.case_seconds").count == 2
 
     def test_span_from_dict_round_trip(self):
         record = SpanRecord(7, 3, "x", 1.0, 2.0, thread="w0", pid=11, attrs={"k": 1})
@@ -358,12 +356,10 @@ class TestHistogramQuantile:
 
 
 def _scan(metrics: MetricsRegistry, *stages: tuple[str, float]) -> None:
-    """One scan through a budget monitor recording into ``metrics``."""
-    monitor = BudgetMonitor(metrics=metrics)
-    monitor.begin_scan()
+    """One scan's SLO samples, the series the gateway records per served scan."""
     for stage, seconds in stages:
-        monitor.observe_stage(stage, seconds)
-    monitor.finish_scan()
+        metrics.histogram(f"budget.stage_seconds[stage={stage}]").observe(seconds)
+    metrics.histogram("budget.scan_seconds").observe(sum(s for _, s in stages))
 
 
 class TestSLOTracker:
@@ -512,15 +508,15 @@ class TestPrometheusText:
         registry = MetricsRegistry()
         registry.counter("gmres.solves").inc(3)
         registry.gauge("serving.queue_depth").set(2)
-        registry.histogram("serving.scan_seconds").extend([1.0, 2.0, 3.0])
+        registry.histogram("serving.case_seconds").extend([1.0, 2.0, 3.0])
         text = prometheus_text(registry)
         assert "# TYPE gmres_solves counter" in text
         assert "gmres_solves 3" in text
         assert "# TYPE serving_queue_depth gauge" in text
-        assert "# TYPE serving_scan_seconds summary" in text
-        assert 'serving_scan_seconds{quantile="0.5"} 2' in text
-        assert "serving_scan_seconds_sum 6" in text
-        assert "serving_scan_seconds_count 3" in text
+        assert "# TYPE serving_case_seconds summary" in text
+        assert 'serving_case_seconds{quantile="0.5"} 2' in text
+        assert "serving_case_seconds_sum 6" in text
+        assert "serving_case_seconds_count 3" in text
 
     def test_worker_labels_become_selectors(self):
         registry = MetricsRegistry()

@@ -440,6 +440,34 @@ class TestOlderCheckpoint:
         report = replay_session(copy)
         assert report.scans[0].matched and report.ok
 
+    def test_restored_verdict_equals_live_also_with_older_budget_key(
+        self, checkpointed, tmp_path
+    ):
+        # The verdict is judged from the record's timeline, so a restored
+        # record gives the live one. Older versions journaled the verdict's
+        # label as "budget"; that key is not read, even when it disagrees.
+        root, original, _ = checkpointed
+        live = [entry.record.verdict() for entry in original.history]
+        assert [v.label for v in live] == ["ok", "ok"]
+        session, _ = resume_copy(checkpointed, tmp_path / "plain")
+        assert [entry.record.verdict() for entry in session.history] == live
+        copy = tmp_path / "older" / "ckpt"
+        shutil.copytree(root, copy)
+        journal = ScanJournal.load(copy / "journal.jsonl")
+        for entry in journal.entries:
+            if entry.get("type") == "commit":
+                entry["record"]["budget"] = "OVER(scan total)"
+        journal.flush()
+        config = config_from_manifest(
+            SessionStore.open(copy).manifest["config"], base=fast_config()
+        )
+        session = SurgicalSession.resume(IntraoperativePipeline(config), copy)
+        records = [entry.record for entry in session.history]
+        assert all(record.restored for record in records)
+        assert [record.verdict() for record in records] == live
+        assert all("budget" not in record.as_dict() for record in records)
+        assert "OVER" not in session.summary_table()
+
     def test_timeline_entries_without_counts_still_open(self, checkpointed, tmp_path):
         # Older versions journaled each timeline entry as [stage, seconds,
         # period]; such an entry resumes with empty counts.
@@ -466,18 +494,19 @@ class TestOlderCheckpoint:
         assert report.ok and all(scan.matched for scan in report.scans)
 
     def test_journal_without_restored_key_resumes(self, checkpointed, tmp_path):
-        # ``restored`` is never journaled, so a commit entry has exactly
-        # the keys older versions wrote, and their journals resume with
-        # every record read back as restored.
+        # ``restored`` is never journaled, so a commit entry has the keys
+        # older versions wrote (less the verdict label they also wrote,
+        # "budget"), and their journals resume with every record read
+        # back as restored.
         root, original, _ = checkpointed
-        older_keys = {
+        keys = {
             "scan", "result_file", "nodal_sha", "grid_sha", "input_file",
             "input_sha", "surface_umax", "match", "solver", "cache",
-            "timeline", "notes", "degradation", "budget", "prototypes_carried",
+            "timeline", "notes", "degradation", "prototypes_carried",
         }
         journal = ScanJournal.load(root / "journal.jsonl")
         commits = [e["record"] for e in journal.entries if e.get("type") == "commit"]
-        assert [set(record) for record in commits] == [older_keys] * 2
+        assert [set(record) for record in commits] == [keys] * 2
         session, _ = resume_copy(checkpointed, tmp_path)
         records = [entry.record for entry in session.history]
         assert all(record.restored for record in records)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.imaging.phantom import make_neurosurgery_case
-from repro.obs.budget import slo_summary
+from repro.obs.budget import PAPER_STAGE_BUDGETS, SCAN_TOTAL, slo_summary
 from repro.serving import (
     AdmissionQueue,
     CaseRequest,
@@ -48,6 +48,23 @@ def patient():
 def intraop_scans(patient):
     second = make_neurosurgery_case(shape=SHAPE, shift_mm=4.0, seed=12)
     return [patient.intraop_mri, second.intraop_mri]
+
+
+#: The SLO series a server records for healthy scans, lit or dark.
+SLO_SERIES = {SCAN_TOTAL, "queue wait", "case service", *PAPER_STAGE_BUDGETS}
+
+
+def assert_slo_counts_served_scans(server, results):
+    """Each scan served, not restored, is one sample of every SLO series."""
+    served = [r for result in results.values() for r in result.scans if not r.restored]
+    assert server.metrics.value("serving.scans") == len(served)
+    assert sorted(server.metrics.get("budget.scan_seconds").values) == sorted(
+        r.seconds() for r in served
+    )
+    series = slo_summary(server.metrics)["series"]
+    assert set(series) == SLO_SERIES
+    for stage in PAPER_STAGE_BUDGETS:
+        assert series[stage]["count"] == len(served)
 
 
 def make_request(patient, scans, case_id="case-a", **kwargs):
@@ -397,6 +414,10 @@ class TestServing:
         assert resumed.ok, resumed.detail
         assert all(s.restored for s in resumed.scans[:n_done])
         assert [s.nodal_sha for s in resumed.scans] == serial["draining"]
+        # The restored scans are not counted again: only the recomputed
+        # remainder lands in the SLO series.
+        assert_slo_counts_served_scans(server, results)
+        assert server.metrics.value("serving.scans") == len(scans) - n_done
 
 
 # -- cross-process telemetry through the serving tier ------------------------
@@ -451,12 +472,12 @@ class TestServingTelemetry:
         # Worker-side metrics merged into the server registry.
         assert server.metrics.value("gmres.solves") >= 2
 
-        # The workers' budget histograms merged home and the SLO view
-        # reads them: paper-target series scored, serving-layer series
-        # tracked unscored.
+        # The gateway wrote the SLO series from the records it served, one
+        # sample per scan: paper-target series scored, serving-layer
+        # series tracked unscored.
+        assert_slo_counts_served_scans(server, results)
         series = slo_summary(server.metrics)["series"]
-        assert "scan total" in series
-        assert "biomechanical simulation" in series
+        assert series["biomechanical simulation"]["target"] == 10.0
         assert series["queue wait"]["target"] is None
         assert series["case service"]["target"] is None
         assert "Latency SLOs" in server.summary_table()
@@ -477,6 +498,8 @@ class TestServingTelemetry:
             server.shutdown()
         assert results["dark"].ok
         assert server.tracer is None
+        # Dark serving skips the telemetry hooks, not the SLO series.
+        assert_slo_counts_served_scans(server, results)
         assert "Latency SLOs" not in server.summary_table()
         assert results["dark"].telemetry is None
         assert results["dark"].flight_dump is None
