@@ -15,10 +15,16 @@ of three builds, with the traced split of its FEM stages (the
 
 Acceptance criteria checked here (and recorded in ``BENCH_hotpath.json``):
 
-* warm FEM stage >= 2x faster than the cold first scan;
+* every warm scan is a cache hit, and the context was built once
+  (one miss, no invalidation): the warm path skips the set-up;
 * warm and cold take the same iterations and give bit-identical
   displacement fields: a cache hit and a fresh build run the same
   arithmetic.
+
+The cold, warm and build seconds are gated apart by ``benchdiff``; the
+recorded ``speedup_vs_cold_first`` ratio is not asserted, because its
+numerator includes the model build, which every faster build pushes
+towards a failure that says nothing about the warm path.
 
 Runnable standalone: ``PYTHONPATH=src python benchmarks/test_hotpath_reuse.py``.
 """
@@ -183,10 +189,11 @@ def check_acceptance(record: dict) -> None:
     """Assert the PR's acceptance criteria on a benchmark record."""
     scans = record["scans"]
     assert all(s["cache_hit"] for s in scans)
+    stats = record["cache_stats"]
+    assert (stats["hits"], stats["misses"], stats["invalidations"]) == (len(scans), 1, 0)
     for s in scans:
         assert s["max_abs_difference"] == 0.0, s
         assert s["warm_iterations"] == s["cold_iterations"], s
-        assert s["speedup_vs_cold_first"] >= 2.0, s
 
 
 def test_hotpath_reuse(bench_system):

@@ -149,9 +149,9 @@ def paper_size(
     ``previous``). The build lists its own stages (traced) under its total,
     and under the solve-context stage its :data:`SOLVE_CONTEXT_SPANS`: the
     symbolic and numeric assembly, the Dirichlet elimination's ``reduction
-    setup``, the ``preconditioner setup`` (the block factorization, on the
-    threads the header names) and the ``coarse space setup`` (``K Z`` and
-    the coarse factor).
+    setup``, the ``preconditioner setup`` (the block FSAI under the coarse
+    space, on the threads the header names) and the ``coarse space setup``
+    (``K Z`` and the coarse factor).
     Each scan lists every stage, the *unstaged* remainder
     (scan wall time minus the stages), the total, and the biomechanical
     simulation in wall seconds and in ``machine``'s virtual seconds, each

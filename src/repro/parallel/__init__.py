@@ -24,6 +24,7 @@ from repro.parallel.simulation import (
 )
 from repro.parallel.solver import (
     PIPELINE_PRECONDITIONER,
+    DistributedBlockFSAI,
     DistributedBlockJacobi,
     DistributedCoarseCorrection,
     DistributedRAS,
@@ -33,6 +34,7 @@ from repro.parallel.solver import (
 __all__ = [
     "PIPELINE_PRECONDITIONER",
     "Decomposition",
+    "DistributedBlockFSAI",
     "DistributedBlockJacobi",
     "DistributedCoarseCorrection",
     "DistributedRAS",

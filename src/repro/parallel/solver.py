@@ -12,9 +12,10 @@ reductions per iteration, the strategy parallel GMRES implementations
 (including PETSc's) use to avoid one allreduce per inner product.
 
 The intraoperative pipeline solves with :data:`PIPELINE_PRECONDITIONER`:
-block Jacobi balanced by a coarse space of rigid-body modes
+per-rank blocks balanced by a coarse space of rigid-body modes
 (:class:`DistributedCoarseCorrection`), which restores the global
-coupling that the per-rank blocks discard.
+coupling that the per-rank blocks discard; under it the blocks only
+smooth, with a block FSAI (:class:`DistributedBlockFSAI`).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from repro.solver.gmres import (
     convergence_attrs,
     gmres_loop,
 )
-from repro.solver.preconditioner import factor_blocks
-from repro.util import ValidationError
+from repro.solver.preconditioner import block_fsai, factor_blocks, side_by_side
+from repro.util import ShapeError, ValidationError
 
 _NULL = NullTelemetry()
 
@@ -144,6 +145,52 @@ class DistributedBlockJacobi:
         return self._apply(r, self._out)
 
 
+class DistributedBlockFSAI:
+    """One block FSAI factor per rank: ``B = G^T G``, ``G`` block diagonal.
+
+    Each rank's ``G`` is :func:`repro.solver.preconditioner.block_fsai` of
+    its diagonal block on 3x3 node blocks, so every rank's rows must be
+    whole node triples (``components`` reads 0, 1, 2 along each rank's
+    rows) or :class:`ShapeError` is raised. Set-up is batched small dense
+    solves, no sparse factorization; an application is two CSR products,
+    ``G^T (G r)``, with no communication. It smooths locally and is no
+    global solver: :class:`DistributedCoarseCorrection` uses it only under
+    its coarse space. The telemetry is charged each rank's batched-solve
+    flops at set-up and ``4 nnz(G_rank)`` flops per application.
+    """
+
+    def __init__(self, matrix: RowBlockMatrix, components: np.ndarray, telemetry=_NULL):
+        components = np.asarray(components)
+        for a, b in matrix.ranges:
+            if (b - a) % 3 or np.any(components[a:b] != np.arange(b - a) % 3):
+                raise ShapeError(f"rows [{a}, {b}) of a rank are not whole node triples")
+        with get_tracer().span(
+            "preconditioner setup",
+            kind="solver",
+            preconditioner="block_fsai",
+            n_ranks=int(matrix.n_ranks),
+        ):
+            factors = side_by_side(
+                block_fsai, [matrix.local[rank][:, a:b] for rank, (a, b) in enumerate(matrix.ranges)]
+            )
+            self._g = sparse.block_diag([g for g, _ in factors], format="csr")
+            self._gt = self._g.T.tocsr()
+        telemetry.compute_all(np.array([flops for _, flops in factors]))
+        starts = np.append(matrix.ranges[:, 0], matrix.n)
+        self._apply_flops = 4.0 * np.diff(self._g.indptr[starts])
+        self.shape = matrix.shape
+        # Reused buffers (as in DistributedBlockJacobi): callers must not
+        # hold the returned vector across solve calls.
+        self._half = np.empty(matrix.n)
+        self._out = np.empty(matrix.n)
+
+    def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
+        telemetry.compute_all(self._apply_flops)
+        backend = get_backend()
+        backend.csr_matvec(self._g, np.asarray(r, dtype=float), out=self._half)
+        return backend.csr_matvec(self._gt, self._half, out=self._out)
+
+
 def rigid_body_modes(
     points: np.ndarray, components: np.ndarray, ranges: np.ndarray
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -186,10 +233,10 @@ def rigid_body_modes(
 
 
 class DistributedCoarseCorrection:
-    """Block Jacobi balanced by a rigid-body coarse space.
+    """Per-rank blocks balanced by a rigid-body coarse space.
 
-    With ``B`` the :class:`DistributedBlockJacobi` of ``matrix`` (``K``)
-    and ``Z`` every rank's six rigid-body modes on its own rows
+    With ``B`` the per-rank block solver of ``matrix`` (``K``) and ``Z``
+    every rank's six rigid-body modes on its own rows
     (:func:`rigid_body_modes`; ``points[i]`` and ``components[i]`` are the
     node position and the component of row ``i``), the preconditioner is
     the balancing form
@@ -201,6 +248,14 @@ class DistributedCoarseCorrection:
     that the per-rank blocks cannot see no longer cost GMRES iterations.
     One rank's block cuts no coupling: with one rank there is no coarse
     space (``coarse_dim == 0``) and ``M`` is ``B``.
+
+    ``B`` follows from whether the coarse space exists. Under it ``B``
+    only has to smooth locally: the :class:`DistributedBlockFSAI`, two
+    sparse products an application and no sparse factorization. Without
+    it ``B`` is the whole solver: the :class:`DistributedBlockJacobi` in
+    ``factorization`` (block FSAI alone needs about three times its
+    iterations, DESIGN.md "Compact subdomains and a rigid-body coarse
+    space").
 
     Set-up keeps ``Z`` and ``K Z`` as CSR matrices over all ranks (three
     nonzeros a row of ``Z``; ``K Z`` only on rows that couple to another
@@ -223,12 +278,18 @@ class DistributedCoarseCorrection:
         telemetry=_NULL,
         factorization: str = "ilu",
     ):
-        self._blocks = DistributedBlockJacobi(matrix, telemetry, factorization)
         self.shape = matrix.shape
         self.modes = None
         self.coarse_dim = 0
-        if matrix.n_ranks == 1:
-            return
+        if matrix.n_ranks > 1:
+            self._coarse_setup(matrix, points, components, telemetry)
+        self._blocks = (
+            DistributedBlockFSAI(matrix, components, telemetry)
+            if self.coarse_dim
+            else DistributedBlockJacobi(matrix, telemetry, factorization)
+        )
+
+    def _coarse_setup(self, matrix, points, components, telemetry) -> None:
         with get_tracer().span(
             "coarse space setup", kind="solver", n_ranks=int(matrix.n_ranks)
         ) as span:

@@ -1185,8 +1185,9 @@ class ShardGateway:
         throughput = self.metrics.value("serving.throughput_scans_per_s", 0.0)
         if throughput:
             table += f" | throughput: {throughput:.3f} scans/s"
-        if self.telemetry:
-            slo = slo_summary(self.metrics)
-            if slo["series"]:
-                table += "\n\n" + render_slo_summary(slo)
+        # Lit or dark, the gateway records the SLO series from the records
+        # it serves (``_record``), so the table is shown whenever it has one.
+        slo = slo_summary(self.metrics)
+        if slo["series"]:
+            table += "\n\n" + render_slo_summary(slo)
         return table

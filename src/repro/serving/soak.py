@@ -634,7 +634,7 @@ def _audit(
         durable_cases=len(durable),
         lost_cases=lost,
         unterminated_cases=unterminated,
-        latency=slo_summary(gateway.metrics) if gateway.telemetry else {},
+        latency=slo_summary(gateway.metrics),
         workers_peak_rss_mb=peak_rss_mb,
     )
 

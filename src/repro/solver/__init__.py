@@ -5,8 +5,9 @@ block-Jacobi preconditioning; this subpackage re-implements both from
 scratch: restarted GMRES via Arnoldi + Givens rotations, plus conjugate
 gradients as an SPD cross-check, against a minimal operator interface
 that both serial CSR matrices and the distributed row-block operators
-satisfy, and the block factorization every block preconditioner uses.
-Block Jacobi itself is :class:`repro.parallel.solver.DistributedBlockJacobi`.
+satisfy, the block factorization every block preconditioner uses and the
+block FSAI used under the coarse space. Block Jacobi itself is
+:class:`repro.parallel.solver.DistributedBlockJacobi`.
 """
 
 from repro.solver.cg import conjugate_gradient
@@ -15,6 +16,7 @@ from repro.solver.operator import AsOperator, LinearOperator, MatrixOperator
 from repro.solver.preconditioner import (
     IdentityPreconditioner,
     JacobiPreconditioner,
+    block_fsai,
     factor_blocks,
 )
 
@@ -26,6 +28,7 @@ __all__ = [
     "JacobiPreconditioner",
     "LinearOperator",
     "MatrixOperator",
+    "block_fsai",
     "conjugate_gradient",
     "factor_blocks",
     "gmres",

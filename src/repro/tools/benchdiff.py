@@ -61,6 +61,7 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("distance_transform.window_voxels", "lower"),
         ("distance_transform.seconds", "lower"),
         ("block_factorization.seconds", "lower"),
+        ("block_fsai.g_nnz", "lower"),
         ("patient_model_build.seconds", "lower"),
     ],
     "BENCH_soak.json": [

@@ -362,7 +362,7 @@ def _scan(metrics: MetricsRegistry, *stages: tuple[str, float]) -> None:
     metrics.histogram("budget.scan_seconds").observe(sum(s for _, s in stages))
 
 
-class TestSLOTracker:
+class TestSLOSummary:
     """The SLO table: :func:`slo_summary`, a view of the budget histograms."""
 
     def test_default_targets_are_paper_budgets(self):

@@ -32,7 +32,7 @@ from repro.serving import (
     SessionWorkerPool,
     ThroughputReport,
 )
-from repro.serving.soak import run_serial
+from repro.serving.soak import _audit, run_serial
 from repro.util import ValidationError
 
 SHAPE = (24, 24, 16)
@@ -491,16 +491,20 @@ class TestServingTelemetry:
 
     def test_telemetry_off_serves_dark(self, patient, intraop_scans):
         server = SessionServer(n_workers=1, telemetry=False)
+        request = make_request(patient, intraop_scans[:1], case_id="dark")
         try:
-            server.submit(make_request(patient, intraop_scans[:1], case_id="dark"))
+            server.submit(request)
             results = server.run()
         finally:
             server.shutdown()
         assert results["dark"].ok
         assert server.tracer is None
-        # Dark serving skips the telemetry hooks, not the SLO series.
+        # Dark serving skips the telemetry hooks, not the SLO series, and
+        # the summary table and a soak report show them.
         assert_slo_counts_served_scans(server, results)
-        assert "Latency SLOs" not in server.summary_table()
+        assert "Latency SLOs" in server.summary_table()
+        report = _audit(server, [request], ["dark"], [], 0.0, waves=1, peak_rss_mb=0.0)
+        assert report.latency["series"]["scan total"]["count"] == 1
         assert results["dark"].telemetry is None
         assert results["dark"].flight_dump is None
         assert server.metrics.value("telemetry.frames") == 0

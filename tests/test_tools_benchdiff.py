@@ -170,6 +170,21 @@ class TestHotpathGate:
         (tmp_path / NAME).write_text(json.dumps(fresh))
         assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
 
+    def test_block_fsai_nonzeros_are_gated(self, tmp_path):
+        """``G`` growing 30 % (a wider pattern: lower(|A|^2) holds 3.7x)
+        fails; its seconds are recorded, not gated."""
+        paths = dict(HOT_PATHS[NAME])
+        assert paths["block_fsai.g_nnz"] == "lower"
+        assert "block_fsai.seconds" not in paths
+        base = json.loads(BASELINE.read_text())
+        block = base["block_fsai"]
+        assert block["threads"] == min(block["blocks"], block["nproc"])
+        assert block["g_nnz"] < 0.7 * block["block_nnz"]
+        fresh = copy.deepcopy(base)
+        fresh["block_fsai"]["g_nnz"] *= 1.3
+        (tmp_path / NAME).write_text(json.dumps(fresh))
+        assert run_diff(BASELINE.parent, tmp_path, 25.0, [NAME]) == 1
+
     def test_patient_model_build_seconds_are_gated(self, tmp_path):
         """The model build growing 30 % dearer fails; the record splits it
         into the traced FEM stages beside the median of its builds."""
