@@ -1,10 +1,12 @@
 """Pipeline configuration.
 
 One dataclass gathers every tunable of the intraoperative pipeline with
-defaults matching the paper's clinical setup (homogeneous brain model,
-GMRES + block Jacobi), except the decomposition: compact
-coordinate-bisection subdomains, on which the pipeline's rigid-body
-coarse space pays (the paper's equal-node-count slabs are ``"block"``).
+defaults matching the paper's clinical setup (homogeneous brain model),
+except the solve: CG with a block FSAI, balanced on compact
+coordinate-bisection subdomains by a rigid-body coarse space (the
+paper's GMRES + block Jacobi on equal-node-count slabs is ``"block"``
+with ``simulate_parallel``'s defaults). ``gmres_restart`` is read by
+GMRES only.
 """
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ class IntraoperativePipeline:
         was installed via :func:`repro.obs.use_tracer`.
     metrics:
         A :class:`repro.obs.MetricsRegistry` absorbing the run's
-        numbers: mesh sizes, GMRES iterations/restarts/residual,
+        numbers: mesh sizes, solver iterations/restarts/residual,
         solve-context cache hits/misses/hit-ratio.
     """
 

@@ -320,7 +320,7 @@ class SurgicalSession:
                 "surface |u| max (mm)",
                 "rigid RMS",
                 "simulated RMS",
-                "GMRES iters",
+                "CG iters",
                 "cache",
                 "result",
                 "budget",

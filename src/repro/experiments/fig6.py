@@ -190,7 +190,7 @@ def paper_size(
         rows.append([period, "TOTAL", wall, "", ""])
         notes.append(
             f"{period}: virtual init {split[0]:.3f} s + assembly {split[1]:.3f} s + "
-            f"solve {split[2]:.3f} s, {sim['iterations']} GMRES iterations"
+            f"solve {split[2]:.3f} s, {sim['iterations']} CG iterations"
         )
         previous = result
     header = [

@@ -4,7 +4,9 @@ The distributed algorithms here mirror the paper's PETSc-based
 implementation: nodes are dealt to CPUs (equal counts by default), each
 rank assembles the matrix rows of its nodes, boundary conditions are
 eliminated locally, and the reduced system is solved with distributed
-GMRES preconditioned by block Jacobi (one block per rank).
+GMRES preconditioned by block Jacobi (one block per rank) — or, in the
+intraoperative pipeline, with distributed CG preconditioned by a block
+FSAI under a rigid-body coarse space.
 
 Execution is sequential-in-process but *structurally* parallel: every
 rank's local rows, halo index sets, partial dot products and
@@ -28,6 +30,7 @@ from repro.parallel.solver import (
     DistributedBlockJacobi,
     DistributedCoarseCorrection,
     DistributedRAS,
+    distributed_cg,
     distributed_gmres,
 )
 
@@ -42,6 +45,7 @@ __all__ = [
     "ParallelSimulation",
     "RowBlockMatrix",
     "build_distributed_system",
+    "distributed_cg",
     "distributed_dot",
     "distributed_gmres",
     "distributed_norm",

@@ -28,10 +28,12 @@ from repro.obs.trace import get_tracer
 from repro.parallel.assembly import DistributedSystem, build_distributed_system
 from repro.parallel.decomposition import Decomposition
 from repro.parallel.solver import (
+    PIPELINE_PRECONDITIONER,
     PRECONDITIONERS,
     DistributedBlockJacobi,
     DistributedCoarseCorrection,
     DistributedRAS,
+    distributed_cg,
     distributed_gmres,
 )
 from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
@@ -62,7 +64,8 @@ class ParallelSimulation:
     displacement:
         ``(n_nodes, 3)`` nodal displacements, original mesh numbering.
     solver:
-        GMRES convergence record.
+        Krylov convergence record (CG for the pipeline's preconditioner,
+        GMRES otherwise; ``restarts`` is 0 for CG).
     n_equations:
         Free unknowns actually solved for.
     n_dof_total:
@@ -212,11 +215,7 @@ class _Setup:
         else:
             nodes, components = np.divmod(system.free_dofs, 3)
             pre = DistributedCoarseCorrection(
-                matrix,
-                system.decomposition.mesh.nodes[nodes],
-                components,
-                self.telemetry,
-                factorization=self.factorization,
+                matrix, system.decomposition.mesh.nodes[nodes], components, self.telemetry
             )
         if self.context is not None:
             self.context.slots["preconditioner"] = pre
@@ -266,11 +265,14 @@ def simulate_parallel(
         default, :class:`repro.core.PipelineConfig`).
     preconditioner:
         ``"block_jacobi"`` (paper configuration),
-        ``"coarse_block_jacobi"`` (block Jacobi balanced by a rigid-body
-        coarse space; the intraoperative pipeline's
+        ``"coarse_block_jacobi"`` (a block FSAI, balanced by a rigid-body
+        coarse space on more than one rank; the intraoperative pipeline's
         :data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`) or
         ``"ras"`` (restricted additive Schwarz with ``ras_overlap``
-        layers).
+        layers). The method follows from it: CG
+        (:func:`repro.parallel.solver.distributed_cg`) for the pipeline's
+        preconditioner, which is SPD, GMRES(``restart``) for the paper's
+        two; ``factorization`` and ``ras_overlap`` concern those two only.
     context:
         A :class:`repro.fem.SolveContext` carrying scan-invariant state
         across calls. On a fingerprint match (same mesh, materials,
@@ -279,8 +281,8 @@ def simulate_parallel(
         are all skipped — the per-scan work is one coupling matvec for
         the right-hand side plus the Krylov solve. A mismatch (resected
         mesh, changed materials) rebuilds and repopulates the context.
-        GMRES always starts from zero, so a scan's field does not depend
-        on the scans solved before it.
+        The solve always starts from zero, so a scan's field does not
+        depend on the scans solved before it.
     faults:
         Injected solver faults to execute at the start of the solve
         phase — objects exposing ``kind``/``param`` (duck-typed so this
@@ -325,15 +327,11 @@ def simulate_parallel(
                         rank, STALL_VIRTUAL_SECONDS * telemetry.spec.flops_rate
                     )
         pre = setup.get_preconditioner(system, solve_span)
-        result = distributed_gmres(
-            system.matrix,
-            system.rhs,
-            preconditioner=pre,
-            tol=tol,
-            restart=restart,
-            max_iter=max_iter,
-            telemetry=telemetry,
-        )
+        solve = dict(preconditioner=pre, tol=tol, max_iter=max_iter, telemetry=telemetry)
+        if preconditioner == PIPELINE_PRECONDITIONER:
+            result = distributed_cg(system.matrix, system.rhs, **solve)
+        else:
+            result = distributed_gmres(system.matrix, system.rhs, restart=restart, **solve)
 
     if isinstance(telemetry, VirtualCluster) and tracer.enabled:
         # Machine-model attribution: the virtual communication/compute

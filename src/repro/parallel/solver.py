@@ -1,21 +1,25 @@
-"""Distributed GMRES with block-Jacobi preconditioning.
+"""Distributed GMRES and CG over row-block matrices.
 
-The virtual-parallel counterpart of :mod:`repro.solver.gmres`: the same
-Arnoldi/Givens loop (:func:`repro.solver.gmres.gmres_loop`), called with
-a row-block matvec, a telemetered preconditioner and a per-rank
-reduction, so every operation is decomposed by rank and reported to the
-telemetry — local matvec flops, halo bytes, per-block LU factorization
-and triangular solves, partial dot products and the scalar allreduces
-that synchronize them. Orthogonalization (:class:`RankReduction`) is
-classical Gram-Schmidt with one refinement pass (CGS2): two fused
-reductions per iteration, the strategy parallel GMRES implementations
-(including PETSc's) use to avoid one allreduce per inner product.
+The virtual-parallel counterparts of :mod:`repro.solver.gmres` and
+:mod:`repro.solver.cg`: the same loops (:func:`repro.solver.gmres.gmres_loop`,
+:func:`repro.solver.cg.cg_loop`), called with a row-block matvec, a
+telemetered preconditioner and a per-rank reduction, so every operation
+is decomposed by rank and reported to the telemetry — local matvec
+flops, halo bytes, per-block factorization and triangular solves,
+partial dot products and the scalar allreduces that synchronize them.
+GMRES orthogonalization (:class:`RankReduction`) is classical
+Gram-Schmidt with one refinement pass (CGS2): two fused reductions per
+iteration, the strategy parallel GMRES implementations (including
+PETSc's) use to avoid one allreduce per inner product.
 
-The intraoperative pipeline solves with :data:`PIPELINE_PRECONDITIONER`:
-per-rank blocks balanced by a coarse space of rigid-body modes
-(:class:`DistributedCoarseCorrection`), which restores the global
-coupling that the per-rank blocks discard; under it the blocks only
-smooth, with a block FSAI (:class:`DistributedBlockFSAI`).
+The intraoperative pipeline solves with :data:`PIPELINE_PRECONDITIONER`
+and CG (:func:`distributed_cg`): a per-rank block FSAI
+(:class:`DistributedBlockFSAI`), balanced with more than one rank by a
+coarse space of rigid-body modes (:class:`DistributedCoarseCorrection`)
+that restores the global coupling the per-rank blocks discard. Both are
+symmetric positive definite and neither factors a sparse matrix. The paper's
+configurations (:class:`DistributedBlockJacobi`, :class:`DistributedRAS`,
+SuperLU factors) solve with GMRES (:func:`distributed_gmres`).
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from repro.obs.trace import get_tracer
 from repro.parallel.distributed import (
     RowBlockMatrix,
     distributed_axpy_cost,
+    distributed_dot,
     distributed_norm,
 )
+from repro.solver.cg import cg_loop
 from repro.solver.gmres import (
     DEFAULT_SOLVER_TOL,
     GMRESResult,
@@ -153,10 +159,11 @@ class DistributedBlockFSAI:
     whole node triples (``components`` reads 0, 1, 2 along each rank's
     rows) or :class:`ShapeError` is raised. Set-up is batched small dense
     solves, no sparse factorization; an application is two CSR products,
-    ``G^T (G r)``, with no communication. It smooths locally and is no
-    global solver: :class:`DistributedCoarseCorrection` uses it only under
-    its coarse space. The telemetry is charged each rank's batched-solve
-    flops at set-up and ``4 nnz(G_rank)`` flops per application.
+    ``G^T (G r)``, with no communication. ``B`` is symmetric positive
+    definite, so CG can use it: it is :class:`DistributedCoarseCorrection`'s
+    block solver at every rank count. The telemetry is charged each rank's
+    batched-solve flops at set-up and ``4 nnz(G_rank)`` flops per
+    application.
     """
 
     def __init__(self, matrix: RowBlockMatrix, components: np.ndarray, telemetry=_NULL):
@@ -233,9 +240,10 @@ def rigid_body_modes(
 
 
 class DistributedCoarseCorrection:
-    """Per-rank blocks balanced by a rigid-body coarse space.
+    """Per-rank block FSAI balanced by a rigid-body coarse space.
 
-    With ``B`` the per-rank block solver of ``matrix`` (``K``) and ``Z``
+    With ``B`` the per-rank block FSAI of ``matrix`` (``K``,
+    :class:`DistributedBlockFSAI`) and ``Z``
     every rank's six rigid-body modes on its own rows
     (:func:`rigid_body_modes`; ``points[i]`` and ``components[i]`` are the
     node position and the component of row ``i``), the preconditioner is
@@ -245,17 +253,13 @@ class DistributedCoarseCorrection:
 
     ``Q`` solves exactly on the coarse space (``M K Z = Z``) and ``B``
     works on its ``K``-orthogonal complement, so the low-energy modes
-    that the per-rank blocks cannot see no longer cost GMRES iterations.
+    that the per-rank blocks cannot see no longer cost Krylov iterations.
     One rank's block cuts no coupling: with one rank there is no coarse
-    space (``coarse_dim == 0``) and ``M`` is ``B``.
-
-    ``B`` follows from whether the coarse space exists. Under it ``B``
-    only has to smooth locally: the :class:`DistributedBlockFSAI`, two
-    sparse products an application and no sparse factorization. Without
-    it ``B`` is the whole solver: the :class:`DistributedBlockJacobi` in
-    ``factorization`` (block FSAI alone needs about three times its
-    iterations, DESIGN.md "Compact subdomains and a rigid-body coarse
-    space").
+    space (``coarse_dim == 0``) and ``M`` is ``B``. ``M`` is symmetric
+    positive definite at every rank count (``B`` and ``Q`` are, and the
+    two halves are each other's transpose), which is what lets the
+    pipeline solve with CG (:func:`distributed_cg`); set-up factors
+    nothing sparse.
 
     Set-up keeps ``Z`` and ``K Z`` as CSR matrices over all ranks (three
     nonzeros a row of ``Z``; ``K Z`` only on rows that couple to another
@@ -276,18 +280,13 @@ class DistributedCoarseCorrection:
         points: np.ndarray,
         components: np.ndarray,
         telemetry=_NULL,
-        factorization: str = "ilu",
     ):
         self.shape = matrix.shape
         self.modes = None
         self.coarse_dim = 0
         if matrix.n_ranks > 1:
             self._coarse_setup(matrix, points, components, telemetry)
-        self._blocks = (
-            DistributedBlockFSAI(matrix, components, telemetry)
-            if self.coarse_dim
-            else DistributedBlockJacobi(matrix, telemetry, factorization)
-        )
+        self._blocks = DistributedBlockFSAI(matrix, components, telemetry)
 
     def _coarse_setup(self, matrix, points, components, telemetry) -> None:
         with get_tracer().span(
@@ -437,13 +436,13 @@ class DistributedRAS:
 
 
 class RankReduction:
-    """Vector reductions of the Arnoldi loop, decomposed by rank.
+    """Vector reductions of the Krylov loops, decomposed by rank.
 
     The distributed counterpart of
-    :class:`repro.solver.gmres.SerialReduction`: norms are per-rank
-    partial sums plus a scalar allreduce, orthogonalisation is CGS2 (two
-    fused reduction rounds, one ``k * 8``-byte allreduce each), and every
-    axpy/scale pass is charged to the telemetry.
+    :class:`repro.solver.gmres.SerialReduction`: dots and norms are
+    per-rank partial sums plus a scalar allreduce, orthogonalisation is
+    CGS2 (two fused reduction rounds, one ``k * 8``-byte allreduce each),
+    and every axpy/scale pass is charged to the telemetry.
     """
 
     def __init__(self, ranges: np.ndarray, telemetry):
@@ -455,6 +454,9 @@ class RankReduction:
 
     def norm(self, v: np.ndarray) -> float:
         return distributed_norm(v, self._ranges, self._telemetry)
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        return distributed_dot(u, v, self._ranges, self._telemetry)
 
     def axpy_cost(self, n_vectors: int = 1) -> None:
         distributed_axpy_cost(self._ranges, self._telemetry, n_vectors=n_vectors)
@@ -478,6 +480,26 @@ class RankReduction:
         self.axpy_cost(k + 1)
         H[: k + 1, k] = h1 + h2
         return w
+
+
+def _counted(preconditioner, telemetry, span):
+    """``M^{-1}`` as a callable that counts its applications on ``span``.
+
+    The running count lands on the span at once (a dict update; no-op on
+    a disabled tracer), so every return path reports it without a
+    try/finally around the whole solve. ``None`` is the identity.
+    """
+    applications = 0
+
+    def precond(r: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        span.set(preconditioner_applications=applications)
+        if preconditioner is None:
+            return r.copy()
+        return preconditioner.solve(r, telemetry)
+
+    return precond
 
 
 def distributed_gmres(
@@ -507,27 +529,44 @@ def distributed_gmres(
     with one ``restart`` event per cycle, plus a ``preconditioner
     applications`` count attribute.
     """
-    applications = 0
     with get_tracer().span(
         "gmres", kind="solver", distributed=True, tol=tol, restart=restart
     ) as span:
-
-        def precond(r: np.ndarray) -> np.ndarray:
-            # The running application count lands on the span immediately
-            # (a dict update; no-op on a disabled tracer) so every return
-            # path reports it without a try/finally around the whole solve.
-            nonlocal applications
-            applications += 1
-            span.set(preconditioner_applications=applications)
-            if preconditioner is None:
-                return r.copy()
-            return preconditioner.solve(r, telemetry)
-
         result = gmres_loop(
             matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
-            lambda v: matrix.matvec(v, telemetry), precond,
+            lambda v: matrix.matvec(v, telemetry), _counted(preconditioner, telemetry, span),
             RankReduction(matrix.ranges, telemetry), span, "distributed_gmres",
         )
         span.set(**convergence_attrs(result, tol))
         return result
 
+
+def distributed_cg(
+    matrix: RowBlockMatrix,
+    b: np.ndarray,
+    preconditioner: DistributedCoarseCorrection | None = None,
+    x0: np.ndarray | None = None,
+    tol: float = DEFAULT_SOLVER_TOL,
+    max_iter: int = 3000,
+    telemetry=_NULL,
+    raise_on_fail: bool = False,
+) -> GMRESResult:
+    """Preconditioned CG over a row-block matrix.
+
+    The pipeline's solve: ``preconditioner`` must be symmetric positive
+    definite (:class:`DistributedCoarseCorrection`, or ``None``). It is
+    :func:`repro.solver.cg.cg_loop` with the per-rank reduction, so every
+    iteration's three dots pay a scalar all-reduce on the virtual clock;
+    it stops on ``||b - A x|| <= tol * ||b||`` and reports zero
+    restarts. Validation and zero-RHS behaviour are the serial solver's.
+    Tracing: a ``cg`` span with the convergence attributes of a
+    ``gmres`` span and a ``preconditioner_applications`` count.
+    """
+    with get_tracer().span("cg", kind="solver", distributed=True, tol=tol) as span:
+        result = cg_loop(
+            matrix.n, b, x0, tol, max_iter, raise_on_fail,
+            lambda v: matrix.matvec(v, telemetry), _counted(preconditioner, telemetry, span),
+            RankReduction(matrix.ranges, telemetry), "distributed_cg",
+        )
+        span.set(**convergence_attrs(result, tol))
+        return result

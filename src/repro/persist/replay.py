@@ -2,7 +2,7 @@
 
 Every stage of the pipeline is deterministic given its inputs (seeded
 rigid sampling, seeded prototype selection, fixed-iteration active
-surface, preconditioned GMRES from zero with a fixed restart schedule).
+surface, preconditioned CG from zero).
 A scan's field depends on the patient model, the prototype locations
 fixed at scan 0, and that scan — plus, through the fault plan and the
 degradation ladder's ``previous`` field, its index and its

@@ -36,6 +36,7 @@ from repro.machines.cost import NullTelemetry
 from repro.mesh.generator import GridTetraMesher, mesh_labeled_volume
 from repro.mesh.surface import TriangleSurface, extract_boundary_surface
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
+from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.resilience.guards import check_displacement_field, check_mesh_usable
 from repro.resilience.policy import DegradationLevel
 from repro.solver.gmres import GMRESResult
@@ -205,8 +206,10 @@ def coarse_fem_fallback(
 
     The fine active-surface displacements are mapped onto the coarse
     boundary by nearest fine surface node, the (much smaller) system is
-    solved serially with an isolated context at the production solver
-    defaults, and the coarse solution is interpolated back to the fine
+    solved serially with an isolated context and the pipeline's own
+    preconditioner (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`:
+    block FSAI and CG, no sparse factorization) at the production
+    tolerance, and the coarse solution is interpolated back to the fine
     mesh nodes for downstream consumers.
     Raises a :class:`repro.util.ReproError` subtype when the coarse path
     itself is unusable (degenerate mesh, diverged solve), letting the
@@ -229,6 +232,7 @@ def coarse_fem_fallback(
         n_ranks=1,
         materials=materials,
         restart=restart,
+        preconditioner=PIPELINE_PRECONDITIONER,
         context=None,
     )
     if not simulation.solver.converged:
@@ -236,7 +240,7 @@ def coarse_fem_fallback(
             "coarse fallback solve did not converge",
             iterations=simulation.solver.iterations,
             residual=simulation.solver.residual_norm,
-            solver="gmres",
+            solver="cg",
             stage="degradation",
         )
     check_displacement_field(

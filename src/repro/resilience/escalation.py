@@ -1,12 +1,15 @@
 """Solver escalation ladder for the biomechanical simulation stage.
 
-The ladder is one rung, ``gmres``: GMRES from zero with the pipeline's
-preconditioner (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`,
-block Jacobi with a rigid-body coarse space) on the shared context's
-cached matrices and preconditioner factors.
+The ladder is one rung, ``gmres``: the pipeline's solve from zero — CG
+with the pipeline's preconditioner
+(:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`, block FSAI with
+a rigid-body coarse space) on the shared context's cached matrices and
+preconditioner. The rung keeps the name ``gmres`` because journals and
+served records carry it.
 
 A :class:`repro.util.RankFailure` — and only that — earns one retry,
-``gmres@1``: the same preconditioner on one rank with no machine model
+``gmres@1``: the same preconditioner (block FSAI alone, nothing factored)
+on one rank with no machine model
 (dynamic resource substitution), on an *isolated* context so the shared
 per-patient cache fingerprint is never clobbered by the emergency
 configuration, and only while ``deadline_s`` allows. A scan that

@@ -3,10 +3,11 @@
 The paper solves the assembled elasticity system with PETSc's GMRES and
 block-Jacobi preconditioning; this subpackage re-implements both from
 scratch: restarted GMRES via Arnoldi + Givens rotations, plus conjugate
-gradients as an SPD cross-check, against a minimal operator interface
-that both serial CSR matrices and the distributed row-block operators
-satisfy, the block factorization every block preconditioner uses and the
-block FSAI used under the coarse space. Block Jacobi itself is
+gradients (the pipeline's solve: its system and preconditioner are SPD),
+against a minimal operator interface that both serial CSR matrices and
+the distributed row-block operators satisfy, the block factorization
+every block-Jacobi and RAS preconditioner uses and the block FSAI the
+pipeline's preconditioner uses at every rank count. Block Jacobi itself is
 :class:`repro.parallel.solver.DistributedBlockJacobi`.
 """
 

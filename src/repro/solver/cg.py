@@ -1,10 +1,16 @@
 """Preconditioned conjugate gradients.
 
-The reduced elasticity system is symmetric positive definite, so CG is a
-natural cross-check (and ablation comparator) for the paper's GMRES
-choice. The recurrence is written once, as the plain function
-:func:`cg_loop`, which calls the ``matvec`` and ``precond`` callables it
-is handed — the same shape as :func:`repro.solver.gmres.gmres_loop`.
+The reduced elasticity system is symmetric positive definite, and so is
+the pipeline's preconditioner (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`),
+so the pipeline solves with CG at every rank count; the paper's GMRES
+configurations (``block_jacobi``, ``ras``) keep GMRES. The recurrence is
+written once, as the plain function :func:`cg_loop`, which calls the
+``matvec`` and ``precond`` callables it is handed and delegates dots and
+norms to a *reduction* — the same shape as
+:func:`repro.solver.gmres.gmres_loop`. Serial :func:`conjugate_gradient`
+is that loop with :class:`repro.solver.gmres.SerialReduction`;
+:func:`repro.parallel.distributed_cg` is the same loop with the per-rank
+reduction, which charges every dot's all-reduce to the virtual clock.
 """
 
 from __future__ import annotations
@@ -12,7 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult, checked_system, convergence_attrs
+from repro.solver.gmres import (
+    GMRESResult,
+    SerialReduction,
+    checked_system,
+    convergence_attrs,
+)
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
 from repro.util import ConvergenceError
@@ -42,6 +53,7 @@ def conjugate_gradient(
     When the ambient :class:`repro.obs.Tracer` is enabled, the solve is
     wrapped in a ``cg`` span carrying the same convergence attributes as
     a ``gmres`` span (:func:`repro.solver.gmres.convergence_attrs`).
+    It stops on the true residual, ``||b - A x|| <= tol * ||b||``.
     """
     tracer = get_tracer()
     if not tracer.enabled:
@@ -64,7 +76,9 @@ def _cg(
     A = AsOperator(operator)
     n = A.shape[0]
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
-    return cg_loop(n, b, x0, tol, max_iter, raise_on_fail, A.matvec, M.solve, "cg")
+    return cg_loop(
+        n, b, x0, tol, max_iter, raise_on_fail, A.matvec, M.solve, SerialReduction(), "cg"
+    )
 
 
 def cg_loop(
@@ -76,30 +90,38 @@ def cg_loop(
     raise_on_fail: bool,
     matvec,
     precond,
+    reduction,
     solver: str,
 ) -> GMRESResult:
     """The preconditioned CG recurrence.
 
     ``matvec(v)`` returns ``A v`` and ``precond(r)`` returns
-    ``M^{-1} r``; ``solver`` labels a :class:`ConvergenceError`.
+    ``M^{-1} r``. Every CG entry point of the package is this loop with a
+    ``reduction`` that takes dots and norms and charges vector passes
+    (:class:`repro.solver.gmres.SerialReduction` or
+    :class:`repro.parallel.solver.RankReduction`: an iteration is three
+    reductions and three axpy passes). It stops when the recurrence's
+    residual reaches ``tol * ||b||``; ``solver`` labels a
+    :class:`ConvergenceError`.
     """
     b, x = checked_system(n, b, x0, tol)
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = reduction.norm(b)
     if b_norm == 0.0:
         # Zero RHS: exact solution is zero regardless of the (already
         # shape-validated) x0 — same contract as repro.solver.gmres.
         return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
     r = b - matvec(x)
+    reduction.axpy_cost()  # b - Ax
     z = precond(r)
     p = z.copy()
-    rz = float(np.dot(r, z))
+    rz = reduction.dot(r, z)
     target = tol * b_norm
-    history = [float(np.linalg.norm(r))]
+    history = [reduction.norm(r)]
 
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
-        pAp = float(np.dot(p, Ap))
+        pAp = reduction.dot(p, Ap)
         if pAp <= 0:
             raise ConvergenceError(
                 "CG encountered a non-positive curvature direction: operator is not SPD",
@@ -110,13 +132,15 @@ def cg_loop(
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rn = float(np.linalg.norm(r))
+        reduction.axpy_cost(2)
+        rn = reduction.norm(r)
         history.append(rn)
         if rn <= target:
             return GMRESResult(x, True, it, 0, rn, history, b_norm)
         z = precond(r)
-        rz_new = float(np.dot(r, z))
+        rz_new = reduction.dot(r, z)
         p = z + (rz_new / rz) * p
+        reduction.axpy_cost()
         rz = rz_new
 
     if raise_on_fail:

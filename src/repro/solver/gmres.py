@@ -24,18 +24,22 @@ from repro.util import ConvergenceError, ShapeError, ValidationError
 
 #: Relative tolerance of every *production* solve of the package — the
 #: pipeline (``PipelineConfig.solver_tol``), the escalation ladder, the
-#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres`` and
-#: the Fig. 7-9 experiments. It is relative and on the left-preconditioned
-#: residual,
-#: ``||M^{-1}(b - A x)|| <= tol * ||M^{-1} b||``: PETSc's ``-ksp_rtol``
+#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres`` /
+#: ``distributed_cg`` and the Fig. 7-9 experiments: PETSc's ``-ksp_rtol``
 #: default, which is what the paper's GMRES + block Jacobi ran at (it
-#: names no convergence setting). Measured against a ``1e-10`` solve
-#: (``benchmarks/BENCH_solver_tolerance.json``, EXPERIMENTS.md "Solver
-#: tolerance"): max nodal |du| 0.4-0.5 um on the 22.8 k-equation, 4-rank
-#: benchmark system and 1.4 um at paper size (77 k equations, 16 ranks),
-#: against 0.9-3 mm voxels; ``1e-7`` buys 0.004 um for half as many
-#: iterations again. The generic library entry points (:func:`gmres`,
-#: ``conjugate_gradient``) keep their own ``1e-8``.
+#: names no convergence setting). It is relative, and each method reads
+#: it on its own residual. GMRES (``block_jacobi``, ``ras``) stops on the
+#: left-preconditioned one, ``||M^{-1}(b - A x)|| <= tol * ||M^{-1} b||``;
+#: CG (the pipeline's preconditioner, at every rank count) on the true
+#: one, ``||b - A x|| <= tol * ||b||``. Measured with GMRES against a
+#: ``1e-10`` solve (``benchmarks/BENCH_solver_tolerance.json``,
+#: EXPERIMENTS.md "Solver tolerance"): max nodal |du| 0.4-0.5 um on the
+#: 22.8 k-equation, 4-rank benchmark system and 1.4 um at paper size (77 k
+#: equations, 16 ranks), against 0.9-3 mm voxels; ``1e-7`` buys 0.004 um
+#: for half as many iterations again. CG's field at ``1e-5`` is no further
+#: from a direct solve than GMRES's (``tests/test_fsai.py::TestCG``). The
+#: generic library entry points (:func:`gmres`, ``conjugate_gradient``)
+#: keep their own ``1e-8``.
 DEFAULT_SOLVER_TOL = 1e-5
 
 
@@ -192,15 +196,19 @@ def checked_system(n: int, b, x0, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SerialReduction:
-    """Vector reductions of the Arnoldi loop in one address space.
+    """Vector reductions of the Krylov loops in one address space.
 
-    Modified Gram-Schmidt and ``np.linalg.norm``, charging nothing. The
-    per-rank counterpart (fused CGS2 with telemetry charges) is
+    Modified Gram-Schmidt, ``np.dot`` and ``np.linalg.norm``, charging
+    nothing. The per-rank counterpart (fused CGS2 and per-rank partial
+    sums with telemetry charges) is
     :class:`repro.parallel.solver.RankReduction`.
     """
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.dot(u, v))
 
     def orthogonalize(self, V: np.ndarray, H: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
         """Orthogonalise ``w`` against ``V[:k+1]`` into ``H[:k+1, k]``; returns ``w``."""

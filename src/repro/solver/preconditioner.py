@@ -8,9 +8,9 @@ default for distributed Krylov methods in PETSc. It is
 builds it over :meth:`repro.parallel.RowBlockMatrix.from_csr`, which
 shares the source matrix's arrays. Independent blocks also factor
 independently: :func:`factor_blocks`, which every block preconditioner
-calls, factors them side by side on the process's cores. Under a
-coarse space the blocks only smooth, and :func:`block_fsai` builds the
-cheaper factorized sparse approximate inverse instead.
+calls, factors them side by side on the process's cores. The
+pipeline's preconditioner factors nothing: :func:`block_fsai` builds its
+factorized sparse approximate inverse at every rank count.
 
 :class:`IdentityPreconditioner` and :class:`JacobiPreconditioner` are the
 generic library solvers' reference preconditioners.

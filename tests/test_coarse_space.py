@@ -178,7 +178,7 @@ class TestTelemetry:
         assert spy.allreduces == [8.0 * m * m]
 
     def test_a_cache_hit_charges_applications_only(self, system, monkeypatch):
-        n_ranks, m = 8, 48  # 8 m bytes exceed any GMRES reduction (<= 31 dots)
+        n_ranks, m = 8, 48  # 8 m bytes exceed any CG reduction (one 8-byte dot)
         sizes: list[float] = []
         charge = VirtualCluster.allreduce
 
@@ -199,7 +199,7 @@ class TestTelemetry:
                     preconditioner=PIPELINE_PRECONDITIONER,
                     context=context,
                 )
-            (span,) = [s for s in tracer.finished() if s.name == "gmres"]
+            (span,) = [s for s in tracer.finished() if s.name == "cg"]
             runs.append((sim.cache_hit, list(sizes), span.attrs["preconditioner_applications"]))
         (miss, miss_sizes, miss_apps), (hit, hit_sizes, hit_apps) = runs
         assert not miss and hit

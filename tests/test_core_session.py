@@ -87,7 +87,7 @@ class TestSurgicalSession:
         assert session.latest() is result
         summary = session.summary_table()
         assert "Surgical session summary" in summary
-        assert "GMRES iters" in summary
+        assert "CG iters" in summary
 
     def test_empty_summary(self, session_env):
         case1, _, pipeline = session_env

@@ -1,13 +1,16 @@
-"""Block FSAI under the rigid-body coarse space.
+"""Block FSAI, the pipeline's block solver, and the CG solve it serves.
 
-With a coarse space (more than one rank), ``DistributedCoarseCorrection``'s
-block solver is ``B = G^T G``: per rank, ``G``'s rows for node ``i`` are
-the last block row of ``L^-1``, ``L L^T = A[P_i, P_i]``, with ``P_i`` the
-node's neighbours numbered at or before it. These tests pin ``G`` against
-a dense numpy oracle node by node, its pattern, ``G A G^T``'s identity
-diagonal blocks, that ``G^T G`` is SPD, the selection rule (FSAI exactly
-when there is a coarse space; one rank is today's block ILU, bit for
-bit), what the machine model is charged, and the node-triple check.
+At every rank count ``DistributedCoarseCorrection``'s block solver is
+``B = G^T G``: per rank, ``G``'s rows for node ``i`` are the last block
+row of ``L^-1``, ``L L^T = A[P_i, P_i]``, with ``P_i`` the node's
+neighbours numbered at or before it; with more than one rank a
+rigid-body coarse space balances it. These tests pin ``G`` against a
+dense numpy oracle node by node, its pattern, ``G A G^T``'s identity
+diagonal blocks, that ``G^T G`` is SPD, the selection rule (FSAI at
+every rank count, a coarse space exactly when there is more than one
+rank), what the machine model is charged and the node-triple check; and
+what CG needs of the whole preconditioner ``M`` (symmetric, positive)
+and the accuracy of its field against a direct solve.
 """
 
 from __future__ import annotations
@@ -15,18 +18,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from repro.experiments.common import build_clinical_system
 from repro.machines.cost import NullTelemetry
 from repro.parallel import RowBlockMatrix
-from repro.parallel.simulation import prepare_solve_context
+from repro.parallel.simulation import prepare_solve_context, simulate_parallel
 from repro.parallel.solver import (
     PIPELINE_PRECONDITIONER,
     DistributedBlockFSAI,
-    DistributedBlockJacobi,
     DistributedCoarseCorrection,
+    distributed_cg,
+    distributed_gmres,
 )
-from repro.solver import preconditioner
+from repro.solver import DEFAULT_SOLVER_TOL, preconditioner
 from repro.solver.preconditioner import block_fsai
 from repro.util import ShapeError
 
@@ -129,19 +134,29 @@ class TestFactor:
             block_fsai(sparse.identity(4, format="csr"))
 
 
+ALL_RANKS = pytest.mark.parametrize("n_ranks", [1, 2, 4])
+
+
 class TestSelection:
-    @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-    def test_fsai_exactly_when_there_is_a_coarse_space(self, contexts, n_ranks):
+    @ALL_RANKS
+    def test_fsai_at_every_rank_count(self, contexts, n_ranks):
         pre = contexts[n_ranks].slots["preconditioner"]
-        assert isinstance(pre._blocks, DistributedBlockFSAI) == (pre.coarse_dim > 0)
+        assert isinstance(pre._blocks, DistributedBlockFSAI)
         assert (pre.coarse_dim > 0) == (n_ranks > 1)
 
-    def test_one_rank_solve_is_block_jacobis(self, contexts):
+    def test_one_rank_solve_is_fsai_and_cg(self, system, contexts):
         context = contexts[1]
         matrix, pre = context.slots["matrix"], context.slots["preconditioner"]
         r = np.random.default_rng(11).standard_normal(matrix.n)
-        expected = DistributedBlockJacobi(matrix).solve(r).copy()
+        expected = DistributedBlockFSAI(matrix, row_geometry(context)[1]).solve(r).copy()
         assert np.array_equal(pre.solve(r), expected)
+        sim = simulate_parallel(
+            system.mesh, system.bc, 1, partitioner="coordinate_bisection",
+            preconditioner=PIPELINE_PRECONDITIONER, context=context,
+        )
+        expected = distributed_cg(sim.system.matrix, sim.system.rhs, pre)
+        assert sim.solver.converged and sim.solver.restarts == 0
+        assert np.array_equal(sim.solver.x, expected.x)
 
     def test_rows_that_split_a_node_raise(self, contexts):
         context = contexts[2]
@@ -198,3 +213,49 @@ class TestCharges:
             expected.append(np.sum(2.0 / 3.0 * sizes**3 + 6.0 * sizes**2))
         np.testing.assert_allclose(flops, expected)
         assert log.allreduces == [] and log.halos == []
+
+
+class TestCG:
+    """What CG needs of the pipeline's preconditioner, and what it delivers."""
+
+    @ALL_RANKS
+    def test_the_preconditioner_is_symmetric(self, contexts, n_ranks):
+        context = contexts[n_ranks]
+        pre, n = context.slots["preconditioner"], context.slots["matrix"].n
+        rng = np.random.default_rng(n_ranks)
+        for _ in range(3):
+            u, v = rng.standard_normal((2, n))
+            mu, mv = pre.solve(u).copy(), pre.solve(v).copy()
+            scale = np.linalg.norm(u) * np.linalg.norm(mv)
+            assert abs(u @ mv - mu @ v) <= 1e-12 * scale
+
+    @ALL_RANKS
+    def test_the_preconditioner_is_positive(self, contexts, n_ranks):
+        context = contexts[n_ranks]
+        pre, matrix = context.slots["preconditioner"], context.slots["matrix"]
+        rng = np.random.default_rng(10 + n_ranks)
+        # Random vectors, and the low-energy ones the coarse space carries.
+        vectors = list(rng.standard_normal((3, matrix.n)))
+        if pre.coarse_dim:
+            z, basis = pre.modes
+            vectors += list((z @ basis).T[:6])
+        for v in vectors:
+            assert v @ pre.solve(v) > 0
+
+    @ALL_RANKS
+    def test_the_cg_field_is_no_further_from_the_direct_solve_than_gmres(
+        self, system, contexts, n_ranks
+    ):
+        context = contexts[n_ranks]
+        sim = simulate_parallel(
+            system.mesh, system.bc, n_ranks, partitioner="coordinate_bisection",
+            preconditioner=PIPELINE_PRECONDITIONER, context=context,
+        )
+        cg, matrix, rhs = sim.solver, sim.system.matrix.to_csr(), sim.system.rhs
+        gmres = distributed_gmres(sim.system.matrix, rhs, context.slots["preconditioner"])
+        exact = spsolve(matrix.tocsc(), rhs)
+        assert cg.converged and gmres.converged
+        assert np.abs(cg.x - exact).max() <= np.abs(gmres.x - exact).max()
+        # CG stops on the true residual, at the production tolerance.
+        residual = np.linalg.norm(rhs - matrix @ cg.x)
+        assert residual <= 1.01 * DEFAULT_SOLVER_TOL * np.linalg.norm(rhs)

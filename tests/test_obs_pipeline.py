@@ -90,7 +90,7 @@ class TestTracedSession:
             for s in tracer.finished()
             if s.attrs.get("kind") == "solver" and s.name in ("gmres", "cg")
         ]
-        assert solver
+        assert solver and all(s.name == "cg" for s in solver)
         assert all("converged" in s.attrs for s in solver)
         with_restarts = [s for s in solver if s.events]
         for span in with_restarts:
@@ -100,7 +100,7 @@ class TestTracedSession:
     def test_solver_spans_carry_the_convergence_curve(self, traced_session):
         session, tracer, _ = traced_session
         solves = [
-            s for s in tracer.finished() if s.name == "gmres" and s.attrs["iterations"] > 0
+            s for s in tracer.finished() if s.name == "cg" and s.attrs["iterations"] > 0
         ]
         assert len(solves) == len(session.history)
         for span in solves:
@@ -118,7 +118,7 @@ class TestTracedSession:
         lines = [
             line
             for line in render_report(tracer).splitlines()
-            if line.lstrip().startswith("gmres")
+            if line.lstrip().startswith("cg")
             and "converged=" in line  # a span line, not the percentile footer
             and " iterations=0 " not in line  # nor the preoperative priming solve
         ]

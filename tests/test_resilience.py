@@ -8,6 +8,8 @@ or poison its cross-scan state (the solve-context cache, prototypes).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.resilience import (
     synthetic_simulation,
 )
 from repro.resilience import escalation
+from repro.solver import preconditioner
 from repro.util import (
     ConvergenceError,
     ReproError,
@@ -222,23 +225,58 @@ class TestEscalationLadder:
         assert outcome.simulation.system.matrix.n_ranks == 1
 
     def test_rank_failure_rescue_is_the_one_rank_solve(self, brain_mesh, brain_bc):
-        """``gmres@1`` is the pipeline's own solve on one rank, and its
-        field is the former ``ras-gmres`` rung's (RAS on one rank, where
-        every block preconditioner is the same whole-matrix ILU), bit
-        for bit."""
+        """``gmres@1`` is the pipeline's own solve on one rank (block FSAI
+        and CG), bit for bit."""
         plan = FaultPlan.parse("0:kill-rank=1", seed=0)
         outcome = solve_with_escalation(
             brain_mesh, brain_bc, n_ranks=2, partitioner="coordinate_bisection",
             tol=1e-7, faults=plan, scan_index=0,
         )
         rescue = outcome.simulation.displacement
-        for preconditioner in (PIPELINE_PRECONDITIONER, "ras"):
-            one_rank = simulate_parallel(
-                brain_mesh, brain_bc, n_ranks=1, partitioner="coordinate_bisection",
-                tol=1e-7, preconditioner=preconditioner,
-            )
-            assert one_rank.solver.iterations == outcome.attempts[-1].iterations
-            assert rescue.tobytes() == one_rank.displacement.tobytes()
+        one_rank = simulate_parallel(
+            brain_mesh, brain_bc, n_ranks=1, partitioner="coordinate_bisection",
+            tol=1e-7, preconditioner=PIPELINE_PRECONDITIONER,
+        )
+        assert one_rank.solver.iterations == outcome.attempts[-1].iterations
+        assert rescue.tobytes() == one_rank.displacement.tobytes()
+
+
+@pytest.fixture
+def no_superlu(monkeypatch):
+    """``factor_blocks``, every SuperLU factorization's one entry point,
+    raises wherever a ``repro`` module has it bound."""
+    original = preconditioner.factor_blocks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_blocks called: a scan path factored with SuperLU")
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "factor_blocks", None) is original):
+            monkeypatch.setattr(module, "factor_blocks", refuse)
+
+
+class TestNoScanPathFactors:
+    """The pipeline's solve, its one-rank retry and the coarse fallback
+    build the block FSAI: no patient model or scan factors with SuperLU."""
+
+    def test_a_one_rank_scan(self, small_case, no_superlu):
+        session = run_session(small_case, fast_config(n_ranks=1), n_scans=1)
+        (result,) = session.history
+        assert result.degradation.level is DegradationLevel.FULL_FEM
+        assert result.simulation.solver.converged
+
+    @pytest.mark.faults
+    def test_a_session_retry_and_coarse_fallback(self, small_case, no_superlu):
+        plan = FaultPlan.parse("1:kill-rank=1;2:stagnate-solver", seed=7)
+        session = run_session(small_case, fast_config(n_ranks=4, fault_plan=plan), n_scans=3)
+        clean, rescued, coarse = (r.degradation for r in session.history)
+        assert clean.level is DegradationLevel.FULL_FEM and clean.rungs_tried == ["gmres"]
+        assert session.preop.solve_context.slots["matrix"].n_ranks == 4
+        assert rescued.level is DegradationLevel.FULL_FEM
+        assert rescued.rungs_tried == ["gmres", "gmres@1"]
+        assert coarse.level is DegradationLevel.COARSE_FEM
+        assert session.history[2].simulation.solver.converged
 
 
 @pytest.fixture(scope="module")
