@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""What the solve ladder does under each solver fault, and what RAS buys.
+"""What the solve ladder does under each solver fault, and healthy solves by P.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 benchmarks/solve_ladder.py
 
@@ -12,9 +12,8 @@ context prepared at P = 4 on the pipeline's preconditioner, prints:
   seconds, the whole ladder's seconds, and for the rescue its field's
   checksum and its distance from a one-rank ``PIPELINE_PRECONDITIONER``
   solve;
-* healthy solves at P = 1/2/4/8/16 with the pipeline's preconditioner
-  and with RAS overlap 1, each on an isolated context (set-up included
-  in the wall time).
+* healthy solves at P = 1/2/4/8/16 with the pipeline's preconditioner,
+  each on an isolated context (set-up included in the wall time).
 
 It uses only names both sides of the ladder's change have, so running
 it from another checkout's ``src/`` gives that tree's rows (EXPERIMENTS.md
@@ -68,16 +67,14 @@ def main() -> None:
                 f"max |du| vs one-rank pipeline solve {gap:.1e}"
             )
         print(line)
-    print("healthy solves, isolated context: P | preconditioner | iterations | wall s")
+    print("healthy solves, isolated context: P | iterations | wall s")
     for n_ranks in (1, 2, 4, 8, 16):
-        for name, kwargs in (
-            ("pipeline", {"preconditioner": PIPELINE_PRECONDITIONER}),
-            ("RAS overlap 1", {"preconditioner": "ras", "ras_overlap": 1}),
-        ):
-            t0 = time.perf_counter()
-            sim = simulate_parallel(mesh, bc, n_ranks, partitioner=PARTITIONER, **kwargs)
-            seconds = time.perf_counter() - t0
-            print(f"{n_ranks} | {name} | {sim.solver.iterations} | {seconds:.2f}")
+        t0 = time.perf_counter()
+        sim = simulate_parallel(
+            mesh, bc, n_ranks, partitioner=PARTITIONER, preconditioner=PIPELINE_PRECONDITIONER
+        )
+        seconds = time.perf_counter() - t0
+        print(f"{n_ranks} | {sim.solver.iterations} | {seconds:.2f}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ The package implements the paper's full intraoperative nonrigid
 registration pipeline and every substrate it depends on — synthetic MR
 phantom, distance transforms, MI rigid registration, k-NN intraoperative
 segmentation, multi-material tetrahedral meshing, active-surface
-correspondence, linear-elastic FEM, GMRES/block-Jacobi solvers, an SPMD
-decomposition layer, and performance models of the paper's three
-parallel architectures.
+correspondence, linear-elastic FEM, GMRES/block-Jacobi and CG/block-FSAI
+solvers, an SPMD decomposition layer, and performance models of the
+paper's three parallel architectures.
 
 Quick start::
 

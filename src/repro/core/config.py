@@ -5,8 +5,10 @@ defaults matching the paper's clinical setup (homogeneous brain model),
 except the solve: CG with a block FSAI, balanced on compact
 coordinate-bisection subdomains by a rigid-body coarse space (the
 paper's GMRES + block Jacobi on equal-node-count slabs is ``"block"``
-with ``simulate_parallel``'s defaults). ``gmres_restart`` is read by
-GMRES only.
+with ``simulate_parallel``'s defaults). No pipeline path reads
+``gmres_restart``: only ``benchmarks/e2e/probes.py`` does, for its GMRES
+solves, and the field goes with that benchmark's next change (older
+manifests that carry it must still open).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.imaging.phantom import Tissue
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import ResiliencePolicy
-from repro.solver.gmres import DEFAULT_SOLVER_TOL
+from repro.solver.krylov import DEFAULT_SOLVER_TOL
 from repro.util import ValidationError
 
 
@@ -106,7 +108,7 @@ class PipelineConfig:
     # FEM / solver
     materials: MaterialMap = field(default_factory=lambda: BRAIN_HOMOGENEOUS)
     solver_tol: float = DEFAULT_SOLVER_TOL
-    gmres_restart: int = 30
+    gmres_restart: int = 30  # read only by benchmarks/e2e/probes.py
     n_ranks: int = 1
     partitioner: str = "coordinate_bisection"
 

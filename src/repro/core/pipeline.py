@@ -629,7 +629,6 @@ class IntraoperativePipeline:
                 materials=cfg.materials,
                 partitioner=cfg.partitioner,
                 tol=cfg.solver_tol,
-                restart=cfg.gmres_restart,
                 context=preop.solve_context,
                 deadline_s=deadline,
                 faults=cfg.fault_plan,
@@ -888,7 +887,6 @@ class IntraoperativePipeline:
                             brain_labels=cfg.brain_labels,
                             materials=cfg.materials,
                             cell_mm=cfg.mesh_cell_mm,
-                            restart=cfg.gmres_restart,
                         )
                 except ReproError as exc:
                     note(f"coarse-fem fallback failed: {exc}")

@@ -196,7 +196,7 @@ def paper_size(
     header = [
         f"Figure 6 at the paper's size: commit {_commit()}, backend {get_backend().name}, "
         f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}, "
-        f"block factorization on {min(n_ranks, usable_cores())} threads",
+        f"block FSAI set-up on {min(n_ranks, usable_cores())} threads",
         f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
         f"{sim['equations']:,} equations ({sim['free_equations']:,} free) on {n_ranks} ranks "
         f"({config.partitioner} partition), virtual seconds on {machine.name}",

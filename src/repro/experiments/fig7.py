@@ -35,7 +35,7 @@ from repro.experiments.common import (
 from repro.machines.spec import DEEP_FLOW, MachineSpec
 from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.parallel.solver import PIPELINE_PRECONDITIONER
-from repro.solver.gmres import DEFAULT_SOLVER_TOL
+from repro.solver.krylov import DEFAULT_SOLVER_TOL
 
 DEFAULT_CPU_COUNTS = (1, 2, 4, 8, 12, 16)
 

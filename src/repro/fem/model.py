@@ -24,7 +24,7 @@ from repro.fem.bc import DirichletBC, apply_dirichlet
 from repro.fem.material import BRAIN_HOMOGENEOUS, MaterialMap
 from repro.mesh.tetra import TetrahedralMesh
 from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult
+from repro.solver.krylov import KrylovResult
 from repro.util import Timer, ValidationError
 
 
@@ -52,7 +52,7 @@ class SimulationResult:
     """
 
     displacement: np.ndarray
-    solver: GMRESResult
+    solver: KrylovResult
     n_equations: int
     n_dof_total: int
     assembly_seconds: float
@@ -103,7 +103,7 @@ class BiomechanicalModel:
         ), solve_timer:
             x = splu(reduced.matrix.tocsc()).solve(reduced.rhs)
             residual = float(np.linalg.norm(reduced.matrix @ x - reduced.rhs))
-        result = GMRESResult(
+        result = KrylovResult(
             x=x,
             converged=bool(np.isfinite(residual)),
             iterations=1,

@@ -373,7 +373,7 @@ def _depth(span: SpanRecord, spans: list[SpanRecord]) -> int:
 def iterations_per_decade(iterations: int, history) -> float | None:
     """Krylov iterations per factor of ten the residual fell by.
 
-    ``history`` is a solve's residual curve (``GMRESResult.history``);
+    ``history`` is a solve's residual curve (``KrylovResult.history``);
     ``None`` when it fell by nothing (no iterations, a zero residual).
     """
     if iterations < 1 or len(history) < 2 or not history[0] > history[-1] > 0.0:

@@ -1,12 +1,12 @@
 """Metrics registry: counters, gauges and histograms behind one API.
 
 The repro already produces plenty of numbers — :class:`repro.fem.CacheStats`
-hit/miss counters, GMRES iteration/restart/residual records, mesh and
+hit/miss counters, Krylov iteration/restart/residual records, mesh and
 element counts — but each lives in its own ad-hoc structure. The
 registry absorbs them behind the three standard instrument kinds so
 session summaries, exporters and tests read one interface:
 
-* :class:`Counter` — monotonically increasing total (cache hits, GMRES
+* :class:`Counter` — monotonically increasing total (cache hits, solver
   iterations, bytes on the wire).
 * :class:`Gauge` — last-written value (mesh node count, final residual).
 * :class:`Histogram` — streaming distribution (per-scan solve seconds,
@@ -14,7 +14,7 @@ session summaries, exporters and tests read one interface:
   :meth:`~Histogram.quantile` percentiles.
 
 Instruments are get-or-create by name, so independent modules can
-``registry.counter("gmres.iterations").inc(n)`` without coordination.
+``registry.counter("solver.iterations").inc(n)`` without coordination.
 
 Registries also cross process boundaries: :meth:`MetricsRegistry.snapshot`
 renders one as a plain JSON-serializable dict and
@@ -23,7 +23,7 @@ registry with per-instrument-kind semantics — counters **sum**, gauges
 are **last-write-wins** (optionally namespaced under a worker label so
 per-worker values never clobber each other), histograms **concatenate**
 their observations. The serving tier uses this to aggregate worker-side
-``gmres.*`` / cache metrics into the server's registry.
+``solver.*`` / cache metrics into the server's registry.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class MetricsRegistry:
         Per-instrument-kind semantics:
 
         * **counters sum** — worker totals accumulate into the shared
-          name (``gmres.iterations`` across 4 workers is their sum);
+          name (``solver.iterations`` across 4 workers is their sum);
         * **gauges are last-write-wins** — and when ``worker`` is given
           each gauge *also* lands under ``name[worker=...]`` so
           per-worker values (cache hit ratios, last residuals) remain
@@ -275,12 +275,16 @@ class MetricsRegistry:
         self.gauge(f"{prefix}.invalidations").set(stats.invalidations)
         self.gauge(f"{prefix}.hit_ratio").set(stats.hit_ratio)
 
-    def record_solver_result(self, result, prefix: str = "gmres") -> None:
-        """Absorb a :class:`repro.solver.GMRESResult` convergence record."""
-        self.counter(f"{prefix}.solves").inc()
-        self.counter(f"{prefix}.iterations").inc(result.iterations)
-        self.counter(f"{prefix}.restarts").inc(result.restarts)
+    def record_solver_result(self, result) -> None:
+        """Absorb a :class:`repro.solver.KrylovResult` into the ``solver.*`` series.
+
+        One set of names for every method: the pipeline's CG solves and a
+        GMRES solve land in the same counters.
+        """
+        self.counter("solver.solves").inc()
+        self.counter("solver.iterations").inc(result.iterations)
+        self.counter("solver.restarts").inc(result.restarts)
         if not result.converged:
-            self.counter(f"{prefix}.failures").inc()
-        self.gauge(f"{prefix}.last_residual").set(result.residual_norm)
-        self.histogram(f"{prefix}.iterations_per_solve").observe(result.iterations)
+            self.counter("solver.failures").inc()
+        self.gauge("solver.last_residual").set(result.residual_norm)
+        self.histogram("solver.iterations_per_solve").observe(result.iterations)

@@ -29,7 +29,6 @@ from repro.parallel.solver import (
     DistributedBlockFSAI,
     DistributedBlockJacobi,
     DistributedCoarseCorrection,
-    DistributedRAS,
     distributed_cg,
     distributed_gmres,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "DistributedBlockFSAI",
     "DistributedBlockJacobi",
     "DistributedCoarseCorrection",
-    "DistributedRAS",
     "DistributedSystem",
     "ParallelSimulation",
     "RowBlockMatrix",

@@ -32,11 +32,10 @@ from repro.parallel.solver import (
     PRECONDITIONERS,
     DistributedBlockJacobi,
     DistributedCoarseCorrection,
-    DistributedRAS,
     distributed_cg,
     distributed_gmres,
 )
-from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult
+from repro.solver.krylov import DEFAULT_SOLVER_TOL, KrylovResult
 from repro.util import RankFailure, ValidationError
 
 #: Rank-0 setup work per mesh entity during initialization (mesh load,
@@ -64,8 +63,8 @@ class ParallelSimulation:
     displacement:
         ``(n_nodes, 3)`` nodal displacements, original mesh numbering.
     solver:
-        Krylov convergence record (CG for the pipeline's preconditioner,
-        GMRES otherwise; ``restarts`` is 0 for CG).
+        Krylov convergence record: CG's for the pipeline's preconditioner,
+        GMRES's for the paper's block Jacobi (``restarts`` is 0 for CG).
     n_equations:
         Free unknowns actually solved for.
     n_dof_total:
@@ -86,7 +85,7 @@ class ParallelSimulation:
     """
 
     displacement: np.ndarray
-    solver: GMRESResult
+    solver: KrylovResult
     n_equations: int
     n_dof_total: int
     initialization_seconds: float
@@ -137,7 +136,6 @@ class _Setup:
         partitioner: str,
         preconditioner: str,
         factorization: str,
-        ras_overlap: int,
         context: SolveContext | None,
     ):
         if partitioner not in PARTITIONERS:
@@ -151,7 +149,6 @@ class _Setup:
         self.context = context
         self.preconditioner = preconditioner
         self.factorization = factorization
-        self.ras_overlap = ras_overlap
         self.cache_hit = context is not None and context.prepare(
             SolveContext.fingerprint(
                 mesh,
@@ -161,7 +158,6 @@ class _Setup:
                 partitioner=partitioner,
                 preconditioner=preconditioner,
                 factorization=factorization,
-                ras_overlap=ras_overlap,
             )
         )
         self.telemetry = (
@@ -201,14 +197,7 @@ class _Setup:
             solve_span.set(preconditioner_reused=True)
             return self.context.slots["preconditioner"]
         matrix = system.matrix
-        if self.preconditioner == "ras":
-            pre = DistributedRAS(
-                matrix,
-                self.telemetry,
-                overlap=self.ras_overlap,
-                factorization=self.factorization,
-            )
-        elif self.preconditioner == "block_jacobi":
+        if self.preconditioner == "block_jacobi":
             pre = DistributedBlockJacobi(
                 matrix, self.telemetry, factorization=self.factorization
             )
@@ -243,7 +232,6 @@ def simulate_parallel(
     max_iter: int = 3000,
     factorization: str = "ilu",
     preconditioner: str = "block_jacobi",
-    ras_overlap: int = 1,
     context: SolveContext | None = None,
     faults: Sequence[object] | None = None,
 ) -> ParallelSimulation:
@@ -264,15 +252,18 @@ def simulate_parallel(
         ``work_weighted``, ``coordinate_bisection`` (the pipeline's
         default, :class:`repro.core.PipelineConfig`).
     preconditioner:
-        ``"block_jacobi"`` (paper configuration),
+        ``"block_jacobi"`` (paper configuration) or
         ``"coarse_block_jacobi"`` (a block FSAI, balanced by a rigid-body
         coarse space on more than one rank; the intraoperative pipeline's
-        :data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`) or
-        ``"ras"`` (restricted additive Schwarz with ``ras_overlap``
-        layers). The method follows from it: CG
-        (:func:`repro.parallel.solver.distributed_cg`) for the pipeline's
-        preconditioner, which is SPD, GMRES(``restart``) for the paper's
-        two; ``factorization`` and ``ras_overlap`` concern those two only.
+        :data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`). The method
+        follows from it: CG (:func:`repro.parallel.solver.distributed_cg`)
+        for the pipeline's preconditioner, which is SPD, GMRES(``restart``)
+        for the paper's; ``restart`` and ``factorization`` concern the
+        paper's only. Their defaults (``"block_jacobi"``, ``"ilu"``,
+        ``restart=30``) stay the paper's configuration, which Figs. 7-9,
+        Ablation C and the end-to-end benchmark's solver probe
+        (``benchmarks/e2e/probes.py``) measure; the pipeline passes
+        :data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`.
     context:
         A :class:`repro.fem.SolveContext` carrying scan-invariant state
         across calls. On a fingerprint match (same mesh, materials,
@@ -293,7 +284,7 @@ def simulate_parallel(
     """
     setup = _Setup(
         mesh, materials, bc, n_ranks, machine, partitioner,
-        preconditioner, factorization, ras_overlap, context,
+        preconditioner, factorization, context,
     )
     cache_hit, telemetry = setup.cache_hit, setup.telemetry
     tracer = get_tracer()
@@ -377,7 +368,6 @@ def prepare_solve_context(
     partitioner: str = "block",
     factorization: str = "ilu",
     preconditioner: str = "block_jacobi",
-    ras_overlap: int = 1,
     context: SolveContext | None = None,
 ) -> SolveContext:
     """Precompute all scan-invariant FEM state (the preoperative phase).
@@ -390,7 +380,9 @@ def prepare_solve_context(
     context makes every subsequent :func:`simulate_parallel` call with
     the same configuration a cache hit, per the paper's observation that
     initialization "can be overlapped with earlier image processing"
-    while "time is plentiful" before surgery.
+    while "time is plentiful" before surgery. ``preconditioner`` and
+    ``factorization`` default to the paper's block-Jacobi ILU, as in
+    :func:`simulate_parallel`.
     """
     if context is None:
         context = SolveContext()
@@ -405,7 +397,6 @@ def prepare_solve_context(
         partitioner=partitioner,
         factorization=factorization,
         preconditioner=preconditioner,
-        ras_overlap=ras_overlap,
         context=context,
     )
     return context

@@ -18,8 +18,8 @@ and CG (:func:`distributed_cg`): a per-rank block FSAI
 coarse space of rigid-body modes (:class:`DistributedCoarseCorrection`)
 that restores the global coupling the per-rank blocks discard. Both are
 symmetric positive definite and neither factors a sparse matrix. The paper's
-configurations (:class:`DistributedBlockJacobi`, :class:`DistributedRAS`,
-SuperLU factors) solve with GMRES (:func:`distributed_gmres`).
+configuration (:class:`DistributedBlockJacobi`, SuperLU factors) solves
+with GMRES (:func:`distributed_gmres`).
 """
 
 from __future__ import annotations
@@ -39,14 +39,10 @@ from repro.parallel.distributed import (
     distributed_norm,
 )
 from repro.solver.cg import cg_loop
-from repro.solver.gmres import (
-    DEFAULT_SOLVER_TOL,
-    GMRESResult,
-    convergence_attrs,
-    gmres_loop,
-)
+from repro.solver.gmres import gmres_loop
+from repro.solver.krylov import DEFAULT_SOLVER_TOL, KrylovResult, convergence_attrs
 from repro.solver.preconditioner import block_fsai, factor_blocks, side_by_side
-from repro.util import ShapeError, ValidationError
+from repro.util import ShapeError
 
 _NULL = NullTelemetry()
 
@@ -62,7 +58,7 @@ SOLVE_FLOPS_PER_NNZ = 4.0
 #: the build is a cache hit.
 PIPELINE_PRECONDITIONER = "coarse_block_jacobi"
 #: Every name :func:`repro.parallel.simulate_parallel` accepts.
-PRECONDITIONERS = ("block_jacobi", PIPELINE_PRECONDITIONER, "ras")
+PRECONDITIONERS = ("block_jacobi", PIPELINE_PRECONDITIONER)
 
 #: A rank's rigid-body mode is kept when its singular value is at least
 #: this share of the rank's largest (a rank whose free DOFs cannot carry
@@ -99,10 +95,10 @@ class DistributedBlockJacobi:
     preconditioner. Following PETSc's default (block Jacobi with ILU(0)
     sub-preconditioner, the configuration the paper ran), each diagonal
     block is factorized *incompletely* by default; pass
-    ``factorization="lu"`` for exact block LU (used by small tests and
-    the solver ablation). The approximation quality decreases as ranks
-    are added (smaller blocks discard more coupling), so iteration
-    counts grow mildly with CPU count, as observed in practice.
+    ``factorization="lu"`` for exact block LU (used by small tests).
+    The approximation quality decreases as ranks are added (smaller
+    blocks discard more coupling), so iteration counts grow mildly with
+    CPU count, as observed in practice.
 
     SuperLU's threshold ILU (ILUTP) stands in for PETSc's ILU(0) — see
     :func:`repro.solver.preconditioner.incomplete_factor`. It is not an
@@ -342,104 +338,11 @@ class DistributedCoarseCorrection:
         return z_vec
 
 
-def grow_subdomain(csr: sparse.csr_matrix, indices: np.ndarray, overlap: int) -> np.ndarray:
-    """Grow an index set by ``overlap`` matrix-graph adjacency layers.
-
-    One layer adds every column referenced by the current rows.
-    """
-    grown = np.asarray(indices, dtype=np.intp)
-    for _ in range(overlap):
-        rows = csr[grown, :]
-        grown = np.unique(np.concatenate([grown, rows.indices.astype(np.intp)]))
-    return grown
-
-
-class DistributedRAS:
-    """Distributed restricted additive Schwarz (RAS) with overlap.
-
-    Block Jacobi is the zero-overlap member of the Schwarz family: each
-    rank solves its own diagonal block and discards all coupling. Here
-    each rank's subdomain is its owned rows grown by ``overlap``
-    matrix-graph layers (:func:`grow_subdomain`); an application imports
-    the residual values of the overlap region from neighbouring ranks
-    (charged to the telemetry as a halo exchange), solves on the grown
-    subdomain with its factor (``"ilu"`` by default, ``"lu"`` for exact
-    subdomain solves, as :class:`DistributedBlockJacobi`) and keeps the
-    owned rows. ``overlap=0`` is block Jacobi. The recovered coupling
-    costs extra factorization and a halo exchange per application; the
-    paper's PETSc offered it as ``-pc_asm``, and Ablation C measures the
-    trade.
-    """
-
-    def __init__(
-        self,
-        matrix: RowBlockMatrix,
-        telemetry=_NULL,
-        overlap: int = 1,
-        factorization: str = "ilu",
-    ):
-        if overlap < 0:
-            raise ValidationError(f"overlap must be >= 0, got {overlap}")
-        self._ranges = matrix.ranges
-        csr = matrix.to_csr()
-        with get_tracer().span(
-            "preconditioner setup",
-            kind="solver",
-            preconditioner="ras",
-            overlap=overlap,
-            factorization=factorization,
-            n_ranks=int(matrix.n_ranks),
-        ):
-            #: Sorted row indices of every grown subdomain (owned rows + overlap).
-            self.subdomains = [
-                grow_subdomain(csr, np.arange(a, b, dtype=np.intp), overlap)
-                for a, b in matrix.ranges
-            ]
-            # Positions within each subdomain vector that are owned rows.
-            self._own_positions = [
-                np.searchsorted(grown, np.arange(a, b, dtype=np.intp))
-                for (a, b), grown in zip(matrix.ranges, self.subdomains)
-            ]
-            self._factors = factor_blocks(
-                [csr[grown, :][:, grown].tocsc() for grown in self.subdomains], factorization
-            )
-        stops = matrix.ranges[:, 1]
-        halo: dict[tuple[int, int], float] = {}
-        for rank, ((a, b), grown) in enumerate(zip(matrix.ranges, self.subdomains)):
-            external = grown[(grown < a) | (grown >= b)]
-            if len(external):
-                owners = np.searchsorted(stops, external, side="right")
-                for src, count in zip(*np.unique(owners, return_counts=True)):
-                    halo[(int(src), rank)] = float(count * 8)
-        self._halo = halo
-        _charge_factors(self, telemetry, FACTOR_FLOPS_PER_NNZ)
-        self.shape = matrix.shape
-        # Reused apply buffer (as in DistributedBlockJacobi): callers
-        # must not hold the returned vector across solve calls.
-        self._out = np.empty(matrix.n)
-
-    @functools.cached_property
-    def _factor_nnz(self) -> np.ndarray:
-        """Per-rank ``L`` plus ``U`` nonzeros (first read extracts both; see above)."""
-        return np.array([lu.L.nnz + lu.U.nnz for lu in self._factors], dtype=float)
-
-    def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
-        telemetry.halo_exchange(self._halo)
-        _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ)
-        r = np.asarray(r, dtype=float)
-        out = self._out
-        for (a, b), subdomain, factor, own in zip(
-            self._ranges, self.subdomains, self._factors, self._own_positions
-        ):
-            out[a:b] = factor.solve(r[subdomain])[own]
-        return out
-
-
 class RankReduction:
     """Vector reductions of the Krylov loops, decomposed by rank.
 
     The distributed counterpart of
-    :class:`repro.solver.gmres.SerialReduction`: dots and norms are
+    :class:`repro.solver.krylov.SerialReduction`: dots and norms are
     per-rank partial sums plus a scalar allreduce, orthogonalisation is
     CGS2 (two fused reduction rounds, one ``k * 8``-byte allreduce each),
     and every axpy/scale pass is charged to the telemetry.
@@ -505,24 +408,20 @@ def _counted(preconditioner, telemetry, span):
 def distributed_gmres(
     matrix: RowBlockMatrix,
     b: np.ndarray,
-    preconditioner: DistributedBlockJacobi
-    | DistributedCoarseCorrection
-    | DistributedRAS
-    | None = None,
+    preconditioner: DistributedBlockJacobi | DistributedCoarseCorrection | None = None,
     x0: np.ndarray | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
     restart: int = 30,
     max_iter: int = 3000,
     telemetry=_NULL,
     raise_on_fail: bool = False,
-) -> GMRESResult:
+) -> KrylovResult:
     """Left-preconditioned restarted GMRES over a row-block matrix.
 
     Mathematically equivalent to :func:`repro.solver.gmres` (up to the
     Gram-Schmidt variant); the telemetry records the parallel execution.
     ``preconditioner`` is a :class:`DistributedBlockJacobi`, a
-    :class:`DistributedCoarseCorrection`, a :class:`DistributedRAS` or
-    ``None`` (unpreconditioned). Input
+    :class:`DistributedCoarseCorrection` or ``None`` (unpreconditioned). Input
     validation and zero-RHS behaviour are the serial solver's: ``x0`` is
     shape-validated, the returned solution is zero, ``history`` is
     ``[0.0]``. Tracing mirrors the serial solver too: a ``gmres`` span
@@ -550,7 +449,7 @@ def distributed_cg(
     max_iter: int = 3000,
     telemetry=_NULL,
     raise_on_fail: bool = False,
-) -> GMRESResult:
+) -> KrylovResult:
     """Preconditioned CG over a row-block matrix.
 
     The pipeline's solve: ``preconditioner`` must be symmetric positive

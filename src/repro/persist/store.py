@@ -495,9 +495,9 @@ def _restored_result(
     from repro.machines.cost import NullTelemetry
     from repro.parallel.simulation import ParallelSimulation
     from repro.resilience.degrade import resample_through_field, stub_correspondence
-    from repro.solver.gmres import GMRESResult
+    from repro.solver.krylov import KrylovResult
 
-    solver = GMRESResult(
+    solver = KrylovResult(
         x=np.zeros(0),
         converged=record.solver_converged,
         iterations=record.solver_iterations,

@@ -39,7 +39,7 @@ from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.resilience.guards import check_displacement_field, check_mesh_usable
 from repro.resilience.policy import DegradationLevel
-from repro.solver.gmres import GMRESResult
+from repro.solver.krylov import KrylovResult
 from repro.surface.correspondence import CorrespondenceResult
 from repro.surface.evolve import ActiveSurfaceResult
 from repro.util import ConvergenceError, ValidationError
@@ -139,7 +139,7 @@ def synthetic_simulation(
     and metrics render degraded scans without special-casing.
     """
     displacement = np.asarray(displacement, dtype=float)
-    solver = GMRESResult(
+    solver = KrylovResult(
         x=np.zeros(0),
         converged=True,
         iterations=0,
@@ -200,7 +200,6 @@ def coarse_fem_fallback(
     brain_labels,
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     cell_mm: float = 5.0,
-    restart: int = 30,
 ) -> FallbackField:
     """Biomechanical fallback on a :data:`COARSE_FACTOR`-times coarser mesh.
 
@@ -231,7 +230,6 @@ def coarse_fem_fallback(
         bc,
         n_ranks=1,
         materials=materials,
-        restart=restart,
         preconditioner=PIPELINE_PRECONDITIONER,
         context=None,
     )

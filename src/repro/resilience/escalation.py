@@ -41,7 +41,7 @@ from repro.parallel.simulation import ParallelSimulation, simulate_parallel
 from repro.parallel.solver import PIPELINE_PRECONDITIONER
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import check_displacement_field
-from repro.solver.gmres import DEFAULT_SOLVER_TOL
+from repro.solver.krylov import DEFAULT_SOLVER_TOL
 from repro.util import ConvergenceError, RankFailure, ReproError
 
 
@@ -92,7 +92,6 @@ def solve_with_escalation(
     materials: MaterialMap = BRAIN_HOMOGENEOUS,
     partitioner: str = "block",
     tol: float = DEFAULT_SOLVER_TOL,
-    restart: int = 30,
     context: SolveContext | None = None,
     deadline_s: float | None = None,
     faults: FaultPlan | None = None,
@@ -152,7 +151,6 @@ def solve_with_escalation(
                 bc,
                 materials=materials,
                 partitioner=partitioner,
-                restart=restart,
                 preconditioner=PIPELINE_PRECONDITIONER,
                 **run,
                 **limits,

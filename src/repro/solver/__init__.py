@@ -6,13 +6,14 @@ scratch: restarted GMRES via Arnoldi + Givens rotations, plus conjugate
 gradients (the pipeline's solve: its system and preconditioner are SPD),
 against a minimal operator interface that both serial CSR matrices and
 the distributed row-block operators satisfy, the block factorization
-every block-Jacobi and RAS preconditioner uses and the block FSAI the
+the block-Jacobi preconditioner uses and the block FSAI the
 pipeline's preconditioner uses at every rank count. Block Jacobi itself is
 :class:`repro.parallel.solver.DistributedBlockJacobi`.
 """
 
 from repro.solver.cg import conjugate_gradient
-from repro.solver.gmres import DEFAULT_SOLVER_TOL, GMRESResult, gmres
+from repro.solver.gmres import gmres
+from repro.solver.krylov import DEFAULT_SOLVER_TOL, KrylovResult
 from repro.solver.operator import AsOperator, LinearOperator, MatrixOperator
 from repro.solver.preconditioner import (
     IdentityPreconditioner,
@@ -24,9 +25,9 @@ from repro.solver.preconditioner import (
 __all__ = [
     "AsOperator",
     "DEFAULT_SOLVER_TOL",
-    "GMRESResult",
     "IdentityPreconditioner",
     "JacobiPreconditioner",
+    "KrylovResult",
     "LinearOperator",
     "MatrixOperator",
     "block_fsai",

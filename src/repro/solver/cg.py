@@ -3,12 +3,12 @@
 The reduced elasticity system is symmetric positive definite, and so is
 the pipeline's preconditioner (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`),
 so the pipeline solves with CG at every rank count; the paper's GMRES
-configurations (``block_jacobi``, ``ras``) keep GMRES. The recurrence is
+configuration (``block_jacobi``) keeps GMRES. The recurrence is
 written once, as the plain function :func:`cg_loop`, which calls the
 ``matvec`` and ``precond`` callables it is handed and delegates dots and
 norms to a *reduction* — the same shape as
 :func:`repro.solver.gmres.gmres_loop`. Serial :func:`conjugate_gradient`
-is that loop with :class:`repro.solver.gmres.SerialReduction`;
+is that loop with :class:`repro.solver.krylov.SerialReduction`;
 :func:`repro.parallel.distributed_cg` is the same loop with the per-rank
 reduction, which charges every dot's all-reduce to the virtual clock.
 """
@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.trace import get_tracer
-from repro.solver.gmres import (
-    GMRESResult,
+from repro.solver.krylov import (
+    KrylovResult,
     SerialReduction,
     checked_system,
     convergence_attrs,
@@ -37,11 +37,11 @@ def conjugate_gradient(
     tol: float = 1e-8,
     max_iter: int = 5000,
     raise_on_fail: bool = False,
-) -> GMRESResult:
+) -> KrylovResult:
     """Solve SPD ``A x = b`` with preconditioned CG.
 
-    Returns the same result record type as :func:`repro.solver.gmres` so
-    callers can switch solvers freely; ``restarts`` is always 0.
+    Returns the :class:`repro.solver.krylov.KrylovResult` that
+    :func:`repro.solver.gmres` returns too; ``restarts`` is always 0.
 
     ``x0`` is the initial guess (parity with the GMRES path): the
     convergence target ``tol * ||b||`` does not depend on it.
@@ -52,7 +52,7 @@ def conjugate_gradient(
 
     When the ambient :class:`repro.obs.Tracer` is enabled, the solve is
     wrapped in a ``cg`` span carrying the same convergence attributes as
-    a ``gmres`` span (:func:`repro.solver.gmres.convergence_attrs`).
+    a ``gmres`` span (:func:`repro.solver.krylov.convergence_attrs`).
     It stops on the true residual, ``||b - A x|| <= tol * ||b||``.
     """
     tracer = get_tracer()
@@ -72,7 +72,7 @@ def _cg(
     tol: float,
     max_iter: int,
     raise_on_fail: bool,
-) -> GMRESResult:
+) -> KrylovResult:
     A = AsOperator(operator)
     n = A.shape[0]
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
@@ -92,13 +92,13 @@ def cg_loop(
     precond,
     reduction,
     solver: str,
-) -> GMRESResult:
+) -> KrylovResult:
     """The preconditioned CG recurrence.
 
     ``matvec(v)`` returns ``A v`` and ``precond(r)`` returns
     ``M^{-1} r``. Every CG entry point of the package is this loop with a
     ``reduction`` that takes dots and norms and charges vector passes
-    (:class:`repro.solver.gmres.SerialReduction` or
+    (:class:`repro.solver.krylov.SerialReduction` or
     :class:`repro.parallel.solver.RankReduction`: an iteration is three
     reductions and three axpy passes). It stops when the recurrence's
     residual reaches ``tol * ||b||``; ``solver`` labels a
@@ -110,7 +110,7 @@ def cg_loop(
     if b_norm == 0.0:
         # Zero RHS: exact solution is zero regardless of the (already
         # shape-validated) x0 — same contract as repro.solver.gmres.
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
+        return KrylovResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
     r = b - matvec(x)
     reduction.axpy_cost()  # b - Ax
     z = precond(r)
@@ -136,7 +136,7 @@ def cg_loop(
         rn = reduction.norm(r)
         history.append(rn)
         if rn <= target:
-            return GMRESResult(x, True, it, 0, rn, history, b_norm)
+            return KrylovResult(x, True, it, 0, rn, history, b_norm)
         z = precond(r)
         rz_new = reduction.dot(r, z)
         p = z + (rz_new / rz) * p
@@ -150,4 +150,4 @@ def cg_loop(
             residual=history[-1],
             solver=solver,
         )
-    return GMRESResult(x, False, max_iter, 0, history[-1], history, b_norm)
+    return KrylovResult(x, False, max_iter, 0, history[-1], history, b_norm)

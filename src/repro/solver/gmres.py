@@ -6,74 +6,25 @@ the paper runs through PETSc. The loop is written once, as the plain
 function :func:`gmres_loop`: it calls the ``matvec`` and ``precond``
 callables it is handed and delegates norms and orthogonalisation to a
 *reduction*. Serial :func:`gmres` is that loop with
-:class:`SerialReduction` (modified Gram-Schmidt);
+:class:`repro.solver.krylov.SerialReduction` (modified Gram-Schmidt);
 :func:`repro.parallel.distributed_gmres` is the same loop with the
 per-rank reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.obs.trace import NULL_SPAN, get_tracer
+from repro.solver.krylov import (
+    KrylovResult,
+    SerialReduction,
+    checked_system,
+    convergence_attrs,
+)
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
-from repro.util import ConvergenceError, ShapeError, ValidationError
-
-#: Relative tolerance of every *production* solve of the package — the
-#: pipeline (``PipelineConfig.solver_tol``), the escalation ladder, the
-#: coarse fallback, ``simulate_parallel`` / ``distributed_gmres`` /
-#: ``distributed_cg`` and the Fig. 7-9 experiments: PETSc's ``-ksp_rtol``
-#: default, which is what the paper's GMRES + block Jacobi ran at (it
-#: names no convergence setting). It is relative, and each method reads
-#: it on its own residual. GMRES (``block_jacobi``, ``ras``) stops on the
-#: left-preconditioned one, ``||M^{-1}(b - A x)|| <= tol * ||M^{-1} b||``;
-#: CG (the pipeline's preconditioner, at every rank count) on the true
-#: one, ``||b - A x|| <= tol * ||b||``. Measured with GMRES against a
-#: ``1e-10`` solve (``benchmarks/BENCH_solver_tolerance.json``,
-#: EXPERIMENTS.md "Solver tolerance"): max nodal |du| 0.4-0.5 um on the
-#: 22.8 k-equation, 4-rank benchmark system and 1.4 um at paper size (77 k
-#: equations, 16 ranks), against 0.9-3 mm voxels; ``1e-7`` buys 0.004 um
-#: for half as many iterations again. CG's field at ``1e-5`` is no further
-#: from a direct solve than GMRES's (``tests/test_fsai.py::TestCG``). The
-#: generic library entry points (:func:`gmres`, ``conjugate_gradient``)
-#: keep their own ``1e-8``.
-DEFAULT_SOLVER_TOL = 1e-5
-
-
-@dataclass
-class GMRESResult:
-    """Solution and convergence record of a GMRES run.
-
-    Attributes
-    ----------
-    x:
-        Solution vector.
-    converged:
-        Whether the (preconditioned) residual tolerance was met.
-    iterations:
-        Total inner iterations performed.
-    restarts:
-        Number of restart cycles started.
-    residual_norm:
-        Final preconditioned residual norm.
-    history:
-        Preconditioned residual norm after every inner iteration.
-    rhs_norm:
-        The norm the tolerance is relative to (``||M^{-1} b||`` for
-        GMRES, ``||b||`` for CG); ``0.0`` where there is none — a zero
-        right-hand side, a direct solve, a restored record.
-    """
-
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    restarts: int
-    residual_norm: float
-    history: list[float] = field(default_factory=list)
-    rhs_norm: float = 0.0
+from repro.util import ConvergenceError, ValidationError
 
 
 def gmres(
@@ -85,7 +36,7 @@ def gmres(
     restart: int = 30,
     max_iter: int = 2000,
     raise_on_fail: bool = False,
-) -> GMRESResult:
+) -> KrylovResult:
     """Solve ``A x = b`` with left-preconditioned restarted GMRES.
 
     Parameters
@@ -136,24 +87,6 @@ def gmres(
         return result
 
 
-def convergence_attrs(result: GMRESResult, tol: float) -> dict:
-    """What a finished ``gmres`` or ``cg`` span says about its solve.
-
-    ``target`` is the absolute residual the run had to reach and
-    ``residual_history`` the whole curve (:attr:`GMRESResult.history`, a
-    few hundred floats at most), so a trace shows how the solve got
-    there and not only where it stopped.
-    """
-    return {
-        "iterations": result.iterations,
-        "restarts": result.restarts,
-        "residual": result.residual_norm,
-        "converged": result.converged,
-        "target": tol * result.rhs_norm,
-        "residual_history": result.history,
-    }
-
-
 def _gmres(
     operator,
     b: np.ndarray,
@@ -164,7 +97,7 @@ def _gmres(
     max_iter: int,
     raise_on_fail: bool,
     span,
-) -> GMRESResult:
+) -> KrylovResult:
     A = AsOperator(operator)
     n = A.shape[0]
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
@@ -172,53 +105,6 @@ def _gmres(
         n, b, x0, tol, restart, max_iter, raise_on_fail,
         A.matvec, M.solve, SerialReduction(), span, "gmres",
     )
-
-
-def checked_system(n: int, b, x0, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one right-hand side; return ``(b, x)`` with ``x`` a fresh start vector."""
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite entries"
-        )
-    return b, x
-
-
-class SerialReduction:
-    """Vector reductions of the Krylov loops in one address space.
-
-    Modified Gram-Schmidt, ``np.dot`` and ``np.linalg.norm``, charging
-    nothing. The per-rank counterpart (fused CGS2 and per-rank partial
-    sums with telemetry charges) is
-    :class:`repro.parallel.solver.RankReduction`.
-    """
-
-    def norm(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
-
-    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(u, v))
-
-    def orthogonalize(self, V: np.ndarray, H: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
-        """Orthogonalise ``w`` against ``V[:k+1]`` into ``H[:k+1, k]``; returns ``w``."""
-        for i in range(k + 1):
-            H[i, k] = float(np.dot(w, V[i]))
-            w -= H[i, k] * V[i]
-        return w
-
-    def axpy_cost(self, n_vectors: int = 1) -> None:
-        """Charge ``n_vectors`` axpy/scale passes (free in one address space)."""
 
 
 def gmres_loop(
@@ -234,7 +120,7 @@ def gmres_loop(
     reduction,
     span,
     solver: str,
-) -> GMRESResult:
+) -> KrylovResult:
     """The restarted Arnoldi/Givens loop.
 
     ``matvec(v)`` returns ``A v`` and ``precond(r)`` returns
@@ -254,7 +140,7 @@ def gmres_loop(
         # Zero RHS: the exact solution is zero whatever x0 was (x0 has
         # already been shape-validated above). Return a fresh zero
         # vector of the x0 shape, never x0 itself (see gmres docstring).
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
+        return KrylovResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
     target = tol * b_pre_norm
 
     history: list[float] = []
@@ -280,7 +166,7 @@ def gmres_loop(
         history.append(beta)
         span.event("restart", cycle=restarts, residual=beta, iteration=total_iters)
         if beta <= target:
-            return GMRESResult(x, True, total_iters, restarts - 1, beta, history, b_pre_norm)
+            return KrylovResult(x, True, total_iters, restarts - 1, beta, history, b_pre_norm)
 
         m = min(restart, max_iter - total_iters)
         V[0] = r / beta
@@ -349,13 +235,13 @@ def gmres_loop(
                     residual=final,
                     solver=solver,
                 )
-            return GMRESResult(
+            return KrylovResult(
                 x, final <= target, total_iters, restarts, final, history, b_pre_norm
             )
 
         final = abs(g[k_used])
         if final <= target:
-            return GMRESResult(x, True, total_iters, restarts, final, history, b_pre_norm)
+            return KrylovResult(x, True, total_iters, restarts, final, history, b_pre_norm)
 
     final = reduction.norm(precond(b - matvec(x)))
     if raise_on_fail:
@@ -366,4 +252,4 @@ def gmres_loop(
             residual=final,
             solver=solver,
         )
-    return GMRESResult(x, final <= target, total_iters, restarts, final, history, b_pre_norm)
+    return KrylovResult(x, final <= target, total_iters, restarts, final, history, b_pre_norm)

@@ -58,11 +58,10 @@ ILU_COLUMN_ORDER = "NATURAL"
 
 
 def incomplete_factor(block: sparse.csc_matrix) -> spla.SuperLU:
-    """Threshold ILU (SuperLU ILUTP) of one diagonal block / subdomain (CSC).
+    """Threshold ILU (SuperLU ILUTP) of one diagonal block (CSC).
 
-    The one incomplete factorization behind every block preconditioner
-    (:class:`repro.parallel.solver.DistributedBlockJacobi`,
-    :class:`repro.parallel.solver.DistributedRAS`), in the
+    The one incomplete factorization behind block Jacobi
+    (:class:`repro.parallel.solver.DistributedBlockJacobi`), in the
     block's own row order (:data:`ILU_COLUMN_ORDER`).
     """
     return spla.spilu(

@@ -26,7 +26,7 @@ from repro.mesh.partition import partition_block
 from repro.mesh.surface import extract_boundary_surface
 from repro.parallel.assembly import build_distributed_system
 from repro.parallel.decomposition import Decomposition
-from repro.parallel.solver import DistributedBlockJacobi, DistributedRAS
+from repro.parallel.solver import DistributedBlockJacobi
 from repro.solver import preconditioner
 from repro.solver.preconditioner import (
     ILU_COLUMN_ORDER,
@@ -152,21 +152,6 @@ class TestBitIdentity:
         got = block_jacobi(matrix.to_csr(), ranges).solve(r)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("factorization", ["ilu", "lu"])
-    def test_ras_applies_the_oracle_factors(self, fem_systems, cores, factorization):
-        matrix, _ = fem_systems[4]
-        cores(4)
-        csr = matrix.to_csr()
-        ras = DistributedRAS(matrix, overlap=1, factorization=factorization)
-        blocks = [csr[grown, :][:, grown].tocsc() for grown in ras.subdomains]
-        r = np.random.default_rng(5).normal(size=matrix.n)
-        expected = np.empty(matrix.n)
-        for (a, b), grown, factor in zip(
-            matrix.ranges, ras.subdomains, _frozen_factor_loop(blocks, factorization)
-        ):
-            expected[a:b] = factor.solve(r[grown])[np.searchsorted(grown, np.arange(a, b))]
-        assert np.array_equal(ras.solve(r), expected)
-
     def test_every_block_preconditioner_factors_through_it(self, fem_systems, monkeypatch):
         matrix, _ = fem_systems[4]
         calls = []
@@ -177,8 +162,7 @@ class TestBitIdentity:
             )
         DistributedBlockJacobi(matrix)
         block_jacobi(matrix.to_csr(), matrix.ranges)
-        DistributedRAS(matrix, factorization="ilu")
-        assert calls.count("ilu") == 8 and calls.count("lu") == 4
+        assert calls.count("ilu") == 4 and calls.count("lu") == 4
 
     @pytest.mark.parametrize("n_ranks", [4, 16])
     def test_fill_cap_does_not_bind(self, fem_systems, n_ranks):

@@ -89,7 +89,7 @@ class TestFig6:
         beside the paper's envelopes."""
         text = fig6.paper_size(shape=(32, 32, 24), target_nodes=1500, n_ranks=4)
         head, volume = text.splitlines()[:2]
-        for field in ("commit", "backend numpy", "nproc", "BLAS threads", "block factorization on"):
+        for field in ("commit", "backend numpy", "nproc", "BLAS threads", "block FSAI set-up on"):
             assert field in head
         assert "32x32x24 (24,576 voxels)" in volume and "equations" in volume
         rows = [[c.strip() for c in line.split("|")] for line in text.splitlines()[2:] if "|" in line]

@@ -29,7 +29,7 @@ from repro.obs.trace import (
     set_tracer,
     use_tracer,
 )
-from repro.solver.gmres import GMRESResult
+from repro.solver import KrylovResult
 from repro.util import ValidationError
 
 
@@ -243,15 +243,15 @@ class TestMetricsRegistry:
         import numpy as np
 
         m = MetricsRegistry()
-        ok = GMRESResult(np.zeros(3), True, 12, 2, 1e-9, [1.0, 1e-9])
-        bad = GMRESResult(np.zeros(3), False, 30, 3, 1e-2, [1.0])
+        ok = KrylovResult(np.zeros(3), True, 12, 2, 1e-9, [1.0, 1e-9])
+        bad = KrylovResult(np.zeros(3), False, 30, 3, 1e-2, [1.0])
         m.record_solver_result(ok)
         m.record_solver_result(bad)
-        assert m.value("gmres.solves") == 2
-        assert m.value("gmres.iterations") == 42
-        assert m.value("gmres.failures") == 1
-        assert m.value("gmres.last_residual") == pytest.approx(1e-2)
-        assert m.get("gmres.iterations_per_solve").values == [12.0, 30.0]
+        assert m.value("solver.solves") == 2
+        assert m.value("solver.iterations") == 42
+        assert m.value("solver.failures") == 1
+        assert m.value("solver.last_residual") == pytest.approx(1e-2)
+        assert m.get("solver.iterations_per_solve").values == [12.0, 30.0]
 
 
 class TestCacheStatsHitRatio:

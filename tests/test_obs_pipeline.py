@@ -177,9 +177,9 @@ class TestTracedSession:
     def test_metrics_absorbed_solver_and_cache(self, traced_session):
         _, _, metrics = traced_session
         assert metrics.value("pipeline.scans") == 3
-        assert metrics.value("gmres.solves") == 3
-        assert metrics.value("gmres.iterations") > 0
-        assert metrics.get("gmres.iterations_per_solve").count == 3
+        assert metrics.value("solver.solves") == 3
+        assert metrics.value("solver.iterations") > 0
+        assert metrics.get("solver.iterations_per_solve").count == 3
         assert 0.0 <= metrics.value("solve_context.hit_ratio") <= 1.0
         assert metrics.value("mesh.nodes") > 0
 

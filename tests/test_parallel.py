@@ -286,61 +286,6 @@ class TestDistributedGMRES:
             DistributedBlockJacobi(system.matrix, factorization="cholesky")
 
 
-class TestDistributedRAS:
-    def test_same_solution_as_block_jacobi(self, mesh_and_bc):
-        mesh, bc = mesh_and_bc
-        a = simulate_parallel(mesh, bc, 4, tol=1e-9, preconditioner="block_jacobi")
-        b = simulate_parallel(mesh, bc, 4, tol=1e-9, preconditioner="ras")
-        assert np.allclose(a.displacement, b.displacement, atol=1e-5)
-
-    def test_overlap_reduces_iterations(self, mesh_and_bc):
-        mesh, bc = mesh_and_bc
-        bj = simulate_parallel(mesh, bc, 6, tol=1e-8)
-        ras = simulate_parallel(mesh, bc, 6, tol=1e-8, preconditioner="ras", ras_overlap=1)
-        assert ras.solver.iterations <= bj.solver.iterations
-
-    @pytest.mark.parametrize("preconditioner", ["ras", "block_jacobi"])
-    def test_one_exact_rank_converges_in_one_iteration(self, mesh_and_bc, preconditioner):
-        """``factorization`` reaches RAS as it reaches block Jacobi: one rank of
-        exact LU is the inverse of the whole matrix."""
-        mesh, bc = mesh_and_bc
-        sim = simulate_parallel(
-            mesh, bc, 1, preconditioner=preconditioner, ras_overlap=0, factorization="lu"
-        )
-        assert sim.solver.converged
-        assert sim.solver.iterations == 1
-
-    def test_telemetry_charges_overlap_halo(self, mesh_and_bc):
-        from repro.machines.cost import VirtualCluster
-
-        mesh, bc = mesh_and_bc
-        from repro.mesh.partition import partition_block
-        from repro.parallel.decomposition import Decomposition
-        from repro.parallel.assembly import build_distributed_system
-        from repro.parallel.solver import DistributedRAS
-
-        dec = Decomposition.from_partition(mesh, partition_block(mesh, 4))
-        bc_new = DirichletBC(dec.old_to_new[bc.node_ids], bc.displacements)
-        system = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc_new)
-        cluster = VirtualCluster(DEEP_FLOW, 4)
-        pre = DistributedRAS(system.matrix, cluster, overlap=1)
-        before = cluster.bytes_total
-        pre.solve(system.rhs, cluster)
-        assert cluster.bytes_total > before  # the overlap halo was charged
-
-    def test_invalid_options_rejected(self, mesh_and_bc):
-        mesh, bc = mesh_and_bc
-        with pytest.raises(ValidationError):
-            simulate_parallel(mesh, bc, 2, preconditioner="amg")
-        from repro.parallel.solver import DistributedRAS
-        from repro.parallel.distributed import RowBlockMatrix
-        import scipy.sparse as sp
-
-        m = RowBlockMatrix.from_csr(sp.eye(10).tocsr(), np.array([[0, 10]]))
-        with pytest.raises(ValidationError):
-            DistributedRAS(m, overlap=-1)
-
-
 class TestSimulateParallel:
     def test_solution_independent_of_rank_count(self, mesh_and_bc):
         mesh, bc = mesh_and_bc
@@ -380,6 +325,20 @@ class TestSimulateParallel:
         mesh, bc = mesh_and_bc
         with pytest.raises(ValidationError):
             simulate_parallel(mesh, bc, 2, partitioner="metis")
+
+    def test_invalid_options_rejected(self, mesh_and_bc):
+        mesh, bc = mesh_and_bc
+        for name in ("amg", "ras"):
+            with pytest.raises(ValidationError):
+                simulate_parallel(mesh, bc, 2, preconditioner=name)
+
+    def test_one_exact_rank_converges_in_one_iteration(self, mesh_and_bc):
+        """``factorization`` reaches block Jacobi: one rank of exact LU is
+        the inverse of the whole matrix."""
+        mesh, bc = mesh_and_bc
+        sim = simulate_parallel(mesh, bc, 1, factorization="lu")
+        assert sim.solver.converged
+        assert sim.solver.iterations == 1
 
     def test_bc_displacements_enforced(self, mesh_and_bc):
         mesh, bc = mesh_and_bc
@@ -443,10 +402,3 @@ class TestThresholdGovernedILU:
         assert result.iterations <= self.SEED_ITERATIONS[n_ranks]
         K = matrix.to_csr()
         assert np.linalg.norm(K @ result.x - rhs) <= 2e-7 * np.linalg.norm(rhs)
-
-    def test_ras_needs_no_more_iterations_than_block_jacobi(self, fine_mesh_and_bc):
-        mesh, bc = fine_mesh_and_bc
-        bj = simulate_parallel(mesh, bc, 4, tol=1e-7)
-        ras = simulate_parallel(mesh, bc, 4, tol=1e-7, preconditioner="ras")
-        assert ras.solver.converged and bj.solver.converged
-        assert ras.solver.iterations <= bj.solver.iterations

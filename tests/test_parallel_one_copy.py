@@ -29,7 +29,6 @@ from repro.parallel.solver import (
     FACTOR_FLOPS_PER_NNZ,
     SOLVE_FLOPS_PER_NNZ,
     DistributedBlockJacobi,
-    DistributedRAS,
     distributed_gmres,
 )
 
@@ -179,14 +178,3 @@ class TestLazyFactorCount:
         other = VirtualCluster(DEEP_FLOW, n_ranks)
         late.solve(system.rhs, other)
         assert other.flops_total == SOLVE_FLOPS_PER_NNZ * nnz.sum()
-
-    def test_ras_counts_lazily_too(self, decomposed):
-        system = self.system(decomposed)
-        pre = DistributedRAS(system.matrix, overlap=1)
-        pre.solve(system.rhs)
-        assert "_factor_nnz" not in vars(pre)
-        cluster = VirtualCluster(DEEP_FLOW, system.matrix.n_ranks)
-        pre.solve(system.rhs, cluster)
-        assert cluster.flops_total == SOLVE_FLOPS_PER_NNZ * sum(
-            lu.L.nnz + lu.U.nnz for lu in pre._factors
-        )

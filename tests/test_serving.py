@@ -470,7 +470,7 @@ class TestServingTelemetry:
         assert len(pids) >= 2
 
         # Worker-side metrics merged into the server registry.
-        assert server.metrics.value("gmres.solves") >= 2
+        assert server.metrics.value("solver.solves") >= 2
 
         # The gateway wrote the SLO series from the records it served, one
         # sample per scan: paper-target series scored, serving-layer

@@ -63,7 +63,7 @@ class TestAccuracyAtTheDefault:
     @settings(max_examples=6, deadline=None)
     @given(
         n_ranks=st.sampled_from([1, 2, 4]),
-        preconditioner=st.sampled_from(["block_jacobi", "ras"]),
+        preconditioner=st.sampled_from(PRECONDITIONERS),
     )
     def test_any_rank_count_and_preconditioner(self, system, reference, n_ranks, preconditioner):
         sim = simulate_parallel(system.mesh, system.bc, n_ranks, preconditioner=preconditioner)
