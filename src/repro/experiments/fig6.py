@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import subprocess
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from repro.core.pipeline import IntraoperativePipeline
 from repro.experiments.common import PAPER_SYSTEM_SMALL, ExperimentReport
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.machines.spec import DEEP_FLOW, MachineSpec
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs.trace import SpanRecord, Tracer, use_tracer
+from repro.persist import ScanRecord
 from repro.solver.preconditioner import usable_cores
 from repro.util import format_table
 
@@ -134,28 +136,49 @@ def _descendants(tracer: Tracer, span, name: str) -> list:
     return found
 
 
-def paper_size(
+@dataclass
+class PaperSizeRun:
+    """What :func:`measure_paper_size` measured, for :func:`format_paper_size`.
+
+    ``build_spans`` is the model build's traced stages in the printed
+    order, each with its depth under the build (1 for a stage, 2 for one
+    of its :data:`SOLVE_CONTEXT_SPANS`); ``scans`` holds one
+    ``(shift_mm, record, wall_s)`` per scan.
+    """
+
+    shape: tuple[int, int, int]
+    n_ranks: int
+    partitioner: str
+    machine: str
+    build_s: float
+    build_spans: list[tuple[int, SpanRecord]]
+    scans: list[tuple[float, ScanRecord, float]]
+
+    def build_attr(self, span_name: str, key: str, default=0):
+        """``key`` of the build's first span called ``span_name``, else ``default``."""
+        for _, span in self.build_spans:
+            if span.name == span_name:
+                return span.attrs.get(key, default)
+        return default
+
+
+def measure_paper_size(
     shape: tuple[int, int, int] = (96, 96, 72),
     seed: int = 12,
     shifts_mm: tuple[float, float] = (6.0, 9.0),
     target_nodes: int = PAPER_SYSTEM_SMALL // 3,
     n_ranks: int = 16,
     machine: MachineSpec = DEEP_FLOW,
-) -> str:
+) -> PaperSizeRun:
     """Fig. 6 at the paper's size: the model build, then two scans.
 
     The second scan is the same patient at another peak shift, processed
     as a session's next scan (the first scan's prototypes, its field as
-    ``previous``). The build lists its own stages (traced) under its total,
-    and under the solve-context stage its :data:`SOLVE_CONTEXT_SPANS`: the
-    symbolic and numeric assembly, the Dirichlet elimination's ``reduction
-    setup``, the ``preconditioner setup`` (the block FSAI under the coarse
-    space, on the threads the header names) and the ``coarse space setup``
-    (``K Z`` and the coarse factor).
-    Each scan lists every stage, the *unstaged* remainder
-    (scan wall time minus the stages), the total, and the biomechanical
-    simulation in wall seconds and in ``machine``'s virtual seconds, each
-    beside the paper's envelope where it gives one.
+    ``previous``). The build is traced: its stages, and under the
+    solve-context stage its :data:`SOLVE_CONTEXT_SPANS` (the symbolic and
+    numeric assembly, the Dirichlet elimination's ``reduction setup``, the
+    ``preconditioner setup`` -- the block FSAI under the coarse space --
+    and the ``coarse space setup``: ``K Z`` and the coarse factor).
     """
     config = PipelineConfig(target_mesh_nodes=target_nodes, n_ranks=n_ranks)
     pipeline = IntraoperativePipeline(config, machine=machine)
@@ -164,23 +187,42 @@ def paper_size(
     start = time.perf_counter()
     with use_tracer(tracer):
         preop = pipeline.prepare_preoperative(cases[0].preop_mri, cases[0].preop_labels)
-    rows = [["preoperative", "prepare_preoperative", time.perf_counter() - start, "", ""]]
+    build_s = time.perf_counter() - start
+    spans = []
     (build,) = tracer.roots()
     for span in tracer.children_of(build.span_id):
-        rows.append(["preoperative", f"  {span.name}", span.duration, "", ""])
+        spans.append((1, span))
         for name in SOLVE_CONTEXT_SPANS:
-            for setup in _descendants(tracer, span, name):
-                rows.append(["preoperative", f"    {setup.name}", setup.duration, "", ""])
-    notes, previous = [], None
+            spans.extend((2, setup) for setup in _descendants(tracer, span, name))
+    scans, previous = [], None
     for k, case in enumerate(cases):
         start = time.perf_counter()
         result = pipeline.process_scan(
             case.intraop_mri, preop, scan_index=k, previous=previous,
             prototypes=None if previous is None else previous.prototypes,
         )
-        wall = time.perf_counter() - start
-        period = f"scan {k + 1} ({case.shift_mm:g} mm)"
-        record = result.record
+        scans.append((case.shift_mm, result.record, time.perf_counter() - start))
+        previous = result
+    return PaperSizeRun(
+        shape, n_ranks, config.partitioner, machine.name, build_s, spans, scans
+    )
+
+
+def format_paper_size(run: PaperSizeRun) -> str:
+    """:func:`measure_paper_size`'s table.
+
+    The build lists its own stages under its total. Each scan lists every
+    stage, the *unstaged* remainder (scan wall time minus the stages), the
+    total, and the biomechanical simulation in wall seconds and in the
+    machine's virtual seconds, each beside the paper's envelope where it
+    gives one.
+    """
+    rows = [["preoperative", "prepare_preoperative", run.build_s, "", ""]]
+    for depth, span in run.build_spans:
+        rows.append(["preoperative", f"{'  ' * depth}{span.name}", span.duration, "", ""])
+    notes = []
+    for k, (shift_mm, record, wall) in enumerate(run.scans):
+        period = f"scan {k + 1} ({shift_mm:g} mm)"
         sim = record.counts("biomechanical simulation")
         split = (sim["virtual_init_s"], sim["virtual_assembly_s"], sim["virtual_solve_s"])
         for stage, seconds, _, _ in record.timeline:
@@ -192,17 +234,21 @@ def paper_size(
             f"{period}: virtual init {split[0]:.3f} s + assembly {split[1]:.3f} s + "
             f"solve {split[2]:.3f} s, {sim['iterations']} CG iterations"
         )
-        previous = result
     header = [
         f"Figure 6 at the paper's size: commit {_commit()}, backend {get_backend().name}, "
         f"nproc {os.cpu_count()}, BLAS threads {_blas_threads()}, "
-        f"block FSAI set-up on {min(n_ranks, usable_cores())} threads",
-        f"volume {'x'.join(map(str, shape))} ({int(np.prod(shape)):,} voxels), "
-        f"{sim['equations']:,} equations ({sim['free_equations']:,} free) on {n_ranks} ranks "
-        f"({config.partitioner} partition), virtual seconds on {machine.name}",
+        f"block FSAI set-up on {min(run.n_ranks, usable_cores())} threads",
+        f"volume {'x'.join(map(str, run.shape))} ({int(np.prod(run.shape)):,} voxels), "
+        f"{sim['equations']:,} equations ({sim['free_equations']:,} free) on {run.n_ranks} "
+        f"ranks ({run.partitioner} partition), virtual seconds on {run.machine}",
     ]
     table = format_table(["period", "stage", "wall (s)", "virtual (s)", "paper"], rows)
     return "\n".join([*header, table, *(f"  note: {n}" for n in notes)])
+
+
+def paper_size(**kwargs) -> str:
+    """Fig. 6 at the paper's size, printed: :func:`measure_paper_size`'s keywords."""
+    return format_paper_size(measure_paper_size(**kwargs))
 
 
 def main() -> None:

@@ -172,12 +172,13 @@ class DistributedBlockFSAI:
             kind="solver",
             preconditioner="block_fsai",
             n_ranks=int(matrix.n_ranks),
-        ):
+        ) as span:
             factors = side_by_side(
                 block_fsai, [matrix.local[rank][:, a:b] for rank, (a, b) in enumerate(matrix.ranges)]
             )
             self._g = sparse.block_diag([g for g, _ in factors], format="csr")
             self._gt = self._g.T.tocsr()
+            span.set(g_nnz=int(self._g.nnz))
         telemetry.compute_all(np.array([flops for _, flops in factors]))
         starts = np.append(matrix.ranges[:, 0], matrix.n)
         self._apply_flops = 4.0 * np.diff(self._g.indptr[starts])

@@ -18,6 +18,10 @@ is better. Regression is relative to the baseline value::
     higher-better:  (base - new) / base
     lower-better:   (new - base) / base
 
+A count that must not move at all (``"exact"``: equations, iterations,
+nonzeros) fails on any difference, either way, until the baseline is
+re-recorded.
+
 Files absent from either side are skipped with a warning (a missing
 fresh record usually means the producing benchmark was not run), as are
 metrics whose baseline is non-positive (no meaningful relative band) and
@@ -31,12 +35,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 #: Hot-path metrics per benchmark record: (dotted path, direction).
-#: Direction is "higher" or "lower" — which way is better.
+#: Direction is "higher" or "lower" — which way is better — or "exact".
 HOT_PATHS: dict[str, list[tuple[str, str]]] = {
     "BENCH_throughput.json": [
         ("pool_scans_per_s", "higher"),
@@ -64,6 +69,16 @@ HOT_PATHS: dict[str, list[tuple[str, str]]] = {
         ("block_fsai.g_nnz", "lower"),
         ("patient_model_build.seconds", "lower"),
     ],
+    "BENCH_paper_size.json": [
+        ("system.equations", "exact"),
+        ("system.free_equations", "exact"),
+        ("system.g_nnz", "exact"),
+        ("system.coarse_dim", "exact"),
+        ("scans.0.iterations", "exact"),
+        ("scans.1.iterations", "exact"),
+        ("scans.0.virtual_solve_s", "lower"),
+        ("scans.1.virtual_solve_s", "lower"),
+    ],
     "BENCH_soak.json": [
         ("throughput_scans_per_s", "higher"),
     ],
@@ -85,7 +100,7 @@ class Delta:
     regression_pct: float
 
     def describe(self) -> str:
-        arrow = "↑" if self.direction == "higher" else "↓"
+        arrow = {"higher": "↑", "lower": "↓", "exact": "="}[self.direction]
         return (
             f"{self.file}:{self.path} ({arrow} better) "
             f"base={self.base:.6g} new={self.new:.6g} "
@@ -186,13 +201,15 @@ def compare(file: str, base: dict, new: dict,
         except _MISSING as exc:
             warnings.append(f"{file}:{dotted}: missing in fresh record ({exc})")
             continue
-        if base_value <= 0:
+        if direction == "exact":
+            regression = 0.0 if new_value == base_value else math.inf
+        elif base_value <= 0:
             warnings.append(
                 f"{file}:{dotted}: baseline {base_value:.6g} <= 0, "
                 "no relative band — skipped"
             )
             continue
-        if direction == "higher":
+        elif direction == "higher":
             regression = (base_value - new_value) / base_value
         else:
             regression = (new_value - base_value) / base_value

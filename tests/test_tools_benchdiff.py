@@ -249,3 +249,47 @@ class TestHotpathGate:
         # Halving the cold scan halves speedup_vs_cold_first: the ratio
         # gate failed exactly this record (PR 17 had to re-baseline).
         assert gate({"cold_seconds": 0.5, "speedup_vs_cold_first": 0.5}) == 0
+
+
+PAPER_SIZE = "BENCH_paper_size.json"
+
+
+class TestPaperSizeGate:
+    """The paper-size record's counts move only with a re-recorded baseline."""
+
+    COUNTS = [
+        "system.equations", "system.free_equations", "system.g_nnz",
+        "system.coarse_dim", "scans.0.iterations", "scans.1.iterations",
+    ]
+
+    def diff(self, tmp_path, dotted: str | None, delta: int) -> int:
+        base = json.loads((BASELINE.parent / PAPER_SIZE).read_text())
+        fresh = copy.deepcopy(base)
+        if dotted is not None:
+            *parents, key = dotted.split(".")
+            block = fresh
+            for part in parents:
+                block = block[int(part)] if isinstance(block, list) else block[part]
+            block[key] += delta
+        (tmp_path / PAPER_SIZE).write_text(json.dumps(fresh))
+        return run_diff(BASELINE.parent, tmp_path, 25.0, [PAPER_SIZE])
+
+    def test_every_count_is_gated_exactly(self):
+        paths = dict(HOT_PATHS[PAPER_SIZE])
+        assert all(paths[count] == "exact" for count in self.COUNTS)
+
+    def test_the_smoke_baseline_passes_itself(self, tmp_path):
+        assert self.diff(tmp_path, None, 0) == 0
+
+    @pytest.mark.parametrize("dotted", COUNTS)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_a_count_that_moves_either_way_fails(self, tmp_path, dotted, delta):
+        assert self.diff(tmp_path, dotted, delta) == 1
+
+    def test_a_zero_baseline_count_is_still_compared(self):
+        block = {"smoke": True, "coarse_dim": 0}
+        deltas, warnings = compare(
+            PAPER_SIZE, {"system": block}, {"system": {**block, "coarse_dim": 6}},
+            [("system.coarse_dim", "exact")],
+        )
+        assert warnings == [] and deltas[0].regression_pct == float("inf")
