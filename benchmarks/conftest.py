@@ -3,8 +3,9 @@
 The clinical-scale systems are expensive to build, so they are
 constructed once per session and shared across the figure benchmarks.
 Regenerated tables are printed to stdout (run with ``-s`` to see them
-live; pytest captures otherwise) and appended to
-``benchmarks/results.txt`` for the EXPERIMENTS.md record.
+live; pytest captures otherwise) and written to
+``benchmarks/results.txt`` for the EXPERIMENTS.md record, each in place
+of the same exhibit's older table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.experiments.common import (
     PAPER_SYSTEM_SMALL,
     build_clinical_system,
 )
+
+from bench_io import record_exhibit
 
 RESULTS_PATH = pathlib.Path(__file__).with_name("results.txt")
 
@@ -53,7 +56,11 @@ def system253():
 
 @pytest.fixture(scope="session")
 def record_report():
-    """Print a report table and append it to benchmarks/results.txt."""
+    """Print a report table and record it in benchmarks/results.txt.
+
+    The session's first table of an exhibit replaces that exhibit's old one;
+    the exhibits this session does not run keep theirs.
+    """
     seen: set[str] = set()
 
     def _record(report) -> None:
@@ -61,8 +68,6 @@ def record_report():
         print("\n" + text)
         if report.exhibit not in seen:
             seen.add(report.exhibit)
-            with RESULTS_PATH.open("a") as fh:
-                fh.write(text + "\n\n")
+            record_exhibit(RESULTS_PATH, report.exhibit, text)
 
-    RESULTS_PATH.write_text("")
     return _record

@@ -87,9 +87,9 @@ def paper_size_record(run: PaperSizeRun, smoke: bool) -> dict:
     }
 
 
-def record_paper_size(smoke: bool = SMOKE) -> tuple[PaperSizeRun, dict]:
-    run = measure_paper_size(**(SMOKE_SIZE if smoke else {}))
-    record = paper_size_record(run, smoke)
+def record_paper_size() -> tuple[PaperSizeRun, dict]:
+    run = measure_paper_size(**(SMOKE_SIZE if SMOKE else {}))
+    record = paper_size_record(run, SMOKE)
     update_bench_record(RESULT_PATH, record)
     return run, record
 

@@ -136,8 +136,10 @@ class PreoperativeModel:
     def invalidate_solve_context(self) -> None:
         """Force a rebuild of the cached FEM state on the next scan.
 
-        Call after editing the mesh or materials in place; fingerprint
-        checking also catches such changes automatically, but an explicit
+        Call after replacing the mesh or editing the material map. The
+        mesh's arrays are read-only, so an in-place edit raises instead of
+        going unnoticed; a new mesh (a resection) or another material map
+        changes the fingerprint and is rebuilt anyway, but an explicit
         invalidation makes the intent visible. The hit/miss counters are
         zeroed so the session never reports stale hit ratios across the
         rebuild boundary. The mesher's located voxel grid goes with it.

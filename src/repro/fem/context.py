@@ -261,19 +261,18 @@ class SolveContext:
     ) -> bytes:
         """Digest of every input the cached solve state depends on.
 
-        Hashing the mesh arrays costs ~1 ms for clinical meshes —
-        negligible against the assembly/factorization work it guards —
-        and makes staleness detection automatic: a resected mesh or a
-        changed material map produces a different digest. The active
+        The mesh enters by its own cached digest
+        (:meth:`repro.mesh.TetrahedralMesh.digest`; its arrays are
+        read-only), so a scan does not re-hash it: a resected mesh is a
+        new mesh with another digest, and a changed material map changes
+        the ``repr`` hashed beside it. The active
         compute backend's identity is hashed too: the slots hold a block
         apply prepared by that backend, which is never served to another
         (the backends agree only to ~1e-10, not bit-exactly).
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(b"backend:" + get_backend().name.encode())
-        h.update(mesh.nodes.tobytes())
-        h.update(mesh.elements.tobytes())
-        h.update(np.ascontiguousarray(mesh.materials).tobytes())
+        h.update(mesh.digest())
         h.update(repr(materials).encode())
         h.update(np.ascontiguousarray(bc_node_ids, dtype=np.int64).tobytes())
         h.update(repr(sorted(options.items())).encode())

@@ -81,21 +81,24 @@ def partition_work_weighted(
     return part
 
 
-def partition_coordinate_bisection(mesh: TetrahedralMesh, n_parts: int) -> np.ndarray:
-    """Recursive coordinate bisection on node positions.
+def coordinate_bisection(points: np.ndarray, n_parts: int) -> np.ndarray:
+    """Recursive coordinate bisection of ``points``: an ``(n,)`` part id each.
 
     Splits the widest spatial axis at the weighted median, recursively,
-    producing compact axis-aligned subdomains with small interfaces.
+    producing compact axis-aligned parts of near-equal counts. The mesh
+    partitioner :func:`partition_coordinate_bisection` cuts the nodes into
+    ranks with it, and :func:`repro.parallel.solver.aggregate_labels` each
+    rank's free nodes into coarse-space aggregates.
     """
-    _check_parts(mesh.n_nodes, n_parts)
-    part = np.zeros(mesh.n_nodes, dtype=np.intp)
+    points = np.asarray(points, dtype=float)
+    part = np.zeros(len(points), dtype=np.intp)
 
     def recurse(indices: np.ndarray, parts: int, first_rank: int) -> None:
         if parts == 1:
             part[indices] = first_rank
             return
         left_parts = parts // 2
-        coords = mesh.nodes[indices]
+        coords = points[indices]
         axis = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
         order = indices[np.argsort(coords[:, axis], kind="stable")]
         cut = int(round(len(order) * left_parts / parts))
@@ -103,8 +106,17 @@ def partition_coordinate_bisection(mesh: TetrahedralMesh, n_parts: int) -> np.nd
         recurse(order[:cut], left_parts, first_rank)
         recurse(order[cut:], parts - left_parts, first_rank + left_parts)
 
-    recurse(np.arange(mesh.n_nodes, dtype=np.intp), n_parts, 0)
+    recurse(np.arange(len(points), dtype=np.intp), n_parts, 0)
     return part
+
+
+def partition_coordinate_bisection(mesh: TetrahedralMesh, n_parts: int) -> np.ndarray:
+    """Recursive coordinate bisection on node positions (:func:`coordinate_bisection`).
+
+    Compact axis-aligned subdomains with small interfaces.
+    """
+    _check_parts(mesh.n_nodes, n_parts)
+    return coordinate_bisection(mesh.nodes, n_parts)
 
 
 def partition_statistics(mesh: TetrahedralMesh, part: np.ndarray) -> dict[str, float]:

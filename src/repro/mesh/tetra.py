@@ -10,6 +10,7 @@ or objects composing the mesh".
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class TetrahedralMesh:
         ``(n_elements, 4)`` node indices, positively oriented.
     materials:
         ``(n_elements,)`` integer tissue label per element.
+
+    The three arrays are read-only: an in-place edit raises, so the mesh
+    hashes them once (:meth:`digest`). An edit is a new mesh (e.g.
+    :func:`repro.mesh.remove_elements_by_material`).
     """
 
     nodes: np.ndarray
@@ -46,6 +51,7 @@ class TetrahedralMesh:
     _volumes: np.ndarray | None = field(default=None, repr=False, compare=False)
     _element_dofs: np.ndarray | None = field(default=None, repr=False, compare=False)
     _node_element_counts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _digest: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -63,6 +69,23 @@ class TetrahedralMesh:
             self.elements.min() < 0 or self.elements.max() >= len(self.nodes)
         ):
             raise MeshError("element refers to a node index out of range")
+        for array in (self.nodes, self.elements, self.materials):
+            array.flags.writeable = False
+
+    def digest(self) -> bytes:
+        """16-byte BLAKE2b of ``nodes``, ``elements`` and ``materials``.
+
+        Computed on the first call and kept: the arrays are read-only. An
+        array assigned to the mesh later is frozen and hashed afresh.
+        """
+        arrays = (self.nodes, self.elements, self.materials)
+        if self._digest is None or any(a is not b for a, b in zip(self._digest[0], arrays)):
+            h = hashlib.blake2b(digest_size=16)
+            for array in arrays:
+                array.flags.writeable = False
+                h.update(np.ascontiguousarray(array).tobytes())
+            self._digest = (arrays, h.digest())
+        return self._digest[1]
 
     # -- basic quantities ---------------------------------------------------
 

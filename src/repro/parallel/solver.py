@@ -14,10 +14,10 @@ PETSc's) use to avoid one allreduce per inner product.
 
 The intraoperative pipeline solves with :data:`PIPELINE_PRECONDITIONER`
 and CG (:func:`distributed_cg`): a per-rank block FSAI
-(:class:`DistributedBlockFSAI`), balanced with more than one rank by a
-coarse space of rigid-body modes (:class:`DistributedCoarseCorrection`)
-that restores the global coupling the per-rank blocks discard. Both are
-symmetric positive definite and neither factors a sparse matrix. The paper's
+(:class:`DistributedBlockFSAI`), deflated with more than one rank by
+rigid-body modes on aggregates (:class:`DistributedCoarseCorrection`,
+:func:`deflated_start`), which restore the global coupling the per-rank
+blocks discard. Neither factors a sparse matrix. The paper's
 configuration (:class:`DistributedBlockJacobi`, SuperLU factors) solves
 with GMRES (:func:`distributed_gmres`).
 """
@@ -27,10 +27,12 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
+from scipy.linalg import lapack
 
 from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
+from repro.mesh.partition import coordinate_bisection
 from repro.obs.trace import get_tracer
 from repro.parallel.distributed import (
     RowBlockMatrix,
@@ -40,7 +42,12 @@ from repro.parallel.distributed import (
 )
 from repro.solver.cg import cg_loop
 from repro.solver.gmres import gmres_loop
-from repro.solver.krylov import DEFAULT_SOLVER_TOL, KrylovResult, convergence_attrs
+from repro.solver.krylov import (
+    DEFAULT_SOLVER_TOL,
+    KrylovResult,
+    checked_system,
+    convergence_attrs,
+)
 from repro.solver.preconditioner import block_fsai, factor_blocks, side_by_side
 from repro.util import ShapeError
 
@@ -60,17 +67,23 @@ PIPELINE_PRECONDITIONER = "coarse_block_jacobi"
 #: Every name :func:`repro.parallel.simulate_parallel` accepts.
 PRECONDITIONERS = ("block_jacobi", PIPELINE_PRECONDITIONER)
 
-#: A rank's rigid-body mode is kept when its singular value is at least
-#: this share of the rank's largest (a rank whose free DOFs cannot carry
-#: all six modes, e.g. too few free nodes, contributes fewer).
+#: An aggregate's rigid-body mode is kept when its eigenvalue of the
+#: aggregate's Gram block ``Z_a^T Z_a`` is at least this share of the
+#: largest (an aggregate whose free DOFs cannot carry all six modes, e.g.
+#: one free node, or collinear ones, contributes fewer).
 MODE_RANK_TOL = 1e-8
 #: An entry of ``K Z`` is kept when it is above this share of the largest.
-#: A row whose stencil lies inside its own rank and clear of the prescribed
-#: surface is zero in exact arithmetic (the element stiffness annihilates
-#: rigid motions), about half the rows on compact subdomains; their
-#: round-off entries sit below 1e-15 of the largest, the kept ones above
-#: 1e-6, on the ``session-fem`` and paper-size systems.
+#: A row whose stencil lies inside its own aggregate and clear of the
+#: prescribed surface is zero in exact arithmetic (the element stiffness
+#: annihilates rigid motions), 11-12 % of the rows on 128-node
+#: aggregates; their round-off entries sit below 1e-15 of the largest, the
+#: kept ones above 9e-7, on the ``session-fem`` and paper-size systems.
 KZ_DROP_TOL = 1e-10
+#: Free nodes per coarse aggregate: :func:`aggregate_labels` cuts each rank's
+#: free nodes into parts of about this many, each carrying six rigid-body
+#: modes. At the paper's size (19,254 free nodes on 16 ranks) that is 151
+#: aggregates and a 906-dimensional coarse space.
+AGGREGATE_NODES = 128
 
 
 def _charge_factors(preconditioner, telemetry, flops_per_nnz: float) -> None:
@@ -195,80 +208,140 @@ class DistributedBlockFSAI:
         return backend.csr_matvec(self._gt, self._half, out=self._out)
 
 
+def aggregate_labels(points: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """Every row's coarse aggregate: each rank's nodes cut into compact parts.
+
+    ``points[i]`` is the position of row ``i``'s node and every rank's rows
+    ``[a, b)`` are whole node triples. A rank with ``k`` nodes is cut by
+    :func:`repro.mesh.partition.coordinate_bisection` into
+    ``max(1, round(k / AGGREGATE_NODES))`` aggregates, numbered rank by rank,
+    so aggregates nest inside ranks and a rank's are consecutive labels.
+    """
+    labels = np.empty(len(points), dtype=np.intp)
+    first = 0
+    for a, b in ranges:
+        nodes = points[a:b:3]
+        if len(nodes):
+            parts = max(1, round(len(nodes) / AGGREGATE_NODES))
+            labels[a:b] = np.repeat(first + coordinate_bisection(nodes, parts), 3)
+            first += parts
+    return labels
+
+
 def rigid_body_modes(
-    points: np.ndarray, components: np.ndarray, ranges: np.ndarray
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Every rank's six rigid-body modes on its own rows, and their basis.
+    points: np.ndarray, components: np.ndarray, aggregates: np.ndarray
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Every aggregate's six rigid-body modes on its own rows, and their basis.
 
     Row ``i`` is the DOF ``components[i]`` (0, 1, 2 for x, y, z) of the
-    node at ``points[i]``. Returns ``(Z, T)``. ``Z`` is the ``(n, 6P)``
-    CSR whose columns ``6p .. 6p + 5`` are rank ``p``'s three translations
-    and three rotations about its rows' centroid, on its rows ``[a, b)``:
-    three nonzeros a row, the row's translation and the two rotations that
-    move its component. ``T`` is ``(6P, m)`` and block diagonal, with
-    ``Z T`` orthonormal on every rank; modes a rank's rows cannot carry are
-    dropped (:data:`MODE_RANK_TOL`), so ``m <= 6P``.
+    node at ``points[i]``, in aggregate ``aggregates[i]`` (labels
+    ``0 .. g - 1``). Returns ``(Z, T)``. ``Z`` is the ``(n, 6g)`` CSR whose
+    columns ``6a .. 6a + 5`` are aggregate ``a``'s three translations and
+    three rotations about its rows' centroid, on its own rows: three
+    nonzeros a row, the row's translation and the two rotations that move
+    its component. ``T`` is ``(6g, m)`` CSR and block diagonal, with
+    ``Z T`` orthonormal on every aggregate. It comes from one batched
+    eigen-decomposition of the aggregates' ``6 x 6`` Gram blocks
+    ``Z_a^T Z_a``; a mode whose eigenvalue is below :data:`MODE_RANK_TOL`
+    of its aggregate's largest is one the aggregate's rows cannot carry
+    (a single node carries no rotation) and is dropped, so ``m <= 6g``.
     """
     points = np.asarray(points, dtype=float)
     components = np.asarray(components, dtype=np.intp)
-    n, n_ranks = len(components), len(ranges)
-    lengths = ranges[:, 1] - ranges[:, 0]
-    rank = np.repeat(np.arange(n_ranks), lengths)
-    centroids = np.stack(
-        [np.bincount(rank, points[:, k], n_ranks) for k in range(3)], axis=1
-    ) / np.maximum(lengths, 1)[:, None]
-    x = points - centroids[rank]
+    labels = np.asarray(aggregates, dtype=np.intp)
+    n = len(components)
+    g = int(labels.max()) + 1 if n else 0
+    sizes = np.maximum(np.bincount(labels, minlength=g), 1)
+    centroids = np.stack([np.bincount(labels, points[:, k], g) for k in range(3)], axis=1)
+    x = points - (centroids / sizes[:, None])[labels]
     rows = np.arange(n)
     after, before = (components + 1) % 3, (components + 2) % 3
     # The rotation about axis k moves x by e_k x x: component c gains
     # x[c+2] from the rotation about c+1 and -x[c+1] from the one about c+2.
-    columns = np.stack([components, 3 + after, 3 + before], axis=1) + 6 * rank[:, None]
+    local = np.stack([components, 3 + after, 3 + before], axis=1)
     values = np.stack([np.ones(n), x[rows, before], -x[rows, after]], axis=1)
+    # Gram blocks by one bincount over every row's 3 x 3 outer product.
+    slots = 36 * labels[:, None, None] + 6 * local[:, :, None] + local[:, None, :]
+    outer = values[:, :, None] * values[:, None, :]
+    gram = np.bincount(slots.ravel(), outer.ravel(), 36 * g).reshape(g, 6, 6)
     z = sparse.csr_matrix(
-        (values.ravel(), columns.ravel(), np.arange(0, 3 * n + 1, 3)), shape=(n, 6 * n_ranks)
+        (values.ravel(), (local + 6 * labels[:, None]).ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(n, 6 * g),
     )
     z.sort_indices()
-    bases = []
-    for p, (a, b) in enumerate(ranges):
-        _, sigma, vt = np.linalg.svd(z[a:b, 6 * p : 6 * p + 6].toarray(), full_matrices=False)
-        keep = sigma > MODE_RANK_TOL * sigma.max(initial=0.0)
-        bases.append(vt[keep].T / sigma[keep])
-    return z, linalg.block_diag(*bases)
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    keep = eigenvalues > MODE_RANK_TOL * eigenvalues.max(axis=1, initial=0.0)[:, None]
+    column = np.cumsum(keep.ravel()).reshape(g, 6) - 1
+    a, i, j = np.nonzero(np.broadcast_to(keep[:, None, :], (g, 6, 6)))
+    basis = sparse.csr_matrix(
+        (vectors[a, i, j] / np.sqrt(eigenvalues[a, j]), (6 * a + i, column[a, j])),
+        shape=(6 * g, int(keep.sum())),
+    )
+    return z, basis
+
+
+def deflated_start(
+    matrix: RowBlockMatrix, b: np.ndarray, x0: np.ndarray | None, preconditioner, tol, telemetry
+) -> np.ndarray | None:
+    """The start ``x = Q b + (I - QK) x0`` of a solve deflated by ``preconditioner``.
+
+    ``x0`` itself when the preconditioner has no coarse space (one rank,
+    block Jacobi, none) or ``b`` is zero. Otherwise
+    ``x0 + Q (b - K x0)`` (``Q b`` without ``x0``): one coarse solve, whose
+    residual ``r`` has ``Z^T r = 0``. The Krylov loops keep it there,
+    because every preconditioned direction
+    (:meth:`DistributedCoarseCorrection.solve`) is ``K``-orthogonal to
+    ``Z``. ``b`` and ``x0`` are validated as the loops validate them.
+    """
+    if not getattr(preconditioner, "coarse_dim", 0):
+        return x0
+    b, x = checked_system(matrix.n, b, x0, tol)
+    if not np.any(b):
+        return x0
+    r = b if x0 is None else b - matrix.matvec(x, telemetry)
+    return x + preconditioner.coarse_correction(r, telemetry)
 
 
 class DistributedCoarseCorrection:
-    """Per-rank block FSAI balanced by a rigid-body coarse space.
+    """Per-rank block FSAI, deflated by rigid-body modes on aggregates.
 
     With ``B`` the per-rank block FSAI of ``matrix`` (``K``,
-    :class:`DistributedBlockFSAI`) and ``Z``
-    every rank's six rigid-body modes on its own rows
-    (:func:`rigid_body_modes`; ``points[i]`` and ``components[i]`` are the
-    node position and the component of row ``i``), the preconditioner is
-    the balancing form
+    :class:`DistributedBlockFSAI`) and ``Z`` six rigid-body modes on each
+    aggregate of about :data:`AGGREGATE_NODES` nodes
+    (:func:`aggregate_labels`, :func:`rigid_body_modes`; ``points[i]`` and
+    ``components[i]`` are the node position and the component of row
+    ``i``), the preconditioner is deflation (A-DEF2 of Tang, Nabben, Vuik
+    and Erlangga, J. Sci. Comput. 39, 2009)
 
-        ``M = (I - QK) B (I - KQ) + Q``,  ``Q = Z E^-1 Z^T``,  ``E = Z^T K Z``.
+        ``P r = (I - QK) B r``,  ``Q = Z E^-1 Z^T``,  ``E = Z^T K Z``,
 
-    ``Q`` solves exactly on the coarse space (``M K Z = Z``) and ``B``
-    works on its ``K``-orthogonal complement, so the low-energy modes
-    that the per-rank blocks cannot see no longer cost Krylov iterations.
+    started from ``x = Q b + (I - QK) x0`` (:func:`deflated_start`, which
+    :func:`distributed_cg` and :func:`distributed_gmres` call). From that
+    start every residual has ``Z^T r = 0``, where A-DEF2's ``+ Q r`` term
+    is zero, and on that subspace ``P`` is symmetric and positive
+    (``s^T P r = s^T B r``): CG runs on it with the iterations of the
+    balancing form ``(I - QK) B (I - KQ) + Q`` and one coarse solve an
+    application instead of two. The low-energy modes that the per-rank
+    blocks cannot see are solved exactly by the start and projected out of
+    every direction, so they cost no Krylov iterations.
     One rank's block cuts no coupling: with one rank there is no coarse
-    space (``coarse_dim == 0``) and ``M`` is ``B``. ``M`` is symmetric
-    positive definite at every rank count (``B`` and ``Q`` are, and the
-    two halves are each other's transpose), which is what lets the
-    pipeline solve with CG (:func:`distributed_cg`); set-up factors
-    nothing sparse.
+    space (``coarse_dim == 0``), no deflated start, and ``P`` is ``B``.
+    Set-up factors nothing sparse.
 
-    Set-up keeps ``Z`` and ``K Z`` as CSR matrices over all ranks (three
-    nonzeros a row of ``Z``; ``K Z`` only on rows that couple to another
-    rank or to the prescribed surface, :data:`KZ_DROP_TOL`) and the
-    coarse inverse ``T (T^T E T)^-1 T^T`` in ``Z``'s own columns, so an
-    application is four sparse products, two ``6P``-square products and
-    two vector updates over the whole vector, whatever the rank count,
-    and no extra matvec. The telemetry is charged for exactly that:
-    ``K Z`` (a six-wide halo exchange and the local products), the
-    reduction of ``E``, its factorization and inverse, replicated, at
-    set-up; per application two ``48 P``-byte all-reduces, two replicated
-    coarse products and the local products with ``Z`` and ``K Z``.
+    Set-up keeps ``Z`` and ``(K Z)^T`` as CSR matrices over all ranks
+    (three nonzeros a row of ``Z``; ``K Z`` only on rows that couple to
+    another aggregate or to the prescribed surface, :data:`KZ_DROP_TOL`)
+    and the coarse inverse ``T (T^T E T)^-1 T^T`` in ``Z``'s own columns.
+    An application is the block solve, a ``(K Z)^T`` product, one coarse
+    solve, a ``Z`` product and a vector update, and no extra matvec.
+    Aggregates nest inside ranks, so every column of ``Z`` is one rank's:
+    after the coarse all-reduce each rank applies only its own
+    aggregates' ``m_p`` rows of ``E^-1``. The telemetry is charged for
+    exactly that: ``K Z`` (a six-wide halo exchange and the local
+    products), the reduction of ``E``, its factorization and each rank's
+    rows of its inverse, at set-up; per application one ``8 m``-byte
+    all-reduce, ``2 m_p m`` coarse flops and the local products with ``Z``
+    and ``K Z``.
     """
 
     def __init__(
@@ -281,62 +354,76 @@ class DistributedCoarseCorrection:
         self.shape = matrix.shape
         self.modes = None
         self.coarse_dim = 0
-        if matrix.n_ranks > 1:
-            self._coarse_setup(matrix, points, components, telemetry)
         self._blocks = DistributedBlockFSAI(matrix, components, telemetry)
+        if matrix.n_ranks > 1:
+            self._coarse_setup(matrix, np.asarray(points, dtype=float), components, telemetry)
 
     def _coarse_setup(self, matrix, points, components, telemetry) -> None:
         with get_tracer().span(
             "coarse space setup", kind="solver", n_ranks=int(matrix.n_ranks)
         ) as span:
-            z, basis = self.modes = rigid_body_modes(points, components, matrix.ranges)
-            self.coarse_dim = basis.shape[1]
-            span.set(coarse_dim=self.coarse_dim)
+            labels = aggregate_labels(points, matrix.ranges)
+            z, basis = self.modes = rigid_body_modes(points, components, labels)
+            self.coarse_dim = m = basis.shape[1]
+            span.set(coarse_dim=m, aggregates=int(labels[-1]) + 1)
             kz = sparse.vstack([block @ z for block in matrix.local], format="csr")
-            coarse = basis.T @ (z.T @ kz).toarray() @ basis
-            # Replicated on every rank: E's Cholesky factor, applied as the
-            # explicit inverse it yields in Z's own columns (one 6P-square
-            # product per coarse solve, no triangular-solve call overhead).
-            factor = linalg.cho_factor(0.5 * (coarse + coarse.T))
-            self._coarse_inverse = basis @ linalg.cho_solve(factor, basis.T)
+            # E^-1 from its Cholesky factor, in place (LAPACK potrf + potri
+            # read and fill the upper triangle of the Fortran-ordered E^T,
+            # which is E), in Z's own columns: T E^-1 T^T, symmetric.
+            coarse = (basis.T @ (z.T @ kz) @ basis).toarray()
+            factor, info = lapack.dpotrf(coarse.T, overwrite_a=1)
+            if info == 0:
+                factor, info = lapack.dpotri(factor, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"the coarse matrix is not SPD (LAPACK info {info})")
+            inverse = np.triu(factor)
+            inverse += np.triu(inverse, 1).T
+            self._coarse_inverse = basis @ (basis @ inverse).T
             kz.data[np.abs(kz.data) <= KZ_DROP_TOL * np.abs(kz.data).max(initial=0.0)] = 0.0
             kz.eliminate_zeros()
-            self._z, self._zt, self._kz, self._kzt = z, z.T.tocsr(), kz, kz.T.tocsr()
+            self._z, self._kzt = z, kz.T.tocsr()
         starts = np.append(matrix.ranges[:, 0], matrix.n)
-        lengths = np.diff(starts).astype(float)
         kz_nnz = np.diff(kz.indptr[starts]).astype(float)
-        # Per-application charges: one Z and one KZ product per half, and
-        # a replicated 6P-square product per coarse solve.
-        self._half_flops = 6.0 * lengths + 2.0 * kz_nnz
-        self._coarse_flops = np.full(matrix.n_ranks, 2.0 * self._coarse_inverse.size)
+        # Each rank's kept modes m_p: the columns of T on its aggregates.
+        aggregate_rank = np.zeros(z.shape[1] // 6, dtype=np.intp)
+        aggregate_rank[labels] = np.repeat(np.arange(matrix.n_ranks), np.diff(starts))
+        columns = basis.tocsc()
+        column_rank = aggregate_rank[columns.indices[columns.indptr[:-1]] // 6]
+        owned = np.bincount(column_rank, minlength=matrix.n_ranks).astype(float)
+        # Per application: one Z and one (KZ)^T product, each rank's rows of
+        # E^-1; the start's Z^T product takes the (KZ)^T one's place.
+        self._products_flops = 6.0 * np.diff(starts) + 2.0 * kz_nnz
+        self._start_flops = 12.0 * np.diff(starts)
+        self._coarse_flops = 2.0 * m * owned
         if type(telemetry) is not NullTelemetry:
             # KZ: each rank imports six mode values per halo entry and
             # multiplies its rows by them; E's row blocks are summed across
-            # ranks and factored on every rank.
-            m = float(len(self._coarse_inverse))
+            # ranks and factored on every rank, which then forms its own
+            # rows of the inverse.
             telemetry.halo_exchange({k: 6.0 * v for k, v in matrix.halo_pairs.items()})
             telemetry.compute_all(6.0 * matrix.local_nnz + 12.0 * kz_nnz)
             telemetry.allreduce(8.0 * m * m)
-            telemetry.compute_all(np.full(matrix.n_ranks, m**3 / 3.0 + 2.0 * m**3))
+            telemetry.compute_all(m**3 / 3.0 + 2.0 * m * m * owned)
+
+    def coarse_correction(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
+        """``Q r = Z E^-1 Z^T r``: one coarse solve (the start's)."""
+        telemetry.compute_all(self._start_flops)
+        return self._z @ self._coarse_solve(self._z.T @ r, telemetry)
 
     def _coarse_solve(self, partials: np.ndarray, telemetry) -> np.ndarray:
         """``E^-1`` of a coarse vector summed over the ranks (one all-reduce)."""
-        telemetry.allreduce(8.0 * len(partials))
+        telemetry.allreduce(8.0 * self.coarse_dim)
         telemetry.compute_all(self._coarse_flops)
         return self._coarse_inverse @ partials
 
     def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
         if not self.coarse_dim:
             return self._blocks.solve(r, telemetry)
-        r = np.asarray(r, dtype=float)
-        telemetry.compute_all(self._half_flops)
-        c0 = self._coarse_solve(self._zt @ r, telemetry)
-        # B (I - KQ) r, with K Q r = (K Z) c0.
-        z_vec = self._blocks.solve(r - self._kz @ c0, telemetry)
-        # (I - QK) z + Q r = z + Z (c0 - E^-1 (KZ)^T z), since Z^T K = (KZ)^T.
-        telemetry.compute_all(self._half_flops)
-        z_vec += self._z @ (c0 - self._coarse_solve(self._kzt @ z_vec, telemetry))
-        return z_vec
+        y = self._blocks.solve(r, telemetry)
+        # (I - QK) y = y - Z E^-1 (KZ)^T y, since Z^T K = (KZ)^T.
+        telemetry.compute_all(self._products_flops)
+        y -= self._z @ self._coarse_solve(self._kzt @ y, telemetry)
+        return y
 
 
 class RankReduction:
@@ -432,6 +519,7 @@ def distributed_gmres(
     with get_tracer().span(
         "gmres", kind="solver", distributed=True, tol=tol, restart=restart
     ) as span:
+        x0 = deflated_start(matrix, b, x0, preconditioner, tol, telemetry)
         result = gmres_loop(
             matrix.n, b, x0, tol, restart, max_iter, raise_on_fail,
             lambda v: matrix.matvec(v, telemetry), _counted(preconditioner, telemetry, span),
@@ -463,6 +551,7 @@ def distributed_cg(
     ``gmres`` span and a ``preconditioner_applications`` count.
     """
     with get_tracer().span("cg", kind="solver", distributed=True, tol=tol) as span:
+        x0 = deflated_start(matrix, b, x0, preconditioner, tol, telemetry)
         result = cg_loop(
             matrix.n, b, x0, tol, max_iter, raise_on_fail,
             lambda v: matrix.matvec(v, telemetry), _counted(preconditioner, telemetry, span),

@@ -230,6 +230,20 @@ class TestInvalidation:
         assert warm.cache_hit
         assert np.abs(warm.displacement - cold.displacement).max() <= 1e-10
 
+    def test_a_scan_does_not_rehash_the_mesh(self, brain_mesh, surface_bc, monkeypatch):
+        """The fingerprint reads the mesh's cached digest; an in-place edit,
+        which the old per-scan hash caught, now raises."""
+        ctx = prepare_solve_context(brain_mesh, surface_bc.node_ids, 2)
+        hashed = []
+        digest = type(brain_mesh).digest
+        monkeypatch.setattr(
+            type(brain_mesh), "digest", lambda mesh: hashed.append(mesh._digest) or digest(mesh)
+        )
+        assert simulate_parallel(brain_mesh, surface_bc, 2, context=ctx).cache_hit
+        assert hashed and all(cached is not None for cached in hashed)
+        with pytest.raises(ValueError):
+            brain_mesh.nodes[0] += 1.0
+
     def test_explicit_invalidate(self, brain_mesh, surface_bc):
         ctx = prepare_solve_context(brain_mesh, surface_bc.node_ids, 2)
         ctx.invalidate()

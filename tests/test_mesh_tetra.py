@@ -60,6 +60,41 @@ class TestBasics:
             mesh.validate()
 
 
+class TestReadOnlyAndDigest:
+    """The mesh's arrays are read-only, so it hashes them once."""
+
+    def test_an_in_place_edit_raises(self):
+        mesh = two_tets()
+        with pytest.raises(ValueError):
+            mesh.nodes[0, 0] += 1.0
+        with pytest.raises(ValueError):
+            mesh.elements[0, 0] = 4
+        with pytest.raises(ValueError):
+            mesh.materials[:] = 7
+
+    def test_the_digest_is_computed_once(self, monkeypatch):
+        mesh = two_tets()
+        first = mesh.digest()
+        calls = []
+        monkeypatch.setattr(tetra.hashlib, "blake2b", lambda **kw: calls.append(kw))
+        assert mesh.digest() == first and calls == []
+
+    def test_an_equal_mesh_has_the_same_digest_and_an_edit_another(self):
+        mesh, again = two_tets(), two_tets()
+        assert mesh.digest() == again.digest() != unit_tet().digest()
+        moved = TetrahedralMesh(mesh.nodes + 0.5, mesh.elements, mesh.materials)
+        relabelled = TetrahedralMesh(mesh.nodes, mesh.elements, mesh.materials + 1)
+        assert len({mesh.digest(), moved.digest(), relabelled.digest()}) == 3
+
+    def test_an_assigned_array_is_frozen_and_hashed_afresh(self):
+        mesh = two_tets()
+        first = mesh.digest()
+        mesh.nodes = mesh.nodes * 2.0
+        assert mesh.digest() != first
+        with pytest.raises(ValueError):
+            mesh.nodes[0, 0] = 1.0
+
+
 class TestConnectivity:
     def test_edge_array_unique_sorted(self):
         edges = unit_tet().edge_array()
