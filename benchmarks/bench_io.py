@@ -2,7 +2,7 @@
 
 Two benchmark modules contribute to the same ``BENCH_hotpath.json`` — the
 cold-vs-warm (fresh build vs prepared context) hot-path comparison
-(``test_hotpath_reuse.py``) and the per-backend kernel columns
+(``test_hotpath_reuse.py``) and the kernel timing column
 (``test_kernels.py``) — so each writes by reading the existing record
 and replacing only its own top-level keys. ``results.txt`` holds every
 exhibit's table, and a bench session that runs some exhibits replaces

@@ -157,9 +157,9 @@ def run_hotpath_benchmark(system, tol: float = TOL, n_ranks: int = N_RANKS) -> d
             "n_ranks": n_ranks,
             "tol": tol,
         },
-        # Which compute backend produced this record; the per-backend
-        # kernel columns live under the separate "kernels" key (written
-        # by benchmarks/test_kernels.py into the same file).
+        # The record's provenance (always "numpy"); the kernel timings live
+        # under the separate "kernels" key (written by
+        # benchmarks/test_kernels.py into the same file).
         "backend": get_backend().name,
         "patient_model_build": run_patient_model_build(system, n_ranks),
         "scans": [],

@@ -691,18 +691,7 @@ def _add_soak_flags(
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
-    from repro.backend import available_backends
-
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help=(
-            "compute backend for the solver's mat-vec and block-preconditioner "
-            "kernels (default: auto-detect: numba if importable, else numpy)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help=cmd_pipeline.__doc__)
@@ -998,10 +987,6 @@ def main(argv=None) -> int:
     """Entry point: parse arguments and dispatch to the subcommand."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None):
-        from repro.backend import set_backend
-
-        set_backend(args.backend)
     return args.func(args)
 
 

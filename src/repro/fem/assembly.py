@@ -2,10 +2,9 @@
 
 Element stiffness matrices ``K_e = |V_e| B_e^T D_e B_e`` are computed in
 batches (:mod:`repro.fem.element`) and scatter-added into a canonical
-CSR pattern with ``np.add.at``; assembly does not go through the
-compute backend. DOF ordering is node-major (node ``n`` owns DOFs ``3n,
-3n+1, 3n+2``), which keeps each rank's rows contiguous under the node
-partitioners in :mod:`repro.mesh.partition`.
+CSR pattern with ``np.add.at``. DOF ordering is node-major (node ``n``
+owns DOFs ``3n, 3n+1, 3n+2``), which keeps each rank's rows contiguous
+under the node partitioners in :mod:`repro.mesh.partition`.
 
 The *symbolic* phase (:func:`node_pair_pattern`) derives the CSR
 sparsity pattern from topology alone and keeps, per element, only the

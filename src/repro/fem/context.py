@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from repro.backend import get_backend
 from repro.fem.assembly import (
     element_entry_slots,
     element_stiffness_matrices,
@@ -265,13 +264,9 @@ class SolveContext:
         (:meth:`repro.mesh.TetrahedralMesh.digest`; its arrays are
         read-only), so a scan does not re-hash it: a resected mesh is a
         new mesh with another digest, and a changed material map changes
-        the ``repr`` hashed beside it. The active
-        compute backend's identity is hashed too: the slots hold a block
-        apply prepared by that backend, which is never served to another
-        (the backends agree only to ~1e-10, not bit-exactly).
+        the ``repr`` hashed beside it.
         """
         h = hashlib.blake2b(digest_size=16)
-        h.update(b"backend:" + get_backend().name.encode())
         h.update(mesh.digest())
         h.update(repr(materials).encode())
         h.update(np.ascontiguousarray(bc_node_ids, dtype=np.int64).tobytes())

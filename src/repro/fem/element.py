@@ -9,10 +9,8 @@ constant and the stiffness integral reduces to ``V * B^T D B``.
 All routines operate on batches of elements at once, in plain numpy:
 the gradients are closed-form cross products of each element's edge
 vectors over its Jacobian determinant, the stiffness two batched BLAS
-``matmul`` calls, strain and stress one ``einsum`` each. None of them is
-a compute-backend kernel: together they are under 2 % of a paper-size
-run (DESIGN.md, "Removed: the element, accumulation and gather kernels
-of the backend seam").
+``matmul`` calls, strain and stress one ``einsum`` each: together they
+are under 2 % of a paper-size run.
 """
 
 from __future__ import annotations

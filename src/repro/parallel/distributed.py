@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
 from repro.util import ShapeError, ValidationError
 
@@ -117,10 +116,9 @@ class RowBlockMatrix:
             raise ShapeError(f"x must be ({self.n},), got {x.shape}")
         telemetry.halo_exchange(self.halo_pairs)
         telemetry.compute_all(2.0 * self.local_nnz)
-        backend = get_backend()
         out = np.empty(self.n)
         for block, (a, b) in zip(self.local, self.ranges):
-            backend.csr_matvec(block, x, out=out[a:b])
+            out[a:b] = block @ x
         return out
 
     def to_csr(self) -> sparse.csr_matrix:

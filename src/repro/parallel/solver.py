@@ -30,7 +30,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
-from repro.backend import get_backend
 from repro.machines.cost import NullTelemetry
 from repro.mesh.partition import coordinate_bisection
 from repro.obs.trace import get_tracer
@@ -141,12 +140,8 @@ class DistributedBlockJacobi:
             )
         _charge_factors(self, telemetry, FACTOR_FLOPS_PER_NNZ)
         self.shape = matrix.shape
-        # Backend-prepared block application + reused apply buffer: the
-        # apply path allocates nothing, and callers must not hold the
-        # returned vector across solve calls.
-        self._apply = get_backend().prepare_block_apply(
-            [(int(a), int(b)) for a, b in self._ranges], self._factors
-        )
+        # Reused apply buffer: callers must not hold the returned vector
+        # across solve calls.
         self._out = np.empty(matrix.n)
 
     @functools.cached_property
@@ -157,7 +152,9 @@ class DistributedBlockJacobi:
     def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
         _charge_factors(self, telemetry, SOLVE_FLOPS_PER_NNZ)
         r = np.asarray(r, dtype=float)
-        return self._apply(r, self._out)
+        for (a, b), factor in zip(self._ranges, self._factors):
+            self._out[a:b] = factor.solve(r[a:b])
+        return self._out
 
 
 class DistributedBlockFSAI:
@@ -203,9 +200,9 @@ class DistributedBlockFSAI:
 
     def solve(self, r: np.ndarray, telemetry=_NULL) -> np.ndarray:
         telemetry.compute_all(self._apply_flops)
-        backend = get_backend()
-        backend.csr_matvec(self._g, np.asarray(r, dtype=float), out=self._half)
-        return backend.csr_matvec(self._gt, self._half, out=self._out)
+        self._half[:] = self._g @ np.asarray(r, dtype=float)
+        self._out[:] = self._gt @ self._half
+        return self._out
 
 
 def aggregate_labels(points: np.ndarray, ranges: np.ndarray) -> np.ndarray:

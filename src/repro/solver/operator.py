@@ -2,10 +2,7 @@
 
 The solvers only ever need ``shape`` and ``matvec``; anything providing
 those works, including the distributed operators in
-:mod:`repro.parallel.distributed` whose matvec hides communication. A
-CSR matrix — the assembled stiffness, the solve loop's hot path — is
-multiplied by the compute backend's ``csr_matvec`` (:mod:`repro.backend`),
-one of the two kernels the backend keeps.
+:mod:`repro.parallel.distributed` whose matvec hides communication.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 from scipy import sparse
 
-from repro.backend import get_backend
 from repro.util import ShapeError
 
 
@@ -32,9 +28,9 @@ class LinearOperator(Protocol):
 class MatrixOperator:
     """Wrap a scipy sparse matrix (or dense array) as a LinearOperator.
 
-    CSR matrices — the assembled stiffness systems, i.e. the hot path —
-    are multiplied through the active compute backend's ``csr_matvec``
-    kernel; every other matrix type falls back to ``matrix @ x``.
+    A CSR matrix — the assembled stiffness, the solve loop's hot path —
+    multiplies ``x`` as a flat float vector; every other matrix type
+    multiplies it as given.
     """
 
     def __init__(self, matrix):
@@ -49,9 +45,7 @@ class MatrixOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._is_csr:
-            return get_backend().csr_matvec(
-                self._matrix, np.asarray(x, dtype=float).ravel()
-            )
+            return self._matrix @ np.asarray(x, dtype=float).ravel()
         y = self._matrix @ x
         return np.asarray(y).ravel()
 

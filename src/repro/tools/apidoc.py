@@ -64,16 +64,7 @@ def generate(out_path: Path) -> Path:
         "",
     ]
     for module_name in iter_modules():
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError:
-            # Optional-dependency module (e.g. the numba backend without
-            # numba installed): document its existence, not its members.
-            lines.append(f"### `{module_name}`")
-            lines.append("")
-            lines.append("(requires an optional dependency; not importable here)")
-            lines.append("")
-            continue
+        module = importlib.import_module(module_name)
         members = public_members(module)
         # Skip pure re-export package __init__ modules to avoid duplicates,
         # except the top-level package.

@@ -155,7 +155,11 @@ class TestNetworkRoundTrip:
             try:
                 assert client.submit(make_request(patient, "case-early"))["accepted"]
                 server.frontend.request_drain()
-                time.sleep(0.1)
+                # The drain hops onto the loop: wait until it has landed.
+                deadline = time.monotonic() + 10.0
+                while not client.ping()["draining"]:
+                    assert time.monotonic() < deadline, "the drain never reached the loop"
+                    time.sleep(0.01)
                 with pytest.raises(NetError, match="draining"):
                     client.submit(make_request(patient, "case-late"))
                 pong = client.ping()

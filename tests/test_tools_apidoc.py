@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.tools import apidoc
 from repro.tools.apidoc import generate, iter_modules, public_members
 
 
@@ -38,3 +39,10 @@ class TestApidoc:
         """No public class/function may lack a docstring."""
         text = generate(tmp_path / "API.md").read_text()
         assert "(undocumented)" not in text
+
+    def test_unimportable_module_raises(self, tmp_path, monkeypatch):
+        """A module that does not import fails the run instead of being listed."""
+        monkeypatch.setattr(apidoc, "iter_modules", lambda: ["repro", "repro.no_such_module"])
+        with pytest.raises(ImportError):
+            generate(tmp_path / "API.md")
+        assert not (tmp_path / "API.md").exists()
