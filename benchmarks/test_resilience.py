@@ -142,7 +142,7 @@ def check_acceptance(record: dict) -> None:
     assert scans[0]["level"] == "full-fem"
     # The faulted scan degrades with a fully populated report...
     assert scans[1]["level"] == "coarse-fem"
-    assert scans[1]["rungs_tried"][-1] == "gmres@1"
+    assert scans[1]["rungs_tried"][-1] == "cg@1"
     assert scans[1]["cause"] and scans[1]["faults"]
     # ...and the next clean scan returns to full-FEM on the cached context.
     assert scans[2]["level"] == "full-fem"

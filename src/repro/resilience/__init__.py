@@ -16,8 +16,8 @@ Modules
 :mod:`~repro.resilience.guards`
     Per-stage retry guards and boundary validators.
 :mod:`~repro.resilience.escalation`
-    The solver escalation ladder (``gmres``, retried once on one rank
-    as ``gmres@1`` after a rank failure).
+    The solver escalation ladder (``cg``, retried once on one rank
+    as ``cg@1`` after a rank failure).
 :mod:`~repro.resilience.degrade`
     Graceful-degradation fallbacks and the report attached to results.
 """

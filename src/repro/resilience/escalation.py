@@ -1,14 +1,14 @@
 """Solver escalation ladder for the biomechanical simulation stage.
 
-The ladder is one rung, ``gmres``: the pipeline's solve from zero — CG
+The ladder is one rung, ``cg``: the pipeline's solve from zero — CG
 with the pipeline's preconditioner
 (:data:`repro.parallel.solver.PIPELINE_PRECONDITIONER`, block FSAI with
 a rigid-body coarse space) on the shared context's cached matrices and
-preconditioner. The rung keeps the name ``gmres`` because journals and
-served records carry it.
+preconditioner. Journals written while the rungs were still named
+``gmres`` / ``gmres@1`` keep that text: they are read, never re-derived.
 
 A :class:`repro.util.RankFailure` — and only that — earns one retry,
-``gmres@1``: the same preconditioner (block FSAI alone, nothing factored)
+``cg@1``: the same preconditioner (block FSAI alone, nothing factored)
 on one rank with no machine model
 (dynamic resource substitution), on an *isolated* context so the shared
 per-patient cache fingerprint is never clobbered by the emergency
@@ -100,9 +100,9 @@ def solve_with_escalation(
 ) -> EscalationOutcome:
     """Run the biomechanical solve through the escalation ladder.
 
-    The ``gmres`` rung is the nominal :func:`repro.parallel.simulate_parallel`
+    The ``cg`` rung is the nominal :func:`repro.parallel.simulate_parallel`
     call — with no faults and a healthy system the ladder costs nothing
-    beyond it. ``deadline_s`` bounds the *whole* ladder: the ``gmres@1``
+    beyond it. ``deadline_s`` bounds the *whole* ladder: the ``cg@1``
     retry after a rank failure is never started once the allowance is
     spent (the first rung always runs).
 
@@ -192,7 +192,7 @@ def solve_with_escalation(
         return sim
 
     result = attempt(
-        "gmres", n_ranks=n_ranks, machine=machine, context=context, faults=injected
+        "cg", n_ranks=n_ranks, machine=machine, context=context, faults=injected
     )
     rank_failed = isinstance(result, RankFailure)
     if rank_failed:
@@ -205,10 +205,10 @@ def solve_with_escalation(
                 rank_failed=True,
                 cause=(
                     f"solve deadline exhausted after {elapsed:.2f} s "
-                    f"(> {deadline_s:.2f} s); rungs not tried: gmres@1"
+                    f"(> {deadline_s:.2f} s); rungs not tried: cg@1"
                 ),
             )
-        result = attempt("gmres@1", n_ranks=1, machine=None, context=None)
+        result = attempt("cg@1", n_ranks=1, machine=None, context=None)
     if isinstance(result, ReproError):
         return EscalationOutcome(
             simulation=None,

@@ -45,7 +45,6 @@ lane per shard worker.
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 import time
 from pathlib import Path
@@ -64,6 +63,7 @@ from repro.serving.protocol import (
     STATUS_REJECTED,
     CaseRequest,
     CaseResult,
+    retry_backoff,
 )
 from repro.serving.scheduler import Scheduler
 from repro.serving.shard import ConsistentHashRing, Shard
@@ -76,14 +76,8 @@ HANG_GRACE_FLOOR_S = 5.0
 #: at dispatch: a cold paper-size build plus its first scan is silent for
 #: about 5.6 s on a 2-vCPU machine, past :data:`HANG_GRACE_FLOOR_S`.
 BUILD_GRACE_FLOOR_S = 15.0
-
-
-def _retry_jitter(case_id: str, attempt: int) -> float:
-    """Deterministic jitter fraction in [0, 1) for a re-admission."""
-    digest = hashlib.blake2b(
-        f"{case_id}/{attempt}".encode(), digest_size=4
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**32
+#: Cap of the re-admission backoff (:func:`repro.serving.protocol.retry_backoff`).
+RETRY_CAP_S = 2.0
 
 
 class ShardGateway:
@@ -109,10 +103,11 @@ class ShardGateway:
     serving_faults:
         Optional :class:`repro.resilience.ServingFaultPlan`; due specs
         fire from the control loop (chaos drills).
-    retry_base_s / retry_cap_s:
-        Re-admission backoff: attempt ``k`` waits
-        ``min(cap, base * 2**(k-1))`` plus up to 25% deterministic
-        jitter before redispatch; a zero base re-admits at once.
+    retry_base_s:
+        Re-admission backoff base: attempt ``k`` waits
+        :func:`repro.serving.protocol.retry_backoff` of it, capped at
+        :data:`RETRY_CAP_S`, before redispatch; a zero base re-admits at
+        once.
     hang_timeout_s:
         Heartbeat-silence threshold for wedged-worker detection.
         ``None`` adapts from the EWMA estimates (never below 5 s), so
@@ -138,7 +133,7 @@ class ShardGateway:
         ``worker-<id>.json`` after every scan; the loop dumps
         ``<label>.json`` on evictions, deaths, hangs and failures). A
         temp directory is created when omitted and telemetry is on.
-    start_method / drain_dir:
+    drain_dir:
         Forwarded to every :class:`repro.serving.SessionWorkerPool`.
     """
 
@@ -167,13 +162,11 @@ class ShardGateway:
         shedding: SheddingLadder | None = None,
         serving_faults: ServingFaultPlan | None = None,
         retry_base_s: float = 0.1,
-        retry_cap_s: float = 2.0,
         hang_timeout_s: float | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         telemetry: bool = True,
         flight_dir: str | None = None,
-        start_method: str | None = None,
         drain_dir: str | None = None,
     ):
         if n_shards < 1:
@@ -199,17 +192,11 @@ class ShardGateway:
         self.faults = serving_faults
         self.max_attempts = int(max_attempts)
         self.retry_base_s = float(retry_base_s)
-        self.retry_cap_s = float(retry_cap_s)
         self.hang_timeout_s = hang_timeout_s
         self.shards: dict[int, Shard] = {}
         for shard_id in range(n_shards):
             self.shards[shard_id] = Shard(
-                shard_id,
-                SessionWorkerPool(
-                    workers_per_shard,
-                    start_method=start_method,
-                    drain_dir=drain_dir,
-                ),
+                shard_id, SessionWorkerPool(workers_per_shard, drain_dir=drain_dir)
             )
         self.ring = ConsistentHashRing(list(self.shards))
         self.results: dict[str, CaseResult] = {}
@@ -247,6 +234,12 @@ class ShardGateway:
 
     def _trace(self) -> Tracer:
         return self.tracer if self.tracer is not None else get_tracer()
+
+    def _note(self, name: str, **attrs) -> None:
+        """Record one serving decision, under one name and one attribute
+        set, in the control-plane flight ring and in the trace."""
+        self.flight.note(name, **attrs)
+        self._trace().event(name, **attrs)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -318,15 +311,17 @@ class ShardGateway:
         where: str | None = None,
         shard: int | None = None,
         worker: int | None = None,
+        dump: str | None = None,
         **fields,
     ) -> None:
         """The one terminal point for a case the loop itself ends.
 
         Evictions (queued, running, drain, drain-timeout) and failures
         (attempts exhausted, no live shards) all land here: count the
-        status, close the ``serve.case`` span, note the flight ring,
-        emit the event, write the terminal :class:`CaseResult` and clear
-        the case's bookkeeping. A case that was in flight lost its
+        status, close the ``serve.case`` span, note the decision, dump
+        the control-plane flight ring for ``dump`` (a reason) when
+        given, write the terminal :class:`CaseResult` and clear the
+        case's bookkeeping. A case that was in flight lost its
         worker — and with it the telemetry frame; the worker's last
         per-scan flight spool is the post-mortem the result points at.
         (Results a worker produced take :meth:`_record` instead.)
@@ -344,8 +339,9 @@ class ShardGateway:
                 self.metrics.counter("telemetry.frames_lost").inc()
             span_attrs["telemetry_lost"] = True
         self._close_case_span(case_id, **span_attrs)
-        self.flight.note(f"case.{status}", case=case_id, **at)
-        self._trace().event(f"serving.{status}", case=case_id, **at)
+        self._note(f"serving.{status}", case=case_id, **at)
+        if dump is not None:
+            self._dump_flight(dump, case=case_id, **at)
         self.results[case_id] = CaseResult(
             case_id=case_id,
             status=status,
@@ -398,17 +394,11 @@ class ShardGateway:
             request.shed_level = int(decision.level)
             self.metrics.counter("serving.shed").inc()
             self.metrics.counter(f"serving.shed[level={decision.level.label}]").inc()
-            self.flight.note(
-                "case.shed",
-                case=request.case_id,
-                level=decision.level.label,
-                pressure=round(decision.pressure, 3),
-            )
-            self._trace().event(
+            self._note(
                 "serving.shed",
                 case=request.case_id,
                 level=decision.level.label,
-                pressure=decision.pressure,
+                pressure=round(decision.pressure, 3),
             )
         preop_cached = self._model_resident(request.preop_key())
         # Deadline budget already burned before admission: network
@@ -437,10 +427,7 @@ class ShardGateway:
                 case_id=request.case_id,
                 n_scans=request.n_scans,
             )
-        self.flight.note(
-            "case.admitted", case=request.case_id, queue_depth=len(self.queue)
-        )
-        self._trace().event(
+        self._note(
             "serving.admitted",
             case=request.case_id,
             verdict=verdict.label if verdict is not None else "ok",
@@ -455,8 +442,7 @@ class ShardGateway:
         self.metrics.counter("serving.rejected").inc()
         if shed:
             self.metrics.counter("serving.shed_rejected").inc()
-        self.flight.note("case.rejected", case=request.case_id, detail=detail)
-        self._trace().event("serving.rejected", case=request.case_id, detail=detail)
+        self._note("serving.rejected", case=request.case_id, detail=detail)
         result = CaseResult(
             case_id=request.case_id, status=STATUS_REJECTED, detail=detail
         )
@@ -541,8 +527,7 @@ class ShardGateway:
         # ordinal — firing them here would silently eat them.
         for spec in self.faults.due(self.dispatched_total, kinds=SERVING_FAULTS):
             shard = self.shards.get(spec.shard)
-            self.flight.note("fault.fire", fault=spec.describe())
-            self._trace().event("serving.fault", fault=spec.describe())
+            self._note("serving.fault", fault=spec.describe())
             if shard is None or not shard.up:
                 continue
             if spec.kind == "kill-shard":
@@ -574,19 +559,13 @@ class ShardGateway:
             self.ring.remove(shard_id)
         self.metrics.counter("serving.shard_deaths").inc()
         self.metrics.counter(f"serving.deaths[shard={shard_id}]").inc()
-        self.flight.note(
-            "shard.death",
+        self._note(
+            "serving.shard_death",
             shard=shard_id,
             cause=cause,
             interrupted=[r.case_id for r in interrupted],
         )
         self._dump_flight("shard death", shard=shard_id, cause=cause)
-        self._trace().event(
-            "serving.shard_death",
-            shard=shard_id,
-            cause=cause,
-            interrupted=len(interrupted),
-        )
         for request in interrupted:
             self.metrics.counter("serving.failover").inc()
             self._readmit(request, f"shard {shard_id} died ({cause})", shard_id)
@@ -661,15 +640,13 @@ class ShardGateway:
         self.metrics.counter(f"serving.dispatch[shard={shard.shard_id}]").inc()
         wait = queued.waited()
         self.metrics.histogram("serving.queue_wait_seconds").observe(wait)
-        at = dict(
+        self._note(
+            "serving.dispatch",
             case=request.case_id,
             shard=shard.shard_id,
             worker=handle.worker_id,
             waited=wait,
-        )
-        self.flight.note("case.dispatch", **at)
-        self._trace().event(
-            "serving.dispatch", attempt=self._attempts[request.case_id], **at
+            attempt=self._attempts[request.case_id],
         )
 
     # -- results --------------------------------------------------------------
@@ -698,9 +675,7 @@ class ShardGateway:
         the gateway.
         """
         self.metrics.counter("serving.dropped_results").inc()
-        at = {"case": result.case_id, "shard": shard.shard_id}
-        self.flight.note("result.dropped", **at)
-        self._trace().event("serving.result_dropped", **at)
+        self._note("serving.result_dropped", case=result.case_id, shard=shard.shard_id)
         request = self._inflight.get(result.case_id)
         if request is None:
             # Nothing to replay (already resolved elsewhere): keep the
@@ -746,19 +721,19 @@ class ShardGateway:
                 for stage, seconds, _, _ in record.timeline:
                     m.histogram(f"budget.stage_seconds[stage={stage}]").observe(seconds)
         self._absorb_telemetry(result)
-        at = dict(
+        self._note(
+            "serving.case",
+            status=result.status,
             case=result.case_id,
             shard=shard.shard_id,
             worker=result.worker,
             scans=len(result.scans),
             seconds=result.service_seconds,
         )
-        self.flight.note("case." + result.status, **at)
         if result.status == STATUS_FAILED:
             self._dump_flight(
                 "case failed", case=result.case_id, detail=result.detail
             )
-        self._trace().event("serving.case", status=result.status, **at)
 
     def _absorb_telemetry(self, result: CaseResult) -> None:
         """Graft the worker's frame (its metrics with it); close the case span.
@@ -800,10 +775,8 @@ class ShardGateway:
                 f"deadline {request.deadline_s:.1f} s expired after "
                 f"{queued.waited():.1f} s in queue",
                 where="queued",
+                dump="deadline eviction",
                 queue_seconds=queued.waited(),
-            )
-            self._dump_flight(
-                "deadline eviction", case=request.case_id, where="queued"
             )
 
     def _enforce_running_deadlines(self) -> None:
@@ -815,13 +788,6 @@ class ShardGateway:
                 request = shard.pool.terminate_worker(handle.worker_id)
                 if request is None:
                     continue
-                self._dump_flight(
-                    "deadline eviction",
-                    case=request.case_id,
-                    where="running",
-                    shard=shard.shard_id,
-                    worker=handle.worker_id,
-                )
                 self._terminate(
                     request,
                     STATUS_EVICTED,
@@ -830,6 +796,7 @@ class ShardGateway:
                     where="running",
                     shard=shard.shard_id,
                     worker=handle.worker_id,
+                    dump="deadline eviction",
                 )
 
     def _readmit(
@@ -858,24 +825,18 @@ class ShardGateway:
             return
         self._inflight.pop(request.case_id, None)
         self._building.pop(request.case_id, None)
-        delay = min(self.retry_cap_s, self.retry_base_s * 2.0 ** (attempts - 1))
-        delay *= 1.0 + 0.25 * _retry_jitter(request.case_id, attempts)
+        delay = retry_backoff(
+            self.retry_base_s, RETRY_CAP_S, attempts, request.case_id
+        )
         self._not_before[request.case_id] = time.monotonic() + delay
         self.metrics.counter("serving.readmitted").inc()
         self.queue.requeue_front(request)
-        self.flight.note(
-            "case.readmit",
-            case=request.case_id,
-            cause=cause,
-            attempt=attempts + 1,
-            delay=round(delay, 3),
-        )
-        self._trace().event(
+        self._note(
             "serving.readmitted",
             case=request.case_id,
             cause=cause,
             attempt=attempts + 1,
-            delay=delay,
+            delay=round(delay, 3),
         )
 
     def _worker_lost(
@@ -888,9 +849,8 @@ class ShardGateway:
             "case": None if request is None else request.case_id,
             **extra,
         }
-        self.flight.note(f"worker.{what}", **at)
+        self._note(f"serving.worker_{what}", **at)
         self._dump_flight(f"worker {what}", **at)
-        self._trace().event(f"serving.worker_{what}", **at)
         if request is None:
             return
         who = self.worker_desc.format(worker=worker_id, shard=shard.shard_id)
@@ -1106,12 +1066,6 @@ class ShardGateway:
                 if handle.process.is_alive():
                     handle.process.terminate()
                     handle.process.join(timeout=2.0)
-                self._dump_flight(
-                    "drain timeout",
-                    case=request.case_id,
-                    shard=shard.shard_id,
-                    worker=handle.worker_id,
-                )
                 self._terminate(
                     request,
                     STATUS_EVICTED,
@@ -1120,6 +1074,7 @@ class ShardGateway:
                     where="drain-timeout",
                     shard=shard.shard_id,
                     worker=handle.worker_id,
+                    dump="drain timeout",
                 )
         self.metrics.counter("serving.drains").inc()
         self._closed = True

@@ -15,8 +15,8 @@ and carries every reliability duty the wire adds:
   so the server charges network transit and transport queuing against
   ``deadline_s`` rather than silently extending it.
 * **Capped-exponential retry with deterministic jitter** — connect and
-  RPC failures back off ``min(cap, base * 2**(attempt-1))`` plus a
-  BLAKE2b-derived jitter fraction, so a thousand replayed soaks retry
+  RPC failures back off :func:`repro.serving.protocol.retry_backoff`
+  (the gateway's re-admission delay), so a thousand replayed soaks retry
   at exactly the same instants.
 * **Circuit breaking** — repeated connect failures open a
   :class:`CircuitBreaker`; while open the client sleeps out the
@@ -34,13 +34,12 @@ gauge (0 closed / 1 half-open / 2 open).
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import time
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.protocol import CaseRequest, CaseResult
+from repro.serving.protocol import CaseRequest, CaseResult, retry_backoff
 from repro.serving.transport import (
     DIGEST_SIZE,
     HEADER,
@@ -74,13 +73,18 @@ BREAKER_HALF_OPEN = "half-open"
 BREAKER_OPEN = "open"
 _BREAKER_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 
-
-def _jitter(token: str, attempt: int) -> float:
-    """Deterministic jitter fraction in [0, 1) (mirrors the gateway's)."""
-    digest = hashlib.blake2b(
-        f"{token}/{attempt}".encode(), digest_size=4
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**32
+#: Socket budgets, seconds. An io timeout while waiting is treated as a
+#: connection failure: drop, reconnect, resubmit (safe under idempotency,
+#: and it doubles as a liveness check on the server).
+CONNECT_TIMEOUT_S = 2.0
+IO_TIMEOUT_S = 30.0
+#: Attempt budget per operation (connect loop, submit RPC, wait
+#: reconnect loop).
+MAX_RETRIES = 8
+#: Retry backoff (:func:`repro.serving.protocol.retry_backoff`): base and
+#: cap, seconds.
+RETRY_BASE_S = 0.05
+RETRY_CAP_S = 1.0
 
 
 @dataclass
@@ -149,50 +153,16 @@ class NetClient:
     reconnect resubmits all unresolved cases under their idempotency
     keys and the server's dedup layer guarantees single execution.
 
-    Parameters
-    ----------
-    host / port:
-        The front-end's listen address.
-    metrics:
-        Client-side registry for ``net.client.*`` series (own registry
-        by default).
-    connect_timeout / io_timeout:
-        Socket budgets. An io timeout while waiting is treated as a
-        connection failure: drop, reconnect, resubmit (safe under
-        idempotency, and it doubles as a liveness check on the server).
-    max_retries:
-        Attempt budget per operation (connect loop, submit RPC, wait
-        reconnect loop).
-    retry_base_s / retry_cap_s:
-        Capped-exponential backoff parameters; jitter adds up to 25%.
-    breaker:
-        Circuit breaker for connect failures (default: 3 failures,
-        1 s cooldown).
+    ``host`` / ``port`` is the front-end's listen address. The client's
+    ``net.client.*`` series land in its own :attr:`metrics` registry;
+    :attr:`breaker` (3 failures, 1 s cooldown) guards connects.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        metrics: MetricsRegistry | None = None,
-        connect_timeout: float = 2.0,
-        io_timeout: float = 30.0,
-        max_retries: int = 8,
-        retry_base_s: float = 0.05,
-        retry_cap_s: float = 1.0,
-        breaker: CircuitBreaker | None = None,
-        sleep=time.sleep,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = int(port)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.connect_timeout = float(connect_timeout)
-        self.io_timeout = float(io_timeout)
-        self.max_retries = int(max_retries)
-        self.retry_base_s = float(retry_base_s)
-        self.retry_cap_s = float(retry_cap_s)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._sleep = sleep
+        self.metrics = MetricsRegistry()
+        self.breaker = CircuitBreaker()
         self._sock: socket.socket | None = None
         self._tag = 0
         self._preops: dict[str, tuple] = {}  # preop_key -> (mri, labels)
@@ -208,9 +178,9 @@ class NetClient:
             _BREAKER_GAUGE[self.breaker.state]
         )
 
-    def _backoff(self, token: str, attempt: int) -> float:
-        delay = min(self.retry_cap_s, self.retry_base_s * 2.0 ** (attempt - 1))
-        return delay * (1.0 + 0.25 * _jitter(token, attempt))
+    def _pause(self, token: str, attempt: int) -> None:
+        """Sleep out the backoff before retry ``attempt`` of ``token``."""
+        time.sleep(retry_backoff(RETRY_BASE_S, RETRY_CAP_S, attempt, token))
 
     @property
     def connected(self) -> bool:
@@ -235,26 +205,26 @@ class NetClient:
                 # policy — a single-server client has nowhere to fail
                 # over to, it must just stop hammering.
                 self._gauge_breaker()
-                self._sleep(max(0.01, self.breaker.remaining_cooldown()))
+                time.sleep(max(0.01, self.breaker.remaining_cooldown()))
                 continue
             self._gauge_breaker()
             try:
                 sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.connect_timeout
+                    (self.host, self.port), timeout=CONNECT_TIMEOUT_S
                 )
             except OSError as exc:
                 self.breaker.record_failure()
                 self._gauge_breaker()
                 attempt += 1
                 self.metrics.counter("net.client.retries").inc()
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     raise NetError(
                         f"connect to {self.host}:{self.port} failed after "
                         f"{attempt} attempts: {exc}"
                     ) from exc
-                self._sleep(self._backoff("connect", attempt))
+                self._pause("connect", attempt)
                 continue
-            sock.settimeout(self.io_timeout)
+            sock.settimeout(IO_TIMEOUT_S)
             self._sock = sock
             # A fresh connection may be a fresh server: forget what we
             # believe it holds and re-negotiate preops on demand.
@@ -414,20 +384,20 @@ class NetClient:
                 self._drop_connection()
                 attempt += 1
                 self.metrics.counter("net.client.retries").inc()
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     self._unresolved.pop(case_id, None)
                     raise NetError(
                         f"submit of {case_id!r} failed after {attempt} "
                         f"attempts: {exc}"
                     ) from exc
-                self._sleep(self._backoff(case_id, attempt))
+                self._pause(case_id, attempt)
                 continue
             if ack.get("need_preop"):
                 # Raced a server restart between check and submit:
                 # forget, re-negotiate, resend.
                 self._uploaded.discard(payload["preop_key"])
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     self._unresolved.pop(case_id, None)
                     raise NetError(
                         f"submit of {case_id!r}: server kept demanding the "
@@ -488,13 +458,13 @@ class NetClient:
             except (OSError, FrameError, NetError):
                 self._drop_connection()
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     raise NetError(
                         f"connection to {self.host}:{self.port} kept failing "
                         f"({attempt} attempts) with "
                         f"{sorted(self._unresolved)} unresolved"
                     )
-                self._sleep(self._backoff("wait", attempt))
+                self._pause("wait", attempt)
                 continue
             if rtype == T_RESULT:
                 self._absorb_result(robj)

@@ -49,6 +49,7 @@ from repro.serving.protocol import (
     STATUS_FAILED,
     CaseRequest,
     CaseResult,
+    retry_backoff,
     served_status,
 )
 from repro.util import ValidationError
@@ -58,6 +59,20 @@ from repro.util.memory import LRUStore
 #: byte budget either never bites on small models or thrashes on
 #: paper-sized ones (DESIGN.md, "What a patient model holds").
 PREOP_CACHE_MODELS = 4
+#: ``multiprocessing`` start method: ``fork`` where the platform has it
+#: (instant worker spawn, inherits the parent's imports), else the
+#: platform default.
+START_METHOD = (
+    "fork"
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_all_start_methods()[0]
+)
+#: Seconds between an idle worker's heartbeats.
+HEARTBEAT_S = 0.5
+#: Respawn backoff of a crash-looping slot
+#: (:func:`repro.serving.protocol.retry_backoff`): base and cap, seconds.
+RESPAWN_BASE_S = 0.5
+RESPAWN_CAP_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -331,7 +346,7 @@ def _worker_main(
     result_queue,
     drain_event,
     drain_dir,
-    heartbeat_s: float = 0.5,
+    heartbeat_s: float,
 ):
     """Worker process entry point: serve cases until told to stop.
 
@@ -428,44 +443,20 @@ class SessionWorkerPool:
     n_workers:
         Worker process count (each a separate interpreter — solves run
         GIL-free).
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (instant worker spawn, inherits the parent's imports) and falls
-        back to the platform default elsewhere.
     drain_dir:
         Spool directory where drained non-durable cases are
         checkpointed; a temp directory is created when omitted.
     """
 
-    #: Extra respawn-backoff fraction randomized (deterministically) per
-    #: slot, so a correlated crash of several workers does not respawn
-    #: them in lockstep.
-    RESPAWN_JITTER = 0.25
-
-    def __init__(
-        self,
-        n_workers: int,
-        start_method: str | None = None,
-        drain_dir: str | None = None,
-        heartbeat_s: float = 0.5,
-        respawn_base_s: float = 0.5,
-        respawn_cap_s: float = 8.0,
-    ):
+    def __init__(self, n_workers: int, drain_dir: str | None = None):
         if n_workers < 1:
             raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self.drain_dir = (
             drain_dir
             if drain_dir is not None
             else tempfile.mkdtemp(prefix="repro-serving-drain-")
         )
-        self.heartbeat_s = float(heartbeat_s)
-        self.respawn_base_s = float(respawn_base_s)
-        self.respawn_cap_s = float(respawn_cap_s)
         self.result_queue = self._ctx.Queue()
         self.drain_event = self._ctx.Event()
         self.workers: list[WorkerHandle] = []
@@ -496,7 +487,7 @@ class SessionWorkerPool:
                 self.result_queue,
                 self.drain_event,
                 self.drain_dir,
-                self.heartbeat_s,
+                HEARTBEAT_S,
             ),
             daemon=True,
             name=f"repro-serving-worker-{worker_id}",
@@ -602,15 +593,6 @@ class SessionWorkerPool:
 
     # -- failure handling ----------------------------------------------------
 
-    def _backoff_delay(self, worker_id: int, crashes: int) -> float:
-        """Respawn delay for the ``crashes``-th consecutive crash (>= 2)."""
-        delay = min(self.respawn_cap_s, self.respawn_base_s * 2.0 ** (crashes - 2))
-        # Deterministic jitter: cheap hash of (slot, crash ordinal), no
-        # RNG state to carry — the same drill always schedules the same
-        # respawn times.
-        frac = ((worker_id * 2654435761 + crashes * 40503) % 997) / 997.0
-        return delay * (1.0 + self.RESPAWN_JITTER * frac)
-
     def reap(self) -> list[tuple[int, CaseRequest | None]]:
         """Find dead workers, return interrupted work, schedule respawns.
 
@@ -621,8 +603,10 @@ class SessionWorkerPool:
 
         The first crash of a slot respawns immediately (fast recovery for
         the common isolated death); consecutive crashes of the same slot
-        back off exponentially with jitter, capped at ``respawn_cap_s``,
-        so a crash-looping worker cannot spin the control loop. Deferred
+        back off (:func:`repro.serving.protocol.retry_backoff` of
+        :data:`RESPAWN_BASE_S`, capped at :data:`RESPAWN_CAP_S`, jittered
+        per slot so a correlated crash does not respawn in lockstep), so a
+        crash-looping worker cannot spin the control loop. Deferred
         respawns happen in :meth:`maintain`. Respawned workers start with
         an empty preop cache.
         """
@@ -642,8 +626,8 @@ class SessionWorkerPool:
                 self.workers.append(self._spawn(handle.worker_id))
                 self.respawns += 1
             else:
-                self._respawn_due[handle.worker_id] = now + self._backoff_delay(
-                    handle.worker_id, crashes
+                self._respawn_due[handle.worker_id] = now + retry_backoff(
+                    RESPAWN_BASE_S, RESPAWN_CAP_S, crashes - 1, handle.worker_id
                 )
         return interrupted
 

@@ -18,6 +18,7 @@ the server's metrics aggregate.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,21 @@ def served_status(labels) -> tuple[str, list[str]]:
     full = DegradationLevel.FULL_FEM.label
     degraded = sorted({label for label in labels if label not in (None, full)})
     return (STATUS_DEGRADED if degraded else STATUS_COMPLETED), degraded
+
+
+def retry_backoff(base: float, cap: float, attempt: int, token) -> float:
+    """The serving tier's one retry delay: capped exponential, jittered.
+
+    Attempt ``k`` (>= 1) waits ``min(cap, base * 2**(k-1))`` scaled by
+    ``1 + 0.25 * j``, where ``j`` in [0, 1) is the BLAKE2b digest of
+    ``f"{token}/{attempt}"``: a replayed drill retries at the same
+    instants, and retries of different tokens do not move in lockstep. A
+    zero ``base`` waits 0. The gateway's re-admission, the client's
+    connect/submit/wait retries and the pool's respawn all wait this.
+    """
+    digest = hashlib.blake2b(f"{token}/{attempt}".encode(), digest_size=4).digest()
+    jitter = int.from_bytes(digest, "big") / 2**32
+    return min(cap, base * 2.0 ** (attempt - 1)) * (1.0 + 0.25 * jitter)
 
 
 @dataclass

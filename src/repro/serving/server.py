@@ -60,7 +60,6 @@ class SessionServer(ShardGateway):
         tracer: Tracer | None = None,
         telemetry: bool = True,
         flight_dir: str | None = None,
-        start_method: str | None = None,
         drain_dir: str | None = None,
     ):
         super().__init__(
@@ -76,7 +75,6 @@ class SessionServer(ShardGateway):
             tracer=tracer,
             telemetry=telemetry,
             flight_dir=flight_dir,
-            start_method=start_method,
             drain_dir=drain_dir,
         )
 

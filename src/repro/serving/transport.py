@@ -106,6 +106,18 @@ PREOP_STORE_PATIENTS = 8
 #: intensities to 0.95 (3 ms per 72 KiB scan for 5 %).
 CODEC_PROBE_BYTES = 8192
 CODEC_PROBE_RATIO = 0.9
+#: Gateway poll per pump cycle (the tick's bounded block), seconds.
+POLL_SECONDS = 0.02
+#: An idle pump still ticks the gateway this often (heartbeats,
+#: maintenance); a submit wakes it at once.
+PUMP_IDLE_S = 0.02
+#: Budget for a SIGTERM drain: pending work gets this long to finish
+#: before the gateway drain checkpoints the remainder.
+DRAIN_TIMEOUT_S = 30.0
+#: Readiness threshold on pump age: if the executor has not completed a
+#: cycle for this long the front-end itself counts as wedged and
+#: readiness goes false.
+PUMP_STALE_S = 5.0
 
 T_PING = 1  #: health probe -> T_PONG
 T_PONG = 2
@@ -144,21 +156,18 @@ def _frame_digest(header: bytes, payload: bytes) -> bytes:
 
 
 def encode_frame(ftype: int, payload_obj, flags: int = 0) -> bytes:
-    """One complete wire frame for ``payload_obj`` (pickled)."""
-    if ftype not in FRAME_TYPES:
-        raise FrameError(
-            f"unknown frame type {ftype} (valid: {sorted(FRAME_TYPES)})"
-        )
+    """One complete wire frame for ``payload_obj`` (pickled).
+
+    The header passes the reader's own checks (:func:`parse_header`: a
+    known type, a length under :data:`MAX_FRAME_BYTES`) before it is sent.
+    """
     payload = pickle.dumps(payload_obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame payload {len(payload)} bytes exceeds cap {MAX_FRAME_BYTES}"
-        )
     header = HEADER.pack(MAGIC, ftype, flags, len(payload))
+    parse_header(header)
     return header + payload + _frame_digest(header, payload)
 
 
-def parse_header(header: bytes, max_bytes: int = MAX_FRAME_BYTES) -> tuple[int, int, int]:
+def parse_header(header: bytes) -> tuple[int, int, int]:
     """Validate a frame header; returns ``(type, flags, payload_length)``."""
     if len(header) != HEADER.size:
         raise FrameError(
@@ -171,8 +180,8 @@ def parse_header(header: bytes, max_bytes: int = MAX_FRAME_BYTES) -> tuple[int, 
         raise FrameError(
             f"unknown frame type {ftype} (valid: {sorted(FRAME_TYPES)})"
         )
-    if length > max_bytes:
-        raise FrameError(f"frame length {length} exceeds cap {max_bytes}")
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
     return ftype, flags, length
 
 
@@ -213,7 +222,7 @@ def decode_frame(data: bytes, offset: int = 0):
     return ftype, flags, finish_frame(header, body), end
 
 
-async def read_frame(reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES):
+async def read_frame(reader: asyncio.StreamReader):
     """Read one frame from an asyncio stream.
 
     Returns ``(type, flags, payload_obj, frame_bytes)``. A clean EOF at
@@ -231,7 +240,7 @@ async def read_frame(reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BY
                 "bytes before EOF)"
             ) from exc
         raise
-    ftype, flags, length = parse_header(header, max_bytes)
+    ftype, flags, length = parse_header(header)
     try:
         body = await reader.readexactly(length + DIGEST_SIZE)
     except asyncio.IncompleteReadError as exc:
@@ -383,15 +392,6 @@ class NetworkFrontEnd:
         Optional :class:`repro.resilience.ServingFaultPlan`; only its
         :data:`~repro.resilience.faults.WIRE_FAULTS` kinds are consumed
         here (by submit ordinal) — gateway kinds stay for the gateway.
-    poll_seconds:
-        Gateway poll per pump cycle (the tick's bounded block).
-    drain_timeout_s:
-        Budget for a SIGTERM drain: pending work gets this long to
-        finish before the gateway drain checkpoints the remainder.
-    pump_stale_s:
-        Readiness threshold on pump age: if the executor has not
-        completed a cycle for this long the front-end itself counts as
-        wedged and readiness goes false.
     """
 
     def __init__(
@@ -400,22 +400,12 @@ class NetworkFrontEnd:
         host: str = "127.0.0.1",
         port: int = 0,
         wire_faults: ServingFaultPlan | None = None,
-        poll_seconds: float = 0.02,
-        pump_idle_s: float = 0.02,
-        drain_timeout_s: float = 30.0,
-        pump_stale_s: float = 5.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
     ):
         self.gateway = gateway
         self.metrics: MetricsRegistry = gateway.metrics
         self.host = host
         self.port = int(port)
         self.wire_faults = wire_faults
-        self.poll_seconds = float(poll_seconds)
-        self.pump_idle_s = float(pump_idle_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.pump_stale_s = float(pump_stale_s)
-        self.max_frame_bytes = int(max_frame_bytes)
         # Event-loop-owned state.
         self._preops = LRUStore(PREOP_STORE_PATIENTS)  # key -> (mri, labels)
         self._inbox: deque[CaseRequest] = deque()
@@ -539,7 +529,7 @@ class NetworkFrontEnd:
         """Begin a graceful drain (signal handler / programmatic).
 
         New submissions are refused (``draining``), pending cases get
-        :attr:`drain_timeout_s` to reach a terminal status through the
+        :data:`DRAIN_TIMEOUT_S` to reach a terminal status through the
         pump, then the gateway drains (checkpointing in-flight work) and
         the listener closes. Idempotent. Called off the loop's thread,
         it hops onto the loop, which is where the drain runs.
@@ -560,7 +550,7 @@ class NetworkFrontEnd:
             return False
 
     async def _drain(self) -> None:
-        deadline = time.monotonic() + self.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while (self._pending or self._inbox) and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         self._pump_stop = True
@@ -611,7 +601,7 @@ class NetworkFrontEnd:
             if refused is not None:
                 self._resolved.append(refused)
         try:
-            working = self.gateway.tick(self.poll_seconds)
+            working = self.gateway.tick(POLL_SECONDS)
         finally:
             self._resolved += [
                 self.gateway.results[i] for i in self.gateway.terminal_ids
@@ -633,14 +623,14 @@ class NetworkFrontEnd:
                 working = None
             await self._publish()
             if working is None:
-                await asyncio.sleep(self.pump_idle_s)
+                await asyncio.sleep(PUMP_IDLE_S)
                 continue
             self._health, self._health_at = health, time.monotonic()
             if not working and not batch and not self._inbox:
-                # Idle: the tick still runs every pump_idle_s (heartbeats,
+                # Idle: the tick still runs every PUMP_IDLE_S (heartbeats,
                 # maintenance), but a submit does not wait the sleep out.
                 with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(self._wake.wait(), self.pump_idle_s)
+                    await asyncio.wait_for(self._wake.wait(), PUMP_IDLE_S)
 
     async def _publish(self) -> None:
         """Push the results a pump cycle (or the drain) left in ``_resolved``."""
@@ -671,9 +661,7 @@ class NetworkFrontEnd:
         try:
             while True:
                 try:
-                    ftype, _, payload, nbytes = await read_frame(
-                        reader, self.max_frame_bytes
-                    )
+                    ftype, _, payload, nbytes = await read_frame(reader)
                 except FrameError as exc:
                     # The stream can no longer be trusted (lost sync /
                     # corruption): report and drop the connection.
@@ -730,7 +718,7 @@ class NetworkFrontEnd:
             if self._health_at == 0.0
             else time.monotonic() - self._health_at
         )
-        stale = staleness > self.pump_stale_s
+        stale = staleness > PUMP_STALE_S
         live = bool(snapshot.get("live")) and not stale
         ready = live and bool(snapshot.get("ready")) and not self._draining
         if self._draining:
@@ -809,6 +797,12 @@ class NetworkFrontEnd:
     async def _admit(self, conn: _Conn, tag, case_id: str, **fields) -> None:
         await self._send(conn, T_ADMIT, {"tag": tag, "case_id": case_id, **fields})
 
+    async def _refuse(self, conn: _Conn, tag, case_id: str, detail: str, **fields) -> None:
+        """Answer a submission the transport does not admit."""
+        await self._admit(
+            conn, tag, case_id, accepted=False, dedup="none", detail=detail, **fields
+        )
+
     async def _on_submit(self, conn: _Conn, payload: dict) -> None:
         ordinal = self._submit_total
         self._submit_total += 1
@@ -880,50 +874,30 @@ class NetworkFrontEnd:
                 await self._send_result(conn, key, result)
                 return
         if self._draining:
-            await self._admit(
-                conn,
-                tag,
-                case_id,
-                accepted=False,
-                dedup="none",
-                detail="draining: not accepting new cases",
-            )
+            self.metrics.counter("serving.rejected").inc()
+            await self._refuse(conn, tag, case_id, "draining: not accepting new cases")
             return
         preop = self._preops.get(payload.get("preop_key"))
         if preop is None:
-            await self._admit(
-                conn,
-                tag,
-                case_id,
-                accepted=False,
+            # The upload handshake, not a refusal: the client uploads and
+            # resubmits.
+            await self._refuse(
+                conn, tag, case_id, "preop model not uploaded for this key",
                 need_preop=True,
-                dedup="none",
-                detail="preop model not uploaded for this key",
             )
             return
         try:
             request = decode_submit(payload, preop)
         except (FrameError, ValidationError, KeyError, ValueError, TypeError) as exc:
-            await self._admit(
-                conn,
-                tag,
-                case_id,
-                accepted=False,
-                dedup="none",
-                detail=f"bad submit: {exc}",
-            )
+            await self._refuse(conn, tag, case_id, f"bad submit: {exc}")
             return
         if request.preop_key() != payload.get("preop_key"):
             # The claimed key binds volumes *and* config; a mismatch
             # means the submitted config does not match what the key was
             # derived from — refusing protects the routing/cache layers.
-            await self._admit(
-                conn,
-                tag,
-                case_id,
-                accepted=False,
-                dedup="none",
-                detail="preop key mismatch (volumes/config do not hash to key)",
+            await self._refuse(
+                conn, tag, case_id,
+                "preop key mismatch (volumes/config do not hash to key)",
             )
             return
         self._pending[key] = case_id

@@ -181,11 +181,13 @@ class TestParentSeesWorkerTruth:
     @settings(max_examples=150, deadline=None)
     @given(ops=OPS, bound=st.integers(1, 3))
     def test_resident_bounded_in_hand_kept_parent_equals_truth(self, ops, bound):
-        with mock.patch.object(pool_module, "PREOP_CACHE_MODELS", bound):
+        with mock.patch.object(
+            pool_module, "PREOP_CACHE_MODELS", bound
+        ), mock.patch.object(pool_module, "RESPAWN_BASE_S", 0.0):
             self.check(ops, bound)
 
     def check(self, ops, bound):
-        pool = _StubPool(3, drain_dir="unused", respawn_base_s=0.0)
+        pool = _StubPool(3, drain_dir="unused")
         pool.result_queue = queue.Queue()
         scheduler = Scheduler()
         for n, (op, worker_id, patient) in enumerate(ops):

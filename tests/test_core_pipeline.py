@@ -312,8 +312,8 @@ class TestOneScanRunner:
             ]
         assert runs[True] == runs[False]
         first, later = runs[False]
-        assert first[3:] == ("full-fem", ["gmres"], False)
-        assert later[3:] == ("full-fem", ["gmres"], False)
+        assert first[3:] == ("full-fem", ["cg"], False)
+        assert later[3:] == ("full-fem", ["cg"], False)
 
     @pytest.mark.parametrize("stage", GUARDED_STAGES)
     @pytest.mark.parametrize("enabled, attempts", [(False, 1), (True, 2)])

@@ -32,6 +32,7 @@ from repro.serving import (
     NetError,
     NetworkFrontEnd,
     ShardGateway,
+    transport,
 )
 
 SHAPE = (16, 16, 12)
@@ -165,6 +166,9 @@ class TestNetworkRoundTrip:
                 pong = client.ping()
                 assert pong["draining"] and not pong["ready"]
                 assert pong["reason"] == "draining"
+                # The refusal is counted: an SLO report sees the case
+                # turned away during the drain.
+                assert server.counter("serving.rejected") == 1
             finally:
                 release.set()
                 client.close()
@@ -193,12 +197,11 @@ class TestNetworkRoundTrip:
 
 
 class TestIdleWake:
-    def test_submit_wakes_an_idle_pump(self, patient):
+    def test_submit_wakes_an_idle_pump(self, patient, monkeypatch):
         """An idle pump waits on the inbox, not on a timer: with a 5 s idle
         tick a case still turns round in the time its scan takes."""
-        server = _Server()
-        server.frontend.pump_idle_s = 5.0
-        with server:
+        monkeypatch.setattr(transport, "PUMP_IDLE_S", 5.0)
+        with _Server() as server:
             client = NetClient("127.0.0.1", server.port)
             try:
                 # Pay the upload and the patient-model build first.

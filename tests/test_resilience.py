@@ -170,7 +170,7 @@ class TestEscalationLadder:
     def test_clean_solve_takes_one_rung(self, brain_mesh, brain_bc):
         outcome = solve_with_escalation(brain_mesh, brain_bc, tol=1e-7)
         assert outcome.succeeded
-        assert outcome.rungs_tried == ["gmres"]
+        assert outcome.rungs_tried == ["cg"]
         assert not outcome.escalated
 
     def test_stagnation_exhausts_every_rung(self, brain_mesh, brain_bc):
@@ -179,7 +179,7 @@ class TestEscalationLadder:
             brain_mesh, brain_bc, tol=1e-7, faults=plan, scan_index=0
         )
         assert not outcome.succeeded
-        assert outcome.rungs_tried == ["gmres"]
+        assert outcome.rungs_tried == ["cg"]
         assert "exhausted" in outcome.cause
         assert all(not a.ok for a in outcome.attempts)
 
@@ -207,9 +207,9 @@ class TestEscalationLadder:
         )
         assert not outcome.succeeded
         assert outcome.rank_failed
-        assert outcome.rungs_tried == ["gmres"]
+        assert outcome.rungs_tried == ["cg"]
         assert "deadline" in outcome.cause
-        assert outcome.cause.endswith("rungs not tried: gmres@1")
+        assert outcome.cause.endswith("rungs not tried: cg@1")
 
     def test_kill_rank_triggers_resource_substitution(self, brain_mesh, brain_bc):
         plan = FaultPlan.parse("0:kill-rank=1", seed=0)
@@ -221,11 +221,11 @@ class TestEscalationLadder:
         assert outcome.attempts[0].error is not None
         assert "RankFailure" in outcome.attempts[0].error
         # Rescued by the retry, on one rank.
-        assert outcome.rungs_tried == ["gmres", "gmres@1"]
+        assert outcome.rungs_tried == ["cg", "cg@1"]
         assert outcome.simulation.system.matrix.n_ranks == 1
 
     def test_rank_failure_rescue_is_the_one_rank_solve(self, brain_mesh, brain_bc):
-        """``gmres@1`` is the pipeline's own solve on one rank (block FSAI
+        """``cg@1`` is the pipeline's own solve on one rank (block FSAI
         and CG), bit for bit."""
         plan = FaultPlan.parse("0:kill-rank=1", seed=0)
         outcome = solve_with_escalation(
@@ -271,10 +271,10 @@ class TestNoScanPathFactors:
         plan = FaultPlan.parse("1:kill-rank=1;2:stagnate-solver", seed=7)
         session = run_session(small_case, fast_config(n_ranks=4, fault_plan=plan), n_scans=3)
         clean, rescued, coarse = (r.degradation for r in session.history)
-        assert clean.level is DegradationLevel.FULL_FEM and clean.rungs_tried == ["gmres"]
+        assert clean.level is DegradationLevel.FULL_FEM and clean.rungs_tried == ["cg"]
         assert session.preop.solve_context.slots["matrix"].n_ranks == 4
         assert rescued.level is DegradationLevel.FULL_FEM
-        assert rescued.rungs_tried == ["gmres", "gmres@1"]
+        assert rescued.rungs_tried == ["cg", "cg@1"]
         assert coarse.level is DegradationLevel.COARSE_FEM
         assert session.history[2].simulation.solver.converged
 
@@ -301,7 +301,7 @@ class TestDegradationLevels:
         clean0, faulty, clean2 = (r.degradation for r in session.history)
         assert clean0.level is DegradationLevel.FULL_FEM
         assert faulty.level is DegradationLevel.COARSE_FEM
-        assert faulty.rungs_tried == ["gmres", "gmres@1"]
+        assert faulty.rungs_tried == ["cg", "cg@1"]
         assert faulty.cause and "exhausted" in faulty.cause
         assert len(faulty.faults) == 2
         # The degraded field is still a usable, finite displacement.

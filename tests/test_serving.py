@@ -559,7 +559,7 @@ class TestServingTelemetry:
         server_kinds = [
             e["kind"] for e in load_flight_dump(server_dump)["entries"]
         ]
-        assert "worker.death" in server_kinds
+        assert "serving.worker_death" in server_kinds
 
 
 # -- bench report ------------------------------------------------------------

@@ -118,7 +118,7 @@ class TestOneLoop:
     def test_server_is_a_configuration_not_a_mode(self):
         server = inspect.signature(SessionServer.__init__).parameters
         gateway = inspect.signature(ShardGateway.__init__).parameters
-        assert len(server) - 1 == 10 and len(gateway) - 1 == 16
+        assert len(server) - 1 == 9 and len(gateway) - 1 == 14
         # Nothing but the constructor, the pool accessor and five label
         # strings is the server's own.
         own = {k for k in vars(SessionServer) if not k.startswith("__")}

@@ -40,6 +40,8 @@ from repro.serving import (
     ShardGateway,
     SheddingLadder,
 )
+from repro.serving import pool as pool_module
+from repro.serving.protocol import retry_backoff
 from repro.serving.soak import run_serial
 from repro.util import ValidationError
 
@@ -265,13 +267,35 @@ class TestDegradationFloor:
         assert any("image stages skipped" in n for n in second.degradation.notes)
 
 
+# -- retry backoff -----------------------------------------------------------
+
+
+class TestRetryBackoff:
+    def test_capped_doubling_with_bounded_deterministic_jitter(self):
+        """The one backoff the gateway, the client and the pool wait."""
+        base, cap = 0.1, 1.0
+        delays = [retry_backoff(base, cap, k, "case-7") for k in range(1, 9)]
+        for k, delay in enumerate(delays, start=1):
+            nominal = min(cap, base * 2 ** (k - 1))  # base, doubling, capped
+            assert nominal <= delay < 1.25 * nominal  # jitter in [1, 1.25)
+            assert delay == retry_backoff(base, cap, k, "case-7")  # deterministic
+        assert base <= delays[0] < 1.25 * base  # the first delay is base
+        assert all(cap <= d < 1.25 * cap for d in delays[4:])  # 0.1 * 2**4 > cap
+        # Tokens jitter apart: correlated retries do not move in lockstep.
+        assert len({retry_backoff(base, cap, 1, f"case-{i}") for i in range(8)}) == 8
+        # A zero base waits 0 (SessionServer re-admits at once).
+        assert retry_backoff(0.0, cap, 3, "case-7") == 0.0
+
+
 # -- pool robustness ---------------------------------------------------------
 
 
 class TestPoolRobustness:
     @pytest.mark.faults
-    def test_respawn_backoff_on_crash_loop(self):
-        pool = SessionWorkerPool(1, respawn_base_s=0.2, respawn_cap_s=1.0)
+    def test_respawn_backoff_on_crash_loop(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "RESPAWN_BASE_S", 0.2)
+        monkeypatch.setattr(pool_module, "RESPAWN_CAP_S", 1.0)
+        pool = SessionWorkerPool(1)
         try:
             # First crash: immediate respawn (fast isolated recovery).
             pool.workers[0].process.kill()
@@ -291,21 +315,24 @@ class TestPoolRobustness:
                 time.sleep(0.02)
             assert respawned == [0]
             assert pool.n_workers == 1 and pool.respawns == 2
-            # The schedule is capped and deterministic.
-            assert pool._backoff_delay(0, 50) <= pool.respawn_cap_s * (
-                1.0 + pool.RESPAWN_JITTER
-            )
-            assert pool._backoff_delay(0, 3) == pool._backoff_delay(0, 3)
+            # The schedule is capped and deterministic: the shared backoff
+            # of the pool's constants, at attempt crashes - 1.
+            base, cap = pool_module.RESPAWN_BASE_S, pool_module.RESPAWN_CAP_S
+            assert retry_backoff(base, cap, 49, 0) < 1.25 * cap
+            assert retry_backoff(base, cap, 2, 0) == retry_backoff(base, cap, 2, 0)
         finally:
             pool.shutdown()
 
     @pytest.mark.faults
-    def test_wedged_worker_detected_by_heartbeat(self, patient, intraop_scans):
+    def test_wedged_worker_detected_by_heartbeat(
+        self, patient, intraop_scans, monkeypatch
+    ):
         """A wedged worker stops beating: the heartbeat age the gateway
         reads (``pool.heartbeats``) passes three beat periods, where a
         live idle worker beats every period; terminating the worker hands
         its case back. Bounded polls, no sleep."""
-        pool = SessionWorkerPool(1, heartbeat_s=0.1)
+        monkeypatch.setattr(pool_module, "HEARTBEAT_S", 0.1)
+        pool = SessionWorkerPool(1)
 
         def age() -> float:
             return time.monotonic() - pool.heartbeats[0]

@@ -45,9 +45,8 @@ from repro.serving import (
     encode_frame,
     encode_volume,
 )
-from repro.serving.netclient import _jitter
 from repro.serving.pool import _serve_case
-from repro.serving.protocol import STATUS_COMPLETED, STATUS_DEGRADED
+from repro.serving.protocol import STATUS_COMPLETED, STATUS_DEGRADED, retry_backoff
 from repro.serving.transport import (
     DIGEST_SIZE,
     HEADER,
@@ -378,11 +377,15 @@ class TestCircuitBreaker:
         assert breaker.trips == 2
 
     def test_jitter_deterministic_and_bounded(self):
-        values = {_jitter("case-a", attempt) for attempt in range(16)}
-        assert all(0.0 <= v < 1.0 for v in values)
+        # base == cap: the client's delay is the jitter factor alone.
+        def factor(token, attempt):
+            return retry_backoff(1.0, 1.0, attempt, token)
+
+        values = {factor("case-a", attempt) for attempt in range(1, 17)}
+        assert all(1.0 <= v < 1.25 for v in values)
         assert len(values) > 8  # attempts decorrelate
-        assert _jitter("case-a", 3) == _jitter("case-a", 3)
-        assert _jitter("case-a", 3) != _jitter("case-b", 3)
+        assert factor("case-a", 3) == factor("case-a", 3)
+        assert factor("case-a", 3) != factor("case-b", 3)
 
 
 # -- satellite: network wait charged against the deadline ---------------------
